@@ -4,8 +4,8 @@ The tentpole demonstration for :mod:`repro.graph.shard`: a fast-mixing
 analog is *streamed* straight into node-range shards (the full edge
 list never exists), then the three batch engines — walk evolution
 (TVD-to-stationary profile), multi-source BFS and the random-walk
-sampler — plus the power-iteration SLEM all run against the shard
-store, while the process's peak RSS stays under a budget a laptop
+sampler — plus the Lanczos SLEM on streamed shard matvecs all run
+against the shard store, while the process's peak RSS stays under a budget a laptop
 would not notice.  ``REPRO_BENCH_SCALE=1.0`` runs the full 1M-node
 sweep; the default 0.25 keeps CI-adjacent runs quick.
 
@@ -30,7 +30,7 @@ from repro.graph.bfs_batch import bfs_level_sizes_block
 from repro.markov.batch import batched_tvd_profile, sharded_stationary
 from repro.markov.transition import TransitionOperator
 from repro.markov.walk_batch import walk_endpoints
-from repro.mixing import power_iteration_slem
+from repro.mixing import slem
 
 BASE_NODES = 1_000_000
 WALK_LENGTHS = [1, 2, 4, 8, 16]
@@ -118,10 +118,8 @@ def test_shard_engine_sweep(results_dir, scale, num_sources, tmp_path):
         # handle — the whole mapped CSR still fits the RSS budget
         resident = ShardedGraph.open(sharded.root)
         start = time.perf_counter()
-        # 1e-7 resolves mu to ~1e-5 here; the tight default stalls on
-        # the analog's near-degenerate subdominant cluster
-        mu = power_iteration_slem(resident, tol=1e-7, check_connected=False)
-        timings["SLEM (power iteration)"] = time.perf_counter() - start
+        mu = slem(resident)
+        timings["SLEM (Lanczos)"] = time.perf_counter() - start
 
         start = time.perf_counter()
         endpoints = walk_endpoints(

@@ -9,7 +9,7 @@ Commands
     Sybil-defense readiness: mixing, cores, expansion, recommendation.
     With ``--sharded`` the target is an out-of-core sharded-graph
     directory instead and every measurement streams shard by shard
-    (power-iteration SLEM, Sinclair bounds, sampled fast-mixing check).
+    (Lanczos SLEM, Sinclair bounds, sampled fast-mixing check).
 ``shard build --out DIR (--target T | --stream fast|slow --nodes N)``
     Shard a dataset to disk (:mod:`repro.graph.shard`), or stream a
     multi-million-node synthetic analog straight into shards without
@@ -50,6 +50,9 @@ enables the :mod:`repro.telemetry` registry for the run and writes the
 canonical JSON metrics document (per-stage wall/CPU spans, store
 hit/miss counters, chunk fan-out counts) to ``PATH``; ``pipeline run
 --trace`` additionally prints the human-readable telemetry tables.
+
+Errors: any :class:`~repro.errors.ReproError` a command raises ends the
+run with its one-line message and exit code 1, never a traceback.
 """
 
 from __future__ import annotations
@@ -77,15 +80,10 @@ from repro.datasets import (
     dataset_spec,
     load_dataset,
 )
-from repro.errors import GraphError
+from repro.errors import ReproError
 from repro.expansion import envelope_expansion
 from repro.graph import ShardedGraph, largest_connected_component, read_edge_list
-from repro.mixing import (
-    is_fast_mixing,
-    power_iteration_slem,
-    sinclair_bounds,
-    slem,
-)
+from repro.mixing import is_fast_mixing, sinclair_bounds, slem
 from repro import telemetry
 from repro.chunking import default_workers
 from repro.parallel import EXECUTORS
@@ -149,31 +147,24 @@ def _audit_sharded(args: argparse.Namespace) -> int:
     """Out-of-core readiness audit over a sharded-graph directory.
 
     Streams every measurement shard block by shard block: SLEM via
-    deflated power iteration, Sinclair bounds, and the sampled
-    fast-mixing check (worst-source TVD below ``1/n`` within the
-    ``4 log2 n`` budget — the same criterion as
-    :func:`repro.mixing.is_fast_mixing`, measured on a geometric
-    length grid).  Core/expansion structure needs the resident graph
-    and is skipped at this scale.
+    :func:`repro.mixing.slem` (Lanczos on streamed shard matvecs),
+    Sinclair bounds, and the sampled fast-mixing check (worst-source
+    TVD below ``1/n`` within the ``4 log2 n`` budget — the same
+    criterion as :func:`repro.mixing.is_fast_mixing`, measured on a
+    geometric length grid).  The TVD chunks run on every core, with at
+    most 8 source columns resident at once; the profile is
+    bit-identical for every worker count.  Core/expansion structure
+    needs the resident graph and is skipped at this scale.
     """
     from repro.markov.batch import batched_tvd_profile, sharded_stationary
 
-    try:
-        sharded = ShardedGraph.open(args.target)
-    except GraphError as exc:
-        raise SystemExit(str(exc))
+    sharded = ShardedGraph.open(args.target)
     n = sharded.num_nodes
     print(
         f"sharded graph: {n} nodes, {sharded.num_edges} edges, "
         f"{sharded.num_shards} shards ({sharded.nodes_per_shard} nodes/shard)"
     )
-    try:
-        # 1e-8 on the Rayleigh quotient (~1e-5-accurate mu): big analogs
-        # carry near-degenerate subdominant clusters the tight default
-        # tolerance cannot resolve in bounded iterations
-        mu = power_iteration_slem(sharded, tol=1e-8)
-    except GraphError as exc:
-        raise SystemExit(str(exc))
+    mu = slem(sharded)
     bounds = sinclair_bounds(mu, n, epsilon=1 / n)
     budget = max(1, int(4.0 * np.log2(max(n, 2))))
     lengths = sorted(
@@ -182,8 +173,14 @@ def _audit_sharded(args: argparse.Namespace) -> int:
     )
     rng = np.random.default_rng(args.seed)
     sources = np.sort(rng.choice(n, size=min(args.sources, n), replace=False))
+    workers = default_workers()
     tvd = batched_tvd_profile(
-        sharded, sharded_stationary(sharded), sources, lengths, chunk_size=8
+        sharded,
+        sharded_stationary(sharded),
+        sources,
+        lengths,
+        chunk_size=max(1, 8 // workers),
+        workers=workers,
     )
     worst = tvd.max(axis=0)
     fast = bool((worst < 1.0 / n).any())
@@ -191,6 +188,7 @@ def _audit_sharded(args: argparse.Namespace) -> int:
         format_table(
             ["property", "value"],
             [
+                # perfbench/workloads.py parses this label verbatim
                 ["SLEM mu (power iteration)", f"{mu:.4f}"],
                 ["T(1/n) lower bound", f"{bounds.lower:.0f} steps"],
                 ["T(1/n) upper bound", f"{bounds.upper:.0f} steps"],
@@ -272,30 +270,27 @@ def _shard_build(args: argparse.Namespace) -> int:
     if (args.target is None) == (args.stream is None):
         raise SystemExit("pass exactly one of --target or --stream")
     out = Path(args.out)
-    try:
-        if args.stream is not None:
-            if args.nodes is None:
-                raise SystemExit("--stream requires --nodes")
-            from repro.datasets import build_sharded_analog
+    if args.stream is not None:
+        if args.nodes is None:
+            raise SystemExit("--stream requires --nodes")
+        from repro.datasets import build_sharded_analog
 
-            sharded = build_sharded_analog(
-                out,
-                args.nodes,
-                regime=args.stream,
-                seed=args.seed,
-                num_shards=args.num_shards,
-                nodes_per_shard=args.nodes_per_shard,
-            )
-        else:
-            graph = _load_target(args.target, args.scale)
-            sharded = ShardedGraph.from_graph(
-                graph,
-                out,
-                num_shards=args.num_shards,
-                nodes_per_shard=args.nodes_per_shard,
-            )
-    except GraphError as exc:
-        raise SystemExit(str(exc))
+        sharded = build_sharded_analog(
+            out,
+            args.nodes,
+            regime=args.stream,
+            seed=args.seed,
+            num_shards=args.num_shards,
+            nodes_per_shard=args.nodes_per_shard,
+        )
+    else:
+        graph = _load_target(args.target, args.scale)
+        sharded = ShardedGraph.from_graph(
+            graph,
+            out,
+            num_shards=args.num_shards,
+            nodes_per_shard=args.nodes_per_shard,
+        )
     print(f"sharded graph written to {out}")
     print(
         f"{sharded.num_nodes} nodes, {sharded.num_edges} edges, "
@@ -306,10 +301,7 @@ def _shard_build(args: argparse.Namespace) -> int:
 
 
 def _shard_info(args: argparse.Namespace) -> int:
-    try:
-        sharded = ShardedGraph.open(args.root)
-    except GraphError as exc:
-        raise SystemExit(str(exc))
+    sharded = ShardedGraph.open(args.root)
     print(
         f"sharded graph: {sharded.num_nodes} nodes, {sharded.num_edges} edges, "
         f"{sharded.num_shards} shards ({sharded.nodes_per_shard} nodes/shard)"
@@ -989,19 +981,22 @@ def main(argv: list[str] | None = None) -> int:
     }
     metrics_out = getattr(args, "metrics_out", None)
     trace = getattr(args, "trace", False)
-    if not metrics_out and not trace:
-        return handlers[args.command](args)
-    with telemetry.activate() as tel:
-        code = handlers[args.command](args)
-        if trace:
-            from repro.analysis import telemetry_summary
+    try:
+        if not metrics_out and not trace:
+            return handlers[args.command](args)
+        with telemetry.activate() as tel:
+            code = handlers[args.command](args)
+            if trace:
+                from repro.analysis import telemetry_summary
 
-            print()
-            print(telemetry_summary(tel))
-        if metrics_out:
-            written = tel.write_json(metrics_out)
-            print(f"metrics written to {written}")
-    return code
+                print()
+                print(telemetry_summary(tel))
+            if metrics_out:
+                written = tel.write_json(metrics_out)
+                print(f"metrics written to {written}")
+        return code
+    except ReproError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from repro.mixing.sampling import (
 from repro.mixing.spectral import (
     MixingBounds,
     normalized_adjacency,
-    power_iteration_slem,
     sinclair_bounds,
     slem,
     spectral_gap,
@@ -30,7 +29,6 @@ __all__ = [
     "sampled_mixing_time",
     "is_fast_mixing",
     "slem",
-    "power_iteration_slem",
     "spectral_gap",
     "normalized_adjacency",
     "MixingBounds",

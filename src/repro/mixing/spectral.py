@@ -15,24 +15,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro import telemetry
 from repro.errors import ConvergenceError, GraphError
 from repro.graph.core import Graph
 from repro.graph.shard import ShardedGraph
 
 __all__ = [
     "normalized_adjacency",
-    "power_iteration_slem",
     "slem",
     "spectral_gap",
     "MixingBounds",
     "sinclair_bounds",
     "spectral_mixing_time",
 ]
+
+#: Eigenvalues Lanczos is asked for; ARPACK needs more nodes than this.
+_LANCZOS_K = 3
+#: Lanczos basis size (scipy's default is 20).  The streamed analogs
+#: carry a near-degenerate subdominant cluster, and the larger basis
+#: cut the matvecs to converge it from 1234 to 866 at 50k nodes and
+#: from 2401 to 1370 at 200k, for ``8 * 40 * n`` bytes of workspace.
+_LANCZOS_NCV = 40
 
 
 def normalized_adjacency(graph: Graph) -> sp.csr_matrix:
@@ -53,107 +62,38 @@ def normalized_adjacency(graph: Graph) -> sp.csr_matrix:
     return sp.csr_matrix((data, graph.indices.copy(), graph.indptr.copy()), shape=(n, n))
 
 
-def _dense_slem(matrix: sp.csr_matrix) -> float:
-    values = np.linalg.eigvalsh(matrix.toarray())
+def _dense_slem(matrix: np.ndarray) -> float:
+    values = np.linalg.eigvalsh(matrix)
     magnitudes = np.sort(np.abs(values))[::-1]
     return float(magnitudes[1]) if magnitudes.size > 1 else 0.0
 
 
-def _normalized_apply(graph: Graph | ShardedGraph):
-    """Return ``(apply, degrees)`` for matvecs against ``D^{-1/2}AD^{-1/2}``.
+def _normalized_apply(
+    graph: Graph | ShardedGraph,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Return the product ``x -> D^{-1/2} A D^{-1/2} x``.
 
     For a resident graph the operator is one CSR matrix; for a
     :class:`~repro.graph.shard.ShardedGraph` each shard's normalized
-    row block multiplies the vector independently into its own output
-    rows, so the matvec streams without a global matrix.
+    row block multiplies ``x`` independently into its own output rows,
+    so the product streams without a global matrix.  Rows are reduced
+    in the same order either way, so both give the same bits.  ``x``
+    may be a vector or a column block.
     """
+    if not isinstance(graph, ShardedGraph):
+        return normalized_adjacency(graph).dot
     degrees = graph.degrees.astype(float)
-    if isinstance(graph, ShardedGraph):
-        inv_sqrt = np.zeros(degrees.size)
-        nonzero = degrees > 0
-        inv_sqrt[nonzero] = 1.0 / np.sqrt(degrees[nonzero])
+    inv_sqrt = np.zeros(degrees.size)
+    nonzero = degrees > 0
+    inv_sqrt[nonzero] = 1.0 / np.sqrt(degrees[nonzero])
 
-        def apply(x: np.ndarray) -> np.ndarray:
-            out = np.empty_like(x)
-            for shard in graph.iter_shards():
-                out[shard.lo : shard.hi] = shard.normalized_rows(inv_sqrt).dot(x)
-            return out
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        for shard in graph.iter_shards():
+            out[shard.lo : shard.hi] = shard.normalized_rows(inv_sqrt).dot(x)
+        return out
 
-        return apply, degrees
-    matrix = normalized_adjacency(graph)
-    return matrix.dot, degrees
-
-
-def power_iteration_slem(
-    graph: Graph | ShardedGraph,
-    tol: float = 1e-12,
-    max_iterations: int = 5000,
-    seed: int = 0,
-    check_connected: bool = True,
-) -> float:
-    """Estimate the SLEM by deflated power iteration on ``M**2``.
-
-    ``M = D^{-1/2} A D^{-1/2}`` is symmetric with leading eigenvector
-    ``sqrt(deg)`` at eigenvalue 1; deflating that direction and
-    iterating the *squared* operator (two matvecs per iteration) makes
-    the dominant surviving eigenvalue ``slem**2`` regardless of whether
-    the extreme eigenvalue is positive or negative (near-bipartite
-    chains), with the Rayleigh quotient as the estimate.  Only matvecs
-    are needed, so the same code runs a resident graph or streams a
-    :class:`~repro.graph.shard.ShardedGraph` shard block by shard
-    block — the out-of-core replacement for the dense/Lanczos paths of
-    :func:`slem`.
-
-    Raises :class:`~repro.errors.ConvergenceError` when the Rayleigh
-    estimate has not stabilized to ``tol`` within ``max_iterations``.
-    ``check_connected=False`` skips the (BFS) connectivity precheck
-    when the caller has already established it.
-
-    Tolerance at scale: large streamed analogs tend to carry a
-    near-degenerate subdominant eigenvalue cluster, against which the
-    successive-difference test tightens only sub-geometrically — the
-    default ``tol=1e-12`` may then exhaust ``max_iterations`` even
-    though the SLEM estimate is already accurate to ~1e-5.  Callers
-    reporting mixing numbers for million-node graphs should pass
-    ``tol=1e-8`` (or looser); the tight default is for small graphs
-    compared against the dense solver.
-    """
-    n = graph.num_nodes
-    if n < 2:
-        raise GraphError("SLEM needs at least 2 nodes")
-    if check_connected:
-        _check_connected(graph)
-    apply, degrees = _normalized_apply(graph)
-    leading = np.sqrt(degrees)
-    leading /= np.linalg.norm(leading)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x -= (leading @ x) * leading
-    norm = np.linalg.norm(x)
-    if norm == 0.0:  # astronomically unlikely; retry deterministically
-        x = rng.standard_normal(n)
-        x -= (leading @ x) * leading
-        norm = np.linalg.norm(x)
-    x /= norm
-    previous = None
-    for _ in range(max_iterations):
-        y = apply(apply(x))
-        y -= (leading @ y) * leading
-        estimate = float(x @ y)  # Rayleigh quotient for M^2 (x is unit)
-        norm = np.linalg.norm(y)
-        if norm <= 1e-300:
-            # the deflated spectrum is numerically zero (e.g. a star's
-            # nontrivial eigenvalues are +-1 collapsing under deflation)
-            return float(np.sqrt(max(estimate, 0.0)))
-        x = y / norm
-        if previous is not None and abs(estimate - previous) <= tol * max(
-            abs(estimate), 1e-30
-        ):
-            return float(min(np.sqrt(max(estimate, 0.0)), 1.0))
-        previous = estimate
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iterations} iterations"
-    )
+    return apply
 
 
 def _check_connected(graph: Graph | ShardedGraph) -> None:
@@ -175,44 +115,85 @@ def _check_connected(graph: Graph | ShardedGraph) -> None:
         )
 
 
+def _lanczos_slem(
+    apply: Callable[[np.ndarray], np.ndarray], n: int, tol: float
+) -> float:
+    """SLEM by ARPACK Lanczos on the matrix-free operator ``apply``.
+
+    Asks for the ``_LANCZOS_K`` largest-magnitude eigenvalues (the
+    leading 1 plus the two next, so the SLEM is found whichever sign
+    it has) from a fixed start vector, which makes the result the same
+    float on every call.
+    """
+    tel = telemetry.current()
+    matvecs = 0
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        return apply(x)
+
+    operator = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    try:
+        values = spla.eigsh(
+            operator,
+            k=_LANCZOS_K,
+            ncv=min(n, _LANCZOS_NCV),
+            which="LM",
+            v0=start,
+            tol=tol,
+            return_eigenvectors=False,
+        )
+    except spla.ArpackError as exc:
+        raise ConvergenceError(
+            f"Lanczos failed to converge after {matvecs} matvecs: {exc}",
+            iterations=matvecs,
+        ) from exc
+    finally:
+        tel.count("mixing.slem.matvecs", matvecs)
+    magnitudes = np.sort(np.abs(values))[::-1]
+    # the leading eigenvalue of a connected graph is exactly 1; the next
+    # magnitude is the SLEM (clip numerical overshoot just above 1).
+    return float(min(magnitudes[1], 1.0))
+
+
 def slem(
     graph: Graph | ShardedGraph, tol: float = 1e-10, dense_threshold: int = 400
 ) -> float:
     """Return the second largest eigenvalue modulus of P.
 
-    Small graphs are solved densely; larger ones via Lanczos on the
-    normalized adjacency (asking for the three largest-magnitude
-    eigenvalues and discarding the leading 1).  A
-    :class:`~repro.graph.shard.ShardedGraph` never materializes a
-    matrix: it dispatches to :func:`power_iteration_slem`, which
-    streams shard-block matvecs.
+    Graphs of at most ``dense_threshold`` nodes (and any graph too
+    small for Lanczos) are solved densely; larger ones by Lanczos on
+    the normalized adjacency as a matrix-free operator, asking for the
+    three largest-magnitude eigenvalues and discarding the leading 1.
+    The operator is one CSR matrix for a resident :class:`Graph` and
+    streamed shard row blocks for a
+    :class:`~repro.graph.shard.ShardedGraph`, so both take the same
+    path and a sharded graph never materializes a matrix.  ``tol`` is
+    ARPACK's relative accuracy for the eigenvalues.
 
     Disconnected graphs are rejected up front: eigenvalue 1 has one
     multiplicity per component, so the "second" eigenvalue is a
     (numerically duplicated) 1 and every finite mixing bound downstream
     would fail with an unhelpful range error.  Measure the largest
     connected component instead
-    (:func:`repro.graph.ops.largest_connected_component`).
+    (:func:`repro.graph.ops.largest_connected_component`).  Raises
+    :class:`~repro.errors.ConvergenceError`, carrying the matvec count
+    in ``iterations``, when Lanczos does not converge.
+
+    Telemetry: a ``mixing.slem`` span and a ``mixing.slem.matvecs``
+    counter.
     """
-    if graph.num_nodes < 2:
-        raise GraphError("SLEM needs at least 2 nodes")
-    if isinstance(graph, ShardedGraph):
-        return power_iteration_slem(graph, tol=min(tol, 1e-12))
-    _check_connected(graph)
-    matrix = normalized_adjacency(graph)
     n = graph.num_nodes
-    if n <= dense_threshold:
-        return _dense_slem(matrix)
-    try:
-        values = spla.eigsh(
-            matrix, k=3, which="LM", return_eigenvectors=False, tol=tol
-        )
-    except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
-        raise ConvergenceError(f"Lanczos failed to converge: {exc}") from exc
-    magnitudes = np.sort(np.abs(values))[::-1]
-    # the leading eigenvalue of a connected graph is exactly 1; the next
-    # magnitude is the SLEM (clip numerical overshoot just above 1).
-    return float(min(magnitudes[1], 1.0))
+    if n < 2:
+        raise GraphError("SLEM needs at least 2 nodes")
+    with telemetry.current().span("mixing.slem"):
+        _check_connected(graph)
+        apply = _normalized_apply(graph)
+        if n <= max(dense_threshold, _LANCZOS_K):
+            return _dense_slem(apply(np.eye(n)))
+        return _lanczos_slem(apply, n, tol)
 
 
 def spectral_gap(graph: Graph, **kwargs: float) -> float:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from repro.cli import main
 from repro.generators import barabasi_albert
 from repro.graph import write_edge_list
+from repro.mixing import spectral
 
 
 class TestDatasets:
@@ -38,6 +40,16 @@ class TestAudit:
     def test_missing_target(self):
         with pytest.raises(SystemExit):
             main(["audit", "/nonexistent/file.txt"])
+
+    def test_two_node_graph_exits_with_one_line(self, tmp_path):
+        # SLEM is 1 (bipartite), so the Sinclair bounds are infinite
+        path = tmp_path / "edge.txt"
+        path.write_text("0 1\n")
+        with pytest.raises(SystemExit) as info:
+            main(["audit", str(path)])
+        message = str(info.value.code)
+        assert "SLEM must lie in [0, 1)" in message
+        assert "\n" not in message
 
 
 class TestShard:
@@ -130,6 +142,24 @@ class TestShard:
         doc = json.loads(metrics.read_text())
         assert doc["counters"]["shard.loads"] >= 1
         assert doc["gauges"]["shard.resident_bytes"] > 0
+        assert doc["counters"]["mixing.slem.matvecs"] > 0
+
+    def test_sharded_audit_nonconvergence_exits_with_one_line(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "sg"
+        main(["shard", "build", "--out", str(root), "--stream", "fast",
+              "--nodes", "3000"])
+
+        def stalled(operator, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(spectral.spla, "eigsh", stalled)
+        with pytest.raises(SystemExit) as info:
+            main(["audit", str(root), "--sharded"])
+        message = str(info.value.code)
+        assert message.startswith("Lanczos failed to converge")
+        assert "\n" not in message
 
 
 class TestReproduce:

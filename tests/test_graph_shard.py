@@ -7,7 +7,7 @@ Covers the tentpole end to end:
   walks) run on a :class:`~repro.graph.shard.ShardedGraph` across
   shard-count x chunk-size x workers must equal the in-RAM engine and
   the sequential oracles byte for byte;
-* the power-iteration SLEM against the dense solver;
+* the Lanczos SLEM, sharded and in-RAM, against the dense solver;
 * the streaming analog generators (determinism, connectivity, the
   fast/slow mixing contrast);
 * the ``shard.*`` telemetry contract (loads/spills/resident gauges);
@@ -20,8 +20,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from repro import telemetry
+from repro import cli, telemetry
 from repro.datasets import (
     STREAM_REGIMES,
     build_sharded_analog,
@@ -46,7 +47,7 @@ from repro.markov.walk_batch import (
     walk_first_hits,
     walk_visit_counts,
 )
-from repro.mixing import power_iteration_slem, slem
+from repro.mixing import slem, spectral
 from repro.store import ArtifactStore, graph_digest
 
 
@@ -357,29 +358,43 @@ class TestEvolveBlock:
 
 
 class TestPowerIterationSlem:
+    """Pins for the one matrix-free Lanczos SLEM path.
+
+    ``dense_threshold=0`` forces Lanczos on graphs the default would
+    solve densely, so the dense solver serves as the oracle.  The class
+    keeps the name of the deflated power iteration that path replaced.
+    """
+
     def test_matches_dense_complete_graph(self):
-        g = complete_graph(6)
-        assert power_iteration_slem(g) == pytest.approx(slem(g), abs=1e-9)
+        for n in (5, 6):
+            g = complete_graph(n)
+            assert slem(g, dense_threshold=0) == pytest.approx(slem(g), abs=1e-8)
 
     def test_matches_dense_odd_cycle(self, c7):
-        assert power_iteration_slem(c7) == pytest.approx(slem(c7), abs=1e-9)
+        assert slem(c7, dense_threshold=0) == pytest.approx(slem(c7), abs=1e-8)
 
     def test_bipartite_even_cycle_is_one(self):
-        # C8 has eigenvalue -1; squaring the operator must still find it
-        assert power_iteration_slem(cycle_graph(8)) == pytest.approx(
-            1.0, abs=1e-9
+        # C8 has eigenvalue -1; asking for the largest magnitudes finds it
+        assert slem(cycle_graph(8), dense_threshold=0) == pytest.approx(
+            1.0, abs=1e-8
         )
 
     def test_matches_dense_random_graph(self, ba_small):
-        assert power_iteration_slem(ba_small) == pytest.approx(
+        assert slem(ba_small, dense_threshold=0) == pytest.approx(
             slem(ba_small), abs=1e-8
         )
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 7])
+    def test_sharded_matches_in_ram(self, ba_small, tmp_path, num_shards):
+        sg = ShardedGraph.from_graph(ba_small, tmp_path / "slem", num_shards=num_shards)
+        assert slem(sg, dense_threshold=0) == pytest.approx(
+            slem(ba_small, dense_threshold=0), abs=1e-10
+        )
+
     def test_sharded_dispatch(self, ba_small, tmp_path):
+        # at the default threshold a small sharded graph is solved densely
         sg = ShardedGraph.from_graph(ba_small, tmp_path / "slem", num_shards=3)
-        mu = slem(sg)
-        assert mu == pytest.approx(slem(ba_small), abs=1e-8)
-        assert mu == pytest.approx(power_iteration_slem(sg), abs=1e-12)
+        assert slem(sg) == pytest.approx(slem(ba_small), abs=1e-12)
 
     def test_disconnected_sharded_rejected(self, tmp_path):
         g = Graph.from_edges([(0, 1), (2, 3)])
@@ -389,11 +404,34 @@ class TestPowerIterationSlem:
 
     def test_tiny_graph_rejected(self):
         with pytest.raises(GraphError):
-            power_iteration_slem(Graph.empty(1))
+            slem(Graph.empty(1), dense_threshold=0)
 
-    def test_nonconvergence_raises(self, ba_small):
-        with pytest.raises(ConvergenceError):
-            power_iteration_slem(ba_small, tol=0.0, max_iterations=3)
+    def test_nonconvergence_raises(self, ba_small, tmp_path, monkeypatch):
+        def stalled(operator, **kwargs):
+            operator.matvec(kwargs["v0"])
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        sg = ShardedGraph.from_graph(ba_small, tmp_path / "slem", num_shards=3)
+        monkeypatch.setattr(spectral.spla, "eigsh", stalled)
+        with pytest.raises(ConvergenceError, match="after 1 matvecs") as info:
+            slem(sg, dense_threshold=0)
+        assert info.value.iterations == 1
+
+    def test_sharded_audit_of_stalling_analog(self, tmp_path, monkeypatch, capsys):
+        # deflated power iteration exhausted its 5000 iterations here
+        root = tmp_path / "fast-20k"
+        build_sharded_analog(root, 20_000, regime="fast", seed=4, num_shards=8)
+        audited = []
+
+        def recording_slem(graph):
+            audited.append(slem(graph))
+            return audited[-1]
+
+        monkeypatch.setattr(cli, "slem", recording_slem)
+        assert cli.main(["audit", "--sharded", str(root)]) == 0
+        assert "SLEM" in capsys.readouterr().out
+        in_ram = slem(ShardedGraph.open(root).to_graph())
+        assert audited == [pytest.approx(in_ram, abs=1e-8)]
 
 
 class TestStreamingAnalogs:

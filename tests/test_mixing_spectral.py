@@ -4,22 +4,27 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from repro.errors import GraphError
+from repro import telemetry
+from repro.errors import ConvergenceError, GraphError
 from repro.generators import (
     barabasi_albert,
     community_social_graph,
     complete_graph,
     cycle_graph,
 )
-from repro.graph import Graph
+from repro.graph import Graph, write_edge_list
 from repro.mixing import (
     normalized_adjacency,
     sinclair_bounds,
     slem,
+    spectral,
     spectral_gap,
     spectral_mixing_time,
 )
+from repro.pipeline import paper_measurement_pipeline
+from repro.store import ArtifactStore
 
 
 class TestNormalizedAdjacency:
@@ -96,6 +101,47 @@ class TestSlem:
 
     def test_gap_complement(self, k5):
         assert spectral_gap(k5) == pytest.approx(1 - slem(k5))
+
+
+class TestLanczosDeterminism:
+    """Lanczos starts from a fixed vector, so SLEM is one float per graph."""
+
+    def test_repeated_calls_are_equal(self):
+        g = barabasi_albert(500, 3, seed=5)
+        assert slem(g) == slem(g)
+
+    def test_cold_pipeline_spectral_stages_are_equal(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        write_edge_list(barabasi_albert(450, 3, seed=6), path)
+        spectral_stages = [
+            paper_measurement_pipeline(
+                str(path), scale=1.0, store=ArtifactStore(tmp_path / store)
+            ).run(targets=["spectral"]).results["spectral"]
+            for store in ("a", "b")
+        ]
+        assert spectral_stages[0] == spectral_stages[1]
+
+
+class TestLanczosTelemetry:
+    def test_span_and_matvec_counter(self):
+        g = barabasi_albert(500, 3, seed=5)
+        with telemetry.activate() as tel:
+            slem(g)
+        assert tel.spans["mixing.slem"].count == 1
+        assert tel.counters["mixing.slem.matvecs"] > 0
+
+    def test_convergence_error_carries_matvec_count(self, monkeypatch):
+        def stalled(operator, **kwargs):
+            for _ in range(4):
+                operator.matvec(kwargs["v0"])
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(spectral.spla, "eigsh", stalled)
+        with telemetry.activate() as tel:
+            with pytest.raises(ConvergenceError, match="after 4 matvecs") as info:
+                slem(barabasi_albert(500, 3, seed=5))
+        assert info.value.iterations == 4
+        assert tel.counters["mixing.slem.matvecs"] == 4
 
 
 class TestSinclairBounds:
