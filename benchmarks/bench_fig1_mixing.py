@@ -16,8 +16,9 @@ import time
 import numpy as np
 from conftest import publish, publish_metrics
 
-from repro import telemetry
+from repro import oracles, telemetry
 from repro.analysis import figure1_mixing_profiles, format_table
+from repro.datasets import load_dataset
 from repro.markov import clear_operator_cache
 
 WALK_LENGTHS = [1, 2, 3, 5, 7, 10, 15, 20, 30, 40, 50]
@@ -25,14 +26,22 @@ SMALL = ["wiki_vote", "enron", "physics1", "physics2", "physics3", "epinions"]
 LARGE = ["facebook_a", "facebook_b", "livejournal_a", "livejournal_b", "dblp", "youtube"]
 
 
-def _run(datasets, scale, num_sources, strategy="batched"):
+def _run(datasets, scale, num_sources):
     return figure1_mixing_profiles(
-        datasets,
-        walk_lengths=WALK_LENGTHS,
-        num_sources=num_sources,
-        scale=scale,
-        strategy=strategy,
+        datasets, walk_lengths=WALK_LENGTHS, num_sources=num_sources, scale=scale
     )
+
+
+def _run_oracle(datasets, scale, num_sources):
+    """The same Figure-1 sweep through the one-matvec-per-source oracle."""
+    return {
+        name: oracles.sampled_mixing_profile(
+            load_dataset(name, scale=scale),
+            walk_lengths=WALK_LENGTHS,
+            num_sources=num_sources,
+        )
+        for name in datasets
+    }
 
 
 def _asserts_paper_shape(scale: float) -> bool:
@@ -90,8 +99,9 @@ def test_fig1b_large_datasets(benchmark, results_dir, scale, num_sources):
 
 
 def test_fig1_engine_speedup(results_dir, scale, num_sources):
-    """Wall-clock the batched walk engine against the sequential oracle
-    on the full Figure-1 workload and record both timings.
+    """Wall-clock the batched walk engine against the per-source oracle
+    (:mod:`repro.oracles`) on the full Figure-1 workload and record both
+    timings.
 
     The datasets are warmed first so both strategies time only the
     mixing measurement; the operator cache is cleared before each run so
@@ -102,12 +112,10 @@ def test_fig1_engine_speedup(results_dir, scale, num_sources):
     timings = {}
     profiles = {}
     with telemetry.activate() as tel:
-        for strategy in ("sequential", "batched"):
+        for strategy, run in (("sequential", _run_oracle), ("batched", _run)):
             clear_operator_cache()
             start = time.perf_counter()
-            profiles[strategy] = _run(
-                datasets, scale, num_sources, strategy=strategy
-            )
+            profiles[strategy] = run(datasets, scale, num_sources)
             timings[strategy] = time.perf_counter() - start
     speedup = timings["sequential"] / timings["batched"]
     rows = [

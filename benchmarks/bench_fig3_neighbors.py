@@ -13,8 +13,10 @@ import time
 import numpy as np
 from conftest import publish, publish_metrics
 
-from repro import telemetry
+from repro import oracles, telemetry
 from repro.analysis import figure3_expansion_summaries, format_table
+from repro.datasets import load_dataset
+from repro.expansion import aggregate_by_set_size
 
 DATASETS = [
     "physics1",
@@ -31,10 +33,22 @@ DATASETS = [
 CHECKPOINTS = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75]
 
 
-def _run(scale, num_sources, strategy="batched"):
+def _run(scale, num_sources):
     return figure3_expansion_summaries(
-        DATASETS, num_sources=num_sources, scale=scale, strategy=strategy
+        DATASETS, num_sources=num_sources, scale=scale
     )
+
+
+def _run_oracle(scale, num_sources):
+    """The same Figure-3 sweep through the one-BFS-per-core oracle."""
+    return {
+        name: aggregate_by_set_size(
+            oracles.envelope_expansion(
+                load_dataset(name, scale=scale), num_sources=num_sources
+            )
+        )
+        for name in DATASETS
+    }
 
 
 def test_fig3(benchmark, results_dir, scale, num_sources):
@@ -89,7 +103,8 @@ def test_fig3_band_narrows(benchmark, results_dir, scale, num_sources):
 
 def test_fig3_engine_speedup(results_dir, scale, num_sources):
     """Wall-clock the batched BFS engine against the per-source oracle
-    on the full Figure-3 workload and record both timings.
+    (:mod:`repro.oracles`) on the full Figure-3 workload and record both
+    timings.
 
     The datasets are warmed first so both strategies time only the
     envelope measurement itself.
@@ -98,9 +113,9 @@ def test_fig3_engine_speedup(results_dir, scale, num_sources):
     timings = {}
     summaries = {}
     with telemetry.activate() as tel:
-        for strategy in ("sequential", "batched"):
+        for strategy, run in (("sequential", _run_oracle), ("batched", _run)):
             start = time.perf_counter()
-            summaries[strategy] = _run(scale, num_sources, strategy=strategy)
+            summaries[strategy] = run(scale, num_sources)
             timings[strategy] = time.perf_counter() - start
     speedup = timings["sequential"] / timings["batched"]
     rows = [

@@ -18,9 +18,9 @@ MEDIUM = ["wiki_vote", "epinions", "enron", "slashdot0811"]
 CHECKPOINTS = [0.01, 0.05, 0.1, 0.25, 0.5]
 
 
-def _run(datasets, scale, num_sources, strategy="batched"):
+def _run(datasets, scale, num_sources):
     return figure4_expansion_factors(
-        datasets, num_sources=num_sources, scale=scale, strategy=strategy
+        datasets, num_sources=num_sources, scale=scale
     )
 
 

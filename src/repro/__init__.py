@@ -33,7 +33,9 @@ Subpackages
 ``repro.pipeline``   declarative stage-DAG experiment runner
 ``repro.telemetry``  span/counter/gauge instrumentation registry
 ``repro.privacy``    link-privacy perturbation + privacy-utility frontier
+``repro.chunking``   chunk planner + the one dispatcher of the batch engines
 ``repro.parallel``   process execution backend + shared-memory graph plane
+``repro.oracles``    scalar reference twins of the batch engines (tests)
 """
 
 from repro.analysis import (

@@ -91,14 +91,13 @@ def figure1_mixing_profiles(
     num_sources: int = 100,
     scale: float = 1.0,
     seed: int = 0,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
     store: ArtifactStore | None = None,
 ) -> dict[str, MixingProfile]:
     """Measure Figure 1: sampled TVD-vs-walk-length per analog.
 
-    ``strategy``/``chunk_size``/``workers`` select the walk engine as in
+    ``chunk_size``/``workers`` schedule the walk engine as in
     :func:`repro.mixing.sampled_mixing_profile`; they change only the
     execution schedule (results are byte-identical), so they stay out
     of the ``store`` cache key.
@@ -117,7 +116,6 @@ def figure1_mixing_profiles(
                 walk_lengths=lengths,
                 num_sources=num_sources,
                 seed=seed,
-                strategy=strategy,
                 chunk_size=chunk_size,
                 workers=workers,
             ),
@@ -197,7 +195,6 @@ def figure3_expansion_summaries(
     num_sources: int | None = None,
     scale: float = 1.0,
     seed: int = 0,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
     store: ArtifactStore | None = None,
@@ -206,7 +203,7 @@ def figure3_expansion_summaries(
 
     ``num_sources=None`` uses every node as a core exactly as the paper
     does; pass a count to sample sources on the larger analogs.
-    ``strategy``/``chunk_size``/``workers`` select the BFS engine as in
+    ``chunk_size``/``workers`` schedule the BFS engine as in
     :func:`repro.expansion.envelope_expansion`; only the expensive
     :class:`ExpansionMeasurement` is memoized through ``store`` (the
     aggregation is cheap and recomputed).
@@ -215,15 +212,13 @@ def figure3_expansion_summaries(
     for name in datasets:
         graph = load_dataset(name, scale=scale, seed=seed)
         measurement = _memoized_expansion(
-            store, graph, num_sources, seed, strategy, chunk_size, workers
+            store, graph, num_sources, seed, chunk_size, workers
         )
         out[name] = aggregate_by_set_size(measurement)
     return out
 
 
-def _memoized_expansion(
-    store, graph, num_sources, seed, strategy, chunk_size, workers
-):
+def _memoized_expansion(store, graph, num_sources, seed, chunk_size, workers):
     """Envelope expansion through the artifact store (engine knobs
     excluded from the key; the engines are byte-equivalent)."""
     return memoize(
@@ -235,7 +230,6 @@ def _memoized_expansion(
             graph,
             num_sources=num_sources,
             seed=seed,
-            strategy=strategy,
             chunk_size=chunk_size,
             workers=workers,
         ),
@@ -247,7 +241,6 @@ def figure4_expansion_factors(
     num_sources: int | None = None,
     scale: float = 1.0,
     seed: int = 0,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
     store: ArtifactStore | None = None,
@@ -257,7 +250,7 @@ def figure4_expansion_factors(
     for name in datasets:
         graph = load_dataset(name, scale=scale, seed=seed)
         measurement = _memoized_expansion(
-            store, graph, num_sources, seed, strategy, chunk_size, workers
+            store, graph, num_sources, seed, chunk_size, workers
         )
         out[name] = expansion_factor_series(measurement)
     return out

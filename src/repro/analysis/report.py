@@ -92,14 +92,13 @@ def measurement_report(
     name: str = "graph",
     num_sources: int = 50,
     seed: int = 0,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
     store: ArtifactStore | None = None,
 ) -> str:
     """Return a markdown report of every paper-relevant property.
 
-    ``strategy``/``chunk_size``/``workers`` select the BFS engine for
+    ``chunk_size``/``workers`` schedule the BFS engine for
     the expansion measurement, as in
     :func:`repro.expansion.envelope_expansion`.  ``store`` memoizes
     every expensive measurement (mixing, spectral, cores, expansion,
@@ -189,7 +188,6 @@ def measurement_report(
             graph,
             num_sources=min(num_sources, graph.num_nodes),
             seed=seed,
-            strategy=strategy,
             chunk_size=chunk_size,
             workers=workers,
         ),

@@ -1,33 +1,28 @@
-"""Shared chunk planning and fan-out for the batched engines.
+"""Chunk planning and the one dispatcher every batch engine runs on.
 
-Both block engines — the multi-source walk engine
-(:mod:`repro.markov.batch`) and the multi-source BFS engine
-(:mod:`repro.graph.bfs_batch`) — process independent source columns in
-contiguous chunks: ``chunk_size`` bounds the per-chunk working set at
-``O(n * chunk_size)``, and ``workers`` optionally fans the chunks out
-over a thread pool.  Chunks are independent and write into disjoint
-pre-allocated slices, so results are deterministic regardless of
-scheduling.  This runner uses threads: the shared graph or matrix is
-free to share and the pool is free to start.  When per-chunk Python
-time is GIL-bound, the engines' ``executor="process"`` knob dispatches
-the same chunk plan to :mod:`repro.parallel` instead, which shares the
-graph through a shared-memory plane rather than pickling it per worker.
+The batch engines — the Monte-Carlo walks (:mod:`repro.markov.walk_batch`),
+the TVD profile and block evolution (:mod:`repro.markov.batch`), the
+block BFS (:mod:`repro.graph.bfs_batch`) and loopy BP
+(:mod:`repro.sybil.fusion`) — process independent items in contiguous
+chunks: ``chunk_size`` bounds the per-chunk working set at
+``O(n * chunk_size)`` and ``workers`` fans the chunks out.  Chunks write
+disjoint slices, so results never depend on scheduling.
 
-This module holds the one chunk planner and runner both engines share,
-so the two engines stay API-identical by construction.
+Each engine supplies one module-level kernel and calls
+:func:`run_kernel`, which owns the backend: the thread runner
+(:func:`run_chunks`, inline or on a bounded pool) or, under an ambient
+:func:`repro.parallel.execution` process scope, the shared-memory
+process pool of :mod:`repro.parallel`.  Both call the same kernel with
+the same named buffers, so every backend x ``chunk_size`` x ``workers``
+combination is bit-identical to the scalar twins in
+:mod:`repro.oracles`.  Zero items are a legal, empty plan.
 
-Zero sources are a legal plan: ``resolve_chunks(0, ...)`` returns an
-empty chunk list and ``run_chunks`` treats an empty list as a no-op
-(never opening a thread pool), so engine entry points handed an empty
-source set fall through to an empty result instead of crashing.
-
-Fan-out reports into :mod:`repro.telemetry`: per-chunk spans
-(``chunking.chunk``), chunk and source counters, and a worker
-utilization gauge (busy time across the pool / pool size x elapsed).
-Busy time for the gauge is accumulated *per run* — two overlapping
-parallel runs sharing one registry must not see each other's busy
-deltas — while the global ``chunking.busy_seconds`` counter still sums
-across runs.
+Fan-out reports into :mod:`repro.telemetry` through one helper for both
+backends (:func:`record_fanout`): ``chunking.chunk`` spans (the
+kernel's span nests inside), chunk/source counters, busy seconds and a
+per-run worker utilization gauge.  Chunk spans keep the span path of
+the thread that dispatched them, inline, on the pool and in child
+processes alike.
 """
 
 from __future__ import annotations
@@ -36,9 +31,12 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from types import SimpleNamespace
+from typing import Any, Callable, Sequence
 
-from repro import telemetry
+import numpy as np
+
+from repro import parallel, telemetry
 from repro.errors import GraphError
 
 __all__ = [
@@ -46,6 +44,8 @@ __all__ = [
     "default_workers",
     "resolve_chunks",
     "run_chunks",
+    "run_kernel",
+    "validate_sources",
 ]
 
 #: Default number of source columns processed per chunk.  Bounds the
@@ -72,6 +72,29 @@ def default_workers(cap: int = MAX_DEFAULT_WORKERS) -> int:
     except AttributeError:  # pragma: no cover - non-Linux
         available = os.cpu_count() or 1
     return max(1, min(available, cap))
+
+
+def validate_sources(
+    num_nodes: int, sources: np.ndarray | Sequence[int]
+) -> np.ndarray:
+    """Return engine source ids as an int64 array, checked before dispatch.
+
+    Rejects a non-integer dtype (``astype`` would silently truncate
+    ``1.7`` to node 1) and ids outside ``[0, num_nodes)``.  Duplicates
+    are allowed, and an empty list of any dtype is returned as an empty
+    int64 array; engines that need sources reject it themselves.
+    """
+    chosen = np.asarray(
+        sources if isinstance(sources, np.ndarray) else list(sources)
+    )
+    if chosen.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if not np.issubdtype(chosen.dtype, np.integer):
+        raise GraphError(f"sources must have an integer dtype, got {chosen.dtype}")
+    chosen = chosen.astype(np.int64, copy=False).ravel()
+    if chosen.min() < 0 or chosen.max() >= num_nodes:
+        raise GraphError(f"sources must be node ids in [0, {num_nodes})")
+    return chosen
 
 
 def resolve_chunks(
@@ -102,6 +125,123 @@ def resolve_chunks(
     return [slice(lo, min(lo + size, num_sources)) for lo in range(0, num_sources, size)]
 
 
+def run_kernel(
+    kernel: Callable[..., Any],
+    num_items: int,
+    chunk_size: int | None = None,
+    workers: int | None = None,
+    *,
+    inputs: dict[str, Any],
+    outputs: dict[str, np.ndarray] | None = None,
+    split: dict[str, Sequence[Any]] | None = None,
+    setup: Callable[[SimpleNamespace], None] | None = None,
+    merge: Callable[[slice, Any], None] | None = None,
+    repeat: Callable[[SimpleNamespace], bool] | None = None,
+    span: str | None = None,
+) -> None:
+    """Run ``kernel`` over ``num_items`` items in chunks, on either backend.
+
+    Each chunk calls ``kernel(columns, env, **local)``: ``env`` holds
+    ``inputs`` (read-only) and ``outputs`` (written in disjoint chunk
+    slices) by name plus what ``setup(env)`` adds — per-call state built
+    once per call (once per call and worker process on the process
+    backend); ``local`` holds each ``split`` sequence cut to the chunk.
+    ``merge(columns, result)`` gets each chunk's return value as it
+    finishes (serialized); ``repeat(env)`` runs after every pass and
+    says whether to dispatch again.  ``span`` names the kernel's span.
+
+    The executor comes from the ambient :func:`repro.parallel.execution`
+    scope.  On the process backend ``kernel`` and ``setup`` must be
+    module-level; input graphs and matrices are published once, arrays
+    go to shared segments kept alive across passes, and outputs are
+    copied back into the caller's arrays before the segments go.
+    """
+    kind, workers = parallel.resolve_execution(None, workers)
+    chunks = resolve_chunks(num_items, chunk_size, workers)
+    if not chunks:
+        return
+    outputs = outputs or {}
+    split = split or {}
+    if parallel.use_processes(kind, workers, len(chunks)):
+        _run_kernel_processes(
+            kernel, chunks, workers, inputs, outputs, split, setup, merge, repeat, span
+        )
+        return
+    env = SimpleNamespace(**inputs, **outputs)
+    if setup is not None:
+        setup(env)
+    lock = threading.Lock()
+
+    def job(columns: slice) -> None:
+        local = {name: items[columns] for name, items in split.items()}
+        result = _call_kernel(kernel, columns, env, span, local)
+        if merge is not None:
+            with lock:
+                merge(columns, result)
+
+    run_chunks(job, chunks, workers)
+    while repeat is not None and repeat(env):
+        run_chunks(job, chunks, workers)
+
+
+def _run_kernel_processes(
+    kernel, chunks, workers, inputs, outputs, split, setup, merge, repeat, span
+) -> None:
+    """The process half of :func:`run_kernel`."""
+    refs: dict[str, Any] = {}
+    views: dict[str, np.ndarray] = {}
+    try:
+        for name, value in inputs.items():
+            refs[name] = parallel.share(value)
+        for name, array in outputs.items():
+            refs[name], views[name] = parallel.create_output(array.shape, array.dtype)
+            views[name][...] = array
+        payload = {"kernel": kernel, "setup": setup, "span": span, "refs": refs}
+        env = SimpleNamespace(**inputs, **views)
+        token = parallel.call_token()
+        while True:
+            parallel.run_process_chunks(
+                _kernel_task,
+                payload,
+                chunks,
+                workers,
+                chunk_payload=lambda c: {
+                    "split": {name: items[c] for name, items in split.items()}
+                },
+                call=token,
+                on_result=None if merge is None else lambda i, r: merge(chunks[i], r),
+            )
+            if repeat is None or not repeat(env):
+                break
+        for name, array in outputs.items():
+            array[...] = views[name]
+    finally:
+        parallel.release(r for r in refs.values() if isinstance(r, parallel.ShmSpec))
+
+
+def _kernel_task(payload: dict, columns: slice) -> Any:
+    """Process-backend chunk task: resolve the call's env once, run the kernel."""
+    cache = parallel.call_cache()
+    env = cache.get("env")
+    if env is None:
+        env = SimpleNamespace(
+            **{name: parallel.resolve(ref) for name, ref in payload["refs"].items()}
+        )
+        if payload["setup"] is not None:
+            payload["setup"](env)
+        cache["env"] = env
+    return _call_kernel(
+        payload["kernel"], columns, env, payload["span"], payload["split"]
+    )
+
+
+def _call_kernel(kernel, columns: slice, env, span: str | None, local: dict) -> Any:
+    if span is None:
+        return kernel(columns, env, **local)
+    with telemetry.current().span(span):
+        return kernel(columns, env, **local)
+
+
 def run_chunks(
     run_chunk: Callable[[slice], None],
     chunks: list[slice],
@@ -110,80 +250,72 @@ def run_chunks(
 ) -> None:
     """Execute chunk jobs inline or on a bounded thread pool.
 
-    An empty chunk list is a clean no-op — in particular it never
-    constructs a ``ThreadPoolExecutor`` (whose ``max_workers`` must be
-    positive).
-
-    ``span`` names the per-chunk telemetry span; pass ``None`` to keep
-    the chunk jobs un-spanned (schedulers whose jobs open their own
-    spans, like the pipeline's wave runner, use this so their span
-    paths stay rooted at the job names).
+    An empty chunk list is a no-op that never opens a pool.  ``span``
+    names the per-chunk span; ``None`` leaves jobs un-spanned (the
+    pipeline's wave runner, whose jobs open their own spans).  Either
+    way a job's spans nest under the span open on the calling thread.
     """
     if workers is not None and workers < 1:
         raise GraphError("workers must be positive")
     if not chunks:
         return
     tel = telemetry.current()
-    # Per-run busy accumulator: the utilization gauge must be computed
-    # from *this run's* busy time only.  Snapshotting the cumulative
-    # ``chunking.busy_seconds`` counter (the previous scheme) interleaved
-    # the deltas of two overlapping parallel runs sharing one registry,
-    # corrupting both gauges.
-    busy = _BusyAccumulator()
+    # this run's busy seconds only: the cumulative counter would mix in
+    # any overlapping run sharing the registry (list.append is atomic)
+    busy: list[float] = []
     if tel.enabled:
-        run_chunk = _instrumented(tel, run_chunk, span, busy)
-        tel.count("chunking.chunks", len(chunks))
-        tel.count("chunking.sources", sum(c.stop - c.start for c in chunks))
+        parent, job = tel.current_path(), run_chunk
+
+        def run_chunk(columns: slice) -> None:
+            with tel.within(parent):
+                busy.append(timed_chunk(tel, span, job, columns)[1])
+
+    pool_size = 1
+    start = time.perf_counter()
     if workers is None or workers == 1 or len(chunks) == 1:
         for columns in chunks:
             run_chunk(columns)
-        return
-    pool_size = min(workers, len(chunks))
-    start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        # list() re-raises the first chunk failure, if any.
-        list(pool.map(run_chunk, chunks))
+    else:
+        pool_size = min(workers, len(chunks))
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            # list() re-raises the first chunk failure, if any.
+            list(pool.map(run_chunk, chunks))
     if tel.enabled:
-        elapsed = time.perf_counter() - start
+        record_fanout(tel, chunks, pool_size, time.perf_counter() - start, sum(busy))
+
+
+def record_fanout(
+    tel: telemetry.Telemetry,
+    chunks: Sequence[slice],
+    pool_size: int,
+    elapsed: float,
+    busy: float,
+) -> None:
+    """Report one fan-out's ``chunking.*`` counters and utilization gauge."""
+    tel.count("chunking.chunks", len(chunks))
+    tel.count("chunking.sources", sum(c.stop - c.start for c in chunks))
+    if pool_size > 1:
         tel.count("chunking.parallel_runs")
         if elapsed > 0:
             tel.gauge(
                 "chunking.worker_utilization",
-                min(1.0, busy.total / (pool_size * elapsed)) if busy.total else 0.0,
+                min(1.0, busy / (pool_size * elapsed)) if busy else 0.0,
             )
 
 
-class _BusyAccumulator:
-    """Lock-guarded per-run busy-seconds total (exact under the pool)."""
-
-    __slots__ = ("_lock", "total")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.total = 0.0
-
-    def add(self, seconds: float) -> None:
-        with self._lock:
-            self.total += seconds
-
-
-def _instrumented(
+def timed_chunk(
     tel: telemetry.Telemetry,
-    run_chunk: Callable[[slice], None],
     span: str | None,
-    busy: _BusyAccumulator,
-) -> Callable[[slice], None]:
-    """Wrap a chunk job with a per-chunk span and busy-time accounting."""
-
-    def timed(columns: slice) -> None:
-        start = time.perf_counter()
-        if span is None:
-            run_chunk(columns)
-        else:
-            with tel.span(span):
-                run_chunk(columns)
-        elapsed = time.perf_counter() - start
-        busy.add(elapsed)
-        tel.count("chunking.busy_seconds", elapsed)
-
-    return timed
+    run_chunk: Callable[[slice], Any],
+    columns: slice,
+) -> tuple[Any, float]:
+    """Run one chunk job under ``span``; count and return its busy time."""
+    start = time.perf_counter()
+    if span is None:
+        result = run_chunk(columns)
+    else:
+        with tel.span(span):
+            result = run_chunk(columns)
+    elapsed = time.perf_counter() - start
+    tel.count("chunking.busy_seconds", elapsed)
+    return result, elapsed

@@ -44,7 +44,6 @@ def track_evolution(
     graph_sequence: Iterable[Graph],
     expansion_sources: int = 30,
     seed: int = 0,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
     store: ArtifactStore | None = None,
@@ -53,12 +52,12 @@ def track_evolution(
 
     Expansion is summarized as the mean expansion factor over envelopes
     of at most n/10 nodes (the regime Figures 3-4 show is
-    discriminative).  ``strategy``/``chunk_size``/``workers`` pass
-    through to :func:`repro.expansion.envelope_expansion`.  ``store``
-    memoizes the per-snapshot SLEM/core/expansion measurements under
-    each snapshot's content digest, so overlapping or replayed
-    evolution sequences (e.g. sliding windows over the same history)
-    only measure new snapshots.
+    discriminative).  ``chunk_size``/``workers`` pass through to
+    :func:`repro.expansion.envelope_expansion`.  ``store`` memoizes the
+    per-snapshot SLEM/core/expansion measurements under each snapshot's
+    content digest, so overlapping or replayed evolution sequences
+    (e.g. sliding windows over the same history) only measure new
+    snapshots.
     """
     out: list[SnapshotMetrics] = []
     for step, graph in enumerate(graph_sequence):
@@ -76,7 +75,6 @@ def track_evolution(
                 graph,
                 num_sources=min(expansion_sources, graph.num_nodes),
                 seed=seed,
-                strategy=strategy,
                 chunk_size=chunk_size,
                 workers=workers,
             ),

@@ -88,99 +88,14 @@ class ExpansionMeasurement:
         return self.neighbor_counts / self.set_sizes
 
 
-def _envelope_pairs_sequential(
-    graph: Graph, chosen: np.ndarray, max_radius: int | None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """One :func:`source_expansion` (one Python BFS) per core node.
-
-    Kept as the oracle the batched engine is tested against
-    (``strategy="sequential"``).
-    """
-    all_sizes: list[np.ndarray] = []
-    all_neighbors: list[np.ndarray] = []
-    for source in chosen:
-        result = source_expansion(graph, int(source))
-        env = result.envelope_sizes
-        frontier = result.frontier_sizes
-        if max_radius is not None:
-            env = env[:max_radius]
-            frontier = frontier[:max_radius]
-        all_sizes.append(env)
-        all_neighbors.append(frontier)
-    return all_sizes, all_neighbors
-
-
-def _envelope_pairs_batched(
+def _cores(
     graph: Graph,
-    chosen: np.ndarray,
+    sources: np.ndarray | list[int] | None,
+    num_sources: int | None,
     max_radius: int | None,
-    chunk_size: int | None,
-    workers: int | None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """All cores at once through the block BFS engine.
-
-    One ``(s, L)`` level-size matrix replaces ``s`` Python BFS runs;
-    bounding the measurement at ``max_radius`` stops the block BFS
-    early instead of discarding deep levels afterwards.  The derived
-    per-source arrays are byte-identical to the sequential path (same
-    int64 cumsum on the same level sizes).
-    """
-    level_sizes = bfs_level_sizes_block(
-        graph,
-        chosen,
-        chunk_size=chunk_size,
-        workers=workers,
-        max_levels=max_radius,
-    )
-    all_sizes: list[np.ndarray] = []
-    all_neighbors: list[np.ndarray] = []
-    for row in level_sizes:
-        # level sets are contiguous: the levels end at the last nonzero
-        # entry (row[0] is always 1, the source itself)
-        sizes = row[: int(np.flatnonzero(row)[-1]) + 1]
-        all_sizes.append(np.cumsum(sizes)[:-1])
-        all_neighbors.append(sizes[1:])
-    return all_sizes, all_neighbors
-
-
-def envelope_expansion(
-    graph: Graph,
-    sources: np.ndarray | list[int] | None = None,
-    num_sources: int | None = None,
-    max_radius: int | None = None,
-    seed: int = 0,
-    strategy: str = "batched",
-    chunk_size: int | None = None,
-    workers: int | None = None,
-) -> ExpansionMeasurement:
-    """Run the expansion measurement from many core nodes.
-
-    Parameters
-    ----------
-    sources:
-        Explicit core nodes.  Default: every node (the paper's choice;
-        O(n m) total), unless ``num_sources`` asks for a uniform sample.
-        Out-of-range ids are rejected up front; duplicates are collapsed
-        (each distinct core is measured exactly once) and the recorded
-        ``sources`` are sorted, matching the mixing measurement's
-        source handling.
-    num_sources:
-        Sample this many cores uniformly instead of using all nodes.
-    max_radius:
-        Optionally stop each BFS's bookkeeping at this envelope radius
-        (must be >= 1: radius 0 would measure no envelope at all).
-    strategy:
-        ``"batched"`` (default) measures all cores through the block BFS
-        engine (:func:`repro.graph.bfs_level_sizes_block`);
-        ``"sequential"`` is the one-BFS-per-core oracle.  Both produce
-        byte-identical measurements.
-    chunk_size:
-        Batched only: cores traversed per block, bounding memory at
-        ``O(n * chunk_size)``.
-    workers:
-        Batched only: fan independent core chunks out over a thread
-        pool of this size.
-    """
+    seed: int,
+) -> np.ndarray:
+    """Validate an expansion call; return its sorted distinct cores."""
     if graph.num_nodes == 0:
         raise GraphError("expansion of an empty graph is undefined")
     if max_radius is not None and max_radius < 1:
@@ -204,16 +119,12 @@ def envelope_expansion(
         chosen = np.arange(graph.num_nodes, dtype=np.int64)
     if chosen.size == 0:
         raise GraphError("at least one source is required")
-    if strategy == "batched":
-        all_sizes, all_neighbors = _envelope_pairs_batched(
-            graph, chosen, max_radius, chunk_size, workers
-        )
-    elif strategy == "sequential":
-        all_sizes, all_neighbors = _envelope_pairs_sequential(
-            graph, chosen, max_radius
-        )
-    else:
-        raise GraphError(f"unknown strategy {strategy!r}")
+    return chosen
+
+
+def _measurement(
+    chosen: np.ndarray, all_sizes: list[np.ndarray], all_neighbors: list[np.ndarray]
+) -> ExpansionMeasurement:
     return ExpansionMeasurement(
         sources=chosen,
         set_sizes=np.concatenate(all_sizes) if all_sizes else np.empty(0, np.int64),
@@ -221,6 +132,60 @@ def envelope_expansion(
             np.concatenate(all_neighbors) if all_neighbors else np.empty(0, np.int64)
         ),
     )
+
+
+def envelope_expansion(
+    graph: Graph,
+    sources: np.ndarray | list[int] | None = None,
+    num_sources: int | None = None,
+    max_radius: int | None = None,
+    seed: int = 0,
+    chunk_size: int | None = None,
+    workers: int | None = None,
+) -> ExpansionMeasurement:
+    """Run the expansion measurement from many core nodes.
+
+    All cores are measured at once through the block BFS engine
+    (:func:`repro.graph.bfs_level_sizes_block`): one ``(s, L)``
+    level-size matrix replaces ``s`` Python BFS runs, and bounding the
+    measurement at ``max_radius`` stops the block BFS early instead of
+    discarding deep levels afterwards.  The result is byte-identical to
+    the one-BFS-per-core oracle in :mod:`repro.oracles` (same int64
+    cumsum on the same level sizes).
+
+    Parameters
+    ----------
+    sources:
+        Explicit core nodes.  Default: every node (the paper's choice;
+        O(n m) total), unless ``num_sources`` asks for a uniform sample.
+        Out-of-range ids are rejected up front; duplicates are collapsed
+        (each distinct core is measured exactly once) and the recorded
+        ``sources`` are sorted, matching the mixing measurement's
+        source handling.
+    num_sources:
+        Sample this many cores uniformly instead of using all nodes.
+    max_radius:
+        Optionally stop each BFS's bookkeeping at this envelope radius
+        (must be >= 1: radius 0 would measure no envelope at all).
+    chunk_size:
+        Cores traversed per block, bounding memory at
+        ``O(n * chunk_size)``.
+    workers:
+        Fan independent core chunks out over this many workers.
+    """
+    chosen = _cores(graph, sources, num_sources, max_radius, seed)
+    level_sizes = bfs_level_sizes_block(
+        graph, chosen, chunk_size=chunk_size, workers=workers, max_levels=max_radius
+    )
+    all_sizes: list[np.ndarray] = []
+    all_neighbors: list[np.ndarray] = []
+    for row in level_sizes:
+        # level sets are contiguous: the levels end at the last nonzero
+        # entry (row[0] is always 1, the source itself)
+        sizes = row[: int(np.flatnonzero(row)[-1]) + 1]
+        all_sizes.append(np.cumsum(sizes)[:-1])
+        all_neighbors.append(sizes[1:])
+    return _measurement(chosen, all_sizes, all_neighbors)
 
 
 @dataclass(frozen=True)

@@ -28,25 +28,24 @@ Outputs never materialize per-level node lists:
   ``bfs_distances(graph, sources[j])``.
 
 Both take ``chunk_size`` (memory bound ``O(n * chunk_size)``) and
-``workers`` (thread fan-out over source chunks) with the exact semantics
-of the PR-1 walk engine (:mod:`repro.markov.batch`); the chunk planner
-and runner are shared via :mod:`repro.chunking`, and
-``executor="process"`` routes the same chunk kernel through the
-shared-memory process backend of :mod:`repro.parallel` (the CSR arrays
-are published once; workers rebuild the float32 adjacency from the
-shared index arrays, so results stay bit-identical).
+``workers`` (fan-out over source chunks) with the exact semantics of
+the walk engines: one module-level kernel runs through
+:func:`repro.chunking.run_kernel` on threads or, under an ambient
+process scope, on the shared-memory process pool (the CSR arrays are
+published once; each worker rebuilds the float32 adjacency once per
+call, so results stay bit-identical).  The per-source oracles live in
+:mod:`repro.oracles`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro import parallel, telemetry
-from repro.chunking import DEFAULT_CHUNK_SIZE, resolve_chunks, run_chunks
+from repro import telemetry
+from repro.chunking import DEFAULT_CHUNK_SIZE, run_kernel, validate_sources
 from repro.errors import GraphError
 from repro.graph.core import Graph
 from repro.graph.shard import ShardedGraph
@@ -54,28 +53,10 @@ from repro.graph.shard import ShardedGraph
 __all__ = [
     "bfs_level_sizes_block",
     "bfs_distances_block",
-    "validate_sources",
     "DEFAULT_CHUNK_SIZE",
 ]
 
 _UNREACHED = -1
-
-
-def validate_sources(
-    num_nodes: int, sources: np.ndarray | Sequence[int]
-) -> np.ndarray:
-    """Validate and return BFS sources as an int64 array.
-
-    Duplicate sources are allowed (each gets its own row of the result);
-    empty or out-of-range source lists raise
-    :class:`~repro.errors.GraphError` up front.
-    """
-    chosen = np.asarray(list(sources), dtype=np.int64)
-    if chosen.size == 0:
-        raise GraphError("sources must be non-empty")
-    if chosen.min() < 0 or chosen.max() >= num_nodes:
-        raise GraphError(f"sources must be node ids in [0, {num_nodes})")
-    return chosen
 
 
 def _adjacency_operator(graph: Graph) -> sp.csr_matrix:
@@ -120,59 +101,36 @@ def _frontier_apply(graph: Graph | ShardedGraph):
     return _adjacency_operator(graph).dot
 
 
-#: Worker-side cache of frontier operators, keyed by graph digest — the
-#: float32 adjacency is O(m) to build, and a warm pool runs many chunks
-#: against the same resolved graph.
-_apply_cache: "OrderedDict[str, tuple[Any, Any]]" = OrderedDict()
+def _setup(env) -> None:
+    """Per-call kernel state: the frontier operator over the graph."""
+    env.apply_adjacency = _frontier_apply(env.graph)
+    env.num_nodes = env.graph.num_nodes
 
 
-def _cached_frontier_apply(ref: Any, graph: Graph | ShardedGraph):
-    digest = getattr(ref, "digest", None)
-    if digest is None:
-        return _frontier_apply(graph)
-    cached = _apply_cache.get(digest)
-    if cached is not None and cached[0] is graph:
-        _apply_cache.move_to_end(digest)
-        return cached[1]
-    apply_adjacency = _frontier_apply(graph)
-    _apply_cache[digest] = (graph, apply_adjacency)
-    while len(_apply_cache) > 4:
-        _apply_cache.popitem(last=False)
-    return apply_adjacency
-
-
-def _bfs_level_process_chunk(payload: dict, columns: slice) -> np.ndarray:
-    """Process-backend chunk task: return the chunk's level-size block."""
-    ref = payload["graph"]
-    graph = parallel.resolve(ref)
-    tel = telemetry.current()
-    with tel.span("graph.bfs.frontier_chunk"):
-        block = _bfs_chunk(
-            _cached_frontier_apply(ref, graph),
-            graph.num_nodes,
-            payload["sources"][columns],
-            payload["max_levels"],
-            None,
-        )
-    tel.count("graph.bfs.levels", int(block.shape[1]))
+def _levels_kernel(columns: slice, env) -> np.ndarray:
+    """Return one chunk's level-size block (merged by the caller)."""
+    block = _bfs_chunk(
+        env.apply_adjacency, env.num_nodes, env.sources[columns],
+        env.max_levels, None,
+    )
+    telemetry.current().count("graph.bfs.levels", int(block.shape[1]))
     return block
 
 
-def _bfs_distances_process_chunk(payload: dict, columns: slice) -> None:
-    """Process-backend chunk task: fill the chunk's shared distance rows."""
-    ref = payload["graph"]
-    graph = parallel.resolve(ref)
-    out = parallel.resolve(payload["out"])
-    tel = telemetry.current()
-    with tel.span("graph.bfs.frontier_chunk"):
-        block = _bfs_chunk(
-            _cached_frontier_apply(ref, graph),
-            graph.num_nodes,
-            payload["sources"][columns],
-            None,
-            out[columns],
-        )
-    tel.count("graph.bfs.levels", int(block.shape[1]))
+def _distances_kernel(columns: slice, env) -> None:
+    """Fill one chunk's rows of the distance matrix ``env.out``."""
+    block = _bfs_chunk(
+        env.apply_adjacency, env.num_nodes, env.sources[columns], None,
+        env.out[columns],
+    )
+    telemetry.current().count("graph.bfs.levels", int(block.shape[1]))
+
+
+def _check(graph: Graph | ShardedGraph, sources) -> np.ndarray:
+    chosen = validate_sources(graph.num_nodes, sources)
+    if chosen.size == 0:
+        raise GraphError("sources must be non-empty")
+    return chosen
 
 
 def _bfs_chunk(
@@ -222,7 +180,6 @@ def bfs_level_sizes_block(
     chunk_size: int | None = None,
     workers: int | None = None,
     max_levels: int | None = None,
-    executor: str | None = None,
 ) -> np.ndarray:
     """Return the ``(len(sources), L)`` matrix of BFS level sizes.
 
@@ -238,48 +195,29 @@ def bfs_level_sizes_block(
     source (the envelope measurement's ``max_radius`` bound), saving the
     deep tail entirely instead of discarding it afterwards.
     ``chunk_size`` bounds memory at ``O(n * chunk_size)`` booleans;
-    ``workers`` fans independent chunks over a thread pool.
+    ``workers`` fans independent chunks out.
     """
-    chosen = validate_sources(graph.num_nodes, sources)
+    chosen = _check(graph, sources)
     if max_levels is not None and max_levels < 0:
         raise GraphError("max_levels must be non-negative")
-    kind, workers = parallel.resolve_execution(executor, workers)
+    blocks: dict[int, np.ndarray] = {}
     tel = telemetry.current()
     with tel.span("graph.bfs.level_sizes"):
         tel.count("graph.bfs.sources", int(chosen.size))
-        chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            blocks = parallel.run_process_chunks(
-                _bfs_level_process_chunk,
-                {
-                    "graph": parallel.publish(graph),
-                    "sources": chosen,
-                    "max_levels": max_levels,
-                },
-                chunks,
-                workers,
-            )
-        else:
-            chunk_index = {(c.start, c.stop): i for i, c in enumerate(chunks)}
-            apply_adjacency = _frontier_apply(graph)
-            results: list[np.ndarray | None] = [None] * len(chunks)
-
-            def run_chunk(columns: slice) -> None:
-                with tel.span("graph.bfs.frontier_chunk"):
-                    block = _bfs_chunk(
-                        apply_adjacency, graph.num_nodes, chosen[columns],
-                        max_levels, None,
-                    )
-                results[chunk_index[(columns.start, columns.stop)]] = block
-                tel.count("graph.bfs.levels", int(block.shape[1]))
-
-            run_chunks(run_chunk, chunks, workers)
-            blocks = results
-        blocks = [block for block in blocks if block is not None]
-        width = max(block.shape[1] for block in blocks)
+        run_kernel(
+            _levels_kernel,
+            chosen.size,
+            chunk_size,
+            workers,
+            inputs={"graph": graph, "sources": chosen, "max_levels": max_levels},
+            setup=_setup,
+            merge=lambda columns, block: blocks.__setitem__(columns.start, block),
+            span="graph.bfs.frontier_chunk",
+        )
+        width = max(block.shape[1] for block in blocks.values())
         out = np.zeros((chosen.size, width), dtype=np.int64)
-        for columns, block in zip(chunks, blocks):
-            out[columns, : block.shape[1]] = block
+        for start, block in blocks.items():
+            out[start : start + block.shape[0], : block.shape[1]] = block
         return out
 
 
@@ -288,7 +226,6 @@ def bfs_distances_block(
     sources: np.ndarray | Sequence[int],
     chunk_size: int | None = None,
     workers: int | None = None,
-    executor: str | None = None,
 ) -> np.ndarray:
     """Return the ``(len(sources), n)`` hop-distance matrix.
 
@@ -299,43 +236,19 @@ def bfs_distances_block(
     ``O(n * len(sources))``, so chunking bounds only the *extra* working
     set.
     """
-    chosen = validate_sources(graph.num_nodes, sources)
-    kind, workers = parallel.resolve_execution(executor, workers)
+    chosen = _check(graph, sources)
+    out = np.full((chosen.size, graph.num_nodes), _UNREACHED, dtype=np.int64)
     tel = telemetry.current()
     with tel.span("graph.bfs.distances"):
         tel.count("graph.bfs.sources", int(chosen.size))
-        chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            out_spec, out_view = parallel.create_output(
-                (chosen.size, graph.num_nodes), np.int64, fill=_UNREACHED
-            )
-            try:
-                parallel.run_process_chunks(
-                    _bfs_distances_process_chunk,
-                    {
-                        "graph": parallel.publish(graph),
-                        "sources": chosen,
-                        "out": out_spec,
-                    },
-                    chunks,
-                    workers,
-                )
-                return np.array(out_view)
-            finally:
-                parallel.release([out_spec])
-        apply_adjacency = _frontier_apply(graph)
-        out = np.full((chosen.size, graph.num_nodes), _UNREACHED, dtype=np.int64)
-
-        def run_chunk(columns: slice) -> None:
-            with tel.span("graph.bfs.frontier_chunk"):
-                block = _bfs_chunk(
-                    apply_adjacency,
-                    graph.num_nodes,
-                    chosen[columns],
-                    None,
-                    out[columns],
-                )
-            tel.count("graph.bfs.levels", int(block.shape[1]))
-
-        run_chunks(run_chunk, chunks, workers)
-        return out
+        run_kernel(
+            _distances_kernel,
+            chosen.size,
+            chunk_size,
+            workers,
+            inputs={"graph": graph, "sources": chosen},
+            outputs={"out": out},
+            setup=_setup,
+            span="graph.bfs.frontier_chunk",
+        )
+    return out

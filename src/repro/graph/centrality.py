@@ -20,7 +20,7 @@ import numpy as np
 from repro.chunking import DEFAULT_CHUNK_SIZE
 from repro.errors import EmptyGraphError, GraphError
 from repro.graph.core import Graph
-from repro.graph.traversal import bfs_distances, bfs_distances_block
+from repro.graph.traversal import bfs_distances_block
 
 __all__ = [
     "betweenness_centrality",
@@ -96,7 +96,6 @@ def betweenness_centrality(
 def closeness_centrality(
     graph: Graph,
     node: int | None = None,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
 ) -> np.ndarray:
@@ -105,43 +104,31 @@ def closeness_centrality(
     Uses the Wasserman–Faust component correction so disconnected
     graphs get comparable values: ``C(v) = (r-1)/(n-1) * (r-1)/S`` where
     r is v's reachable-set size and S the sum of distances within it.
-    ``strategy="batched"`` (default) computes the distance sums through
-    the block BFS engine, chunked so only ``O(n * chunk_size)`` distance
-    entries are alive at a time; ``"sequential"`` is the one-BFS-per-node
-    oracle.  Both produce byte-identical values.
+    The distance sums come from the block BFS engine, chunked so only
+    ``O(n * chunk_size)`` distance entries are alive at a time —
+    byte-identical to the one-BFS-per-node oracle in
+    :mod:`repro.oracles`.
     """
     n = graph.num_nodes
     if n == 0:
         raise EmptyGraphError("closeness of an empty graph is undefined")
     nodes = [node] if node is not None else list(range(n))
     out = np.zeros(len(nodes))
-    if strategy == "batched":
-        chosen = np.asarray(nodes, dtype=np.int64)
-        step = DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
-        if step < 1:
-            raise GraphError("chunk_size must be positive")
-        for lo in range(0, chosen.size, step):
-            block = bfs_distances_block(
-                graph, chosen[lo : lo + step], chunk_size=chunk_size, workers=workers
-            )
-            positive = block > 0
-            r = positive.sum(axis=1) + 1
-            totals = np.where(positive, block, 0).sum(axis=1).astype(float)
-            reachable = totals > 0
-            out[lo : lo + step][reachable] = (
-                (r[reachable] - 1) / max(n - 1, 1)
-            ) * ((r[reachable] - 1) / totals[reachable])
-        return out
-    if strategy != "sequential":
-        raise GraphError(f"unknown strategy {strategy!r}")
-    for i, v in enumerate(nodes):
-        dist = bfs_distances(graph, int(v))
-        reached = dist[dist > 0]
-        if reached.size == 0:
-            continue
-        r = reached.size + 1
-        total = float(reached.sum())
-        out[i] = ((r - 1) / max(n - 1, 1)) * ((r - 1) / total)
+    chosen = np.asarray(nodes, dtype=np.int64)
+    step = DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
+    if step < 1:
+        raise GraphError("chunk_size must be positive")
+    for lo in range(0, chosen.size, step):
+        block = bfs_distances_block(
+            graph, chosen[lo : lo + step], chunk_size=chunk_size, workers=workers
+        )
+        positive = block > 0
+        r = positive.sum(axis=1) + 1
+        totals = np.where(positive, block, 0).sum(axis=1).astype(float)
+        reachable = totals > 0
+        out[lo : lo + step][reachable] = (
+            (r[reachable] - 1) / max(n - 1, 1)
+        ) * ((r[reachable] - 1) / totals[reachable])
     return out
 
 

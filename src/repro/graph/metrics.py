@@ -60,17 +60,16 @@ def eccentricity(graph: Graph, node: int) -> int:
 def eccentricities(
     graph: Graph,
     sources: np.ndarray | list[int] | None = None,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
 ) -> np.ndarray:
     """Return per-source eccentricities (all nodes by default).
 
-    ``strategy="batched"`` (default) derives every eccentricity from one
-    block-BFS level-size matrix (a source's eccentricity is its deepest
-    nonempty level); ``"sequential"`` runs :func:`eccentricity` per
-    source.  Both agree exactly.  An explicitly empty ``sources`` list
-    is legal and returns an empty array (there is nothing to measure).
+    Every eccentricity comes from one block-BFS level-size matrix (a
+    source's eccentricity is its deepest nonempty level), agreeing
+    exactly with :func:`eccentricity` per source.  An explicitly empty
+    ``sources`` list is legal and returns an empty array (there is
+    nothing to measure).
     """
     if graph.num_nodes == 0:
         raise EmptyGraphError("eccentricity of an empty graph is undefined")
@@ -80,15 +79,7 @@ def eccentricities(
         else np.asarray(list(sources), dtype=np.int64)
     )
     if chosen.size == 0:
-        if strategy not in ("batched", "sequential"):
-            raise GraphError(f"unknown strategy {strategy!r}")
         return np.empty(0, dtype=np.int64)
-    if strategy == "sequential":
-        return np.array(
-            [eccentricity(graph, int(v)) for v in chosen], dtype=np.int64
-        )
-    if strategy != "batched":
-        raise GraphError(f"unknown strategy {strategy!r}")
     level_sizes = bfs_level_sizes_block(
         graph, chosen, chunk_size=chunk_size, workers=workers
     )
@@ -98,14 +89,12 @@ def eccentricities(
 
 def diameter(
     graph: Graph,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
 ) -> int:
     """Return the exact diameter of the graph's reachable pairs.
 
-    Runs a BFS per node — batched through the block engine by default
-    (``strategy="sequential"`` keeps the per-node oracle).  Use
+    Runs a BFS per node, batched through the block engine.  Use
     :func:`approximate_diameter` for graphs beyond a few thousand nodes.
     Disconnected pairs are ignored (the result is the max eccentricity
     over all nodes within components).
@@ -113,9 +102,7 @@ def diameter(
     if graph.num_nodes == 0:
         raise EmptyGraphError("diameter of an empty graph is undefined")
     return int(
-        eccentricities(
-            graph, strategy=strategy, chunk_size=chunk_size, workers=workers
-        ).max()
+        eccentricities(graph, chunk_size=chunk_size, workers=workers).max()
     )
 
 

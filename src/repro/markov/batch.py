@@ -18,14 +18,12 @@ This module is the engine shared by :mod:`repro.mixing.sampling`,
   handful of sparse x dense products.
 
 Memory is bounded by column chunking (``chunk_size`` keeps the working
-set at ``O(n * chunk_size)``), and chunks can optionally fan out over a
-thread pool (``workers``) or — with ``executor="process"`` — over the
-persistent process pool of :mod:`repro.parallel`: the matrix is
-published once into the shared-memory plane (never pickled per
-worker), chunk TVD rows land in a shared output buffer, and the same
-module-level kernel runs on both backends, so every executor x
+set at ``O(n * chunk_size)``), and ``workers`` fans the chunks out
+through :func:`repro.chunking.run_kernel` — on threads, or on the
+shared-memory process pool when the ambient execution scope asks for
+it.  One module-level kernel runs on both backends, so every backend x
 chunk_size x workers combination stays bit-identical to the others and
-to the sequential oracle.
+to the one-matvec-per-source oracle in :mod:`repro.oracles`.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro import parallel, telemetry
-from repro.chunking import DEFAULT_CHUNK_SIZE, resolve_chunks, run_chunks
+from repro import telemetry
+from repro.chunking import DEFAULT_CHUNK_SIZE, run_kernel, validate_sources
 from repro.errors import GraphError
 from repro.graph.shard import ShardedGraph
 
@@ -75,11 +73,9 @@ def delta_block(num_nodes: int, sources: np.ndarray | Sequence[int]) -> np.ndarr
     Column ``j`` is the distribution concentrated at ``sources[j]``.
     Duplicate sources are allowed (each gets its own column).
     """
-    chosen = np.asarray(list(sources), dtype=np.int64)
+    chosen = validate_sources(num_nodes, sources)
     if chosen.size == 0:
         raise GraphError("sources must be non-empty")
-    if chosen.min() < 0 or chosen.max() >= num_nodes:
-        raise GraphError(f"sources must be node ids in [0, {num_nodes})")
     block = np.zeros((num_nodes, chosen.size))
     block[chosen, np.arange(chosen.size)] = 1.0
     return block
@@ -102,24 +98,13 @@ def evolve_block(
     """
     if steps < 0:
         raise GraphError("steps must be non-negative")
-    if isinstance(matrix, ShardedGraph):
-        stepper = _ShardedEvolver(matrix)
-        out = np.ascontiguousarray(block, dtype=float)
-        if out.ndim != 2 or out.shape[0] != matrix.num_nodes:
-            raise GraphError(
-                f"block must have shape ({matrix.num_nodes}, s), got {out.shape}"
-            )
-        if out is block:
-            out = out.copy()
-        return stepper.evolve(out, steps)
-    n = matrix.shape[0]
+    evolver = _evolver(matrix)
     out = np.asarray(block, dtype=float)
-    if out.ndim != 2 or out.shape[0] != n:
-        raise GraphError(f"block must have shape ({n}, s), got {out.shape}")
-    transposed = matrix.T
-    for _ in range(steps):
-        out = transposed @ out
-    return out
+    if out.ndim != 2 or out.shape[0] != evolver.num_nodes:
+        raise GraphError(
+            f"block must have shape ({evolver.num_nodes}, s), got {out.shape}"
+        )
+    return evolver.evolve(out, steps)
 
 
 def sharded_stationary(sharded: ShardedGraph) -> np.ndarray:
@@ -136,6 +121,19 @@ def sharded_stationary(sharded: ShardedGraph) -> np.ndarray:
     return degrees / total
 
 
+class _DenseEvolver:
+    """``P^T @ block`` through one transposed resident matrix."""
+
+    def __init__(self, matrix: sp.spmatrix) -> None:
+        self.num_nodes = matrix.shape[0]
+        self._transposed = matrix.T
+
+    def evolve(self, block: np.ndarray, steps: int) -> np.ndarray:
+        for _ in range(steps):
+            block = self._transposed @ block
+        return block
+
+
 class _ShardedEvolver:
     """Streams ``P^T @ block`` shard-by-shard, bit-identical to scipy.
 
@@ -150,6 +148,7 @@ class _ShardedEvolver:
 
     def __init__(self, sharded: ShardedGraph) -> None:
         self._sharded = sharded
+        self.num_nodes = sharded.num_nodes
         degrees = sharded.degrees.astype(float)
         self._inv_deg = np.zeros(degrees.size)
         nonzero = degrees > 0
@@ -157,8 +156,8 @@ class _ShardedEvolver:
         self._isolated = np.flatnonzero(~nonzero)
 
     def evolve(self, block: np.ndarray, steps: int) -> np.ndarray:
-        """Advance a C-contiguous float64 ``(n, s)`` block in place-ish."""
-        cur = block
+        """Advance an ``(n, s)`` block (never modified in place)."""
+        cur = np.ascontiguousarray(block, dtype=float)
         for _ in range(steps):
             nxt = np.zeros_like(cur)
             for shard in self._sharded.iter_shards():
@@ -169,64 +168,45 @@ class _ShardedEvolver:
         return cur
 
 
+def _evolver(matrix: sp.spmatrix | ShardedGraph) -> "_DenseEvolver | _ShardedEvolver":
+    if isinstance(matrix, ShardedGraph):
+        return _ShardedEvolver(matrix)
+    return _DenseEvolver(matrix)
+
+
+def _evolver_setup(env) -> None:
+    """Per-call kernel state: the evolver over the matrix or shards."""
+    env.evolver = _evolver(env.matrix)
+
+
 def _tvd_rows(block: np.ndarray, stationary: np.ndarray) -> np.ndarray:
     """Per-column TVD to ``stationary``; bit-identical to the 1-D path.
 
     ``np.subtract(..., order="C")`` forces a C-contiguous ``(s, n)``
     difference so the ``axis=1`` reduction uses the same pairwise
     summation as ``total_variation_distance`` on a single contiguous
-    vector — keeping batched and sequential strategies byte-identical.
+    vector — keeping the batched engine and the oracle byte-identical.
     """
     diff = np.subtract(block.T, stationary, order="C")
     return 0.5 * np.abs(diff).sum(axis=1)
 
 
-def _evolve_tvd(
-    block: np.ndarray,
-    transposed: sp.spmatrix | None,
-    evolver: "_ShardedEvolver | None",
-    stationary: np.ndarray,
-    lengths: np.ndarray,
-) -> np.ndarray:
-    """Evolve one column block through the length grid; return TVD rows.
-
-    The single chunk kernel both backends run: the thread closure hands
-    it a view of the parent's delta block, the process task a freshly
-    built chunk delta block — identical values either way, and scipy
-    copies a non-contiguous right-hand side before its product loop, so
-    the two entries are byte-identical.
-    """
-    rows = np.empty((block.shape[1], lengths.size))
+def _tvd_kernel(columns: slice, env) -> None:
+    """Evolve one chunk's deltas through the length grid; write TVD rows."""
+    block = delta_block(env.evolver.num_nodes, env.sources[columns])
     step = 0
-    for col, target in enumerate(lengths):
-        if evolver is not None:
-            block = evolver.evolve(block, int(target) - step)
-        else:
-            for _ in range(int(target) - step):
-                block = transposed @ block
+    for col, target in enumerate(env.lengths):
+        block = env.evolver.evolve(block, int(target) - step)
         step = int(target)
-        rows[:, col] = _tvd_rows(block, stationary)
-    return rows
-
-
-def _tvd_process_chunk(payload: dict, columns: slice) -> None:
-    """Process-backend chunk task: write TVD rows into the shared output."""
-    matrix = parallel.resolve(payload["matrix"])
-    stationary = parallel.resolve(payload["stationary"])
-    out = parallel.resolve(payload["out"])
-    lengths = payload["lengths"]
-    tel = telemetry.current()
-    with tel.span("markov.batch.evolve_chunk"):
-        sharded = isinstance(matrix, ShardedGraph)
-        evolver = _ShardedEvolver(matrix) if sharded else None
-        n = matrix.num_nodes if sharded else matrix.shape[0]
-        block = delta_block(n, payload["sources"][columns])
-        out[columns] = _evolve_tvd(
-            block, None if sharded else matrix.T, evolver, stationary, lengths
-        )
-    tel.count(
-        "markov.batch.steps", int(lengths[-1]) * (columns.stop - columns.start)
+        env.out[columns, col] = _tvd_rows(block, env.stationary)
+    telemetry.current().count(
+        "markov.batch.steps", int(env.lengths[-1]) * (columns.stop - columns.start)
     )
+
+
+def _evolve_kernel(columns: slice, env) -> None:
+    """Advance one chunk of ``env.block``'s columns ``env.steps`` steps."""
+    env.out[:, columns] = env.evolver.evolve(env.block[:, columns], env.steps)
 
 
 def batched_tvd_profile(
@@ -236,7 +216,6 @@ def batched_tvd_profile(
     walk_lengths: np.ndarray | Sequence[int],
     chunk_size: int | None = None,
     workers: int | None = None,
-    executor: str | None = None,
 ) -> np.ndarray:
     """Return the ``(len(sources), len(walk_lengths))`` TVD matrix.
 
@@ -244,10 +223,8 @@ def batched_tvd_profile(
     ``sources[j]``'s ``walk_lengths[t]``-step distribution and
     ``stationary``.  Sources are evolved as dense column blocks of at
     most ``chunk_size`` columns (default ``DEFAULT_CHUNK_SIZE``); with
-    ``workers`` the independent chunks run on a thread pool, or — with
-    ``executor="process"`` (or an ambient
-    :func:`repro.parallel.execution` scope) — on the shared-memory
-    process backend, bit-identical to the thread path.
+    ``workers`` the independent chunks fan out through
+    :func:`repro.chunking.run_kernel`, bit-identical on every backend.
 
     ``matrix`` may be a :class:`~repro.graph.shard.ShardedGraph`
     instead of a resident transition matrix: each chunk then streams
@@ -260,67 +237,27 @@ def batched_tvd_profile(
     empty-plan semantics.
     """
     lengths = validate_walk_lengths(walk_lengths)
-    chosen = np.asarray(list(sources), dtype=np.int64)
+    n = matrix.num_nodes if isinstance(matrix, ShardedGraph) else matrix.shape[0]
+    chosen = validate_sources(n, sources)
+    tvd = np.empty((chosen.size, lengths.size))
     if chosen.size == 0:
-        return np.empty((0, lengths.size))
-    kind, workers = parallel.resolve_execution(executor, workers)
+        return tvd
     tel = telemetry.current()
     with tel.span("markov.batch.tvd_profile"):
         tel.count("markov.batch.sources", int(chosen.size))
-        chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            return _tvd_profile_processes(
-                matrix, stationary, chosen, lengths, chunks, workers
-            )
-        sharded = matrix if isinstance(matrix, ShardedGraph) else None
-        evolver = _ShardedEvolver(sharded) if sharded is not None else None
-        n = sharded.num_nodes if sharded is not None else matrix.shape[0]
-        full_block = delta_block(n, chosen)
-        tvd = np.empty((chosen.size, lengths.size))
-        transposed = matrix.T if sharded is None else None
-
-        def run_chunk(columns: slice) -> None:
-            with tel.span("markov.batch.evolve_chunk"):
-                block = full_block[:, columns]
-                if evolver is not None:
-                    block = np.ascontiguousarray(block)
-                tvd[columns] = _evolve_tvd(
-                    block, transposed, evolver, stationary, lengths
-                )
-            tel.count(
-                "markov.batch.steps",
-                int(lengths[-1]) * (columns.stop - columns.start),
-            )
-
-        run_chunks(run_chunk, chunks, workers)
-        return tvd
-
-
-def _tvd_profile_processes(
-    matrix: sp.spmatrix | ShardedGraph,
-    stationary: np.ndarray,
-    chosen: np.ndarray,
-    lengths: np.ndarray,
-    chunks: list[slice],
-    workers: int,
-) -> np.ndarray:
-    """Dispatch the TVD chunk grid to the shared-memory process pool."""
-    ref = parallel.publish(matrix)
-    stationary_spec = parallel.share_array(np.asarray(stationary, dtype=float))
-    out_spec, out_view = parallel.create_output((chosen.size, lengths.size), float)
-    try:
-        parallel.run_process_chunks(
-            _tvd_process_chunk,
-            {
-                "matrix": ref,
-                "stationary": stationary_spec,
-                "out": out_spec,
+        run_kernel(
+            _tvd_kernel,
+            chosen.size,
+            chunk_size,
+            workers,
+            inputs={
+                "matrix": matrix,
+                "stationary": np.asarray(stationary, dtype=float),
                 "sources": chosen,
                 "lengths": lengths,
             },
-            chunks,
-            workers,
+            outputs={"out": tvd},
+            setup=_evolver_setup,
+            span="markov.batch.evolve_chunk",
         )
-        return np.array(out_view)
-    finally:
-        parallel.release([stationary_spec, out_spec])
+    return tvd

@@ -115,7 +115,6 @@ def estimate_hitting_time(
     num_walks: int = 200,
     max_steps: int | None = None,
     seed: int = 0,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
 ) -> float:
@@ -148,7 +147,6 @@ def estimate_hitting_time(
         seed=np.random.SeedSequence(seed),
         chunk_size=chunk_size,
         workers=workers,
-        strategy=strategy,
     )
     reached = hits[hits != NO_HIT]
     if reached.size == 0:
@@ -163,7 +161,6 @@ def estimate_cover_time(
     num_walks: int = 20,
     max_steps: int | None = None,
     seed: int = 0,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
 ) -> float:
@@ -196,7 +193,6 @@ def estimate_cover_time(
         seed=walk_seed,
         chunk_size=chunk_size,
         workers=workers,
-        strategy=strategy,
     )
     completed = covered[covered != NO_HIT]
     if completed.size == 0:

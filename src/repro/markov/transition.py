@@ -14,9 +14,16 @@ from collections import OrderedDict
 import numpy as np
 import scipy.sparse as sp
 
+from repro.chunking import run_kernel
 from repro.errors import GraphError
 from repro.graph.core import Graph
-from repro.markov.batch import batched_tvd_profile, delta_block, evolve_block
+from repro.markov.batch import (
+    _evolve_kernel,
+    _evolver_setup,
+    batched_tvd_profile,
+    delta_block,
+    evolve_block,
+)
 
 __all__ = [
     "TransitionOperator",
@@ -170,24 +177,27 @@ class TransitionOperator:
         ``j`` alone through :meth:`evolve` ``steps`` times, but the
         whole block moves in single sparse x dense products.
         ``chunk_size`` bounds the dense working set at ``O(n * chunk)``
-        columns at a time; ``workers`` fans independent chunks out over
-        a thread pool.
+        columns at a time; ``workers`` fans independent chunks out
+        through :func:`repro.chunking.run_kernel`.
         """
-        from repro.chunking import resolve_chunks, run_chunks
-
         dense = np.asarray(block, dtype=float)
         n = self._graph.num_nodes
         if dense.ndim != 2 or dense.shape[0] != n:
             raise GraphError(f"block must have shape ({n}, s), got {dense.shape}")
         if chunk_size is None and workers is None:
             return evolve_block(self._matrix, dense, steps)
+        if steps < 0:
+            raise GraphError("steps must be non-negative")
         out = np.empty_like(dense)
-        chunks = resolve_chunks(dense.shape[1], chunk_size, workers)
-
-        def run_chunk(columns: slice) -> None:
-            out[:, columns] = evolve_block(self._matrix, dense[:, columns], steps)
-
-        run_chunks(run_chunk, chunks, workers)
+        run_kernel(
+            _evolve_kernel,
+            dense.shape[1],
+            chunk_size,
+            workers,
+            inputs={"matrix": self._matrix, "block": dense, "steps": steps},
+            outputs={"out": out},
+            setup=_evolver_setup,
+        )
         return out
 
     def tvd_profile(

@@ -28,29 +28,24 @@ same stepping kernel.
 one root :class:`numpy.random.SeedSequence` (``spawn`` per walk), and
 each walk's step ``t`` consumes exactly the ``t``-th uniform double of
 its own stream.  Results are therefore **bit-identical** for every
-``chunk_size``/``workers`` combination and identical to the per-walk
-``strategy="sequential"`` oracle — the property the equivalence suite
-pins.  Chunking goes through the shared planner
-(:mod:`repro.chunking`); every chunk reports per-block spans and the
-``markov.walk.walks`` / ``markov.walk.steps`` /
+``chunk_size``/``workers`` combination, on both backends of
+:func:`repro.chunking.run_kernel` (seed streams pickle their exact
+generator state), and identical to the per-walk oracles of
+:mod:`repro.oracles` — the property the equivalence suite pins.  Each
+mode is one module-level kernel; every chunk reports a
+``markov.walk.chunk`` span and the ``markov.walk.steps`` /
 ``markov.walk.absorbed`` counters into :mod:`repro.telemetry`.
-
-``executor="process"`` ships each chunk's seed streams (generator
-state pickles exactly) to the shared-memory process backend of
-:mod:`repro.parallel`; the chunk kernels are the same module-level
-functions the thread closures call, so the bit-identity contract
-extends across the whole executor grid.
 """
 
 from __future__ import annotations
 
-import threading
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from repro import parallel, telemetry
-from repro.chunking import DEFAULT_CHUNK_SIZE, resolve_chunks, run_chunks
+from repro import telemetry
+from repro.chunking import DEFAULT_CHUNK_SIZE, run_kernel, validate_sources
 from repro.errors import GraphError
 from repro.graph.core import Graph
 from repro.graph.shard import ShardedGraph
@@ -79,24 +74,6 @@ _STEP_BLOCK = 1024
 _SeedLike = "int | np.random.SeedSequence | np.random.Generator"
 
 
-def _validate_sources(
-    graph: "Graph | ShardedGraph", sources: np.ndarray | Sequence[int]
-) -> np.ndarray:
-    chosen = np.asarray(list(sources), dtype=np.int64)
-    if chosen.size and (chosen.min() < 0 or chosen.max() >= graph.num_nodes):
-        raise GraphError(
-            f"sources must be node ids in [0, {graph.num_nodes})"
-        )
-    return chosen
-
-
-def _validate_strategy(strategy: str) -> None:
-    if strategy not in ("batched", "sequential"):
-        raise GraphError(
-            f"unknown strategy {strategy!r}; use 'batched' or 'sequential'"
-        )
-
-
 def _streams(seed, num_walks: int) -> list[np.random.Generator]:
     """Spawn one independent child generator per walk.
 
@@ -113,13 +90,6 @@ def _streams(seed, num_walks: int) -> list[np.random.Generator]:
         else np.random.SeedSequence(int(seed))
     )
     return [np.random.default_rng(child) for child in root.spawn(num_walks)]
-
-
-def _uniform_block(
-    streams: Sequence[np.random.Generator], count: int
-) -> np.ndarray:
-    """Return the next ``count`` uniforms of every stream as ``(k, count)``."""
-    return np.stack([g.random(count) for g in streams], axis=0)
 
 
 def _advance(
@@ -153,42 +123,10 @@ def _advance(
     return out
 
 
-def _step_sequential(
-    state: int,
-    u: float,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    degrees: np.ndarray,
-) -> int:
-    """Scalar twin of :func:`_advance` — same IEEE ops, same clip."""
-    deg = degrees[state]
-    if deg == 0:
-        return state
-    offset = int(u * deg)
-    if offset >= deg:
-        offset = int(deg - 1)
-    return int(indices[indptr[state] + offset])
-
-
-class _DenseStepper:
-    """Stepping kernel over a resident graph's CSR arrays."""
-
-    __slots__ = ("indptr", "indices", "degrees")
-
-    def __init__(self, graph: Graph) -> None:
-        self.indptr = graph.indptr
-        self.indices = graph.indices
-        self.degrees = graph.degrees
-
-    def advance(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _advance(states, u, self.indptr, self.indices, self.degrees)
-
-    def step(self, state: int, u: float) -> int:
-        return _step_sequential(state, u, self.indptr, self.indices, self.degrees)
-
-
-class _ShardedStepper:
-    """Stepping kernel that gathers from memory-mapped shards.
+def _sharded_advance(
+    sharded: ShardedGraph, states: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """:func:`_advance` gathering from memory-mapped shards.
 
     States are grouped by owning shard per step; each group's degree
     lookup and neighbor gather run against that shard's local arrays
@@ -197,220 +135,182 @@ class _ShardedStepper:
     put), so trajectories are bit-identical to the resident kernel for
     the same seed streams.
     """
-
-    __slots__ = ("_sharded",)
-
-    def __init__(self, sharded: ShardedGraph) -> None:
-        self._sharded = sharded
-
-    def advance(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = states.copy()
-        sids = self._sharded.shard_index_of(states)
-        for k in np.unique(sids):
-            shard = self._sharded.shard(int(k))
-            sel = np.flatnonzero(sids == k)
-            local = states[sel] - shard.lo
-            starts = np.asarray(shard.indptr[local])
-            deg = np.asarray(shard.indptr[local + 1]) - starts
-            moving = deg > 0
-            if not moving.any():
-                continue
-            mdeg = deg[moving]
-            offsets = (u[sel][moving] * mdeg).astype(np.int64)
-            np.minimum(offsets, mdeg - 1, out=offsets)
-            out[sel[moving]] = shard.indices[starts[moving] + offsets]
-        return out
-
-    def step(self, state: int, u: float) -> int:
-        shard = self._sharded.shard(self._sharded.shard_index_of(int(state)))
-        local = int(state) - shard.lo
-        start = int(shard.indptr[local])
-        deg = int(shard.indptr[local + 1]) - start
-        if deg == 0:
-            return int(state)
-        offset = int(u * deg)
-        if offset >= deg:
-            offset = deg - 1
-        return int(shard.indices[start + offset])
+    out = states.copy()
+    sids = sharded.shard_index_of(states)
+    for k in np.unique(sids):
+        shard = sharded.shard(int(k))
+        sel = np.flatnonzero(sids == k)
+        local = states[sel] - shard.lo
+        starts = np.asarray(shard.indptr[local])
+        deg = np.asarray(shard.indptr[local + 1]) - starts
+        moving = deg > 0
+        if not moving.any():
+            continue
+        mdeg = deg[moving]
+        offsets = (u[sel][moving] * mdeg).astype(np.int64)
+        np.minimum(offsets, mdeg - 1, out=offsets)
+        out[sel[moving]] = shard.indices[starts[moving] + offsets]
+    return out
 
 
-def _stepper(graph: "Graph | ShardedGraph") -> "_DenseStepper | _ShardedStepper":
+def _setup(env) -> None:
+    """Per-call kernel state: the one-step function over the graph."""
+    graph = env.graph
     if isinstance(graph, ShardedGraph):
-        return _ShardedStepper(graph)
-    return _DenseStepper(graph)
+        env.advance = partial(_sharded_advance, graph)
+    else:
+        env.advance = partial(
+            _advance, indptr=graph.indptr, indices=graph.indices,
+            degrees=graph.degrees,
+        )
+    env.num_nodes = graph.num_nodes
 
 
-# ----------------------------------------------------------------------
-# per-chunk kernels (shared verbatim by the thread and process backends)
-# ----------------------------------------------------------------------
-def _block_chunk(stepper, states, streams, length, out_block) -> None:
-    """Advance one chunk, recording every position into ``out_block``."""
-    out_block[:, 0] = states
+def _steps(env, columns: slice, streams, length: int):
+    """Advance the chunk's walks ``length`` steps; yield ``(t, states)``.
+
+    Uniforms are drawn per walk in step-blocks of :data:`_STEP_BLOCK`;
+    a consumer that stops early simply draws no further blocks.
+    """
+    states = env.sources[columns]
     step = 0
     while step < length:
         count = min(_STEP_BLOCK, length - step)
-        u = _uniform_block(streams, count)
+        u = np.stack([g.random(count) for g in streams], axis=0)
         for t in range(count):
-            states = stepper.advance(states, u[:, t])
-            out_block[:, step + t + 1] = states
+            states = env.advance(states, u[:, t])
+            yield step + t + 1, states
         step += count
 
 
-def _endpoints_chunk(stepper, states, streams, length) -> np.ndarray:
-    """Advance one chunk ``length`` steps; return the final states."""
-    step = 0
-    while step < length:
-        count = min(_STEP_BLOCK, length - step)
-        u = _uniform_block(streams, count)
-        for t in range(count):
-            states = stepper.advance(states, u[:, t])
-        step += count
-    return states
+def _count(steps: int, absorbed: np.ndarray | None = None) -> None:
+    tel = telemetry.current()
+    tel.count("markov.walk.steps", steps)
+    if absorbed is not None:
+        tel.count("markov.walk.absorbed", int(np.count_nonzero(absorbed != NO_HIT)))
 
 
-def _first_hits_chunk(
-    stepper, states, streams, length, hit_mask
-) -> tuple[np.ndarray, int]:
-    """First-hit steps for one chunk; returns ``(hits, steps taken)``."""
-    hits = np.full(states.size, NO_HIT, dtype=np.int64)
-    hits[hit_mask[states]] = 0
+# ----------------------------------------------------------------------
+# per-mode kernels (run by both backends of repro.chunking.run_kernel)
+# ----------------------------------------------------------------------
+def _block_kernel(columns: slice, env, streams) -> None:
+    """Record every position of the chunk's walks into ``env.out``."""
+    out = env.out[columns]
+    out[:, 0] = env.sources[columns]
+    for t, states in _steps(env, columns, streams, env.length):
+        out[:, t] = states
+    _count(out.shape[0] * env.length)
+
+
+def _endpoints_kernel(columns: slice, env, streams) -> None:
+    """Write the chunk's final states into ``env.out``."""
+    states = env.sources[columns]
+    for _, states in _steps(env, columns, streams, env.length):
+        pass
+    env.out[columns] = states
+    _count(states.size * env.length)
+
+
+def _first_hits_kernel(columns: slice, env, streams) -> None:
+    """First step each walk stands on ``env.mask``; stops once all hit."""
+    hits = np.full(columns.stop - columns.start, NO_HIT, dtype=np.int64)
+    hits[env.mask[env.sources[columns]]] = 0
     alive = hits == NO_HIT
-    step = 0
-    steps_taken = 0
-    while step < length and alive.any():
-        count = min(_STEP_BLOCK, length - step)
-        u = _uniform_block(streams, count)
-        for t in range(count):
-            states = stepper.advance(states, u[:, t])
-            steps_taken += states.size
-            newly = alive & hit_mask[states]
+    steps = 0
+    if alive.any():
+        for t, states in _steps(env, columns, streams, env.length):
+            steps += states.size
+            newly = alive & env.mask[states]
             if newly.any():
-                hits[newly] = step + t + 1
+                hits[newly] = t
                 alive &= ~newly
                 if not alive.any():
                     break
-        step += count
-    return hits, steps_taken
+    env.out[columns] = hits
+    _count(steps, hits)
 
 
-def _visit_chunk(stepper, states, streams, length, record, n) -> np.ndarray:
-    """Per-node visit counts contributed by one chunk."""
+def _visit_kernel(columns: slice, env, streams) -> np.ndarray:
+    """Return the chunk's per-node visit counts (merged by the caller)."""
+    n = env.num_nodes
+    states = env.sources[columns]
     local = np.zeros(n, dtype=np.int64)
-    if record == "all":
+    if env.record == "all":
         local += np.bincount(states, minlength=n)
-    step = 0
-    while step < length:
-        count = min(_STEP_BLOCK, length - step)
-        u = _uniform_block(streams, count)
-        for t in range(count):
-            states = stepper.advance(states, u[:, t])
-            if record == "all":
-                local += np.bincount(states, minlength=n)
-        step += count
-    if record == "last":
+    for _, states in _steps(env, columns, streams, env.length):
+        if env.record == "all":
+            local += np.bincount(states, minlength=n)
+    if env.record == "last":
         local += np.bincount(states, minlength=n)
+    _count(states.size * env.length)
     return local
 
 
-def _cover_chunk(
-    stepper, states, streams, max_steps, n
-) -> tuple[np.ndarray, int]:
-    """Cover steps for one chunk; returns ``(covered, steps taken)``."""
+def _cover_kernel(columns: slice, env, streams) -> None:
+    """Step at which each walk has visited every node; stops once all do."""
+    n = env.num_nodes
+    states = env.sources[columns]
     k = states.size
     rows = np.arange(k)
     visited = np.zeros((k, n), dtype=bool)
     visited[rows, states] = True
     remaining = np.full(k, n - 1, dtype=np.int64)
-    covered = np.full(k, NO_HIT, dtype=np.int64)
-    if n == 1:
-        covered[:] = 0
+    covered = np.full(k, 0 if n == 1 else NO_HIT, dtype=np.int64)
     alive = covered == NO_HIT
-    step = 0
-    steps_taken = 0
-    while step < max_steps and alive.any():
-        count = min(_STEP_BLOCK, max_steps - step)
-        u = _uniform_block(streams, count)
-        for t in range(count):
-            states = stepper.advance(states, u[:, t])
-            steps_taken += k
+    steps = 0
+    if alive.any():
+        for t, states in _steps(env, columns, streams, env.max_steps):
+            steps += k
             newly = alive & ~visited[rows, states]
             visited[rows[newly], states[newly]] = True
             remaining[newly] -= 1
             done = newly & (remaining == 0)
             if done.any():
-                covered[done] = step + t + 1
+                covered[done] = t
                 alive &= ~done
                 if not alive.any():
                     break
-        step += count
-    return covered, steps_taken
+    env.out[columns] = covered
+    _count(steps, covered)
 
 
-def _walk_process_chunk(payload: dict, columns: slice) -> np.ndarray | None:
-    """Process-backend chunk task dispatching on walk mode.
-
-    ``states``/``streams`` arrive per chunk (seed streams pickle their
-    exact generator state); outputs land in the shared buffer except
-    for ``visit`` partial counts, which are returned for the parent to
-    sum (integer addition commutes, so merge order cannot matter).
-    """
-    graph = parallel.resolve(payload["graph"])
-    stepper = _stepper(graph)
-    states = payload["states"]
-    streams = payload["streams"]
-    mode = payload["mode"]
+def _run(
+    name: str,
+    kernel,
+    graph: "Graph | ShardedGraph",
+    chosen: np.ndarray,
+    seed,
+    chunk_size: int | None,
+    workers: int | None,
+    inputs: dict,
+    out: np.ndarray | None = None,
+    merge=None,
+) -> None:
+    """Dispatch one walk mode over the chosen sources' seed streams."""
     tel = telemetry.current()
-    result = None
-    with tel.span("markov.walk.chunk"):
-        if mode == "block":
-            out = parallel.resolve(payload["out"])
-            _block_chunk(stepper, states, streams, payload["length"], out[columns])
-            steps = states.size * payload["length"]
-        elif mode == "endpoints":
-            out = parallel.resolve(payload["out"])
-            out[columns] = _endpoints_chunk(
-                stepper, states, streams, payload["length"]
-            )
-            steps = states.size * payload["length"]
-        elif mode == "first_hits":
-            out = parallel.resolve(payload["out"])
-            hit_mask = parallel.resolve(payload["mask"])
-            hits, steps = _first_hits_chunk(
-                stepper, states, streams, payload["length"], hit_mask
-            )
-            out[columns] = hits
-            tel.count("markov.walk.absorbed", int(np.count_nonzero(hits != NO_HIT)))
-        elif mode == "visit":
-            result = _visit_chunk(
-                stepper, states, streams, payload["length"], payload["record"],
-                graph.num_nodes,
-            )
-            steps = states.size * payload["length"]
-        else:  # cover
-            out = parallel.resolve(payload["out"])
-            covered, steps = _cover_chunk(
-                stepper, states, streams, payload["max_steps"], graph.num_nodes
-            )
-            out[columns] = covered
-            tel.count(
-                "markov.walk.absorbed", int(np.count_nonzero(covered != NO_HIT))
-            )
-    tel.count("markov.walk.steps", steps)
-    return result
+    with tel.span(f"markov.walk.{name}"):
+        tel.count("markov.walk.walks", int(chosen.size))
+        run_kernel(
+            kernel,
+            chosen.size,
+            chunk_size,
+            workers,
+            inputs={"graph": graph, "sources": chosen, **inputs},
+            outputs=None if out is None else {"out": out},
+            split={"streams": _streams(seed, chosen.size)},
+            setup=_setup,
+            merge=merge,
+            span="markov.walk.chunk",
+        )
 
 
-def _walk_chunk_payload(chosen: np.ndarray, streams: list):
-    """Per-chunk payload builder: that chunk's states and seed streams."""
-
-    def build(columns: slice) -> dict:
-        return {"states": chosen[columns].copy(), "streams": streams[columns]}
-
-    return build
+def _check(graph, sources, length: int) -> np.ndarray:
+    chosen = validate_sources(graph.num_nodes, sources)
+    if length < 0:
+        raise GraphError("length must be non-negative")
+    return chosen
 
 
-# ----------------------------------------------------------------------
-# mode (a): full trajectories
-# ----------------------------------------------------------------------
 def walk_block(
     graph: Graph | ShardedGraph,
     sources: np.ndarray | Sequence[int],
@@ -418,88 +318,22 @@ def walk_block(
     seed: _SeedLike = 0,
     chunk_size: int | None = None,
     workers: int | None = None,
-    strategy: str = "batched",
-    executor: str | None = None,
 ) -> np.ndarray:
     """Return one walk per source as a ``(len(sources), length + 1)`` block.
 
     Row ``i`` is a ``length``-step uniform random walk from
     ``sources[i]`` (column 0 is the source itself), driven by walk
     ``i``'s own seed stream — so the block is bit-identical for every
-    ``chunk_size``/``workers`` setting and to the per-walk
-    ``strategy="sequential"`` oracle.
+    ``chunk_size``/``workers`` setting and to the per-walk oracle.
     """
-    chosen = _validate_sources(graph, sources)
-    _validate_strategy(strategy)
-    if length < 0:
-        raise GraphError("length must be non-negative")
+    chosen = _check(graph, sources, length)
     out = np.empty((chosen.size, length + 1), dtype=np.int64)
-    if chosen.size == 0:
-        return out
-    kind, workers = parallel.resolve_execution(executor, workers)
-    streams = _streams(seed, chosen.size)
-    stepper = _stepper(graph)
-    tel = telemetry.current()
-    with tel.span("markov.walk.block"):
-        tel.count("markov.walk.walks", int(chosen.size))
-        if strategy == "sequential":
-            for i in range(chosen.size):
-                out[i] = _sequential_trajectory(
-                    int(chosen[i]), streams[i], length, stepper
-                )
-            tel.count("markov.walk.steps", int(chosen.size) * length)
-            return out
-        chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            out_spec, out_view = parallel.create_output(out.shape, np.int64)
-            try:
-                parallel.run_process_chunks(
-                    _walk_process_chunk,
-                    {
-                        "graph": parallel.publish(graph),
-                        "mode": "block",
-                        "length": length,
-                        "out": out_spec,
-                    },
-                    chunks,
-                    workers,
-                    chunk_payload=_walk_chunk_payload(chosen, streams),
-                )
-                return np.array(out_view)
-            finally:
-                parallel.release([out_spec])
-
-        def run_chunk(columns: slice) -> None:
-            with tel.span("markov.walk.chunk"):
-                _block_chunk(
-                    stepper, chosen[columns].copy(), streams[columns], length,
-                    out[columns],
-                )
-            tel.count("markov.walk.steps", (columns.stop - columns.start) * length)
-
-        run_chunks(run_chunk, chunks, workers)
+    if chosen.size:
+        _run("block", _block_kernel, graph, chosen, seed, chunk_size, workers,
+             {"length": length}, out=out)
     return out
 
 
-def _sequential_trajectory(
-    source: int,
-    stream: np.random.Generator,
-    length: int,
-    stepper: "_DenseStepper | _ShardedStepper",
-) -> np.ndarray:
-    path = np.empty(length + 1, dtype=np.int64)
-    path[0] = source
-    state = source
-    u = stream.random(length)
-    for t in range(length):
-        state = stepper.step(state, u[t])
-        path[t + 1] = state
-    return path
-
-
-# ----------------------------------------------------------------------
-# mode (b): endpoints only
-# ----------------------------------------------------------------------
 def walk_endpoints(
     graph: Graph | ShardedGraph,
     sources: np.ndarray | Sequence[int],
@@ -507,8 +341,6 @@ def walk_endpoints(
     seed: _SeedLike = 0,
     chunk_size: int | None = None,
     workers: int | None = None,
-    strategy: str = "batched",
-    executor: str | None = None,
 ) -> np.ndarray:
     """Return the ``length``-step endpoint of one walk per source.
 
@@ -516,60 +348,14 @@ def walk_endpoints(
     sampling defenses (SybilDefender calibration, SybilInfer traces,
     GateKeeper distributors, Whānau tables) need.
     """
-    chosen = _validate_sources(graph, sources)
-    _validate_strategy(strategy)
-    if length < 0:
-        raise GraphError("length must be non-negative")
+    chosen = _check(graph, sources, length)
     out = np.empty(chosen.size, dtype=np.int64)
-    if chosen.size == 0:
-        return out
-    kind, workers = parallel.resolve_execution(executor, workers)
-    streams = _streams(seed, chosen.size)
-    stepper = _stepper(graph)
-    tel = telemetry.current()
-    with tel.span("markov.walk.endpoints"):
-        tel.count("markov.walk.walks", int(chosen.size))
-        if strategy == "sequential":
-            for i in range(chosen.size):
-                out[i] = _sequential_trajectory(
-                    int(chosen[i]), streams[i], length, stepper
-                )[-1]
-            tel.count("markov.walk.steps", int(chosen.size) * length)
-            return out
-        chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            out_spec, out_view = parallel.create_output(out.shape, np.int64)
-            try:
-                parallel.run_process_chunks(
-                    _walk_process_chunk,
-                    {
-                        "graph": parallel.publish(graph),
-                        "mode": "endpoints",
-                        "length": length,
-                        "out": out_spec,
-                    },
-                    chunks,
-                    workers,
-                    chunk_payload=_walk_chunk_payload(chosen, streams),
-                )
-                return np.array(out_view)
-            finally:
-                parallel.release([out_spec])
-
-        def run_chunk(columns: slice) -> None:
-            with tel.span("markov.walk.chunk"):
-                out[columns] = _endpoints_chunk(
-                    stepper, chosen[columns].copy(), streams[columns], length
-                )
-            tel.count("markov.walk.steps", (columns.stop - columns.start) * length)
-
-        run_chunks(run_chunk, chunks, workers)
+    if chosen.size:
+        _run("endpoints", _endpoints_kernel, graph, chosen, seed, chunk_size,
+             workers, {"length": length}, out=out)
     return out
 
 
-# ----------------------------------------------------------------------
-# mode (c): first hit against a node mask
-# ----------------------------------------------------------------------
 def walk_first_hits(
     graph: Graph | ShardedGraph,
     sources: np.ndarray | Sequence[int],
@@ -578,8 +364,6 @@ def walk_first_hits(
     seed: _SeedLike = 0,
     chunk_size: int | None = None,
     workers: int | None = None,
-    strategy: str = "batched",
-    executor: str | None = None,
 ) -> np.ndarray:
     """Return per walk the first step index at which it stands on ``mask``.
 
@@ -592,101 +376,19 @@ def walk_first_hits(
     walks' hit steps are final, and each walk only ever consumes its
     own stream.
     """
-    chosen = _validate_sources(graph, sources)
-    _validate_strategy(strategy)
-    if length < 0:
-        raise GraphError("length must be non-negative")
+    chosen = _check(graph, sources, length)
     hit_mask = np.asarray(mask, dtype=bool)
     if hit_mask.shape != (graph.num_nodes,):
         raise GraphError(
             f"mask must have shape ({graph.num_nodes},), got {hit_mask.shape}"
         )
     out = np.empty(chosen.size, dtype=np.int64)
-    if chosen.size == 0:
-        return out
-    kind, workers = parallel.resolve_execution(executor, workers)
-    streams = _streams(seed, chosen.size)
-    stepper = _stepper(graph)
-    tel = telemetry.current()
-    with tel.span("markov.walk.first_hits"):
-        tel.count("markov.walk.walks", int(chosen.size))
-        if strategy == "sequential":
-            steps_taken = 0
-            for i in range(chosen.size):
-                hit, consumed = _sequential_first_hit(
-                    int(chosen[i]), streams[i], length, hit_mask, stepper
-                )
-                out[i] = hit
-                steps_taken += consumed
-            tel.count("markov.walk.steps", steps_taken)
-            tel.count("markov.walk.absorbed", int(np.count_nonzero(out != NO_HIT)))
-            return out
-        chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            mask_spec = parallel.share_array(hit_mask)
-            out_spec, out_view = parallel.create_output(out.shape, np.int64)
-            try:
-                parallel.run_process_chunks(
-                    _walk_process_chunk,
-                    {
-                        "graph": parallel.publish(graph),
-                        "mode": "first_hits",
-                        "length": length,
-                        "mask": mask_spec,
-                        "out": out_spec,
-                    },
-                    chunks,
-                    workers,
-                    chunk_payload=_walk_chunk_payload(chosen, streams),
-                )
-                return np.array(out_view)
-            finally:
-                parallel.release([mask_spec, out_spec])
-
-        def run_chunk(columns: slice) -> None:
-            with tel.span("markov.walk.chunk"):
-                hits, steps_taken = _first_hits_chunk(
-                    stepper, chosen[columns].copy(), streams[columns], length,
-                    hit_mask,
-                )
-                out[columns] = hits
-            tel.count("markov.walk.steps", steps_taken)
-            tel.count(
-                "markov.walk.absorbed", int(np.count_nonzero(hits != NO_HIT))
-            )
-
-        run_chunks(run_chunk, chunks, workers)
+    if chosen.size:
+        _run("first_hits", _first_hits_kernel, graph, chosen, seed, chunk_size,
+             workers, {"length": length, "mask": hit_mask}, out=out)
     return out
 
 
-def _sequential_first_hit(
-    source: int,
-    stream: np.random.Generator,
-    length: int,
-    mask: np.ndarray,
-    stepper: "_DenseStepper | _ShardedStepper",
-) -> tuple[int, int]:
-    """Per-walk oracle; returns ``(first_hit, steps consumed)``."""
-    if mask[source]:
-        return 0, 0
-    state = source
-    consumed = 0
-    step = 0
-    while step < length:
-        count = min(_STEP_BLOCK, length - step)
-        u = stream.random(count)
-        for t in range(count):
-            state = stepper.step(state, u[t])
-            consumed += 1
-            if mask[state]:
-                return step + t + 1, consumed
-        step += count
-    return NO_HIT, consumed
-
-
-# ----------------------------------------------------------------------
-# mode (d): visit-count accumulation
-# ----------------------------------------------------------------------
 def walk_visit_counts(
     graph: Graph | ShardedGraph,
     sources: np.ndarray | Sequence[int],
@@ -695,8 +397,6 @@ def walk_visit_counts(
     record: str = "all",
     chunk_size: int | None = None,
     workers: int | None = None,
-    strategy: str = "batched",
-    executor: str | None = None,
 ) -> np.ndarray:
     """Accumulate per-node visit counts over one walk per source.
 
@@ -704,74 +404,22 @@ def walk_visit_counts(
     walk — ``counts.sum() == len(sources) * (length + 1)``;
     ``record="last"`` counts endpoints only, which divided by the walk
     count is exactly the empirical ``length``-step distribution.
-    Memory stays O(num_nodes) per chunk regardless of the sample count;
-    chunk partial counts merge under a lock (integer addition commutes,
-    so scheduling cannot change the totals).
+    Memory stays O(num_nodes) per chunk regardless of the sample count:
+    each chunk's partial counts are added into the result as the chunk
+    finishes (integer addition commutes, so scheduling cannot change
+    the totals).
     """
-    chosen = _validate_sources(graph, sources)
-    _validate_strategy(strategy)
-    if length < 0:
-        raise GraphError("length must be non-negative")
+    chosen = _check(graph, sources, length)
     if record not in ("all", "last"):
         raise GraphError(f"unknown record mode {record!r}; use 'all' or 'last'")
     counts = np.zeros(graph.num_nodes, dtype=np.int64)
-    if chosen.size == 0:
-        return counts
-    kind, workers = parallel.resolve_execution(executor, workers)
-    streams = _streams(seed, chosen.size)
-    stepper = _stepper(graph)
-    n = graph.num_nodes
-    tel = telemetry.current()
-    with tel.span("markov.walk.visit_counts"):
-        tel.count("markov.walk.walks", int(chosen.size))
-        if strategy == "sequential":
-            for i in range(chosen.size):
-                path = _sequential_trajectory(
-                    int(chosen[i]), streams[i], length, stepper
-                )
-                if record == "last":
-                    counts[path[-1]] += 1
-                else:
-                    counts += np.bincount(path, minlength=n)
-            tel.count("markov.walk.steps", int(chosen.size) * length)
-            return counts
-        chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            partials = parallel.run_process_chunks(
-                _walk_process_chunk,
-                {
-                    "graph": parallel.publish(graph),
-                    "mode": "visit",
-                    "length": length,
-                    "record": record,
-                },
-                chunks,
-                workers,
-                chunk_payload=_walk_chunk_payload(chosen, streams),
-            )
-            for local in partials:
-                np.add(counts, local, out=counts)
-            return counts
-
-        merge_lock = threading.Lock()
-
-        def run_chunk(columns: slice) -> None:
-            with tel.span("markov.walk.chunk"):
-                local = _visit_chunk(
-                    stepper, chosen[columns].copy(), streams[columns], length,
-                    record, n,
-                )
-                with merge_lock:
-                    np.add(counts, local, out=counts)
-            tel.count("markov.walk.steps", (columns.stop - columns.start) * length)
-
-        run_chunks(run_chunk, chunks, workers)
+    if chosen.size:
+        _run("visit_counts", _visit_kernel, graph, chosen, seed, chunk_size,
+             workers, {"length": length, "record": record},
+             merge=lambda _, local: np.add(counts, local, out=counts))
     return counts
 
 
-# ----------------------------------------------------------------------
-# cover tracking (the Monte-Carlo cover-time estimator's kernel)
-# ----------------------------------------------------------------------
 def walk_cover_steps(
     graph: Graph | ShardedGraph,
     sources: np.ndarray | Sequence[int],
@@ -779,8 +427,6 @@ def walk_cover_steps(
     seed: _SeedLike = 0,
     chunk_size: int | None = None,
     workers: int | None = None,
-    strategy: str = "batched",
-    executor: str | None = None,
 ) -> np.ndarray:
     """Return per walk the step at which it has visited every node.
 
@@ -788,85 +434,11 @@ def walk_cover_steps(
     :data:`NO_HIT`.  Visited state is a ``(chunk, n)`` boolean block;
     a chunk stops stepping once all of its walks have covered.
     """
-    chosen = _validate_sources(graph, sources)
-    _validate_strategy(strategy)
+    chosen = validate_sources(graph.num_nodes, sources)
     if max_steps < 1:
         raise GraphError("max_steps must be positive")
     out = np.empty(chosen.size, dtype=np.int64)
-    if chosen.size == 0:
-        return out
-    kind, workers = parallel.resolve_execution(executor, workers)
-    streams = _streams(seed, chosen.size)
-    stepper = _stepper(graph)
-    n = graph.num_nodes
-    tel = telemetry.current()
-    with tel.span("markov.walk.cover_steps"):
-        tel.count("markov.walk.walks", int(chosen.size))
-        if strategy == "sequential":
-            for i in range(chosen.size):
-                out[i] = _sequential_cover(
-                    int(chosen[i]), streams[i], max_steps, n, stepper
-                )
-            tel.count("markov.walk.absorbed", int(np.count_nonzero(out != NO_HIT)))
-            return out
-        chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            out_spec, out_view = parallel.create_output(out.shape, np.int64)
-            try:
-                parallel.run_process_chunks(
-                    _walk_process_chunk,
-                    {
-                        "graph": parallel.publish(graph),
-                        "mode": "cover",
-                        "max_steps": max_steps,
-                        "out": out_spec,
-                    },
-                    chunks,
-                    workers,
-                    chunk_payload=_walk_chunk_payload(chosen, streams),
-                )
-                return np.array(out_view)
-            finally:
-                parallel.release([out_spec])
-
-        def run_chunk(columns: slice) -> None:
-            with tel.span("markov.walk.chunk"):
-                covered, steps_taken = _cover_chunk(
-                    stepper, chosen[columns].copy(), streams[columns], max_steps, n
-                )
-                out[columns] = covered
-            tel.count("markov.walk.steps", steps_taken)
-            tel.count(
-                "markov.walk.absorbed", int(np.count_nonzero(covered != NO_HIT))
-            )
-
-        run_chunks(run_chunk, chunks, workers)
+    if chosen.size:
+        _run("cover_steps", _cover_kernel, graph, chosen, seed, chunk_size,
+             workers, {"max_steps": max_steps}, out=out)
     return out
-
-
-def _sequential_cover(
-    source: int,
-    stream: np.random.Generator,
-    max_steps: int,
-    n: int,
-    stepper: "_DenseStepper | _ShardedStepper",
-) -> int:
-    if n == 1:
-        return 0
-    visited = np.zeros(n, dtype=bool)
-    visited[source] = True
-    remaining = n - 1
-    state = source
-    step = 0
-    while step < max_steps:
-        count = min(_STEP_BLOCK, max_steps - step)
-        u = stream.random(count)
-        for t in range(count):
-            state = stepper.step(state, u[t])
-            if not visited[state]:
-                visited[state] = True
-                remaining -= 1
-                if remaining == 0:
-                    return step + t + 1
-        step += count
-    return NO_HIT

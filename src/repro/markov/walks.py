@@ -55,14 +55,12 @@ def random_walks(
     length: int,
     count: int,
     rng: np.random.Generator | None = None,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
 ) -> np.ndarray:
     """Return ``count`` independent walks as a ``(count, length + 1)`` array.
 
-    Rides the vectorized engine (:func:`repro.markov.walk_batch.walk_block`)
-    by default; ``strategy="sequential"`` keeps the per-walk oracle.
+    Rides the vectorized engine (:func:`repro.markov.walk_batch.walk_block`).
     Each walk draws from its own child stream of ``rng`` (fresh entropy
     when ``rng`` is None), so results do not depend on
     ``chunk_size``/``workers``.
@@ -80,7 +78,6 @@ def random_walks(
         seed=seed,
         chunk_size=chunk_size,
         workers=workers,
-        strategy=strategy,
     )
 
 
@@ -90,7 +87,6 @@ def empirical_distribution(
     length: int,
     num_samples: int,
     rng: np.random.Generator | None = None,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
 ) -> np.ndarray:
@@ -116,7 +112,6 @@ def empirical_distribution(
         record="last",
         chunk_size=chunk_size,
         workers=workers,
-        strategy=strategy,
     )
     return counts / num_samples
 

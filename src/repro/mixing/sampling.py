@@ -17,8 +17,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graph.core import Graph
 from repro.markov.batch import validate_walk_lengths
-from repro.markov.distance import total_variation_distance
-from repro.markov.transition import TransitionOperator, get_operator
+from repro.markov.transition import get_operator
 
 __all__ = [
     "MixingProfile",
@@ -70,25 +69,28 @@ class MixingProfile:
         return np.percentile(self.tvd, q, axis=0)
 
 
-def _sequential_tvd(
-    operator: TransitionOperator, sources: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """One-source-at-a-time oracle: a sparse matvec per source per step.
-
-    Kept as the reference implementation the batched engine is tested
-    against (``strategy="sequential"``).
-    """
-    pi = operator.stationary
-    tvd = np.empty((sources.size, lengths.size))
-    for row, source in enumerate(sources):
-        dist = operator.delta(int(source))
-        step = 0
-        for col, target in enumerate(lengths):
-            while step < target:
-                dist = operator.evolve(dist)
-                step += 1
-            tvd[row, col] = total_variation_distance(dist, pi)
-    return tvd
+def _profile_inputs(
+    graph: Graph,
+    walk_lengths: np.ndarray | list[int] | None,
+    num_sources: int,
+    sources: np.ndarray | list[int] | None,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validated walk lengths and the sorted measured sources."""
+    if graph.num_nodes < 2:
+        raise GraphError("mixing measurement needs at least 2 nodes")
+    lengths = validate_walk_lengths(
+        np.arange(1, 51, dtype=np.int64) if walk_lengths is None else walk_lengths
+    )
+    rng = np.random.default_rng(seed)
+    if sources is None:
+        count = min(num_sources, graph.num_nodes)
+        chosen = rng.choice(graph.num_nodes, size=count, replace=False)
+    else:
+        chosen = np.asarray(list(sources), dtype=np.int64)
+        if chosen.size == 0:
+            raise GraphError("sources must be non-empty")
+    return lengths, np.sort(chosen)
 
 
 def sampled_mixing_profile(
@@ -98,11 +100,14 @@ def sampled_mixing_profile(
     sources: np.ndarray | list[int] | None = None,
     lazy: bool = False,
     seed: int = 0,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
 ) -> MixingProfile:
     """Measure TVD-to-stationary for sampled sources and walk lengths.
+
+    All sources evolve as dense column blocks in single sparse x dense
+    products (:meth:`TransitionOperator.tvd_profile`), byte-identical
+    to the one-matvec-per-source oracle in :mod:`repro.oracles`.
 
     Parameters
     ----------
@@ -121,41 +126,16 @@ def sampled_mixing_profile(
         ``sources`` attribute of the returned profile.
     lazy:
         Evolve the lazy chain ``(I + P)/2`` instead of P.
-    strategy:
-        ``"batched"`` (default) evolves all sources as dense column
-        blocks in single sparse x dense products;  ``"sequential"`` is
-        the one-matvec-per-source oracle.  Both produce byte-identical
-        TVD matrices.
     chunk_size:
-        Batched only: columns evolved per block, bounding memory at
+        Columns evolved per block, bounding memory at
         ``O(n * chunk_size)``.
     workers:
-        Batched only: fan independent source chunks out over a thread
-        pool of this size.
+        Fan independent source chunks out over this many workers.
     """
-    if graph.num_nodes < 2:
-        raise GraphError("mixing measurement needs at least 2 nodes")
-    lengths = validate_walk_lengths(
-        np.arange(1, 51, dtype=np.int64) if walk_lengths is None else walk_lengths
+    lengths, chosen = _profile_inputs(graph, walk_lengths, num_sources, sources, seed)
+    tvd = get_operator(graph, lazy=lazy).tvd_profile(
+        chosen, lengths, chunk_size=chunk_size, workers=workers
     )
-    rng = np.random.default_rng(seed)
-    if sources is None:
-        count = min(num_sources, graph.num_nodes)
-        chosen = rng.choice(graph.num_nodes, size=count, replace=False)
-    else:
-        chosen = np.asarray(list(sources), dtype=np.int64)
-        if chosen.size == 0:
-            raise GraphError("sources must be non-empty")
-    chosen = np.sort(chosen)
-    operator = get_operator(graph, lazy=lazy)
-    if strategy == "batched":
-        tvd = operator.tvd_profile(
-            chosen, lengths, chunk_size=chunk_size, workers=workers
-        )
-    elif strategy == "sequential":
-        tvd = _sequential_tvd(operator, chosen, lengths)
-    else:
-        raise GraphError(f"unknown strategy {strategy!r}")
     return MixingProfile(walk_lengths=lengths, sources=chosen, tvd=tvd, lazy=lazy)
 
 
@@ -189,7 +169,6 @@ def sampled_mixing_time(
     num_sources: int = 100,
     lazy: bool = False,
     seed: int = 0,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
 ) -> int | None:
@@ -197,8 +176,8 @@ def sampled_mixing_time(
 
     ``epsilon`` defaults to ``1/n``.  Returns None when the chain has
     not mixed within ``max_length`` steps (a slow-mixing verdict at this
-    scale).  ``strategy``/``chunk_size``/``workers`` select the batched
-    walk engine exactly as in :func:`sampled_mixing_profile`.
+    scale).  ``chunk_size``/``workers`` schedule the batched walk engine
+    exactly as in :func:`sampled_mixing_profile`.
     """
     eps = 1.0 / graph.num_nodes if epsilon is None else epsilon
     profile = sampled_mixing_profile(
@@ -207,7 +186,6 @@ def sampled_mixing_time(
         num_sources=num_sources,
         lazy=lazy,
         seed=seed,
-        strategy=strategy,
         chunk_size=chunk_size,
         workers=workers,
     )
@@ -219,7 +197,6 @@ def is_fast_mixing(
     constant: float = 4.0,
     num_sources: int = 50,
     seed: int = 0,
-    strategy: str = "batched",
 ) -> bool:
     """Classify the graph as fast mixing per the O(log n) criterion.
 
@@ -231,6 +208,6 @@ def is_fast_mixing(
     """
     budget = max(1, int(constant * np.log2(max(graph.num_nodes, 2))))
     measured = sampled_mixing_time(
-        graph, max_length=budget, num_sources=num_sources, seed=seed, strategy=strategy
+        graph, max_length=budget, num_sources=num_sources, seed=seed
     )
     return measured is not None

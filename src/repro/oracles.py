@@ -1,0 +1,317 @@
+"""Scalar reference implementations of the batch engines.
+
+Each batch engine — the walk modes of :mod:`repro.markov.walk_batch`,
+the TVD profile of :mod:`repro.markov.batch`, the block BFS of
+:mod:`repro.graph.bfs_batch` and the loopy BP of
+:mod:`repro.sybil.fusion` — has a one-item-at-a-time twin here that
+replays the same IEEE operations walk by walk, source by source or
+half-edge by half-edge.  So do the measurements built on them that the
+test suite and the speedup benchmarks compare (mixing profile, envelope
+expansion, eccentricities, closeness, escape probability, link
+perturbation).  Every function returns exactly what its library
+namesake returns for the same arguments, bit for bit; the library never
+calls this module.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from repro.chunking import validate_sources
+from repro.expansion import envelope
+from repro.graph.core import Graph
+from repro.graph.shard import ShardedGraph
+from repro.graph.traversal import bfs_distances, bfs_levels
+from repro.markov.batch import validate_walk_lengths
+from repro.markov.distance import total_variation_distance
+from repro.markov.transition import TransitionOperator, get_operator
+from repro.markov.walk_batch import _STEP_BLOCK, NO_HIT, _streams
+from repro.mixing import sampling
+from repro.privacy import perturb
+from repro.sybil import escape, fusion
+
+__all__ = [
+    "walk_block",
+    "walk_endpoints",
+    "walk_first_hits",
+    "walk_visit_counts",
+    "walk_cover_steps",
+    "tvd_profile",
+    "sampled_mixing_profile",
+    "bfs_distances_block",
+    "bfs_level_sizes_block",
+    "envelope_expansion",
+    "eccentricities",
+    "closeness_centrality",
+    "loopy_belief_propagation",
+    "measure_escape",
+    "perturb_links",
+]
+
+
+# ----------------------------------------------------------------------
+# Monte-Carlo walks: one walk at a time, one uniform per step
+# ----------------------------------------------------------------------
+def _scalar_step(graph: Graph | ShardedGraph):
+    """``step(state, u)``: the scalar twin of the engine's vector step."""
+    if isinstance(graph, ShardedGraph):
+
+        def step(state: int, u: float) -> int:
+            shard = graph.shard(graph.shard_index_of(int(state)))
+            start = int(shard.indptr[state - shard.lo])
+            deg = int(shard.indptr[state - shard.lo + 1]) - start
+            if deg == 0:
+                return int(state)
+            return int(shard.indices[start + min(int(u * deg), deg - 1)])
+
+        return step
+    indptr, indices, degrees = graph.indptr, graph.indices, graph.degrees
+
+    def step(state: int, u: float) -> int:
+        deg = degrees[state]
+        if deg == 0:
+            return state
+        return int(indices[indptr[state] + min(int(u * deg), int(deg - 1))])
+
+    return step
+
+
+def _walks(graph, chosen: np.ndarray, seed, length: int) -> Iterator[Iterator]:
+    """Per walk, an iterator of ``(t, state)`` for steps ``1 .. length``."""
+    step = _scalar_step(graph)
+
+    def walk(state: int, stream: np.random.Generator):
+        t = 0
+        for lo in range(0, length, _STEP_BLOCK):
+            for u in stream.random(min(_STEP_BLOCK, length - lo)):
+                t += 1
+                state = step(state, u)
+                yield t, state
+
+    return (walk(int(s), g) for s, g in zip(chosen, _streams(seed, chosen.size)))
+
+
+def walk_block(graph, sources, length: int, seed=0) -> np.ndarray:
+    """Per-walk twin of :func:`repro.markov.walk_block`."""
+    chosen = validate_sources(graph.num_nodes, sources)
+    out = np.empty((chosen.size, length + 1), dtype=np.int64)
+    out[:, 0] = chosen
+    for row, walk in zip(out, _walks(graph, chosen, seed, length)):
+        for t, state in walk:
+            row[t] = state
+    return out
+
+
+def walk_endpoints(graph, sources, length: int, seed=0) -> np.ndarray:
+    """Per-walk twin of :func:`repro.markov.walk_endpoints`."""
+    return walk_block(graph, sources, length, seed)[:, -1].copy()
+
+
+def walk_first_hits(graph, sources, length: int, mask, seed=0) -> np.ndarray:
+    """Per-walk twin of :func:`repro.markov.walk_first_hits`."""
+    chosen = validate_sources(graph.num_nodes, sources)
+    mask = np.asarray(mask, dtype=bool)
+    out = np.full(chosen.size, NO_HIT, dtype=np.int64)
+    for i, walk in enumerate(_walks(graph, chosen, seed, length)):
+        if mask[chosen[i]]:
+            out[i] = 0
+            continue
+        out[i] = next((t for t, state in walk if mask[state]), NO_HIT)
+    return out
+
+
+def walk_visit_counts(
+    graph, sources, length: int, seed=0, record: str = "all"
+) -> np.ndarray:
+    """Per-walk twin of :func:`repro.markov.walk_visit_counts`."""
+    paths = walk_block(graph, sources, length, seed)
+    if record == "last":
+        paths = paths[:, -1:]
+    return np.bincount(paths.ravel(), minlength=graph.num_nodes).astype(np.int64)
+
+
+def walk_cover_steps(graph, sources, max_steps: int, seed=0) -> np.ndarray:
+    """Per-walk twin of :func:`repro.markov.walk_cover_steps`."""
+    chosen = validate_sources(graph.num_nodes, sources)
+    n = graph.num_nodes
+    out = np.full(chosen.size, 0 if n == 1 else NO_HIT, dtype=np.int64)
+    for i, walk in enumerate(_walks(graph, chosen, seed, max_steps)):
+        if n == 1:
+            continue
+        seen = {int(chosen[i])}
+        for t, state in walk:
+            seen.add(state)
+            if len(seen) == n:
+                out[i] = t
+                break
+    return out
+
+
+# ----------------------------------------------------------------------
+# Figure 1: one sparse matvec per source per step
+# ----------------------------------------------------------------------
+def tvd_profile(
+    operator: TransitionOperator, sources: Sequence[int], walk_lengths
+) -> np.ndarray:
+    """Per-source twin of :meth:`TransitionOperator.tvd_profile`."""
+    lengths = validate_walk_lengths(walk_lengths)
+    chosen = validate_sources(operator.graph.num_nodes, sources)
+    tvd = np.empty((chosen.size, lengths.size))
+    for row, source in enumerate(chosen):
+        dist = operator.delta(int(source))
+        step = 0
+        for col, target in enumerate(lengths):
+            while step < target:
+                dist = operator.evolve(dist)
+                step += 1
+            tvd[row, col] = total_variation_distance(dist, operator.stationary)
+    return tvd
+
+
+def sampled_mixing_profile(
+    graph: Graph,
+    walk_lengths=None,
+    num_sources: int = 100,
+    sources=None,
+    lazy: bool = False,
+    seed: int = 0,
+) -> sampling.MixingProfile:
+    """Per-source twin of :func:`repro.mixing.sampled_mixing_profile`."""
+    lengths, chosen = sampling._profile_inputs(
+        graph, walk_lengths, num_sources, sources, seed
+    )
+    tvd = tvd_profile(get_operator(graph, lazy=lazy), chosen, lengths)
+    return sampling.MixingProfile(
+        walk_lengths=lengths, sources=chosen, tvd=tvd, lazy=lazy
+    )
+
+
+# ----------------------------------------------------------------------
+# Figures 3-4: one Python BFS per source
+# ----------------------------------------------------------------------
+def bfs_distances_block(graph: Graph, sources: Sequence[int]) -> np.ndarray:
+    """Per-source twin of :func:`repro.graph.bfs_distances_block`."""
+    return np.stack([bfs_distances(graph, int(s)) for s in sources])
+
+
+def bfs_level_sizes_block(graph: Graph, sources: Sequence[int]) -> np.ndarray:
+    """Per-source twin of :func:`repro.graph.bfs_level_sizes_block`."""
+    rows = [
+        np.array([lvl.size for lvl in bfs_levels(graph, int(s))], dtype=np.int64)
+        for s in sources
+    ]
+    out = np.zeros((len(rows), max(row.size for row in rows)), dtype=np.int64)
+    for j, row in enumerate(rows):
+        out[j, : row.size] = row
+    return out
+
+
+def envelope_expansion(
+    graph: Graph,
+    sources=None,
+    num_sources: int | None = None,
+    max_radius: int | None = None,
+    seed: int = 0,
+) -> envelope.ExpansionMeasurement:
+    """Per-core twin of :func:`repro.expansion.envelope_expansion`."""
+    chosen = envelope._cores(graph, sources, num_sources, max_radius, seed)
+    sizes, neighbors = [], []
+    for source in chosen:
+        result = envelope.source_expansion(graph, int(source))
+        sizes.append(result.envelope_sizes[:max_radius])
+        neighbors.append(result.frontier_sizes[:max_radius])
+    return envelope._measurement(chosen, sizes, neighbors)
+
+
+def eccentricities(graph: Graph, sources=None) -> np.ndarray:
+    """Per-node twin of :func:`repro.graph.eccentricities`."""
+    chosen = range(graph.num_nodes) if sources is None else sources
+    return np.array(
+        [bfs_distances(graph, int(v)).max() for v in chosen], dtype=np.int64
+    )
+
+
+def closeness_centrality(graph: Graph, node: int | None = None) -> np.ndarray:
+    """Per-node twin of :func:`repro.graph.closeness_centrality`."""
+    n = graph.num_nodes
+    nodes = [node] if node is not None else range(n)
+    out = np.zeros(len(nodes))
+    for i, v in enumerate(nodes):
+        reached = bfs_distances(graph, int(v))
+        reached = reached[reached > 0]
+        if reached.size:
+            r = reached.size + 1
+            out[i] = ((r - 1) / max(n - 1, 1)) * ((r - 1) / float(reached.sum()))
+    return out
+
+
+# ----------------------------------------------------------------------
+# SybilFrame / SybilFuse: loopy BP one half-edge at a time
+# ----------------------------------------------------------------------
+def loopy_belief_propagation(
+    graph: Graph,
+    priors: np.ndarray,
+    edge_potentials: float | np.ndarray = 0.9,
+    max_rounds: int = 50,
+    damping: float = 0.25,
+    tol: float = 1e-6,
+) -> fusion.BeliefPropagationResult:
+    """Per-edge twin of :func:`repro.sybil.loopy_belief_propagation`."""
+    arrays = fusion._bp_inputs(graph, priors, edge_potentials, max_rounds, damping, tol)
+    src, twin, log_w, log_not_w, log_phi = (
+        arrays[k] for k in ("src", "twin", "log_w", "log_not_w", "log_phi")
+    )
+    n, dst = graph.num_nodes, graph.indices
+    logm = np.full((dst.size, 2), np.log(0.5))
+    converged, delta, rounds = dst.size == 0 or max_rounds == 0, 0.0, 0
+    for _ in range(0 if converged else max_rounds):
+        rounds += 1
+        acc = fusion._aggregate_incoming(n, dst, logm)
+        new_logm = np.empty_like(logm)
+        diffs = np.empty(dst.size)
+        for p in range(dst.size):
+            u, rev = src[p], twin[p]
+            pre0 = acc[u, 0] + log_phi[u, 0] - logm[rev, 0]
+            pre1 = acc[u, 1] + log_phi[u, 1] - logm[rev, 1]
+            upd0 = np.logaddexp(pre0 + log_w[p], pre1 + log_not_w[p])
+            upd1 = np.logaddexp(pre0 + log_not_w[p], pre1 + log_w[p])
+            z = np.logaddexp(upd0, upd1)
+            m0, m1 = np.exp(upd0 - z), np.exp(upd1 - z)
+            old0, old1 = np.exp(logm[p, 0]), np.exp(logm[p, 1])
+            if damping > 0.0:
+                m0 = (1.0 - damping) * m0 + damping * old0
+                m1 = (1.0 - damping) * m1 + damping * old1
+                total = m0 + m1
+                m0, m1 = m0 / total, m1 / total
+            diffs[p] = max(abs(m0 - old0), abs(m1 - old1))
+            new_logm[p] = np.log(m0), np.log(m1)
+        logm = new_logm
+        delta = float(diffs.max())
+        if delta <= tol:
+            converged = True
+            break
+    return fusion.BeliefPropagationResult(
+        beliefs=fusion._beliefs(graph, log_phi, logm),
+        converged=bool(converged),
+        rounds=rounds,
+        delta=delta,
+    )
+
+
+# ----------------------------------------------------------------------
+# measurements whose walks come from the per-walk oracles above
+# ----------------------------------------------------------------------
+def measure_escape(
+    attack, walk_lengths: list[int], num_walks: int = 2000, seed: int = 0
+) -> escape.EscapeMeasurement:
+    """Per-walk twin of :func:`repro.sybil.measure_escape`."""
+    return escape._measure_escape(
+        attack, walk_lengths, num_walks, seed, walk_first_hits
+    )
+
+
+def perturb_links(graph: Graph, t: int, seed=0) -> Graph:
+    """Per-edge twin of :func:`repro.privacy.perturb_links`."""
+    return perturb._perturb(graph, t, seed, walk_endpoints)

@@ -2,52 +2,38 @@
 
 The thread runner in :mod:`repro.chunking` is capped by the GIL whenever
 per-chunk Python overhead dominates — small chunks, shard streaming,
-loopy-BP rounds.  This module adds the second backend behind the same
-chunking API: a persistent, lazily-spawned **process pool** plus a
-**shared-memory graph plane**, selected per call (or ambiently) with
-``executor="thread" | "process" | "auto"``.
+loopy-BP rounds.  This module is the second backend of
+:func:`repro.chunking.run_kernel`: a persistent, lazily-spawned
+**process pool** plus a **shared-memory graph plane**, selected through
+the ambient :func:`execution` scope (``executor="thread" | "process" |
+"auto"``) — engines never name a backend.
 
-Architecture
-------------
+* **Shared-memory plane.**  :func:`publish` places a read-only graph or
+  CSR/CSC matrix into ``multiprocessing.shared_memory`` once and
+  returns a small picklable ref (:class:`GraphRef` / :class:`CsrRef`);
+  a :class:`~repro.graph.shard.ShardedGraph` becomes a
+  :class:`ShardedRef` naming its on-disk manifest.  Graph and matrix
+  segments are keyed by content digest in a small parent-side LRU, so
+  repeated calls on the same graph publish nothing; :func:`share` picks
+  the right form for any kernel input.
+* **Workers** resolve refs lazily (:func:`resolve`) into their own
+  digest-keyed cache; per-call segments and the :func:`call_cache`
+  scratch live for one dispatch generation (:func:`call_token`).
+* **Persistent pool.**  :func:`run_process_chunks` dispatches to one
+  module-level ``ProcessPoolExecutor`` (spawn context, safe on
+  macOS/Windows and under threaded parents), grown on demand;
+  :func:`shutdown` — also registered ``atexit`` — stops it and unlinks
+  every segment, so no ``/dev/shm`` residue outlives the parent even
+  after a worker crash.
+* **Telemetry.**  Each task runs under a child
+  :class:`~repro.telemetry.Telemetry` whose snapshot merges into the
+  parent registry under the dispatching thread's span path, beside the
+  ``chunking.*`` fan-out and ``parallel.*`` dispatch counters.
 
-* **Shared-memory plane.**  :func:`publish` places a read-only object
-  into ``multiprocessing.shared_memory`` once and returns a small
-  picklable *ref* (:class:`GraphRef` / :class:`CsrRef` /
-  :class:`ShmSpec`); :class:`~repro.graph.shard.ShardedGraph` inputs
-  become a :class:`ShardedRef` naming the on-disk manifest instead
-  (workers reopen it with their own bounded-LRU residency).  Graph and
-  matrix segments are keyed by ``graph_digest``-style content digests
-  and cached in a small parent-side LRU, so repeated engine calls on
-  the same graph publish nothing.
-* **Worker cache.**  Workers resolve refs lazily via :func:`resolve`
-  and keep their own digest-keyed cache of attached graphs/matrices,
-  so a warm pool re-attaches nothing across calls.  Per-call segments
-  (inputs, state, output buffers) are attached for the duration of one
-  dispatch generation and closed when the next call begins.
-* **Persistent pool.**  :func:`run_process_chunks` dispatches chunk
-  jobs to one module-level ``ProcessPoolExecutor`` (spawn context, so
-  the backend is safe on macOS/Windows and under threaded parents)
-  that survives across calls and is grown on demand;
-  :func:`shutdown` — also registered ``atexit`` — tears it down and
-  unlinks every published segment, so no ``/dev/shm`` residue outlives
-  the parent even after a worker crash.
-* **Determinism.**  Chunk results land in shared pre-allocated output
-  buffers through the *same* module-level kernels the thread backend
-  runs, so the bit-identity contract with the sequential oracles holds
-  across the full executor x chunk_size x workers grid.
-* **Telemetry.**  Each task runs under a fresh child
-  :class:`~repro.telemetry.Telemetry`; its snapshot is returned with
-  the result and merged into the parent registry
-  (:meth:`~repro.telemetry.Telemetry.merge`), so ``--metrics-out``
-  stays one coherent JSON.  The dispatcher itself reports
-  ``parallel.*`` counters and the same ``chunking.*`` fan-out metrics
-  as the thread runner.
-
-:func:`execution` scopes an *ambient* executor/worker configuration so
-deep call stacks (the pipeline wave scheduler, the CLI) can select the
-backend without threading a knob through every signature: engines that
-receive ``executor=None``/``workers=None`` inherit the ambient values
-via :func:`resolve_execution`.
+:func:`execution` scopes the ambient executor and worker count, so the
+pipeline wave scheduler and the CLI reach every nested engine call
+without a parameter on each signature; :func:`resolve_execution` fills
+an engine's ``workers`` argument from it.
 """
 
 from __future__ import annotations
@@ -59,7 +45,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -68,8 +54,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro import telemetry
-from repro.chunking import default_workers
+from repro import chunking, telemetry
 from repro.errors import GraphError
 
 __all__ = [
@@ -82,10 +67,12 @@ __all__ = [
     "resolve_execution",
     "use_processes",
     "publish",
+    "share",
     "share_array",
     "create_output",
     "release",
     "resolve",
+    "call_cache",
     "run_process_chunks",
     "call_token",
     "shutdown",
@@ -133,11 +120,12 @@ def execution(
 ) -> Iterator[None]:
     """Scope an ambient executor/worker default to a ``with`` block.
 
-    Engines called with ``executor=None`` / ``workers=None`` inside the
-    block inherit these values through :func:`resolve_execution` — the
-    mechanism by which ``--executor`` on the CLI and the pipeline wave
-    scheduler reach every nested engine call without new parameters on
-    every function in between.  Explicit per-call arguments always win.
+    Every engine call inside the block runs on this executor, and
+    engines called with ``workers=None`` inherit the worker count,
+    through :func:`resolve_execution` — the mechanism by which
+    ``--executor`` on the CLI and the pipeline wave scheduler reach
+    every nested engine call without a parameter on every function in
+    between.  An explicit ``workers`` argument wins.
     """
     _validate_executor(executor)
     if workers is not None and workers < 1:
@@ -174,12 +162,12 @@ def resolve_execution(
     if workers is None:
         workers = ambient_workers
     if kind == "auto":
-        effective = workers if workers is not None else default_workers()
+        effective = workers if workers is not None else chunking.default_workers()
         kind = "process" if effective > 1 else "thread"
         if kind == "process":
             workers = effective
     elif kind == "process" and workers is None:
-        workers = default_workers()
+        workers = chunking.default_workers()
     return kind, workers
 
 
@@ -412,11 +400,32 @@ def publish(obj: Any) -> GraphRef | CsrRef | ShardedRef:
     return publish_matrix(obj)
 
 
+def share(value: Any) -> Any:
+    """Return the picklable form of one kernel input.
+
+    ndarrays are copied into a fresh per-call segment (the caller
+    releases its :class:`ShmSpec`); graphs, sharded graphs and sparse
+    matrices are published (digest-cached); anything else — scalars,
+    tuples, ``None`` — travels by pickle unchanged.
+    """
+    import scipy.sparse as sp
+
+    from repro.graph.core import Graph
+    from repro.graph.shard import ShardedGraph
+
+    if isinstance(value, np.ndarray):
+        return share_array(value)
+    if isinstance(value, (Graph, ShardedGraph)) or sp.issparse(value):
+        return publish(value)
+    return value
+
+
 # ----------------------------------------------------------------------
 # worker-side resolution
 # ----------------------------------------------------------------------
 _worker_graphs: OrderedDict[str, tuple[Any, tuple]] = OrderedDict()
 _worker_call_arrays: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
+_worker_call_cache: dict[str, Any] = {}
 _worker_call: Any = None
 
 
@@ -455,6 +464,7 @@ def _begin_call(call: Any) -> None:
     global _worker_call
     if call == _worker_call:
         return
+    _worker_call_cache.clear()  # drop views into the segments closed below
     for name in list(_worker_call_arrays):
         shm, view = _worker_call_arrays.pop(name)
         del view
@@ -463,6 +473,17 @@ def _begin_call(call: Any) -> None:
         except BufferError:  # a kernel kept a view; GC unmaps it later
             pass
     _worker_call = call
+
+
+def call_cache() -> dict[str, Any]:
+    """Worker-side scratch that lives for one dispatch generation.
+
+    Cleared when a task of a different call arrives, so per-call state
+    a kernel builds from its inputs (a walk stepper, a float32
+    adjacency) is built once per call and worker, and reused across the
+    rounds of an iterative engine that dispatches under one token.
+    """
+    return _worker_call_cache
 
 
 def _worker_cache_put(key: str, value: Any, keepalive: tuple) -> None:
@@ -605,13 +626,9 @@ def _run_task(
         return fn(payload, chunk), None
     child = telemetry.Telemetry()
     with telemetry.activate(child):
-        start = time.perf_counter()
-        if span is None:
-            result = fn(payload, chunk)
-        else:
-            with child.span(span):
-                result = fn(payload, chunk)
-        child.count("chunking.busy_seconds", time.perf_counter() - start)
+        result, _ = chunking.timed_chunk(
+            child, span, lambda columns: fn(payload, columns), chunk
+        )
     return result, child.snapshot()
 
 
@@ -646,18 +663,21 @@ def run_process_chunks(
     span: str | None = "chunking.chunk",
     chunk_payload: Callable[[slice], dict] | None = None,
     call: tuple[int, int] | None = None,
-) -> list[Any]:
+    on_result: Callable[[int, Any], None] | None = None,
+) -> list[Any] | None:
     """Dispatch chunk jobs to the persistent process pool.
 
     ``fn(payload, chunk)`` must be a module-level callable (pickled by
     reference); ``payload`` values may be plane refs, resolved in the
     worker via :func:`resolve`.  ``chunk_payload(chunk)`` contributes
     per-chunk payload entries (e.g. that chunk's seed streams).
-    Results are returned in chunk order; the first failing chunk
-    re-raises in the parent.  Fan-out telemetry matches the thread
-    runner (``chunking.*``) plus ``parallel.*`` dispatch counters, and
-    every task's child-telemetry snapshot is merged into the parent
-    registry.
+    Results are returned in chunk order — or, with ``on_result``,
+    handed to ``on_result(chunk index, result)`` as each chunk finishes
+    and not kept.  The first failing chunk re-raises in the parent.
+    Fan-out telemetry matches the thread runner (``chunking.*``) plus
+    ``parallel.*`` dispatch counters, and every task's child-telemetry
+    snapshot is merged into the parent registry under the calling
+    thread's span path.
     """
     if workers < 2:
         raise GraphError("run_process_chunks requires workers >= 2")
@@ -665,47 +685,45 @@ def run_process_chunks(
         return []
     tel = telemetry.current()
     record = tel.enabled
+    prefix = tel.current_path() if record else None
     pool_size = min(workers, len(chunks))
     pool = _get_pool(pool_size)
     if call is None:
         call = call_token()
     start = time.perf_counter()
-    futures = []
-    for chunk in chunks:
+    pending = {}
+    for index, chunk in enumerate(chunks):
         task_payload = dict(payload)
         if chunk_payload is not None:
             task_payload.update(chunk_payload(chunk))
         task_payload["_call"] = call
-        futures.append(
-            pool.submit(_run_task, fn, task_payload, chunk, span, record)
-        )
-    results: list[Any] = [None] * len(chunks)
+        future = pool.submit(_run_task, fn, task_payload, chunk, span, record)
+        pending[future] = index
+    results: list[Any] | None = [None] * len(chunks) if on_result is None else None
     busy = 0.0
     try:
-        for i, future in enumerate(futures):
+        # as_completed drops its references to each future it yields,
+        # so a result handed to on_result is not kept alive here
+        for future in as_completed(pending):
+            index = pending.pop(future)
             result, snapshot = future.result()
-            results[i] = result
             if snapshot is not None:
-                busy += snapshot.get("counters", {}).get(
-                    "chunking.busy_seconds", 0.0
-                )
-                tel.merge(snapshot)
+                busy += snapshot["counters"].get("chunking.busy_seconds", 0.0)
+                tel.merge(snapshot, prefix=prefix)
+            if on_result is None:
+                results[index] = result
+            else:
+                on_result(index, result)
+            del future, result
     except BrokenProcessPool:
         _invalidate_pool(pool)
         raise
     if record:
         elapsed = time.perf_counter() - start
-        tel.count("chunking.chunks", len(chunks))
-        tel.count("chunking.sources", sum(c.stop - c.start for c in chunks))
-        tel.count("chunking.parallel_runs")
+        chunking.record_fanout(tel, chunks, pool_size, elapsed, busy)
         tel.count("parallel.process_runs")
         tel.count("parallel.tasks", len(chunks))
         tel.count("parallel.dispatch_seconds", elapsed)
-        if elapsed > 0:
-            tel.gauge(
-                "chunking.worker_utilization",
-                min(1.0, busy / (pool_size * elapsed)) if busy else 0.0,
-            )
     return results
 
 

@@ -15,8 +15,8 @@ The rewiring is vectorized on the Monte-Carlo walk engine
 half-edge, each driven by its own :class:`numpy.random.SeedSequence`
 child stream, so the perturbed graph is **bit-identical** for every
 ``chunk_size``/``workers`` combination (fan-out via
-:mod:`repro.chunking`) and identical to the per-edge
-``strategy="sequential"`` oracle.
+:mod:`repro.chunking`) and identical to the per-edge oracle in
+:mod:`repro.oracles`.
 
 Repair keeps the output a simple undirected graph on the same node set:
 a walk that returns to its own source (which would mint a self loop)
@@ -28,6 +28,9 @@ and a ``privacy.perturb`` span.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +48,6 @@ def perturb_links(
     seed: "int | np.random.SeedSequence | np.random.Generator" = 0,
     chunk_size: int | None = None,
     workers: int | None = None,
-    strategy: str = "batched",
 ) -> Graph:
     """Return the ``t``-step random-walk perturbation of ``graph``.
 
@@ -61,10 +63,19 @@ def perturb_links(
     ``t = 0`` is the identity transform: length-0 walks end at ``v``,
     so every proposal is the original edge.
 
-    ``strategy="sequential"`` routes each walk through the per-edge
-    scalar oracle of the walk engine; the result is bit-identical to
-    the batched path for every ``chunk_size``/``workers`` setting.
+    The result is bit-identical for every ``chunk_size``/``workers``
+    setting.
     """
+    return _perturb(
+        graph, t, seed,
+        partial(walk_endpoints, chunk_size=chunk_size, workers=workers),
+    )
+
+
+def _perturb(
+    graph: Graph, t: int, seed, endpoints_of: Callable[..., np.ndarray]
+) -> Graph:
+    """:func:`perturb_links` with the endpoint walk engine passed in."""
     if t < 0:
         raise GraphError("perturbation parameter t must be non-negative")
     n = graph.num_nodes
@@ -74,15 +85,7 @@ def perturb_links(
     with tel.span("privacy.perturb"):
         tel.count("privacy.perturb.walks", int(dst.size))
         tel.count("privacy.perturb.steps", int(dst.size) * t)
-        endpoints = walk_endpoints(
-            graph,
-            dst,
-            t,
-            seed=seed,
-            chunk_size=chunk_size,
-            workers=workers,
-            strategy=strategy,
-        )
+        endpoints = endpoints_of(graph, dst, t, seed=seed)
         loops = endpoints == src
         if loops.any():
             endpoints = np.where(loops, dst, endpoints)

@@ -391,16 +391,15 @@ class AdmissionService:
         self,
         walk_lengths: tuple[int, ...] | None = None,
         num_walks: int | None = None,
-        strategy: str = "batched",
-        chunk_size: int | None = None,
-        workers: int | None = None,
     ) -> EscapeMeasurement:
         """Escape probabilities on the last snapshot (labels required).
 
         Honest nodes are the ``num_honest`` prefix; nodes appended
         since the snapshot do not participate until compaction.  The
-        measurement is cached per snapshot and memoized in the store,
-        and is bit-identical across ``chunk_size``/``workers`` grids.
+        measurement is cached per snapshot and memoized in the store
+        under its walk parameters only: execution scheduling (the
+        ambient executor and worker count) never changes the result,
+        so it never splits the cache.
         """
         if self._num_honest is None:
             raise ServeError(
@@ -421,7 +420,7 @@ class AdmissionService:
         with tel.span("serve.query.escape"):
             return self._warm_get(
                 warm,
-                ("escape", lengths, walks, strategy, chunk_size, workers),
+                ("escape", lengths, walks),
                 lambda: memoize(
                     self._store,
                     digest,
@@ -430,9 +429,6 @@ class AdmissionService:
                         "lengths": list(lengths),
                         "num_walks": walks,
                         "num_honest": self._num_honest,
-                        "strategy": strategy,
-                        "chunk_size": chunk_size,
-                        "workers": workers,
                         "seed": self._config.seed,
                     },
                     lambda: escape_profile(
@@ -441,9 +437,6 @@ class AdmissionService:
                         list(lengths),
                         num_walks=walks,
                         seed=self._config.seed,
-                        strategy=strategy,
-                        chunk_size=chunk_size,
-                        workers=workers,
                     ),
                 ),
             )

@@ -12,6 +12,8 @@ the O(g w / m) scaling itself becomes a testable, benchable artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -56,11 +58,11 @@ def _escape_curve(
     lengths: np.ndarray,
     num_walks: int,
     seed: int,
-    strategy: str,
-    chunk_size: int | None,
-    workers: int | None,
+    first_hits: Callable[..., np.ndarray],
 ) -> np.ndarray:
     """The shared Monte-Carlo core: escape fraction per walk length."""
+    if num_walks < 1:
+        raise SybilDefenseError("num_walks must be positive")
     max_length = int(lengths[-1])
     source_seed, walk_seed = np.random.SeedSequence(seed).spawn(2)
     sources = np.random.default_rng(source_seed).integers(
@@ -68,16 +70,7 @@ def _escape_curve(
     )
     sybil_mask = np.zeros(graph.num_nodes, dtype=bool)
     sybil_mask[num_honest:] = True
-    first_escape = walk_first_hits(
-        graph,
-        sources,
-        max_length,
-        sybil_mask,
-        seed=walk_seed,
-        chunk_size=chunk_size,
-        workers=workers,
-        strategy=strategy,
-    )
+    first_escape = first_hits(graph, sources, max_length, sybil_mask, seed=walk_seed)
     first_escape[first_escape == NO_HIT] = np.iinfo(np.int64).max
     return np.array([(first_escape <= w).mean() for w in lengths], dtype=float)
 
@@ -95,7 +88,6 @@ def escape_profile(
     walk_lengths: list[int],
     num_walks: int = 2000,
     seed: int = 0,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
 ) -> EscapeMeasurement:
@@ -109,12 +101,11 @@ def escape_profile(
     :func:`measure_escape` on the corresponding attack.
     """
     lengths = _check_lengths(walk_lengths)
-    if num_walks < 1:
-        raise SybilDefenseError("num_walks must be positive")
     if not 0 < num_honest <= graph.num_nodes:
         raise SybilDefenseError("num_honest must be in 1..num_nodes")
     escape = _escape_curve(
-        graph, num_honest, lengths, num_walks, seed, strategy, chunk_size, workers
+        graph, num_honest, lengths, num_walks, seed,
+        partial(walk_first_hits, chunk_size=chunk_size, workers=workers),
     )
     edges = graph.edge_array()
     sybil_side = edges >= num_honest
@@ -133,7 +124,6 @@ def measure_escape(
     walk_lengths: list[int],
     num_walks: int = 2000,
     seed: int = 0,
-    strategy: str = "batched",
     chunk_size: int | None = None,
     workers: int | None = None,
 ) -> EscapeMeasurement:
@@ -143,21 +133,26 @@ def measure_escape(
     through the vectorized engine's first-hit mode, the first step (if
     any) at which each walk touches a Sybil node.  Start sampling and
     the per-walk streams derive from one seed tree, so the measurement
-    is bit-identical across ``chunk_size``/``workers`` and between the
-    ``"batched"`` and ``"sequential"`` strategies.
+    is bit-identical across ``chunk_size``/``workers`` and to the
+    per-walk oracle in :mod:`repro.oracles`.
     """
+    return _measure_escape(
+        attack, walk_lengths, num_walks, seed,
+        partial(walk_first_hits, chunk_size=chunk_size, workers=workers),
+    )
+
+
+def _measure_escape(
+    attack: SybilAttack,
+    walk_lengths: list[int],
+    num_walks: int,
+    seed: int,
+    first_hits: Callable[..., np.ndarray],
+) -> EscapeMeasurement:
+    """:func:`measure_escape` with the first-hit walk engine passed in."""
     lengths = _check_lengths(walk_lengths)
-    if num_walks < 1:
-        raise SybilDefenseError("num_walks must be positive")
     escape = _escape_curve(
-        attack.graph,
-        attack.num_honest,
-        lengths,
-        num_walks,
-        seed,
-        strategy,
-        chunk_size,
-        workers,
+        attack.graph, attack.num_honest, lengths, num_walks, seed, first_hits
     )
     honest_edges = (
         attack.graph.num_edges

@@ -22,17 +22,19 @@ live on the ``2m`` directed half-edges as a ``(2m, 2)`` log-message
 block, beliefs as an ``(n, 2)`` block, and every round is one gather /
 scatter pass (aggregate incoming log-messages per node, then update all
 half-edge messages from the aggregate with reverse-message exclusion).
-Rounds use damping and stop on message convergence; per-round work is
-chunked over half-edges through :mod:`repro.chunking` and reported into
+Rounds use damping and stop on message convergence; every round is one
+pass of a module-level half-edge kernel through
+:func:`repro.chunking.run_kernel` (on the process backend the message
+state stays in shared memory across rounds), reported into
 :mod:`repro.telemetry` (``sybil.fusion.bp.*`` spans and counters).
 
 **Determinism contract.**  Message updates for one round depend only on
 the previous round's state, and chunks write disjoint slices, so
 posteriors are **bit-identical** for every ``chunk_size``/``workers``
-combination and identical to the per-edge ``strategy="sequential"``
-oracle (which replays the same IEEE operations edge by edge).  On trees
-the fixed point is the exact marginal distribution — the property the
-brute-force enumeration oracle in the test suite pins.
+combination and backend, and identical to the per-edge oracle in
+:mod:`repro.oracles` (which replays the same IEEE operations edge by
+edge).  On trees the fixed point is the exact marginal distribution —
+the property the brute-force enumeration oracle in the test suite pins.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import parallel, telemetry
-from repro.chunking import resolve_chunks, run_chunks
+from repro import telemetry
+from repro.chunking import run_kernel
 from repro.errors import SybilDefenseError
 from repro.graph.core import Graph
 from repro.markov.walk_batch import walk_visit_counts
@@ -243,12 +245,46 @@ def _aggregate_incoming(
 
     ``np.add.at`` applies the additions sequentially in index order, so
     the per-node accumulation order is fixed (source ascending) — the
-    sequential oracle replays the same order, which is what makes the
-    two strategies bit-identical.
+    per-edge oracle replays the same order, which is what makes the
+    two bit-identical.
     """
     acc = np.zeros((n, 2))
     np.add.at(acc, dst, logm)
     return acc
+
+
+def _bp_inputs(
+    graph: Graph,
+    priors: np.ndarray,
+    edge_potentials: float | np.ndarray,
+    max_rounds: int,
+    damping: float,
+    tol: float,
+) -> dict[str, np.ndarray]:
+    """Validate a BP call; return its static half-edge arrays by name."""
+    priors = _validate_priors(graph, priors)
+    if max_rounds < 0:
+        raise SybilDefenseError("max_rounds must be non-negative")
+    if not 0.0 <= damping < 1.0:
+        raise SybilDefenseError("damping must be in [0, 1)")
+    if tol < 0:
+        raise SybilDefenseError("tol must be non-negative")
+    src, twin = _twin_permutation(graph)
+    log_w, log_not_w = _edge_log_potentials(graph, edge_potentials, twin)
+    log_phi = np.stack([np.log1p(-priors), np.log(priors)], axis=1)
+    return {
+        "src": src, "twin": twin, "log_w": log_w, "log_not_w": log_not_w,
+        "log_phi": log_phi,
+    }
+
+
+def _beliefs(
+    graph: Graph, log_phi: np.ndarray, logm: np.ndarray
+) -> np.ndarray:
+    """Per-node beliefs from the final messages (row-wise softmax)."""
+    beliefs = log_phi + _aggregate_incoming(graph.num_nodes, graph.indices, logm)
+    z = np.logaddexp(beliefs[:, 0], beliefs[:, 1])
+    return np.exp(beliefs - z[:, None])
 
 
 def loopy_belief_propagation(
@@ -260,8 +296,6 @@ def loopy_belief_propagation(
     tol: float = 1e-6,
     chunk_size: int | None = None,
     workers: int | None = None,
-    strategy: str = "batched",
-    executor: str | None = None,
 ) -> BeliefPropagationResult:
     """Run pairwise-potential loopy BP and return per-node beliefs.
 
@@ -273,253 +307,83 @@ def loopy_belief_propagation(
     converged when no message component moves more than ``tol``.
 
     ``chunk_size``/``workers`` chunk the per-round half-edge update
-    through :mod:`repro.chunking`; ``strategy="sequential"`` replays the
-    identical arithmetic one edge at a time (the differential oracle).
-    ``executor="process"`` keeps the message state in shared memory and
-    dispatches every round's chunk grid to the persistent process pool
-    (one dispatch generation, so workers attach the buffers once) —
-    the GIL-bound workload where the process backend pays off, and
-    still bit-identical to the thread and sequential paths.
+    through :func:`repro.chunking.run_kernel`; on the process backend
+    the message state lives in shared memory for the whole run, so
+    workers attach the buffers once — the GIL-bound workload where the
+    process backend pays off, and still bit-identical to the thread
+    path and to the per-edge oracle.
     """
-    priors = _validate_priors(graph, priors)
-    if strategy not in ("batched", "sequential"):
-        raise SybilDefenseError(
-            f"unknown strategy {strategy!r}; use 'batched' or 'sequential'"
-        )
-    if max_rounds < 0:
-        raise SybilDefenseError("max_rounds must be non-negative")
-    if not 0.0 <= damping < 1.0:
-        raise SybilDefenseError("damping must be in [0, 1)")
-    if tol < 0:
-        raise SybilDefenseError("tol must be non-negative")
-    n = graph.num_nodes
-    src, twin = _twin_permutation(graph)
-    dst = graph.indices
-    log_w, log_not_w = _edge_log_potentials(graph, edge_potentials, twin)
-    log_phi = np.stack([np.log1p(-priors), np.log(priors)], axis=1)
+    inputs = _bp_inputs(graph, priors, edge_potentials, max_rounds, damping, tol)
+    n, dst = graph.num_nodes, graph.indices
     num_half_edges = dst.size
     logm = np.full((num_half_edges, 2), np.log(0.5))
     converged = num_half_edges == 0 or max_rounds == 0
     delta = 0.0
     rounds = 0
-    kind, workers = parallel.resolve_execution(executor, workers)
-    chunks = resolve_chunks(num_half_edges, chunk_size, workers)
-    processes = strategy == "batched" and parallel.use_processes(
-        kind, workers, len(chunks)
-    )
     tel = telemetry.current()
+
+    def advance(env) -> bool:
+        """Fold one finished round in; return whether to run another."""
+        nonlocal converged, delta, rounds
+        rounds += 1
+        tel.count("sybil.fusion.bp.rounds")
+        tel.count("sybil.fusion.bp.messages", num_half_edges)
+        env.logm[...] = env.new_logm
+        delta = float(env.diffs.max())
+        converged = delta <= tol
+        if converged or rounds == max_rounds:
+            return False
+        env.acc[...] = _aggregate_incoming(n, dst, env.logm)
+        return True
+
     with tel.span("sybil.fusion.bp"):
-        if processes and num_half_edges and max_rounds:
-            logm, converged, delta, rounds = _bp_rounds_processes(
-                n, src, dst, twin, log_w, log_not_w, log_phi,
-                max_rounds, damping, tol, chunks, workers,
+        if not converged:
+            run_kernel(
+                _bp_kernel,
+                num_half_edges,
+                chunk_size,
+                workers,
+                inputs={**inputs, "damping": damping},
+                outputs={
+                    "acc": _aggregate_incoming(n, dst, logm),
+                    "logm": logm,
+                    "new_logm": np.empty_like(logm),
+                    "diffs": np.empty(num_half_edges),
+                },
+                repeat=advance,
+                span="sybil.fusion.bp.chunk",
             )
-        else:
-            for _ in range(max_rounds if num_half_edges else 0):
-                rounds += 1
-                acc = _aggregate_incoming(n, dst, logm)
-                new_logm = np.empty_like(logm)
-                diffs = np.empty(num_half_edges)
-                if strategy == "sequential":
-                    _bp_round_sequential(
-                        slice(0, num_half_edges),
-                        src, twin, log_w, log_not_w, log_phi, acc,
-                        logm, damping, new_logm, diffs,
-                    )
-                else:
-
-                    def run_chunk(columns: slice) -> None:
-                        with tel.span("sybil.fusion.bp.chunk"):
-                            _bp_round_block(
-                                columns,
-                                src, twin, log_w, log_not_w, log_phi, acc,
-                                logm, damping, new_logm, diffs,
-                            )
-
-                    run_chunks(run_chunk, chunks, workers)
-                tel.count("sybil.fusion.bp.rounds")
-                tel.count("sybil.fusion.bp.messages", num_half_edges)
-                logm = new_logm
-                delta = float(diffs.max())
-                if delta <= tol:
-                    converged = True
-                    break
-        beliefs = log_phi + _aggregate_incoming(n, dst, logm)
-        # per-row softmax; rows sum to 1 up to one final division
-        z = np.logaddexp(beliefs[:, 0], beliefs[:, 1])
-        beliefs = np.exp(beliefs - z[:, None])
+        beliefs = _beliefs(graph, inputs["log_phi"], logm)
         tel.count("sybil.fusion.bp.converged", int(converged))
     return BeliefPropagationResult(
         beliefs=beliefs, converged=bool(converged), rounds=rounds, delta=delta
     )
 
 
-def _bp_process_chunk(payload: dict, columns: slice) -> None:
-    """Process-backend chunk task: one half-edge block of one BP round."""
-    tel = telemetry.current()
-    with tel.span("sybil.fusion.bp.chunk"):
-        _bp_round_block(
-            columns,
-            parallel.resolve(payload["src"]),
-            parallel.resolve(payload["twin"]),
-            parallel.resolve(payload["log_w"]),
-            parallel.resolve(payload["log_not_w"]),
-            parallel.resolve(payload["log_phi"]),
-            parallel.resolve(payload["acc"]),
-            parallel.resolve(payload["logm"]),
-            payload["damping"],
-            parallel.resolve(payload["new_logm"]),
-            parallel.resolve(payload["diffs"]),
-        )
-
-
-def _bp_rounds_processes(
-    n: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    twin: np.ndarray,
-    log_w: np.ndarray,
-    log_not_w: np.ndarray,
-    log_phi: np.ndarray,
-    max_rounds: int,
-    damping: float,
-    tol: float,
-    chunks: list[slice],
-    workers: int,
-) -> tuple[np.ndarray, bool, float, int]:
-    """Run the BP round loop with shared-memory message state.
-
-    Static arrays are shared once; the message block, the per-round
-    aggregate, the update buffer and the diff vector live in shared
-    output segments the parent mutates between dispatches.  All rounds
-    reuse one :func:`repro.parallel.call_token` generation, so workers
-    attach every buffer exactly once.
-    """
-    num_half_edges = dst.size
-    specs: list = []
-
-    def shared(array: np.ndarray):
-        spec = parallel.share_array(array)
-        specs.append(spec)
-        return spec
-
-    try:
-        acc_spec, acc = parallel.create_output((n, 2), float)
-        specs.append(acc_spec)
-        logm_spec, logm = parallel.create_output(
-            (num_half_edges, 2), float, fill=np.log(0.5)
-        )
-        specs.append(logm_spec)
-        new_spec, new_logm = parallel.create_output((num_half_edges, 2), float)
-        specs.append(new_spec)
-        diffs_spec, diffs = parallel.create_output((num_half_edges,), float)
-        specs.append(diffs_spec)
-        payload = {
-            "src": shared(src),
-            "twin": shared(twin),
-            "log_w": shared(log_w),
-            "log_not_w": shared(log_not_w),
-            "log_phi": shared(log_phi),
-            "acc": acc_spec,
-            "logm": logm_spec,
-            "new_logm": new_spec,
-            "diffs": diffs_spec,
-            "damping": damping,
-        }
-        token = parallel.call_token()
-        tel = telemetry.current()
-        converged = False
-        delta = 0.0
-        rounds = 0
-        for _ in range(max_rounds):
-            rounds += 1
-            acc[...] = _aggregate_incoming(n, dst, logm)
-            parallel.run_process_chunks(
-                _bp_process_chunk, payload, chunks, workers, call=token
-            )
-            tel.count("sybil.fusion.bp.rounds")
-            tel.count("sybil.fusion.bp.messages", num_half_edges)
-            logm[...] = new_logm
-            delta = float(diffs.max())
-            if delta <= tol:
-                converged = True
-                break
-        return np.array(logm), converged, delta, rounds
-    finally:
-        parallel.release(specs)
-
-
-def _bp_round_block(
-    columns: slice,
-    src: np.ndarray,
-    twin: np.ndarray,
-    log_w: np.ndarray,
-    log_not_w: np.ndarray,
-    log_phi: np.ndarray,
-    acc: np.ndarray,
-    logm: np.ndarray,
-    damping: float,
-    new_logm: np.ndarray,
-    diffs: np.ndarray,
-) -> None:
+def _bp_kernel(columns: slice, env) -> None:
     """Update one chunk of half-edge messages (vectorized)."""
-    senders = src[columns]
-    reverse = logm[twin[columns]]
-    pre0 = acc[senders, 0] + log_phi[senders, 0] - reverse[:, 0]
-    pre1 = acc[senders, 1] + log_phi[senders, 1] - reverse[:, 1]
-    upd0 = np.logaddexp(pre0 + log_w[columns], pre1 + log_not_w[columns])
-    upd1 = np.logaddexp(pre0 + log_not_w[columns], pre1 + log_w[columns])
+    senders = env.src[columns]
+    reverse = env.logm[env.twin[columns]]
+    log_w, log_not_w, log_phi = env.log_w[columns], env.log_not_w[columns], env.log_phi
+    pre0 = env.acc[senders, 0] + log_phi[senders, 0] - reverse[:, 0]
+    pre1 = env.acc[senders, 1] + log_phi[senders, 1] - reverse[:, 1]
+    upd0 = np.logaddexp(pre0 + log_w, pre1 + log_not_w)
+    upd1 = np.logaddexp(pre0 + log_not_w, pre1 + log_w)
     z = np.logaddexp(upd0, upd1)
     m0 = np.exp(upd0 - z)
     m1 = np.exp(upd1 - z)
-    old0 = np.exp(logm[columns, 0])
-    old1 = np.exp(logm[columns, 1])
+    old0 = np.exp(env.logm[columns, 0])
+    old1 = np.exp(env.logm[columns, 1])
+    damping = env.damping
     if damping > 0.0:
         m0 = (1.0 - damping) * m0 + damping * old0
         m1 = (1.0 - damping) * m1 + damping * old1
         total = m0 + m1
         m0 = m0 / total
         m1 = m1 / total
-    diffs[columns] = np.maximum(np.abs(m0 - old0), np.abs(m1 - old1))
-    new_logm[columns, 0] = np.log(m0)
-    new_logm[columns, 1] = np.log(m1)
-
-
-def _bp_round_sequential(
-    columns: slice,
-    src: np.ndarray,
-    twin: np.ndarray,
-    log_w: np.ndarray,
-    log_not_w: np.ndarray,
-    log_phi: np.ndarray,
-    acc: np.ndarray,
-    logm: np.ndarray,
-    damping: float,
-    new_logm: np.ndarray,
-    diffs: np.ndarray,
-) -> None:
-    """Scalar twin of :func:`_bp_round_block` — same IEEE ops per edge."""
-    for p in range(columns.start, columns.stop):
-        u = src[p]
-        rev = twin[p]
-        pre0 = acc[u, 0] + log_phi[u, 0] - logm[rev, 0]
-        pre1 = acc[u, 1] + log_phi[u, 1] - logm[rev, 1]
-        upd0 = np.logaddexp(pre0 + log_w[p], pre1 + log_not_w[p])
-        upd1 = np.logaddexp(pre0 + log_not_w[p], pre1 + log_w[p])
-        z = np.logaddexp(upd0, upd1)
-        m0 = np.exp(upd0 - z)
-        m1 = np.exp(upd1 - z)
-        old0 = np.exp(logm[p, 0])
-        old1 = np.exp(logm[p, 1])
-        if damping > 0.0:
-            m0 = (1.0 - damping) * m0 + damping * old0
-            m1 = (1.0 - damping) * m1 + damping * old1
-            total = m0 + m1
-            m0 = m0 / total
-            m1 = m1 / total
-        diffs[p] = max(abs(m0 - old0), abs(m1 - old1))
-        new_logm[p, 0] = np.log(m0)
-        new_logm[p, 1] = np.log(m1)
+    env.diffs[columns] = np.maximum(np.abs(m0 - old0), np.abs(m1 - old1))
+    env.new_logm[columns, 0] = np.log(m0)
+    env.new_logm[columns, 1] = np.log(m1)
 
 
 # ----------------------------------------------------------------------
@@ -550,8 +414,6 @@ class FusionConfig:
     seed: int = 0
     chunk_size: int | None = None
     workers: int | None = None
-    strategy: str = "batched"
-    executor: str | None = None
 
     def __post_init__(self) -> None:
         if not 0.5 < self.homophily < 1.0:
@@ -640,8 +502,6 @@ class SybilFrame:
                 tol=cfg.tol,
                 chunk_size=cfg.chunk_size,
                 workers=cfg.workers,
-                strategy=cfg.strategy,
-                executor=cfg.executor,
             )
         return SybilFrameResult(
             posterior=result.honest_posterior,
@@ -719,8 +579,6 @@ class SybilFuse:
             record="all",
             chunk_size=cfg.chunk_size,
             workers=cfg.workers,
-            strategy=cfg.strategy,
-            executor=cfg.executor,
         )
         trust = counts / np.maximum(self._graph.degrees.astype(float), 1.0)
         peak = trust.max()
@@ -742,8 +600,6 @@ class SybilFuse:
                 tol=cfg.tol,
                 chunk_size=cfg.chunk_size,
                 workers=cfg.workers,
-                strategy=cfg.strategy,
-                executor=cfg.executor,
             )
             trust = self.walk_trust(trusted, priors)
             scores = (

@@ -14,8 +14,9 @@ Three instrument kinds:
   aggregates all activations of the same *path* (nested spans get
   dot-joined names, ``pipeline.stage.mixing/chunking.chunk``-style) into
   one :class:`SpanStats` row: activation count, total wall seconds,
-  total thread-CPU seconds.  Nesting is tracked per thread, so spans
-  opened inside worker threads attribute correctly.
+  total thread-CPU seconds.  Nesting is tracked per thread;
+  :meth:`Telemetry.within` lets a pool thread nest its spans under the
+  span open on the thread that dispatched the work.
 * **Counters** — monotonically accumulated named integers/floats
   (``tel.count("store.hits")``).  Increments are lock-guarded, so
   counters are exact under the thread fan-out the engines use.
@@ -202,6 +203,29 @@ class Telemetry:
             if len(samples) > DISTRIBUTION_CAPACITY:
                 del samples[0]
 
+    def current_path(self) -> str | None:
+        """The calling thread's innermost open span path (None at the root)."""
+        stack = self._span_stack()
+        return stack[-1] if stack else None
+
+    @contextmanager
+    def within(self, path: str | None) -> Iterator[None]:
+        """Nest spans opened by this thread under ``path`` for the block.
+
+        Lets a pool thread attribute its spans to the span that was open
+        on the thread that handed it the work.
+        """
+        if path is None:
+            yield
+            return
+        stack = self._span_stack()
+        stack.append(path)
+        try:
+            yield
+        finally:
+            if stack and stack[-1] == path:
+                stack.pop()
+
     def reset(self) -> None:
         """Drop every recorded span, counter, gauge and distribution."""
         with self._lock:
@@ -323,7 +347,7 @@ class Telemetry:
                 },
             }
 
-    def merge(self, snapshot: dict[str, Any]) -> None:
+    def merge(self, snapshot: dict[str, Any], prefix: str | None = None) -> None:
         """Fold a :meth:`snapshot` (e.g. from a worker process) into this
         registry.
 
@@ -331,12 +355,15 @@ class Telemetry:
         "last value" has no ordering against the parent's, and every
         multi-process gauge in the repo — residency peaks, pool sizes,
         utilization — is peak-semantics under merge); distribution
-        samples append under the usual capacity bound.
+        samples append under the usual capacity bound.  ``prefix`` nests
+        every merged span path under that parent span path.
         """
         if not self._enabled:
             return
         with self._lock:
             for path, (count, wall, cpu) in snapshot.get("spans", {}).items():
+                if prefix is not None:
+                    path = f"{prefix}/{path}"
                 stats = self._spans.get(path)
                 if stats is None:
                     stats = self._spans[path] = SpanStats(path.rsplit("/", 1)[-1])

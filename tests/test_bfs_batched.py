@@ -1,11 +1,11 @@
 """Sequential-equivalence tests for the batched multi-source BFS engine.
 
 The block engine must be a pure re-expression of the per-source BFS:
-every test pins a batched result byte-identical against the sequential
-oracle — across chunk sizes, worker counts, disconnected graphs,
-isolated and duplicate sources — and the consumers (envelope expansion,
-eccentricity/diameter, closeness, ticket plans) are pinned the same way
-through their ``strategy`` switches.
+every test pins a batched result byte-identical against the per-source
+oracle in :mod:`repro.oracles` — across chunk sizes, worker counts,
+disconnected graphs, isolated and duplicate sources — and the consumers
+(envelope expansion, eccentricity/diameter, closeness, ticket plans)
+are pinned the same way against their oracles.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import oracles
+from repro.chunking import validate_sources
 from repro.errors import GraphError, SybilDefenseError
 from repro.expansion import envelope_expansion
 from repro.generators import (
@@ -28,13 +30,11 @@ from repro.graph import (
     bfs_distances,
     bfs_distances_block,
     bfs_level_sizes_block,
-    bfs_levels,
     closeness_centrality,
     diameter,
     eccentricities,
     eccentricity,
 )
-from repro.graph.bfs_batch import validate_sources
 from repro.sybil import TicketPlan, ticket_plans
 from repro.sybil.tickets import adaptive_ticket_count
 
@@ -56,24 +56,6 @@ def two_components() -> Graph:
     )
 
 
-def _sequential_distances(graph: Graph, sources) -> np.ndarray:
-    """Oracle: one bfs_distances call per source."""
-    return np.stack([bfs_distances(graph, int(s)) for s in sources])
-
-
-def _sequential_level_sizes(graph: Graph, sources) -> np.ndarray:
-    """Oracle: per-source bfs_levels, zero-padded to a common width."""
-    rows = [
-        np.array([lvl.size for lvl in bfs_levels(graph, int(s))], dtype=np.int64)
-        for s in sources
-    ]
-    width = max(row.size for row in rows)
-    out = np.zeros((len(rows), width), dtype=np.int64)
-    for j, row in enumerate(rows):
-        out[j, : row.size] = row
-    return out
-
-
 class TestValidateSources:
     def test_returns_int64(self):
         assert validate_sources(5, [0, 2]).dtype == np.int64
@@ -82,8 +64,11 @@ class TestValidateSources:
         assert np.array_equal(validate_sources(5, [3, 3, 1]), [3, 3, 1])
 
     def test_empty_rejected(self):
-        with pytest.raises(GraphError):
-            validate_sources(5, [])
+        assert validate_sources(5, []).size == 0  # legal for the walk engine
+        with pytest.raises(GraphError, match="non-empty"):
+            bfs_distances_block(complete_graph(5), [])
+        with pytest.raises(GraphError, match="non-empty"):
+            bfs_level_sizes_block(complete_graph(5), np.array([], dtype=float))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError):
@@ -91,25 +76,33 @@ class TestValidateSources:
         with pytest.raises(GraphError):
             validate_sources(5, [-1])
 
+    def test_non_integer_rejected(self):
+        # a cast would silently truncate 0.9 to node 0
+        for run in (bfs_distances_block, bfs_level_sizes_block):
+            with pytest.raises(GraphError, match="integer dtype, got float64"):
+                run(complete_graph(5), np.array([0.9]))
+            with pytest.raises(GraphError, match="integer dtype"):
+                run(complete_graph(5), [1.7])
+
 
 class TestDistancesBlockEquivalence:
     def test_matches_sequential(self, ba_small):
         sources = list(range(0, ba_small.num_nodes, 13))
         block = bfs_distances_block(ba_small, sources)
-        oracle = _sequential_distances(ba_small, sources)
+        oracle = oracles.bfs_distances_block(ba_small, sources)
         assert block.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
     def test_chunk_sizes_equivalent(self, ba_small, chunk_size):
         sources = list(range(40))
-        oracle = _sequential_distances(ba_small, sources)
+        oracle = oracles.bfs_distances_block(ba_small, sources)
         block = bfs_distances_block(ba_small, sources, chunk_size=chunk_size)
         assert block.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_worker_counts_equivalent(self, ba_small, workers):
         sources = list(range(40))
-        oracle = _sequential_distances(ba_small, sources)
+        oracle = oracles.bfs_distances_block(ba_small, sources)
         block = bfs_distances_block(
             ba_small, sources, chunk_size=7, workers=workers
         )
@@ -123,7 +116,7 @@ class TestDistancesBlockEquivalence:
     def test_disconnected_graph(self, two_components):
         sources = list(range(two_components.num_nodes))
         block = bfs_distances_block(two_components, sources)
-        oracle = _sequential_distances(two_components, sources)
+        oracle = oracles.bfs_distances_block(two_components, sources)
         assert block.tobytes() == oracle.tobytes()
 
     def test_duplicate_sources_identical_rows(self, ba_small):
@@ -149,14 +142,14 @@ class TestLevelSizesBlockEquivalence:
     def test_matches_sequential(self, ba_small):
         sources = list(range(0, ba_small.num_nodes, 13))
         block = bfs_level_sizes_block(ba_small, sources)
-        oracle = _sequential_level_sizes(ba_small, sources)
+        oracle = oracles.bfs_level_sizes_block(ba_small, sources)
         assert block.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_chunk_worker_grid_equivalent(self, ba_small, chunk_size, workers):
         sources = list(range(40))
-        oracle = _sequential_level_sizes(ba_small, sources)
+        oracle = oracles.bfs_level_sizes_block(ba_small, sources)
         block = bfs_level_sizes_block(
             ba_small, sources, chunk_size=chunk_size, workers=workers
         )
@@ -232,7 +225,7 @@ class TestBlockBfsProperties:
         )
         chunk_size = data.draw(st.sampled_from([None, 1, 3]))
         block = bfs_distances_block(g, sources, chunk_size=chunk_size)
-        oracle = _sequential_distances(g, sources)
+        oracle = oracles.bfs_distances_block(g, sources)
         assert block.tobytes() == oracle.tobytes()
 
     @given(graphs(), st.data())
@@ -243,14 +236,14 @@ class TestBlockBfsProperties:
         )
         chunk_size = data.draw(st.sampled_from([None, 1, 3]))
         block = bfs_level_sizes_block(g, sources, chunk_size=chunk_size)
-        oracle = _sequential_level_sizes(g, sources)
+        oracle = oracles.bfs_level_sizes_block(g, sources)
         assert block.tobytes() == oracle.tobytes()
 
     @given(graphs())
     @settings(max_examples=60)
     def test_envelope_strategies_agree(self, g):
-        seq = envelope_expansion(g, strategy="sequential")
-        bat = envelope_expansion(g, strategy="batched")
+        seq = oracles.envelope_expansion(g)
+        bat = envelope_expansion(g)
         assert np.array_equal(seq.sources, bat.sources)
         assert bat.set_sizes.tobytes() == seq.set_sizes.tobytes()
         assert bat.neighbor_counts.tobytes() == seq.neighbor_counts.tobytes()
@@ -269,8 +262,8 @@ class TestEnvelopeStrategyEquivalence:
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_measurement_identical(self, name):
         graph = self.GRAPHS[name]()
-        seq = envelope_expansion(graph, strategy="sequential")
-        bat = envelope_expansion(graph, strategy="batched")
+        seq = oracles.envelope_expansion(graph)
+        bat = envelope_expansion(graph)
         assert np.array_equal(seq.sources, bat.sources)
         assert bat.set_sizes.tobytes() == seq.set_sizes.tobytes()
         assert bat.neighbor_counts.tobytes() == seq.neighbor_counts.tobytes()
@@ -279,13 +272,9 @@ class TestEnvelopeStrategyEquivalence:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_chunk_worker_grid_identical(self, ba_small, chunk_size, workers):
         kwargs = dict(num_sources=40, seed=2)
-        seq = envelope_expansion(ba_small, strategy="sequential", **kwargs)
+        seq = oracles.envelope_expansion(ba_small, **kwargs)
         bat = envelope_expansion(
-            ba_small,
-            strategy="batched",
-            chunk_size=chunk_size,
-            workers=workers,
-            **kwargs,
+            ba_small, chunk_size=chunk_size, workers=workers, **kwargs
         )
         assert np.array_equal(seq.sources, bat.sources)
         assert bat.set_sizes.tobytes() == seq.set_sizes.tobytes()
@@ -294,14 +283,15 @@ class TestEnvelopeStrategyEquivalence:
     @pytest.mark.parametrize("max_radius", [1, 2, 5])
     def test_max_radius_identical(self, ba_small, max_radius):
         kwargs = dict(num_sources=25, seed=3, max_radius=max_radius)
-        seq = envelope_expansion(ba_small, strategy="sequential", **kwargs)
-        bat = envelope_expansion(ba_small, strategy="batched", **kwargs)
+        seq = oracles.envelope_expansion(ba_small, **kwargs)
+        bat = envelope_expansion(ba_small, **kwargs)
         assert bat.set_sizes.tobytes() == seq.set_sizes.tobytes()
         assert bat.neighbor_counts.tobytes() == seq.neighbor_counts.tobytes()
 
     def test_unknown_strategy_rejected(self, k5):
-        with pytest.raises(GraphError):
-            envelope_expansion(k5, strategy="turbo")
+        # the oracle lives in repro.oracles; the measurement has no knob
+        with pytest.raises(TypeError):
+            envelope_expansion(k5, strategy="sequential")
 
 
 class TestMetricsStrategyEquivalence:
@@ -315,41 +305,38 @@ class TestMetricsStrategyEquivalence:
     )
     def test_eccentricities_agree(self, graph_factory):
         graph = graph_factory()
-        seq = eccentricities(graph, strategy="sequential")
-        bat = eccentricities(graph, strategy="batched")
+        seq = oracles.eccentricities(graph)
+        bat = eccentricities(graph)
         assert bat.tobytes() == seq.tobytes()
         for v in range(graph.num_nodes):
             assert bat[v] == eccentricity(graph, v)
 
     def test_eccentricities_subset_sources(self, ba_small):
         sources = [3, 17, 80]
-        seq = eccentricities(ba_small, sources=sources, strategy="sequential")
-        bat = eccentricities(ba_small, sources=sources, strategy="batched")
+        seq = oracles.eccentricities(ba_small, sources=sources)
+        bat = eccentricities(ba_small, sources=sources)
         assert bat.tobytes() == seq.tobytes()
 
     def test_diameter_agrees(self, ba_small):
-        assert diameter(ba_small, strategy="batched") == diameter(
-            ba_small, strategy="sequential"
-        )
+        assert diameter(ba_small) == oracles.eccentricities(ba_small).max()
 
     @pytest.mark.parametrize("chunk_size,workers", [(1, None), (7, 2), (None, 4)])
     def test_closeness_identical(self, ba_small, chunk_size, workers):
-        seq = closeness_centrality(ba_small, strategy="sequential")
-        bat = closeness_centrality(
-            ba_small, strategy="batched", chunk_size=chunk_size, workers=workers
-        )
+        seq = oracles.closeness_centrality(ba_small)
+        bat = closeness_centrality(ba_small, chunk_size=chunk_size, workers=workers)
         assert bat.tobytes() == seq.tobytes()
 
     def test_closeness_identical_on_disconnected(self, two_components):
-        seq = closeness_centrality(two_components, strategy="sequential")
-        bat = closeness_centrality(two_components, strategy="batched")
+        seq = oracles.closeness_centrality(two_components)
+        bat = closeness_centrality(two_components)
         assert bat.tobytes() == seq.tobytes()
 
     def test_unknown_strategy_rejected(self, k5):
-        with pytest.raises(GraphError):
-            eccentricities(k5, strategy="turbo")
-        with pytest.raises(GraphError):
-            closeness_centrality(k5, strategy="turbo")
+        # the oracles live in repro.oracles; the metrics have no knob
+        with pytest.raises(TypeError):
+            eccentricities(k5, strategy="sequential")
+        with pytest.raises(TypeError):
+            closeness_centrality(k5, strategy="sequential")
 
 
 class TestTicketPlanBatching:

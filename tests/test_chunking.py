@@ -21,7 +21,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import telemetry
+from repro import oracles, telemetry
 from repro.chunking import DEFAULT_CHUNK_SIZE, resolve_chunks, run_chunks
 from repro.errors import GraphError
 from repro.graph.metrics import eccentricities
@@ -61,14 +61,15 @@ class TestEmptySourceRegressions:
         assert out.dtype == np.int64
 
     def test_eccentricities_empty_sources_sequential(self, ba_small):
-        out = eccentricities(ba_small, sources=[], strategy="sequential")
+        out = oracles.eccentricities(ba_small, sources=[])
         assert out.shape == (0,)
 
     def test_eccentricities_empty_sources_unknown_strategy_rejected(
         self, ba_small
     ):
-        with pytest.raises(GraphError):
-            eccentricities(ba_small, sources=[], strategy="bogus")
+        # the oracle lives in repro.oracles; the metric has no knob
+        with pytest.raises(TypeError):
+            eccentricities(ba_small, sources=[], strategy="sequential")
 
     def test_batched_tvd_profile_empty_sources(self, k5):
         # the walk engine's public face: (0, len(walk_lengths)) result

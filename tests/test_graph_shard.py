@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from repro import cli, telemetry
+from repro import cli, oracles, telemetry
 from repro.datasets import (
     STREAM_REGIMES,
     build_sharded_analog,
@@ -307,9 +307,7 @@ class TestSequentialOracle:
     def test_batched_equals_sequential_on_shards(self, sharded, fn, kwargs):
         sources = [0, 11, 63]
         batched = fn(sharded, sources, seed=9, **kwargs)
-        sequential = fn(
-            sharded, sources, seed=9, strategy="sequential", **kwargs
-        )
+        sequential = getattr(oracles, fn.__name__)(sharded, sources, seed=9, **kwargs)
         assert np.array_equal(batched, sequential)
 
     def test_first_hits_batched_equals_sequential(self, sharded):
@@ -317,9 +315,7 @@ class TestSequentialOracle:
         mask[::17] = True
         sources = [1, 29, 84]
         batched = walk_first_hits(sharded, sources, 20, mask, seed=9)
-        sequential = walk_first_hits(
-            sharded, sources, 20, mask, seed=9, strategy="sequential"
-        )
+        sequential = oracles.walk_first_hits(sharded, sources, 20, mask, seed=9)
         assert np.array_equal(batched, sequential)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import oracles
 from repro.errors import GraphError
 from repro.generators import barabasi_albert, path_graph, star_graph
 from repro.graph import Graph
@@ -160,6 +161,17 @@ class TestBatchedTvdProfile:
                 expected = total_variation_distance(dist, op.stationary)
                 assert tvd[j, col] == expected
 
+    def test_non_integer_sources_rejected(self, k5):
+        # a cast would silently truncate 3.99 to node 3
+        op = TransitionOperator(k5)
+        for bad in ([3.99], [1.7]):
+            with pytest.raises(GraphError, match="integer dtype, got float64"):
+                batched_tvd_profile(op.matrix, op.stationary, bad, [1, 2])
+        with pytest.raises(GraphError, match="node ids"):
+            batched_tvd_profile(op.matrix, op.stationary, [5], [1, 2])
+        empty = batched_tvd_profile(op.matrix, op.stationary, np.array([]), [1])
+        assert empty.shape == (0, 1)
+
     def test_walk_length_zero_is_delta_tvd(self, k5):
         op = TransitionOperator(k5)
         tvd = batched_tvd_profile(op.matrix, op.stationary, [0], [0])
@@ -191,8 +203,8 @@ class TestStrategyEquivalence:
         graph = self.GRAPHS[name]()
         lengths = [0, 1, 2, 3, 5, 8]
         kwargs = dict(walk_lengths=lengths, num_sources=12, lazy=lazy, seed=9)
-        seq = sampled_mixing_profile(graph, strategy="sequential", **kwargs)
-        bat = sampled_mixing_profile(graph, strategy="batched", **kwargs)
+        seq = oracles.sampled_mixing_profile(graph, **kwargs)
+        bat = sampled_mixing_profile(graph, **kwargs)
         assert np.array_equal(seq.sources, bat.sources)
         np.testing.assert_allclose(bat.tvd, seq.tvd, atol=1e-12)
         assert bat.tvd.tobytes() == seq.tvd.tobytes()
@@ -200,13 +212,9 @@ class TestStrategyEquivalence:
     @pytest.mark.parametrize("chunk_size,workers", [(1, None), (5, None), (4, 2), (3, 4)])
     def test_chunked_and_threaded_identical(self, ba_small, chunk_size, workers):
         kwargs = dict(walk_lengths=[1, 2, 4, 8], num_sources=30, seed=2)
-        seq = sampled_mixing_profile(ba_small, strategy="sequential", **kwargs)
+        seq = oracles.sampled_mixing_profile(ba_small, **kwargs)
         bat = sampled_mixing_profile(
-            ba_small,
-            strategy="batched",
-            chunk_size=chunk_size,
-            workers=workers,
-            **kwargs,
+            ba_small, chunk_size=chunk_size, workers=workers, **kwargs
         )
         assert bat.tvd.tobytes() == seq.tvd.tobytes()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import oracles
 from repro.errors import GraphError
 from repro.generators import barabasi_albert, community_social_graph, complete_graph
 from repro.graph import Graph
@@ -16,6 +17,12 @@ from repro.mixing import (
     sinclair_bounds,
     slem,
 )
+
+#: The batched measurement and its per-source oracle, by strategy name.
+PROFILERS = {
+    "batched": sampled_mixing_profile,
+    "sequential": oracles.sampled_mixing_profile,
+}
 
 
 class TestProfile:
@@ -71,9 +78,7 @@ class TestProfile:
     @pytest.mark.parametrize("strategy", ["batched", "sequential"])
     def test_walk_length_zero_supported(self, k5, strategy):
         """t=0 records the TVD of the source delta itself."""
-        profile = sampled_mixing_profile(
-            k5, walk_lengths=[0, 1], sources=[2], strategy=strategy
-        )
+        profile = PROFILERS[strategy](k5, walk_lengths=[0, 1], sources=[2])
         pi = np.full(5, 0.2)
         delta = np.zeros(5)
         delta[2] = 1.0
@@ -86,25 +91,21 @@ class TestProfile:
     @pytest.mark.parametrize("strategy", ["batched", "sequential"])
     def test_negative_lengths_rejected(self, k5, strategy):
         with pytest.raises(GraphError):
-            sampled_mixing_profile(k5, walk_lengths=[-1, 1], strategy=strategy)
+            PROFILERS[strategy](k5, walk_lengths=[-1, 1])
 
     def test_repeated_lengths_rejected(self, k5):
         with pytest.raises(GraphError):
             sampled_mixing_profile(k5, walk_lengths=[0, 0])
 
     def test_unknown_strategy_rejected(self, k5):
-        with pytest.raises(GraphError):
-            sampled_mixing_profile(k5, walk_lengths=[1], strategy="vectorized")
+        # the oracle lives in repro.oracles; the measurement has no knob
+        with pytest.raises(TypeError):
+            sampled_mixing_profile(k5, walk_lengths=[1], strategy="sequential")
 
     def test_strategies_agree(self, ba_small):
-        seq = sampled_mixing_profile(
-            ba_small, walk_lengths=[1, 4, 9], num_sources=20, seed=8,
-            strategy="sequential",
-        )
-        bat = sampled_mixing_profile(
-            ba_small, walk_lengths=[1, 4, 9], num_sources=20, seed=8,
-            strategy="batched",
-        )
+        kwargs = dict(walk_lengths=[1, 4, 9], num_sources=20, seed=8)
+        seq = oracles.sampled_mixing_profile(ba_small, **kwargs)
+        bat = sampled_mixing_profile(ba_small, **kwargs)
         np.testing.assert_allclose(bat.tvd, seq.tvd, atol=1e-12)
 
     def test_slow_graph_has_higher_tvd(self, ba_small, community_small):

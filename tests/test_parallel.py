@@ -1,12 +1,13 @@
 """Process execution backend: bit-identity grid, shm lifecycle, telemetry.
 
-The contract under test (PR 10): with ``executor="process"`` every batch
-engine must return byte-identical results to its sequential oracle and
-to the thread backend across the full ``chunk_size x workers`` grid, the
-shared-memory plane must leave no ``/dev/shm`` residue after
-:func:`repro.parallel.shutdown` — even after a worker crash — and child
-telemetry must merge into the parent registry so ``--metrics-out``
-remains one coherent document.
+The contract under test: under an ambient ``executor="process"`` scope
+every batch engine must return byte-identical results to its oracle in
+:mod:`repro.oracles` and to the thread backend across the full
+``chunk_size x workers`` grid, the shared-memory plane must leave no
+``/dev/shm`` residue after :func:`repro.parallel.shutdown` — even after
+a worker crash — and child telemetry must merge into the parent
+registry, under the dispatching span, so ``--metrics-out`` remains one
+coherent document.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
-from repro import parallel, telemetry
+from repro import oracles, parallel, telemetry
 from repro.chunking import resolve_chunks
 from repro.errors import GraphError
 from repro.generators import barabasi_albert
@@ -37,7 +38,7 @@ from repro.markov.walk_batch import (
 )
 from repro.sybil.fusion import loopy_belief_propagation
 
-#: The pinned identity grid from the PR-10 acceptance criteria.
+#: The pinned identity grid: executor x chunk_size x workers.
 GRID = [
     (executor, chunk, workers)
     for executor in ("thread", "process")
@@ -117,91 +118,81 @@ class TestBitIdentityGrid:
 
     @pytest.fixture(scope="class")
     def tvd_expected(self, operator, sources):
-        return batched_tvd_profile(
-            operator.matrix, operator.stationary, sources, LENGTHS
-        )
+        return oracles.tvd_profile(operator, sources, LENGTHS)
 
     @pytest.mark.parametrize("executor,chunk,workers", GRID)
     def test_tvd_profile(self, operator, sources, tvd_expected, executor, chunk, workers):
-        out = batched_tvd_profile(
-            operator.matrix,
-            operator.stationary,
-            sources,
-            LENGTHS,
-            chunk_size=chunk,
-            workers=workers,
-            executor=executor,
-        )
+        with parallel.execution(executor=executor):
+            out = batched_tvd_profile(
+                operator.matrix,
+                operator.stationary,
+                sources,
+                LENGTHS,
+                chunk_size=chunk,
+                workers=workers,
+            )
         np.testing.assert_array_equal(out, tvd_expected)
 
     @pytest.fixture(scope="class")
     def levels_expected(self, graph, sources):
-        return bfs_level_sizes_block(graph, sources)
+        return oracles.bfs_level_sizes_block(graph, sources)
 
     @pytest.mark.parametrize("executor,chunk,workers", GRID)
     def test_bfs_level_sizes(self, graph, sources, levels_expected, executor, chunk, workers):
-        out = bfs_level_sizes_block(
-            graph, sources, chunk_size=chunk, workers=workers, executor=executor
-        )
+        with parallel.execution(executor=executor):
+            out = bfs_level_sizes_block(
+                graph, sources, chunk_size=chunk, workers=workers
+            )
         np.testing.assert_array_equal(out, levels_expected)
 
     @pytest.fixture(scope="class")
     def distances_expected(self, graph, sources):
-        return bfs_distances_block(graph, sources)
+        return oracles.bfs_distances_block(graph, sources)
 
     @pytest.mark.parametrize("executor,chunk,workers", GRID)
     def test_bfs_distances(self, graph, sources, distances_expected, executor, chunk, workers):
-        out = bfs_distances_block(
-            graph, sources, chunk_size=chunk, workers=workers, executor=executor
-        )
+        with parallel.execution(executor=executor):
+            out = bfs_distances_block(
+                graph, sources, chunk_size=chunk, workers=workers
+            )
         np.testing.assert_array_equal(out, distances_expected)
 
     @pytest.fixture(scope="class")
     def walk_expected(self, graph, sources):
-        return walk_block(graph, sources, WALK_LENGTH, seed=5, strategy="sequential")
+        return oracles.walk_block(graph, sources, WALK_LENGTH, seed=5)
 
     @pytest.mark.parametrize("executor,chunk,workers", GRID)
     def test_walk_block(self, graph, sources, walk_expected, executor, chunk, workers):
-        out = walk_block(
-            graph,
-            sources,
-            WALK_LENGTH,
-            seed=5,
-            chunk_size=chunk,
-            workers=workers,
-            executor=executor,
-        )
+        with parallel.execution(executor=executor):
+            out = walk_block(
+                graph, sources, WALK_LENGTH, seed=5, chunk_size=chunk, workers=workers
+            )
         np.testing.assert_array_equal(out, walk_expected)
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_walk_modes_match_sequential_oracle(self, graph, sources, executor):
         mask = np.zeros(graph.num_nodes, dtype=bool)
         mask[::7] = True
-        knobs = dict(chunk_size=4, workers=4, executor=executor)
-        cases = [
-            (
-                walk_endpoints(graph, sources, 9, seed=5, strategy="sequential"),
-                walk_endpoints(graph, sources, 9, seed=5, **knobs),
-            ),
-            (
-                walk_first_hits(
-                    graph, sources, 9, mask, seed=5, strategy="sequential"
+        knobs = dict(chunk_size=4, workers=4)
+        with parallel.execution(executor=executor):
+            cases = [
+                (
+                    oracles.walk_endpoints(graph, sources, 9, seed=5),
+                    walk_endpoints(graph, sources, 9, seed=5, **knobs),
                 ),
-                walk_first_hits(graph, sources, 9, mask, seed=5, **knobs),
-            ),
-            (
-                walk_visit_counts(
-                    graph, sources, WALK_LENGTH, seed=5, strategy="sequential"
+                (
+                    oracles.walk_first_hits(graph, sources, 9, mask, seed=5),
+                    walk_first_hits(graph, sources, 9, mask, seed=5, **knobs),
                 ),
-                walk_visit_counts(graph, sources, WALK_LENGTH, seed=5, **knobs),
-            ),
-            (
-                walk_cover_steps(
-                    graph, sources[:4], 40, seed=5, strategy="sequential"
+                (
+                    oracles.walk_visit_counts(graph, sources, WALK_LENGTH, seed=5),
+                    walk_visit_counts(graph, sources, WALK_LENGTH, seed=5, **knobs),
                 ),
-                walk_cover_steps(graph, sources[:4], 40, seed=5, **knobs),
-            ),
-        ]
+                (
+                    oracles.walk_cover_steps(graph, sources[:4], 40, seed=5),
+                    walk_cover_steps(graph, sources[:4], 40, seed=5, **knobs),
+                ),
+            ]
         for expected, got in cases:
             np.testing.assert_array_equal(got, expected)
 
@@ -226,9 +217,8 @@ class TestFusionBitIdentity:
         priors = rng.uniform(0.05, 0.95, graph.num_nodes)
         kwargs = dict(max_rounds=15, chunk_size=chunk, workers=workers)
         thread = loopy_belief_propagation(graph, priors, **kwargs)
-        process = loopy_belief_propagation(
-            graph, priors, executor="process", **kwargs
-        )
+        with parallel.execution(executor="process"):
+            process = loopy_belief_propagation(graph, priors, **kwargs)
         np.testing.assert_array_equal(process.beliefs, thread.beliefs)
         assert process.rounds == thread.rounds
         assert process.converged == thread.converged
@@ -239,15 +229,10 @@ class TestShardedBitIdentity:
     def test_sharded_tvd(self, sharded, sources):
         pi = sharded_stationary(sharded)
         expected = batched_tvd_profile(sharded, pi, sources, LENGTHS)
-        out = batched_tvd_profile(
-            sharded,
-            pi,
-            sources,
-            LENGTHS,
-            chunk_size=5,
-            workers=4,
-            executor="process",
-        )
+        with parallel.execution(executor="process"):
+            out = batched_tvd_profile(
+                sharded, pi, sources, LENGTHS, chunk_size=5, workers=4
+            )
         np.testing.assert_array_equal(out, expected)
 
     def test_worker_cache_distinguishes_graph_and_sharded(
@@ -257,22 +242,19 @@ class TestShardedBitIdentity:
         # ShardedGraph shares its graph_digest with the equivalent
         # in-RAM Graph — after resolving the GraphRef, the ShardedRef
         # lookup handed the kernel the wrong object
-        knobs = dict(seed=5, chunk_size=4, workers=2, executor="process")
-        walk_endpoints(graph, sources, 9, **knobs)
-        out = walk_endpoints(sharded, sources, 9, **knobs)
-        expected = walk_endpoints(
-            sharded, sources, 9, seed=5, strategy="sequential"
-        )
+        knobs = dict(seed=5, chunk_size=4, workers=2)
+        with parallel.execution(executor="process"):
+            walk_endpoints(graph, sources, 9, **knobs)
+            out = walk_endpoints(sharded, sources, 9, **knobs)
+        expected = oracles.walk_endpoints(sharded, sources, 9, seed=5)
         np.testing.assert_array_equal(out, expected)
 
     def test_sharded_walks(self, sharded, sources):
-        expected = walk_endpoints(
-            sharded, sources, 9, seed=5, strategy="sequential"
-        )
-        out = walk_endpoints(
-            sharded, sources, 9, seed=5, chunk_size=4, workers=4,
-            executor="process",
-        )
+        expected = oracles.walk_endpoints(sharded, sources, 9, seed=5)
+        with parallel.execution(executor="process"):
+            out = walk_endpoints(
+                sharded, sources, 9, seed=5, chunk_size=4, workers=4
+            )
         np.testing.assert_array_equal(out, expected)
 
 
@@ -334,6 +316,18 @@ class TestShmLifecycle:
         parallel.shutdown()
         assert _residue() == []
 
+    def test_on_result_streams_results_without_keeping_them(self):
+        # the visit-count merge path: each result goes to the callback as
+        # its chunk finishes, and no list of results is returned
+        chunks = resolve_chunks(8, 2, workers=2)
+        seen = {}
+        out = parallel.run_process_chunks(
+            parallel.probe_chunk, {}, chunks, workers=2,
+            on_result=lambda i, result: seen.__setitem__(i, result[:2]),
+        )
+        assert out is None
+        assert seen == {i: (c.start, c.stop) for i, c in enumerate(chunks)}
+
     def test_publish_is_digest_cached(self, graph):
         first = parallel.publish(graph)
         second = parallel.publish(graph)
@@ -349,7 +343,7 @@ class TestShmLifecycle:
 class TestTelemetryMerge:
     def test_child_spans_and_counters_merge(self, operator, sources):
         chunks = resolve_chunks(sources.size, 7, workers=4)
-        with telemetry.activate() as tel:
+        with parallel.execution(executor="process"), telemetry.activate() as tel:
             batched_tvd_profile(
                 operator.matrix,
                 operator.stationary,
@@ -357,10 +351,10 @@ class TestTelemetryMerge:
                 LENGTHS,
                 chunk_size=7,
                 workers=4,
-                executor="process",
             )
         # one chunking.chunk span per task, merged from child snapshots
-        assert tel.spans["chunking.chunk"].count == len(chunks)
+        chunk_spans = _spans_ending(tel.spans, "chunking.chunk")
+        assert sum(tel.spans[p].count for p in chunk_spans) == len(chunks)
         assert tel.counters["chunking.chunks"] == len(chunks)
         assert tel.counters["chunking.sources"] == sources.size
         assert tel.counters["parallel.process_runs"] == 1
@@ -370,7 +364,7 @@ class TestTelemetryMerge:
         assert 0.0 <= tel.gauges["chunking.worker_utilization"] <= 1.0
 
     def test_metrics_document_is_one_coherent_json(self, operator, sources, tmp_path):
-        with telemetry.activate() as tel:
+        with parallel.execution(executor="process"), telemetry.activate() as tel:
             batched_tvd_profile(
                 operator.matrix,
                 operator.stationary,
@@ -378,7 +372,6 @@ class TestTelemetryMerge:
                 LENGTHS,
                 chunk_size=7,
                 workers=4,
-                executor="process",
             )
             path = tel.write_json(tmp_path / "metrics.json")
         import json
@@ -387,4 +380,29 @@ class TestTelemetryMerge:
         counters = doc["counters"]
         assert counters["parallel.process_runs"] == 1
         assert "chunking.busy_seconds" in counters
-        assert "chunking.chunk" in doc["spans"]
+        assert _spans_ending(doc["spans"], "chunking.chunk")
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_chunk_spans_keep_the_caller_path(self, graph, sources, executor):
+        """Inline, pooled and process chunks record the same span paths:
+        stage -> engine -> chunk attribution survives parallel runs."""
+
+        def paths(executor: str, workers: int) -> set[str]:
+            with parallel.execution(executor=executor):
+                with telemetry.activate() as tel, tel.span("caller"):
+                    walk_endpoints(
+                        graph, sources, 9, seed=5, chunk_size=4, workers=workers
+                    )
+            return set(tel.spans)
+
+        inline = paths("thread", 1)
+        assert (
+            "caller/markov.walk.endpoints/chunking.chunk/markov.walk.chunk"
+            in inline
+        )
+        assert paths(executor, 2) == inline
+
+
+def _spans_ending(spans, name: str) -> list[str]:
+    """Span paths whose last component is ``name``."""
+    return [p for p in spans if p == name or p.endswith("/" + name)]

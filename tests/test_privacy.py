@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import telemetry
+from repro import oracles, telemetry
 from repro.errors import GraphError
 from repro.generators import barabasi_albert, cycle_graph, star_graph
 from repro.graph import Graph
@@ -114,7 +114,7 @@ class TestChunkWorkerDeterminism:
     @pytest.mark.parametrize("t", [1, 3, 10])
     def test_sequential_oracle_identical(self, ba_small, t):
         batched = perturb_links(ba_small, t, seed=5)
-        sequential = perturb_links(ba_small, t, seed=5, strategy="sequential")
+        sequential = oracles.perturb_links(ba_small, t, seed=5)
         assert batched == sequential
 
     @settings(max_examples=20, deadline=None)
@@ -124,9 +124,7 @@ class TestChunkWorkerDeterminism:
         assert reference == perturb_links(
             graph, t, seed=seed, chunk_size=3, workers=2
         )
-        assert reference == perturb_links(
-            graph, t, seed=seed, strategy="sequential"
-        )
+        assert reference == oracles.perturb_links(graph, t, seed=seed)
 
 
 class TestEdgeOverlap:

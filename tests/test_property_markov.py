@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import oracles
 from repro.graph import Graph
 from repro.markov import (
     TransitionOperator,
@@ -130,8 +131,8 @@ class TestBatchedSequentialEquivalence:
             lazy=lazy,
             seed=seed,
         )
-        seq = sampled_mixing_profile(g, strategy="sequential", **kwargs)
-        bat = sampled_mixing_profile(g, strategy="batched", **kwargs)
+        seq = oracles.sampled_mixing_profile(g, **kwargs)
+        bat = sampled_mixing_profile(g, **kwargs)
         assert np.array_equal(seq.sources, bat.sources)
         assert np.array_equal(seq.walk_lengths, bat.walk_lengths)
         assert bat.tvd.tobytes() == seq.tvd.tobytes()
@@ -149,8 +150,8 @@ class TestBatchedSequentialEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_chunking_and_workers_byte_identical(self, g, chunk_size, workers):
         kwargs = dict(walk_lengths=[1, 2, 4], num_sources=min(6, g.num_nodes), seed=0)
-        seq = sampled_mixing_profile(g, strategy="sequential", **kwargs)
+        seq = oracles.sampled_mixing_profile(g, **kwargs)
         bat = sampled_mixing_profile(
-            g, strategy="batched", chunk_size=chunk_size, workers=workers, **kwargs
+            g, chunk_size=chunk_size, workers=workers, **kwargs
         )
         assert bat.tvd.tobytes() == seq.tvd.tobytes()

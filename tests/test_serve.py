@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import telemetry
+from repro import parallel, telemetry
 from repro.dynamics import ChurnModel, GraphDelta, GrowthModel, event_stream
 from repro.errors import GraphError, ServeError
 from repro.graph import Graph
@@ -193,12 +193,7 @@ class TestOverlayBitIdentity:
             service.compact()
             assert service.snapshot == logical
 
-    @pytest.mark.parametrize(
-        "chunk_size,workers", [(None, None), (64, None), (64, 2)]
-    )
-    def test_post_compaction_queries_match_scratch(
-        self, tiny_wiki, chunk_size, workers
-    ):
+    def test_post_compaction_queries_match_scratch(self, tiny_wiki):
         attack = _standard_attack(tiny_wiki, 12, seed=0)
         service = AdmissionService(
             attack.graph,
@@ -218,13 +213,9 @@ class TestOverlayBitIdentity:
             .normalized
         )
         assert np.array_equal(service.rank_scores(), expected)
-        # escape: identical across the chunk x worker grid
-        got = service.escape(
-            walk_lengths=(3, 9),
-            num_walks=300,
-            chunk_size=chunk_size,
-            workers=workers,
-        )
+        # escape: identical to the from-scratch measurement (the engine
+        # grids pin it across every chunk x worker layout)
+        got = service.escape(walk_lengths=(3, 9), num_walks=300)
         reference = escape_profile(
             scratch,
             service.num_honest,
@@ -309,6 +300,29 @@ class TestAdmissionService:
         warm = AdmissionService(ba_small, store=store)
         assert np.array_equal(warm.rank_scores(), scores)
         assert store.stats.hits > 0
+
+    def test_escape_cache_ignores_execution_scope(self, tiny_wiki, tmp_path):
+        """Scheduling never changes the escape result, so it must not
+        split the warm cache or the store: one cold build, one write."""
+        from repro.store import ArtifactStore
+
+        attack = _standard_attack(tiny_wiki, 12, seed=0)
+        store = ArtifactStore(tmp_path / "cache")
+        service = AdmissionService(
+            attack.graph,
+            num_honest=attack.num_honest,
+            store=store,
+            config=ServiceConfig(escape_walks=200),
+        )
+        with telemetry.activate() as tel:
+            with parallel.execution(workers=1):
+                first = service.escape()
+            with parallel.execution(workers=2):
+                second = service.escape()
+        assert np.array_equal(first.escape, second.escape)
+        assert tel.counter("serve.cache.misses") == 1
+        assert tel.counter("serve.cache.hits") == 1
+        assert store.stats.writes == 1
 
     def test_telemetry_counters(self, ba_small):
         with telemetry.activate() as tel:

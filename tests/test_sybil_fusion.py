@@ -5,8 +5,8 @@ Three independent oracles pin the loopy-BP engine:
 * the **chunk/worker grid** — posteriors must be *bit-identical* for
   every execution plan, because message updates only read the previous
   round's state and chunks write disjoint slices;
-* the **sequential oracle** (``strategy="sequential"``) — a per-edge
-  scalar replay of the same IEEE operations;
+* the **sequential oracle** (:func:`repro.oracles.loopy_belief_propagation`)
+  — a per-edge scalar replay of the same IEEE operations;
 * **brute-force enumeration** — on graphs small enough to sum over all
   2^n labelings, BP must reproduce the exact marginals on trees (it is
   exact there) and approximate them on near-trees.
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import oracles
 from repro.errors import SybilDefenseError
 from repro.generators import (
     barabasi_albert,
@@ -101,9 +102,7 @@ class TestDifferential:
 
     def test_sequential_oracle_bit_identical(self, attack, priors):
         batched = loopy_belief_propagation(attack.graph, priors)
-        sequential = loopy_belief_propagation(
-            attack.graph, priors, strategy="sequential"
-        )
+        sequential = oracles.loopy_belief_propagation(attack.graph, priors)
         assert np.array_equal(batched.beliefs, sequential.beliefs)
         assert batched.converged == sequential.converged
         assert batched.rounds == sequential.rounds
@@ -113,14 +112,10 @@ class TestDifferential:
         frame = SybilFrame(attack.graph)
         confidences = frame.edge_confidences(priors)
         batched = loopy_belief_propagation(
-            attack.graph, priors, edge_potentials=confidences
+            attack.graph, priors, edge_potentials=confidences, chunk_size=13
         )
-        sequential = loopy_belief_propagation(
-            attack.graph,
-            priors,
-            edge_potentials=confidences,
-            strategy="sequential",
-            chunk_size=13,
+        sequential = oracles.loopy_belief_propagation(
+            attack.graph, priors, edge_potentials=confidences
         )
         assert np.array_equal(batched.beliefs, sequential.beliefs)
 
@@ -389,10 +384,12 @@ class TestValidation:
             )
 
     def test_rejects_unknown_strategy(self, attack, priors):
-        with pytest.raises(SybilDefenseError):
-            loopy_belief_propagation(
-                attack.graph, priors, strategy="parallel"
-            )
+        # the oracle lives in repro.oracles; neither the engine nor the
+        # defenses' config takes a strategy or executor knob
+        with pytest.raises(TypeError):
+            loopy_belief_propagation(attack.graph, priors, strategy="sequential")
+        with pytest.raises(TypeError):
+            FusionConfig(executor="process")
 
     def test_fusion_config_validation(self):
         with pytest.raises(SybilDefenseError):

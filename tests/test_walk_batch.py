@@ -1,9 +1,9 @@
 """Equivalence suite for the vectorized Monte-Carlo walk engine.
 
 The engine's contract is *bit-identity*: for every mode, the result
-must not depend on ``chunk_size``, ``workers`` or ``strategy`` —
-walks draw from per-walk seed streams, so execution layout cannot
-matter.  This suite pins that grid, the per-walk sequential oracle,
+must not depend on ``chunk_size`` or ``workers`` — walks draw from
+per-walk seed streams, so execution layout cannot matter.  This suite
+pins that grid, the per-walk oracles of :mod:`repro.oracles`,
 structural walk properties on adversarial graph shapes (isolated
 nodes, degree-1 chains, disconnected components), the statistical
 agreement of the Monte-Carlo escape measurement with the exact
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import telemetry
+from repro import oracles, telemetry
 from repro.errors import GraphError
 from repro.generators import barabasi_albert, complete_graph, cycle_graph
 from repro.graph import Graph
@@ -25,6 +25,7 @@ from repro.markov import (
     NO_HIT,
     estimate_hitting_time,
     hitting_time,
+    walk_batch,
     walk_block,
     walk_cover_steps,
     walk_endpoints,
@@ -52,37 +53,41 @@ def ragged() -> Graph:
     )
 
 
-def _modes(graph, sources, length):
-    """Every engine mode as (name, callable(**knobs))."""
+def _modes(graph, sources, length, engine=walk_batch):
+    """Every mode of ``engine`` (the walk engine or its oracles) as
+    (name, callable(**knobs))."""
     mask = np.zeros(graph.num_nodes, dtype=bool)
     mask[graph.num_nodes // 2 :] = True
     return [
-        ("block", lambda **kw: walk_block(graph, sources, length, seed=3, **kw)),
+        (
+            "block",
+            lambda **kw: engine.walk_block(graph, sources, length, seed=3, **kw),
+        ),
         (
             "endpoints",
-            lambda **kw: walk_endpoints(graph, sources, length, seed=3, **kw),
+            lambda **kw: engine.walk_endpoints(graph, sources, length, seed=3, **kw),
         ),
         (
             "first_hits",
-            lambda **kw: walk_first_hits(
+            lambda **kw: engine.walk_first_hits(
                 graph, sources, length, mask, seed=3, **kw
             ),
         ),
         (
             "visits_all",
-            lambda **kw: walk_visit_counts(
+            lambda **kw: engine.walk_visit_counts(
                 graph, sources, length, seed=3, record="all", **kw
             ),
         ),
         (
             "visits_last",
-            lambda **kw: walk_visit_counts(
+            lambda **kw: engine.walk_visit_counts(
                 graph, sources, length, seed=3, record="last", **kw
             ),
         ),
         (
             "cover",
-            lambda **kw: walk_cover_steps(
+            lambda **kw: engine.walk_cover_steps(
                 graph, sources, max(length, 1) * 8, seed=3, **kw
             ),
         ),
@@ -114,22 +119,37 @@ class TestSequentialEquivalence:
     @pytest.mark.parametrize("length", [0, 1, 17])
     def test_all_modes(self, ba_small, length):
         sources = np.arange(ba_small.num_nodes)
-        for name, run in _modes(ba_small, sources, length):
+        batched = _modes(ba_small, sources, length)
+        sequential = _modes(ba_small, sources, length, engine=oracles)
+        for (name, run), (_, oracle) in zip(batched, sequential):
             if name == "cover" and length == 0:
                 continue
-            batched = run(strategy="batched")
-            sequential = run(strategy="sequential")
-            assert np.array_equal(batched, sequential), name
+            assert np.array_equal(run(), oracle()), name
 
     def test_cover_equivalence(self, k5):
         sources = np.zeros(30, dtype=np.int64)
-        a = walk_cover_steps(k5, sources, 500, seed=9, strategy="batched")
-        b = walk_cover_steps(k5, sources, 500, seed=9, strategy="sequential")
+        a = walk_cover_steps(k5, sources, 500, seed=9)
+        b = oracles.walk_cover_steps(k5, sources, 500, seed=9)
         assert np.array_equal(a, b)
 
     def test_unknown_strategy_rejected(self, triangle):
-        with pytest.raises(GraphError):
-            walk_block(triangle, [0], 3, strategy="diagonal")
+        # the oracle lives in repro.oracles; the engine has no strategy knob
+        with pytest.raises(TypeError):
+            walk_block(triangle, [0], 3, strategy="sequential")
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda g, s: walk_endpoints(g, s, 3),
+            lambda g, s: walk_first_hits(g, s, 3, np.zeros(3, dtype=bool)),
+            lambda g, s: walk_visit_counts(g, s, 3),
+        ],
+    )
+    def test_non_integer_sources_rejected(self, triangle, run):
+        # a cast would silently truncate 1.7 to node 1
+        with pytest.raises(GraphError, match="integer dtype, got float64"):
+            run(triangle, [1.7, 2.2])
+        assert run(triangle, np.array([], dtype=float)).size in (0, 3)
 
 
 class TestSeedDiscipline:
@@ -278,9 +298,7 @@ class TestAdversarialShapes:
         chunked = walk_block(
             graph, sources, length, seed=seed, chunk_size=3, workers=2
         )
-        sequential = walk_block(
-            graph, sources, length, seed=seed, strategy="sequential"
-        )
+        sequential = oracles.walk_block(graph, sources, length, seed=seed)
         assert np.array_equal(block, chunked)
         assert np.array_equal(block, sequential)
         for row in block:
@@ -310,9 +328,7 @@ class TestStatisticalAcceptance:
         for knobs in GRID:
             again = measure_escape(attack, [3, 9], num_walks=500, seed=5, **knobs)
             assert np.array_equal(reference.escape, again.escape)
-        sequential = measure_escape(
-            attack, [3, 9], num_walks=500, seed=5, strategy="sequential"
-        )
+        sequential = oracles.measure_escape(attack, [3, 9], num_walks=500, seed=5)
         assert np.array_equal(reference.escape, sequential.escape)
 
     def test_hitting_estimator_matches_solve(self):
@@ -355,7 +371,11 @@ class TestTelemetryContract:
         assert tel.counters["markov.walk.walks"] == 4
 
     def test_sequential_counts_too(self, triangle):
-        with telemetry.activate() as tel:
-            walk_endpoints(triangle, [0, 1], 5, seed=0, strategy="sequential")
-        assert tel.counters["markov.walk.walks"] == 2
-        assert tel.counters["markov.walk.steps"] == 10
+        # inline (one worker) and pooled runs report the same counters
+        for workers in (1, 2):
+            with telemetry.activate() as tel:
+                walk_endpoints(
+                    triangle, [0, 1], 5, seed=0, chunk_size=1, workers=workers
+                )
+            assert tel.counters["markov.walk.walks"] == 2
+            assert tel.counters["markov.walk.steps"] == 10
