@@ -27,8 +27,8 @@ from repro.analysis import format_table
 from repro.datasets import build_sharded_analog
 from repro.graph import ShardedGraph
 from repro.graph.bfs_batch import bfs_level_sizes_block
-from repro.markov.batch import batched_tvd_profile, sharded_stationary
-from repro.markov.transition import TransitionOperator
+from repro.markov.batch import batched_tvd_profile
+from repro.markov.transition import TransitionOperator, stationary_distribution
 from repro.markov.walk_batch import walk_endpoints
 from repro.mixing import slem
 
@@ -59,7 +59,7 @@ def _assert_bit_identity(tmp_path) -> str:
     tvd_ram = batched_tvd_profile(op.matrix, op.stationary, sources, WALK_LENGTHS)
     tvd_sh = batched_tvd_profile(
         sharded,
-        sharded_stationary(sharded),
+        stationary_distribution(sharded),
         sources,
         WALK_LENGTHS,
         chunk_size=5,
@@ -102,7 +102,7 @@ def test_shard_engine_sweep(results_dir, scale, num_sources, tmp_path):
         start = time.perf_counter()
         tvd = batched_tvd_profile(
             sharded,
-            sharded_stationary(sharded),
+            stationary_distribution(sharded),
             sources,
             WALK_LENGTHS,
             chunk_size=8,

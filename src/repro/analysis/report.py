@@ -20,12 +20,8 @@ from repro.graph.metrics import (
     average_degree,
     degree_assortativity,
 )
-from repro.mixing.sampling import (
-    is_fast_mixing,
-    mixing_time_from_profile,
-    sampled_mixing_profile,
-)
-from repro.mixing.spectral import sinclair_bounds, slem
+from repro.mixing.sampling import mixing_time_from_profile, sampled_mixing_profile
+from repro.mixing.spectral import spectral_summary
 from repro.store import ArtifactStore, memoize
 from repro.telemetry import Telemetry
 
@@ -122,18 +118,13 @@ def measurement_report(
         "",
     ]
 
-    def measure_spectral():
-        mu = slem(graph)
-        bounds = sinclair_bounds(mu, graph.num_nodes, epsilon=1 / graph.num_nodes)
-        fast = is_fast_mixing(graph, num_sources=min(num_sources, 30), seed=seed)
-        return {"slem": mu, "bounds": bounds, "fast": bool(fast)}
-
+    fast_sources = min(num_sources, 30)
     spectral = memoize(
         store,
         graph,
         "spectral",
-        {"seed": seed, "fast_sources": min(num_sources, 30)},
-        measure_spectral,
+        {"seed": seed, "fast_sources": fast_sources},
+        lambda: spectral_summary(graph, fast_sources=fast_sources, seed=seed),
     )
     mu, bounds, fast = spectral["slem"], spectral["bounds"], spectral["fast"]
     profile = memoize(

@@ -83,7 +83,7 @@ from repro.datasets import (
 from repro.errors import ReproError
 from repro.expansion import envelope_expansion
 from repro.graph import ShardedGraph, largest_connected_component, read_edge_list
-from repro.mixing import is_fast_mixing, sinclair_bounds, slem
+from repro.mixing import sinclair_bounds, slem, spectral_summary
 from repro import telemetry
 from repro.chunking import default_workers
 from repro.parallel import EXECUTORS
@@ -156,7 +156,8 @@ def _audit_sharded(args: argparse.Namespace) -> int:
     bit-identical for every worker count.  Core/expansion structure
     needs the resident graph and is skipped at this scale.
     """
-    from repro.markov.batch import batched_tvd_profile, sharded_stationary
+    from repro.markov.batch import batched_tvd_profile
+    from repro.markov.transition import stationary_distribution
 
     sharded = ShardedGraph.open(args.target)
     n = sharded.num_nodes
@@ -176,7 +177,7 @@ def _audit_sharded(args: argparse.Namespace) -> int:
     workers = default_workers()
     tvd = batched_tvd_profile(
         sharded,
-        sharded_stationary(sharded),
+        stationary_distribution(sharded),
         sources,
         lengths,
         chunk_size=max(1, 8 // workers),
@@ -215,14 +216,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     graph = _load_target(args.target, args.scale)
     print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges (LCC)")
 
-    def measure_spectral():
-        mu = slem(graph)
-        bounds = sinclair_bounds(mu, graph.num_nodes, epsilon=1 / graph.num_nodes)
-        fast = is_fast_mixing(graph, num_sources=30, seed=0)
-        return {"slem": mu, "bounds": bounds, "fast": bool(fast)}
-
     spectral = memoize(
-        store, graph, "spectral", {"seed": 0, "fast_sources": 30}, measure_spectral
+        store, graph, "spectral", {"seed": 0, "fast_sources": 30},
+        lambda: spectral_summary(graph, fast_sources=30, seed=0),
     )
     mu, bounds, fast = spectral["slem"], spectral["bounds"], spectral["fast"]
     structure = memoize(store, graph, "cores", {}, lambda: core_structure(graph))

@@ -27,13 +27,17 @@ Outputs never materialize per-level node lists:
   (``-1`` for unreachable), row ``j`` byte-identical to
   ``bfs_distances(graph, sources[j])``.
 
+Each row block of the graph (one for a resident graph, every shard of
+a :class:`~repro.graph.shard.ShardedGraph`) writes its product into its
+own output rows, so in-RAM and sharded runs are the same bits.
+
 Both take ``chunk_size`` (memory bound ``O(n * chunk_size)``) and
 ``workers`` (fan-out over source chunks) with the exact semantics of
 the walk engines: one module-level kernel runs through
 :func:`repro.chunking.run_kernel` on threads or, under an ambient
 process scope, on the shared-memory process pool (the CSR arrays are
-published once; each worker rebuilds the float32 adjacency once per
-call, so results stay bit-identical).  The per-source oracles live in
+published once; each worker builds the float32 adjacency once per
+graph, so results stay bit-identical).  The per-source oracles live in
 :mod:`repro.oracles`.
 """
 
@@ -42,7 +46,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from repro import telemetry
 from repro.chunking import DEFAULT_CHUNK_SIZE, run_kernel, validate_sources
@@ -59,70 +63,35 @@ __all__ = [
 _UNREACHED = -1
 
 
-def _adjacency_operator(graph: Graph) -> sp.csr_matrix:
-    """The graph's CSR adjacency with unit float32 weights.
+def _frontier_counts(
+    graph: Graph | ShardedGraph, frontier: np.ndarray
+) -> np.ndarray:
+    """Return ``A @ frontier``: per (node, column), its frontier neighbors.
 
-    Built once per engine call and shared (read-only) across chunks; the
-    index arrays are the graph's own, only the unit data is allocated.
-    float32 frontier counts stay exact up to degree 2**24.
+    Each block's rows go straight into its zeroed output rows through
+    ``csr_matvecs``, the kernel scipy's ``@`` calls (no per-level copy).
+    ``frontier`` must be a C-contiguous ``(n, s)`` float32 block.
     """
-    n = graph.num_nodes
-    return sp.csr_matrix(
-        (
-            np.ones(graph.indices.size, dtype=np.float32),
-            graph.indices,
-            graph.indptr,
-        ),
-        shape=(n, n),
-    )
-
-
-def _frontier_apply(graph: Graph | ShardedGraph):
-    """Return ``apply(frontier) -> neighbor-count block`` for the graph.
-
-    For a resident graph this is one CSR matvec block product.  For a
-    :class:`~repro.graph.shard.ShardedGraph` each shard's row block of
-    the adjacency multiplies the frontier independently and lands in
-    its own output rows — CSR matvecs reduce rows independently, so the
-    assembled product is bit-identical to the monolithic one.
-    """
-    if isinstance(graph, ShardedGraph):
-        sharded = graph
-
-        def apply(frontier: np.ndarray) -> np.ndarray:
-            out = np.empty(
-                (sharded.num_nodes, frontier.shape[1]), dtype=np.float32
-            )
-            for shard in sharded.iter_shards():
-                out[shard.lo : shard.hi] = shard.adjacency_rows().dot(frontier)
-            return out
-
-        return apply
-    return _adjacency_operator(graph).dot
-
-
-def _setup(env) -> None:
-    """Per-call kernel state: the frontier operator over the graph."""
-    env.apply_adjacency = _frontier_apply(env.graph)
-    env.num_nodes = env.graph.num_nodes
+    out = np.zeros((graph.num_nodes, frontier.shape[1]), dtype=np.float32)
+    for shard in graph.iter_shards():
+        rows = shard.adjacency_rows()
+        _sparsetools.csr_matvecs(
+            *rows.shape, frontier.shape[1], rows.indptr, rows.indices,
+            rows.data, frontier.ravel(), out[shard.lo : shard.hi].ravel(),
+        )
+    return out
 
 
 def _levels_kernel(columns: slice, env) -> np.ndarray:
     """Return one chunk's level-size block (merged by the caller)."""
-    block = _bfs_chunk(
-        env.apply_adjacency, env.num_nodes, env.sources[columns],
-        env.max_levels, None,
-    )
+    block = _bfs_chunk(env.graph, env.sources[columns], env.max_levels, None)
     telemetry.current().count("graph.bfs.levels", int(block.shape[1]))
     return block
 
 
 def _distances_kernel(columns: slice, env) -> None:
     """Fill one chunk's rows of the distance matrix ``env.out``."""
-    block = _bfs_chunk(
-        env.apply_adjacency, env.num_nodes, env.sources[columns], None,
-        env.out[columns],
-    )
+    block = _bfs_chunk(env.graph, env.sources[columns], None, env.out[columns])
     telemetry.current().count("graph.bfs.levels", int(block.shape[1]))
 
 
@@ -134,8 +103,7 @@ def _check(graph: Graph | ShardedGraph, sources) -> np.ndarray:
 
 
 def _bfs_chunk(
-    apply_adjacency,
-    num_nodes: int,
+    graph: Graph | ShardedGraph,
     sources: np.ndarray,
     max_levels: int | None,
     distances: np.ndarray | None,
@@ -149,7 +117,7 @@ def _bfs_chunk(
     """
     s = sources.size
     columns = np.arange(s, dtype=np.int64)
-    frontier = np.zeros((num_nodes, s), dtype=np.float32)
+    frontier = np.zeros((graph.num_nodes, s), dtype=np.float32)
     frontier[sources, columns] = 1.0
     visited = frontier > 0
     if distances is not None:
@@ -161,7 +129,7 @@ def _bfs_chunk(
         # one CSR pass for the whole block: the sparse adjacency times
         # the dense frontier indicator counts, per (node, column), how
         # many frontier neighbors that node has in that column
-        fresh = apply_adjacency(frontier) > 0
+        fresh = _frontier_counts(graph, frontier) > 0
         fresh &= ~visited
         per_column = fresh.sum(axis=0).astype(np.int64)
         if not per_column.any():
@@ -210,7 +178,6 @@ def bfs_level_sizes_block(
             chunk_size,
             workers,
             inputs={"graph": graph, "sources": chosen, "max_levels": max_levels},
-            setup=_setup,
             merge=lambda columns, block: blocks.__setitem__(columns.start, block),
             span="graph.bfs.frontier_chunk",
         )
@@ -248,7 +215,6 @@ def bfs_distances_block(
             workers,
             inputs={"graph": graph, "sources": chosen},
             outputs={"out": out},
-            setup=_setup,
             span="graph.bfs.frontier_chunk",
         )
     return out

@@ -16,16 +16,21 @@ two numpy arrays in CSR form:
 so that the neighbors of node ``v`` are
 ``indices[indptr[v]:indptr[v + 1]]``, sorted ascending.  This layout makes
 degree lookups O(1), neighbor scans cache friendly, and lets most of the
-analysis code vectorize over numpy.
+analysis code vectorize over numpy.  To the batch engines a graph is a
+one-shard store: :meth:`Graph.shard` wraps the whole CSR as one
+:class:`~repro.graph.shard.Shard` row block.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 from repro.errors import GraphError, NodeNotFoundError
+
+if TYPE_CHECKING:
+    from repro.graph.shard import Shard
 
 __all__ = ["Graph"]
 
@@ -75,7 +80,8 @@ class Graph:
     return new graphs.
     """
 
-    __slots__ = ("_indptr", "_indices", "_num_edges")
+    # _shard caches the row block: unset until first use and after unpickling
+    __slots__ = ("_indptr", "_indices", "_num_edges", "_shard")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
         indptr = np.asarray(indptr, dtype=np.int64)
@@ -206,8 +212,40 @@ class Graph:
         return np.stack([src[mask], dst[mask]], axis=1)
 
     # ------------------------------------------------------------------
+    # row-block store surface (as on repro.graph.shard.ShardedGraph)
+    # ------------------------------------------------------------------
+    @property
+    def num_shards(self) -> int:
+        """Number of row blocks: always 1 for an in-RAM graph."""
+        return 1
+
+    def shard(self, index: int) -> Shard:
+        """Return the graph's one row block, wrapping its CSR without a copy.
+
+        Built once and cached with the operators the engines build on it;
+        the cache is not part of ``==``, ``hash`` or the pickled state.
+        """
+        if index != 0:
+            raise GraphError(f"shard index {index} out of range [0, 1)")
+        if not hasattr(self, "_shard"):
+            from repro.graph.shard import Shard  # shard.py imports this module
+
+            n = self.num_nodes
+            self._shard = Shard(0, 0, n, self._indptr, self._indices, n)
+        return self._shard
+
+    def iter_shards(self) -> Iterator[Shard]:
+        """Yield the graph's one row block."""
+        yield self.shard(0)
+
+    # ------------------------------------------------------------------
     # dunder protocol
     # ------------------------------------------------------------------
+    def __getstate__(self) -> tuple[None, dict]:
+        # the default slot state, without the cached row block
+        state = ("_indptr", "_indices", "_num_edges")
+        return None, {name: getattr(self, name) for name in state}
+
     def __contains__(self, node: object) -> bool:
         return isinstance(node, (int, np.integer)) and 0 <= int(node) < self.num_nodes
 

@@ -27,12 +27,12 @@ report into :mod:`repro.telemetry` as ``shard.loads`` /
 streamed sweep's memory ceiling is observable in the same metrics
 document as the engine counters.
 
-The batch engines (:mod:`repro.markov.batch`,
-:mod:`repro.graph.bfs_batch`, :mod:`repro.markov.walk_batch`) accept a
-:class:`ShardedGraph` wherever they accept a resident graph/matrix and
-stream shard blocks instead — with **bit-identical** results, because
-each shard operator replays exactly the arithmetic the monolithic CSR
-kernels perform (see the per-method notes below).
+The batch engines (:mod:`repro.markov.batch`, :mod:`repro.graph.bfs_batch`,
+:mod:`repro.markov.walk_batch`, :mod:`repro.mixing.spectral`) read every
+graph through :class:`Shard` row blocks — a resident
+:class:`~repro.graph.core.Graph` is one block over its own CSR — so
+in-RAM and sharded runs agree **bit for bit**: each operator below has
+one implementation, reducing rows in the same order for any shard count.
 """
 
 from __future__ import annotations
@@ -67,6 +67,12 @@ DEFAULT_NODES_PER_SHARD = 1 << 18
 
 _MANIFEST_NAME = "manifest.json"
 _FORMAT_VERSION = 1
+#: Keys of a manifest and of each row of its shard table.
+_MANIFEST_KEYS = {
+    "format", "num_nodes", "num_edges", "nodes_per_shard", "bounds",
+    "graph_digest", "shards",
+}
+_SHARD_KEYS = {"lo", "hi", "half_edges", "indptr", "indices", "digest"}
 
 #: Matches :data:`repro.store._DIGEST_DOMAIN` — the sharded digest must
 #: be byte-equal to the in-RAM one for store keys to chain.
@@ -92,14 +98,14 @@ def _hash_array_blocks(hasher, array: np.ndarray) -> None:
 
 
 class Shard:
-    """One resident node-range shard: rows ``[lo, hi)`` of the CSR.
+    """One resident node-range row block: rows ``[lo, hi)`` of the CSR.
 
     ``indptr`` is the *local* row pointer array (length ``hi - lo + 1``,
     ``indptr[0] == 0``); ``indices`` holds the global neighbor ids of
-    the shard's rows.  Both are typically read-only memory maps.  The
-    sparse operators below are built lazily and cached on the shard, so
-    repeated engine steps against a resident shard pay the construction
-    once.
+    the block's rows — memory maps for a :class:`ShardedGraph` shard, a
+    resident :class:`~repro.graph.core.Graph`'s own arrays otherwise.
+    The operators below are built lazily and cached on the block, so
+    repeated engine steps pay the construction once.
     """
 
     __slots__ = (
@@ -109,6 +115,7 @@ class Shard:
         "indptr",
         "indices",
         "_num_nodes",
+        "_degrees",
         "_adjacency",
         "_transition_data",
         "_normalized",
@@ -124,6 +131,7 @@ class Shard:
         self.indptr = indptr
         self.indices = indices
         self._num_nodes = num_nodes
+        self._degrees: np.ndarray | None = None
         self._adjacency: sp.csr_matrix | None = None
         self._transition_data: np.ndarray | None = None
         self._normalized: sp.csr_matrix | None = None
@@ -136,7 +144,10 @@ class Shard:
     @property
     def degrees(self) -> np.ndarray:
         """Degrees of the shard's rows (``degrees[i] == deg(lo + i)``)."""
-        return np.diff(self.indptr)
+        if self._degrees is None:
+            self._degrees = np.diff(np.asarray(self.indptr))
+            self._degrees.setflags(write=False)
+        return self._degrees
 
     @property
     def nbytes(self) -> int:
@@ -146,44 +157,58 @@ class Shard:
     # ------------------------------------------------------------------
     # engine operators
     # ------------------------------------------------------------------
+    def advance(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One uniform walk step for walks standing on this block's rows.
+
+        Neighbor ``floor(u * deg)`` is clipped to ``deg - 1`` so a
+        uniform rounding up against 1.0 cannot index past the row;
+        walks on isolated nodes stay put.
+        """
+        local = states - self.lo if self.lo else states
+        deg = self.degrees[local]
+        if deg.all():
+            # fast path: every walk sits on a positive-degree node (the
+            # common case on connected graphs) — skip the mask round-trip
+            offsets = (u * deg).astype(np.int64)
+            np.minimum(offsets, deg - 1, out=offsets)
+            return self.indices[self.indptr[local] + offsets]
+        moving = deg > 0
+        out = states.copy()
+        mdeg = deg[moving]
+        offsets = np.minimum((u[moving] * mdeg).astype(np.int64), mdeg - 1)
+        out[moving] = self.indices[self.indptr[local[moving]] + offsets]
+        return out
+
     def adjacency_rows(self) -> sp.csr_matrix:
         """Rows ``[lo, hi)`` of the unit-weight adjacency as float32 CSR.
 
-        ``adjacency_rows().dot(frontier)`` computes rows ``[lo, hi)`` of
-        the monolithic ``adjacency.dot(frontier)`` — rows are reduced
-        independently in CSR matvecs, so writing the product into
-        ``out[lo:hi]`` is bit-identical to the in-RAM BFS operator.
+        The block BFS multiplies it into rows ``[lo, hi)`` of its
+        frontier product; CSR matvecs reduce rows independently, so any
+        shard count gives the same bits.  float32 frontier counts stay
+        exact up to degree 2**24.
         """
         if self._adjacency is None:
-            self._adjacency = sp.csr_matrix(
-                (
-                    np.ones(self.indices.size, dtype=np.float32),
-                    self.indices,
-                    np.asarray(self.indptr),
-                ),
-                shape=(self.num_rows, self._num_nodes),
-            )
+            self._adjacency = self._rows(np.ones(self.indices.size, dtype=np.float32))
         return self._adjacency
 
     def normalized_rows(self, inv_sqrt_degrees: np.ndarray) -> sp.csr_matrix:
         """Rows ``[lo, hi)`` of ``D^{-1/2} A D^{-1/2}`` as float64 CSR.
 
         ``inv_sqrt_degrees`` must be the full-graph vector (zeros at
-        isolated nodes), exactly as
-        :func:`repro.mixing.spectral.normalized_adjacency` builds it.
+        isolated nodes), exactly as :mod:`repro.mixing.spectral` builds it.
         """
         if self._normalized is None:
             data = np.repeat(inv_sqrt_degrees[self.lo : self.hi], self.degrees)
             data *= inv_sqrt_degrees[np.asarray(self.indices)]
-            self._normalized = sp.csr_matrix(
-                (data, self.indices, np.asarray(self.indptr)),
-                shape=(self.num_rows, self._num_nodes),
-            )
+            self._normalized = self._rows(data)
         return self._normalized
 
-    def scatter_transition(
-        self, block: np.ndarray, inv_degrees: np.ndarray, out: np.ndarray
-    ) -> None:
+    def _rows(self, data: np.ndarray) -> sp.csr_matrix:
+        """The block's rows as CSR with ``data`` as the edge weights."""
+        shape = (self.num_rows, self._num_nodes)
+        return sp.csr_matrix((data, self.indices, np.asarray(self.indptr)), shape=shape)
+
+    def scatter_transition(self, block: np.ndarray, out: np.ndarray) -> None:
         """Accumulate ``P[lo:hi, :].T @ block[lo:hi]`` into ``out``.
 
         Reinterprets the shard's CSR rows as CSC columns ``[lo, hi)`` of
@@ -196,16 +221,14 @@ class Shard:
         instead of returning a partial product.
 
         ``block`` and ``out`` must be C-contiguous ``(n, s)`` float64
-        arrays; ``inv_degrees`` is the full-graph ``1/deg`` vector
-        (zeros at isolated nodes).  Isolated rows contribute nothing
-        here — the caller patches ``out[isolated] = block[isolated]``,
-        which is exact because an isolated node's column in the merged
-        in-RAM P holds only the unit self-loop.
+        arrays; row ``v``'s weights are ``1/deg(v)``.  Isolated rows
+        contribute nothing here — the caller patches ``out[isolated] =
+        block[isolated]``, which is exact because an isolated node's
+        column in the merged in-RAM P holds only the unit self-loop.
         """
         if self._transition_data is None:
-            self._transition_data = np.repeat(
-                inv_degrees[self.lo : self.hi], self.degrees
-            )
+            deg = self.degrees[self.degrees > 0]
+            self._transition_data = np.repeat(1.0 / deg, deg)
         _sparsetools.csc_matvecs(
             out.shape[0],
             self.num_rows,
@@ -224,10 +247,10 @@ class ShardedGraph:
     Open an existing on-disk graph with :meth:`open`, build one from a
     resident graph with :meth:`from_graph`, or stream one from edge
     blocks that never fit in RAM with :meth:`from_edge_blocks`.  The
-    instance mirrors the read surface the engines need from
-    :class:`~repro.graph.core.Graph` (``num_nodes``, ``num_edges``,
-    ``degrees``) and adds shard access (:meth:`shard`,
-    :meth:`iter_shards`, :meth:`shard_index_of`).
+    engines read it through the store surface it shares with
+    :class:`~repro.graph.core.Graph` (``num_nodes``, ``degrees``,
+    ``num_shards``, :meth:`shard`, :meth:`iter_shards`); walks also
+    look owners up with :meth:`shard_index_of`.
 
     ``max_resident_shards`` bounds how many shards the LRU keeps mapped
     at once (``None`` keeps all); evictions count into the
@@ -248,11 +271,7 @@ class ShardedGraph:
         self._lock = threading.Lock()
         self._cache: OrderedDict[int, Shard] = OrderedDict()
         self._degrees: np.ndarray | None = None
-        bounds = manifest["bounds"]
-        if len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != manifest["num_nodes"]:
-            raise GraphError("malformed shard manifest: bad bounds")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise GraphError("malformed shard manifest: bounds must increase")
+        _check_manifest(manifest)
 
     # ------------------------------------------------------------------
     # constructors
@@ -269,10 +288,6 @@ class ShardedGraph:
             raise GraphError(f"no sharded graph at {root}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise GraphError(f"corrupt shard manifest at {path}: {exc}") from exc
-        if manifest.get("format") != _FORMAT_VERSION:
-            raise GraphError(
-                f"unsupported shard manifest format {manifest.get('format')!r}"
-            )
         return cls(root, manifest, max_resident_shards=max_resident_shards)
 
     @classmethod
@@ -405,8 +420,7 @@ class ShardedGraph:
     def degrees(self) -> np.ndarray:
         """Array of node degrees (computed once by streaming shards)."""
         if self._degrees is None:
-            parts = [np.diff(np.asarray(shard.indptr)) for shard in self.iter_shards()]
-            self._degrees = np.concatenate(parts) if parts else np.empty(0, np.int64)
+            self._degrees = np.concatenate([s.degrees for s in self.iter_shards()])
             self._degrees.setflags(write=False)
         return self._degrees
 
@@ -522,6 +536,32 @@ def _bounds(n: int, width: int) -> list[int]:
     bounds = list(range(0, n, width))
     bounds.append(n)
     return bounds
+
+
+def _check_manifest(manifest) -> None:
+    """Reject a manifest whose parts disagree, before any shard is read.
+
+    Nodes are found by ``nodes_per_shard`` and rows read by the shard
+    table, so both must match ``bounds``.
+    """
+    try:
+        version = manifest["format"]
+        if version != _FORMAT_VERSION:
+            raise GraphError(f"unsupported shard manifest format {version!r}")
+        n, width = manifest["num_nodes"], manifest["nodes_per_shard"]
+        bounds, table = manifest["bounds"], manifest["shards"]
+        rows = [(r["lo"], r["hi"]) for r in table if r.keys() >= _SHARD_KEYS]
+        consistent = (
+            manifest.keys() >= _MANIFEST_KEYS and min(n, width) >= 1
+            and bounds == _bounds(n, width) and rows == list(zip(bounds, bounds[1:]))
+        )
+    except (KeyError, TypeError, AttributeError):
+        consistent = False
+    if not consistent:
+        raise GraphError(
+            "malformed shard manifest: keys, bounds, nodes_per_shard and the "
+            "shard table must agree"
+        )
 
 
 def _validate_edge_block(block: np.ndarray, num_nodes: int) -> np.ndarray:

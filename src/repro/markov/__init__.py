@@ -4,7 +4,6 @@ from repro.markov.batch import (
     batched_tvd_profile,
     delta_block,
     evolve_block,
-    sharded_stationary,
 )
 from repro.markov.hitting import (
     commute_time,
@@ -46,7 +45,6 @@ __all__ = [
     "delta_block",
     "evolve_block",
     "batched_tvd_profile",
-    "sharded_stationary",
     "total_variation_distance",
     "l2_distance",
     "kl_divergence",

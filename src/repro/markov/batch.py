@@ -17,6 +17,11 @@ This module is the engine shared by :mod:`repro.mixing.sampling`,
   walk lengths for every source — the whole Figure-1 inner loop in a
   handful of sparse x dense products.
 
+The chain is a transition matrix or, for the plain walk, a graph whose
+row blocks scatter ``P^T @ block`` (in RAM or sharded, the bits of
+``transition_matrix(graph)``); lazy and trust-weighted chains are
+matrices only.
+
 Memory is bounded by column chunking (``chunk_size`` keeps the working
 set at ``O(n * chunk_size)``), and ``workers`` fans the chunks out
 through :func:`repro.chunking.run_kernel` — on threads, or on the
@@ -28,7 +33,7 @@ to the one-matvec-per-source oracle in :mod:`repro.oracles`.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,13 +41,15 @@ import scipy.sparse as sp
 from repro import telemetry
 from repro.chunking import DEFAULT_CHUNK_SIZE, run_kernel, validate_sources
 from repro.errors import GraphError
-from repro.graph.shard import ShardedGraph
+
+if TYPE_CHECKING:
+    from repro.graph.core import Graph
+    from repro.graph.shard import ShardedGraph
 
 __all__ = [
     "delta_block",
     "evolve_block",
     "batched_tvd_profile",
-    "sharded_stationary",
     "validate_walk_lengths",
     "DEFAULT_CHUNK_SIZE",
 ]
@@ -82,7 +89,7 @@ def delta_block(num_nodes: int, sources: np.ndarray | Sequence[int]) -> np.ndarr
 
 
 def evolve_block(
-    matrix: sp.spmatrix | ShardedGraph, block: np.ndarray, steps: int = 1
+    matrix: sp.spmatrix | Graph | ShardedGraph, block: np.ndarray, steps: int = 1
 ) -> np.ndarray:
     """Advance every column of ``block`` by ``steps`` walk steps.
 
@@ -90,11 +97,10 @@ def evolve_block(
     the block ``D`` to ``P^T D`` (column ``j`` evolves exactly like
     ``TransitionOperator.evolve`` on that column alone).
 
-    A :class:`~repro.graph.shard.ShardedGraph` may be passed instead of
-    a resident matrix: the (non-lazy) transition product then streams
-    shard blocks through the same CSC kernel scipy dispatches to, and
-    the result is bit-identical to evolving through
-    ``transition_matrix(sharded.to_graph())``.
+    A graph (in RAM or sharded) may be passed instead: the non-lazy
+    transition product then streams its row blocks through the CSC
+    kernel scipy dispatches to, bit-identical to evolving through
+    ``transition_matrix(graph)``.
     """
     if steps < 0:
         raise GraphError("steps must be non-negative")
@@ -105,20 +111,6 @@ def evolve_block(
             f"block must have shape ({evolver.num_nodes}, s), got {out.shape}"
         )
     return evolver.evolve(out, steps)
-
-
-def sharded_stationary(sharded: ShardedGraph) -> np.ndarray:
-    """Return ``pi[v] = deg(v) / 2m`` streamed from shard degrees.
-
-    The sharded twin of
-    :func:`repro.markov.transition.stationary_distribution`, computed
-    without materializing the graph.
-    """
-    degrees = sharded.degrees.astype(float)
-    total = degrees.sum()
-    if total == 0:
-        raise GraphError("stationary distribution undefined for an edgeless graph")
-    return degrees / total
 
 
 class _DenseEvolver:
@@ -134,10 +126,10 @@ class _DenseEvolver:
         return block
 
 
-class _ShardedEvolver:
-    """Streams ``P^T @ block`` shard-by-shard, bit-identical to scipy.
+class _StoreEvolver:
+    """Streams ``P^T @ block`` by row blocks, bit-identical to scipy.
 
-    Shards are processed in ascending node order and accumulate into
+    Blocks are processed in ascending node order and accumulate into
     one shared output through
     :meth:`~repro.graph.shard.Shard.scatter_transition` — the same
     per-entry reduction order as the monolithic csc product.  Isolated
@@ -146,36 +138,31 @@ class _ShardedEvolver:
     contributes to their rows.
     """
 
-    def __init__(self, sharded: ShardedGraph) -> None:
-        self._sharded = sharded
-        self.num_nodes = sharded.num_nodes
-        degrees = sharded.degrees.astype(float)
-        self._inv_deg = np.zeros(degrees.size)
-        nonzero = degrees > 0
-        self._inv_deg[nonzero] = 1.0 / degrees[nonzero]
-        self._isolated = np.flatnonzero(~nonzero)
+    def __init__(self, store: Graph | ShardedGraph) -> None:
+        self._store = store
+        self.num_nodes = store.num_nodes
+        self._isolated = np.flatnonzero(store.degrees == 0)
 
     def evolve(self, block: np.ndarray, steps: int) -> np.ndarray:
         """Advance an ``(n, s)`` block (never modified in place)."""
         cur = np.ascontiguousarray(block, dtype=float)
         for _ in range(steps):
             nxt = np.zeros_like(cur)
-            for shard in self._sharded.iter_shards():
-                shard.scatter_transition(cur, self._inv_deg, nxt)
+            for shard in self._store.iter_shards():
+                shard.scatter_transition(cur, nxt)
             if self._isolated.size:
                 nxt[self._isolated] = cur[self._isolated]
             cur = nxt
         return cur
 
 
-def _evolver(matrix: sp.spmatrix | ShardedGraph) -> "_DenseEvolver | _ShardedEvolver":
-    if isinstance(matrix, ShardedGraph):
-        return _ShardedEvolver(matrix)
-    return _DenseEvolver(matrix)
+def _evolver(matrix) -> _DenseEvolver | _StoreEvolver:
+    """The evolver of a sparse transition matrix, or of a graph's plain walk."""
+    return _DenseEvolver(matrix) if sp.issparse(matrix) else _StoreEvolver(matrix)
 
 
 def _evolver_setup(env) -> None:
-    """Per-call kernel state: the evolver over the matrix or shards."""
+    """Per-call kernel state: the evolver over the matrix or store."""
     env.evolver = _evolver(env.matrix)
 
 
@@ -210,7 +197,7 @@ def _evolve_kernel(columns: slice, env) -> None:
 
 
 def batched_tvd_profile(
-    matrix: sp.spmatrix | ShardedGraph,
+    matrix: sp.spmatrix | Graph | ShardedGraph,
     stationary: np.ndarray,
     sources: np.ndarray | Sequence[int],
     walk_lengths: np.ndarray | Sequence[int],
@@ -226,10 +213,8 @@ def batched_tvd_profile(
     ``workers`` the independent chunks fan out through
     :func:`repro.chunking.run_kernel`, bit-identical on every backend.
 
-    ``matrix`` may be a :class:`~repro.graph.shard.ShardedGraph`
-    instead of a resident transition matrix: each chunk then streams
-    shard blocks per step (non-lazy walk), producing entries
-    bit-identical to the in-RAM engine on the materialized graph.
+    ``matrix`` may be a graph instead, as in :func:`evolve_block`.
+    ``stationary`` must have shape ``(n,)``.
 
     An empty source array is legal and returns the empty
     ``(0, len(walk_lengths))`` matrix (walk lengths are still
@@ -237,7 +222,10 @@ def batched_tvd_profile(
     empty-plan semantics.
     """
     lengths = validate_walk_lengths(walk_lengths)
-    n = matrix.num_nodes if isinstance(matrix, ShardedGraph) else matrix.shape[0]
+    n = matrix.shape[0] if sp.issparse(matrix) else matrix.num_nodes
+    pi = np.asarray(stationary, dtype=float)
+    if pi.shape != (n,):
+        raise GraphError(f"stationary must have shape ({n},), got {pi.shape}")
     chosen = validate_sources(n, sources)
     tvd = np.empty((chosen.size, lengths.size))
     if chosen.size == 0:
@@ -252,7 +240,7 @@ def batched_tvd_profile(
             workers,
             inputs={
                 "matrix": matrix,
-                "stationary": np.asarray(stationary, dtype=float),
+                "stationary": pi,
                 "sources": chosen,
                 "lengths": lengths,
             },

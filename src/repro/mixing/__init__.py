@@ -14,6 +14,7 @@ from repro.mixing.spectral import (
     slem,
     spectral_gap,
     spectral_mixing_time,
+    spectral_summary,
 )
 from repro.mixing.trust import (
     ModulatedOperator,
@@ -33,6 +34,7 @@ __all__ = [
     "normalized_adjacency",
     "MixingBounds",
     "sinclair_bounds",
+    "spectral_summary",
     "spectral_mixing_time",
     "ModulatedOperator",
     "modulated_transition_matrix",

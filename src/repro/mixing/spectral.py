@@ -8,7 +8,9 @@ each graph's transition matrix, and Section III-C uses Sinclair's result
 
 to bound the mixing time from mu.  Because P is similar to the symmetric
 normalized adjacency ``D^{-1/2} A D^{-1/2}``, its spectrum is real; the
-SLEM is the second largest eigenvalue in absolute value.
+SLEM is the second largest eigenvalue in absolute value.  Every graph,
+in RAM (one block) or sharded, is read through its
+:meth:`~repro.graph.shard.Shard.normalized_rows` row blocks.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import scipy.sparse.linalg as spla
 
 from repro import telemetry
 from repro.errors import ConvergenceError, GraphError
+from repro.graph.bfs_batch import bfs_distances_block
 from repro.graph.core import Graph
 from repro.graph.shard import ShardedGraph
+from repro.mixing.sampling import is_fast_mixing
 
 __all__ = [
     "normalized_adjacency",
@@ -32,6 +36,7 @@ __all__ = [
     "spectral_gap",
     "MixingBounds",
     "sinclair_bounds",
+    "spectral_summary",
     "spectral_mixing_time",
 ]
 
@@ -44,22 +49,22 @@ _LANCZOS_K = 3
 _LANCZOS_NCV = 40
 
 
+def _inv_sqrt_degrees(graph: Graph | ShardedGraph) -> np.ndarray:
+    """``1/sqrt(deg)`` per node, zero at isolated nodes."""
+    root = np.sqrt(graph.degrees.astype(float))
+    return np.divide(1.0, root, out=np.zeros(root.size), where=root > 0)
+
+
 def normalized_adjacency(graph: Graph) -> sp.csr_matrix:
     """Return ``D^{-1/2} A D^{-1/2}`` as a scipy CSR matrix.
 
     Shares P's eigenvalues (similarity transform by ``D^{1/2}``) while
-    being symmetric, which lets us use Lanczos iteration.
+    being symmetric, which lets us use Lanczos iteration.  A copy of
+    the graph's one row block.
     """
-    n = graph.num_nodes
-    if n == 0:
+    if graph.num_nodes == 0:
         raise GraphError("normalized adjacency of an empty graph is undefined")
-    degrees = graph.degrees.astype(float)
-    inv_sqrt = np.zeros(n)
-    nonzero = degrees > 0
-    inv_sqrt[nonzero] = 1.0 / np.sqrt(degrees[nonzero])
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-    data = inv_sqrt[src] * inv_sqrt[graph.indices]
-    return sp.csr_matrix((data, graph.indices.copy(), graph.indptr.copy()), shape=(n, n))
+    return graph.shard(0).normalized_rows(_inv_sqrt_degrees(graph)).copy()
 
 
 def _dense_slem(matrix: np.ndarray) -> float:
@@ -73,19 +78,12 @@ def _normalized_apply(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Return the product ``x -> D^{-1/2} A D^{-1/2} x``.
 
-    For a resident graph the operator is one CSR matrix; for a
-    :class:`~repro.graph.shard.ShardedGraph` each shard's normalized
-    row block multiplies ``x`` independently into its own output rows,
-    so the product streams without a global matrix.  Rows are reduced
-    in the same order either way, so both give the same bits.  ``x``
-    may be a vector or a column block.
+    Each row block multiplies ``x`` into its own output rows, so a
+    :class:`~repro.graph.shard.ShardedGraph` never materializes a global
+    matrix and gives the in-RAM bits.  ``x`` may be a vector or a
+    column block.
     """
-    if not isinstance(graph, ShardedGraph):
-        return normalized_adjacency(graph).dot
-    degrees = graph.degrees.astype(float)
-    inv_sqrt = np.zeros(degrees.size)
-    nonzero = degrees > 0
-    inv_sqrt[nonzero] = 1.0 / np.sqrt(degrees[nonzero])
+    inv_sqrt = _inv_sqrt_degrees(graph)
 
     def apply(x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
@@ -98,16 +96,7 @@ def _normalized_apply(
 
 def _check_connected(graph: Graph | ShardedGraph) -> None:
     """Reject disconnected graphs with the standard mixing error."""
-    if isinstance(graph, ShardedGraph):
-        from repro.graph.bfs_batch import bfs_distances_block
-
-        reached = bfs_distances_block(graph, [0])[0]
-        connected = bool((reached >= 0).all())
-    else:
-        from repro.graph.traversal import is_connected
-
-        connected = is_connected(graph)
-    if not connected:
+    if (bfs_distances_block(graph, [0])[0] < 0).any():
         raise GraphError(
             "graph is disconnected: the walk cannot mix across components "
             "(eigenvalue 1 is repeated, so the SLEM is 1 and every mixing "
@@ -167,11 +156,10 @@ def slem(
     small for Lanczos) are solved densely; larger ones by Lanczos on
     the normalized adjacency as a matrix-free operator, asking for the
     three largest-magnitude eigenvalues and discarding the leading 1.
-    The operator is one CSR matrix for a resident :class:`Graph` and
-    streamed shard row blocks for a
-    :class:`~repro.graph.shard.ShardedGraph`, so both take the same
-    path and a sharded graph never materializes a matrix.  ``tol`` is
-    ARPACK's relative accuracy for the eigenvalues.
+    The operator streams the graph's row blocks, so a
+    :class:`~repro.graph.shard.ShardedGraph` takes the in-RAM path
+    without a global matrix.  ``tol`` is ARPACK's relative accuracy
+    for the eigenvalues.
 
     Disconnected graphs are rejected up front: eigenvalue 1 has one
     multiplicity per component, so the "second" eigenvalue is a
@@ -230,6 +218,18 @@ def sinclair_bounds(mu: float, num_nodes: int, epsilon: float) -> MixingBounds:
     return MixingBounds(
         slem=mu, epsilon=epsilon, num_nodes=num_nodes, lower=max(lower, 0.0), upper=upper
     )
+
+
+def spectral_summary(graph: Graph, fast_sources: int, seed: int) -> dict:
+    """The ``spectral`` store artifact: ``{"slem", "bounds", "fast"}``.
+
+    SLEM, Sinclair bounds at ``eps = 1/n`` and the sampled
+    :func:`~repro.mixing.is_fast_mixing` verdict over ``fast_sources``.
+    """
+    mu = slem(graph)
+    bounds = sinclair_bounds(mu, graph.num_nodes, epsilon=1 / graph.num_nodes)
+    fast = is_fast_mixing(graph, num_sources=fast_sources, seed=seed)
+    return {"slem": mu, "bounds": bounds, "fast": bool(fast)}
 
 
 def spectral_mixing_time(

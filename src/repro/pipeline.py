@@ -43,8 +43,8 @@ from repro.expansion.envelope import envelope_expansion
 from repro.graph.core import Graph
 from repro.graph.io import read_edge_list
 from repro.graph.ops import largest_connected_component
-from repro.mixing.sampling import is_fast_mixing, sampled_mixing_profile
-from repro.mixing.spectral import sinclair_bounds, slem
+from repro.mixing.sampling import sampled_mixing_profile
+from repro.mixing.spectral import spectral_summary
 from repro.store import ArtifactStore, graph_digest
 from repro.sybil.comparison import (
     FUSION_DEFENSE_NAMES,
@@ -484,13 +484,9 @@ def paper_measurement_pipeline(
         )
 
     def spectral(deps: dict[str, Any]) -> dict[str, Any]:
-        graph = deps["load"]
-        mu = slem(graph)
-        bounds = sinclair_bounds(mu, graph.num_nodes, epsilon=1 / graph.num_nodes)
-        fast = is_fast_mixing(
-            graph, num_sources=min(num_sources, 30), seed=seed
+        return spectral_summary(
+            deps["load"], fast_sources=min(num_sources, 30), seed=seed
         )
-        return {"slem": mu, "bounds": bounds, "fast": bool(fast)}
 
     def cores(deps: dict[str, Any]):
         return core_structure(deps["load"])

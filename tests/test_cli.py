@@ -161,6 +161,22 @@ class TestShard:
         assert message.startswith("Lanczos failed to converge")
         assert "\n" not in message
 
+    def test_shard_info_on_contradictory_manifest_exits_with_one_line(
+        self, tmp_path
+    ):
+        root = tmp_path / "sg"
+        main(["shard", "build", "--out", str(root), "--stream", "fast",
+              "--nodes", "600", "--num-shards", "4"])
+        path = root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["nodes_per_shard"] = 149  # bounds stay [0, 150, ..., 600]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SystemExit) as info:
+            main(["shard", "info", str(root)])
+        message = str(info.value.code)
+        assert message.startswith("malformed shard manifest")
+        assert "\n" not in message
+
 
 class TestReproduce:
     @pytest.mark.parametrize("experiment", ["table1", "fig2", "fig5"])

@@ -17,9 +17,11 @@ Covers the tentpole end to end:
 from __future__ import annotations
 
 import json
+import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from repro import cli, oracles, telemetry
@@ -37,9 +39,8 @@ from repro.markov.batch import (
     batched_tvd_profile,
     delta_block,
     evolve_block,
-    sharded_stationary,
 )
-from repro.markov.transition import TransitionOperator
+from repro.markov.transition import TransitionOperator, stationary_distribution
 from repro.markov.walk_batch import (
     walk_block,
     walk_cover_steps,
@@ -47,7 +48,7 @@ from repro.markov.walk_batch import (
     walk_first_hits,
     walk_visit_counts,
 )
-from repro.mixing import slem, spectral
+from repro.mixing import normalized_adjacency, slem, spectral
 from repro.store import ArtifactStore, graph_digest
 
 
@@ -137,6 +138,109 @@ class TestDigestChaining:
         assert not ShardedGraph.open(sg.root).verify()
 
 
+def _edit_manifest(root, edit) -> None:
+    path = root / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+
+def _without(key):
+    def edit(manifest):
+        del manifest[key]
+        return manifest
+
+    return edit
+
+
+def _shifted_row(manifest):
+    manifest["shards"][1]["lo"] += 1
+    return manifest
+
+
+def _narrower_width(manifest):
+    # bounds stay [0, 52, 104, 156, 205]; a 51-node width would send
+    # node 51 to shard 1, where its local index is -1
+    manifest["nodes_per_shard"] -= 1
+    return manifest
+
+
+class TestManifestValidation:
+    """A manifest that contradicts itself is rejected when opened."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _without("bounds"),
+            _without("shards"),
+            lambda manifest: [manifest],
+            _narrower_width,
+            _shifted_row,
+        ],
+        ids=["no-bounds", "no-shards", "json-list", "width", "shard-row"],
+    )
+    def test_contradictory_manifest_rejected(self, dirty, tmp_path, edit):
+        root = tmp_path / "bad"
+        ShardedGraph.from_graph(dirty, root, num_shards=4)
+        _edit_manifest(root, edit)
+        with pytest.raises(GraphError, match="malformed shard manifest"):
+            ShardedGraph.open(root)
+
+
+class TestOneShardGraph:
+    """An in-RAM Graph is a one-shard store over its own CSR."""
+
+    def test_block_wraps_the_csr_without_a_copy(self, dirty):
+        block = dirty.shard(0)
+        assert dirty.num_shards == 1
+        assert (block.lo, block.hi) == (0, dirty.num_nodes)
+        assert np.shares_memory(block.indptr, dirty.indptr)
+        assert np.shares_memory(block.indices, dirty.indices)
+
+    def test_block_is_cached(self, dirty):
+        assert dirty.shard(0) is dirty.shard(0)
+        assert list(dirty.iter_shards()) == [dirty.shard(0)]
+
+    @pytest.mark.parametrize("index", [1, -1])
+    def test_other_indices_rejected(self, dirty, index):
+        with pytest.raises(GraphError, match="out of range"):
+            dirty.shard(index)
+
+    def test_operator_cache_stays_out_of_identity(self):
+        graph = _random_graph(n=120, seed=8)
+        before = (hash(graph), graph_digest(graph), pickle.dumps(graph))
+        bfs_level_sizes_block(graph, [0, 5])
+        evolve_block(graph, delta_block(graph.num_nodes, [0]), steps=2)
+        walk_endpoints(graph, [0, 1], 4, seed=0)
+        normalized_adjacency(graph)
+        block = graph.shard(0)
+        assert block._adjacency is not None
+        assert block._transition_data is not None
+        assert block._normalized is not None
+        assert graph == Graph(graph.indptr.copy(), graph.indices.copy())
+        assert (hash(graph), graph_digest(graph), pickle.dumps(graph)) == before
+        assert pickle.loads(pickle.dumps(graph)) == graph
+
+    def test_graph_store_evolves_like_its_matrix(self, dirty):
+        op = TransitionOperator(dirty)
+        sources, lengths = [0, 17, 100, dirty.num_nodes - 1], [0, 1, 3, 8]
+        expected = batched_tvd_profile(op.matrix, op.stationary, sources, lengths)
+        got = batched_tvd_profile(
+            dirty, stationary_distribution(dirty), sources, lengths
+        )
+        assert np.array_equal(got, expected)
+
+    def test_normalized_adjacency_is_the_stacked_row_blocks(self, dirty, tmp_path):
+        sg = ShardedGraph.from_graph(dirty, tmp_path / "rows", num_shards=3)
+        inv_sqrt = spectral._inv_sqrt_degrees(sg)
+        stacked = sp.vstack(
+            [shard.normalized_rows(inv_sqrt) for shard in sg.iter_shards()],
+            format="csr",
+        )
+        matrix = normalized_adjacency(dirty)
+        assert np.array_equal(matrix.indptr, stacked.indptr)
+        assert np.array_equal(matrix.indices, stacked.indices)
+        assert matrix.data.tobytes() == stacked.data.tobytes()
+
+
 class TestBuilderErrors:
     def test_num_shards_and_width_are_exclusive(self, dirty, tmp_path):
         with pytest.raises(GraphError):
@@ -196,7 +300,7 @@ class TestEngineBitIdentity:
         )
         got = batched_tvd_profile(
             sharded,
-            sharded_stationary(sharded),
+            stationary_distribution(sharded),
             sources,
             lengths,
             chunk_size=chunk_size,
@@ -348,7 +452,7 @@ class TestEvolveBlock:
 
     def test_empty_sources_profile(self, sharded):
         tvd = batched_tvd_profile(
-            sharded, sharded_stationary(sharded), [], [1, 2]
+            sharded, stationary_distribution(sharded), [], [1, 2]
         )
         assert tvd.shape == (0, 2)
 
@@ -477,7 +581,7 @@ class TestStreamingAnalogs:
                 tmp_path / regime, n, regime=regime, seed=0, num_shards=4
             )
             tvd = batched_tvd_profile(
-                sg, sharded_stationary(sg), sources, [8]
+                sg, stationary_distribution(sg), sources, [8]
             )
             profiles[regime] = float(tvd.max())
         assert profiles["fast"] < 0.1

@@ -15,7 +15,7 @@ import pytest
 from repro import oracles
 from repro.errors import GraphError
 from repro.generators import barabasi_albert, path_graph, star_graph
-from repro.graph import Graph
+from repro.graph import Graph, ShardedGraph
 from repro.markov import (
     TransitionOperator,
     batched_tvd_profile,
@@ -171,6 +171,16 @@ class TestBatchedTvdProfile:
             batched_tvd_profile(op.matrix, op.stationary, [5], [1, 2])
         empty = batched_tvd_profile(op.matrix, op.stationary, np.array([]), [1])
         assert empty.shape == (0, 1)
+
+    @pytest.mark.parametrize("kind", ["matrix", "sharded"])
+    def test_stationary_shape_checked_before_dispatch(self, k5, tmp_path, kind):
+        op = TransitionOperator(k5)
+        chain = (
+            op.matrix if kind == "matrix"
+            else ShardedGraph.from_graph(k5, tmp_path / "k5", num_shards=2)
+        )
+        with pytest.raises(GraphError, match=r"stationary must have shape \(5,\)"):
+            batched_tvd_profile(chain, op.stationary[:4], [0, 1], [1, 2])
 
     def test_walk_length_zero_is_delta_tvd(self, k5):
         op = TransitionOperator(k5)

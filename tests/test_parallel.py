@@ -27,8 +27,8 @@ from repro.generators import barabasi_albert
 from repro.graph import Graph
 from repro.graph.bfs_batch import bfs_distances_block, bfs_level_sizes_block
 from repro.graph.shard import ShardedGraph
-from repro.markov.batch import batched_tvd_profile, sharded_stationary
-from repro.markov.transition import TransitionOperator
+from repro.markov.batch import batched_tvd_profile
+from repro.markov.transition import TransitionOperator, stationary_distribution
 from repro.markov.walk_batch import (
     walk_block,
     walk_cover_steps,
@@ -227,7 +227,7 @@ class TestFusionBitIdentity:
 
 class TestShardedBitIdentity:
     def test_sharded_tvd(self, sharded, sources):
-        pi = sharded_stationary(sharded)
+        pi = stationary_distribution(sharded)
         expected = batched_tvd_profile(sharded, pi, sources, LENGTHS)
         with parallel.execution(executor="process"):
             out = batched_tvd_profile(

@@ -177,9 +177,9 @@ class TestPaperPipeline:
         """The acceptance bar: a warm run performs zero mixing/BFS/core
         recomputation and produces byte-identical stage results."""
         calls: list[str] = []
-        for name in ("sampled_mixing_profile", "slem", "core_structure",
-                     "envelope_expansion", "gatekeeper_table_row",
-                     "is_fast_mixing"):
+        for name in ("sampled_mixing_profile", "spectral_summary",
+                     "core_structure", "envelope_expansion",
+                     "gatekeeper_table_row"):
             monkeypatch.setattr(
                 pipeline_module,
                 name,
@@ -188,6 +188,7 @@ class TestPaperPipeline:
         store = ArtifactStore(tmp_path / "cache")
         cold = self._build(store).run()
         assert "sampled_mixing_profile" in calls
+        assert "spectral_summary" in calls
         assert "core_structure" in calls
         assert "envelope_expansion" in calls
         calls.clear()
@@ -240,8 +241,8 @@ class TestWarmMeasurementReport:
         import repro.analysis.report as report_module
 
         calls: list[str] = []
-        for name in ("sampled_mixing_profile", "slem", "core_structure",
-                     "envelope_expansion", "is_fast_mixing",
+        for name in ("sampled_mixing_profile", "spectral_summary",
+                     "core_structure", "envelope_expansion",
                      "greedy_modularity"):
             monkeypatch.setattr(
                 report_module,
@@ -251,6 +252,7 @@ class TestWarmMeasurementReport:
         store = ArtifactStore(tmp_path / "cache")
         cold = measurement_report(ba_small, name="ba", num_sources=10, store=store)
         assert "sampled_mixing_profile" in calls
+        assert "spectral_summary" in calls
         calls.clear()
         warm = measurement_report(
             ba_small, name="ba", num_sources=10,
