@@ -2,15 +2,16 @@
 
 Each batch engine — the walk modes of :mod:`repro.markov.walk_batch`,
 the TVD profile of :mod:`repro.markov.batch`, the block BFS of
-:mod:`repro.graph.bfs_batch` and the loopy BP of
-:mod:`repro.sybil.fusion` — has a one-item-at-a-time twin here that
-replays the same IEEE operations walk by walk, source by source or
-half-edge by half-edge.  So do the measurements built on them that the
-test suite and the speedup benchmarks compare (mixing profile, envelope
-expansion, eccentricities, closeness, escape probability, link
-perturbation).  Every function returns exactly what its library
-namesake returns for the same arguments, bit for bit; the library never
-calls this module.
+:mod:`repro.graph.bfs_batch`, the loopy BP of :mod:`repro.sybil.fusion`
+and the level-sliced ticket kernel of :mod:`repro.sybil.tickets` with
+SumUp's flow graph — has a one-item-at-a-time twin here that replays
+the same IEEE operations walk by walk, source by source, level mask by
+level mask or half-edge by half-edge.  So do the measurements built on
+them that the test suite and the speedup benchmarks compare (mixing
+profile, envelope expansion, eccentricities, closeness, escape
+probability, link perturbation).  Every function returns exactly what
+its library namesake returns for the same arguments, bit for bit; the
+library never calls this module.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.chunking import validate_sources
+from repro.errors import SybilDefenseError
 from repro.expansion import envelope
 from repro.graph.core import Graph
 from repro.graph.shard import ShardedGraph
@@ -30,7 +33,7 @@ from repro.markov.transition import TransitionOperator, get_operator
 from repro.markov.walk_batch import _STEP_BLOCK, NO_HIT, _streams
 from repro.mixing import sampling
 from repro.privacy import perturb
-from repro.sybil import escape, fusion
+from repro.sybil import escape, fusion, sumup, tickets
 
 __all__ = [
     "walk_block",
@@ -46,6 +49,8 @@ __all__ = [
     "eccentricities",
     "closeness_centrality",
     "loopy_belief_propagation",
+    "distribute_tickets",
+    "sumup_flow_graph",
     "measure_escape",
     "perturb_links",
 ]
@@ -298,6 +303,89 @@ def loopy_belief_propagation(
         rounds=rounds,
         delta=delta,
     )
+
+
+# ----------------------------------------------------------------------
+# GateKeeper / SumUp: one full-graph level mask per level, one dict
+# entry per edge, one capacity per half-edge
+# ----------------------------------------------------------------------
+def distribute_tickets(
+    graph: Graph, source: int, num_tickets: float
+) -> tickets.TicketDistribution:
+    """Level-mask twin of :func:`repro.sybil.distribute_tickets`."""
+    graph._check_node(source)
+    if num_tickets < 1:
+        raise SybilDefenseError("num_tickets must be at least 1")
+    n = graph.num_nodes
+    dist = bfs_distances(graph, source)
+    reachable = dist >= 0
+    max_level = int(dist[reachable].max()) if reachable.any() else 0
+    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    dst = graph.indices
+    forward = (dist[src] >= 0) & (dist[dst] == dist[src] + 1)
+    fsrc, fdst = src[forward], dst[forward]
+    forward_count = np.bincount(fsrc, minlength=n).astype(float)
+    src_level = dist[fsrc]
+    node_tickets = np.zeros(n, dtype=float)
+    node_tickets[int(source)] = float(num_tickets)
+    edge_share = np.zeros(fsrc.size, dtype=float)
+    has_forward = forward_count > 0
+    for level in range(max_level):
+        at_level = src_level == level
+        if not at_level.any():
+            continue
+        available = np.maximum(node_tickets - 1.0, 0.0)  # one consumed per node
+        share = np.zeros(n, dtype=float)
+        share[has_forward] = available[has_forward] / forward_count[has_forward]
+        contribution = share[fsrc[at_level]]
+        edge_share[at_level] = contribution
+        np.add.at(node_tickets, fdst[at_level], contribution)
+    positive = edge_share > 0
+    edge_tickets = {
+        (int(u), int(v)): float(s)
+        for u, v, s in zip(fsrc[positive], fdst[positive], edge_share[positive])
+    }
+    return tickets.TicketDistribution(
+        source=int(source),
+        tickets_sent=float(num_tickets),
+        node_tickets=node_tickets,
+        reached=np.flatnonzero(node_tickets >= 1.0).astype(np.int64),
+        edge_tickets=edge_tickets,
+    )
+
+
+def sumup_flow_graph(
+    vote: sumup.SumUp, collector: int, voters: np.ndarray
+) -> tuple[sp.csr_matrix, int]:
+    """Per-half-edge twin of :meth:`repro.sybil.SumUp._flow_graph`."""
+    graph = vote.graph
+    n = graph.num_nodes
+    source = n  # super-source id
+    outward = distribute_tickets(graph, collector, vote._budget())
+    boosted = {
+        (v, u): 1 + int(np.ceil(t)) for (u, v), t in outward.edge_tickets.items()
+    }
+    dist = bfs_distances(graph, collector)
+    rows: list[int] = []
+    cols: list[int] = []
+    data: list[int] = []
+    for u in range(n):
+        for v in graph.neighbors(u):
+            v = int(v)
+            capacity = boosted.get((u, v), 1)
+            if dist[u] <= dist[v]:
+                capacity = min(capacity, 1)
+            rows.append(u)
+            cols.append(v)
+            data.append(int(capacity))
+    for voter in voters:
+        rows.append(source)
+        cols.append(int(voter))
+        data.append(1)
+    matrix = sp.csr_matrix(
+        (data, (rows, cols)), shape=(n + 1, n + 1), dtype=np.int32
+    )
+    return matrix, source
 
 
 # ----------------------------------------------------------------------

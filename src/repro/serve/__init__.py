@@ -11,7 +11,7 @@ are in flight.  This package closes that gap in three layers:
   decides when to fold it into a fresh snapshot.
 * :mod:`repro.serve.service` — :class:`AdmissionService`, the
   thread-safe query engine: per-snapshot warm caches (transition
-  operator, GateKeeper ticket plans, trust vectors), store memoization
+  operator, GateKeeper reach sets, trust vectors), store memoization
   chained on the snapshot digest, a documented freshness contract, and
   full ``serve.*`` telemetry.
 * :mod:`repro.serve.server` / :mod:`repro.serve.loadgen` — a stdlib

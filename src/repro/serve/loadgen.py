@@ -248,7 +248,7 @@ def _issue(client: Any, op: str, rng: np.random.Generator, n0: int) -> None:
         client.rank(int(rng.integers(n0)))
     elif op == "admission":
         # a deployment runs a handful of controllers, not one per node;
-        # a small pool keeps the warm ticket plans meaningfully reused
+        # a small pool keeps the warm reach sets meaningfully reused
         client.admission(int(rng.integers(n0)), controller=int(rng.integers(min(8, n0))))
     elif op == "escape":
         client.escape()

@@ -4,12 +4,12 @@ The :class:`AdmissionService` is the query engine of :mod:`repro.serve`:
 it holds one frozen CSR snapshot, a :class:`repro.serve.GraphOverlay`
 absorbing the write stream, and a per-snapshot warm cache (the
 :class:`repro.markov.transition.TransitionOperator`, the GateKeeper
-instance with its ticket plans, and per-parameter query results).  A
-:class:`repro.serve.CompactionPolicy` folds the overlay into a fresh
-snapshot when the delta grows too large; compaction invalidates the
-warm cache and rotates the snapshot digest, which chains into
-:class:`repro.store.ArtifactStore` keys so cross-process memoization
-stays correct across versions.
+instance with its distributors' reach sets, and per-parameter query
+results).  A :class:`repro.serve.CompactionPolicy` folds the overlay
+into a fresh snapshot when the delta grows too large; compaction
+invalidates the warm cache and rotates the snapshot digest, which
+chains into :class:`repro.store.ArtifactStore` keys so cross-process
+memoization stays correct across versions.
 
 Freshness contract
 ------------------
@@ -67,7 +67,7 @@ class ServiceConfig:
     service seeds the ``num_seeds`` highest-degree nodes of the initial
     graph (restricted to the honest prefix when labels are present).
     ``num_distributors`` is deliberately smaller than the GateKeeper
-    paper default: a serving path warms one plan per distributor.
+    paper default: a serving path warms one reach set per distributor.
     """
 
     num_seeds: int = 5
@@ -291,10 +291,9 @@ class AdmissionService:
             )
             padded = np.zeros(degrees.size)
             padded[: trust.size] = trust
-            normalized = np.zeros_like(padded)
-            positive = degrees.astype(float) > 0
-            normalized[positive] = padded[positive] / degrees.astype(float)[positive]
-        return normalized
+            return np.divide(
+                padded, degrees, out=np.zeros(degrees.size), where=degrees > 0
+            )
 
     def rank(self, node: int) -> dict[str, Any]:
         """SybilRank score for one node, plus its in-graph percentile."""
@@ -311,7 +310,7 @@ class AdmissionService:
         return {
             "node": int(node),
             "score": score,
-            "percentile": float((scores <= score).mean()),
+            "percentile": float(np.count_nonzero(scores <= score) / scores.size),
             "fresh": fresh,
             "snapshot_version": version,
             "staleness": staleness,
@@ -320,9 +319,10 @@ class AdmissionService:
     def admission(self, node: int, controller: int = 0) -> dict[str, Any]:
         """GateKeeper ticket admission of ``node`` by ``controller``.
 
-        Served from the last snapshot; the per-snapshot GateKeeper
-        instance keeps its ticket plans warm across queries, and the
-        full per-controller result is memoized in the store.
+        Served from the last snapshot: the per-controller result is
+        cached per snapshot and memoized in the store, and on a miss the
+        per-snapshot GateKeeper instance, which keeps its distributors'
+        reach sets warm across controllers, runs it.
         """
         snapshot, digest, warm, _, n_logical = self._query_state("admission")
         if not 0 <= int(node) < n_logical:
@@ -332,7 +332,8 @@ class AdmissionService:
                 f"controller {int(controller)} is not in the current snapshot"
             )
         tel = telemetry.current()
-        with tel.span("serve.query.admission"):
+
+        def build():
             gatekeeper = self._warm_get(
                 warm,
                 "gatekeeper",
@@ -345,22 +346,21 @@ class AdmissionService:
                     ),
                 ),
             )
-            result = self._warm_get(
-                warm,
-                ("admission", int(controller)),
-                lambda: memoize(
-                    self._store,
-                    digest,
-                    "serve.admission",
-                    {
-                        "controller": int(controller),
-                        "num_distributors": self._config.num_distributors,
-                        "admission_factor": self._config.admission_factor,
-                        "seed": self._config.seed,
-                    },
-                    lambda: gatekeeper.run(int(controller)),
-                ),
+            return memoize(
+                self._store,
+                digest,
+                "serve.admission",
+                {
+                    "controller": int(controller),
+                    "num_distributors": self._config.num_distributors,
+                    "admission_factor": self._config.admission_factor,
+                    "seed": self._config.seed,
+                },
+                lambda: gatekeeper.run(int(controller)),
             )
+
+        with tel.span("serve.query.admission"):
+            result = self._warm_get(warm, ("admission", int(controller)), build)
         fresh = int(node) < snapshot.num_nodes
         if fresh:
             pos = int(np.searchsorted(result.admitted, int(node)))

@@ -29,11 +29,7 @@ import numpy as np
 from repro.errors import SybilDefenseError
 from repro.graph.core import Graph
 from repro.markov.walk_batch import walk_endpoints
-from repro.sybil.tickets import (
-    TicketDistribution,
-    adaptive_ticket_count,
-    ticket_plans,
-)
+from repro.sybil.tickets import _doubling, ticket_plans
 
 __all__ = ["GateKeeperConfig", "GateKeeperResult", "GateKeeper"]
 
@@ -71,6 +67,12 @@ class GateKeeperConfig:
             raise SybilDefenseError("admission_factor must be in (0, 1]")
         if not 0.0 < self.reach_fraction <= 1.0:
             raise SybilDefenseError("reach_fraction must be in (0, 1]")
+        if not (
+            np.isfinite(self.walk_length_factor) and self.walk_length_factor > 0
+        ):
+            raise SybilDefenseError(
+                "walk_length_factor must be finite and positive"
+            )
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,8 @@ class GateKeeper:
             raise SybilDefenseError("GateKeeper needs at least 3 nodes")
         self._graph = graph
         self._config = config or GateKeeperConfig()
-        self._distribution_cache: dict[int, TicketDistribution] = {}
+        # distributor -> the nodes its accepted ticket budget reached
+        self._reach: dict[int, np.ndarray] = {}
 
     @property
     def graph(self) -> Graph:
@@ -144,38 +147,28 @@ class GateKeeper:
             seed=self._config.seed + controller,
         )
 
-    def _distribution(self, distributor: int) -> TicketDistribution:
-        cached = self._distribution_cache.get(distributor)
-        if cached is not None:
-            return cached
-        target = max(2, int(self._config.reach_fraction * self._graph.num_nodes))
-        result = adaptive_ticket_count(self._graph, distributor, target)
-        self._distribution_cache[distributor] = result
-        return result
-
     def warm_distributors(self, distributors: np.ndarray | list[int]) -> None:
         """Run all missing distributors' BFS as one block.
 
         Walk endpoints repeat (and controllers share distributors), so
         only cache misses are batched; their plans come from one
         :func:`repro.sybil.ticket_plans` call and the adaptive doublings
-        then reuse each plan's scaffolding.  Public so a long-lived
-        serving layer can pre-warm its per-snapshot ticket plans
-        (:mod:`repro.serve`) before queries arrive; :meth:`run` calls it
-        automatically.
+        then reuse each plan's scaffolding.  Only each distributor's
+        reach set is kept.  Public so a long-lived serving layer can
+        pre-warm its per-snapshot reach sets (:mod:`repro.serve`) before
+        queries arrive; :meth:`run` calls it automatically.
         """
         missing = [
             d
             for d in dict.fromkeys(int(v) for v in distributors)
-            if d not in self._distribution_cache
+            if d not in self._reach
         ]
         if not missing:
             return
         target = max(2, int(self._config.reach_fraction * self._graph.num_nodes))
         for distributor, plan in zip(missing, ticket_plans(self._graph, missing)):
-            self._distribution_cache[distributor] = adaptive_ticket_count(
-                self._graph, distributor, target, plan=plan
-            )
+            _, tickets, _ = _doubling(plan, target)
+            self._reach[distributor] = np.flatnonzero(tickets >= 1.0)
 
     def run(self, controller: int) -> GateKeeperResult:
         """Run the full admission protocol for one controller."""
@@ -183,8 +176,7 @@ class GateKeeper:
         self.warm_distributors(distributors)
         reach_counts = np.zeros(self._graph.num_nodes, dtype=np.int64)
         for distributor in distributors:
-            result = self._distribution(int(distributor))
-            reach_counts[result.reached] += 1
+            reach_counts[self._reach[int(distributor)]] += 1
         needed = max(
             1, int(np.ceil(self._config.admission_factor * distributors.size))
         )

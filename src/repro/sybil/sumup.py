@@ -48,8 +48,13 @@ class SumUpConfig:
     vote_capacity: int | None = None
 
     def __post_init__(self) -> None:
-        if self.vote_capacity is not None and self.vote_capacity < 1:
-            raise SybilDefenseError("vote_capacity must be positive")
+        # 1 + C_max must fit the int32 capacities of the flow graph
+        if self.vote_capacity is not None and not (
+            1 <= self.vote_capacity < np.iinfo(np.int32).max
+        ):
+            raise SybilDefenseError(
+                "vote_capacity must be positive and below 2**31 - 1"
+            )
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ class SumUp:
         all other links carry capacity 1 (the paper's default so votes
         outside the envelope can still trickle in one at a time).
         ``plan`` supplies a prebuilt :class:`TicketPlan` for the
-        collector so its BFS levels can be shared with the flow graph.
+        collector (e.g. one of a :func:`repro.sybil.ticket_plans` block).
         """
         if plan is None:
             plan = TicketPlan(self._graph, collector)
@@ -99,8 +104,7 @@ class SumUp:
             raise SybilDefenseError(
                 f"plan was built for source {plan.source}, not {collector}"
             )
-        cap = self._config.vote_capacity or max(self._graph.num_nodes // 10, 2)
-        outward = plan.run(float(cap))
+        outward = plan.run(self._budget())
         capacities: dict[tuple[int, int], int] = {}
         for (u, v), tickets in outward.edge_tickets.items():
             # tickets flowed u -> v outward; votes flow v -> u inward.
@@ -109,40 +113,46 @@ class SumUp:
             capacities[(v, u)] = 1 + int(np.ceil(tickets))
         return capacities
 
+    def _budget(self) -> float:
+        """C_max, the tickets the collector distributes."""
+        return float(
+            self._config.vote_capacity or max(self._graph.num_nodes // 10, 2)
+        )
+
     def _flow_graph(
         self, collector: int, voters: np.ndarray
     ) -> tuple[sp.csr_matrix, int]:
-        """Build the integer capacity matrix with a super-source."""
-        n = self._graph.num_nodes
-        source = n  # super-source id
-        plan = TicketPlan(self._graph, collector)
-        boosted = self.link_capacities(collector, plan=plan)
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[int] = []
-        dist = plan.distances  # the levels the tickets flowed over
-        for u in range(n):
-            for v in self._graph.neighbors(u):
-                v = int(v)
-                # direct every link both ways with capacity 1 except the
-                # envelope links toward the collector, which are boosted
-                capacity = boosted.get((u, v), 1)
-                if dist[u] <= dist[v]:
-                    # links pointing away from the collector are not
-                    # useful for inbound flow but keep capacity 1 to
-                    # allow detours, as in the paper's implementation
-                    capacity = min(capacity, 1)
-                rows.append(u)
-                cols.append(v)
-                data.append(int(capacity))
-        for voter in voters:
-            rows.append(source)
-            cols.append(int(voter))
-            data.append(1)
+        """Build the integer capacity matrix with a super-source.
+
+        Every half-edge of the CSR gets capacity 1 except the envelope
+        links toward the collector, boosted as in
+        :meth:`link_capacities`; the super-source ``n`` links to each
+        voter with capacity 1.  Links pointing away from the collector
+        keep capacity 1 to allow detours, as in the paper's
+        implementation.
+        """
+        graph = self._graph
+        n = graph.num_nodes
+        plan = TicketPlan(graph, collector)
+        u, v, tickets = plan._carried(plan._tickets(self._budget())[1])
+        rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+        capacity = np.ones(rows.size, dtype=np.int64)
+        # tickets flowed u -> v outward; votes flow back over (v, u),
+        # found by its (row, col) key in the row-sorted CSR
+        half_edge = np.searchsorted(rows * n + graph.indices, v * n + u)
+        capacity[half_edge] = 1 + np.ceil(tickets).astype(np.int64)
         matrix = sp.csr_matrix(
-            (data, (rows, cols)), shape=(n + 1, n + 1), dtype=np.int32
+            (
+                np.concatenate([capacity, np.ones(voters.size, dtype=np.int64)]),
+                (
+                    np.concatenate([rows, np.full(voters.size, n, dtype=np.int64)]),
+                    np.concatenate([graph.indices, voters]),
+                ),
+            ),
+            shape=(n + 1, n + 1),
+            dtype=np.int32,
         )
-        return matrix, source
+        return matrix, n
 
     def collect(self, collector: int, voters: np.ndarray | list[int]) -> SumUpResult:
         """Collect votes from ``voters`` and return the tally."""

@@ -61,7 +61,10 @@ class TicketPlan:
 
     GateKeeper's adaptive doubling re-runs the distribution with larger
     budgets; the BFS levels and forward-edge classification only depend
-    on (graph, source), so they are computed once here and reused.
+    on (graph, source), so they are computed once here and reused.  The
+    forward edges are grouped by their source's level with a stable
+    sort, so CSR order survives inside each level, and one run is one
+    NumPy pass over each level's contiguous slice: no Python per edge.
     """
 
     def __init__(
@@ -79,14 +82,20 @@ class TicketPlan:
             )
         self._dist = distances
         reachable = self._dist >= 0
-        self._max_level = int(self._dist[reachable].max()) if reachable.any() else 0
+        max_level = int(self._dist[reachable].max()) if reachable.any() else 0
         src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
         dst = graph.indices
         forward = (self._dist[src] >= 0) & (self._dist[dst] == self._dist[src] + 1)
-        self._fsrc = src[forward]
-        self._fdst = dst[forward]
-        self._forward_count = np.bincount(self._fsrc, minlength=n).astype(float)
-        self._src_level = self._dist[self._fsrc]
+        src, dst = src[forward], dst[forward]
+        self._forward_count = np.bincount(src, minlength=n).astype(float)
+        level = self._dist[src]
+        # _order[i] is the CSR rank of the i-th level-grouped forward edge
+        self._order = np.argsort(level, kind="stable")
+        self._src = src[self._order]
+        self._dst = dst[self._order]
+        self._level_bounds = np.searchsorted(
+            level[self._order], np.arange(max_level + 1)
+        ).tolist()
 
     @property
     def source(self) -> int:
@@ -97,47 +106,62 @@ class TicketPlan:
     def distances(self) -> np.ndarray:
         """BFS hop distances from the distributor (-1 for unreachable).
 
-        Exposed so callers that need the same levels (SumUp's capacity
-        orientation) reuse this plan's BFS instead of re-running it.
+        Exposed so callers that need the same levels reuse this plan's
+        BFS instead of re-running it.
         """
         return self._dist
 
-    def run(self, num_tickets: float) -> TicketDistribution:
-        """Distribute ``num_tickets`` tickets level by level."""
-        if num_tickets < 1:
-            raise SybilDefenseError("num_tickets must be at least 1")
-        n = self._graph.num_nodes
-        tickets = np.zeros(n, dtype=float)
-        tickets[self._source] = float(num_tickets)
-        edge_share = np.zeros(self._fsrc.size, dtype=float)
-        has_forward = self._forward_count > 0
-        for level in range(self._max_level):
-            at_level = self._src_level == level
-            if not at_level.any():
-                continue
-            available = np.maximum(tickets - 1.0, 0.0)  # one consumed per node
-            share = np.zeros(n, dtype=float)
-            share[has_forward] = (
-                available[has_forward] / self._forward_count[has_forward]
-            )
-            contribution = share[self._fsrc[at_level]]
-            edge_share[at_level] = contribution
-            np.add.at(tickets, self._fdst[at_level], contribution)
-        positive = edge_share > 0
-        edge_tickets = {
-            (int(u), int(v)): float(s)
-            for u, v, s in zip(
-                self._fsrc[positive], self._fdst[positive], edge_share[positive]
-            )
-        }
-        reached = np.flatnonzero(tickets >= 1.0).astype(np.int64)
+    def _tickets(self, num_tickets: float) -> tuple[np.ndarray, np.ndarray]:
+        """Node tickets and the share sent along each forward edge.
+
+        The shares follow the plan's level-grouped edge order; read them
+        through :meth:`_carried`.
+        """
+        tickets = np.zeros(self._graph.num_nodes)
+        tickets[self._source] = num_tickets
+        shares = np.empty(self._src.size)
+        bounds = self._level_bounds
+        for lo, hi in zip(bounds, bounds[1:]):
+            # level L+1 receives tickets only from level L, so tickets[src]
+            # is final here: each node consumes one ticket and splits the
+            # rest evenly over its forward links
+            src = self._src[lo:hi]
+            share = shares[lo:hi]
+            np.maximum(tickets[src] - 1.0, 0.0, out=share)
+            share /= self._forward_count[src]
+            np.add.at(tickets, self._dst[lo:hi], share)
+        return tickets, shares
+
+    def _carried(
+        self, shares: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The forward edges ``(u, v)`` that carry tickets, with their
+        shares, in CSR order."""
+        edges = np.flatnonzero(shares > 0)
+        edges = edges[np.argsort(self._order[edges])]
+        return self._src[edges], self._dst[edges], shares[edges]
+
+    def _distribution(
+        self, num_tickets: float, tickets: np.ndarray, shares: np.ndarray
+    ) -> TicketDistribution:
+        """Wrap one kernel run; ``edge_tickets`` is built in CSR order."""
+        src, dst, carried = self._carried(shares)
         return TicketDistribution(
             source=self._source,
-            tickets_sent=float(num_tickets),
+            tickets_sent=num_tickets,
             node_tickets=tickets,
-            reached=reached,
-            edge_tickets=edge_tickets,
+            reached=np.flatnonzero(tickets >= 1.0).astype(np.int64),
+            edge_tickets=dict(
+                zip(zip(src.tolist(), dst.tolist()), carried.tolist())
+            ),
         )
+
+    def run(self, num_tickets: float) -> TicketDistribution:
+        """Distribute ``num_tickets`` tickets level by level."""
+        if not (np.isfinite(num_tickets) and num_tickets >= 1):
+            raise SybilDefenseError("num_tickets must be finite and at least 1")
+        num_tickets = float(num_tickets)
+        return self._distribution(num_tickets, *self._tickets(num_tickets))
 
 
 def ticket_plans(
@@ -174,6 +198,30 @@ def distribute_tickets(
     return TicketPlan(graph, source).run(num_tickets)
 
 
+def _doubling(
+    plan: TicketPlan,
+    target_reached: int,
+    initial: float = 2.0,
+    max_doublings: int = 40,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Double from ``initial`` until ``target_reached`` nodes hold a ticket.
+
+    Returns the accepted budget with its kernel run (node tickets, edge
+    shares); callers that read only the reach set skip the wrapping.
+    """
+    budget = float(max(initial, 1.0))
+    for _ in range(max_doublings):
+        tickets, shares = plan._tickets(budget)
+        reached = int(np.count_nonzero(tickets >= 1.0))
+        if reached >= target_reached:
+            return budget, tickets, shares
+        budget *= 2.0
+    raise SybilDefenseError(
+        f"distributor {plan.source} reached only {reached} nodes "
+        f"(target {target_reached}) after {max_doublings} doublings"
+    )
+
+
 def adaptive_ticket_count(
     graph: Graph,
     source: int,
@@ -194,24 +242,16 @@ def adaptive_ticket_count(
     """
     if target_reached < 1:
         raise SybilDefenseError("target_reached must be positive")
+    if max_doublings < 1:
+        raise SybilDefenseError("max_doublings must be at least 1")
+    if not np.isfinite(initial):
+        raise SybilDefenseError("initial must be finite")
     if plan is None:
         plan = TicketPlan(graph, source)
     elif plan.source != int(source):
         raise SybilDefenseError(
             f"plan was built for source {plan.source}, not {source}"
         )
-    tickets = max(initial, 1.0)
-    best: TicketDistribution | None = None
-    for _ in range(max_doublings):
-        result = plan.run(tickets)
-        best = result
-        if result.reached.size >= target_reached:
-            return result
-        tickets *= 2.0
-    assert best is not None
-    if best.reached.size < target_reached:
-        raise SybilDefenseError(
-            f"distributor {source} reached only {best.reached.size} nodes "
-            f"(target {target_reached}) after {max_doublings} doublings"
-        )
-    return best
+    return plan._distribution(
+        *_doubling(plan, target_reached, initial, max_doublings)
+    )

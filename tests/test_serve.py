@@ -30,7 +30,13 @@ from repro.serve import (
     create_server,
     run_load,
 )
-from repro.sybil import SybilRank, escape_profile, standard_attack
+from repro.sybil import (
+    GateKeeper,
+    GateKeeperConfig,
+    SybilRank,
+    escape_profile,
+    standard_attack,
+)
 from repro.sybil.harness import standard_attack as _standard_attack
 
 
@@ -275,6 +281,88 @@ class TestAdmissionService:
         before = service.stats().cache_hits
         service.admission(6, controller=0)
         assert service.stats().cache_hits > before
+
+    def test_rank_matches_the_masked_formula(self, ba_small):
+        """Every node's rank answer equals the masked divide-and-mean
+        formula over the live degrees, isolated appended nodes included."""
+        service = AdmissionService(ba_small, policy=CompactionPolicy(
+            max_overlay_edges=10_000, max_new_nodes=10_000,
+            max_overlay_ratio=1.0,
+        ))
+        first = service.add_nodes(3)
+        service.add_edge(first, 0)
+        service.add_edge(first + 1, 5)
+        for v in range(1, 4):
+            service.add_edge(0, ba_small.num_nodes - v)
+        n = ba_small.num_nodes + 3
+        trust = (
+            SybilRank(ba_small)
+            .run(np.asarray(service.trust_seeds, dtype=np.int64))
+            .trust
+        )
+        degrees = np.array([service.degree(v) for v in range(n)])
+        assert degrees[first + 2] == 0
+        padded = np.zeros(n)
+        padded[: trust.size] = trust
+        expected = np.zeros_like(padded)
+        positive = degrees.astype(float) > 0
+        expected[positive] = padded[positive] / degrees.astype(float)[positive]
+        scores = service.rank_scores()
+        assert scores.tobytes() == expected.tobytes()
+        for node in range(n):
+            verdict = service.rank(node)
+            assert verdict["score"] == float(expected[node])
+            percentile = float((expected <= expected[node]).mean())
+            assert type(verdict["percentile"]) is float
+            assert verdict["percentile"] == percentile
+
+    def test_admission_answers_across_compaction(self, tiny_wiki):
+        """Admission answers equal a fresh GateKeeper on the current
+        snapshot before and after a compaction, and a warm read counts
+        one cache hit and no miss."""
+        attack = _standard_attack(tiny_wiki, 12, seed=0)
+        service = AdmissionService(
+            attack.graph,
+            num_honest=attack.num_honest,
+            policy=CompactionPolicy(
+                max_overlay_edges=10_000, max_new_nodes=10_000,
+                max_overlay_ratio=1.0,
+            ),
+        )
+        config = GateKeeperConfig(
+            num_distributors=service.config.num_distributors,
+            admission_factor=service.config.admission_factor,
+            seed=service.config.seed,
+        )
+
+        def check() -> None:
+            for controller in (0, 2):
+                reference = GateKeeper(service.snapshot, config).run(controller)
+                needed = max(
+                    1,
+                    int(np.ceil(
+                        config.admission_factor * reference.distributors.size
+                    )),
+                )
+                for node in range(0, service.snapshot.num_nodes, 7):
+                    verdict = service.admission(node, controller=controller)
+                    reach = int(reference.reach_counts[node])
+                    assert verdict["reach"] == reach
+                    assert verdict["admitted"] == (reach >= needed)
+                    assert verdict["needed"] == needed
+            before = service.stats()
+            service.admission(1, controller=0)
+            after = service.stats()
+            assert after.cache_hits == before.cache_hits + 1
+            assert after.cache_misses == before.cache_misses
+
+        check()
+        digest = service.snapshot_digest
+        for delta in _random_deltas(attack.graph, num_deltas=2, seed=3):
+            service.apply_delta(delta)
+        assert service.compact() is not None
+        assert service.snapshot_digest != digest
+        check()
 
     def test_escape_requires_labels(self, ba_small):
         service = AdmissionService(ba_small)

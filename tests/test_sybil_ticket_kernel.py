@@ -1,0 +1,250 @@
+"""The level-sliced ticket kernel against its level-mask oracle twins.
+
+:class:`repro.sybil.TicketPlan` runs one NumPy pass per BFS level over
+level-grouped forward edges; :func:`repro.oracles.distribute_tickets`
+replays the full-graph level masks one level at a time and builds the
+edge dict one entry per edge.  Both must agree bit for bit, dict order
+included, and so must everything built on them: the adaptive doubling,
+GateKeeper's reach counts and SumUp's flow graph.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import maximum_flow
+
+from repro import oracles
+from repro.errors import SybilDefenseError
+from repro.generators import barabasi_albert, complete_graph, path_graph, star_graph
+from repro.graph import Graph
+from repro.sybil import (
+    GateKeeper,
+    GateKeeperConfig,
+    SumUp,
+    SumUpConfig,
+    TicketPlan,
+    adaptive_ticket_count,
+    distribute_tickets,
+    standard_attack,
+    ticket_plans,
+)
+
+BUDGETS = [1, 2, 7.5, 64, 2.0**20]
+
+
+def _graphs() -> dict[str, Graph]:
+    honest = barabasi_albert(150, 3, seed=11)
+    return {
+        "path": path_graph(9),
+        "star": star_graph(7),
+        "complete": complete_graph(6),
+        "ba": barabasi_albert(120, 3, seed=4),
+        "disconnected": Graph.from_edges(
+            [(0, 1), (1, 2), (2, 3), (1, 3), (5, 6), (6, 7)], num_nodes=9
+        ),
+        "attack-powerlaw": standard_attack(honest, 6, seed=1).graph,
+        "attack-wild": standard_attack(honest, 6, seed=1, topology="wild").graph,
+    }
+
+
+GRAPHS = _graphs()
+
+
+def _sources(graph: Graph) -> list[int]:
+    n = graph.num_nodes
+    return sorted({0, 1, n // 2, n - 1})
+
+
+def _assert_same(got, want) -> None:
+    assert got.source == want.source
+    assert type(got.tickets_sent) is float
+    assert got.tickets_sent == want.tickets_sent
+    assert got.node_tickets.dtype == want.node_tickets.dtype
+    assert got.node_tickets.tobytes() == want.node_tickets.tobytes()
+    assert got.reached.dtype == want.reached.dtype
+    assert np.array_equal(got.reached, want.reached)
+    assert got.edge_tickets == want.edge_tickets
+    assert list(got.edge_tickets) == list(want.edge_tickets)
+    for (u, v), share in got.edge_tickets.items():
+        assert type(u) is int and type(v) is int and type(share) is float
+
+
+def _oracle_adaptive(graph, source, target, initial=2.0, max_doublings=40):
+    budget = max(initial, 1.0)
+    for _ in range(max_doublings):
+        result = oracles.distribute_tickets(graph, source, budget)
+        if result.reached.size >= target:
+            return result
+        budget *= 2.0
+    raise AssertionError("the oracle never reached the target")
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_kernel_matches_oracle(name, budget):
+    graph = GRAPHS[name]
+    sources = _sources(graph)
+    for source, block_plan in zip(sources, ticket_plans(graph, sources)):
+        want = oracles.distribute_tickets(graph, source, budget)
+        _assert_same(distribute_tickets(graph, source, budget), want)
+        _assert_same(block_plan.run(budget), want)
+
+
+@pytest.mark.parametrize(
+    "name", ["path", "star", "ba", "attack-powerlaw", "attack-wild"]
+)
+def test_adaptive_matches_oracle_doubling(name):
+    graph = GRAPHS[name]
+    target = max(2, graph.num_nodes // 2)
+    for source in _sources(graph):
+        want = _oracle_adaptive(graph, source, target)
+        got = adaptive_ticket_count(graph, source, target)
+        assert got.tickets_sent == want.tickets_sent
+        _assert_same(got, want)
+        _assert_same(
+            adaptive_ticket_count(
+                graph, source, target, plan=TicketPlan(graph, source)
+            ),
+            want,
+        )
+
+
+def test_adaptive_unreachable_target_still_raises():
+    graph = GRAPHS["disconnected"]
+    with pytest.raises(SybilDefenseError, match="reached only 4 nodes"):
+        adaptive_ticket_count(graph, 0, 5, max_doublings=3)
+
+
+@pytest.mark.parametrize("name", ["attack-powerlaw", "attack-wild"])
+def test_gatekeeper_reach_counts_match_oracle(name):
+    graph = GRAPHS[name]
+    gatekeeper = GateKeeper(graph, GateKeeperConfig(num_distributors=15))
+    target = max(2, int(0.5 * graph.num_nodes))
+    for controller in (0, 3, 0):
+        result = gatekeeper.run(controller)
+        expected = np.zeros(graph.num_nodes, dtype=np.int64)
+        for distributor in result.distributors:
+            reached = _oracle_adaptive(graph, int(distributor), target).reached
+            expected[reached] += 1
+        assert result.reach_counts.dtype == np.int64
+        assert np.array_equal(result.reach_counts, expected)
+
+
+@pytest.mark.parametrize("capacity", [None, 1, 40])
+@pytest.mark.parametrize(
+    "name", ["star", "ba", "disconnected", "attack-powerlaw", "attack-wild"]
+)
+def test_sumup_flow_graph_matches_oracle(name, capacity):
+    graph = GRAPHS[name]
+    vote = SumUp(graph, SumUpConfig(vote_capacity=capacity))
+    rng = np.random.default_rng(5)
+    for collector in _sources(graph):
+        voters = np.unique(rng.choice(graph.num_nodes, size=graph.num_nodes // 2))
+        voters = voters[voters != collector]
+        got, got_source = vote._flow_graph(collector, voters)
+        want, want_source = oracles.sumup_flow_graph(vote, collector, voters)
+        assert got_source == want_source == graph.num_nodes
+        for field in ("data", "indices", "indptr"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        flow = maximum_flow(want, want_source, collector).flow_value
+        assert vote.collect(collector, voters).collected_votes == flow
+
+
+@given(
+    n=st.integers(min_value=1, max_value=24),
+    edges=st.lists(
+        st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=60
+    ),
+    source=st.integers(0, 23),
+    budget=st.one_of(
+        st.sampled_from(BUDGETS),
+        st.floats(min_value=1.0, max_value=1e9, allow_nan=False),
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_oracle_on_random_graphs(n, edges, source, budget):
+    graph = Graph.from_edges([(u % n, v % n) for u, v in edges], num_nodes=n)
+    source %= n
+    _assert_same(
+        distribute_tickets(graph, source, budget),
+        oracles.distribute_tickets(graph, source, budget),
+    )
+
+
+SMALL = barabasi_albert(40, 2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: adaptive_ticket_count(SMALL, 0, 10, max_doublings=0),
+            "max_doublings",
+            id="max_doublings=0",
+        ),
+        pytest.param(
+            lambda: distribute_tickets(SMALL, 0, math.nan),
+            "num_tickets",
+            id="num_tickets=nan",
+        ),
+        pytest.param(
+            lambda: distribute_tickets(SMALL, 0, math.inf),
+            "num_tickets",
+            id="num_tickets=inf",
+        ),
+        pytest.param(
+            lambda: TicketPlan(SMALL, 0).run(math.nan),
+            "num_tickets",
+            id="plan-run-nan",
+        ),
+        pytest.param(
+            lambda: adaptive_ticket_count(SMALL, 0, 10, initial=math.nan),
+            "initial",
+            id="initial=nan",
+        ),
+        pytest.param(
+            lambda: adaptive_ticket_count(SMALL, 0, 10, initial=math.inf),
+            "initial",
+            id="initial=inf",
+        ),
+        pytest.param(
+            lambda: GateKeeperConfig(walk_length_factor=math.nan),
+            "walk_length_factor",
+            id="walk_length_factor=nan",
+        ),
+        pytest.param(
+            lambda: GateKeeperConfig(walk_length_factor=math.inf),
+            "walk_length_factor",
+            id="walk_length_factor=inf",
+        ),
+        pytest.param(
+            lambda: GateKeeperConfig(walk_length_factor=-1.0),
+            "walk_length_factor",
+            id="walk_length_factor=-1",
+        ),
+        pytest.param(
+            lambda: GateKeeperConfig(walk_length_factor=0.0),
+            "walk_length_factor",
+            id="walk_length_factor=0",
+        ),
+        pytest.param(
+            lambda: SumUpConfig(vote_capacity=math.nan),
+            "vote_capacity",
+            id="vote_capacity=nan",
+        ),
+        pytest.param(
+            lambda: SumUpConfig(vote_capacity=2**31 - 1),
+            "vote_capacity",
+            id="vote_capacity=2**31-1",
+        ),
+    ],
+)
+def test_bad_ticket_and_gatekeeper_inputs_fail_fast(call, message):
+    with pytest.raises(SybilDefenseError, match=message):
+        call()
