@@ -69,29 +69,23 @@ def _bit_identity_lines(scale: float, num_sources: int) -> list[str]:
 
     oracle = oracles.tvd_profile(op, sources, lengths)
     for executor in ("thread", "process"):
-        with parallel.execution(executor=executor):
-            out = batched_tvd_profile(
-                op.matrix, op.stationary, sources, lengths, chunk_size=3, workers=4
-            )
+        with parallel.execution(executor=executor, chunk_size=3, workers=4):
+            out = batched_tvd_profile(op.matrix, op.stationary, sources, lengths)
         assert np.array_equal(out, oracle), executor
     lines.append("bit-identity: PASS tvd (sequential == thread == process)")
 
     walks = oracles.walk_endpoints(graph, sources, length=16, seed=7)
     for executor in ("thread", "process"):
-        with parallel.execution(executor=executor):
-            out = walk_endpoints(
-                graph, sources, length=16, seed=7, chunk_size=5, workers=4
-            )
+        with parallel.execution(executor=executor, chunk_size=5, workers=4):
+            out = walk_endpoints(graph, sources, length=16, seed=7)
         assert np.array_equal(out, walks), executor
     lines.append("bit-identity: PASS walks (sequential == thread == process)")
 
     priors = rng.uniform(0.05, 0.95, graph.num_nodes)
     bp_oracle = oracles.loopy_belief_propagation(graph, priors, max_rounds=10)
     for executor in ("thread", "process"):
-        with parallel.execution(executor=executor):
-            bp = loopy_belief_propagation(
-                graph, priors, max_rounds=10, chunk_size=257, workers=4
-            )
+        with parallel.execution(executor=executor, chunk_size=257, workers=4):
+            bp = loopy_belief_propagation(graph, priors, max_rounds=10)
         assert np.array_equal(bp.beliefs, bp_oracle.beliefs), executor
         assert bp.rounds == bp_oracle.rounds
     lines.append("bit-identity: PASS loopy-bp (sequential == thread == process)")
@@ -100,11 +94,8 @@ def _bit_identity_lines(scale: float, num_sources: int) -> list[str]:
 
 def _timed_tvd(op, sources, workers: int, executor: str) -> float:
     start = time.perf_counter()
-    with parallel.execution(executor=executor):
-        batched_tvd_profile(
-            op.matrix, op.stationary, sources, WALK_LENGTHS,
-            chunk_size=TVD_CHUNK, workers=workers,
-        )
+    with parallel.execution(executor=executor, chunk_size=TVD_CHUNK, workers=workers):
+        batched_tvd_profile(op.matrix, op.stationary, sources, WALK_LENGTHS)
     return time.perf_counter() - start
 
 

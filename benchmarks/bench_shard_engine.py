@@ -31,6 +31,7 @@ from repro.markov.batch import batched_tvd_profile
 from repro.markov.transition import TransitionOperator, stationary_distribution
 from repro.markov.walk_batch import walk_endpoints
 from repro.mixing import slem
+from repro.parallel import execution
 
 BASE_NODES = 1_000_000
 WALK_LENGTHS = [1, 2, 4, 8, 16]
@@ -57,24 +58,17 @@ def _assert_bit_identity(tmp_path) -> str:
     rng = np.random.default_rng(0)
     sources = np.sort(rng.choice(n, size=12, replace=False))
     tvd_ram = batched_tvd_profile(op.matrix, op.stationary, sources, WALK_LENGTHS)
-    tvd_sh = batched_tvd_profile(
-        sharded,
-        stationary_distribution(sharded),
-        sources,
-        WALK_LENGTHS,
-        chunk_size=5,
-        workers=2,
-    )
+    pi = stationary_distribution(sharded)
+    with execution(chunk_size=5, workers=2):
+        tvd_sh = batched_tvd_profile(sharded, pi, sources, WALK_LENGTHS)
     assert np.array_equal(tvd_sh, tvd_ram)
-    assert np.array_equal(
-        bfs_level_sizes_block(sharded, sources[:6], chunk_size=2),
-        bfs_level_sizes_block(graph, sources[:6]),
-    )
+    with execution(chunk_size=2):
+        levels_sh = bfs_level_sizes_block(sharded, sources[:6])
+    assert np.array_equal(levels_sh, bfs_level_sizes_block(graph, sources[:6]))
     walks = rng.integers(0, n, size=256)
-    assert np.array_equal(
-        walk_endpoints(sharded, walks, length=16, seed=7, chunk_size=64),
-        walk_endpoints(graph, walks, length=16, seed=7),
-    )
+    with execution(chunk_size=64):
+        walks_sh = walk_endpoints(sharded, walks, length=16, seed=7)
+    assert np.array_equal(walks_sh, walk_endpoints(graph, walks, length=16, seed=7))
     return f"bit-identity: PASS (n={n}, 5 shards, tvd+bfs+walk vs in-RAM)"
 
 
@@ -100,17 +94,15 @@ def test_shard_engine_sweep(results_dir, scale, num_sources, tmp_path):
             rng.choice(n, size=min(16, num_sources), replace=False)
         )
         start = time.perf_counter()
-        tvd = batched_tvd_profile(
-            sharded,
-            stationary_distribution(sharded),
-            sources,
-            WALK_LENGTHS,
-            chunk_size=8,
-        )
+        with execution(chunk_size=8):
+            tvd = batched_tvd_profile(
+                sharded, stationary_distribution(sharded), sources, WALK_LENGTHS
+            )
         timings["mixing (TVD profile)"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        levels = bfs_level_sizes_block(sharded, sources[:8], chunk_size=4)
+        with execution(chunk_size=4):
+            levels = bfs_level_sizes_block(sharded, sources[:8])
         timings["BFS (level sizes)"] = time.perf_counter() - start
 
         # the iterative stages revisit every shard thousands of times;

@@ -91,17 +91,9 @@ def figure1_mixing_profiles(
     num_sources: int = 100,
     scale: float = 1.0,
     seed: int = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
     store: ArtifactStore | None = None,
 ) -> dict[str, MixingProfile]:
-    """Measure Figure 1: sampled TVD-vs-walk-length per analog.
-
-    ``chunk_size``/``workers`` schedule the walk engine as in
-    :func:`repro.mixing.sampled_mixing_profile`; they change only the
-    execution schedule (results are byte-identical), so they stay out
-    of the ``store`` cache key.
-    """
+    """Measure Figure 1: sampled TVD-vs-walk-length per analog."""
     lengths = walk_lengths or [1, 2, 3, 4, 5, 7, 10, 15, 20, 30, 40, 50]
     out = {}
     for name in datasets:
@@ -116,8 +108,6 @@ def figure1_mixing_profiles(
                 walk_lengths=lengths,
                 num_sources=num_sources,
                 seed=seed,
-                chunk_size=chunk_size,
-                workers=workers,
             ),
         )
     return out
@@ -195,44 +185,31 @@ def figure3_expansion_summaries(
     num_sources: int | None = None,
     scale: float = 1.0,
     seed: int = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
     store: ArtifactStore | None = None,
 ) -> dict[str, ExpansionSummary]:
     """Measure Figure 3: min/mean/max |N(S)| per unique |S| per analog.
 
     ``num_sources=None`` uses every node as a core exactly as the paper
-    does; pass a count to sample sources on the larger analogs.
-    ``chunk_size``/``workers`` schedule the BFS engine as in
-    :func:`repro.expansion.envelope_expansion`; only the expensive
-    :class:`ExpansionMeasurement` is memoized through ``store`` (the
-    aggregation is cheap and recomputed).
+    does; pass a count to sample sources on the larger analogs.  Only
+    the expensive :class:`ExpansionMeasurement` is memoized through
+    ``store`` (the aggregation is cheap and recomputed).
     """
     out = {}
     for name in datasets:
         graph = load_dataset(name, scale=scale, seed=seed)
-        measurement = _memoized_expansion(
-            store, graph, num_sources, seed, chunk_size, workers
-        )
+        measurement = _memoized_expansion(store, graph, num_sources, seed)
         out[name] = aggregate_by_set_size(measurement)
     return out
 
 
-def _memoized_expansion(store, graph, num_sources, seed, chunk_size, workers):
-    """Envelope expansion through the artifact store (engine knobs
-    excluded from the key; the engines are byte-equivalent)."""
+def _memoized_expansion(store, graph, num_sources, seed):
+    """Envelope expansion through the artifact store."""
     return memoize(
         store,
         graph,
         "expansion",
         {"num_sources": num_sources, "seed": seed},
-        lambda: envelope_expansion(
-            graph,
-            num_sources=num_sources,
-            seed=seed,
-            chunk_size=chunk_size,
-            workers=workers,
-        ),
+        lambda: envelope_expansion(graph, num_sources=num_sources, seed=seed),
     )
 
 
@@ -241,17 +218,13 @@ def figure4_expansion_factors(
     num_sources: int | None = None,
     scale: float = 1.0,
     seed: int = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
     store: ArtifactStore | None = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Measure Figure 4: expected expansion factor vs |S| per analog."""
     out = {}
     for name in datasets:
         graph = load_dataset(name, scale=scale, seed=seed)
-        measurement = _memoized_expansion(
-            store, graph, num_sources, seed, chunk_size, workers
-        )
+        measurement = _memoized_expansion(store, graph, num_sources, seed)
         out[name] = expansion_factor_series(measurement)
     return out
 

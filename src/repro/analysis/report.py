@@ -88,15 +88,11 @@ def measurement_report(
     name: str = "graph",
     num_sources: int = 50,
     seed: int = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
     store: ArtifactStore | None = None,
 ) -> str:
     """Return a markdown report of every paper-relevant property.
 
-    ``chunk_size``/``workers`` schedule the BFS engine for
-    the expansion measurement, as in
-    :func:`repro.expansion.envelope_expansion`.  ``store`` memoizes
+    ``store`` memoizes
     every expensive measurement (mixing, spectral, cores, expansion,
     community) through a content-addressed artifact cache; a warm call
     on the same graph recomputes none of them and returns byte-identical
@@ -179,8 +175,6 @@ def measurement_report(
             graph,
             num_sources=min(num_sources, graph.num_nodes),
             seed=seed,
-            chunk_size=chunk_size,
-            workers=workers,
         ),
     )
     small = measurement.set_sizes <= max(graph.num_nodes // 10, 1)

@@ -4,18 +4,20 @@ The batch engines — the Monte-Carlo walks (:mod:`repro.markov.walk_batch`),
 the TVD profile and block evolution (:mod:`repro.markov.batch`), the
 block BFS (:mod:`repro.graph.bfs_batch`) and loopy BP
 (:mod:`repro.sybil.fusion`) — process independent items in contiguous
-chunks: ``chunk_size`` bounds the per-chunk working set at
-``O(n * chunk_size)`` and ``workers`` fans the chunks out.  Chunks write
-disjoint slices, so results never depend on scheduling.
+chunks.  Chunks write disjoint slices, so results never depend on the
+schedule, and no engine takes one: the ambient
+:func:`repro.parallel.execution` scope sets it for every call inside
+it — ``chunk_size`` bounds the per-chunk working set at
+``O(n * chunk_size)``, ``workers`` fans the chunks out and ``executor``
+picks the backend.
 
 Each engine supplies one module-level kernel and calls
 :func:`run_kernel`, which owns the backend: the thread runner
-(:func:`run_chunks`, inline or on a bounded pool) or, under an ambient
-:func:`repro.parallel.execution` process scope, the shared-memory
-process pool of :mod:`repro.parallel`.  Both call the same kernel with
-the same named buffers, so every backend x ``chunk_size`` x ``workers``
-combination is bit-identical to the scalar twins in
-:mod:`repro.oracles`.  Zero items are a legal, empty plan.
+(:func:`run_chunks`, inline or on a bounded pool) or, under a process
+scope, the shared-memory process pool of :mod:`repro.parallel`.  Both
+call the same kernel with the same named buffers, so every backend x
+``chunk_size`` x ``workers`` combination is bit-identical to the scalar
+twins in :mod:`repro.oracles`.  Zero items are a legal, empty plan.
 
 Fan-out reports into :mod:`repro.telemetry` through one helper for both
 backends (:func:`record_fanout`): ``chunking.chunk`` spans (the
@@ -128,8 +130,6 @@ def resolve_chunks(
 def run_kernel(
     kernel: Callable[..., Any],
     num_items: int,
-    chunk_size: int | None = None,
-    workers: int | None = None,
     *,
     inputs: dict[str, Any],
     outputs: dict[str, np.ndarray] | None = None,
@@ -150,13 +150,14 @@ def run_kernel(
     finishes (serialized); ``repeat(env)`` runs after every pass and
     says whether to dispatch again.  ``span`` names the kernel's span.
 
-    The executor comes from the ambient :func:`repro.parallel.execution`
-    scope.  On the process backend ``kernel`` and ``setup`` must be
-    module-level; input graphs and matrices are published once, arrays
-    go to shared segments kept alive across passes, and outputs are
-    copied back into the caller's arrays before the segments go.
+    The schedule — executor, worker count and chunk size — comes from
+    the ambient :func:`repro.parallel.execution` scope.  On the process
+    backend ``kernel`` and ``setup`` must be module-level; input graphs
+    and matrices are published once, arrays go to shared segments kept
+    alive across passes, and outputs are copied back into the caller's
+    arrays before the segments go.
     """
-    kind, workers = parallel.resolve_execution(None, workers)
+    kind, workers, chunk_size = parallel.resolve_execution()
     chunks = resolve_chunks(num_items, chunk_size, workers)
     if not chunks:
         return

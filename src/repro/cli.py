@@ -83,10 +83,15 @@ from repro.datasets import (
 from repro.errors import ReproError
 from repro.expansion import envelope_expansion
 from repro.graph import ShardedGraph, largest_connected_component, read_edge_list
-from repro.mixing import sinclair_bounds, slem, spectral_summary
+from repro.mixing import (
+    sampled_mixing_profile,
+    sinclair_bounds,
+    slem,
+    spectral_summary,
+)
 from repro import telemetry
 from repro.chunking import default_workers
-from repro.parallel import EXECUTORS
+from repro.parallel import EXECUTORS, execution
 from repro.pipeline import fusion_comparison_pipeline, paper_measurement_pipeline
 from repro.store import ArtifactStore, memoize
 
@@ -150,15 +155,13 @@ def _audit_sharded(args: argparse.Namespace) -> int:
     :func:`repro.mixing.slem` (Lanczos on streamed shard matvecs),
     Sinclair bounds, and the sampled fast-mixing check (worst-source
     TVD below ``1/n`` within the ``4 log2 n`` budget — the same
-    criterion as :func:`repro.mixing.is_fast_mixing`, measured on a
-    geometric length grid).  The TVD chunks run on every core, with at
-    most 8 source columns resident at once; the profile is
-    bit-identical for every worker count.  Core/expansion structure
-    needs the resident graph and is skipped at this scale.
+    criterion as :func:`repro.mixing.is_fast_mixing`, measured by
+    :func:`repro.mixing.sampled_mixing_profile` on a geometric length
+    grid).  The TVD chunks run on every core, with at most 8 source
+    columns resident at once; the profile is bit-identical for every
+    worker count.  Core/expansion structure needs the resident graph
+    and is skipped at this scale.
     """
-    from repro.markov.batch import batched_tvd_profile
-    from repro.markov.transition import stationary_distribution
-
     sharded = ShardedGraph.open(args.target)
     n = sharded.num_nodes
     print(
@@ -172,18 +175,11 @@ def _audit_sharded(args: argparse.Namespace) -> int:
         {1 << k for k in range(budget.bit_length()) if (1 << k) <= budget}
         | {budget}
     )
-    rng = np.random.default_rng(args.seed)
-    sources = np.sort(rng.choice(n, size=min(args.sources, n), replace=False))
     workers = default_workers()
-    tvd = batched_tvd_profile(
-        sharded,
-        stationary_distribution(sharded),
-        sources,
-        lengths,
-        chunk_size=max(1, 8 // workers),
-        workers=workers,
-    )
-    worst = tvd.max(axis=0)
+    with execution(workers=workers, chunk_size=max(1, 8 // workers)):
+        worst = sampled_mixing_profile(
+            sharded, walk_lengths=lengths, num_sources=args.sources, seed=args.seed
+        ).max
     fast = bool((worst < 1.0 / n).any())
     print(
         format_table(

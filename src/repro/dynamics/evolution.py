@@ -35,9 +35,9 @@ as the historical one-candidate-at-a-time loop did, so random-mode
 churn is bit-identical to the legacy implementation.  Triadic mode
 redefines the draw order at block granularity (node block, then
 neighbor-index blocks) — a documented RNG-scheme change.  Both modes
-keep a ``strategy="sequential"`` oracle that consumes the *same* block
-draws but applies the filtering rules one candidate at a time in plain
-python; the batched path is pinned bit-identical to it.
+are pinned bit-identical to the churn twin in :mod:`repro.oracles`,
+which consumes the *same* block draws but applies the filtering rules
+one candidate at a time in plain python.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ __all__ = [
     "event_stream",
     "snapshots",
 ]
-
-_STRATEGIES = ("batched", "sequential")
 
 
 @dataclass(frozen=True)
@@ -119,11 +117,6 @@ class ChurnModel:
         ``"random"`` draws replacement edges uniformly; ``"triadic"``
         closes triangles (a neighbor's neighbor), keeping community
         structure tight.
-    strategy:
-        ``"batched"`` (default) filters each proposal block with
-        vectorized numpy; ``"sequential"`` is the kept oracle that
-        consumes the same draws one candidate at a time.  Both produce
-        bit-identical deltas.
     """
 
     def __init__(
@@ -131,17 +124,13 @@ class ChurnModel:
         churn_rate: float = 0.05,
         rewiring: str = "random",
         seed: int = 0,
-        strategy: str = "batched",
     ) -> None:
         if not 0.0 < churn_rate <= 1.0:
             raise GraphError("churn_rate must be in (0, 1]")
         if rewiring not in ("random", "triadic"):
             raise GraphError("rewiring must be 'random' or 'triadic'")
-        if strategy not in _STRATEGIES:
-            raise GraphError(f"strategy must be one of {_STRATEGIES}")
         self._rate = churn_rate
         self._rewiring = rewiring
-        self._strategy = strategy
         self._rng = np.random.default_rng(seed)
 
     def step(self, graph: Graph) -> Graph:
@@ -157,6 +146,10 @@ class ChurnModel:
         re-proposed, matching the historical semantics (candidates are
         rejected only against *kept* and already-accepted edges).
         """
+        return self._step_events(graph, ChurnModel._propose)
+
+    def _step_events(self, graph: Graph, propose) -> GraphDelta:
+        """:meth:`step_events` with the proposal filter passed in."""
         if graph.num_edges < 2:
             raise GraphError("churn needs at least 2 edges")
         edges = graph.edge_array()
@@ -169,10 +162,7 @@ class ChurnModel:
         kept = edges[keep_mask]
         kept_keys = kept[:, 0] * graph.num_nodes + kept[:, 1]
         kept_keys.sort()
-        if self._strategy == "batched":
-            added = self._propose_batched(graph, kept_keys, num_replace)
-        else:
-            added = self._propose_sequential(graph, kept_keys, num_replace)
+        added = propose(self, graph, kept_keys, num_replace)
         return GraphDelta(
             num_new_nodes=0, added=added, removed=edges[np.sort(drop_idx)]
         )
@@ -207,7 +197,7 @@ class ChurnModel:
         hi = np.maximum(u, w)
         return lo, hi, (deg_u > 0) & (lo != hi)
 
-    def _propose_batched(
+    def _propose(
         self, graph: Graph, kept_keys: np.ndarray, num_replace: int
     ) -> np.ndarray:
         n = graph.num_nodes
@@ -235,31 +225,6 @@ class ChurnModel:
         if not chosen:
             return _empty_edges()
         return np.concatenate(chosen).astype(np.int64)
-
-    def _propose_sequential(
-        self, graph: Graph, kept_keys: np.ndarray, num_replace: int
-    ) -> np.ndarray:
-        n = graph.num_nodes
-        budget = 50 * num_replace
-        attempts = 0
-        kept = set(int(k) for k in kept_keys)
-        seen: set[int] = set()
-        added: list[tuple[int, int]] = []
-        while len(added) < num_replace and attempts < budget:
-            size = min(num_replace - len(added), budget - attempts)
-            lo, hi, valid = self._draw_block(graph, size)
-            attempts += size
-            for i in range(size):
-                if not valid[i]:
-                    continue
-                key = int(lo[i]) * n + int(hi[i])
-                if key in kept or key in seen:
-                    continue
-                seen.add(key)
-                added.append((int(lo[i]), int(hi[i])))
-        if not added:
-            return _empty_edges()
-        return np.asarray(added, dtype=np.int64)
 
 
 class GrowthModel:

@@ -44,16 +44,13 @@ def track_evolution(
     graph_sequence: Iterable[Graph],
     expansion_sources: int = 30,
     seed: int = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
     store: ArtifactStore | None = None,
 ) -> list[SnapshotMetrics]:
     """Measure every snapshot in an evolution sequence.
 
     Expansion is summarized as the mean expansion factor over envelopes
     of at most n/10 nodes (the regime Figures 3-4 show is
-    discriminative).  ``chunk_size``/``workers`` pass through to
-    :func:`repro.expansion.envelope_expansion`.  ``store`` memoizes the
+    discriminative).  ``store`` memoizes the
     per-snapshot SLEM/core/expansion measurements under each snapshot's
     content digest, so overlapping or replayed evolution sequences
     (e.g. sliding windows over the same history) only measure new
@@ -75,8 +72,6 @@ def track_evolution(
                 graph,
                 num_sources=min(expansion_sources, graph.num_nodes),
                 seed=seed,
-                chunk_size=chunk_size,
-                workers=workers,
             ),
         )
         small = measurement.set_sizes <= max(graph.num_nodes // 10, 1)

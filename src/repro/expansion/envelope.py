@@ -140,8 +140,6 @@ def envelope_expansion(
     num_sources: int | None = None,
     max_radius: int | None = None,
     seed: int = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> ExpansionMeasurement:
     """Run the expansion measurement from many core nodes.
 
@@ -167,16 +165,9 @@ def envelope_expansion(
     max_radius:
         Optionally stop each BFS's bookkeeping at this envelope radius
         (must be >= 1: radius 0 would measure no envelope at all).
-    chunk_size:
-        Cores traversed per block, bounding memory at
-        ``O(n * chunk_size)``.
-    workers:
-        Fan independent core chunks out over this many workers.
     """
     chosen = _cores(graph, sources, num_sources, max_radius, seed)
-    level_sizes = bfs_level_sizes_block(
-        graph, chosen, chunk_size=chunk_size, workers=workers, max_levels=max_radius
-    )
+    level_sizes = bfs_level_sizes_block(graph, chosen, max_levels=max_radius)
     all_sizes: list[np.ndarray] = []
     all_neighbors: list[np.ndarray] = []
     for row in level_sizes:

@@ -31,14 +31,14 @@ Each row block of the graph (one for a resident graph, every shard of
 a :class:`~repro.graph.shard.ShardedGraph`) writes its product into its
 own output rows, so in-RAM and sharded runs are the same bits.
 
-Both take ``chunk_size`` (memory bound ``O(n * chunk_size)``) and
-``workers`` (fan-out over source chunks) with the exact semantics of
-the walk engines: one module-level kernel runs through
-:func:`repro.chunking.run_kernel` on threads or, under an ambient
-process scope, on the shared-memory process pool (the CSR arrays are
-published once; each worker builds the float32 adjacency once per
-graph, so results stay bit-identical).  The per-source oracles live in
-:mod:`repro.oracles`.
+Both are scheduled like the walk engines, by the ambient
+:func:`repro.parallel.execution` scope: ``chunk_size`` bounds memory at
+``O(n * chunk_size)`` and ``workers`` fans source chunks out.  One
+module-level kernel runs through :func:`repro.chunking.run_kernel` on
+threads or, under a process scope, on the shared-memory process pool
+(the CSR arrays are published once; each worker builds the float32
+adjacency once per graph, so results stay bit-identical).  The
+per-source oracles live in :mod:`repro.oracles`.
 """
 
 from __future__ import annotations
@@ -145,8 +145,6 @@ def _bfs_chunk(
 def bfs_level_sizes_block(
     graph: Graph | ShardedGraph,
     sources: np.ndarray | Sequence[int],
-    chunk_size: int | None = None,
-    workers: int | None = None,
     max_levels: int | None = None,
 ) -> np.ndarray:
     """Return the ``(len(sources), L)`` matrix of BFS level sizes.
@@ -161,9 +159,10 @@ def bfs_level_sizes_block(
 
     ``max_levels`` stops every BFS after that many levels beyond the
     source (the envelope measurement's ``max_radius`` bound), saving the
-    deep tail entirely instead of discarding it afterwards.
-    ``chunk_size`` bounds memory at ``O(n * chunk_size)`` booleans;
-    ``workers`` fans independent chunks out.
+    deep tail entirely instead of discarding it afterwards.  The
+    ambient :func:`repro.parallel.execution` scope's ``chunk_size``
+    bounds memory at ``O(n * chunk_size)`` booleans; its ``workers``
+    fans independent chunks out.
     """
     chosen = _check(graph, sources)
     if max_levels is not None and max_levels < 0:
@@ -175,8 +174,6 @@ def bfs_level_sizes_block(
         run_kernel(
             _levels_kernel,
             chosen.size,
-            chunk_size,
-            workers,
             inputs={"graph": graph, "sources": chosen, "max_levels": max_levels},
             merge=lambda columns, block: blocks.__setitem__(columns.start, block),
             span="graph.bfs.frontier_chunk",
@@ -191,17 +188,14 @@ def bfs_level_sizes_block(
 def bfs_distances_block(
     graph: Graph | ShardedGraph,
     sources: np.ndarray | Sequence[int],
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Return the ``(len(sources), n)`` hop-distance matrix.
 
     Row ``j`` is byte-identical to ``bfs_distances(graph, sources[j])``:
     hop distances from ``sources[j]``, ``-1`` for unreachable nodes.
-    ``chunk_size`` / ``workers`` behave as in
-    :func:`bfs_level_sizes_block`; note the output itself is
-    ``O(n * len(sources))``, so chunking bounds only the *extra* working
-    set.
+    Chunks are scheduled as in :func:`bfs_level_sizes_block`; note the
+    output itself is ``O(n * len(sources))``, so chunking bounds only
+    the *extra* working set.
     """
     chosen = _check(graph, sources)
     out = np.full((chosen.size, graph.num_nodes), _UNREACHED, dtype=np.int64)
@@ -211,8 +205,6 @@ def bfs_distances_block(
         run_kernel(
             _distances_kernel,
             chosen.size,
-            chunk_size,
-            workers,
             inputs={"graph": graph, "sources": chosen},
             outputs={"out": out},
             span="graph.bfs.frontier_chunk",

@@ -17,6 +17,7 @@ from collections import deque
 
 import numpy as np
 
+from repro import parallel
 from repro.chunking import DEFAULT_CHUNK_SIZE
 from repro.errors import EmptyGraphError, GraphError
 from repro.graph.core import Graph
@@ -96,8 +97,6 @@ def betweenness_centrality(
 def closeness_centrality(
     graph: Graph,
     node: int | None = None,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Return closeness centrality (per node, or a 1-element array).
 
@@ -105,7 +104,9 @@ def closeness_centrality(
     graphs get comparable values: ``C(v) = (r-1)/(n-1) * (r-1)/S`` where
     r is v's reachable-set size and S the sum of distances within it.
     The distance sums come from the block BFS engine, chunked so only
-    ``O(n * chunk_size)`` distance entries are alive at a time —
+    ``O(n * chunk_size)`` distance entries are alive at a time
+    (``chunk_size`` from the ambient :func:`repro.parallel.execution`
+    scope, :data:`~repro.chunking.DEFAULT_CHUNK_SIZE` outside one) —
     byte-identical to the one-BFS-per-node oracle in
     :mod:`repro.oracles`.
     """
@@ -115,13 +116,9 @@ def closeness_centrality(
     nodes = [node] if node is not None else list(range(n))
     out = np.zeros(len(nodes))
     chosen = np.asarray(nodes, dtype=np.int64)
-    step = DEFAULT_CHUNK_SIZE if chunk_size is None else int(chunk_size)
-    if step < 1:
-        raise GraphError("chunk_size must be positive")
+    step = parallel.schedule()[2] or DEFAULT_CHUNK_SIZE
     for lo in range(0, chosen.size, step):
-        block = bfs_distances_block(
-            graph, chosen[lo : lo + step], chunk_size=chunk_size, workers=workers
-        )
+        block = bfs_distances_block(graph, chosen[lo : lo + step])
         positive = block > 0
         r = positive.sum(axis=1) + 1
         totals = np.where(positive, block, 0).sum(axis=1).astype(float)

@@ -60,8 +60,6 @@ def eccentricity(graph: Graph, node: int) -> int:
 def eccentricities(
     graph: Graph,
     sources: np.ndarray | list[int] | None = None,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Return per-source eccentricities (all nodes by default).
 
@@ -80,18 +78,12 @@ def eccentricities(
     )
     if chosen.size == 0:
         return np.empty(0, dtype=np.int64)
-    level_sizes = bfs_level_sizes_block(
-        graph, chosen, chunk_size=chunk_size, workers=workers
-    )
+    level_sizes = bfs_level_sizes_block(graph, chosen)
     # a source's eccentricity is the index of its last nonempty level
     return (level_sizes > 0).cumsum(axis=1).argmax(axis=1).astype(np.int64)
 
 
-def diameter(
-    graph: Graph,
-    chunk_size: int | None = None,
-    workers: int | None = None,
-) -> int:
+def diameter(graph: Graph) -> int:
     """Return the exact diameter of the graph's reachable pairs.
 
     Runs a BFS per node, batched through the block engine.  Use
@@ -101,9 +93,7 @@ def diameter(
     """
     if graph.num_nodes == 0:
         raise EmptyGraphError("diameter of an empty graph is undefined")
-    return int(
-        eccentricities(graph, chunk_size=chunk_size, workers=workers).max()
-    )
+    return int(eccentricities(graph).max())
 
 
 def approximate_diameter(graph: Graph, num_sweeps: int = 4, seed: int = 0) -> int:

@@ -22,13 +22,14 @@ row blocks scatter ``P^T @ block`` (in RAM or sharded, the bits of
 ``transition_matrix(graph)``); lazy and trust-weighted chains are
 matrices only.
 
-Memory is bounded by column chunking (``chunk_size`` keeps the working
-set at ``O(n * chunk_size)``), and ``workers`` fans the chunks out
-through :func:`repro.chunking.run_kernel` — on threads, or on the
-shared-memory process pool when the ambient execution scope asks for
-it.  One module-level kernel runs on both backends, so every backend x
-chunk_size x workers combination stays bit-identical to the others and
-to the one-matvec-per-source oracle in :mod:`repro.oracles`.
+Memory is bounded by column chunking, and the chunks fan out through
+:func:`repro.chunking.run_kernel` — on threads, or on the shared-memory
+process pool — as the ambient :func:`repro.parallel.execution` scope
+says (``chunk_size`` keeps the working set at ``O(n * chunk_size)``,
+``workers`` sets the fan-out).  One module-level kernel runs on both
+backends, so every backend x chunk_size x workers combination stays
+bit-identical to the others and to the one-matvec-per-source oracle in
+:mod:`repro.oracles`.
 """
 
 from __future__ import annotations
@@ -201,16 +202,14 @@ def batched_tvd_profile(
     stationary: np.ndarray,
     sources: np.ndarray | Sequence[int],
     walk_lengths: np.ndarray | Sequence[int],
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Return the ``(len(sources), len(walk_lengths))`` TVD matrix.
 
     Entry ``[j, t]`` is the total variation distance between source
     ``sources[j]``'s ``walk_lengths[t]``-step distribution and
     ``stationary``.  Sources are evolved as dense column blocks of at
-    most ``chunk_size`` columns (default ``DEFAULT_CHUNK_SIZE``); with
-    ``workers`` the independent chunks fan out through
+    most the ambient scope's ``chunk_size`` columns (default
+    ``DEFAULT_CHUNK_SIZE``); the independent chunks fan out through
     :func:`repro.chunking.run_kernel`, bit-identical on every backend.
 
     ``matrix`` may be a graph instead, as in :func:`evolve_block`.
@@ -236,8 +235,6 @@ def batched_tvd_profile(
         run_kernel(
             _tvd_kernel,
             chosen.size,
-            chunk_size,
-            workers,
             inputs={
                 "matrix": matrix,
                 "stationary": pi,

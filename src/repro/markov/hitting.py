@@ -115,8 +115,6 @@ def estimate_hitting_time(
     num_walks: int = 200,
     max_steps: int | None = None,
     seed: int = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> float:
     """Monte-Carlo estimate of H(source, target) by sampled first hits.
 
@@ -145,8 +143,6 @@ def estimate_hitting_time(
         budget,
         mask,
         seed=np.random.SeedSequence(seed),
-        chunk_size=chunk_size,
-        workers=workers,
     )
     reached = hits[hits != NO_HIT]
     if reached.size == 0:
@@ -161,8 +157,6 @@ def estimate_cover_time(
     num_walks: int = 20,
     max_steps: int | None = None,
     seed: int = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> float:
     """Monte-Carlo estimate of the cover time from random starts.
 
@@ -172,7 +166,7 @@ def estimate_cover_time(
     no walk covers within the budget (slow mixer or budget too small).
     Start nodes come from one child stream of ``seed`` and every walk
     advances on its own stream through the vectorized engine, so the
-    estimate is independent of ``chunk_size``/``workers``.
+    estimate is independent of the schedule.
     """
     if graph.num_nodes < 2:
         raise GraphError("cover time needs at least 2 nodes")
@@ -191,8 +185,6 @@ def estimate_cover_time(
         starts,
         budget,
         seed=walk_seed,
-        chunk_size=chunk_size,
-        workers=workers,
     )
     completed = covered[covered != NO_HIT]
     if completed.size == 0:

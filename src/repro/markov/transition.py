@@ -14,6 +14,7 @@ from collections import OrderedDict
 import numpy as np
 import scipy.sparse as sp
 
+from repro import parallel
 from repro.chunking import run_kernel
 from repro.errors import GraphError
 from repro.graph.core import Graph
@@ -168,22 +169,22 @@ class TransitionOperator:
         self,
         block: np.ndarray,
         steps: int = 1,
-        chunk_size: int | None = None,
-        workers: int | None = None,
     ) -> np.ndarray:
         """Advance every column of an ``(n, s)`` block by ``steps`` steps.
 
         Column ``j`` of the result is bit-identical to evolving column
         ``j`` alone through :meth:`evolve` ``steps`` times, but the
-        whole block moves in single sparse x dense products.
-        ``chunk_size`` bounds the dense working set at ``O(n * chunk)``
-        columns at a time; ``workers`` fans independent chunks out
-        through :func:`repro.chunking.run_kernel`.
+        whole block moves in single sparse x dense products.  When the
+        ambient :func:`repro.parallel.execution` scope sets
+        ``chunk_size`` or ``workers``, the block moves in chunks through
+        :func:`repro.chunking.run_kernel` instead (``chunk_size`` bounds
+        the dense working set at ``O(n * chunk)``).
         """
         dense = np.asarray(block, dtype=float)
         n = self._graph.num_nodes
         if dense.ndim != 2 or dense.shape[0] != n:
             raise GraphError(f"block must have shape ({n}, s), got {dense.shape}")
+        _, workers, chunk_size = parallel.schedule()
         if chunk_size is None and workers is None:
             return evolve_block(self._matrix, dense, steps)
         if steps < 0:
@@ -192,8 +193,6 @@ class TransitionOperator:
         run_kernel(
             _evolve_kernel,
             dense.shape[1],
-            chunk_size,
-            workers,
             inputs={"matrix": self._matrix, "block": dense, "steps": steps},
             outputs={"out": out},
             setup=_evolver_setup,
@@ -204,8 +203,6 @@ class TransitionOperator:
         self,
         sources: np.ndarray | list[int],
         walk_lengths: np.ndarray | list[int],
-        chunk_size: int | None = None,
-        workers: int | None = None,
     ) -> np.ndarray:
         """Return the ``(len(sources), len(walk_lengths))`` TVD matrix.
 
@@ -215,12 +212,7 @@ class TransitionOperator:
         :func:`repro.markov.batch.batched_tvd_profile`).
         """
         return batched_tvd_profile(
-            self._matrix,
-            self._stationary,
-            sources,
-            walk_lengths,
-            chunk_size=chunk_size,
-            workers=workers,
+            self._matrix, self._stationary, sources, walk_lengths
         )
 
 

@@ -29,8 +29,9 @@ graph's row blocks, so in-RAM and sharded walks are the same bits.
 one root :class:`numpy.random.SeedSequence` (``spawn`` per walk), and
 each walk's step ``t`` consumes exactly the ``t``-th uniform double of
 its own stream.  Results are therefore **bit-identical** for every
-``chunk_size``/``workers`` combination, on both backends of
-:func:`repro.chunking.run_kernel` (seed streams pickle their exact
+schedule the ambient :func:`repro.parallel.execution` scope sets
+(``chunk_size`` x ``workers``, on both backends of
+:func:`repro.chunking.run_kernel` — seed streams pickle their exact
 generator state), and identical to the per-walk oracles of
 :mod:`repro.oracles` — the property the equivalence suite pins.  Each
 mode is one module-level kernel; every chunk reports a
@@ -231,8 +232,6 @@ def _run(
     graph: "Graph | ShardedGraph",
     chosen: np.ndarray,
     seed,
-    chunk_size: int | None,
-    workers: int | None,
     inputs: dict,
     out: np.ndarray | None = None,
     merge=None,
@@ -244,8 +243,6 @@ def _run(
         run_kernel(
             kernel,
             chosen.size,
-            chunk_size,
-            workers,
             inputs={"graph": graph, "sources": chosen, **inputs},
             outputs=None if out is None else {"out": out},
             split={"streams": _streams(seed, chosen.size)},
@@ -267,21 +264,19 @@ def walk_block(
     sources: np.ndarray | Sequence[int],
     length: int,
     seed: _SeedLike = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Return one walk per source as a ``(len(sources), length + 1)`` block.
 
     Row ``i`` is a ``length``-step uniform random walk from
     ``sources[i]`` (column 0 is the source itself), driven by walk
     ``i``'s own seed stream — so the block is bit-identical for every
-    ``chunk_size``/``workers`` setting and to the per-walk oracle.
+    schedule and to the per-walk oracle.
     """
     chosen = _check(graph, sources, length)
     out = np.empty((chosen.size, length + 1), dtype=np.int64)
     if chosen.size:
-        _run("block", _block_kernel, graph, chosen, seed, chunk_size, workers,
-             {"length": length}, out=out)
+        _run("block", _block_kernel, graph, chosen, seed, {"length": length},
+             out=out)
     return out
 
 
@@ -290,8 +285,6 @@ def walk_endpoints(
     sources: np.ndarray | Sequence[int],
     length: int,
     seed: _SeedLike = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Return the ``length``-step endpoint of one walk per source.
 
@@ -302,8 +295,8 @@ def walk_endpoints(
     chosen = _check(graph, sources, length)
     out = np.empty(chosen.size, dtype=np.int64)
     if chosen.size:
-        _run("endpoints", _endpoints_kernel, graph, chosen, seed, chunk_size,
-             workers, {"length": length}, out=out)
+        _run("endpoints", _endpoints_kernel, graph, chosen, seed,
+             {"length": length}, out=out)
     return out
 
 
@@ -313,8 +306,6 @@ def walk_first_hits(
     length: int,
     mask: np.ndarray,
     seed: _SeedLike = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Return per walk the first step index at which it stands on ``mask``.
 
@@ -335,8 +326,8 @@ def walk_first_hits(
         )
     out = np.empty(chosen.size, dtype=np.int64)
     if chosen.size:
-        _run("first_hits", _first_hits_kernel, graph, chosen, seed, chunk_size,
-             workers, {"length": length, "mask": hit_mask}, out=out)
+        _run("first_hits", _first_hits_kernel, graph, chosen, seed,
+             {"length": length, "mask": hit_mask}, out=out)
     return out
 
 
@@ -346,8 +337,6 @@ def walk_visit_counts(
     length: int,
     seed: _SeedLike = 0,
     record: str = "all",
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Accumulate per-node visit counts over one walk per source.
 
@@ -365,8 +354,8 @@ def walk_visit_counts(
         raise GraphError(f"unknown record mode {record!r}; use 'all' or 'last'")
     counts = np.zeros(graph.num_nodes, dtype=np.int64)
     if chosen.size:
-        _run("visit_counts", _visit_kernel, graph, chosen, seed, chunk_size,
-             workers, {"length": length, "record": record},
+        _run("visit_counts", _visit_kernel, graph, chosen, seed,
+             {"length": length, "record": record},
              merge=lambda _, local: np.add(counts, local, out=counts))
     return counts
 
@@ -376,8 +365,6 @@ def walk_cover_steps(
     sources: np.ndarray | Sequence[int],
     max_steps: int,
     seed: _SeedLike = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Return per walk the step at which it has visited every node.
 
@@ -390,6 +377,6 @@ def walk_cover_steps(
         raise GraphError("max_steps must be positive")
     out = np.empty(chosen.size, dtype=np.int64)
     if chosen.size:
-        _run("cover_steps", _cover_kernel, graph, chosen, seed, chunk_size,
-             workers, {"max_steps": max_steps}, out=out)
+        _run("cover_steps", _cover_kernel, graph, chosen, seed,
+             {"max_steps": max_steps}, out=out)
     return out

@@ -55,15 +55,12 @@ def random_walks(
     length: int,
     count: int,
     rng: np.random.Generator | None = None,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Return ``count`` independent walks as a ``(count, length + 1)`` array.
 
     Rides the vectorized engine (:func:`repro.markov.walk_batch.walk_block`).
     Each walk draws from its own child stream of ``rng`` (fresh entropy
-    when ``rng`` is None), so results do not depend on
-    ``chunk_size``/``workers``.
+    when ``rng`` is None), so results do not depend on the schedule.
     """
     from repro.markov.walk_batch import walk_block
 
@@ -76,8 +73,6 @@ def random_walks(
         np.full(count, source, dtype=np.int64),
         length,
         seed=seed,
-        chunk_size=chunk_size,
-        workers=workers,
     )
 
 
@@ -87,8 +82,6 @@ def empirical_distribution(
     length: int,
     num_samples: int,
     rng: np.random.Generator | None = None,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Estimate the ``length``-step distribution from ``num_samples`` walks.
 
@@ -110,8 +103,6 @@ def empirical_distribution(
         length,
         seed=seed,
         record="last",
-        chunk_size=chunk_size,
-        workers=workers,
     )
     return counts / num_samples
 

@@ -16,8 +16,9 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.core import Graph
-from repro.markov.batch import validate_walk_lengths
-from repro.markov.transition import get_operator
+from repro.graph.shard import ShardedGraph
+from repro.markov.batch import batched_tvd_profile, validate_walk_lengths
+from repro.markov.transition import get_operator, stationary_distribution
 
 __all__ = [
     "MixingProfile",
@@ -70,7 +71,7 @@ class MixingProfile:
 
 
 def _profile_inputs(
-    graph: Graph,
+    graph: Graph | ShardedGraph,
     walk_lengths: np.ndarray | list[int] | None,
     num_sources: int,
     sources: np.ndarray | list[int] | None,
@@ -94,20 +95,20 @@ def _profile_inputs(
 
 
 def sampled_mixing_profile(
-    graph: Graph,
+    graph: Graph | ShardedGraph,
     walk_lengths: np.ndarray | list[int] | None = None,
     num_sources: int = 100,
     sources: np.ndarray | list[int] | None = None,
     lazy: bool = False,
     seed: int = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> MixingProfile:
     """Measure TVD-to-stationary for sampled sources and walk lengths.
 
     All sources evolve as dense column blocks in single sparse x dense
-    products (:meth:`TransitionOperator.tvd_profile`), byte-identical
-    to the one-matvec-per-source oracle in :mod:`repro.oracles`.
+    products (:func:`repro.markov.batch.batched_tvd_profile`),
+    byte-identical to the one-matvec-per-source oracle in
+    :mod:`repro.oracles`.  The plain walk streams the graph's row
+    blocks, so any graph store works, in RAM or sharded.
 
     Parameters
     ----------
@@ -125,17 +126,17 @@ def sampled_mixing_profile(
         before evolution so ``tvd`` rows always align with the
         ``sources`` attribute of the returned profile.
     lazy:
-        Evolve the lazy chain ``(I + P)/2`` instead of P.
-    chunk_size:
-        Columns evolved per block, bounding memory at
-        ``O(n * chunk_size)``.
-    workers:
-        Fan independent source chunks out over this many workers.
+        Evolve the lazy chain ``(I + P)/2`` instead of P, through its
+        matrix; only an in-RAM :class:`Graph` has one.
     """
     lengths, chosen = _profile_inputs(graph, walk_lengths, num_sources, sources, seed)
-    tvd = get_operator(graph, lazy=lazy).tvd_profile(
-        chosen, lengths, chunk_size=chunk_size, workers=workers
-    )
+    if not lazy:
+        pi = stationary_distribution(graph)
+        tvd = batched_tvd_profile(graph, pi, chosen, lengths)
+    elif isinstance(graph, Graph):
+        tvd = get_operator(graph, lazy=True).tvd_profile(chosen, lengths)
+    else:
+        raise GraphError("the lazy chain needs an in-RAM Graph")
     return MixingProfile(walk_lengths=lengths, sources=chosen, tvd=tvd, lazy=lazy)
 
 
@@ -163,21 +164,18 @@ def mixing_time_from_profile(
 
 
 def sampled_mixing_time(
-    graph: Graph,
+    graph: Graph | ShardedGraph,
     epsilon: float | None = None,
     max_length: int = 200,
     num_sources: int = 100,
     lazy: bool = False,
     seed: int = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> int | None:
     """Estimate ``T(eps)`` by the sampling method.
 
     ``epsilon`` defaults to ``1/n``.  Returns None when the chain has
     not mixed within ``max_length`` steps (a slow-mixing verdict at this
-    scale).  ``chunk_size``/``workers`` schedule the batched walk engine
-    exactly as in :func:`sampled_mixing_profile`.
+    scale).
     """
     eps = 1.0 / graph.num_nodes if epsilon is None else epsilon
     profile = sampled_mixing_profile(
@@ -186,14 +184,12 @@ def sampled_mixing_time(
         num_sources=num_sources,
         lazy=lazy,
         seed=seed,
-        chunk_size=chunk_size,
-        workers=workers,
     )
     return mixing_time_from_profile(profile, eps, aggregate="max")
 
 
 def is_fast_mixing(
-    graph: Graph,
+    graph: Graph | ShardedGraph,
     constant: float = 4.0,
     num_sources: int = 50,
     seed: int = 0,

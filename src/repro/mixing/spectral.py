@@ -220,11 +220,14 @@ def sinclair_bounds(mu: float, num_nodes: int, epsilon: float) -> MixingBounds:
     )
 
 
-def spectral_summary(graph: Graph, fast_sources: int, seed: int) -> dict:
+def spectral_summary(
+    graph: Graph | ShardedGraph, fast_sources: int, seed: int
+) -> dict:
     """The ``spectral`` store artifact: ``{"slem", "bounds", "fast"}``.
 
     SLEM, Sinclair bounds at ``eps = 1/n`` and the sampled
-    :func:`~repro.mixing.is_fast_mixing` verdict over ``fast_sources``.
+    :func:`~repro.mixing.is_fast_mixing` verdict over ``fast_sources``,
+    on any graph store.
     """
     mu = slem(graph)
     bounds = sinclair_bounds(mu, graph.num_nodes, epsilon=1 / graph.num_nodes)

@@ -115,26 +115,18 @@ def modulated_mixing_profile(
     walk_lengths: list[int],
     num_sources: int = 50,
     seed: int = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Return mean TVD-to-stationary per walk length under modulation.
 
     The modulated analog of the Figure-1 measurement, run on the
-    batched walk engine (``chunk_size``/``workers`` as in
-    :func:`repro.mixing.sampled_mixing_profile`).
+    batched walk engine.
     """
     operator = ModulatedOperator.build(graph, trust)
     rng = np.random.default_rng(seed)
     count = min(num_sources, graph.num_nodes)
     sources = rng.choice(graph.num_nodes, size=count, replace=False)
     tvd = batched_tvd_profile(
-        operator.matrix,
-        operator.stationary,
-        sources,
-        walk_lengths,
-        chunk_size=chunk_size,
-        workers=workers,
+        operator.matrix, operator.stationary, sources, walk_lengths
     )
     return tvd.mean(axis=0)
 

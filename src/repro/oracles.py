@@ -9,7 +9,8 @@ the same IEEE operations walk by walk, source by source, level mask by
 level mask or half-edge by half-edge.  So do the measurements built on
 them that the test suite and the speedup benchmarks compare (mixing
 profile, envelope expansion, eccentricities, closeness, escape
-probability, link perturbation).  Every function returns exactly what
+probability, link perturbation), and the edge-churn proposal filter of
+:class:`repro.dynamics.ChurnModel`.  Every function returns exactly what
 its library namesake returns for the same arguments, bit for bit; the
 library never calls this module.
 """
@@ -22,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.chunking import validate_sources
+from repro.dynamics import evolution
 from repro.errors import SybilDefenseError
 from repro.expansion import envelope
 from repro.graph.core import Graph
@@ -53,6 +55,7 @@ __all__ = [
     "sumup_flow_graph",
     "measure_escape",
     "perturb_links",
+    "churn_step_events",
 ]
 
 
@@ -403,3 +406,46 @@ def measure_escape(
 def perturb_links(graph: Graph, t: int, seed=0) -> Graph:
     """Per-edge twin of :func:`repro.privacy.perturb_links`."""
     return perturb._perturb(graph, t, seed, walk_endpoints)
+
+
+# ----------------------------------------------------------------------
+# edge churn: one proposed edge at a time
+# ----------------------------------------------------------------------
+def churn_step_events(
+    model: evolution.ChurnModel, graph: Graph
+) -> evolution.GraphDelta:
+    """Per-candidate twin of :meth:`repro.dynamics.ChurnModel.step_events`.
+
+    Consumes the same block draws from ``model``'s generator, but keeps
+    or rejects each candidate edge in plain python.
+    """
+    return model._step_events(graph, _churn_propose)
+
+
+def _churn_propose(
+    model: evolution.ChurnModel,
+    graph: Graph,
+    kept_keys: np.ndarray,
+    num_replace: int,
+) -> np.ndarray:
+    n = graph.num_nodes
+    budget = 50 * num_replace
+    attempts = 0
+    kept = set(int(k) for k in kept_keys)
+    seen: set[int] = set()
+    added: list[tuple[int, int]] = []
+    while len(added) < num_replace and attempts < budget:
+        size = min(num_replace - len(added), budget - attempts)
+        lo, hi, valid = model._draw_block(graph, size)
+        attempts += size
+        for i in range(size):
+            if not valid[i]:
+                continue
+            key = int(lo[i]) * n + int(hi[i])
+            if key in kept or key in seen:
+                continue
+            seen.add(key)
+            added.append((int(lo[i]), int(hi[i])))
+    if not added:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.asarray(added, dtype=np.int64)

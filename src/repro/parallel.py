@@ -30,10 +30,11 @@ the ambient :func:`execution` scope (``executor="thread" | "process" |
   parent registry under the dispatching thread's span path, beside the
   ``chunking.*`` fan-out and ``parallel.*`` dispatch counters.
 
-:func:`execution` scopes the ambient executor and worker count, so the
-pipeline wave scheduler and the CLI reach every nested engine call
-without a parameter on each signature; :func:`resolve_execution` fills
-an engine's ``workers`` argument from it.
+:func:`execution` scopes the whole schedule — executor, worker count
+and chunk size — so the pipeline wave scheduler, the CLI and the
+bit-identity tests reach every nested engine call without a parameter
+on any engine signature; :func:`resolve_execution` is what
+:func:`repro.chunking.run_kernel` reads it through.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ __all__ = [
     "CsrRef",
     "ShardedRef",
     "execution",
+    "schedule",
     "resolve_execution",
     "use_processes",
     "publish",
@@ -103,8 +105,9 @@ def shm_prefix() -> str:
 # ambient execution configuration
 # ----------------------------------------------------------------------
 _config_lock = threading.Lock()
-_ambient_executor: str | None = None
-_ambient_workers: int | None = None
+#: ``(executor, workers, chunk_size)`` of every open scope, in entry
+#: order, keyed by a per-scope token.
+_scopes: dict[object, tuple[str | None, int | None, int | None]] = {}
 
 
 def _validate_executor(executor: str | None) -> None:
@@ -116,51 +119,63 @@ def _validate_executor(executor: str | None) -> None:
 
 @contextmanager
 def execution(
-    executor: str | None = None, workers: int | None = None
+    executor: str | None = None,
+    workers: int | None = None,
+    chunk_size: int | None = None,
 ) -> Iterator[None]:
-    """Scope an ambient executor/worker default to a ``with`` block.
+    """Scope the batch engines' schedule to a ``with`` block.
 
-    Every engine call inside the block runs on this executor, and
-    engines called with ``workers=None`` inherit the worker count,
-    through :func:`resolve_execution` — the mechanism by which
-    ``--executor`` on the CLI and the pipeline wave scheduler reach
-    every nested engine call without a parameter on every function in
-    between.  An explicit ``workers`` argument wins.
+    Every :func:`repro.chunking.run_kernel` call inside the block runs
+    on ``executor``, fans its chunks out over ``workers`` and cuts its
+    items into chunks of ``chunk_size`` (default
+    :data:`repro.chunking.DEFAULT_CHUNK_SIZE`, spread over the
+    workers).  Results never depend on the schedule, so no engine takes
+    it as an argument: the CLI, the pipeline wave scheduler and callers
+    that bound memory set it here for every nested engine call.  A
+    field left ``None`` keeps the enclosing scope's value, and leaving
+    the block restores it.
     """
     _validate_executor(executor)
-    if workers is not None and workers < 1:
-        raise GraphError("workers must be positive")
-    global _ambient_executor, _ambient_workers
+    for name, value in (("workers", workers), ("chunk_size", chunk_size)):
+        if value is not None and value < 1:
+            raise GraphError(f"{name} must be positive")
+    token = object()
     with _config_lock:
-        previous = (_ambient_executor, _ambient_workers)
-        if executor is not None:
-            _ambient_executor = executor
-        if workers is not None:
-            _ambient_workers = workers
+        _scopes[token] = (executor, workers, chunk_size)
     try:
         yield
     finally:
+        # by token, not as a stack: concurrent pipeline stages may
+        # leave their scopes in any order
         with _config_lock:
-            _ambient_executor, _ambient_workers = previous
+            del _scopes[token]
 
 
-def resolve_execution(
-    executor: str | None, workers: int | None
-) -> tuple[str, int | None]:
-    """Resolve the effective ``(executor, workers)`` pair for one call.
+def schedule() -> tuple[str | None, int | None, int | None]:
+    """The ``(executor, workers, chunk_size)`` the open scopes set.
 
-    Explicit arguments beat the ambient :func:`execution` configuration,
-    which beats the defaults (``"thread"``, ``None``).  ``"auto"``
-    becomes ``"process"`` when the effective worker count exceeds one
-    and ``"thread"`` otherwise; a process request with no worker count
-    gets :func:`repro.chunking.default_workers`.
+    Each field comes from the innermost scope that sets it; ``None``
+    means no open scope does.
     """
-    _validate_executor(executor)
     with _config_lock:
-        ambient_executor, ambient_workers = _ambient_executor, _ambient_workers
-    kind = executor if executor is not None else (ambient_executor or "thread")
-    if workers is None:
-        workers = ambient_workers
+        frames = list(_scopes.values())
+    return tuple(
+        next((frame[i] for frame in reversed(frames) if frame[i] is not None), None)
+        for i in range(3)
+    )
+
+
+def resolve_execution() -> tuple[str, int | None, int | None]:
+    """Resolve the effective ``(executor, workers, chunk_size)`` of a call.
+
+    The ambient :func:`execution` scope beats the defaults
+    (``"thread"``, ``None``, ``None``).  ``"auto"`` becomes
+    ``"process"`` when the effective worker count exceeds one and
+    ``"thread"`` otherwise; a process request with no worker count gets
+    :func:`repro.chunking.default_workers`.
+    """
+    executor, workers, chunk_size = schedule()
+    kind = executor or "thread"
     if kind == "auto":
         effective = workers if workers is not None else chunking.default_workers()
         kind = "process" if effective > 1 else "thread"
@@ -168,7 +183,7 @@ def resolve_execution(
             workers = effective
     elif kind == "process" and workers is None:
         workers = chunking.default_workers()
-    return kind, workers
+    return kind, workers, chunk_size
 
 
 def use_processes(kind: str, workers: int | None, num_chunks: int) -> bool:

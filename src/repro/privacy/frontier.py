@@ -41,7 +41,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro import telemetry
+from repro import parallel, telemetry
 from repro.cores.statistics import core_structure
 from repro.errors import GraphError
 from repro.expansion.envelope import envelope_expansion
@@ -221,8 +221,6 @@ def _measure_point(
     suspect_sample: int,
     seed: int,
     target: str,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> PrivacyPoint:
     """Perturb the attack graph at level ``t`` and measure everything.
 
@@ -233,9 +231,7 @@ def _measure_point(
     tel = telemetry.current()
     with tel.span("privacy.frontier.point"):
         tel.count("privacy.frontier.points")
-        perturbed = perturb_links(
-            attack.graph, t, seed=seed, chunk_size=chunk_size, workers=workers
-        )
+        perturbed = perturb_links(attack.graph, t, seed=seed)
         lcc, _ = largest_connected_component(perturbed)
         if lcc.num_nodes >= 2:
             mu = slem(lcc)
@@ -244,8 +240,6 @@ def _measure_point(
                 walk_lengths=walk_lengths,
                 num_sources=min(num_sources, lcc.num_nodes),
                 seed=seed,
-                chunk_size=chunk_size,
-                workers=workers,
             )
             tvd = profile.mean
             mixing_time = mixing_time_from_profile(
@@ -315,8 +309,6 @@ def privacy_utility_frontier(
     walk_lengths: Sequence[int] | None = None,
     seed: int = 0,
     target: str = "unknown",
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> PrivacyFrontier:
     """Sweep the perturbation knob and measure the privacy-utility frontier.
 
@@ -357,8 +349,6 @@ def privacy_utility_frontier(
                 suspect_sample,
                 seed,
                 target,
-                chunk_size=chunk_size,
-                workers=workers,
             )
             for t in levels
         ]
@@ -393,7 +383,9 @@ def privacy_frontier_pipeline(
     stages only depend on the attack scenario, so the pipeline scheduler
     fans them out across workers, and a warm artifact store serves an
     entire repeated sweep — or the shared prefix of a sweep with new
-    levels appended — without recomputation.
+    levels appended — without recomputation.  Each ``perturb_t{t}``
+    stage also runs its engines under
+    :func:`repro.parallel.execution` with ``workers``.
     """
     from repro.pipeline import Pipeline, Stage, load_target, target_digest
 
@@ -417,17 +409,17 @@ def privacy_frontier_pipeline(
 
     def perturb_stage(t: int):
         def run(deps: dict[str, Any]) -> PrivacyPoint:
-            return _measure_point(
-                deps["attack"],
-                t,
-                lengths,
-                tuple(defenses),
-                num_sources,
-                suspect_sample,
-                seed,
-                target,
-                workers=workers,
-            )
+            with parallel.execution(workers=workers):
+                return _measure_point(
+                    deps["attack"],
+                    t,
+                    lengths,
+                    tuple(defenses),
+                    num_sources,
+                    suspect_sample,
+                    seed,
+                    target,
+                )
 
         return run
 

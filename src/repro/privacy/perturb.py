@@ -14,9 +14,9 @@ The rewiring is vectorized on the Monte-Carlo walk engine
 (:func:`repro.markov.walk_batch.walk_endpoints`): one walk per
 half-edge, each driven by its own :class:`numpy.random.SeedSequence`
 child stream, so the perturbed graph is **bit-identical** for every
-``chunk_size``/``workers`` combination (fan-out via
-:mod:`repro.chunking`) and identical to the per-edge oracle in
-:mod:`repro.oracles`.
+schedule the ambient :func:`repro.parallel.execution` scope sets
+(``chunk_size`` x ``workers``, fan-out via :mod:`repro.chunking`) and
+identical to the per-edge oracle in :mod:`repro.oracles`.
 
 Repair keeps the output a simple undirected graph on the same node set:
 a walk that returns to its own source (which would mint a self loop)
@@ -29,7 +29,6 @@ and a ``privacy.perturb`` span.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,8 +45,6 @@ def perturb_links(
     graph: Graph,
     t: int,
     seed: "int | np.random.SeedSequence | np.random.Generator" = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> Graph:
     """Return the ``t``-step random-walk perturbation of ``graph``.
 
@@ -63,13 +60,9 @@ def perturb_links(
     ``t = 0`` is the identity transform: length-0 walks end at ``v``,
     so every proposal is the original edge.
 
-    The result is bit-identical for every ``chunk_size``/``workers``
-    setting.
+    The result is bit-identical for every schedule.
     """
-    return _perturb(
-        graph, t, seed,
-        partial(walk_endpoints, chunk_size=chunk_size, workers=workers),
-    )
+    return _perturb(graph, t, seed, walk_endpoints)
 
 
 def _perturb(

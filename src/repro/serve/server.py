@@ -29,10 +29,12 @@ Endpoints
     Force a compaction; responds with the fold stats (or
     ``{"compacted": false}`` when the overlay was clean).
 
-Invalid requests (unknown node, malformed body) return HTTP 400 with
+Invalid requests (unknown node, malformed body, a ``count`` above the
+compaction policy's ``max_new_nodes``) return HTTP 400 with
 ``{"error": message}``; unknown paths return 404.  All handler errors
 derived from :class:`repro.errors.ReproError` map to 400 — anything
-else is a real bug and surfaces as a 500.
+else is a real bug and surfaces as a 500 with ``{"error": ...}``, so a
+client always gets an answer instead of a dropped connection.
 """
 
 from __future__ import annotations
@@ -129,6 +131,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(404, {"error": f"unknown path {parsed.path!r}"})
         except (ReproError, ValueError) as exc:
             self._reply(400, {"error": str(exc)})
+        except Exception as exc:  # a bug: answer rather than drop the connection
+            self._reply(500, {"error": f"internal error: {exc!r}"})
 
     def do_POST(self) -> None:
         parsed = urlparse(self.path)
@@ -160,6 +164,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(404, {"error": f"unknown path {parsed.path!r}"})
         except (ReproError, ValueError) as exc:
             self._reply(400, {"error": str(exc)})
+        except Exception as exc:  # a bug: answer rather than drop the connection
+            self._reply(500, {"error": f"internal error: {exc!r}"})
 
     # ------------------------------------------------------------------
     def _body(self) -> dict:

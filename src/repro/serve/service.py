@@ -252,7 +252,15 @@ class AdmissionService:
             return self._after_write(self._overlay.remove_edge(u, v))
 
     def add_nodes(self, count: int = 1) -> int:
-        """Append ``count`` nodes; returns the first new id."""
+        """Append ``count`` nodes; returns the first new id.
+
+        ``count`` must lie in ``1..policy.max_new_nodes``, the most
+        pending nodes a compaction is allowed to fold, so no single
+        request sizes the next snapshot.
+        """
+        limit = self._policy.max_new_nodes
+        if not 1 <= count <= limit:
+            raise ServeError(f"count must be in 1..{limit}, got {count}")
         with self._lock:
             first = self._overlay.add_nodes(count)
             self._after_write(True, events=count)

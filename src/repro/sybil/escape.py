@@ -12,7 +12,6 @@ the O(g w / m) scaling itself becomes a testable, benchable artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -88,8 +87,6 @@ def escape_profile(
     walk_lengths: list[int],
     num_walks: int = 2000,
     seed: int = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> EscapeMeasurement:
     """Escape measurement from a labeled graph, without a SybilAttack.
 
@@ -104,8 +101,7 @@ def escape_profile(
     if not 0 < num_honest <= graph.num_nodes:
         raise SybilDefenseError("num_honest must be in 1..num_nodes")
     escape = _escape_curve(
-        graph, num_honest, lengths, num_walks, seed,
-        partial(walk_first_hits, chunk_size=chunk_size, workers=workers),
+        graph, num_honest, lengths, num_walks, seed, walk_first_hits
     )
     edges = graph.edge_array()
     sybil_side = edges >= num_honest
@@ -124,8 +120,6 @@ def measure_escape(
     walk_lengths: list[int],
     num_walks: int = 2000,
     seed: int = 0,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> EscapeMeasurement:
     """Monte-Carlo estimate of the escape probability.
 
@@ -133,13 +127,10 @@ def measure_escape(
     through the vectorized engine's first-hit mode, the first step (if
     any) at which each walk touches a Sybil node.  Start sampling and
     the per-walk streams derive from one seed tree, so the measurement
-    is bit-identical across ``chunk_size``/``workers`` and to the
-    per-walk oracle in :mod:`repro.oracles`.
+    is bit-identical across schedules and to the per-walk oracle in
+    :mod:`repro.oracles`.
     """
-    return _measure_escape(
-        attack, walk_lengths, num_walks, seed,
-        partial(walk_first_hits, chunk_size=chunk_size, workers=workers),
-    )
+    return _measure_escape(attack, walk_lengths, num_walks, seed, walk_first_hits)
 
 
 def _measure_escape(

@@ -30,8 +30,9 @@ state stays in shared memory across rounds), reported into
 
 **Determinism contract.**  Message updates for one round depend only on
 the previous round's state, and chunks write disjoint slices, so
-posteriors are **bit-identical** for every ``chunk_size``/``workers``
-combination and backend, and identical to the per-edge oracle in
+posteriors are **bit-identical** for every schedule the ambient
+:func:`repro.parallel.execution` scope sets (``chunk_size`` x
+``workers`` x backend), and identical to the per-edge oracle in
 :mod:`repro.oracles` (which replays the same IEEE operations edge by
 edge).  On trees the fixed point is the exact marginal distribution —
 the property the brute-force enumeration oracle in the test suite pins.
@@ -294,8 +295,6 @@ def loopy_belief_propagation(
     max_rounds: int = 50,
     damping: float = 0.25,
     tol: float = 1e-6,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> BeliefPropagationResult:
     """Run pairwise-potential loopy BP and return per-node beliefs.
 
@@ -306,12 +305,12 @@ def loopy_belief_propagation(
     linearly (``damping`` of the old message is retained), and declared
     converged when no message component moves more than ``tol``.
 
-    ``chunk_size``/``workers`` chunk the per-round half-edge update
-    through :func:`repro.chunking.run_kernel`; on the process backend
-    the message state lives in shared memory for the whole run, so
-    workers attach the buffers once — the GIL-bound workload where the
-    process backend pays off, and still bit-identical to the thread
-    path and to the per-edge oracle.
+    Each round's half-edge update runs in chunks through
+    :func:`repro.chunking.run_kernel`; on the process backend the
+    message state lives in shared memory for the whole run, so workers
+    attach the buffers once — the GIL-bound workload where the process
+    backend pays off, and still bit-identical to the thread path and to
+    the per-edge oracle.
     """
     inputs = _bp_inputs(graph, priors, edge_potentials, max_rounds, damping, tol)
     n, dst = graph.num_nodes, graph.indices
@@ -341,8 +340,6 @@ def loopy_belief_propagation(
             run_kernel(
                 _bp_kernel,
                 num_half_edges,
-                chunk_size,
-                workers,
                 inputs={**inputs, "damping": damping},
                 outputs={
                     "acc": _aggregate_incoming(n, dst, logm),
@@ -412,8 +409,6 @@ class FusionConfig:
     walk_length: int | None = None
     walk_mix: float = 0.3
     seed: int = 0
-    chunk_size: int | None = None
-    workers: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.5 < self.homophily < 1.0:
@@ -500,8 +495,6 @@ class SybilFrame:
                 max_rounds=cfg.max_rounds,
                 damping=cfg.damping,
                 tol=cfg.tol,
-                chunk_size=cfg.chunk_size,
-                workers=cfg.workers,
             )
         return SybilFrameResult(
             posterior=result.honest_posterior,
@@ -577,8 +570,6 @@ class SybilFuse:
             length,
             seed=walks_seed,
             record="all",
-            chunk_size=cfg.chunk_size,
-            workers=cfg.workers,
         )
         trust = counts / np.maximum(self._graph.degrees.astype(float), 1.0)
         peak = trust.max()
@@ -598,8 +589,6 @@ class SybilFuse:
                 max_rounds=cfg.max_rounds,
                 damping=cfg.damping,
                 tol=cfg.tol,
-                chunk_size=cfg.chunk_size,
-                workers=cfg.workers,
             )
             trust = self.walk_trust(trusted, priors)
             scores = (

@@ -67,24 +67,20 @@ def walk_probability_rankings(
     trusted: np.ndarray | list[int],
     walk_length: int | None = None,
     lazy: bool = True,
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Score nodes from many trusted vantage points in one batched walk.
 
     Returns a ``(len(trusted), n)`` matrix whose row ``j`` equals
     ``walk_probability_ranking(graph, trusted[j], ...)`` bit for bit,
     but all vantage points evolve together as a dense block through the
-    batched walk engine (``chunk_size``/``workers`` as in
-    ``TransitionOperator.evolve_many``).  Used to compare how sensitive
+    batched walk engine (``TransitionOperator.evolve_many``).  Used to
+    compare how sensitive
     a ranking-style defense is to the verified node's position.
     """
     length = _default_walk_length(graph, walk_length)
     operator = get_operator(graph, lazy=lazy)
     block = operator.distribution_block(trusted)
-    landing = operator.evolve_many(
-        block, steps=length, chunk_size=chunk_size, workers=workers
-    )
+    landing = operator.evolve_many(block, steps=length)
     degrees = graph.degrees.astype(float)
     scores = np.zeros((block.shape[1], graph.num_nodes))
     positive = degrees > 0

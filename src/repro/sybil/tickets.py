@@ -167,8 +167,6 @@ class TicketPlan:
 def ticket_plans(
     graph: Graph,
     sources: np.ndarray | list[int],
-    chunk_size: int | None = None,
-    workers: int | None = None,
 ) -> list[TicketPlan]:
     """Build one :class:`TicketPlan` per source with one block BFS.
 
@@ -182,9 +180,7 @@ def ticket_plans(
     chosen = np.asarray(list(sources), dtype=np.int64)
     if chosen.size == 0:
         raise SybilDefenseError("at least one source is required")
-    rows = bfs_distances_block(
-        graph, chosen, chunk_size=chunk_size, workers=workers
-    )
+    rows = bfs_distances_block(graph, chosen)
     return [
         TicketPlan(graph, int(source), distances=row)
         for source, row in zip(chosen, rows)

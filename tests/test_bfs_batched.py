@@ -35,6 +35,7 @@ from repro.graph import (
     eccentricities,
     eccentricity,
 )
+from repro.parallel import execution
 from repro.sybil import TicketPlan, ticket_plans
 from repro.sybil.tickets import adaptive_ticket_count
 
@@ -96,16 +97,16 @@ class TestDistancesBlockEquivalence:
     def test_chunk_sizes_equivalent(self, ba_small, chunk_size):
         sources = list(range(40))
         oracle = oracles.bfs_distances_block(ba_small, sources)
-        block = bfs_distances_block(ba_small, sources, chunk_size=chunk_size)
+        with execution(chunk_size=chunk_size):
+            block = bfs_distances_block(ba_small, sources)
         assert block.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_worker_counts_equivalent(self, ba_small, workers):
         sources = list(range(40))
         oracle = oracles.bfs_distances_block(ba_small, sources)
-        block = bfs_distances_block(
-            ba_small, sources, chunk_size=7, workers=workers
-        )
+        with execution(chunk_size=7, workers=workers):
+            block = bfs_distances_block(ba_small, sources)
         assert block.tobytes() == oracle.tobytes()
 
     def test_isolated_source_row(self, with_isolated):
@@ -133,9 +134,11 @@ class TestDistancesBlockEquivalence:
 
     def test_bad_chunk_and_workers_rejected(self, k5):
         with pytest.raises(GraphError):
-            bfs_distances_block(k5, [0], chunk_size=0)
+            with execution(chunk_size=0):
+                bfs_distances_block(k5, [0])
         with pytest.raises(GraphError):
-            bfs_distances_block(k5, [0], workers=0)
+            with execution(workers=0):
+                bfs_distances_block(k5, [0])
 
 
 class TestLevelSizesBlockEquivalence:
@@ -150,9 +153,8 @@ class TestLevelSizesBlockEquivalence:
     def test_chunk_worker_grid_equivalent(self, ba_small, chunk_size, workers):
         sources = list(range(40))
         oracle = oracles.bfs_level_sizes_block(ba_small, sources)
-        block = bfs_level_sizes_block(
-            ba_small, sources, chunk_size=chunk_size, workers=workers
-        )
+        with execution(chunk_size=chunk_size, workers=workers):
+            block = bfs_level_sizes_block(ba_small, sources)
         assert block.tobytes() == oracle.tobytes()
 
     def test_rows_start_with_one_and_are_contiguous(self, two_components):
@@ -224,7 +226,8 @@ class TestBlockBfsProperties:
             st.lists(st.integers(0, g.num_nodes - 1), min_size=1, max_size=8)
         )
         chunk_size = data.draw(st.sampled_from([None, 1, 3]))
-        block = bfs_distances_block(g, sources, chunk_size=chunk_size)
+        with execution(chunk_size=chunk_size):
+            block = bfs_distances_block(g, sources)
         oracle = oracles.bfs_distances_block(g, sources)
         assert block.tobytes() == oracle.tobytes()
 
@@ -235,7 +238,8 @@ class TestBlockBfsProperties:
             st.lists(st.integers(0, g.num_nodes - 1), min_size=1, max_size=8)
         )
         chunk_size = data.draw(st.sampled_from([None, 1, 3]))
-        block = bfs_level_sizes_block(g, sources, chunk_size=chunk_size)
+        with execution(chunk_size=chunk_size):
+            block = bfs_level_sizes_block(g, sources)
         oracle = oracles.bfs_level_sizes_block(g, sources)
         assert block.tobytes() == oracle.tobytes()
 
@@ -273,9 +277,8 @@ class TestEnvelopeStrategyEquivalence:
     def test_chunk_worker_grid_identical(self, ba_small, chunk_size, workers):
         kwargs = dict(num_sources=40, seed=2)
         seq = oracles.envelope_expansion(ba_small, **kwargs)
-        bat = envelope_expansion(
-            ba_small, chunk_size=chunk_size, workers=workers, **kwargs
-        )
+        with execution(chunk_size=chunk_size, workers=workers):
+            bat = envelope_expansion(ba_small, **kwargs)
         assert np.array_equal(seq.sources, bat.sources)
         assert bat.set_sizes.tobytes() == seq.set_sizes.tobytes()
         assert bat.neighbor_counts.tobytes() == seq.neighbor_counts.tobytes()
@@ -323,7 +326,8 @@ class TestMetricsStrategyEquivalence:
     @pytest.mark.parametrize("chunk_size,workers", [(1, None), (7, 2), (None, 4)])
     def test_closeness_identical(self, ba_small, chunk_size, workers):
         seq = oracles.closeness_centrality(ba_small)
-        bat = closeness_centrality(ba_small, chunk_size=chunk_size, workers=workers)
+        with execution(chunk_size=chunk_size, workers=workers):
+            bat = closeness_centrality(ba_small)
         assert bat.tobytes() == seq.tobytes()
 
     def test_closeness_identical_on_disconnected(self, two_components):

@@ -16,17 +16,23 @@ the BFS engine (``graph.metrics.eccentricities``) and the walk engine
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 import threading
 
 import numpy as np
 import pytest
 
+import repro
 from repro import oracles, telemetry
 from repro.chunking import DEFAULT_CHUNK_SIZE, resolve_chunks, run_chunks
 from repro.errors import GraphError
 from repro.graph.metrics import eccentricities
 from repro.markov.batch import batched_tvd_profile
 from repro.markov.transition import TransitionOperator
+from repro.parallel import execution
 
 
 class TestEmptySourceRegressions:
@@ -56,7 +62,8 @@ class TestEmptySourceRegressions:
 
     def test_eccentricities_empty_sources(self, ba_small):
         # the BFS engine's public face: empty sources -> empty result
-        out = eccentricities(ba_small, sources=[], workers=4)
+        with execution(workers=4):
+            out = eccentricities(ba_small, sources=[])
         assert out.shape == (0,)
         assert out.dtype == np.int64
 
@@ -74,9 +81,8 @@ class TestEmptySourceRegressions:
     def test_batched_tvd_profile_empty_sources(self, k5):
         # the walk engine's public face: (0, len(walk_lengths)) result
         op = TransitionOperator(k5)
-        tvd = batched_tvd_profile(
-            op.matrix, op.stationary, [], [1, 2, 5], workers=4
-        )
+        with execution(workers=4):
+            tvd = batched_tvd_profile(op.matrix, op.stationary, [], [1, 2, 5])
         assert tvd.shape == (0, 3)
 
     def test_batched_tvd_profile_empty_sources_still_validates_lengths(
@@ -89,7 +95,8 @@ class TestEmptySourceRegressions:
     def test_evolve_many_zero_column_block(self, k5):
         op = TransitionOperator(k5)
         block = np.zeros((5, 0))
-        out = op.evolve_many(block, steps=3, chunk_size=2, workers=4)
+        with execution(chunk_size=2, workers=4):
+            out = op.evolve_many(block, steps=3)
         assert out.shape == (5, 0)
 
 
@@ -259,3 +266,63 @@ class TestChunkingTelemetry:
         chunks = resolve_chunks(100, 10, 4)
         run_chunks(lambda c: None, chunks, workers=4)
         assert telemetry.current().counters == {}
+
+
+#: The schedule knobs only the ambient scope may set.
+SCHEDULE = {"chunk_size", "workers"}
+
+#: The pipeline front doors, which keep ``workers`` for their wave pool.
+PIPELINES = {
+    "repro.pipeline.Pipeline",
+    "repro.pipeline.paper_measurement_pipeline",
+    "repro.pipeline.fusion_comparison_pipeline",
+    "repro.privacy.frontier.privacy_frontier_pipeline",
+}
+
+
+def _public_callables(module):
+    """``(qualified name, callable)`` for every public function, class
+    (its constructor) and method ``module`` defines."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            yield f"{module.__name__}.{name}", obj
+        if not inspect.isclass(obj):
+            continue
+        for attr, member in vars(obj).items():
+            if isinstance(member, (staticmethod, classmethod)):
+                member = member.__func__
+            if not attr.startswith("_") and inspect.isfunction(member):
+                yield f"{module.__name__}.{name}.{attr}", member
+
+
+def _parameter_names(obj) -> set[str]:
+    """Parameter names of a callable, plus a dataclass's field names."""
+    try:
+        names = set(inspect.signature(obj).parameters)
+    except ValueError:  # builtin-derived classes (exceptions) have none
+        names = set()
+    if dataclasses.is_dataclass(obj):
+        names |= {f.name for f in dataclasses.fields(obj)}
+    return names
+
+
+def test_no_engine_takes_a_schedule_argument():
+    """Results never depend on the schedule, so it is set only through
+    :func:`repro.parallel.execution`: no public function, method or
+    dataclass field below the pipeline takes ``chunk_size`` or
+    ``workers``."""
+    offenders = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name in ("repro.__main__", "repro.parallel", "repro.chunking",
+                         "repro.oracles"):
+            continue
+        for qualname, obj in _public_callables(importlib.import_module(info.name)):
+            found = _parameter_names(obj) & SCHEDULE
+            if qualname in PIPELINES:
+                found -= {"workers"}
+            if found:
+                offenders.append(f"{qualname}: {sorted(found)}")
+    assert offenders == []
+

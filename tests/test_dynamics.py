@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import oracles
 from repro.dynamics import (
     ChurnModel,
     GraphDelta,
@@ -170,13 +171,11 @@ class TestEventStreamEquivalence:
     @pytest.mark.parametrize("rewiring", ["random", "triadic"])
     def test_batched_matches_sequential_oracle(self, base_graph, rewiring):
         batched = ChurnModel(churn_rate=0.1, rewiring=rewiring, seed=5)
-        sequential = ChurnModel(
-            churn_rate=0.1, rewiring=rewiring, seed=5, strategy="sequential"
-        )
+        sequential = ChurnModel(churn_rate=0.1, rewiring=rewiring, seed=5)
         b, s = base_graph, base_graph
         for _ in range(3):
             b = batched.step(b)
-            s = sequential.step(s)
+            s = apply_delta(s, oracles.churn_step_events(sequential, s))
             assert b == s
 
     @pytest.mark.parametrize("seed", [2, 8])
@@ -225,10 +224,6 @@ class TestEventStreamEquivalence:
                 added=np.array([1, 2, 3], dtype=np.int64),
                 removed=np.empty((0, 2), dtype=np.int64),
             )
-
-    def test_invalid_strategy_rejected(self):
-        with pytest.raises(GraphError):
-            ChurnModel(strategy="telepathic")
 
 
 class TestSnapshots:

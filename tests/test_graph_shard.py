@@ -48,7 +48,15 @@ from repro.markov.walk_batch import (
     walk_first_hits,
     walk_visit_counts,
 )
-from repro.mixing import normalized_adjacency, slem, spectral
+from repro.mixing import (
+    is_fast_mixing,
+    normalized_adjacency,
+    sampled_mixing_profile,
+    slem,
+    spectral,
+    spectral_summary,
+)
+from repro.parallel import execution
 from repro.store import ArtifactStore, graph_digest
 
 
@@ -298,56 +306,37 @@ class TestEngineBitIdentity:
         expected = batched_tvd_profile(
             op.matrix, op.stationary, sources, lengths
         )
-        got = batched_tvd_profile(
-            sharded,
-            stationary_distribution(sharded),
-            sources,
-            lengths,
-            chunk_size=chunk_size,
-            workers=workers,
-        )
+        pi = stationary_distribution(sharded)
+        with execution(chunk_size=chunk_size, workers=workers):
+            got = batched_tvd_profile(sharded, pi, sources, lengths)
         assert np.array_equal(got, expected)
 
     def test_bfs_level_sizes(self, dirty, sharded, chunk_size, workers):
         sources = [0, 3, 50, 200]
         expected = bfs_level_sizes_block(dirty, sources)
-        got = bfs_level_sizes_block(
-            sharded, sources, chunk_size=chunk_size, workers=workers
-        )
+        with execution(chunk_size=chunk_size, workers=workers):
+            got = bfs_level_sizes_block(sharded, sources)
         assert np.array_equal(got, expected)
 
     def test_bfs_distances(self, dirty, sharded, chunk_size, workers):
         sources = [0, 7, 120]
         expected = bfs_distances_block(dirty, sources)
-        got = bfs_distances_block(
-            sharded, sources, chunk_size=chunk_size, workers=workers
-        )
+        with execution(chunk_size=chunk_size, workers=workers):
+            got = bfs_distances_block(sharded, sources)
         assert np.array_equal(got, expected)
 
     def test_walk_block(self, dirty, sharded, chunk_size, workers):
         sources = [0, 9, 44, 180]
         expected = walk_block(dirty, sources, length=12, seed=5)
-        got = walk_block(
-            sharded,
-            sources,
-            length=12,
-            seed=5,
-            chunk_size=chunk_size,
-            workers=workers,
-        )
+        with execution(chunk_size=chunk_size, workers=workers):
+            got = walk_block(sharded, sources, length=12, seed=5)
         assert np.array_equal(got, expected)
 
     def test_walk_endpoints(self, dirty, sharded, chunk_size, workers):
         sources = np.arange(0, 200, 13)
         expected = walk_endpoints(dirty, sources, length=9, seed=1)
-        got = walk_endpoints(
-            sharded,
-            sources,
-            length=9,
-            seed=1,
-            chunk_size=chunk_size,
-            workers=workers,
-        )
+        with execution(chunk_size=chunk_size, workers=workers):
+            got = walk_endpoints(sharded, sources, length=9, seed=1)
         assert np.array_equal(got, expected)
 
     def test_walk_first_hits(self, dirty, sharded, chunk_size, workers):
@@ -355,15 +344,8 @@ class TestEngineBitIdentity:
         mask[::11] = True
         sources = [1, 6, 30, 77]
         expected = walk_first_hits(dirty, sources, 15, mask, seed=2)
-        got = walk_first_hits(
-            sharded,
-            sources,
-            15,
-            mask,
-            seed=2,
-            chunk_size=chunk_size,
-            workers=workers,
-        )
+        with execution(chunk_size=chunk_size, workers=workers):
+            got = walk_first_hits(sharded, sources, 15, mask, seed=2)
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("record", ["all", "last"])
@@ -372,29 +354,50 @@ class TestEngineBitIdentity:
     ):
         sources = [0, 2, 90]
         expected = walk_visit_counts(dirty, sources, 10, seed=3, record=record)
-        got = walk_visit_counts(
-            sharded,
-            sources,
-            10,
-            seed=3,
-            record=record,
-            chunk_size=chunk_size,
-            workers=workers,
-        )
+        with execution(chunk_size=chunk_size, workers=workers):
+            got = walk_visit_counts(sharded, sources, 10, seed=3, record=record)
         assert np.array_equal(got, expected)
 
     def test_walk_cover_steps(self, dirty, sharded, chunk_size, workers):
         sources = [0, 40]
         expected = walk_cover_steps(dirty, sources, max_steps=60, seed=4)
-        got = walk_cover_steps(
-            sharded,
-            sources,
-            max_steps=60,
-            seed=4,
-            chunk_size=chunk_size,
-            workers=workers,
-        )
+        with execution(chunk_size=chunk_size, workers=workers):
+            got = walk_cover_steps(sharded, sources, max_steps=60, seed=4)
         assert np.array_equal(got, expected)
+
+
+class TestSampledMixingOnStores:
+    """The sampled mixing check runs on a store like on its graph."""
+
+    @pytest.fixture(params=["ba_small", "community_small"])
+    def graph(self, request) -> Graph:
+        return request.getfixturevalue(request.param)
+
+    @pytest.fixture
+    def three_shards(self, graph, tmp_path) -> ShardedGraph:
+        return ShardedGraph.from_graph(graph, tmp_path / "rows", num_shards=3)
+
+    def test_profile_matches_in_ram(self, graph, three_shards):
+        kwargs = dict(walk_lengths=[0, 1, 2, 5, 9], num_sources=20, seed=4)
+        expected = sampled_mixing_profile(graph, **kwargs)
+        got = sampled_mixing_profile(three_shards, **kwargs)
+        assert np.array_equal(got.sources, expected.sources)
+        assert got.tvd.tobytes() == expected.tvd.tobytes()
+        oracle = oracles.sampled_mixing_profile(graph, **kwargs)
+        assert got.tvd.tobytes() == oracle.tvd.tobytes()
+
+    def test_fast_mixing_verdict_matches_in_ram(self, graph, three_shards):
+        assert is_fast_mixing(three_shards, num_sources=15) == is_fast_mixing(
+            graph, num_sources=15
+        )
+
+    def test_spectral_summary_matches_in_ram(self, graph, three_shards):
+        expected = spectral_summary(graph, fast_sources=15, seed=2)
+        assert spectral_summary(three_shards, fast_sources=15, seed=2) == expected
+
+    def test_lazy_chain_needs_an_in_ram_graph(self, three_shards):
+        with pytest.raises(GraphError, match="in-RAM"):
+            sampled_mixing_profile(three_shards, walk_lengths=[1], lazy=True)
 
 
 class TestSequentialOracle:

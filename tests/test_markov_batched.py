@@ -26,6 +26,7 @@ from repro.markov import (
     total_variation_distance,
 )
 from repro.mixing import sampled_mixing_profile
+from repro.parallel import execution
 
 
 @pytest.fixture
@@ -87,7 +88,8 @@ class TestEvolveManyEquivalence:
         sources = list(range(40))
         oracle = _sequential_block(op, sources, 5)
         block = op.distribution_block(sources)
-        batched = op.evolve_many(block, steps=5, chunk_size=chunk_size)
+        with execution(chunk_size=chunk_size):
+            batched = op.evolve_many(block, steps=5)
         assert batched.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -96,7 +98,8 @@ class TestEvolveManyEquivalence:
         sources = list(range(40))
         oracle = _sequential_block(op, sources, 5)
         block = op.distribution_block(sources)
-        batched = op.evolve_many(block, steps=5, chunk_size=7, workers=workers)
+        with execution(chunk_size=7, workers=workers):
+            batched = op.evolve_many(block, steps=5)
         assert batched.tobytes() == oracle.tobytes()
 
     def test_isolated_nodes_equivalent(self, with_isolated):
@@ -130,9 +133,11 @@ class TestEvolveManyEquivalence:
         op = TransitionOperator(k5)
         block = op.distribution_block([0, 1])
         with pytest.raises(GraphError):
-            op.evolve_many(block, steps=1, chunk_size=0)
+            with execution(chunk_size=0):
+                op.evolve_many(block, steps=1)
         with pytest.raises(GraphError):
-            op.evolve_many(block, steps=1, workers=0)
+            with execution(workers=0):
+                op.evolve_many(block, steps=1)
 
     def test_evolve_block_function_matches_method(self, ba_small):
         op = TransitionOperator(ba_small)
@@ -148,9 +153,8 @@ class TestBatchedTvdProfile:
         op = TransitionOperator(ba_small)
         sources = list(range(0, ba_small.num_nodes, 23))
         lengths = [0, 1, 2, 4, 8, 16]
-        tvd = batched_tvd_profile(
-            op.matrix, op.stationary, sources, lengths, chunk_size=chunk_size
-        )
+        with execution(chunk_size=chunk_size):
+            tvd = batched_tvd_profile(op.matrix, op.stationary, sources, lengths)
         for j, source in enumerate(sources):
             dist = op.delta(source)
             step = 0
@@ -223,9 +227,8 @@ class TestStrategyEquivalence:
     def test_chunked_and_threaded_identical(self, ba_small, chunk_size, workers):
         kwargs = dict(walk_lengths=[1, 2, 4, 8], num_sources=30, seed=2)
         seq = oracles.sampled_mixing_profile(ba_small, **kwargs)
-        bat = sampled_mixing_profile(
-            ba_small, chunk_size=chunk_size, workers=workers, **kwargs
-        )
+        with execution(chunk_size=chunk_size, workers=workers):
+            bat = sampled_mixing_profile(ba_small, **kwargs)
         assert bat.tvd.tobytes() == seq.tvd.tobytes()
 
     def test_rows_align_with_sorted_sources(self, ba_small):

@@ -35,6 +35,7 @@ from repro.graph import (
 )
 from repro.markov import TransitionOperator
 from repro.mixing import sampled_mixing_profile, slem
+from repro.parallel import execution
 
 
 def _random_pair(num_nodes: int, num_edges: int, seed: int):
@@ -131,7 +132,8 @@ class TestBfsBlockOracle:
     def test_distances_block_random_pairs(self, n, m, seed):
         ours, theirs = _random_pair(n, m, seed)
         sources = list(range(0, n, 3))
-        block = bfs_distances_block(ours, sources, chunk_size=4)
+        with execution(chunk_size=4):
+            block = bfs_distances_block(ours, sources)
         for j, source in enumerate(sources):
             expected = nx.single_source_shortest_path_length(theirs, source)
             for node in range(n):

@@ -73,32 +73,66 @@ def sharded(graph, tmp_path_factory) -> ShardedGraph:
 
 class TestResolveExecution:
     def test_defaults_are_thread(self):
-        assert parallel.resolve_execution(None, None) == ("thread", None)
+        assert parallel.resolve_execution() == ("thread", None, None)
 
     def test_explicit_process_gets_default_workers(self):
-        kind, workers = parallel.resolve_execution("process", None)
+        with parallel.execution(executor="process"):
+            kind, workers, _ = parallel.resolve_execution()
         assert kind == "process"
         assert workers >= 1
 
-    def test_explicit_beats_ambient(self):
-        with parallel.execution(executor="process", workers=4):
-            assert parallel.resolve_execution("thread", 2) == ("thread", 2)
-
     def test_ambient_scope_inherited_and_restored(self):
         with parallel.execution(executor="process", workers=4):
-            assert parallel.resolve_execution(None, None) == ("process", 4)
-        assert parallel.resolve_execution(None, None) == ("thread", None)
+            assert parallel.resolve_execution() == ("process", 4, None)
+        assert parallel.resolve_execution() == ("thread", None, None)
 
     def test_auto_resolves_by_worker_count(self):
-        assert parallel.resolve_execution("auto", 4) == ("process", 4)
-        assert parallel.resolve_execution("auto", 1) == ("thread", 1)
+        with parallel.execution(executor="auto", workers=4):
+            assert parallel.resolve_execution() == ("process", 4, None)
+        with parallel.execution(executor="auto", workers=1):
+            assert parallel.resolve_execution() == ("thread", 1, None)
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(GraphError, match="unknown executor"):
-            parallel.resolve_execution("fork", None)
-        with pytest.raises(GraphError, match="unknown executor"):
             with parallel.execution(executor="fork"):
                 pass  # pragma: no cover - never entered
+
+    def test_nested_scopes_restore_chunk_size(self):
+        assert parallel.schedule() == (None, None, None)
+        with parallel.execution(workers=2, chunk_size=3):
+            with parallel.execution(chunk_size=5):
+                assert parallel.schedule() == (None, 2, 5)
+            assert parallel.resolve_execution() == ("thread", 2, 3)
+        assert parallel.schedule() == (None, None, None)
+
+    def test_concurrent_scopes_leave_in_any_order(self):
+        # pipeline stages enter and leave their scopes on pool threads,
+        # so exits need not mirror entries
+        first = parallel.execution(workers=2)
+        second = parallel.execution(workers=2)
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert parallel.schedule() == (None, 2, None)
+        second.__exit__(None, None, None)
+        assert parallel.schedule() == (None, None, None)
+
+    @pytest.mark.parametrize(
+        "schedule,counter,count",
+        [
+            (dict(chunk_size=3), "chunking.chunks", 7),
+            (dict(executor="process", workers=2, chunk_size=5), "parallel.tasks", 4),
+        ],
+    )
+    def test_chunk_size_reaches_the_walk_engine(
+        self, graph, schedule, counter, count
+    ):
+        sources = np.arange(20)
+        expected = walk_endpoints(graph, sources, 9, seed=5)
+        with telemetry.activate() as tel, parallel.execution(**schedule):
+            out = walk_endpoints(graph, sources, 9, seed=5)
+        assert tel.counter(counter) == count
+        np.testing.assert_array_equal(out, expected)
 
     def test_use_processes_needs_fanout(self):
         assert parallel.use_processes("process", 4, 3)
@@ -122,14 +156,9 @@ class TestBitIdentityGrid:
 
     @pytest.mark.parametrize("executor,chunk,workers", GRID)
     def test_tvd_profile(self, operator, sources, tvd_expected, executor, chunk, workers):
-        with parallel.execution(executor=executor):
+        with parallel.execution(executor=executor, chunk_size=chunk, workers=workers):
             out = batched_tvd_profile(
-                operator.matrix,
-                operator.stationary,
-                sources,
-                LENGTHS,
-                chunk_size=chunk,
-                workers=workers,
+                operator.matrix, operator.stationary, sources, LENGTHS
             )
         np.testing.assert_array_equal(out, tvd_expected)
 
@@ -139,10 +168,8 @@ class TestBitIdentityGrid:
 
     @pytest.mark.parametrize("executor,chunk,workers", GRID)
     def test_bfs_level_sizes(self, graph, sources, levels_expected, executor, chunk, workers):
-        with parallel.execution(executor=executor):
-            out = bfs_level_sizes_block(
-                graph, sources, chunk_size=chunk, workers=workers
-            )
+        with parallel.execution(executor=executor, chunk_size=chunk, workers=workers):
+            out = bfs_level_sizes_block(graph, sources)
         np.testing.assert_array_equal(out, levels_expected)
 
     @pytest.fixture(scope="class")
@@ -151,10 +178,8 @@ class TestBitIdentityGrid:
 
     @pytest.mark.parametrize("executor,chunk,workers", GRID)
     def test_bfs_distances(self, graph, sources, distances_expected, executor, chunk, workers):
-        with parallel.execution(executor=executor):
-            out = bfs_distances_block(
-                graph, sources, chunk_size=chunk, workers=workers
-            )
+        with parallel.execution(executor=executor, chunk_size=chunk, workers=workers):
+            out = bfs_distances_block(graph, sources)
         np.testing.assert_array_equal(out, distances_expected)
 
     @pytest.fixture(scope="class")
@@ -163,48 +188,36 @@ class TestBitIdentityGrid:
 
     @pytest.mark.parametrize("executor,chunk,workers", GRID)
     def test_walk_block(self, graph, sources, walk_expected, executor, chunk, workers):
-        with parallel.execution(executor=executor):
-            out = walk_block(
-                graph, sources, WALK_LENGTH, seed=5, chunk_size=chunk, workers=workers
-            )
+        with parallel.execution(executor=executor, chunk_size=chunk, workers=workers):
+            out = walk_block(graph, sources, WALK_LENGTH, seed=5)
         np.testing.assert_array_equal(out, walk_expected)
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_walk_modes_match_sequential_oracle(self, graph, sources, executor):
         mask = np.zeros(graph.num_nodes, dtype=bool)
         mask[::7] = True
-        knobs = dict(chunk_size=4, workers=4)
-        with parallel.execution(executor=executor):
-            cases = [
-                (
-                    oracles.walk_endpoints(graph, sources, 9, seed=5),
-                    walk_endpoints(graph, sources, 9, seed=5, **knobs),
-                ),
-                (
-                    oracles.walk_first_hits(graph, sources, 9, mask, seed=5),
-                    walk_first_hits(graph, sources, 9, mask, seed=5, **knobs),
-                ),
-                (
-                    oracles.walk_visit_counts(graph, sources, WALK_LENGTH, seed=5),
-                    walk_visit_counts(graph, sources, WALK_LENGTH, seed=5, **knobs),
-                ),
-                (
-                    oracles.walk_cover_steps(graph, sources[:4], 40, seed=5),
-                    walk_cover_steps(graph, sources[:4], 40, seed=5, **knobs),
-                ),
+        expected = [
+            oracles.walk_endpoints(graph, sources, 9, seed=5),
+            oracles.walk_first_hits(graph, sources, 9, mask, seed=5),
+            oracles.walk_visit_counts(graph, sources, WALK_LENGTH, seed=5),
+            oracles.walk_cover_steps(graph, sources[:4], 40, seed=5),
+        ]
+        with parallel.execution(executor=executor, chunk_size=4, workers=4):
+            got = [
+                walk_endpoints(graph, sources, 9, seed=5),
+                walk_first_hits(graph, sources, 9, mask, seed=5),
+                walk_visit_counts(graph, sources, WALK_LENGTH, seed=5),
+                walk_cover_steps(graph, sources[:4], 40, seed=5),
             ]
+        cases = zip(expected, got)
         for expected, got in cases:
             np.testing.assert_array_equal(got, expected)
 
     def test_ambient_execution_routes_engines(self, operator, sources, tvd_expected):
         with parallel.execution(executor="process", workers=4):
-            with telemetry.activate() as tel:
+            with telemetry.activate() as tel, parallel.execution(chunk_size=7):
                 out = batched_tvd_profile(
-                    operator.matrix,
-                    operator.stationary,
-                    sources,
-                    LENGTHS,
-                    chunk_size=7,
+                    operator.matrix, operator.stationary, sources, LENGTHS
                 )
         np.testing.assert_array_equal(out, tvd_expected)
         assert tel.counters["parallel.process_runs"] >= 1
@@ -215,10 +228,11 @@ class TestFusionBitIdentity:
     def test_bp_process_matches_thread(self, graph, chunk, workers):
         rng = np.random.default_rng(3)
         priors = rng.uniform(0.05, 0.95, graph.num_nodes)
-        kwargs = dict(max_rounds=15, chunk_size=chunk, workers=workers)
-        thread = loopy_belief_propagation(graph, priors, **kwargs)
-        with parallel.execution(executor="process"):
-            process = loopy_belief_propagation(graph, priors, **kwargs)
+        schedule = dict(chunk_size=chunk, workers=workers)
+        with parallel.execution(**schedule):
+            thread = loopy_belief_propagation(graph, priors, max_rounds=15)
+        with parallel.execution(executor="process", **schedule):
+            process = loopy_belief_propagation(graph, priors, max_rounds=15)
         np.testing.assert_array_equal(process.beliefs, thread.beliefs)
         assert process.rounds == thread.rounds
         assert process.converged == thread.converged
@@ -229,10 +243,8 @@ class TestShardedBitIdentity:
     def test_sharded_tvd(self, sharded, sources):
         pi = stationary_distribution(sharded)
         expected = batched_tvd_profile(sharded, pi, sources, LENGTHS)
-        with parallel.execution(executor="process"):
-            out = batched_tvd_profile(
-                sharded, pi, sources, LENGTHS, chunk_size=5, workers=4
-            )
+        with parallel.execution(executor="process", chunk_size=5, workers=4):
+            out = batched_tvd_profile(sharded, pi, sources, LENGTHS)
         np.testing.assert_array_equal(out, expected)
 
     def test_worker_cache_distinguishes_graph_and_sharded(
@@ -242,19 +254,16 @@ class TestShardedBitIdentity:
         # ShardedGraph shares its graph_digest with the equivalent
         # in-RAM Graph — after resolving the GraphRef, the ShardedRef
         # lookup handed the kernel the wrong object
-        knobs = dict(seed=5, chunk_size=4, workers=2)
-        with parallel.execution(executor="process"):
-            walk_endpoints(graph, sources, 9, **knobs)
-            out = walk_endpoints(sharded, sources, 9, **knobs)
+        with parallel.execution(executor="process", chunk_size=4, workers=2):
+            walk_endpoints(graph, sources, 9, seed=5)
+            out = walk_endpoints(sharded, sources, 9, seed=5)
         expected = oracles.walk_endpoints(sharded, sources, 9, seed=5)
         np.testing.assert_array_equal(out, expected)
 
     def test_sharded_walks(self, sharded, sources):
         expected = oracles.walk_endpoints(sharded, sources, 9, seed=5)
-        with parallel.execution(executor="process"):
-            out = walk_endpoints(
-                sharded, sources, 9, seed=5, chunk_size=4, workers=4
-            )
+        with parallel.execution(executor="process", chunk_size=4, workers=4):
+            out = walk_endpoints(sharded, sources, 9, seed=5)
         np.testing.assert_array_equal(out, expected)
 
 
@@ -343,15 +352,9 @@ class TestShmLifecycle:
 class TestTelemetryMerge:
     def test_child_spans_and_counters_merge(self, operator, sources):
         chunks = resolve_chunks(sources.size, 7, workers=4)
-        with parallel.execution(executor="process"), telemetry.activate() as tel:
-            batched_tvd_profile(
-                operator.matrix,
-                operator.stationary,
-                sources,
-                LENGTHS,
-                chunk_size=7,
-                workers=4,
-            )
+        schedule = parallel.execution(executor="process", chunk_size=7, workers=4)
+        with schedule, telemetry.activate() as tel:
+            batched_tvd_profile(operator.matrix, operator.stationary, sources, LENGTHS)
         # one chunking.chunk span per task, merged from child snapshots
         chunk_spans = _spans_ending(tel.spans, "chunking.chunk")
         assert sum(tel.spans[p].count for p in chunk_spans) == len(chunks)
@@ -364,15 +367,9 @@ class TestTelemetryMerge:
         assert 0.0 <= tel.gauges["chunking.worker_utilization"] <= 1.0
 
     def test_metrics_document_is_one_coherent_json(self, operator, sources, tmp_path):
-        with parallel.execution(executor="process"), telemetry.activate() as tel:
-            batched_tvd_profile(
-                operator.matrix,
-                operator.stationary,
-                sources,
-                LENGTHS,
-                chunk_size=7,
-                workers=4,
-            )
+        schedule = parallel.execution(executor="process", chunk_size=7, workers=4)
+        with schedule, telemetry.activate() as tel:
+            batched_tvd_profile(operator.matrix, operator.stationary, sources, LENGTHS)
             path = tel.write_json(tmp_path / "metrics.json")
         import json
 
@@ -388,11 +385,9 @@ class TestTelemetryMerge:
         stage -> engine -> chunk attribution survives parallel runs."""
 
         def paths(executor: str, workers: int) -> set[str]:
-            with parallel.execution(executor=executor):
+            with parallel.execution(executor=executor, chunk_size=4, workers=workers):
                 with telemetry.activate() as tel, tel.span("caller"):
-                    walk_endpoints(
-                        graph, sources, 9, seed=5, chunk_size=4, workers=workers
-                    )
+                    walk_endpoints(graph, sources, 9, seed=5)
             return set(tel.spans)
 
         inline = paths("thread", 1)

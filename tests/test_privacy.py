@@ -19,6 +19,7 @@ from repro import oracles, telemetry
 from repro.errors import GraphError
 from repro.generators import barabasi_albert, cycle_graph, star_graph
 from repro.graph import Graph
+from repro.parallel import execution
 from repro.privacy import (
     PrivacyFrontier,
     PrivacyPoint,
@@ -109,7 +110,9 @@ class TestChunkWorkerDeterminism:
     def test_grid_identical(self, ba_small, t):
         reference = perturb_links(ba_small, t, seed=5)
         for knobs in GRID:
-            assert perturb_links(ba_small, t, seed=5, **knobs) == reference
+            with execution(**knobs):
+                perturbed = perturb_links(ba_small, t, seed=5)
+            assert perturbed == reference
 
     @pytest.mark.parametrize("t", [1, 3, 10])
     def test_sequential_oracle_identical(self, ba_small, t):
@@ -121,9 +124,9 @@ class TestChunkWorkerDeterminism:
     @given(graph=small_graphs, t=st.integers(0, 6), seed=st.integers(0, 2**20))
     def test_property_grid_and_oracle(self, graph, t, seed):
         reference = perturb_links(graph, t, seed=seed)
-        assert reference == perturb_links(
-            graph, t, seed=seed, chunk_size=3, workers=2
-        )
+        with execution(chunk_size=3, workers=2):
+            chunked = perturb_links(graph, t, seed=seed)
+        assert reference == chunked
         assert reference == oracles.perturb_links(graph, t, seed=seed)
 
 

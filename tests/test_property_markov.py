@@ -14,6 +14,7 @@ from repro.markov import (
     total_variation_distance,
 )
 from repro.mixing import sampled_mixing_profile
+from repro.parallel import execution
 
 
 @st.composite
@@ -151,7 +152,6 @@ class TestBatchedSequentialEquivalence:
     def test_chunking_and_workers_byte_identical(self, g, chunk_size, workers):
         kwargs = dict(walk_lengths=[1, 2, 4], num_sources=min(6, g.num_nodes), seed=0)
         seq = oracles.sampled_mixing_profile(g, **kwargs)
-        bat = sampled_mixing_profile(
-            g, chunk_size=chunk_size, workers=workers, **kwargs
-        )
+        with execution(chunk_size=chunk_size, workers=workers):
+            bat = sampled_mixing_profile(g, **kwargs)
         assert bat.tvd.tobytes() == seq.tvd.tobytes()

@@ -9,6 +9,7 @@ Monte Carlo defense queries) across chunk-size/worker grids.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -506,6 +507,34 @@ class TestHTTPServer:
             client._get("/rank")  # missing node param
         with pytest.raises(ServeError, match="HTTP 404"):
             client._get("/nope")
+
+    def test_node_count_above_the_policy_is_rejected(self, served):
+        """A client-sized count never reaches the overlay, so it cannot
+        size a compaction and wedge every later write."""
+        service, client = served
+        before = client.stats()
+        limit = service.policy.max_new_nodes
+        for count in (10**12, limit + 1, 0):
+            with pytest.raises(ServeError, match="HTTP 400"):
+                client._post("/nodes", {"count": count})
+        after = client.stats()
+        before.pop("queries"), after.pop("queries")
+        assert after == before
+        assert client._post("/compact", {}) == {"compacted": False}
+        assert client._post("/nodes", {"count": limit})["count"] == limit
+
+    def test_unexpected_error_answers_500_with_json(self, served, monkeypatch):
+        service, client = served
+
+        def broken():
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(service, "stats", broken)
+        with pytest.raises(ServeError, match="HTTP 500") as info:
+            client._get("/stats")
+        body = json.loads(str(info.value).split(": ", 1)[1])
+        assert "injected fault" in body["error"]
+        assert client._get("/healthz") == {"status": "ok"}
 
 
 class TestLoadGenerator:

@@ -31,6 +31,7 @@ from repro.generators import (
 )
 from repro.graph.core import Graph
 from repro.graph.ops import disjoint_union, relabeled, with_edges_added
+from repro.parallel import execution
 from repro.sybil import (
     FusionConfig,
     PriorConfig,
@@ -93,9 +94,8 @@ class TestDifferential:
         self, attack, priors, chunk_size, workers
     ):
         base = loopy_belief_propagation(attack.graph, priors)
-        other = loopy_belief_propagation(
-            attack.graph, priors, chunk_size=chunk_size, workers=workers
-        )
+        with execution(chunk_size=chunk_size, workers=workers):
+            other = loopy_belief_propagation(attack.graph, priors)
         assert np.array_equal(base.beliefs, other.beliefs)
         assert base.rounds == other.rounds
         assert base.delta == other.delta
@@ -111,9 +111,10 @@ class TestDifferential:
         """SybilFrame's heterogeneous potentials keep the contract."""
         frame = SybilFrame(attack.graph)
         confidences = frame.edge_confidences(priors)
-        batched = loopy_belief_propagation(
-            attack.graph, priors, edge_potentials=confidences, chunk_size=13
-        )
+        with execution(chunk_size=13):
+            batched = loopy_belief_propagation(
+                attack.graph, priors, edge_potentials=confidences
+            )
         sequential = oracles.loopy_belief_propagation(
             attack.graph, priors, edge_potentials=confidences
         )
@@ -123,9 +124,8 @@ class TestDifferential:
         """The full defenses inherit bit-identity from engine + walks."""
         for cls in (SybilFrame, SybilFuse):
             base = cls(attack.graph, FusionConfig(seed=4)).run(0, priors)
-            chunked = cls(
-                attack.graph, FusionConfig(seed=4, chunk_size=17, workers=3)
-            ).run(0, priors)
+            with execution(chunk_size=17, workers=3):
+                chunked = cls(attack.graph, FusionConfig(seed=4)).run(0, priors)
             field = "posterior" if cls is SybilFrame else "scores"
             assert np.array_equal(getattr(base, field), getattr(chunked, field))
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import SybilDefenseError
 from repro.generators import barabasi_albert
+from repro.parallel import execution
 from repro.sybil import (
     accept_top,
     ranking_correlation,
@@ -152,9 +153,8 @@ class TestBatchedRankings:
         attack, _ = ranked_attack
         trusted = list(range(10))
         plain = walk_probability_rankings(attack.graph, trusted)
-        chunked = walk_probability_rankings(
-            attack.graph, trusted, chunk_size=3, workers=2
-        )
+        with execution(chunk_size=3, workers=2):
+            chunked = walk_probability_rankings(attack.graph, trusted)
         assert plain.tobytes() == chunked.tobytes()
 
     def test_walk_length_validated(self, ranked_attack):

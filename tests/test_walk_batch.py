@@ -1,7 +1,8 @@
 """Equivalence suite for the vectorized Monte-Carlo walk engine.
 
 The engine's contract is *bit-identity*: for every mode, the result
-must not depend on ``chunk_size`` or ``workers`` — walks draw from
+must not depend on the ``chunk_size`` or ``workers`` of the ambient
+:func:`repro.parallel.execution` scope — walks draw from
 per-walk seed streams, so execution layout cannot matter.  This suite
 pins that grid, the per-walk oracles of :mod:`repro.oracles`,
 structural walk properties on adversarial graph shapes (isolated
@@ -32,6 +33,7 @@ from repro.markov import (
     walk_first_hits,
     walk_visit_counts,
 )
+from repro.parallel import execution
 from repro.sybil.attack import inject_sybils
 from repro.sybil.escape import exact_escape_probability, measure_escape
 
@@ -55,40 +57,38 @@ def ragged() -> Graph:
 
 def _modes(graph, sources, length, engine=walk_batch):
     """Every mode of ``engine`` (the walk engine or its oracles) as
-    (name, callable(**knobs))."""
+    (name, callable())."""
     mask = np.zeros(graph.num_nodes, dtype=bool)
     mask[graph.num_nodes // 2 :] = True
     return [
         (
             "block",
-            lambda **kw: engine.walk_block(graph, sources, length, seed=3, **kw),
+            lambda: engine.walk_block(graph, sources, length, seed=3),
         ),
         (
             "endpoints",
-            lambda **kw: engine.walk_endpoints(graph, sources, length, seed=3, **kw),
+            lambda: engine.walk_endpoints(graph, sources, length, seed=3),
         ),
         (
             "first_hits",
-            lambda **kw: engine.walk_first_hits(
-                graph, sources, length, mask, seed=3, **kw
-            ),
+            lambda: engine.walk_first_hits(graph, sources, length, mask, seed=3),
         ),
         (
             "visits_all",
-            lambda **kw: engine.walk_visit_counts(
-                graph, sources, length, seed=3, record="all", **kw
+            lambda: engine.walk_visit_counts(
+                graph, sources, length, seed=3, record="all"
             ),
         ),
         (
             "visits_last",
-            lambda **kw: engine.walk_visit_counts(
-                graph, sources, length, seed=3, record="last", **kw
+            lambda: engine.walk_visit_counts(
+                graph, sources, length, seed=3, record="last"
             ),
         ),
         (
             "cover",
-            lambda **kw: engine.walk_cover_steps(
-                graph, sources, max(length, 1) * 8, seed=3, **kw
+            lambda: engine.walk_cover_steps(
+                graph, sources, max(length, 1) * 8, seed=3
             ),
         ),
     ]
@@ -103,14 +103,18 @@ class TestChunkWorkerDeterminism:
         for name, run in _modes(ba_small, sources, length):
             reference = run()
             for knobs in GRID:
-                assert np.array_equal(reference, run(**knobs)), f"{name} @ {knobs}"
+                with execution(**knobs):
+                    result = run()
+                assert np.array_equal(reference, result), f"{name} @ {knobs}"
 
     def test_grid_identical_ragged_graph(self, ragged):
         sources = np.array([0, 1, 2, 3, 4, 5, 6, 7, 8, 4, 0])
         for name, run in _modes(ragged, sources, 12):
             reference = run()
             for knobs in GRID:
-                assert np.array_equal(reference, run(**knobs)), f"{name} @ {knobs}"
+                with execution(**knobs):
+                    result = run()
+                assert np.array_equal(reference, result), f"{name} @ {knobs}"
 
 
 class TestSequentialEquivalence:
@@ -295,9 +299,8 @@ class TestAdversarialShapes:
         graph = Graph.from_edges(edges, num_nodes=10)
         sources = np.arange(10)
         block = walk_block(graph, sources, length, seed=seed)
-        chunked = walk_block(
-            graph, sources, length, seed=seed, chunk_size=3, workers=2
-        )
+        with execution(chunk_size=3, workers=2):
+            chunked = walk_block(graph, sources, length, seed=seed)
         sequential = oracles.walk_block(graph, sources, length, seed=seed)
         assert np.array_equal(block, chunked)
         assert np.array_equal(block, sequential)
@@ -326,7 +329,8 @@ class TestStatisticalAcceptance:
         attack = inject_sybils(honest, complete_graph(12), 10, seed=4)
         reference = measure_escape(attack, [3, 9], num_walks=500, seed=5)
         for knobs in GRID:
-            again = measure_escape(attack, [3, 9], num_walks=500, seed=5, **knobs)
+            with execution(**knobs):
+                again = measure_escape(attack, [3, 9], num_walks=500, seed=5)
             assert np.array_equal(reference.escape, again.escape)
         sequential = oracles.measure_escape(attack, [3, 9], num_walks=500, seed=5)
         assert np.array_equal(reference.escape, sequential.escape)
@@ -374,8 +378,7 @@ class TestTelemetryContract:
         # inline (one worker) and pooled runs report the same counters
         for workers in (1, 2):
             with telemetry.activate() as tel:
-                walk_endpoints(
-                    triangle, [0, 1], 5, seed=0, chunk_size=1, workers=workers
-                )
+                with execution(chunk_size=1, workers=workers):
+                    walk_endpoints(triangle, [0, 1], 5, seed=0)
             assert tel.counters["markov.walk.walks"] == 2
             assert tel.counters["markov.walk.steps"] == 10
