@@ -103,7 +103,9 @@ class Stage:
     params:
         JSON-friendly parameters folded into the cache key.  Execution
         knobs that do not change the result (worker counts, chunk
-        sizes) must stay out.
+        sizes) must stay out; anything else the result records, such
+        as the target name, must be in, since one graph digest covers
+        every name the same graph is loaded under.
     version:
         Per-stage algorithm version; bump to invalidate cached entries
         when the stage's algorithm changes.
@@ -537,7 +539,12 @@ def paper_measurement_pipeline(
             "gatekeeper",
             gatekeeper,
             deps=("load",),
-            params={"num_controllers": num_controllers, "seed": seed},
+            # the rows carry the target name (DefenseOutcome.dataset)
+            params={
+                "target": target,
+                "num_controllers": num_controllers,
+                "seed": seed,
+            },
             # v2: distributor selection runs on the vectorized walk
             # engine (per-walk seed streams), changing sampled walks
             version=2,
@@ -549,6 +556,7 @@ def paper_measurement_pipeline(
             version=2,
             params={
                 **measure_params,
+                "target": target,
                 "walk_lengths": lengths,
                 "num_controllers": num_controllers,
             },
@@ -658,7 +666,7 @@ def fusion_comparison_pipeline(
             "report",
             report,
             deps=("structure_scores", "fusion_scores"),
-            params=score_params,
+            params={**score_params, "target": target},
         ),
     ]
     return Pipeline(

@@ -7,8 +7,9 @@ fade: perturb the published graph with
 :func:`~repro.privacy.perturb.perturb_links` at increasing ``t``, run
 each perturbed graph through the standard measurement pipeline (mixing
 TVD profile, SLEM, expansion envelope, core statistics) and through
-every registered Sybil defense, and chart utility retention against the
-privacy gained.
+every registered Sybil defense (one run each yields both its AUC and its
+Table-II accounting), and chart utility retention against the privacy
+gained.
 
 Two monotone axes frame the frontier:
 
@@ -51,11 +52,7 @@ from repro.mixing.sampling import mixing_time_from_profile, sampled_mixing_profi
 from repro.mixing.spectral import slem
 from repro.privacy.perturb import edge_overlap, perturb_links
 from repro.sybil.attack import SybilAttack
-from repro.sybil.comparison import (
-    DEFENSE_NAMES,
-    compare_defenses,
-    defense_scores,
-)
+from repro.sybil.comparison import DEFENSE_NAMES, _run_defense
 from repro.sybil.harness import DefenseOutcome, standard_attack
 
 __all__ = [
@@ -82,7 +79,8 @@ class PrivacyPoint:
     mixed within the measured walk lengths.  ``defense_auc`` maps each
     evaluated defense to its midrank ROC AUC on the perturbed attack
     scenario; ``outcomes`` carries the Table-II style acceptance
-    accounting from :func:`repro.sybil.compare_defenses`.
+    accounting of :func:`repro.sybil.compare_defenses`.  Both come from
+    one run of each defense.
     """
 
     t: int
@@ -266,22 +264,14 @@ def _measure_point(
             num_honest=attack.num_honest,
             attack_edges=attack.attack_edges,
         )
-        aucs = {
-            name: defense_scores(
-                perturbed_attack,
-                name,
-                suspect_sample=suspect_sample,
-                seed=seed,
-            ).auc
+        runs = [
+            _run_defense(
+                perturbed_attack, name, suspect_sample=suspect_sample, seed=seed
+            )
             for name in defenses
-        }
-        outcomes = compare_defenses(
-            perturbed_attack,
-            defenses=defenses,
-            suspect_sample=suspect_sample,
-            dataset=target,
-            seed=seed,
-        )
+        ]
+        aucs = {run.defense: run.scores().auc for run in runs}
+        outcomes = [run.outcome(target) for run in runs]
     return PrivacyPoint(
         t=int(t),
         num_edges=perturbed.num_edges,
@@ -317,9 +307,10 @@ def privacy_utility_frontier(
     ``ts`` perturbs the combined graph with
     :func:`~repro.privacy.perturb.perturb_links` and measures the
     mixing TVD profile, SLEM and sampled mixing time (on the LCC), core
-    structure, envelope expansion, and every defense in ``defenses``
-    (midrank AUC via :func:`~repro.sybil.defense_scores` plus the
-    Table-II accounting via :func:`~repro.sybil.compare_defenses`).
+    structure, envelope expansion, and every defense in ``defenses``,
+    each run once for both its midrank AUC (as
+    :func:`~repro.sybil.defense_scores` reports it) and its Table-II
+    accounting (as :func:`~repro.sybil.compare_defenses` reports it).
 
     ``ts`` must be strictly increasing; start it at 0 so the first
     point is the unperturbed baseline the retention and degradation
@@ -437,8 +428,10 @@ def privacy_frontier_pipeline(
         "topology": topology,
         "num_attack_edges": num_attack_edges,
     }
+    # the measured points and the frontier carry the target name
     measure_params = {
         **attack_params,
+        "target": target,
         "defenses": list(defenses),
         "suspect_sample": suspect_sample,
         "num_sources": num_sources,

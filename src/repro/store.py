@@ -19,16 +19,17 @@ recomputation entirely:
   sorted-key JSON, so dict ordering never changes the key.
 * **Versions** — the codec version of :mod:`repro.analysis.persistence`
   plus a per-stage algorithm version — are folded into the key, so
-  bumping either invalidates stale entries instead of decoding garbage.
+  bumping either invalidates stale artifacts instead of decoding garbage.
 
-Values are serialized through the persistence codec, written atomically
-(temp file + ``os.replace``) under ``<root>/objects/``, and tracked in
-an ``index.json`` manifest.  Corrupt or truncated entries are detected
-on read, counted, deleted and treated as misses, so a damaged cache
-degrades to recomputation rather than failure.  Reads probe the object
-file directly (not the manifest), which combined with atomic writes
-makes concurrent readers and writers safe — a reader sees either the
-complete old entry or the complete new one, never a partial write.
+Values are serialized through the persistence codec and written
+atomically (temp file + ``os.replace``) to one object file per artifact
+under ``<root>/objects/``.  That file is the artifact's only record: it
+carries its own key, stage, graph digest, params and versions, and no
+manifest sits beside it, so any number of instances and processes can
+share one directory.  A reader sees either the complete old entry or
+the complete new one, never a partial write.  A corrupt or truncated
+object file is detected on read, counted, deleted and treated as a
+miss, so a damaged cache degrades to recomputation rather than failure.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ import json
 import os
 import tempfile
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro import telemetry
 from repro.errors import StoreError
@@ -49,7 +49,6 @@ from repro.graph.core import Graph
 
 __all__ = [
     "ArtifactStore",
-    "StoreEntry",
     "StoreStats",
     "canonical_params",
     "graph_digest",
@@ -126,7 +125,6 @@ class StoreStats:
     hits: int = 0
     misses: int = 0
     writes: int = 0
-    evictions: int = 0
     corrupt: int = 0
 
     def __post_init__(self) -> None:
@@ -142,21 +140,8 @@ class StoreStats:
         """One-line summary, stable enough to grep in CI logs."""
         return (
             f"cache: hits={self.hits} misses={self.misses} "
-            f"writes={self.writes} evictions={self.evictions} "
-            f"corrupt={self.corrupt}"
+            f"writes={self.writes} corrupt={self.corrupt}"
         )
-
-
-@dataclass(frozen=True)
-class StoreEntry:
-    """One manifest row describing a stored artifact."""
-
-    key: str
-    stage: str
-    graph: str
-    params: str
-    version: int
-    created: float = field(compare=False, default=0.0)
 
 
 class ArtifactStore:
@@ -165,24 +150,13 @@ class ArtifactStore:
     Parameters
     ----------
     root:
-        Cache directory; created on first use.
-    max_entries:
-        Optional capacity.  When a write would exceed it, the oldest
-        entries (by insertion) are evicted first.
+        Cache directory; created on first write.
     """
 
-    def __init__(self, root: str | Path, max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise StoreError("max_entries must be positive")
+    def __init__(self, root: str | Path) -> None:
         self._root = Path(root)
         self._objects = self._root / "objects"
-        self._index_path = self._root / "index.json"
-        self._max_entries = max_entries
-        self._lock = threading.Lock()
         self._stats = StoreStats()
-        self._index: dict[str, StoreEntry] = {}
-        if self._index_path.exists():
-            self._load_index()
 
     # ------------------------------------------------------------------
     # keys
@@ -246,7 +220,10 @@ class ArtifactStore:
         except Exception:
             self._stats.increment("corrupt")
             self._stats.increment("misses")
-            self._discard(key, path)
+            try:
+                path.unlink()
+            except OSError:
+                pass
             return default
         self._stats.increment("hits")
         return value
@@ -259,12 +236,7 @@ class ArtifactStore:
         value: Any = None,
         version: int = 1,
     ) -> str:
-        """Store ``value`` and return its key.
-
-        The object file is written atomically; the manifest is updated
-        under a lock and evictions are applied if ``max_entries`` would
-        be exceeded.
-        """
+        """Store ``value`` in one atomically written file; return its key."""
         key = self.key_for(subject, stage, params, version=version)
         digest = subject if isinstance(subject, str) else graph_digest(subject)
         payload = {
@@ -279,18 +251,7 @@ class ArtifactStore:
         path = self._object_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         self._atomic_write(path, json.dumps(payload))
-        with self._lock:
-            self._index[key] = StoreEntry(
-                key=key,
-                stage=stage,
-                graph=digest,
-                params=payload["params"],
-                version=int(version),
-                created=time.time(),
-            )
-            self._stats.increment("writes")
-            self._evict_locked()
-            self._write_index_locked()
+        self._stats.increment("writes")
         return key
 
     def contains(
@@ -321,7 +282,7 @@ class ArtifactStore:
         return value
 
     # ------------------------------------------------------------------
-    # introspection / maintenance
+    # introspection
     # ------------------------------------------------------------------
     @property
     def root(self) -> Path:
@@ -332,24 +293,6 @@ class ArtifactStore:
     def stats(self) -> StoreStats:
         """Counters accumulated by this instance."""
         return self._stats
-
-    def entries(self) -> list[StoreEntry]:
-        """Manifest rows, oldest first."""
-        with self._lock:
-            return list(self._index.values())
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        with self._lock:
-            removed = len(self._index)
-            for key in list(self._index):
-                try:
-                    self._object_path(key).unlink()
-                except OSError:
-                    pass
-            self._index.clear()
-            self._write_index_locked()
-        return removed
 
     # ------------------------------------------------------------------
     # internals
@@ -370,77 +313,6 @@ class ArtifactStore:
             except OSError:
                 pass
             raise
-
-    def _discard(self, key: str, path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        with self._lock:
-            if self._index.pop(key, None) is not None:
-                self._write_index_locked()
-
-    def _evict_locked(self) -> None:
-        if self._max_entries is None:
-            return
-        while len(self._index) > self._max_entries:
-            oldest = next(iter(self._index))
-            self._index.pop(oldest)
-            try:
-                self._object_path(oldest).unlink()
-            except OSError:
-                pass
-            self._stats.increment("evictions")
-
-    def _write_index_locked(self) -> None:
-        self._root.mkdir(parents=True, exist_ok=True)
-        rows = [
-            {
-                "key": e.key,
-                "stage": e.stage,
-                "graph": e.graph,
-                "params": e.params,
-                "version": e.version,
-                "created": e.created,
-            }
-            for e in self._index.values()
-        ]
-        self._atomic_write(self._index_path, json.dumps({"entries": rows}))
-
-    def _load_index(self) -> None:
-        try:
-            rows: Iterable[dict] = json.loads(
-                self._index_path.read_text(encoding="utf-8")
-            )["entries"]
-            self._index = {
-                row["key"]: StoreEntry(
-                    key=row["key"],
-                    stage=row["stage"],
-                    graph=row["graph"],
-                    params=row["params"],
-                    version=int(row["version"]),
-                    created=float(row.get("created", 0.0)),
-                )
-                for row in rows
-            }
-        except Exception:
-            # A damaged manifest is rebuilt from the object files; the
-            # objects themselves remain the source of truth.
-            self._index = {}
-            if self._objects.exists():
-                for obj in sorted(self._objects.glob("*/*.json")):
-                    try:
-                        payload = json.loads(obj.read_text(encoding="utf-8"))
-                        self._index[payload["key"]] = StoreEntry(
-                            key=payload["key"],
-                            stage=payload["stage"],
-                            graph=payload["graph"],
-                            params=payload["params"],
-                            version=int(payload["version"]),
-                            created=obj.stat().st_mtime,
-                        )
-                    except Exception:
-                        continue
 
 
 def memoize(

@@ -2,8 +2,8 @@
 
 Viswanath et al. compared SybilGuard, SybilLimit, SybilInfer and SumUp
 under one harness and found they all make the same community-shaped
-cut.  This module provides that harness over our five implementations:
-one attack scenario in, one :class:`~repro.sybil.harness.DefenseOutcome`
+cut.  This module provides that harness over all ten defenses: one
+attack scenario in, one :class:`~repro.sybil.harness.DefenseOutcome`
 per defense out, with consistent honest-acceptance / Sybils-per-edge
 accounting.
 
@@ -18,11 +18,16 @@ suspect for the route-based defenses), summarized as a ROC AUC with
 ids in every attack scenario, so breaking score ties by node id (the
 ranking-order convention) silently awards every tie to the honest side
 and inflates AUC — ties must earn half credit instead.
+
+Both views come from one run: a single private runner builds and runs
+each defense once and computes either view on demand, so a caller that
+needs both (the privacy frontier) runs every defense once per scenario.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -90,36 +95,176 @@ def _stratified_suspects(
 
 def _sampled_outcome(
     attack: SybilAttack,
-    accepted: np.ndarray,
+    accepted: set[int],
     honest_sample: np.ndarray,
     sybil_sample: np.ndarray,
 ) -> tuple[float, float]:
     """Rescale sample acceptance rates to whole-graph Table-II metrics."""
-    accepted_set = set(int(x) for x in accepted)
     honest_rate = (
-        sum(1 for s in honest_sample if int(s) in accepted_set)
+        sum(1 for s in honest_sample if int(s) in accepted)
         / max(honest_sample.size, 1)
     )
     sybil_rate = (
-        sum(1 for s in sybil_sample if int(s) in accepted_set)
+        sum(1 for s in sybil_sample if int(s) in accepted)
         / max(sybil_sample.size, 1)
     )
     sybils_total = sybil_rate * attack.num_sybil
     return honest_rate, sybils_total / max(attack.num_attack_edges, 1)
 
 
-def _fusion_inputs(
+@dataclass(frozen=True)
+class _DefenseRun:
+    """One run of one defense; each view is computed only when asked for.
+
+    ``nodes`` are the scored node ids, ``trust()`` their trust values,
+    ``table_ii()`` the (honest acceptance, Sybils per attack edge) pair.
+    """
+
+    defense: str
+    attack: SybilAttack
+    nodes: np.ndarray
+    trust: Callable[[], np.ndarray]
+    table_ii: Callable[[], tuple[float, float]]
+
+    def scores(self) -> DefenseScores:
+        """The trust-score view, summarized by its midrank ROC AUC."""
+        scores = np.asarray(self.trust(), dtype=float)
+        return DefenseScores(
+            defense=self.defense,
+            nodes=np.asarray(self.nodes, dtype=np.int64),
+            scores=scores,
+            auc=roc_auc(scores, self.nodes >= self.attack.num_honest),
+        )
+
+    def outcome(self, dataset: str) -> DefenseOutcome:
+        """The accept/reject view, as one Table-II cell."""
+        honest_frac, per_edge = self.table_ii()
+        return DefenseOutcome(
+            dataset=dataset,
+            defense=self.defense,
+            parameter=0.0,
+            honest_acceptance=float(honest_frac),
+            sybils_per_attack_edge=float(per_edge),
+            num_controllers=1,
+        )
+
+
+def _run_defense(
     attack: SybilAttack,
-    verifier: int,
-    seed: int,
-    prior_config: PriorConfig | None,
-    fusion_config: FusionConfig | None,
-) -> tuple[np.ndarray, FusionConfig]:
-    """Shared prior extraction for the fusion defenses."""
-    priors = extract_priors(
-        attack, trusted=verifier, config=prior_config or PriorConfig(seed=seed)
+    defense: str,
+    verifier: int = 0,
+    suspect_sample: int = 120,
+    seed: int = 0,
+    prior_config: PriorConfig | None = None,
+    fusion_config: FusionConfig | None = None,
+) -> _DefenseRun:
+    """Run one defense once on one attack scenario.
+
+    SumUp scores each suspect by its own collection, but its Table-II
+    pair collects each side of the sample as one batch, because votes
+    compete for capacity within a collection.
+    """
+    if defense not in DEFENSE_NAMES:
+        raise SybilDefenseError(
+            f"unknown defense {defense!r}; expected one of {DEFENSE_NAMES}"
+        )
+    if not 0 <= verifier < attack.num_honest:
+        raise SybilDefenseError("the verifier must be an honest node")
+    rng = np.random.default_rng(seed)
+    honest_sample, sybil_sample = _stratified_suspects(attack, suspect_sample, rng)
+    suspects = np.concatenate([honest_sample, sybil_sample])
+    graph = attack.graph
+
+    def scored(
+        trust: Callable[[], np.ndarray], accepted: Callable[[], np.ndarray]
+    ) -> _DefenseRun:
+        # every node scored; Table II counts the set the scores accept
+        return _DefenseRun(
+            defense,
+            attack,
+            np.arange(graph.num_nodes, dtype=np.int64),
+            trust,
+            lambda: attack.evaluate_accepted(accepted()),
+        )
+
+    if defense == "gatekeeper":
+        result = GateKeeper(
+            graph,
+            GateKeeperConfig(num_distributors=50, admission_factor=0.2, seed=seed),
+        ).run(verifier)
+        return scored(
+            lambda: result.reach_counts.astype(float), lambda: result.admitted
+        )
+    if defense == "sybilinfer":
+        result = SybilInfer(
+            graph, SybilInferConfig(num_samples=80, burn_in=40, seed=seed)
+        ).run(verifier)
+        return scored(
+            lambda: result.honest_probability, lambda: result.accepted(0.5)
+        )
+    if defense == "sybilrank":
+        result = SybilRank(graph).run(seeds=[verifier])
+        return scored(
+            lambda: result.normalized, lambda: result.accepted(attack.num_honest)
+        )
+    if defense == "ranking":
+        ranking = walk_probability_ranking(graph, trusted=verifier)
+        return scored(
+            lambda: ranking, lambda: accept_top(ranking, attack.num_honest)
+        )
+    if defense in FUSION_DEFENSE_NAMES:
+        priors = extract_priors(
+            attack, trusted=verifier, config=prior_config or PriorConfig(seed=seed)
+        )
+        config = fusion_config or FusionConfig(seed=seed)
+        if defense == "sybilframe":
+            result = SybilFrame(graph, config).run(verifier, priors)
+            return scored(lambda: result.posterior, lambda: result.accepted(0.5))
+        result = SybilFuse(graph, config).run(verifier, priors)
+        return scored(
+            lambda: result.scores, lambda: result.accepted(attack.num_honest)
+        )
+    if defense == "sumup":
+        sumup = SumUp(graph)
+
+        def votes() -> np.ndarray:
+            return np.array(
+                [
+                    float(sumup.collect(verifier, np.array([s])).collected_votes)
+                    for s in suspects
+                ]
+            )
+
+        def batches() -> tuple[float, float]:
+            honest_votes = sumup.collect(verifier, honest_sample).collected_votes
+            sybil_votes = sumup.collect(verifier, sybil_sample).collected_votes
+            per_edge = (
+                sybil_votes / max(sybil_sample.size, 1) * attack.num_sybil
+            ) / max(attack.num_attack_edges, 1)
+            return honest_votes / max(honest_sample.size, 1), per_edge
+
+        return _DefenseRun(defense, attack, suspects, votes, batches)
+    # sybilguard / sybillimit / sybildefender: binary per-pair verdicts
+    if defense == "sybilguard":
+        verdicts = SybilGuard(graph, SybilGuardConfig(seed=seed)).accepted_set(
+            verifier, suspects
+        )
+    elif defense == "sybillimit":
+        verdicts = SybilLimit(graph, SybilLimitConfig(seed=seed)).verify_all(
+            verifier, suspects
+        )
+    else:
+        verdicts = SybilDefender(
+            graph, SybilDefenderConfig(seed=seed)
+        ).accepted_set(verifier, suspects)
+    accepted = set(int(x) for x in np.asarray(verdicts))
+    return _DefenseRun(
+        defense,
+        attack,
+        suspects,
+        lambda: np.array([float(int(s) in accepted) for s in suspects]),
+        lambda: _sampled_outcome(attack, accepted, honest_sample, sybil_sample),
     )
-    return priors, fusion_config or FusionConfig(seed=seed)
 
 
 def evaluate_defense(
@@ -138,87 +283,9 @@ def evaluate_defense(
     vote collector, depending on the defense.  ``prior_config`` /
     ``fusion_config`` parameterize the fusion defenses only.
     """
-    if defense not in DEFENSE_NAMES:
-        raise SybilDefenseError(
-            f"unknown defense {defense!r}; expected one of {DEFENSE_NAMES}"
-        )
-    if not 0 <= verifier < attack.num_honest:
-        raise SybilDefenseError("the verifier must be an honest node")
-    rng = np.random.default_rng(seed)
-    honest_sample, sybil_sample = _stratified_suspects(attack, suspect_sample, rng)
-    suspects = np.concatenate([honest_sample, sybil_sample])
-
-    if defense == "gatekeeper":
-        result = GateKeeper(
-            attack.graph,
-            GateKeeperConfig(num_distributors=50, admission_factor=0.2, seed=seed),
-        ).run(verifier)
-        honest_frac, per_edge = attack.evaluate_accepted(result.admitted)
-    elif defense == "sybilguard":
-        guard = SybilGuard(attack.graph, SybilGuardConfig(seed=seed))
-        accepted = guard.accepted_set(verifier, suspects)
-        honest_frac, per_edge = _sampled_outcome(
-            attack, accepted, honest_sample, sybil_sample
-        )
-    elif defense == "sybillimit":
-        limit = SybilLimit(attack.graph, SybilLimitConfig(seed=seed))
-        accepted = limit.verify_all(verifier, suspects)
-        honest_frac, per_edge = _sampled_outcome(
-            attack, accepted, honest_sample, sybil_sample
-        )
-    elif defense == "sybilinfer":
-        infer = SybilInfer(
-            attack.graph,
-            SybilInferConfig(num_samples=80, burn_in=40, seed=seed),
-        )
-        accepted = infer.run(verifier).accepted(0.5)
-        honest_frac, per_edge = attack.evaluate_accepted(accepted)
-    elif defense == "sybilrank":
-        result = SybilRank(attack.graph).run(seeds=[verifier])
-        accepted = result.accepted(attack.num_honest)
-        honest_frac, per_edge = attack.evaluate_accepted(accepted)
-    elif defense == "sybildefender":
-        defender = SybilDefender(
-            attack.graph, SybilDefenderConfig(seed=seed)
-        )
-        accepted = defender.accepted_set(verifier, suspects)
-        honest_frac, per_edge = _sampled_outcome(
-            attack, accepted, honest_sample, sybil_sample
-        )
-    elif defense == "sumup":
-        sumup = SumUp(attack.graph)
-        collector = verifier
-        honest_votes = sumup.collect(collector, honest_sample).collected_votes
-        sybil_votes = sumup.collect(collector, sybil_sample).collected_votes
-        honest_frac = honest_votes / max(honest_sample.size, 1)
-        per_edge = (
-            sybil_votes / max(sybil_sample.size, 1) * attack.num_sybil
-        ) / max(attack.num_attack_edges, 1)
-    elif defense == "sybilframe":
-        priors, fcfg = _fusion_inputs(
-            attack, verifier, seed, prior_config, fusion_config
-        )
-        result = SybilFrame(attack.graph, fcfg).run(verifier, priors)
-        honest_frac, per_edge = attack.evaluate_accepted(result.accepted(0.5))
-    elif defense == "sybilfuse":
-        priors, fcfg = _fusion_inputs(
-            attack, verifier, seed, prior_config, fusion_config
-        )
-        result = SybilFuse(attack.graph, fcfg).run(verifier, priors)
-        accepted = result.accepted(attack.num_honest)
-        honest_frac, per_edge = attack.evaluate_accepted(accepted)
-    else:  # ranking
-        scores = walk_probability_ranking(attack.graph, trusted=verifier)
-        accepted = accept_top(scores, attack.num_honest)
-        honest_frac, per_edge = attack.evaluate_accepted(accepted)
-    return DefenseOutcome(
-        dataset=dataset,
-        defense=defense,
-        parameter=0.0,
-        honest_acceptance=float(honest_frac),
-        sybils_per_attack_edge=float(per_edge),
-        num_controllers=1,
-    )
+    return _run_defense(
+        attack, defense, verifier, suspect_sample, seed, prior_config, fusion_config
+    ).outcome(dataset)
 
 
 def compare_defenses(
@@ -312,73 +379,6 @@ def defense_scores(
     their coarse, tie-heavy scores are exactly why :func:`roc_auc` must
     midrank.
     """
-    if defense not in DEFENSE_NAMES:
-        raise SybilDefenseError(
-            f"unknown defense {defense!r}; expected one of {DEFENSE_NAMES}"
-        )
-    if not 0 <= verifier < attack.num_honest:
-        raise SybilDefenseError("the verifier must be an honest node")
-    rng = np.random.default_rng(seed)
-    honest_sample, sybil_sample = _stratified_suspects(attack, suspect_sample, rng)
-    suspects = np.concatenate([honest_sample, sybil_sample])
-    all_nodes = np.arange(attack.graph.num_nodes, dtype=np.int64)
-
-    nodes = all_nodes
-    if defense == "gatekeeper":
-        result = GateKeeper(
-            attack.graph,
-            GateKeeperConfig(num_distributors=50, admission_factor=0.2, seed=seed),
-        ).run(verifier)
-        scores = result.reach_counts.astype(float)
-    elif defense == "sybilinfer":
-        infer = SybilInfer(
-            attack.graph,
-            SybilInferConfig(num_samples=80, burn_in=40, seed=seed),
-        )
-        scores = infer.run(verifier).honest_probability
-    elif defense == "sybilrank":
-        scores = SybilRank(attack.graph).run(seeds=[verifier]).normalized
-    elif defense == "ranking":
-        scores = walk_probability_ranking(attack.graph, trusted=verifier)
-    elif defense == "sybilframe":
-        priors, fcfg = _fusion_inputs(
-            attack, verifier, seed, prior_config, fusion_config
-        )
-        scores = SybilFrame(attack.graph, fcfg).run(verifier, priors).posterior
-    elif defense == "sybilfuse":
-        priors, fcfg = _fusion_inputs(
-            attack, verifier, seed, prior_config, fusion_config
-        )
-        scores = SybilFuse(attack.graph, fcfg).run(verifier, priors).scores
-    elif defense == "sumup":
-        sumup = SumUp(attack.graph)
-        nodes = suspects
-        scores = np.array(
-            [
-                float(sumup.collect(verifier, np.array([s])).collected_votes)
-                for s in suspects
-            ]
-        )
-    else:  # sybilguard / sybillimit / sybildefender: binary per-pair verdicts
-        if defense == "sybilguard":
-            accepted = SybilGuard(
-                attack.graph, SybilGuardConfig(seed=seed)
-            ).accepted_set(verifier, suspects)
-        elif defense == "sybillimit":
-            accepted = SybilLimit(
-                attack.graph, SybilLimitConfig(seed=seed)
-            ).verify_all(verifier, suspects)
-        else:
-            accepted = SybilDefender(
-                attack.graph, SybilDefenderConfig(seed=seed)
-            ).accepted_set(verifier, suspects)
-        accepted_set = set(int(x) for x in np.asarray(accepted))
-        nodes = suspects
-        scores = np.array([float(int(s) in accepted_set) for s in suspects])
-    is_sybil = nodes >= attack.num_honest
-    return DefenseScores(
-        defense=defense,
-        nodes=np.asarray(nodes, dtype=np.int64),
-        scores=np.asarray(scores, dtype=float),
-        auc=roc_auc(scores, is_sybil),
-    )
+    return _run_defense(
+        attack, defense, verifier, suspect_sample, seed, prior_config, fusion_config
+    ).scores()

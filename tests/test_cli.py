@@ -362,7 +362,7 @@ class TestCacheDir:
         assert main(argv) == 0
         warm = capsys.readouterr().out
         assert warm.splitlines()[:5] == cold.splitlines()[:5]
-        assert (tmp_path / "cache" / "index.json").exists()
+        assert list((tmp_path / "cache" / "objects").glob("*/*.json"))
 
     def test_reproduce_cache_dir(self, tmp_path, capsys):
         argv = [

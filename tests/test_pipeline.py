@@ -222,6 +222,30 @@ class TestPaperPipeline:
         ).run()
         assert "load" in changed.executed
 
+    def test_second_name_for_one_graph_reports_its_own_name(self, tmp_path):
+        """Stages after ``load`` are keyed by graph digest, so a second
+        name for the same graph shares the measurements; the stages
+        whose results carry the name must still miss and recompute."""
+        from repro.datasets import load_dataset
+        from repro.graph import write_edge_list
+
+        self._build(ArtifactStore(tmp_path / "cache")).run()
+        path = tmp_path / "rice.txt"
+        write_edge_list(load_dataset("rice_grad", scale=self.SCALE, seed=0), path)
+
+        def run_file(cache):
+            return paper_measurement_pipeline(
+                str(path), scale=self.SCALE, num_sources=self.SOURCES,
+                store=ArtifactStore(cache),
+            ).run()
+
+        warm = run_file(tmp_path / "cache")
+        assert warm.executed == ["load", "gatekeeper", "tables"]
+        assert warm.results["tables"]["target"] == str(path)
+        rows = warm.results["gatekeeper"]
+        assert rows and {row.dataset for row in rows} == {str(path)}
+        assert warm.digest() == run_file(tmp_path / "cold").digest()
+
     def test_partial_run_via_targets(self, tmp_path):
         store = ArtifactStore(tmp_path / "cache")
         result = self._build(store).run(targets=["cores"])

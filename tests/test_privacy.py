@@ -275,6 +275,32 @@ class TestParityWobble:
         assert np.all(np.diff(parity_frontier.privacy) >= -0.2)
 
 
+class TestOneRunPerDefense:
+    def test_each_level_runs_each_defense_once(self, monkeypatch):
+        """The AUC and the Table-II accounting of a level come from one
+        run of each defense, not one run per view."""
+        from repro.sybil import GateKeeper
+
+        calls = []
+        run = GateKeeper.run
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(GateKeeper, "run", counted)
+        frontier = privacy_utility_frontier(
+            barabasi_albert(80, 3, seed=3),
+            ts=(0, 2),
+            defenses=("gatekeeper",),
+            suspect_sample=20,
+            num_sources=5,
+            seed=3,
+        )
+        assert len(frontier.points) == 2
+        assert len(calls) == 2
+
+
 class TestFrontierPipeline:
     def test_warm_rerun_recomputes_nothing(self, tmp_path):
         from repro.store import ArtifactStore

@@ -21,6 +21,15 @@ def store(tmp_path) -> ArtifactStore:
     return ArtifactStore(tmp_path / "cache")
 
 
+def _files(root) -> list[str]:
+    """Every file under ``root``, as sorted root-relative POSIX paths."""
+    return sorted(
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*")
+        if path.is_file()
+    )
+
+
 class TestGraphDigest:
     def test_equal_graphs_share_digest(self):
         a = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
@@ -114,7 +123,6 @@ class TestRoundTrip:
         store.put(triangle, "s", {}, {"x": 1})
         other = ArtifactStore(store.root)
         assert other.get(triangle, "s", {}) == {"x": 1}
-        assert len(other.entries()) == 1
 
     def test_invalid_stage_name_rejected(self, store, triangle):
         with pytest.raises(StoreError):
@@ -160,30 +168,6 @@ class TestCorruption:
         assert store.get(k5, "s", {}) is None
         assert store.stats.corrupt == 1
 
-    def test_damaged_manifest_rebuilt_from_objects(self, store, triangle):
-        store.put(triangle, "s", {}, "value")
-        (store.root / "index.json").write_text("{not json")
-        rebuilt = ArtifactStore(store.root)
-        assert rebuilt.get(triangle, "s", {}) == "value"
-        assert len(rebuilt.entries()) == 1
-
-
-class TestEviction:
-    def test_oldest_entries_evicted(self, tmp_path, triangle):
-        store = ArtifactStore(tmp_path / "cache", max_entries=2)
-        store.put(triangle, "s", {"k": 1}, "one")
-        store.put(triangle, "s", {"k": 2}, "two")
-        store.put(triangle, "s", {"k": 3}, "three")
-        assert store.stats.evictions == 1
-        assert store.get(triangle, "s", {"k": 1}) is None
-        assert store.get(triangle, "s", {"k": 3}) == "three"
-        assert len(store.entries()) == 2
-
-    def test_invalid_capacity_rejected(self, tmp_path):
-        with pytest.raises(StoreError):
-            ArtifactStore(tmp_path, max_entries=0)
-
-
 class TestConcurrency:
     def test_concurrent_readers_and_writers(self, tmp_path, triangle):
         """Hammer one directory from many threads and two instances."""
@@ -216,11 +200,11 @@ class TestConcurrency:
 
     def test_cross_process_writers_one_valid_entry(self, tmp_path):
         """Two processes memoizing the same key must converge on one
-        valid entry: object files are written atomically and the index
-        is rewritten whole, so racing writers may duplicate work but can
-        never tear a file or corrupt the manifest (the process backend
-        runs engine stages in separate interpreters against one cache
-        directory, making this a load-bearing property, not a nicety)."""
+        valid entry: object files are written atomically, so racing
+        writers may duplicate work but can never tear a file (the
+        process backend runs engine stages in separate interpreters
+        against one cache directory, making this a load-bearing
+        property, not a nicety)."""
         cache = tmp_path / "cache"
         script = (
             "import sys\n"
@@ -246,15 +230,15 @@ class TestConcurrency:
         for proc in procs:
             _, stderr = proc.communicate(timeout=120)
             assert proc.returncode == 0, stderr.decode()
-        # a fresh instance reads the index written by the racers
+        # a fresh instance reads the entry the racers wrote ...
         fresh = ArtifactStore(cache)
         assert fresh.get("subject", "stage", {"k": 1}) == {"payload": 1}
-        entries = fresh.entries()
-        assert len(entries) == 1
-        assert entries[0].stage == "stage"
-        # and the manifest itself is intact JSON with exactly that entry
-        index = json.loads((cache / "index.json").read_text())
-        assert [row["key"] for row in index["entries"]] == [entries[0].key]
+        # ... from the one intact object file they left behind
+        key = fresh.key_for("subject", "stage", {"k": 1})
+        assert _files(cache) == [f"objects/{key[:2]}/{key}.json"]
+        payload = json.loads((cache / _files(cache)[0]).read_text())
+        assert payload["key"] == key
+        assert payload["stage"] == "stage"
 
     def test_memoize_counters_exact_under_threads(self, store, triangle):
         """Every memoize call performs exactly one lookup, so after any
@@ -306,21 +290,28 @@ class TestConcurrency:
         assert leftovers == []
 
 
-class TestClearAndManifest:
-    def test_clear_removes_everything(self, store, triangle):
-        store.put(triangle, "a", {}, 1)
-        store.put(triangle, "b", {}, 2)
-        assert store.clear() == 2
-        assert store.get(triangle, "a", {}) is None
-        assert store.entries() == []
-
-    def test_manifest_records_stage_and_graph(self, store, triangle):
-        store.put(triangle, "mixing", {"seed": 0}, 1)
-        (entry,) = store.entries()
-        assert entry.stage == "mixing"
-        assert entry.graph == graph_digest(triangle)
-        manifest = json.loads((store.root / "index.json").read_text())
-        assert manifest["entries"][0]["stage"] == "mixing"
+class TestOneRecordPerArtifact:
+    def test_instances_sharing_a_root_keep_every_entry(self, tmp_path, triangle):
+        """Each object file is the artifact's only record, so entries
+        written by different instances all survive, and nothing but
+        those files lands in the root."""
+        cache = tmp_path / "cache"
+        a = ArtifactStore(cache)
+        b = ArtifactStore(cache)
+        a.put(triangle, "mixing", {"seed": 0}, "from a")
+        b.put(triangle, "cores", {}, "from b")
+        fresh = ArtifactStore(cache)
+        assert fresh.get(triangle, "mixing", {"seed": 0}) == "from a"
+        assert fresh.get(triangle, "cores", {}) == "from b"
+        key = fresh.key_for(triangle, "mixing", {"seed": 0})
+        other = fresh.key_for(triangle, "cores", {})
+        assert _files(cache) == sorted(
+            f"objects/{k[:2]}/{k}.json" for k in (key, other)
+        )
+        # the object file records what the artifact measured
+        payload = json.loads((cache / f"objects/{key[:2]}/{key}.json").read_text())
+        assert payload["stage"] == "mixing"
+        assert payload["graph"] == graph_digest(triangle)
 
 
 class TestMemoizeHelper:

@@ -20,6 +20,7 @@ from repro.sybil import (
     standard_attack,
     wild_sybil_region,
 )
+from repro.sybil.comparison import _run_defense
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,22 @@ class TestCompareDefenses:
             FUSION_DEFENSE_NAMES
         )
         assert set(FUSION_DEFENSE_NAMES) == {"sybilframe", "sybilfuse"}
+
+
+class TestOneRunTwoViews:
+    @pytest.mark.parametrize("defense", DEFENSE_NAMES)
+    def test_views_equal_the_public_wrappers(self, attack, defense):
+        """One run of a defense yields exactly what ``defense_scores``
+        and ``evaluate_defense`` each report."""
+        run = _run_defense(attack, defense, suspect_sample=60, seed=1)
+        views = run.scores()
+        scores = defense_scores(attack, defense, suspect_sample=60, seed=1)
+        assert np.array_equal(views.nodes, scores.nodes)
+        assert np.array_equal(views.scores, scores.scores)
+        assert views.auc == scores.auc
+        assert run.outcome("ba") == evaluate_defense(
+            attack, defense, suspect_sample=60, dataset="ba", seed=1
+        )
 
 
 class TestTopologyCoverage:
