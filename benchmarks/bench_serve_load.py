@@ -44,7 +44,7 @@ WRITE_FRACTION = 0.25
 
 def _run_at(scale: float):
     honest = load_dataset(DATASET, scale=scale)
-    attack = standard_attack(honest, max(5, honest.num_nodes // 20), seed=0)
+    attack = standard_attack(honest, seed=0)
     service = AdmissionService(
         attack.graph,
         num_honest=attack.num_honest,

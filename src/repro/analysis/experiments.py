@@ -4,6 +4,10 @@ Each runner measures the relevant property over dataset analogs and
 returns plain data structures; the scripts under ``benchmarks/`` wrap
 them with pytest-benchmark and print the paper-shaped output.  They are
 also the public "reproduce experiment N" API for library users.
+
+The store-aware runners take their measurements from the stage
+functions of :mod:`repro.pipeline` through :func:`repro.pipeline.measure`,
+so ``store=`` caches them under the keys a pipeline run writes.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.stats import spearman
-from repro.cores.statistics import CoreStructure, core_structure, coreness_ecdf
+from repro.cores.statistics import CoreStructure, core_structure
 from repro.datasets import dataset_spec, load_dataset
 from repro.expansion.envelope import (
     ExpansionSummary,
@@ -22,9 +26,17 @@ from repro.expansion.envelope import (
     expansion_factor_series,
 )
 from repro.mixing.sampling import MixingProfile, sampled_mixing_profile
-from repro.mixing.spectral import slem
-from repro.store import ArtifactStore, memoize
-from repro.sybil.harness import DefenseOutcome, gatekeeper_table_row
+from repro.pipeline import (
+    cores_stage,
+    coreness_ecdf_stage,
+    expansion_stage,
+    gatekeeper_stage,
+    measure,
+    mixing_stage,
+    slem_stage,
+)
+from repro.store import ArtifactStore
+from repro.sybil.harness import DefenseOutcome
 
 __all__ = [
     "DatasetSummary",
@@ -70,7 +82,7 @@ def table1_dataset_summary(
     for name in datasets:
         spec = dataset_spec(name)
         graph = load_dataset(name, scale=scale, seed=seed)
-        mu = memoize(store, graph, "slem", {}, lambda: slem(graph))
+        mu = measure(store, graph, slem_stage())
         rows.append(
             DatasetSummary(
                 name=name,
@@ -94,23 +106,17 @@ def figure1_mixing_profiles(
     store: ArtifactStore | None = None,
 ) -> dict[str, MixingProfile]:
     """Measure Figure 1: sampled TVD-vs-walk-length per analog."""
-    lengths = walk_lengths or [1, 2, 3, 4, 5, 7, 10, 15, 20, 30, 40, 50]
-    out = {}
-    for name in datasets:
-        graph = load_dataset(name, scale=scale, seed=seed)
-        out[name] = memoize(
-            store,
-            graph,
-            "mixing",
-            {"walk_lengths": lengths, "num_sources": num_sources, "seed": seed},
-            lambda graph=graph: sampled_mixing_profile(
-                graph,
-                walk_lengths=lengths,
-                num_sources=num_sources,
-                seed=seed,
-            ),
-        )
-    return out
+    stage = mixing_stage(
+        [1, 2, 3, 4, 5, 7, 10, 15, 20, 30, 40, 50]
+        if walk_lengths is None
+        else walk_lengths,
+        num_sources,
+        seed,
+    )
+    return {
+        name: measure(store, load_dataset(name, scale=scale, seed=seed), stage)
+        for name in datasets
+    }
 
 
 def figure2_coreness_ecdfs(
@@ -123,13 +129,8 @@ def figure2_coreness_ecdfs(
     out = {}
     for name in datasets:
         graph = load_dataset(name, scale=scale, seed=seed)
-
-        def ecdf_dict(graph=graph):
-            values, fractions = coreness_ecdf(graph)
-            return {"values": values, "fractions": fractions}
-
-        cached = memoize(store, graph, "coreness_ecdf", {}, ecdf_dict)
-        out[name] = (cached["values"], cached["fractions"])
+        ecdf = measure(store, graph, coreness_ecdf_stage())
+        out[name] = (ecdf["values"], ecdf["fractions"])
     return out
 
 
@@ -146,36 +147,21 @@ def table2_gatekeeper(
 
     The paper uses Physics, Facebook, LiveJournal and Slashdot with a
     few hundred attack edges each; attack-edge counts scale with the
-    analog sizes by default.
+    analog sizes by default (:func:`repro.pipeline.gatekeeper_stage`),
+    so a paper pipeline run with equal controllers warms its row.
     """
     names = datasets or ["physics2", "facebook_a", "livejournal_a", "slashdot0811"]
     outcomes: list[DefenseOutcome] = []
     for name in names:
-        graph = load_dataset(name, scale=scale, seed=seed)
-        edges = (attack_edges or {}).get(name, max(graph.num_nodes // 100, 5))
+        stage = gatekeeper_stage(
+            name,
+            num_attack_edges=(attack_edges or {}).get(name),
+            admission_factors=admission_factors,
+            num_controllers=num_controllers,
+            seed=seed,
+        )
         outcomes.extend(
-            memoize(
-                store,
-                graph,
-                "gatekeeper",
-                {
-                    "dataset": name,
-                    "num_attack_edges": edges,
-                    "admission_factors": admission_factors,
-                    "num_controllers": num_controllers,
-                    "seed": seed,
-                },
-                lambda graph=graph, name=name, edges=edges: gatekeeper_table_row(
-                    graph,
-                    dataset=name,
-                    num_attack_edges=edges,
-                    admission_factors=admission_factors,
-                    num_controllers=num_controllers,
-                    seed=seed,
-                ),
-                # v2: distributor walks moved onto the vectorized engine
-                version=2,
-            )
+            measure(store, load_dataset(name, scale=scale, seed=seed), stage)
         )
     return outcomes
 
@@ -194,23 +180,13 @@ def figure3_expansion_summaries(
     the expensive :class:`ExpansionMeasurement` is memoized through
     ``store`` (the aggregation is cheap and recomputed).
     """
-    out = {}
-    for name in datasets:
-        graph = load_dataset(name, scale=scale, seed=seed)
-        measurement = _memoized_expansion(store, graph, num_sources, seed)
-        out[name] = aggregate_by_set_size(measurement)
-    return out
-
-
-def _memoized_expansion(store, graph, num_sources, seed):
-    """Envelope expansion through the artifact store."""
-    return memoize(
-        store,
-        graph,
-        "expansion",
-        {"num_sources": num_sources, "seed": seed},
-        lambda: envelope_expansion(graph, num_sources=num_sources, seed=seed),
-    )
+    stage = expansion_stage(num_sources, seed)
+    return {
+        name: aggregate_by_set_size(
+            measure(store, load_dataset(name, scale=scale, seed=seed), stage)
+        )
+        for name in datasets
+    }
 
 
 def figure4_expansion_factors(
@@ -221,12 +197,13 @@ def figure4_expansion_factors(
     store: ArtifactStore | None = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Measure Figure 4: expected expansion factor vs |S| per analog."""
-    out = {}
-    for name in datasets:
-        graph = load_dataset(name, scale=scale, seed=seed)
-        measurement = _memoized_expansion(store, graph, num_sources, seed)
-        out[name] = expansion_factor_series(measurement)
-    return out
+    stage = expansion_stage(num_sources, seed)
+    return {
+        name: expansion_factor_series(
+            measure(store, load_dataset(name, scale=scale, seed=seed), stage)
+        )
+        for name in datasets
+    }
 
 
 def figure5_core_structures(
@@ -236,13 +213,10 @@ def figure5_core_structures(
     store: ArtifactStore | None = None,
 ) -> dict[str, CoreStructure]:
     """Measure Figure 5: nu'_k and connected-core counts per analog."""
-    out = {}
-    for name in datasets:
-        graph = load_dataset(name, scale=scale, seed=seed)
-        out[name] = memoize(
-            store, graph, "cores", {}, lambda graph=graph: core_structure(graph)
-        )
-    return out
+    return {
+        name: measure(store, load_dataset(name, scale=scale, seed=seed), cores_stage())
+        for name in datasets
+    }
 
 
 def _mixing_speed_score(profile: MixingProfile) -> float:

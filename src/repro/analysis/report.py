@@ -10,19 +10,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.community import greedy_modularity, modularity
-from repro.cores.statistics import core_structure
 from repro.errors import GraphError
-from repro.expansion.envelope import envelope_expansion
 from repro.graph.core import Graph
 from repro.graph.metrics import (
     average_clustering,
     average_degree,
     degree_assortativity,
 )
-from repro.mixing.sampling import mixing_time_from_profile, sampled_mixing_profile
-from repro.mixing.spectral import spectral_summary
-from repro.store import ArtifactStore, memoize
+from repro.mixing.sampling import mixing_time_from_profile
+from repro.pipeline import (
+    community_stage,
+    cores_stage,
+    expansion_stage,
+    measure,
+    mixing_stage,
+    spectral_stage,
+)
+from repro.store import ArtifactStore
 from repro.telemetry import Telemetry
 
 __all__ = ["measurement_report", "telemetry_summary"]
@@ -92,13 +96,14 @@ def measurement_report(
 ) -> str:
     """Return a markdown report of every paper-relevant property.
 
-    ``store`` memoizes
-    every expensive measurement (mixing, spectral, cores, expansion,
-    community) through a content-addressed artifact cache; a warm call
-    on the same graph recomputes none of them and returns byte-identical
-    text.  Stage names and parameters match
-    :func:`repro.pipeline.paper_measurement_pipeline`, so reports and
-    pipeline runs share warm artifacts.
+    ``store`` memoizes every expensive measurement (mixing, spectral,
+    cores, expansion, community) through a content-addressed artifact
+    cache; a warm call on the same graph recomputes none of them and
+    returns byte-identical text.  Each is a stage of
+    :mod:`repro.pipeline` run through :func:`repro.pipeline.measure`, so
+    a paper pipeline run with equal ``num_sources`` and ``seed`` warms
+    the ``spectral``, ``cores`` and ``expansion`` entries (the report's
+    mixing grid is its own artifact).
     """
     if graph.num_nodes < 3 or graph.num_edges < 2:
         raise GraphError("the report needs a graph with a few nodes and edges")
@@ -114,30 +119,10 @@ def measurement_report(
         "",
     ]
 
-    fast_sources = min(num_sources, 30)
-    spectral = memoize(
-        store,
-        graph,
-        "spectral",
-        {"seed": seed, "fast_sources": fast_sources},
-        lambda: spectral_summary(graph, fast_sources=fast_sources, seed=seed),
-    )
+    spectral = measure(store, graph, spectral_stage(num_sources, seed))
     mu, bounds, fast = spectral["slem"], spectral["bounds"], spectral["fast"]
-    profile = memoize(
-        store,
-        graph,
-        "mixing",
-        {
-            "walk_lengths": _REPORT_WALK_LENGTHS,
-            "num_sources": num_sources,
-            "seed": seed,
-        },
-        lambda: sampled_mixing_profile(
-            graph,
-            walk_lengths=_REPORT_WALK_LENGTHS,
-            num_sources=num_sources,
-            seed=seed,
-        ),
+    profile = measure(
+        store, graph, mixing_stage(_REPORT_WALK_LENGTHS, num_sources, seed)
     )
     t_10 = mixing_time_from_profile(profile, 0.10, aggregate="mean")
     lines += [
@@ -154,7 +139,7 @@ def measurement_report(
         "",
     ]
 
-    structure = memoize(store, graph, "cores", {}, lambda: core_structure(graph))
+    structure = measure(store, graph, cores_stage())
     cohesive = bool(np.all(structure.num_cores == 1))
     lines += [
         "## Core structure (Sections III-B, V)",
@@ -166,37 +151,18 @@ def measurement_report(
         "",
     ]
 
-    measurement = memoize(
-        store,
-        graph,
-        "expansion",
-        {"num_sources": num_sources, "seed": seed},
-        lambda: envelope_expansion(
-            graph,
-            num_sources=min(num_sources, graph.num_nodes),
-            seed=seed,
-        ),
-    )
-    small = measurement.set_sizes <= max(graph.num_nodes // 10, 1)
-    alpha_small = (
-        float(measurement.expansion_factors[small].mean()) if small.any() else 0.0
-    )
+    measurement = measure(store, graph, expansion_stage(num_sources, seed))
     lines += [
         "## Expansion (Section III-D)",
         "",
-        f"* mean expansion factor over envelopes up to n/10: {alpha_small:.2f}",
+        "* mean expansion factor over envelopes up to n/10: "
+        f"{measurement.small_set_expansion(graph.num_nodes):.2f}",
         f"* envelopes measured: {measurement.set_sizes.size} "
         f"from {measurement.sources.size} cores",
         "",
     ]
 
-    def measure_community():
-        labels = greedy_modularity(graph, seed=seed)
-        return {"labels": labels, "modularity": float(modularity(graph, labels))}
-
-    community = memoize(
-        store, graph, "community", {"seed": seed}, measure_community
-    )
+    community = measure(store, graph, community_stage(seed))
     labels, q = community["labels"], community["modularity"]
     lines += [
         "## Community structure (Section V)",

@@ -73,27 +73,23 @@ from repro.analysis import (
     table1_dataset_summary,
     table2_gatekeeper,
 )
-from repro.cores import core_structure
-from repro.datasets import (
-    STREAM_REGIMES,
-    available_datasets,
-    dataset_spec,
-    load_dataset,
-)
+from repro.datasets import STREAM_REGIMES, available_datasets, dataset_spec
 from repro.errors import ReproError
-from repro.expansion import envelope_expansion
-from repro.graph import ShardedGraph, largest_connected_component, read_edge_list
-from repro.mixing import (
-    sampled_mixing_profile,
-    sinclair_bounds,
-    slem,
-    spectral_summary,
-)
+from repro.graph import ShardedGraph
+from repro.mixing import sampled_mixing_profile, sinclair_bounds, slem
 from repro import telemetry
 from repro.chunking import default_workers
 from repro.parallel import EXECUTORS, execution
-from repro.pipeline import fusion_comparison_pipeline, paper_measurement_pipeline
-from repro.store import ArtifactStore, memoize
+from repro.pipeline import (
+    cores_stage,
+    expansion_stage,
+    fusion_comparison_pipeline,
+    load_target,
+    measure,
+    paper_measurement_pipeline,
+    spectral_stage,
+)
+from repro.store import ArtifactStore
 
 __all__ = ["main"]
 
@@ -133,19 +129,6 @@ def _cmd_datasets(_: argparse.Namespace) -> int:
         )
     )
     return 0
-
-
-def _load_target(target: str, scale: float):
-    if target in available_datasets():
-        return load_dataset(target, scale=scale)
-    path = Path(target)
-    if not path.exists():
-        raise SystemExit(
-            f"'{target}' is neither a bundled dataset nor a readable file"
-        )
-    raw = read_edge_list(path)
-    graph, _ = largest_connected_component(raw)
-    return graph
 
 
 def _audit_sharded(args: argparse.Namespace) -> int:
@@ -209,29 +192,15 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if getattr(args, "sharded", False):
         return _audit_sharded(args)
     store = _store_from(args)
-    graph = _load_target(args.target, args.scale)
+    graph = load_target(args.target, args.scale)
     print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges (LCC)")
 
-    spectral = memoize(
-        store, graph, "spectral", {"seed": 0, "fast_sources": 30},
-        lambda: spectral_summary(graph, fast_sources=30, seed=0),
-    )
+    spectral = measure(store, graph, spectral_stage(num_sources=50))
     mu, bounds, fast = spectral["slem"], spectral["bounds"], spectral["fast"]
-    structure = memoize(store, graph, "cores", {}, lambda: core_structure(graph))
+    structure = measure(store, graph, cores_stage())
     cohesive = bool(np.all(structure.num_cores == 1))
-    measurement = memoize(
-        store,
-        graph,
-        "expansion",
-        {"num_sources": 50, "seed": 0},
-        lambda: envelope_expansion(
-            graph, num_sources=min(50, graph.num_nodes), seed=0
-        ),
-    )
-    small = measurement.set_sizes <= max(graph.num_nodes // 10, 1)
-    alpha = (
-        float(measurement.expansion_factors[small].mean()) if small.any() else 0.0
-    )
+    measurement = measure(store, graph, expansion_stage(num_sources=50))
+    alpha = measurement.small_set_expansion(graph.num_nodes)
     print(
         format_table(
             ["property", "value"],
@@ -276,7 +245,7 @@ def _shard_build(args: argparse.Namespace) -> int:
             nodes_per_shard=args.nodes_per_shard,
         )
     else:
-        graph = _load_target(args.target, args.scale)
+        graph = load_target(args.target, args.scale)
         sharded = ShardedGraph.from_graph(
             graph,
             out,
@@ -337,7 +306,7 @@ def _cmd_shard(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis import measurement_report
 
-    graph = _load_target(args.target, args.scale)
+    graph = load_target(args.target, args.scale)
     text = measurement_report(graph, name=args.target, store=_store_from(args))
     if args.output:
         output = Path(args.output).resolve()
@@ -656,9 +625,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.sybil import standard_attack
 
-    honest = _load_target(args.target, args.scale)
-    num_attack_edges = args.attack_edges or max(5, honest.num_nodes // 20)
-    attack = standard_attack(honest, num_attack_edges, seed=args.seed)
+    honest = load_target(args.target, args.scale)
+    attack = standard_attack(honest, args.attack_edges, seed=args.seed)
     policy = CompactionPolicy(max_overlay_edges=args.compact_max_overlay)
     service = AdmissionService(
         attack.graph,

@@ -10,14 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from repro.cores.statistics import core_structure
 from repro.errors import GraphError
-from repro.expansion.envelope import envelope_expansion
 from repro.graph.core import Graph
-from repro.mixing.spectral import slem
-from repro.store import ArtifactStore, memoize
+from repro.pipeline import cores_stage, expansion_stage, measure, slem_stage
+from repro.store import ArtifactStore
 
 __all__ = ["SnapshotMetrics", "track_evolution"]
 
@@ -50,43 +46,31 @@ def track_evolution(
 
     Expansion is summarized as the mean expansion factor over envelopes
     of at most n/10 nodes (the regime Figures 3-4 show is
-    discriminative).  ``store`` memoizes the
-    per-snapshot SLEM/core/expansion measurements under each snapshot's
+    discriminative).  ``store`` memoizes the per-snapshot core,
+    expansion and SLEM measurements (the ``cores``, ``expansion`` and
+    ``slem`` stages of :mod:`repro.pipeline`) under each snapshot's
     content digest, so overlapping or replayed evolution sequences
     (e.g. sliding windows over the same history) only measure new
-    snapshots.
+    snapshots, and a snapshot a pipeline run or a figure runner already
+    measured is not measured again.
     """
     out: list[SnapshotMetrics] = []
     for step, graph in enumerate(graph_sequence):
         if graph.num_nodes < 3 or graph.num_edges < 2:
             raise GraphError(f"snapshot {step} is too small to measure")
-        structure = memoize(
-            store, graph, "cores", {}, lambda graph=graph: core_structure(graph)
-        )
-        measurement = memoize(
-            store,
-            graph,
-            "expansion",
-            {"num_sources": expansion_sources, "seed": seed},
-            lambda graph=graph: envelope_expansion(
-                graph,
-                num_sources=min(expansion_sources, graph.num_nodes),
-                seed=seed,
-            ),
-        )
-        small = measurement.set_sizes <= max(graph.num_nodes // 10, 1)
-        factors = measurement.expansion_factors[small]
+        structure = measure(store, graph, cores_stage())
+        measurement = measure(store, graph, expansion_stage(expansion_sources, seed))
         out.append(
             SnapshotMetrics(
                 step=step,
                 num_nodes=graph.num_nodes,
                 num_edges=graph.num_edges,
-                slem=memoize(
-                    store, graph, "slem", {}, lambda graph=graph: slem(graph)
-                ),
+                slem=measure(store, graph, slem_stage()),
                 degeneracy=structure.degeneracy,
                 max_cores=int(structure.num_cores.max()),
-                mean_small_set_expansion=float(factors.mean()) if factors.size else 0.0,
+                mean_small_set_expansion=measurement.small_set_expansion(
+                    graph.num_nodes
+                ),
             )
         )
     return out

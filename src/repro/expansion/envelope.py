@@ -87,6 +87,16 @@ class ExpansionMeasurement:
         """Per-measurement alpha values."""
         return self.neighbor_counts / self.set_sizes
 
+    def small_set_expansion(self, num_nodes: int) -> float:
+        """Mean alpha over envelopes of at most ``num_nodes // 10`` nodes.
+
+        The small-set regime Figures 3-4 show is discriminative; 0.0
+        when no envelope is that small.  ``num_nodes`` is the measured
+        graph's size.
+        """
+        small = self.set_sizes <= max(num_nodes // 10, 1)
+        return float(self.expansion_factors[small].mean()) if small.any() else 0.0
+
 
 def _cores(
     graph: Graph,

@@ -9,6 +9,7 @@ them, in place of the bundled synthetic analogs.
 from __future__ import annotations
 
 import gzip
+import zlib
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -48,11 +49,16 @@ def read_edge_list(path: str | Path, num_nodes: int | None = None) -> Graph:
     """Load a graph from a (possibly gzipped) SNAP edge-list file.
 
     Directed inputs are symmetrized (the paper treats all graphs as
-    undirected); duplicate edges and self loops are dropped.
+    undirected); duplicate edges and self loops are dropped.  A file
+    that cannot be read or decoded (a directory, non-UTF-8 text, a
+    damaged gzip stream) raises :class:`GraphError` naming the file.
     """
     path = Path(path)
-    with _open_text(path, "r") as handle:
-        edges = list(parse_edge_lines(handle))
+    try:
+        with _open_text(path, "r") as handle:
+            edges = list(parse_edge_lines(handle))
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:
+        raise GraphError(f"cannot read edge list {path}: {exc}") from exc
     return Graph.from_edges(edges, num_nodes=num_nodes)
 
 

@@ -18,9 +18,12 @@ Because each completed stage is persisted under a content-addressed key
 the moment it finishes, a crashed or interrupted run resumes where it
 left off, and a warm rerun executes nothing at all.
 
-:func:`paper_measurement_pipeline` builds the standard DAG above for
-one dataset analog or edge-list file; ``python -m repro pipeline run``
-is its CLI face.
+Each store-backed measurement is declared once here, as a function
+returning its :class:`Stage` (:func:`mixing_stage`, :func:`cores_stage`,
+...).  The pipeline builders assemble their DAGs from these, and
+:func:`measure` runs one on a loaded graph under the key a pipeline run
+writes, so the figure runners, ``repro audit``, the report and snapshot
+tracking share artifacts with pipeline runs.
 """
 
 from __future__ import annotations
@@ -34,9 +37,12 @@ from typing import Any, Callable, Mapping, Sequence
 
 from contextlib import nullcontext
 
+import numpy as np
+
 from repro import parallel, telemetry
 from repro.chunking import run_chunks
-from repro.cores.statistics import core_structure
+from repro.community import greedy_modularity, modularity
+from repro.cores.statistics import core_structure, coreness_ecdf
 from repro.datasets import available_datasets, dataset_fingerprint, load_dataset
 from repro.errors import PipelineError
 from repro.expansion.envelope import envelope_expansion
@@ -44,7 +50,8 @@ from repro.graph.core import Graph
 from repro.graph.io import read_edge_list
 from repro.graph.ops import largest_connected_component
 from repro.mixing.sampling import sampled_mixing_profile
-from repro.mixing.spectral import spectral_summary
+from repro.mixing.spectral import slem, spectral_summary
+from repro.privacy.frontier import DEFAULT_WALK_LENGTHS, PrivacyFrontier, _measure_point
 from repro.store import ArtifactStore, graph_digest
 from repro.sybil.comparison import (
     FUSION_DEFENSE_NAMES,
@@ -64,6 +71,18 @@ __all__ = [
     "FUSION_STAGES",
     "target_digest",
     "load_target",
+    "load_stage",
+    "mixing_stage",
+    "spectral_stage",
+    "slem_stage",
+    "cores_stage",
+    "coreness_ecdf_stage",
+    "expansion_stage",
+    "community_stage",
+    "gatekeeper_stage",
+    "attack_stage",
+    "frontier_stages",
+    "measure",
 ]
 
 #: Stage names of the standard paper pipeline, in topological order.
@@ -393,37 +412,221 @@ class Pipeline:
         )
 
 
+def _edge_list(target: str) -> Path:
+    """The one target check: a non-dataset target must be a regular file."""
+    path = Path(target)
+    if not path.is_file():
+        raise PipelineError(
+            f"{target!r} is neither a bundled dataset nor a readable file"
+        )
+    return path
+
+
 def target_digest(target: str, scale: float, seed: int) -> str:
     """Content digest identifying a load stage's input.
 
     Bundled analogs are fingerprinted by their registry spec; edge-list
     files by their bytes, so editing the file invalidates the cache.
-    Shared by every pipeline builder (paper, fusion, privacy frontier)
-    so equal targets hit the same cached load stage.
     """
     if target in available_datasets():
         return dataset_fingerprint(target, scale=scale, seed=seed)
-    path = Path(target)
-    if not path.exists():
-        raise PipelineError(
-            f"{target!r} is neither a bundled dataset nor a readable file"
-        )
     digest = hashlib.sha256(b"repro-edgelist-v1")
-    digest.update(path.read_bytes())
+    digest.update(_edge_list(target).read_bytes())
     return digest.hexdigest()
 
 
-def load_target(target: str, scale: float, seed: int) -> Graph:
-    """Load a pipeline subject: a bundled analog or an edge-list file.
+def load_target(target: str, scale: float, seed: int = 0) -> Graph:
+    """Load a bundled analog or an edge-list file (every CLI target).
 
     Edge-list files are reduced to their largest connected component,
     matching the paper's preprocessing.
     """
     if target in available_datasets():
         return load_dataset(target, scale=scale, seed=seed)
-    raw = read_edge_list(Path(target))
-    graph, _ = largest_connected_component(raw)
+    graph, _ = largest_connected_component(read_edge_list(_edge_list(target)))
     return graph
+
+
+def _on_graph(
+    name: str, compute: Callable[[Graph], Any], version: int = 1, **params: Any
+) -> Stage:
+    """A stage computing ``compute(loaded graph)``, keyed by ``params``."""
+    return Stage(
+        name, lambda deps: compute(deps["load"]), deps=("load",), params=params,
+        version=version,
+    )
+
+
+def load_stage(target: str, scale: float, seed: int) -> Stage:
+    """Load ``target`` (:func:`load_target`), keyed by :func:`target_digest`."""
+    return Stage(
+        "load",
+        lambda _: load_target(target, scale, seed),
+        params={"target": target, "scale": scale, "seed": seed},
+        digest=target_digest(target, scale, seed),
+    )
+
+
+def mixing_stage(
+    walk_lengths: Sequence[int] | None = None, num_sources: int = 50, seed: int = 0
+) -> Stage:
+    """Sampled TVD profile (:func:`sampled_mixing_profile`); ``None`` walk
+    lengths is the paper grid, and any int sequence is keyed as ints."""
+    lengths = [
+        int(w) for w in (DEFAULT_WALK_LENGTHS if walk_lengths is None else walk_lengths)
+    ]
+    return _on_graph(
+        "mixing",
+        lambda graph: sampled_mixing_profile(
+            graph, walk_lengths=lengths, num_sources=num_sources, seed=seed
+        ),
+        num_sources=num_sources, seed=seed, walk_lengths=lengths,
+    )
+
+
+def spectral_stage(num_sources: int = 50, seed: int = 0) -> Stage:
+    """SLEM, Sinclair bounds and fast-mixing check (:func:`spectral_summary`)
+    on ``min(num_sources, 30)`` sampled sources."""
+    fast_sources = min(num_sources, 30)
+    return _on_graph(
+        "spectral",
+        lambda graph: spectral_summary(graph, fast_sources=fast_sources, seed=seed),
+        seed=seed, fast_sources=fast_sources,
+    )
+
+
+def slem_stage() -> Stage:
+    """The second largest eigenvalue modulus alone (:func:`slem`)."""
+    return _on_graph("slem", lambda graph: slem(graph))
+
+
+def cores_stage() -> Stage:
+    """Core structure (:func:`core_structure`)."""
+    return _on_graph("cores", lambda graph: core_structure(graph))
+
+
+def coreness_ecdf_stage() -> Stage:
+    """Coreness ECDF (:func:`coreness_ecdf`) as ``{values, fractions}``."""
+    return _on_graph(
+        "coreness_ecdf",
+        lambda graph: dict(zip(("values", "fractions"), coreness_ecdf(graph))),
+    )
+
+
+def expansion_stage(num_sources: int | None = 50, seed: int = 0) -> Stage:
+    """Envelope expansion (:func:`envelope_expansion`); ``num_sources=None``
+    (or ``>= n``) measures every node."""
+    return _on_graph(
+        "expansion",
+        lambda graph: envelope_expansion(graph, num_sources=num_sources, seed=seed),
+        num_sources=num_sources, seed=seed,
+    )
+
+
+def community_stage(seed: int = 0) -> Stage:
+    """Greedy-modularity partition as ``{labels, modularity}``."""
+
+    def partition(graph: Graph) -> dict[str, Any]:
+        labels = greedy_modularity(graph, seed=seed)
+        return {"labels": labels, "modularity": float(modularity(graph, labels))}
+
+    return _on_graph("community", partition, seed=seed)
+
+
+def gatekeeper_stage(
+    target: str,
+    num_attack_edges: int | None = None,
+    admission_factors: list[float] | None = None,
+    num_controllers: int = 2,
+    seed: int = 0,
+) -> Stage:
+    """GateKeeper's Table-II rows (:func:`gatekeeper_table_row`), with
+    ``max(n // 100, 5)`` attack edges for ``None``.  The rows carry
+    ``target`` as their dataset name, so it is part of the key."""
+
+    def rows(graph: Graph) -> list:
+        edges = num_attack_edges
+        if edges is None:
+            edges = max(graph.num_nodes // 100, 5)
+        return gatekeeper_table_row(
+            graph, target, edges, admission_factors, num_controllers, seed
+        )
+
+    # v2: distributor selection runs on the vectorized walk engine
+    # (per-walk seed streams), changing sampled walks
+    return _on_graph(
+        "gatekeeper", rows, version=2, target=target,
+        num_attack_edges=num_attack_edges, admission_factors=admission_factors,
+        num_controllers=num_controllers, seed=seed,
+    )
+
+
+def attack_stage(
+    num_attack_edges: int | None = None, seed: int = 0, topology: str = "powerlaw"
+) -> Stage:
+    """The standard Sybil attack on the loaded graph (:func:`standard_attack`)."""
+    return _on_graph(
+        "attack",
+        lambda graph: standard_attack(
+            graph, num_attack_edges, seed=seed, topology=topology
+        ),
+        seed=seed, topology=topology, num_attack_edges=num_attack_edges,
+    )
+
+
+def frontier_stages(
+    attack: Stage,
+    target: str,
+    levels: np.ndarray,
+    walk_lengths: np.ndarray,
+    defenses: tuple[str, ...],
+    suspect_sample: int,
+    num_sources: int,
+) -> list[Stage]:
+    """One ``perturb_t{t}`` stage per level after ``attack`` and the
+    ``frontier`` stage gathering them (:mod:`repro.privacy.frontier`)."""
+    seed, topology = attack.params["seed"], attack.params["topology"]
+    # the points carry the target name
+    params = {
+        **attack.params, "target": target, "defenses": list(defenses),
+        "suspect_sample": suspect_sample, "num_sources": num_sources,
+        "walk_lengths": [int(w) for w in walk_lengths],
+    }
+    names = [f"perturb_t{t}" for t in levels]
+
+    def point(t: int) -> Callable[[dict[str, Any]], Any]:
+        return lambda deps: _measure_point(
+            deps["attack"], t, walk_lengths, defenses,
+            num_sources, suspect_sample, seed, target,
+        )
+
+    def frontier(deps: dict[str, Any]) -> PrivacyFrontier:
+        return PrivacyFrontier(
+            target=target, topology=topology, ts=levels,
+            walk_lengths=walk_lengths, points=[deps[name] for name in names],
+        )
+
+    stages = [
+        Stage(name, point(int(t)), deps=("attack",), params={**params, "t": int(t)})
+        for name, t in zip(names, levels)
+    ]
+    ts = [int(t) for t in levels]
+    return [*stages, Stage("frontier", frontier, tuple(names), {**params, "ts": ts})]
+
+
+def measure(store: ArtifactStore | None, graph: Graph, stage: Stage) -> Any:
+    """Run one ``load``-dependent stage on ``graph``, memoized in ``store``
+    under the key a pipeline run of ``stage`` writes (graph digest, stage
+    name, params, version); without a store, a plain call."""
+    if stage.deps != ("load",):
+        raise PipelineError(f"stage {stage.name!r} does not measure a loaded graph")
+
+    def compute() -> Any:
+        return stage.fn({"load": graph})
+
+    if store is None or not stage.cacheable:
+        return compute()
+    return store.memoize(graph, stage.name, stage.params, compute, stage.version)
 
 
 def _render_tables(target: str, deps: dict[str, Any]) -> dict[str, Any]:
@@ -432,12 +635,6 @@ def _render_tables(target: str, deps: dict[str, Any]) -> dict[str, Any]:
     profile = deps["mixing"]
     spectral = deps["spectral"]
     structure = deps["cores"]
-    measurement = deps["expansion"]
-    outcomes = deps["gatekeeper"]
-    small = measurement.set_sizes <= max(graph.num_nodes // 10, 1)
-    alpha = (
-        float(measurement.expansion_factors[small].mean()) if small.any() else 0.0
-    )
     return {
         "target": target,
         "num_nodes": graph.num_nodes,
@@ -448,8 +645,10 @@ def _render_tables(target: str, deps: dict[str, Any]) -> dict[str, Any]:
         "fast_mixing": spectral["fast"],
         "degeneracy": structure.degeneracy,
         "max_cores": int(structure.num_cores.max()),
-        "mean_small_set_expansion": alpha,
-        "gatekeeper": outcomes,
+        "mean_small_set_expansion": deps["expansion"].small_set_expansion(
+            graph.num_nodes
+        ),
+        "gatekeeper": deps["gatekeeper"],
     }
 
 
@@ -466,98 +665,36 @@ def paper_measurement_pipeline(
 ) -> Pipeline:
     """Build the standard paper DAG for one target graph.
 
-    ``target`` is a bundled analog name or an edge-list path.  The
-    stage names and cache parameters match the store-aware experiment
-    runners in :mod:`repro.analysis.experiments`, so pipeline runs and
-    ``repro reproduce --cache-dir`` share warm artifacts.
+    ``target`` is a bundled analog name or an edge-list path.  Every
+    stage but ``tables`` is a shared stage, so ``repro audit``, the
+    report, Figures 3-5 and Table II read what a run with equal
+    parameters wrote (see :func:`measure`); the ``mixing`` grid differs
+    from Figure 1's and the report's by design.
     """
-    lengths = list(walk_lengths or [1, 2, 3, 5, 7, 10, 15, 20, 30, 40, 50])
-    load_digest = target_digest(target, scale, seed)
-
-    def load(_: dict[str, Any]) -> Graph:
-        return load_target(target, scale, seed)
-
-    def mixing(deps: dict[str, Any]):
-        return sampled_mixing_profile(
-            deps["load"],
-            walk_lengths=lengths,
-            num_sources=num_sources,
-            seed=seed,
-        )
-
-    def spectral(deps: dict[str, Any]) -> dict[str, Any]:
-        return spectral_summary(
-            deps["load"], fast_sources=min(num_sources, 30), seed=seed
-        )
-
-    def cores(deps: dict[str, Any]):
-        return core_structure(deps["load"])
-
-    def expansion(deps: dict[str, Any]):
-        graph = deps["load"]
-        return envelope_expansion(
-            graph, num_sources=min(num_sources, graph.num_nodes), seed=seed
-        )
-
-    def gatekeeper(deps: dict[str, Any]):
-        graph = deps["load"]
-        edges = max(graph.num_nodes // 100, 5)
-        return gatekeeper_table_row(
-            graph,
-            dataset=target,
-            num_attack_edges=edges,
-            num_controllers=num_controllers,
-            seed=seed,
-        )
+    measured = [
+        mixing_stage(walk_lengths, num_sources, seed),
+        spectral_stage(num_sources, seed),
+        cores_stage(),
+        expansion_stage(num_sources, seed),
+        gatekeeper_stage(target, num_controllers=num_controllers, seed=seed),
+    ]
 
     def tables(deps: dict[str, Any]) -> dict[str, Any]:
         return _render_tables(target, deps)
 
-    measure_params = {"num_sources": num_sources, "seed": seed}
     stages = [
-        Stage(
-            "load",
-            load,
-            params={"target": target, "scale": scale, "seed": seed},
-            digest=load_digest,
-        ),
-        Stage(
-            "mixing",
-            mixing,
-            deps=("load",),
-            params={**measure_params, "walk_lengths": lengths},
-        ),
-        Stage(
-            "spectral",
-            spectral,
-            deps=("load",),
-            params={"seed": seed, "fast_sources": min(num_sources, 30)},
-        ),
-        Stage("cores", cores, deps=("load",), params={}),
-        Stage("expansion", expansion, deps=("load",), params=measure_params),
-        Stage(
-            "gatekeeper",
-            gatekeeper,
-            deps=("load",),
-            # the rows carry the target name (DefenseOutcome.dataset)
-            params={
-                "target": target,
-                "num_controllers": num_controllers,
-                "seed": seed,
-            },
-            # v2: distributor selection runs on the vectorized walk
-            # engine (per-walk seed streams), changing sampled walks
-            version=2,
-        ),
+        load_stage(target, scale, seed),
+        *measured,
         Stage(
             "tables",
             tables,
-            deps=("load", "mixing", "spectral", "cores", "expansion", "gatekeeper"),
+            deps=("load", *(stage.name for stage in measured)),
             version=2,
             params={
-                **measure_params,
+                "num_sources": num_sources,
+                "seed": seed,
                 "target": target,
-                "walk_lengths": lengths,
+                "walk_lengths": measured[0].params["walk_lengths"],
                 "num_controllers": num_controllers,
             },
         ),
@@ -589,19 +726,7 @@ def fusion_comparison_pipeline(
     per-defense midrank AUC table with the headline verdict: does each
     fusion defense beat every structure-only AUC?
     """
-    load_digest = target_digest(target, scale, seed)
-
-    def load(_: dict[str, Any]) -> Graph:
-        return load_target(target, scale, seed)
-
-    def attack(deps: dict[str, Any]):
-        graph: Graph = deps["load"]
-        edges = (
-            num_attack_edges
-            if num_attack_edges is not None
-            else max(graph.num_nodes // 20, 5)
-        )
-        return standard_attack(graph, edges, seed=seed, topology=topology)
+    attack = attack_stage(num_attack_edges, seed, topology)
 
     def score_stage(names: tuple[str, ...]):
         def run(deps: dict[str, Any]) -> dict[str, Any]:
@@ -636,20 +761,10 @@ def fusion_comparison_pipeline(
             ),
         }
 
-    attack_params = {
-        "seed": seed,
-        "topology": topology,
-        "num_attack_edges": num_attack_edges,
-    }
-    score_params = {**attack_params, "suspect_sample": suspect_sample}
+    score_params = {**attack.params, "suspect_sample": suspect_sample}
     stages = [
-        Stage(
-            "load",
-            load,
-            params={"target": target, "scale": scale, "seed": seed},
-            digest=load_digest,
-        ),
-        Stage("attack", attack, deps=("load",), params=attack_params),
+        load_stage(target, scale, seed),
+        attack,
         Stage(
             "structure_scores",
             score_stage(STRUCTURE_DEFENSE_NAMES),

@@ -37,7 +37,7 @@ frontier recompute nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -196,6 +196,14 @@ class PrivacyFrontier:
         }
 
 
+def _walk_lengths(walk_lengths: Sequence[int] | None) -> np.ndarray:
+    """The int64 walk-length grid; ``None`` is :data:`DEFAULT_WALK_LENGTHS`."""
+    return np.asarray(
+        list(DEFAULT_WALK_LENGTHS if walk_lengths is None else walk_lengths),
+        dtype=np.int64,
+    )
+
+
 def _validate_ts(ts: Sequence[int]) -> np.ndarray:
     arr = np.asarray(list(ts), dtype=np.int64)
     if arr.size == 0:
@@ -234,10 +242,7 @@ def _measure_point(
         if lcc.num_nodes >= 2:
             mu = slem(lcc)
             profile = sampled_mixing_profile(
-                lcc,
-                walk_lengths=walk_lengths,
-                num_sources=min(num_sources, lcc.num_nodes),
-                seed=seed,
+                lcc, walk_lengths=walk_lengths, num_sources=num_sources, seed=seed
             )
             tvd = profile.mean
             mixing_time = mixing_time_from_profile(
@@ -249,15 +254,7 @@ def _measure_point(
             mixing_time = None
         structure = core_structure(perturbed)
         measurement = envelope_expansion(
-            perturbed,
-            num_sources=min(num_sources, perturbed.num_nodes),
-            seed=seed,
-        )
-        small = measurement.set_sizes <= max(perturbed.num_nodes // 10, 1)
-        alpha = (
-            float(measurement.expansion_factors[small].mean())
-            if small.any()
-            else 0.0
+            perturbed, num_sources=num_sources, seed=seed
         )
         perturbed_attack = SybilAttack(
             graph=perturbed,
@@ -282,7 +279,9 @@ def _measure_point(
         mixing_time=mixing_time,
         degeneracy=int(structure.degeneracy),
         max_cores=int(structure.num_cores.max()),
-        mean_small_set_expansion=alpha,
+        mean_small_set_expansion=measurement.small_set_expansion(
+            perturbed.num_nodes
+        ),
         defense_auc=aucs,
         outcomes=outcomes,
     )
@@ -317,17 +316,8 @@ def privacy_utility_frontier(
     tables normalize against.
     """
     levels = _validate_ts(ts)
-    lengths = np.asarray(
-        list(walk_lengths or DEFAULT_WALK_LENGTHS), dtype=np.int64
-    )
-    attack = standard_attack(
-        honest,
-        num_attack_edges
-        if num_attack_edges is not None
-        else max(honest.num_nodes // 20, 5),
-        seed=seed,
-        topology=topology,
-    )
+    lengths = _walk_lengths(walk_lengths)
+    attack = standard_attack(honest, num_attack_edges, seed=seed, topology=topology)
     tel = telemetry.current()
     with tel.span("privacy.frontier"):
         points = [
@@ -374,95 +364,34 @@ def privacy_frontier_pipeline(
     stages only depend on the attack scenario, so the pipeline scheduler
     fans them out across workers, and a warm artifact store serves an
     entire repeated sweep — or the shared prefix of a sweep with new
-    levels appended — without recomputation.  Each ``perturb_t{t}``
-    stage also runs its engines under
+    levels appended — without recomputation.  ``load`` and ``attack``
+    are the stages the fusion comparison builds too
+    (:mod:`repro.pipeline`), so equal scenarios share them.  Each
+    ``perturb_t{t}`` stage also runs its engines under
     :func:`repro.parallel.execution` with ``workers``.
     """
-    from repro.pipeline import Pipeline, Stage, load_target, target_digest
-
-    levels = _validate_ts(ts)
-    lengths = np.asarray(
-        list(walk_lengths or DEFAULT_WALK_LENGTHS), dtype=np.int64
+    from repro.pipeline import (
+        Pipeline, Stage, attack_stage, frontier_stages, load_stage,
     )
-    load_digest = target_digest(target, scale, seed)
 
-    def load(_: dict[str, Any]) -> Graph:
-        return load_target(target, scale, seed)
-
-    def attack(deps: dict[str, Any]) -> SybilAttack:
-        honest: Graph = deps["load"]
-        edges = (
-            num_attack_edges
-            if num_attack_edges is not None
-            else max(honest.num_nodes // 20, 5)
-        )
-        return standard_attack(honest, edges, seed=seed, topology=topology)
-
-    def perturb_stage(t: int):
-        def run(deps: dict[str, Any]) -> PrivacyPoint:
+    def scoped(stage: Stage) -> Stage:
+        def run(deps: dict[str, Any]) -> Any:
             with parallel.execution(workers=workers):
-                return _measure_point(
-                    deps["attack"],
-                    t,
-                    lengths,
-                    tuple(defenses),
-                    num_sources,
-                    suspect_sample,
-                    seed,
-                    target,
-                )
+                return stage.fn(deps)
 
-        return run
+        return replace(stage, fn=run)
 
-    def frontier(deps: dict[str, Any]) -> PrivacyFrontier:
-        return PrivacyFrontier(
-            target=target,
-            topology=topology,
-            ts=levels,
-            walk_lengths=lengths,
-            points=[deps[f"perturb_t{t}"] for t in levels],
-        )
-
-    attack_params = {
-        "seed": seed,
-        "topology": topology,
-        "num_attack_edges": num_attack_edges,
-    }
-    # the measured points and the frontier carry the target name
-    measure_params = {
-        **attack_params,
-        "target": target,
-        "defenses": list(defenses),
-        "suspect_sample": suspect_sample,
-        "num_sources": num_sources,
-        "walk_lengths": [int(w) for w in lengths],
-    }
-    stages = [
-        Stage(
-            "load",
-            load,
-            params={"target": target, "scale": scale, "seed": seed},
-            digest=load_digest,
-        ),
-        Stage("attack", attack, deps=("load",), params=attack_params),
-    ]
-    for t in levels:
-        stages.append(
-            Stage(
-                f"perturb_t{t}",
-                perturb_stage(int(t)),
-                deps=("attack",),
-                params={**measure_params, "t": int(t)},
-            )
-        )
-    stages.append(
-        Stage(
-            "frontier",
-            frontier,
-            deps=tuple(f"perturb_t{t}" for t in levels),
-            params={**measure_params, "ts": [int(t) for t in levels]},
-        )
+    attack = attack_stage(num_attack_edges, seed, topology)
+    sweep = frontier_stages(
+        attack,
+        target,
+        _validate_ts(ts),
+        _walk_lengths(walk_lengths),
+        tuple(defenses),
+        suspect_sample,
+        num_sources,
     )
+    stages = [load_stage(target, scale, seed), attack, *map(scoped, sweep)]
     return Pipeline(
         stages,
         store=store,

@@ -46,7 +46,7 @@ class DefenseOutcome:
 
 def standard_attack(
     honest: Graph,
-    num_attack_edges: int,
+    num_attack_edges: int | None = None,
     sybil_scale: float = 0.2,
     seed: int = 0,
     topology: str = "powerlaw",
@@ -59,10 +59,13 @@ def standard_attack(
     ``sybil_scale * n`` identities.  ``topology="wild"`` instead builds
     the sparse, tree-like region measured on real social networks
     (:func:`~repro.sybil.attack.wild_sybil_region`) — the regime where
-    structure-only defenses lose their cut.
+    structure-only defenses lose their cut.  ``num_attack_edges=None``
+    attaches ``max(n // 20, 5)`` attack edges.
     """
     if not 0.0 < sybil_scale <= 2.0:
         raise SybilDefenseError("sybil_scale must be in (0, 2]")
+    if num_attack_edges is None:
+        num_attack_edges = max(honest.num_nodes // 20, 5)
     sybil_nodes = max(int(honest.num_nodes * sybil_scale), 20)
     if topology == "powerlaw":
         region = powerlaw_cluster_mixed(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 
 import pytest
@@ -407,3 +408,44 @@ class TestPrivacySweep:
         cold = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == cold
+
+
+#: Target files that exist but hold no readable edge list (``None``: a
+#: directory).
+BAD_TARGETS = {
+    "directory": None,
+    "non-utf8.txt": b"0 1\n\xff\xfe 2\n",
+    "not-gzip.gz": b"0 1\n1 2\n2 0\n",
+    "truncated.gz": gzip.compress(b"0 1\n1 2\n2 0\n" * 50)[:-12],
+    # a gzip header over a deflate block of the reserved type
+    "corrupt.gz": gzip.compress(b"0 1\n")[:10] + b"\xff" * 16,
+}
+
+#: Every command that loads a target, as argv builders.
+TARGET_COMMANDS = {
+    "audit": lambda target, tmp: ["audit", target],
+    "report": lambda target, tmp: ["report", target],
+    "pipeline run": lambda target, tmp: ["pipeline", "run", "--target", target],
+    "sybil compare": lambda target, tmp: ["sybil", "compare", "--target", target],
+    "privacy sweep": lambda target, tmp: ["privacy", "sweep", "--target", target],
+    "shard build": lambda target, tmp: [
+        "shard", "build", "--target", target, "--out", str(tmp / "shards"),
+    ],
+    "serve": lambda target, tmp: ["serve", "--target", target, "--burst", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TARGET_COMMANDS))
+@pytest.mark.parametrize("kind", sorted(BAD_TARGETS))
+def test_malformed_target_exits_with_one_line(kind, command, tmp_path):
+    target = tmp_path / kind
+    if BAD_TARGETS[kind] is None:
+        target.mkdir()
+    else:
+        target.write_bytes(BAD_TARGETS[kind])
+    with pytest.raises(SystemExit) as info:
+        main(TARGET_COMMANDS[command](str(target), tmp_path))
+    message = info.value.code
+    assert isinstance(message, str)  # a message, not a traceback
+    assert "\n" not in message
+    assert str(target) in message

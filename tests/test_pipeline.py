@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.pipeline as pipeline_module
+from repro.analysis import (
+    figure1_mixing_profiles,
+    figure3_expansion_summaries,
+    figure4_expansion_factors,
+    figure5_core_structures,
+    table2_gatekeeper,
+)
 from repro.analysis.persistence import to_jsonable
 from repro.analysis.report import measurement_report
+from repro.cli import main
+from repro.datasets import load_dataset
 from repro.errors import PipelineError
 from repro.pipeline import Pipeline, Stage, paper_measurement_pipeline
+from repro.privacy import privacy_frontier_pipeline, privacy_utility_frontier
 from repro.store import ArtifactStore
 
 
@@ -262,16 +273,16 @@ class TestPaperPipeline:
 
 class TestWarmMeasurementReport:
     def test_zero_recompute_and_identical_text(self, tmp_path, ba_small, monkeypatch):
-        import repro.analysis.report as report_module
-
+        # the report's measurements are pipeline stages; patch the
+        # engine calls where the stages make them
         calls: list[str] = []
         for name in ("sampled_mixing_profile", "spectral_summary",
                      "core_structure", "envelope_expansion",
                      "greedy_modularity"):
             monkeypatch.setattr(
-                report_module,
+                pipeline_module,
                 name,
-                _counting(getattr(report_module, name), calls, name),
+                _counting(getattr(pipeline_module, name), calls, name),
             )
         store = ArtifactStore(tmp_path / "cache")
         cold = measurement_report(ba_small, name="ba", num_sources=10, store=store)
@@ -296,6 +307,88 @@ class TestWarmMeasurementReport:
         graph = pipe.run().results["load"]
         measurement_report(graph, name="rice_grad", num_sources=50, store=store)
         assert store.stats.hits > hits_before
+
+
+class TestOneDefinitionPerMeasurement:
+    def test_standalone_callers_miss_nothing_the_pipeline_wrote(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Table II, Figures 3-5, the report and ``repro audit`` read the
+        artifacts a paper pipeline run wrote for the same graph."""
+        name, scale, cache = "wiki_vote", 0.05, tmp_path / "cache"
+        # num_sources=50 is what ``repro audit`` measures
+        result = paper_measurement_pipeline(
+            name, scale=scale, num_sources=50, store=ArtifactStore(cache)
+        ).run()
+        missed: list[str] = []
+        get = ArtifactStore.get
+
+        def recording_get(self, subject, stage, params=None, version=1, default=None):
+            value = get(self, subject, stage, params, version=version, default=default)
+            if value is default:
+                missed.append(stage)
+            return value
+
+        def misses(call) -> set[str]:
+            missed.clear()
+            call()
+            return set(missed)
+
+        monkeypatch.setattr(ArtifactStore, "get", recording_get)
+        store = ArtifactStore(cache)
+        assert misses(
+            lambda: table2_gatekeeper(
+                [name], num_controllers=2, scale=scale, store=store
+            )
+        ) == set()
+        for figure in (figure3_expansion_summaries, figure4_expansion_factors):
+            assert misses(
+                lambda: figure([name], num_sources=50, scale=scale, store=store)
+            ) == set()
+        assert misses(
+            lambda: figure5_core_structures([name], scale=scale, store=store)
+        ) == set()
+        # the report's walk-length grid and its partition are its own
+        # artifacts; its spectral, cores and expansion stages are shared
+        assert misses(
+            lambda: measurement_report(
+                result.results["load"], name=name, num_sources=50, store=store
+            )
+        ) == {"mixing", "community"}
+        audit = ["audit", name, "--scale", str(scale), "--cache-dir", str(cache)]
+        assert misses(lambda: main(audit)) == set()
+
+
+class TestNumpyWalkLengths:
+    """Walk lengths given as numpy integers are keyed as Python ints."""
+
+    LENGTHS = np.array([1, 2, 4])
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-store", "store"])
+    def test_every_entry_point_accepts_them(self, tmp_path, cached):
+        store = ArtifactStore(tmp_path / "cache") if cached else None
+        paper = paper_measurement_pipeline(
+            "rice_grad", scale=0.3, num_sources=5, walk_lengths=self.LENGTHS,
+            store=store,
+        ).run(targets=["mixing"])
+        assert paper.results["mixing"].walk_lengths.tolist() == [1, 2, 4]
+        frontier_args = dict(
+            ts=(0,), defenses=("sybilrank",), suspect_sample=10,
+            num_sources=5, walk_lengths=self.LENGTHS,
+        )
+        swept = privacy_frontier_pipeline(
+            "rice_grad", scale=0.3, store=store, **frontier_args
+        ).run()
+        assert swept.results["frontier"].walk_lengths.tolist() == [1, 2, 4]
+        direct = privacy_utility_frontier(
+            load_dataset("rice_grad", scale=0.3), **frontier_args
+        )
+        assert direct.walk_lengths.tolist() == [1, 2, 4]
+        profiles = figure1_mixing_profiles(
+            ["rice_grad"], walk_lengths=list(self.LENGTHS), num_sources=5,
+            scale=0.3, store=store,
+        )
+        assert profiles["rice_grad"].walk_lengths.tolist() == [1, 2, 4]
 
 
 class TestResultDigest:
