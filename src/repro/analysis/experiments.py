@@ -148,7 +148,7 @@ def table2_gatekeeper(
     The paper uses Physics, Facebook, LiveJournal and Slashdot with a
     few hundred attack edges each; attack-edge counts scale with the
     analog sizes by default (:func:`repro.pipeline.gatekeeper_stage`),
-    so a paper pipeline run with equal controllers warms its row.
+    so a paper pipeline run with equal controllers and seed warms its row.
     """
     names = datasets or ["physics2", "facebook_a", "livejournal_a", "slashdot0811"]
     outcomes: list[DefenseOutcome] = []

@@ -51,8 +51,8 @@ def track_evolution(
     ``slem`` stages of :mod:`repro.pipeline`) under each snapshot's
     content digest, so overlapping or replayed evolution sequences
     (e.g. sliding windows over the same history) only measure new
-    snapshots, and a snapshot a pipeline run or a figure runner already
-    measured is not measured again.
+    snapshots, and entries other callers wrote for the same graph with
+    the same parameters are reused.
     """
     out: list[SnapshotMetrics] = []
     for step, graph in enumerate(graph_sequence):

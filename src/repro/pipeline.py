@@ -507,10 +507,12 @@ def cores_stage() -> Stage:
 
 def coreness_ecdf_stage() -> Stage:
     """Coreness ECDF (:func:`coreness_ecdf`) as ``{values, fractions}``."""
-    return _on_graph(
-        "coreness_ecdf",
-        lambda graph: dict(zip(("values", "fractions"), coreness_ecdf(graph))),
-    )
+
+    def ecdf(graph: Graph) -> dict[str, Any]:
+        values, fractions = coreness_ecdf(graph)
+        return {"values": values, "fractions": fractions}
+
+    return _on_graph("coreness_ecdf", ecdf)
 
 
 def expansion_stage(num_sources: int | None = 50, seed: int = 0) -> Stage:
