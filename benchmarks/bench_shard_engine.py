@@ -123,6 +123,10 @@ def test_shard_engine_sweep(results_dir, scale, num_sources, tmp_path):
     rows = [[stage, f"{seconds:.2f}"] for stage, seconds in timings.items()]
     rows += [
         ["SLEM mu", f"{mu:.4f}"],
+        ["SLEM matvecs / passes", (
+            f"{tel.counter('mixing.slem.matvecs'):.0f} / "
+            f"{tel.gauges['mixing.slem.passes']:.0f}"
+        )],
         ["worst TVD at t=16", f"{tvd[:, -1].max():.3e}"],
         ["shard loads / spills", (
             f"{tel.counter('shard.loads'):.0f} / "

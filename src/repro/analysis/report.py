@@ -18,6 +18,7 @@ from repro.graph.metrics import (
     degree_assortativity,
 )
 from repro.mixing.sampling import mixing_time_from_profile
+from repro.mixing.spectral import PERIODIC_CHAIN
 from repro.pipeline import (
     community_stage,
     cores_stage,
@@ -129,7 +130,12 @@ def measurement_report(
         "## Mixing time (Section III-C)",
         "",
         f"* SLEM mu = {mu:.4f} (spectral gap {1 - mu:.4f})",
-        f"* Sinclair bounds on T(1/n): [{bounds.lower:.0f}, {bounds.upper:.0f}] steps",
+        "* Sinclair bounds on T(1/n): "
+        + (
+            PERIODIC_CHAIN
+            if bounds is None
+            else f"[{bounds.lower:.0f}, {bounds.upper:.0f}] steps"
+        ),
         f"* sampled mean TVD at walk lengths [1, 2, 5, 10, 20, 40]: "
         + ", ".join(f"{v:.3f}" for v in profile.mean),
         f"* walk length to mean TVD < 0.1: "

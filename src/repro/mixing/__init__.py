@@ -8,7 +8,9 @@ from repro.mixing.sampling import (
     sampled_mixing_time,
 )
 from repro.mixing.spectral import (
+    PERIODIC_CHAIN,
     MixingBounds,
+    mixing_bounds,
     normalized_adjacency,
     sinclair_bounds,
     slem,
@@ -34,6 +36,8 @@ __all__ = [
     "normalized_adjacency",
     "MixingBounds",
     "sinclair_bounds",
+    "mixing_bounds",
+    "PERIODIC_CHAIN",
     "spectral_summary",
     "spectral_mixing_time",
     "ModulatedOperator",

@@ -11,6 +11,11 @@ normalized adjacency ``D^{-1/2} A D^{-1/2}``, its spectrum is real; the
 SLEM is the second largest eigenvalue in absolute value.  Every graph,
 in RAM (one block) or sharded, is read through its
 :meth:`~repro.graph.shard.Shard.normalized_rows` row blocks.
+
+The bounds use mu only through the gap ``1 - mu``, so Lanczos solves to
+a relative accuracy of ``1e-5`` in the gap (and ``1e-6`` absolute in
+mu), not to machine precision.  A bipartite graph's walk is periodic:
+its SLEM is 1 and no finite bound exists.
 """
 
 from __future__ import annotations
@@ -36,17 +41,32 @@ __all__ = [
     "spectral_gap",
     "MixingBounds",
     "sinclair_bounds",
+    "mixing_bounds",
+    "PERIODIC_CHAIN",
     "spectral_summary",
     "spectral_mixing_time",
 ]
 
-#: Eigenvalues Lanczos is asked for; ARPACK needs more nodes than this.
-_LANCZOS_K = 3
+#: Graphs of at most this many nodes are solved densely by default.
+_DENSE_THRESHOLD = 400
+#: Accuracy the bounds need: the SLEM error is at most this fraction of
+#: the spectral gap ``1 - mu``, so both Sinclair bounds move by at most
+#: this relative amount.
+_GAP_RTOL = 1e-5
+#: First-pass ARPACK tolerance: the error is at most ``1e-6 * mu``, which
+#: meets ``_GAP_RTOL`` whenever mu is below about 0.91.
+_FIRST_TOL = 1e-6
 #: Lanczos basis size (scipy's default is 20).  The streamed analogs
 #: carry a near-degenerate subdominant cluster, and the larger basis
-#: cut the matvecs to converge it from 1234 to 866 at 50k nodes and
-#: from 2401 to 1370 at 200k, for ``8 * 40 * n`` bytes of workspace.
+#: cut the matvecs of a three-eigenvalue solve at ``tol=1e-10`` from
+#: 1234 to 866 at 50k nodes and from 2401 to 1370 at 200k, for
+#: ``8 * 40 * n`` bytes of workspace.
 _LANCZOS_NCV = 40
+#: Basis of the second, tighter pass on slow graphs, which restarts
+#: from the fixed start vector.  On dblp (15k nodes, gap 2e-3) it took
+#: 513 matvecs where 40 vectors took 1533; the cost is ``8 * 80 * n``
+#: bytes of workspace, on slow graphs only.
+_SECOND_PASS_NCV = 80
 
 
 def _inv_sqrt_degrees(graph: Graph | ShardedGraph) -> np.ndarray:
@@ -94,72 +114,119 @@ def _normalized_apply(
     return apply
 
 
-def _check_connected(graph: Graph | ShardedGraph) -> None:
-    """Reject disconnected graphs with the standard mixing error."""
-    if (bfs_distances_block(graph, [0])[0] < 0).any():
+def _is_periodic(graph: Graph | ShardedGraph) -> bool:
+    """True when the walk is periodic; rejects disconnected graphs.
+
+    One BFS from node 0 decides both.  An unreached node means a second
+    component.  An edge whose two ends lie at equal distance closes an
+    odd cycle; a connected graph without one is bipartite, so P has the
+    eigenvalue -1 and the walk has period 2.  The ends of an edge lie at
+    most one level apart, so equal distance is equal parity, which one
+    product per row block counts.
+    """
+    distance = bfs_distances_block(graph, [0])[0]
+    if (distance < 0).any():
         raise GraphError(
             "graph is disconnected: the walk cannot mix across components "
             "(eigenvalue 1 is repeated, so the SLEM is 1 and every mixing "
             "bound is infinite); take the largest connected component first"
         )
+    odd = (distance % 2).astype(np.float32)
+    for shard in graph.iter_shards():
+        # float32 neighbor counts are exact up to degree 2**24
+        odd_neighbors = shard.adjacency_rows().dot(odd)
+        same_parity = np.where(
+            odd[shard.lo : shard.hi] > 0, odd_neighbors, shard.degrees - odd_neighbors
+        )
+        if same_parity.any():
+            return False
+    return True
 
 
-def _lanczos_slem(
-    apply: Callable[[np.ndarray], np.ndarray], n: int, tol: float
-) -> float:
-    """SLEM by ARPACK Lanczos on the matrix-free operator ``apply``.
+def _lanczos_slem(graph: Graph | ShardedGraph) -> float:
+    """SLEM by ARPACK Lanczos on ``M - q q^T``, ``q = sqrt(deg)`` normalized.
 
-    Asks for the ``_LANCZOS_K`` largest-magnitude eigenvalues (the
-    leading 1 plus the two next, so the SLEM is found whichever sign
-    it has) from a fixed start vector, which makes the result the same
-    float on every call.
+    ``q`` is the exact eigenvector of ``M`` for the eigenvalue 1, so the
+    deflated operator's largest magnitude is the SLEM, and one
+    eigenvalue (``k=1``) is asked for.  ARPACK stops when the Ritz
+    residual is at most ``tol * mu``, and an eigenvalue of a symmetric
+    operator lies within that residual of the Ritz value.  The first
+    pass runs at ``_FIRST_TOL``; when that bound exceeds ``_GAP_RTOL``
+    of the smallest gap it allows, a second pass solves at the
+    tolerance that gap needs.  Both start from a fixed vector, which
+    makes the result the same float on every call.
     """
     tel = telemetry.current()
+    n = graph.num_nodes
+    apply = _normalized_apply(graph)
+    root = np.sqrt(graph.degrees.astype(float))
+    q = root / math.sqrt(np.einsum("i,i->", root, root))
+    projection = np.empty(n)
     matvecs = 0
 
     def matvec(x: np.ndarray) -> np.ndarray:
         nonlocal matvecs
         matvecs += 1
-        return apply(x)
+        tel.count("mixing.slem.matvecs")
+        out = apply(x)
+        # einsum, not ``q @ x``: numpy's BLAS pool would spin against
+        # the one scipy's ARPACK uses
+        np.multiply(q, np.einsum("i,i->", q, x), out=projection)
+        out -= projection
+        return out
 
     operator = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-    try:
-        values = spla.eigsh(
-            operator,
-            k=_LANCZOS_K,
-            ncv=min(n, _LANCZOS_NCV),
-            which="LM",
-            v0=start,
-            tol=tol,
-            return_eigenvectors=False,
-        )
-    except spla.ArpackError as exc:
-        raise ConvergenceError(
-            f"Lanczos failed to converge after {matvecs} matvecs: {exc}",
-            iterations=matvecs,
-        ) from exc
-    finally:
-        tel.count("mixing.slem.matvecs", matvecs)
-    magnitudes = np.sort(np.abs(values))[::-1]
-    # the leading eigenvalue of a connected graph is exactly 1; the next
-    # magnitude is the SLEM (clip numerical overshoot just above 1).
-    return float(min(magnitudes[1], 1.0))
+    tol, ncv = _FIRST_TOL, _LANCZOS_NCV
+    for passes in (1, 2):
+        tel.gauge("mixing.slem.passes", passes)
+        try:
+            values = spla.eigsh(
+                operator,
+                k=1,
+                ncv=min(n, ncv),
+                which="LM",
+                v0=start,
+                tol=tol,
+                return_eigenvectors=False,
+            )
+        except spla.ArpackError as exc:
+            raise ConvergenceError(
+                f"Lanczos failed to converge after {matvecs} matvecs: {exc}",
+                iterations=matvecs,
+            ) from exc
+        mu = min(abs(float(values[0])), 1.0)
+        bound = tol * mu
+        tel.gauge("mixing.slem.error_bound", bound)
+        # Ritz values never exceed the SLEM, so mu <= mu_hat + bound
+        top = mu + bound
+        if bound <= _GAP_RTOL * (1.0 - top):
+            return mu
+        tol = max(_GAP_RTOL * (1.0 - top) / ((1.0 + _GAP_RTOL) * top), 0.0)
+        ncv = _SECOND_PASS_NCV
+    raise ConvergenceError(
+        f"spectral gap {1.0 - mu:.1e} is below what Lanczos resolves "
+        f"(error bound {bound:.1e} after {matvecs} matvecs)",
+        iterations=matvecs,
+    )
 
 
 def slem(
-    graph: Graph | ShardedGraph, tol: float = 1e-10, dense_threshold: int = 400
+    graph: Graph | ShardedGraph, dense_threshold: int = _DENSE_THRESHOLD
 ) -> float:
     """Return the second largest eigenvalue modulus of P.
 
-    Graphs of at most ``dense_threshold`` nodes (and any graph too
-    small for Lanczos) are solved densely; larger ones by Lanczos on
-    the normalized adjacency as a matrix-free operator, asking for the
-    three largest-magnitude eigenvalues and discarding the leading 1.
+    Graphs of at most ``dense_threshold`` nodes are solved densely with
+    ``eigvalsh``, the test oracle.  Larger ones run Lanczos on the
+    normalized adjacency as a matrix-free operator, with its known top
+    eigenvector ``sqrt(deg)`` projected out, so one eigenvalue is asked
+    for; a bipartite one returns exactly 1.0 with no eigensolve, since
+    its walk is periodic (the dense solve gives it 1 up to rounding).
     The operator streams the graph's row blocks, so a
     :class:`~repro.graph.shard.ShardedGraph` takes the in-RAM path
-    without a global matrix.  ``tol`` is ARPACK's relative accuracy
-    for the eigenvalues.
+    without a global matrix.  The Lanczos result is within
+    ``1e-5 * (1 - mu)`` and ``1e-6`` of the SLEM, the accuracy the
+    Sinclair bounds need (see :func:`_lanczos_slem`).
 
     Disconnected graphs are rejected up front: eigenvalue 1 has one
     multiplicity per component, so the "second" eigenvalue is a
@@ -170,18 +237,19 @@ def slem(
     :class:`~repro.errors.ConvergenceError`, carrying the matvec count
     in ``iterations``, when Lanczos does not converge.
 
-    Telemetry: a ``mixing.slem`` span and a ``mixing.slem.matvecs``
-    counter.
+    Telemetry: a ``mixing.slem`` span, a ``mixing.slem.matvecs`` counter
+    that rises with every product, and two gauges per Lanczos solve:
+    ``mixing.slem.passes`` and ``mixing.slem.error_bound``, the bound on
+    ``|mu_hat - mu|``.
     """
     n = graph.num_nodes
     if n < 2:
         raise GraphError("SLEM needs at least 2 nodes")
     with telemetry.current().span("mixing.slem"):
-        _check_connected(graph)
-        apply = _normalized_apply(graph)
-        if n <= max(dense_threshold, _LANCZOS_K):
-            return _dense_slem(apply(np.eye(n)))
-        return _lanczos_slem(apply, n, tol)
+        periodic = _is_periodic(graph)
+        if n <= dense_threshold:
+            return _dense_slem(_normalized_apply(graph)(np.eye(n)))
+        return 1.0 if periodic else _lanczos_slem(graph)
 
 
 def spectral_gap(graph: Graph, **kwargs: float) -> float:
@@ -220,17 +288,40 @@ def sinclair_bounds(mu: float, num_nodes: int, epsilon: float) -> MixingBounds:
     )
 
 
+#: Printed in place of the Sinclair bounds when the walk is periodic.
+PERIODIC_CHAIN = "none: periodic chain (bipartite graph)"
+
+
+def mixing_bounds(
+    graph: Graph | ShardedGraph, mu: float
+) -> MixingBounds | None:
+    """Sinclair bounds at ``eps = 1/n`` for ``graph`` with SLEM ``mu``.
+
+    None for a bipartite graph: its walk has period 2 and never mixes,
+    so no finite bound exists.  A single edge (two nodes) still raises
+    the range error of :func:`sinclair_bounds`, the one-line rejection
+    the audits give a two-node graph.
+    """
+    n = graph.num_nodes
+    # a periodic chain's SLEM is 1 (up to the dense solve's rounding),
+    # so the BFS runs only then
+    if n > 2 and math.isclose(mu, 1.0) and _is_periodic(graph):
+        return None
+    return sinclair_bounds(mu, n, epsilon=1 / n)
+
+
 def spectral_summary(
     graph: Graph | ShardedGraph, fast_sources: int, seed: int
 ) -> dict:
     """The ``spectral`` store artifact: ``{"slem", "bounds", "fast"}``.
 
-    SLEM, Sinclair bounds at ``eps = 1/n`` and the sampled
+    SLEM, Sinclair bounds at ``eps = 1/n`` (:func:`mixing_bounds`; None
+    for a bipartite graph) and the sampled
     :func:`~repro.mixing.is_fast_mixing` verdict over ``fast_sources``,
     on any graph store.
     """
     mu = slem(graph)
-    bounds = sinclair_bounds(mu, graph.num_nodes, epsilon=1 / graph.num_nodes)
+    bounds = mixing_bounds(graph, mu)
     fast = is_fast_mixing(graph, num_sources=fast_sources, seed=seed)
     return {"slem": mu, "bounds": bounds, "fast": bool(fast)}
 

@@ -127,7 +127,9 @@ class Stage:
         every name the same graph is loaded under.
     version:
         Per-stage algorithm version; bump to invalidate cached entries
-        when the stage's algorithm changes.
+        when the stage's algorithm changes.  A pipeline keys each stage
+        by the versions of every stage upstream of it too, so a bump
+        also invalidates what was built on the old result.
     cacheable:
         False for stages whose results should never be persisted.
     digest:
@@ -256,6 +258,7 @@ class Pipeline:
         self._workers = workers
         self._executor = executor
         self._order = self._topological_order()
+        self._key_params = {name: self._stage_key_params(name) for name in names}
 
     @property
     def stage_names(self) -> tuple[str, ...]:
@@ -273,6 +276,23 @@ class Pipeline:
             return self._stages[name]
         except KeyError:
             raise PipelineError(f"unknown pipeline stage {name!r}") from None
+
+    def _stage_key_params(self, name: str) -> Mapping[str, Any]:
+        """The params ``name`` is stored under: its own, plus the version of
+        every stage upstream of it.  The walk stops at the graph stage,
+        whose result the subject digest already covers, so a stage that
+        reads only the graph keeps its plain params (the key
+        :func:`measure` writes)."""
+        upstream: dict[str, int] = {}
+        frontier = list(self._stages[name].deps)
+        while frontier:
+            dep = frontier.pop()
+            if dep in upstream or dep == self._graph_stage:
+                continue
+            upstream[dep] = self._stages[dep].version
+            frontier.extend(self._stages[dep].deps)
+        params = self._stages[name].params
+        return {**params, "upstream_versions": upstream} if upstream else params
 
     def _topological_order(self) -> list[str]:
         indegree = {name: len(s.deps) for name, s in self._stages.items()}
@@ -377,13 +397,14 @@ class Pipeline:
         start = time.perf_counter()
         cpu_start = time.thread_time()
         key_digest = stage.digest if stage.digest is not None else subject
+        key_params = self._key_params[stage.name]
         use_store = (
             self._store is not None and stage.cacheable and key_digest is not None
         )
         if use_store:
             miss = object()
             value = self._store.get(
-                key_digest, stage.name, stage.params, version=stage.version,
+                key_digest, stage.name, key_params, version=stage.version,
                 default=miss,
             )
             if value is not miss:
@@ -400,7 +421,7 @@ class Pipeline:
             value = stage.fn({d: results[d] for d in stage.deps})
         if use_store:
             self._store.put(
-                key_digest, stage.name, stage.params, value, version=stage.version
+                key_digest, stage.name, key_params, value, version=stage.version
             )
         results[stage.name] = value
         tel.count("pipeline.stage_computed")
@@ -484,6 +505,12 @@ def mixing_stage(
     )
 
 
+#: v2: Lanczos stops at the accuracy the Sinclair bounds need, on the
+#: operator with the top eigenvector projected out, so mu changes bits;
+#: a bipartite graph's mu is exactly 1 (``bounds`` None)
+_SLEM_VERSION = 2
+
+
 def spectral_stage(num_sources: int = 50, seed: int = 0) -> Stage:
     """SLEM, Sinclair bounds and fast-mixing check (:func:`spectral_summary`)
     on ``min(num_sources, 30)`` sampled sources."""
@@ -491,13 +518,13 @@ def spectral_stage(num_sources: int = 50, seed: int = 0) -> Stage:
     return _on_graph(
         "spectral",
         lambda graph: spectral_summary(graph, fast_sources=fast_sources, seed=seed),
-        seed=seed, fast_sources=fast_sources,
+        version=_SLEM_VERSION, seed=seed, fast_sources=fast_sources,
     )
 
 
 def slem_stage() -> Stage:
     """The second largest eigenvalue modulus alone (:func:`slem`)."""
-    return _on_graph("slem", lambda graph: slem(graph))
+    return _on_graph("slem", lambda graph: slem(graph), version=_SLEM_VERSION)
 
 
 def cores_stage() -> Stage:
@@ -608,8 +635,12 @@ def frontier_stages(
             walk_lengths=walk_lengths, points=[deps[name] for name in names],
         )
 
+    # each point measures the SLEM of its perturbed graph
     stages = [
-        Stage(name, point(int(t)), deps=("attack",), params={**params, "t": int(t)})
+        Stage(
+            name, point(int(t)), deps=("attack",), params={**params, "t": int(t)},
+            version=_SLEM_VERSION,
+        )
         for name, t in zip(names, levels)
     ]
     ts = [int(t) for t in levels]

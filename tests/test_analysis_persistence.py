@@ -484,6 +484,16 @@ class TestMeasurementReport:
         assert "**FAIL**" in report
         assert "Slow mixing" in report
 
+    def test_periodic_graph_has_no_bounds(self):
+        from repro.analysis import measurement_report
+        from repro.generators import cycle_graph
+
+        report = measurement_report(cycle_graph(40), name="even", num_sources=5)
+        assert (
+            "* Sinclair bounds on T(1/n): none: periodic chain (bipartite graph)"
+            in report
+        )
+
     def test_tiny_graph_rejected(self):
         from repro.analysis import measurement_report
         from repro.errors import GraphError

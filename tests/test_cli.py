@@ -53,6 +53,55 @@ class TestAudit:
         assert "\n" not in message
 
 
+def _grid_edges(side: int) -> list[tuple[int, int]]:
+    n = side * side
+    return [(i, i + 1) for i in range(n - 1) if i % side != side - 1] + [
+        (i, i + side) for i in range(n - side)
+    ]
+
+
+def _periodic_row(out: str, label: str) -> str:
+    (row,) = [line for line in out.splitlines() if line.startswith(label)]
+    return row
+
+
+class TestPeriodicAudit:
+    """Bipartite graphs print a periodic row instead of a 10^16-step bound."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            pytest.param([(i, (i + 1) % 4) for i in range(4)], id="4-cycle"),
+            pytest.param([(i, (i + 1) % 600) for i in range(600)], id="600-cycle"),
+            pytest.param(_grid_edges(30), id="30x30-grid"),
+        ],
+    )
+    def test_in_ram_audit(self, tmp_path, capsys, edges):
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        assert main(["audit", str(path)]) == 0
+        out = capsys.readouterr().out
+        row = _periodic_row(out, "T(1/n) upper bound")
+        assert "none: periodic chain (bipartite graph)" in row
+        assert "steps" not in row
+
+    def test_sharded_audit(self, tmp_path, capsys):
+        path = tmp_path / "grid.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in _grid_edges(30)))
+        root = tmp_path / "grid"
+        assert main(
+            ["shard", "build", "--target", str(path), "--out", str(root),
+             "--num-shards", "3"]
+        ) == 0
+        capsys.readouterr()
+        assert main(["audit", "--sharded", str(root)]) == 0
+        out = capsys.readouterr().out
+        for label in ("T(1/n) lower bound", "T(1/n) upper bound"):
+            row = _periodic_row(out, label)
+            assert "none: periodic chain (bipartite graph)" in row
+            assert "steps" not in row
+
+
 class TestShard:
     def test_build_stream_info_audit_round_trip(self, tmp_path, capsys):
         root = tmp_path / "sg"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -14,14 +16,17 @@ from repro.generators import (
     complete_graph,
     cycle_graph,
 )
+from repro.datasets import build_sharded_analog, load_dataset
 from repro.graph import Graph, write_edge_list
 from repro.mixing import (
+    mixing_bounds,
     normalized_adjacency,
     sinclair_bounds,
     slem,
     spectral,
     spectral_gap,
     spectral_mixing_time,
+    spectral_summary,
 )
 from repro.pipeline import paper_measurement_pipeline
 from repro.store import ArtifactStore
@@ -142,6 +147,93 @@ class TestLanczosTelemetry:
                 slem(barabasi_albert(500, 3, seed=5))
         assert info.value.iterations == 4
         assert tel.counters["mixing.slem.matvecs"] == 4
+
+
+def _dense_mu(graph: Graph) -> float:
+    return slem(graph, dense_threshold=graph.num_nodes)
+
+
+class TestAccuracyContract:
+    """Lanczos is within 1e-5 of the gap and 1e-6 of the dense SLEM."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            pytest.param(lambda: load_dataset("epinions", scale=0.1), id="fast"),
+            pytest.param(lambda: load_dataset("facebook_b", scale=0.1), id="moderate"),
+            pytest.param(lambda: load_dataset("dblp", scale=0.1), id="slow"),
+            pytest.param(lambda: cycle_graph(101), id="odd-cycle"),
+        ],
+    )
+    def test_error_within_the_gap_tolerance(self, graph):
+        g = graph()
+        mu = _dense_mu(g)
+        error = abs(slem(g, dense_threshold=0) - mu)
+        assert error <= 1e-5 * (1 - mu)
+        assert error <= 1e-6
+
+    def test_sharded_equals_in_ram_bit_for_bit(self, tmp_path):
+        sharded = build_sharded_analog(
+            tmp_path / "fast", 5000, regime="fast", seed=3, num_shards=3
+        )
+        assert slem(sharded) == slem(sharded.to_graph())
+
+    def test_slem_takes_no_tolerance(self, k5):
+        assert "tol" not in inspect.signature(slem).parameters
+        with pytest.raises(TypeError):
+            slem(k5, tol=1e-3)
+
+    def test_gauges_bound_the_error(self):
+        # cos(pi/101) ~ 0.9995: the first pass is too loose for the gap
+        g = cycle_graph(101)
+        with telemetry.activate() as tel:
+            slem(g, dense_threshold=0)
+        assert tel.gauges["mixing.slem.passes"] == 2
+        assert tel.gauges["mixing.slem.error_bound"] <= 1e-5 * (1 - _dense_mu(g))
+
+    def test_matvec_counter_rises_with_every_product(self, monkeypatch):
+        seen: list[int] = []
+        normalized_apply = spectral._normalized_apply
+
+        def recording(graph):
+            apply = normalized_apply(graph)
+
+            def counted(x):
+                seen.append(tel.counters.get("mixing.slem.matvecs", 0))
+                return apply(x)
+
+            return counted
+
+        monkeypatch.setattr(spectral, "_normalized_apply", recording)
+        with telemetry.activate() as tel:
+            slem(barabasi_albert(500, 3, seed=5))
+        assert seen == list(range(1, tel.counters["mixing.slem.matvecs"] + 1))
+
+
+class TestPeriodicChains:
+    """A bipartite graph's walk has period 2: SLEM 1, no Sinclair bound."""
+
+    def test_lanczos_path_returns_exactly_one(self):
+        grid = Graph.from_edges(
+            [(i, i + 1) for i in range(899) if i % 30 != 29]
+            + [(i, i + 30) for i in range(870)]
+        )
+        assert slem(grid) == 1.0
+
+    @pytest.mark.parametrize("n", [4, 8, 600])
+    def test_even_cycle_has_no_bounds(self, n):
+        summary = spectral_summary(cycle_graph(n), fast_sources=5, seed=0)
+        assert summary["bounds"] is None
+        assert summary["slem"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_odd_cycle_keeps_its_bounds(self):
+        g = cycle_graph(9)
+        bounds = mixing_bounds(g, slem(g))
+        assert bounds.upper == pytest.approx(2 * np.log(9) / (1 - np.cos(np.pi / 9)))
+
+    def test_single_edge_still_rejected(self):
+        with pytest.raises(GraphError, match="SLEM must lie in"):
+            mixing_bounds(Graph.from_edges([(0, 1)]), 1.0)
 
 
 class TestSinclairBounds:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,52 @@ class TestMemoization:
         assert result.results["next"] == 3
         assert calls == ["base"]  # base resumed warm, not re-executed
         assert result.cached == ["base"]
+
+
+class TestUpstreamVersions:
+    def test_bumped_stage_recomputes_what_is_built_on_it(self, tmp_path, monkeypatch):
+        store = ArtifactStore(tmp_path / "cache")
+
+        def run():
+            return paper_measurement_pipeline(
+                "wiki_vote", scale=0.05, num_sources=5, store=store
+            ).run()
+
+        run()
+        real = pipeline_module.spectral_stage
+
+        def bumped(*args, **kwargs):
+            # a stand-in algorithm change that moves mu
+            stage = real(*args, **kwargs)
+
+            def moved(deps):
+                summary = stage.fn(deps)
+                return {**summary, "slem": summary["slem"] + 1e-3}
+
+            return replace(stage, fn=moved, version=stage.version + 1)
+
+        monkeypatch.setattr(pipeline_module, "spectral_stage", bumped)
+        warm = run()
+        # the stages that read only the graph keep their keys
+        assert set(warm.executed) == {"spectral", "tables"}
+        assert warm.results["tables"]["slem"] == warm.results["spectral"]["slem"]
+
+    def test_graph_only_stages_keep_plain_params(self, tmp_path):
+        store = ArtifactStore(tmp_path / "cache")
+        graph = load_dataset("wiki_vote", scale=0.05)
+        paper_measurement_pipeline(
+            "wiki_vote", scale=0.05, num_sources=5, store=store
+        ).run(targets=["cores"])
+        assert store.contains(graph, "cores", {})
+
+    def test_slem_stages_carry_the_bumped_version(self):
+        attack = pipeline_module.attack_stage()
+        points = pipeline_module.frontier_stages(
+            attack, "g", np.array([0, 2]), np.array([1, 2]), (), 10, 5
+        )
+        assert pipeline_module.spectral_stage().version == 2
+        assert pipeline_module.slem_stage().version == 2
+        assert [s.version for s in points if s.name.startswith("perturb_t")] == [2, 2]
 
 
 class TestPaperPipeline:
