@@ -47,8 +47,6 @@ __all__ = [
     "spectral_mixing_time",
 ]
 
-#: Graphs of at most this many nodes are solved densely by default.
-_DENSE_THRESHOLD = 400
 #: Accuracy the bounds need: the SLEM error is at most this fraction of
 #: the spectral gap ``1 - mu``, so both Sinclair bounds move by at most
 #: this relative amount.
@@ -211,9 +209,7 @@ def _lanczos_slem(graph: Graph | ShardedGraph) -> float:
     )
 
 
-def slem(
-    graph: Graph | ShardedGraph, dense_threshold: int = _DENSE_THRESHOLD
-) -> float:
+def slem(graph: Graph | ShardedGraph, dense_threshold: int = 400) -> float:
     """Return the second largest eigenvalue modulus of P.
 
     Graphs of at most ``dense_threshold`` nodes are solved densely with

@@ -507,7 +507,7 @@ def mixing_stage(
 
 #: v2: Lanczos stops at the accuracy the Sinclair bounds need, on the
 #: operator with the top eigenvector projected out, so mu changes bits;
-#: a bipartite graph's mu is exactly 1 (``bounds`` None)
+#: a bipartite graph's ``bounds`` are None
 _SLEM_VERSION = 2
 
 

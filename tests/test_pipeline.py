@@ -201,23 +201,6 @@ class TestUpstreamVersions:
         assert set(warm.executed) == {"spectral", "tables"}
         assert warm.results["tables"]["slem"] == warm.results["spectral"]["slem"]
 
-    def test_graph_only_stages_keep_plain_params(self, tmp_path):
-        store = ArtifactStore(tmp_path / "cache")
-        graph = load_dataset("wiki_vote", scale=0.05)
-        paper_measurement_pipeline(
-            "wiki_vote", scale=0.05, num_sources=5, store=store
-        ).run(targets=["cores"])
-        assert store.contains(graph, "cores", {})
-
-    def test_slem_stages_carry_the_bumped_version(self):
-        attack = pipeline_module.attack_stage()
-        points = pipeline_module.frontier_stages(
-            attack, "g", np.array([0, 2]), np.array([1, 2]), (), 10, 5
-        )
-        assert pipeline_module.spectral_stage().version == 2
-        assert pipeline_module.slem_stage().version == 2
-        assert [s.version for s in points if s.name.startswith("perturb_t")] == [2, 2]
-
 
 class TestPaperPipeline:
     SCALE = 0.3
