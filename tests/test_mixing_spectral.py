@@ -9,6 +9,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from repro import telemetry
+from repro.datasets import build_sharded_analog, load_dataset
 from repro.errors import ConvergenceError, GraphError
 from repro.generators import (
     barabasi_albert,
@@ -16,7 +17,6 @@ from repro.generators import (
     complete_graph,
     cycle_graph,
 )
-from repro.datasets import build_sharded_analog, load_dataset
 from repro.graph import Graph, write_edge_list
 from repro.mixing import (
     mixing_bounds,
