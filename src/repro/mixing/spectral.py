@@ -200,7 +200,9 @@ def _lanczos_slem(graph: Graph | ShardedGraph) -> float:
         top = mu + bound
         if bound <= _GAP_RTOL * (1.0 - top):
             return mu
-        tol = max(_GAP_RTOL * (1.0 - top) / ((1.0 + _GAP_RTOL) * top), 0.0)
+        tol = _GAP_RTOL * (1.0 - top) / ((1.0 + _GAP_RTOL) * top)
+        # ARPACK cannot resolve a residual below machine precision
+        tol = max(tol, float(np.finfo(float).eps))
         ncv = _SECOND_PASS_NCV
     raise ConvergenceError(
         f"spectral gap {1.0 - mu:.1e} is below what Lanczos resolves "

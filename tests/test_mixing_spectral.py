@@ -191,6 +191,19 @@ class TestAccuracyContract:
         assert tel.gauges["mixing.slem.passes"] == 2
         assert tel.gauges["mixing.slem.error_bound"] <= 1e-5 * (1 - _dense_mu(g))
 
+    def test_unresolvable_gap_raises(self, monkeypatch):
+        # a Ritz value within 1e-13 of 1: even a machine-precision
+        # residual cannot bound the error by 1e-5 of that gap
+        def near_one(operator, **kwargs):
+            operator.matvec(kwargs["v0"])
+            return np.array([1.0 - 1e-13])
+
+        monkeypatch.setattr(spectral.spla, "eigsh", near_one)
+        with telemetry.activate() as tel:
+            with pytest.raises(ConvergenceError, match="below what Lanczos"):
+                slem(barabasi_albert(500, 3, seed=5))
+        assert tel.gauges["mixing.slem.passes"] == 2
+
     def test_matvec_counter_rises_with_every_product(self, monkeypatch):
         seen: list[int] = []
         normalized_apply = spectral._normalized_apply
