@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import telemetry
 from repro.errors import GraphError
 from repro.graph.core import Graph
 
@@ -107,6 +108,88 @@ def empirical_distribution(
     return counts / num_samples
 
 
+#: Most route keys (table rows x half-edges) drawn and sorted at once
+#: while a successor block is built; larger blocks go in row blocks.
+_KEY_BLOCK = 1 << 20
+
+
+def _route_keys(
+    rng: np.random.Generator, rows: int, num_half_edges: int
+) -> np.ndarray:
+    """The next ``(rows, 2m)`` block of 32-bit route keys from ``rng``.
+
+    Row ``i`` keys route-table instance ``i``, entry ``e`` half-edge ``e``
+    in CSR order.  Each node leaves through its half-edges in ascending
+    key order, ties in CSR order.  The half-edge count is even, so row
+    blocks drawn one after another read the stream a single draw reads.
+    """
+    return rng.integers(0, 1 << 32, size=(rows, num_half_edges), dtype=np.uint32)
+
+
+def _successor_block(
+    graph: Graph, rng: np.random.Generator, rows: int
+) -> np.ndarray:
+    """The half-edge successor maps of ``rows`` route tables, as one block.
+
+    Half-edge ``e`` of instance ``i`` has the flat id ``i * 2m + e``, and
+    entry ``[i, e]`` is the flat id of the half-edge a route of instance
+    ``i`` leaves on after arriving over ``e``, so the flattened block is
+    one successor map: each route hop is one gather.  A node's exit
+    permutation sorts its half-edges by key; one stable argsort of
+    ``(src << 32) | key`` sorts every node of a row block at once, so
+    ``order[indptr[v] + j]`` is the half-edge ``v`` exits on from entry
+    position ``j``.  A route arriving over ``u -> v`` enters ``v`` at the
+    position of its reverse half-edge ``v -> u``, hence
+    ``successor = order[reverse]``.  Ids are int32 below 2**31.
+    """
+    indices = graph.indices
+    size = int(indices.size)
+    dtype = np.int32 if rows * size < 2**31 else np.int64
+    out = np.empty((rows, size), dtype=dtype)
+    if size == 0:
+        return out
+    src = np.repeat(graph.nodes(), graph.degrees)
+    # CSR order sorts half-edges by (src, dst); (dst, src) order lists
+    # each one's reverse
+    reverse = np.lexsort((src, indices))
+    high = src.astype(np.uint64) << np.uint64(32)
+    step = max(1, _KEY_BLOCK // size)
+    for lo in range(0, rows, step):
+        keys = _route_keys(rng, min(step, rows - lo), size)
+        order = np.argsort(high | keys, axis=1, kind="stable")
+        order += (np.arange(lo, lo + keys.shape[0]) * size)[:, None]
+        out[lo : lo + keys.shape[0]] = order[:, reverse]
+    return out
+
+
+def _advance_routes(
+    successor: np.ndarray, edges: np.ndarray, length: int, path: bool = False
+) -> np.ndarray:
+    """Route ``length`` edges from each starting half-edge in ``edges``.
+
+    ``successor`` is a flattened :func:`_successor_block` and ``edges``
+    holds flat ids.  The block advances as one vector, one gather per
+    hop.  Returns each route's last half-edge, or with ``path`` the
+    ``(routes, length)`` block of every half-edge each route takes.
+
+    Telemetry: one ``sybil.routes`` span per block, and the
+    ``sybil.routes.hops`` counter adds ``routes * (length - 1)``.
+    """
+    edges = np.asarray(edges, dtype=successor.dtype)
+    tel = telemetry.current()
+    with tel.span("sybil.routes"):
+        tel.count("sybil.routes.hops", edges.size * (length - 1))
+        if not path:
+            for _ in range(length - 1):
+                edges = successor[edges]
+            return edges
+        hops = np.empty((length, edges.size), dtype=successor.dtype)
+        hops[0] = edges
+        for k in range(1, length):
+            hops[k] = successor[hops[k - 1]]
+        return hops.T
+
+
 class RouteTable:
     """Per-node random permutations for SybilGuard-style *random routes*.
 
@@ -115,34 +198,17 @@ class RouteTable:
     ``i``-th incident edge always leaves through edge ``perm_v[i]``,
     which makes routes deterministic given entry point and guarantees
     the back-traceable / convergent route properties SybilGuard relies
-    on.
+    on.  The permutations come from one row of route keys drawn from
+    ``default_rng(seed)`` (:func:`_successor_block`): each node exits
+    its edges in ascending key order.  SybilLimit's instance 0 with the
+    same seed is this table.
     """
 
     def __init__(self, graph: Graph, seed: int = 0) -> None:
         self._graph = graph
-        rng = np.random.default_rng(seed)
-        self._perms: list[np.ndarray] = [
-            rng.permutation(graph.degree(v)) for v in range(graph.num_nodes)
-        ]
-        # Precomputed route-stepping arrays.  Directed half-edge i is
-        # (src[i] -> indices[i]) in CSR order; because CSR order sorts
-        # by (src, dst) and the half-edge multiset is symmetric,
-        # lexsorting by (dst, src) maps each half-edge to its reverse,
-        # giving the entry *position* of every hop without a per-hop
-        # neighbor scan.  Applying each node's exit permutation to the
-        # entry positions yields the half-edge successor map: one O(1)
-        # lookup per route step (the per-hop searchsorted survives only
-        # in the public ``next_hop``, which starts from node ids).
-        indptr, indices = graph.indptr, graph.indices
-        if indices.size:
-            src = np.repeat(graph.nodes(), graph.degrees)
-            reverse = np.lexsort((src, indices))
-            perm_flat = np.concatenate(self._perms)
-            self._edge_successor = (
-                indptr[indices] + perm_flat[reverse]
-            ).astype(np.int64)
-        else:
-            self._edge_successor = np.empty(0, dtype=np.int64)
+        self._edge_successor = _successor_block(
+            graph, np.random.default_rng(seed), 1
+        )[0]
 
     @property
     def graph(self) -> Graph:
@@ -163,27 +229,27 @@ class RouteTable:
         edge = self._graph.indptr[previous] + self._edge_position(previous, current)
         return int(self._graph.indices[self._edge_successor[edge]])
 
+    def _routes(self, edges: np.ndarray, length: int) -> np.ndarray:
+        """The ``(routes, length + 1)`` node block of the routes of
+        ``length`` edges that start on half-edges ``edges``."""
+        if length < 1:
+            raise GraphError("route length must be at least 1")
+        hops = _advance_routes(self._edge_successor, edges, length, path=True)
+        out = np.empty((hops.shape[0], length + 1), dtype=np.int64)
+        out[:, 0] = np.searchsorted(self._graph.indptr, edges, side="right") - 1
+        out[:, 1:] = self._graph.indices[hops]
+        return out
+
     def route(self, source: int, first_hop: int, length: int) -> np.ndarray:
         """Return the deterministic route of ``length`` edges starting
         ``source -> first_hop``."""
-        if length < 1:
-            raise GraphError("route length must be at least 1")
-        path = np.empty(length + 1, dtype=np.int64)
-        path[0] = source
-        path[1] = first_hop
-        indices = self._graph.indices
-        successor = self._edge_successor
         edge = int(self._graph.indptr[source]) + self._edge_position(
             source, first_hop
         )
-        for i in range(2, length + 1):
-            edge = int(successor[edge])
-            path[i] = indices[edge]
-        return path
+        return self._routes(np.array([edge]), length)[0]
 
     def routes_from(self, source: int, length: int) -> list[np.ndarray]:
         """Return one route per incident edge of ``source``."""
-        return [
-            self.route(source, int(nbr), length)
-            for nbr in self._graph.neighbors(source)
-        ]
+        self._graph._check_node(source)
+        indptr = self._graph.indptr
+        return list(self._routes(np.arange(indptr[source], indptr[source + 1]), length))

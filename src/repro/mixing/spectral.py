@@ -291,9 +291,10 @@ PERIODIC_CHAIN = "none: periodic chain (bipartite graph)"
 
 
 def mixing_bounds(
-    graph: Graph | ShardedGraph, mu: float
+    graph: Graph | ShardedGraph, mu: float, epsilon: float | None = None
 ) -> MixingBounds | None:
-    """Sinclair bounds at ``eps = 1/n`` for ``graph`` with SLEM ``mu``.
+    """Sinclair bounds at ``epsilon`` (default ``1/n``) for ``graph``
+    with SLEM ``mu``.
 
     None for a bipartite graph: its walk has period 2 and never mixes,
     so no finite bound exists.  A single edge (two nodes) still raises
@@ -305,7 +306,7 @@ def mixing_bounds(
     # so the BFS runs only then
     if n > 2 and math.isclose(mu, 1.0) and _is_periodic(graph):
         return None
-    return sinclair_bounds(mu, n, epsilon=1 / n)
+    return sinclair_bounds(mu, n, epsilon=1 / n if epsilon is None else epsilon)
 
 
 def spectral_summary(
@@ -327,11 +328,14 @@ def spectral_summary(
 def spectral_mixing_time(
     graph: Graph, epsilon: float | None = None, **slem_kwargs: float
 ) -> MixingBounds:
-    """Measure SLEM then return Sinclair bounds.
+    """Measure SLEM then return Sinclair bounds (:func:`mixing_bounds`).
 
     ``epsilon`` defaults to ``1/n``, the fast-mixing threshold scale
-    used throughout the paper (``eps = Theta(1/n)``).
+    used throughout the paper (``eps = Theta(1/n)``).  A bipartite
+    graph raises :class:`~repro.errors.GraphError`: its walk is periodic
+    and has no mixing time, whichever path solved its SLEM.
     """
-    eps = 1.0 / graph.num_nodes if epsilon is None else epsilon
-    mu = slem(graph, **slem_kwargs)
-    return sinclair_bounds(mu, graph.num_nodes, eps)
+    bounds = mixing_bounds(graph, slem(graph, **slem_kwargs), epsilon)
+    if bounds is None:
+        raise GraphError("no finite mixing time: periodic chain (bipartite graph)")
+    return bounds

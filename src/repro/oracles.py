@@ -2,11 +2,13 @@
 
 Each batch engine — the walk modes of :mod:`repro.markov.walk_batch`,
 the TVD profile of :mod:`repro.markov.batch`, the block BFS of
-:mod:`repro.graph.bfs_batch`, the loopy BP of :mod:`repro.sybil.fusion`
-and the level-sliced ticket kernel of :mod:`repro.sybil.tickets` with
-SumUp's flow graph — has a one-item-at-a-time twin here that replays
-the same IEEE operations walk by walk, source by source, level mask by
-level mask or half-edge by half-edge.  So do the measurements built on
+:mod:`repro.graph.bfs_batch`, the loopy BP of :mod:`repro.sybil.fusion`,
+the level-sliced ticket kernel of :mod:`repro.sybil.tickets` with
+SumUp's flow graph, and the route block of :mod:`repro.markov.walks`
+with SybilGuard's and SybilLimit's verdicts — has a one-item-at-a-time
+twin here that replays the same operations walk by walk, source by
+source, level mask by level mask, half-edge by half-edge or route hop
+by route hop.  So do the measurements built on
 them that the test suite and the speedup benchmarks compare (mixing
 profile, envelope expansion, eccentricities, closeness, escape
 probability, link perturbation), and the edge-churn proposal filter of
@@ -32,10 +34,13 @@ from repro.graph.traversal import bfs_distances, bfs_levels
 from repro.markov.batch import validate_walk_lengths
 from repro.markov.distance import total_variation_distance
 from repro.markov.transition import TransitionOperator, get_operator
+from repro.markov import walks
 from repro.markov.walk_batch import _STEP_BLOCK, NO_HIT, _streams
 from repro.mixing import sampling
 from repro.privacy import perturb
 from repro.sybil import escape, fusion, sumup, tickets
+from repro.sybil.sybilguard import SybilGuard
+from repro.sybil.sybillimit import SybilLimit
 
 __all__ = [
     "walk_block",
@@ -53,6 +58,13 @@ __all__ = [
     "loopy_belief_propagation",
     "distribute_tickets",
     "sumup_flow_graph",
+    "route_permutations",
+    "route",
+    "sybilguard_routes",
+    "sybilguard_verify",
+    "sybilguard_registry",
+    "sybillimit_tails",
+    "sybillimit_verify_all",
     "measure_escape",
     "perturb_links",
     "churn_step_events",
@@ -389,6 +401,147 @@ def sumup_flow_graph(
         (data, (rows, cols)), shape=(n + 1, n + 1), dtype=np.int32
     )
     return matrix, source
+
+
+# ----------------------------------------------------------------------
+# SybilGuard / SybilLimit: one node permutation per key segment, one
+# route hop at a time
+# ----------------------------------------------------------------------
+def _route_draws(
+    graph: Graph, seed: int, rows: int
+) -> tuple[list[list[np.ndarray]], np.random.Generator]:
+    """Each table row's per-node exit permutations, and the stream left
+    after the key block."""
+    rng = np.random.default_rng(seed)
+    keys = walks._route_keys(rng, rows, graph.indices.size)
+    bounds = graph.indptr
+    perms = [
+        [
+            np.argsort(row[bounds[v] : bounds[v + 1]], kind="stable")
+            for v in range(graph.num_nodes)
+        ]
+        for row in keys
+    ]
+    return perms, rng
+
+
+def route_permutations(graph: Graph, seed: int = 0) -> list[np.ndarray]:
+    """Per-node exit permutations of ``RouteTable(graph, seed)``."""
+    return _route_draws(graph, seed, 1)[0][0]
+
+
+def _route(
+    graph: Graph, perms: list[np.ndarray], source: int, first_hop: int, length: int
+) -> np.ndarray:
+    path = [source, first_hop]
+    for _ in range(length - 1):
+        nbrs = graph.neighbors(path[-1])
+        enter = int(np.searchsorted(nbrs, path[-2]))
+        path.append(int(nbrs[perms[path[-1]][enter]]))
+    return np.asarray(path, dtype=np.int64)
+
+
+def route(
+    graph: Graph, seed: int, source: int, first_hop: int, length: int
+) -> np.ndarray:
+    """Per-hop twin of :meth:`repro.markov.RouteTable.route`."""
+    return _route(graph, route_permutations(graph, seed), source, first_hop, length)
+
+
+def sybilguard_routes(guard: SybilGuard) -> list[list[np.ndarray]]:
+    """Per-hop twin of :meth:`repro.sybil.SybilGuard.routes`, every node."""
+    graph = guard.graph
+    perms = route_permutations(graph, guard._config.seed)
+    return [
+        [
+            _route(graph, perms, v, int(nbr), guard.route_length)
+            for nbr in graph.neighbors(v)
+        ]
+        for v in range(graph.num_nodes)
+    ]
+
+
+def sybilguard_verify(
+    guard: SybilGuard,
+    verifier: int,
+    suspect: int,
+    routes: list[list[np.ndarray]] | None = None,
+) -> bool:
+    """Node-set twin of :meth:`repro.sybil.SybilGuard.verify`; pass
+    ``routes`` (:func:`sybilguard_routes`) to reuse them across calls."""
+    if verifier == suspect:
+        return True
+    routes = sybilguard_routes(guard) if routes is None else routes
+    suspect_nodes: set[int] = set()
+    for path in routes[suspect]:
+        suspect_nodes.update(int(x) for x in path)
+    verifier_routes = [set(int(x) for x in path) for path in routes[verifier]]
+    if not verifier_routes:
+        return False
+    hits = sum(1 for nodes in verifier_routes if not nodes.isdisjoint(suspect_nodes))
+    return hits >= guard._config.intersection_threshold * len(verifier_routes)
+
+
+def sybilguard_registry(guard: SybilGuard) -> list[set[int]]:
+    """Per-visit twin of :meth:`repro.sybil.SybilGuard.registered_at`,
+    every node."""
+    registry: list[set[int]] = [set() for _ in range(guard.graph.num_nodes)]
+    for origin, paths in enumerate(sybilguard_routes(guard)):
+        for path in paths:
+            for visited in path:
+                registry[int(visited)].add(origin)
+    return registry
+
+
+def sybillimit_tails(defense: SybilLimit) -> list[list[tuple[int, int]]]:
+    """Per-route twin of :meth:`repro.sybil.SybilLimit.tails`, every node."""
+    graph, r = defense.graph, defense.num_routes
+    perms, rng = _route_draws(graph, defense._config.seed, r)
+    first = rng.random((graph.num_nodes, r))
+    out: list[list[tuple[int, int]]] = []
+    for v in range(graph.num_nodes):
+        nbrs = graph.neighbors(v)
+        tails = []
+        for i in range(r if nbrs.size else 0):
+            hop = int(nbrs[min(int(first[v, i] * nbrs.size), nbrs.size - 1)])
+            path = _route(graph, perms[i], v, hop, defense.route_length)
+            tails.append((int(path[-2]), int(path[-1])))
+        out.append(tails)
+    return out
+
+
+def sybillimit_verify_all(
+    defense: SybilLimit, verifier: int, suspects: Sequence[int]
+) -> np.ndarray:
+    """Tail-dict twin of :meth:`repro.sybil.SybilLimit.verify_all`."""
+    verifier_tails = defense.tails(verifier)
+    if not verifier_tails:
+        return np.empty(0, dtype=np.int64)
+    tail_index: dict[tuple[int, int], list[int]] = {}
+    for idx, tail in enumerate(verifier_tails):
+        tail_index.setdefault(tail, []).append(idx)
+    loads = np.zeros(len(verifier_tails), dtype=np.int64)
+    accepted: list[int] = []
+    r = len(verifier_tails)
+    log_r = max(np.log(r), 1.0)
+    for suspect in suspects:
+        suspect = int(suspect)
+        if suspect == verifier:
+            accepted.append(suspect)
+            continue
+        matching: list[int] = []
+        for tail in defense.tails(suspect):
+            matching.extend(tail_index.get(tail, ()))
+        if not matching:
+            continue
+        best = min(matching, key=lambda idx: loads[idx])
+        average = (loads.sum() + 1) / r
+        bound = defense._config.balance_h * max(log_r, average)
+        if loads[best] + 1 > bound:
+            continue
+        loads[best] += 1
+        accepted.append(suspect)
+    return np.asarray(accepted, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------

@@ -510,6 +510,11 @@ def mixing_stage(
 #: a bipartite graph's ``bounds`` are None
 _SLEM_VERSION = 2
 
+#: v2: SybilGuard's and SybilLimit's route tables come from one block of
+#: route keys and SybilLimit draws its first hops as one block, so their
+#: scores change bits
+_ROUTE_VERSION = 2
+
 
 def spectral_stage(num_sources: int = 50, seed: int = 0) -> Stage:
     """SLEM, Sinclair bounds and fast-mixing check (:func:`spectral_summary`)
@@ -635,11 +640,12 @@ def frontier_stages(
             walk_lengths=walk_lengths, points=[deps[name] for name in names],
         )
 
-    # each point measures the SLEM of its perturbed graph
+    # each point holds the SLEM of its perturbed graph and the defense
+    # scores, so its version rises with either
     stages = [
         Stage(
             name, point(int(t)), deps=("attack",), params={**params, "t": int(t)},
-            version=_SLEM_VERSION,
+            version=_SLEM_VERSION + _ROUTE_VERSION,
         )
         for name, t in zip(names, levels)
     ]
@@ -803,6 +809,7 @@ def fusion_comparison_pipeline(
             score_stage(STRUCTURE_DEFENSE_NAMES),
             deps=("attack",),
             params=score_params,
+            version=_ROUTE_VERSION,
         ),
         Stage(
             "fusion_scores",

@@ -54,6 +54,12 @@ class SybilGuard:
     the suspect is actually registered at the intersection node —
     which is what stops an adversary from merely *claiming* routes
     through honest nodes.
+
+    The routes of all nodes are one block, built on first use: one
+    route per half-edge, advanced together through the route table's
+    successor map (:class:`~repro.markov.walks.RouteTable`), so node
+    ``v``'s routes are rows ``indptr[v]:indptr[v + 1]``.  Verdicts are
+    boolean masks over that block.
     """
 
     def __init__(self, graph: Graph, config: SybilGuardConfig | None = None) -> None:
@@ -67,6 +73,7 @@ class SybilGuard:
         else:
             n = graph.num_nodes
             self._length = int(np.ceil(2.0 * np.sqrt(n * np.log(max(n, 2)))))
+        self._block: np.ndarray | None = None
         self._route_cache: dict[int, list[np.ndarray]] = {}
         self._registry: list[set[int]] | None = None
 
@@ -80,33 +87,48 @@ class SybilGuard:
         """The route length ``w`` in use."""
         return self._length
 
+    def _route_block(self) -> np.ndarray:
+        """The ``(2m, w + 1)`` node block of every node's routes."""
+        if self._block is None:
+            edges = np.arange(self._graph.indices.size)
+            self._block = self._routes._routes(edges, self._length)
+        return self._block
+
+    def _node_routes(self, node: int) -> np.ndarray:
+        """The ``(deg, w + 1)`` rows of ``node``'s routes in the block."""
+        self._graph._check_node(node)
+        indptr = self._graph.indptr
+        return self._route_block()[indptr[node] : indptr[node + 1]]
+
     def routes(self, node: int) -> list[np.ndarray]:
         """Return (and cache) the node's routes, one per incident edge."""
         cached = self._route_cache.get(node)
         if cached is None:
-            cached = self._routes.routes_from(node, self._length)
+            cached = list(self._node_routes(node))
             self._route_cache[node] = cached
         return cached
 
     def route_node_sets(self, node: int) -> list[set[int]]:
         """Return each route as a set of visited nodes."""
-        return [set(int(x) for x in route) for route in self.routes(node)]
+        return [set(route.tolist()) for route in self.routes(node)]
 
     def registered_at(self, node: int) -> set[int]:
         """Return the origins registered at ``node``.
 
         A node's registry holds every origin whose route traverses it;
         the protocol builds it during route propagation.  Computed
-        lazily for the whole graph on first use (one pass over all
-        routes) and cached.
+        lazily for the whole graph on first use (one pass over the
+        route block of all nodes) and cached.
         """
         if self._registry is None:
-            registry: list[set[int]] = [set() for _ in range(self._graph.num_nodes)]
-            for origin in range(self._graph.num_nodes):
-                for route in self.routes(origin):
-                    for visited in route:
-                        registry[int(visited)].add(origin)
-            self._registry = registry
+            n = self._graph.num_nodes
+            block = self._route_block()
+            pairs = np.unique(block * n + block[:, :1])
+            bounds = np.searchsorted(pairs, np.arange(n + 1) * n)
+            origin = (pairs % n).tolist()
+            self._registry = [
+                set(origin[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
         return self._registry[node]
 
     def verify(self, verifier: int, suspect: int) -> bool:
@@ -117,19 +139,18 @@ class SybilGuard:
         passes there); acceptance needs the configured fraction of
         verifier routes to accept (the paper's majority-of-routes
         rule).  Equivalent to node-set intersection of *registered*
-        routes, which is what the registry discipline guarantees.
+        routes, which is what the registry discipline guarantees: a
+        mask of the suspect's route nodes, read along each verifier
+        route.
         """
         if verifier == suspect:
             return True
-        suspect_nodes: set[int] = set()
-        for route in self.routes(suspect):
-            suspect_nodes.update(int(x) for x in route)
-        verifier_routes = self.route_node_sets(verifier)
-        if not verifier_routes:
+        verifier_routes = self._node_routes(verifier)
+        if not verifier_routes.size:
             return False
-        hits = sum(
-            1 for route in verifier_routes if not route.isdisjoint(suspect_nodes)
-        )
+        suspect_mask = np.zeros(self._graph.num_nodes, dtype=bool)
+        suspect_mask[self._node_routes(suspect)] = True
+        hits = int(suspect_mask[verifier_routes].any(axis=1).sum())
         return hits >= self._config.intersection_threshold * len(verifier_routes)
 
     def verify_registered(self, verifier: int, suspect: int) -> bool:

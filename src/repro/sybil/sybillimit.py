@@ -22,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.chunking import validate_sources
 from repro.errors import SybilDefenseError
 from repro.graph.core import Graph
-from repro.markov.walks import RouteTable
+from repro.markov.walks import _advance_routes, _successor_block
 
 __all__ = ["SybilLimitConfig", "SybilLimit"]
 
@@ -55,7 +56,16 @@ class SybilLimitConfig:
 
 
 class SybilLimit:
-    """Tail-intersection verification with the balance condition."""
+    """Tail-intersection verification with the balance condition.
+
+    All ``r`` route-table instances come from one stream,
+    ``default_rng(seed)``: first an ``(r, 2m)`` block of route keys
+    (:class:`~repro.markov.walks.RouteTable` is its one-row case), then
+    an ``(n, r)`` block of uniforms ``u`` that picks each node's first
+    hop in each instance, neighbor ``floor(u * deg)``.  The routes of
+    every node in every instance advance as one block of half-edge ids,
+    and tails are compared as half-edge ids.
+    """
 
     def __init__(self, graph: Graph, config: SybilLimitConfig | None = None) -> None:
         if graph.num_nodes < 3:
@@ -73,10 +83,7 @@ class SybilLimit:
             if cfg.route_length is not None
             else max(2, int(np.ceil(cfg.w0 * np.log2(graph.num_nodes))))
         )
-        # one independent route-table instance per route index
-        self._instances = [
-            RouteTable(graph, seed=cfg.seed + i) for i in range(self._num_routes)
-        ]
+        self._tail_edges: np.ndarray | None = None
         self._tail_cache: dict[int, list[tuple[int, int]]] = {}
 
     @property
@@ -94,29 +101,50 @@ class SybilLimit:
         """``w``, the per-route length."""
         return self._length
 
+    def _tail_block(self) -> np.ndarray:
+        """The ``(n, r)`` tail half-edge of every node in every instance
+        (-1 for an isolated node), computed on first use."""
+        if self._tail_edges is None:
+            graph, r = self._graph, self._num_routes
+            size = graph.indices.size
+            rng = np.random.default_rng(self._config.seed)
+            successor = _successor_block(graph, rng, r)
+            u = rng.random((graph.num_nodes, r))
+            deg = graph.degrees
+            live = deg > 0
+            hop = np.minimum(
+                (u[live] * deg[live, None]).astype(np.int64), deg[live, None] - 1
+            )
+            offsets = np.arange(r) * size
+            start = graph.indptr[:-1][live, None] + hop + offsets
+            tails = np.full((graph.num_nodes, r), -1, dtype=np.int64)
+            tails[live] = (
+                _advance_routes(successor.ravel(), start.ravel(), self._length)
+                .reshape(-1, r)
+                - offsets
+            )
+            self._tail_edges = tails
+        return self._tail_edges
+
     def tails(self, node: int) -> list[tuple[int, int]]:
         """Return the node's ``r`` tails (last directed edges).
 
         In instance ``i`` the node routes along its degree-many edges;
         the protocol uses one uniformly chosen starting edge per
-        instance — we derive it deterministically from the instance seed
+        instance, drawn from the configured seed (see the class notes)
         so results are reproducible.
         """
         cached = self._tail_cache.get(node)
         if cached is not None:
             return cached
-        degree = self._graph.degree(node)
-        if degree == 0:
-            self._tail_cache[node] = []
-            return []
-        tails: list[tuple[int, int]] = []
-        for i, table in enumerate(self._instances):
-            rng = np.random.default_rng(
-                (self._config.seed + 7919 * i) * 1_000_003 + node
-            )
-            first = int(self._graph.neighbors(node)[rng.integers(degree)])
-            route = table.route(node, first, self._length)
-            tails.append((int(route[-2]), int(route[-1])))
+        self._graph._check_node(node)
+        edges = self._tail_block()[node]
+        if edges[0] < 0:
+            tails: list[tuple[int, int]] = []
+        else:
+            indptr = self._graph.indptr
+            src = np.searchsorted(indptr, edges, side="right") - 1
+            tails = list(zip(src.tolist(), self._graph.indices[edges].tolist()))
         self._tail_cache[node] = tails
         return tails
 
@@ -128,34 +156,38 @@ class SybilLimit:
         Suspects are processed in the given order; each accepted suspect
         loads one verifier tail, so earlier suspects can crowd out later
         ones at the same tail (this *is* the balance condition working).
+        Tails compare as half-edge ids; an acceptance is charged to the
+        least-loaded matching verifier tail, the first on ties in the
+        order of the suspect's instances, then of the verifier's.
         Returns the accepted suspects.
         """
-        verifier_tails = self.tails(verifier)
-        if not verifier_tails:
+        self._graph._check_node(verifier)
+        chosen = validate_sources(self._graph.num_nodes, suspects)
+        block = self._tail_block()
+        if block[verifier, 0] < 0:
             return np.empty(0, dtype=np.int64)
-        tail_index: dict[tuple[int, int], list[int]] = {}
-        for idx, tail in enumerate(verifier_tails):
+        tail_index: dict[int, list[int]] = {}
+        for idx, tail in enumerate(block[verifier].tolist()):
             tail_index.setdefault(tail, []).append(idx)
-        loads = np.zeros(len(verifier_tails), dtype=np.int64)
+        r = block.shape[1]
+        loads = [0] * r
+        total = 0
         accepted: list[int] = []
-        r = len(verifier_tails)
         log_r = max(np.log(r), 1.0)
-        for suspect in suspects:
-            suspect = int(suspect)
+        for suspect, tails in zip(chosen.tolist(), block[chosen].tolist()):
             if suspect == verifier:
                 accepted.append(suspect)
                 continue
-            matching: list[int] = []
-            for tail in self.tails(suspect):
-                matching.extend(tail_index.get(tail, ()))
+            matching = [idx for tail in tails for idx in tail_index.get(tail, ())]
             if not matching:
                 continue
-            best = min(matching, key=lambda idx: loads[idx])
-            average = (loads.sum() + 1) / r
+            best = min(matching, key=loads.__getitem__)
+            average = (total + 1) / r
             bound = self._config.balance_h * max(log_r, average)
             if loads[best] + 1 > bound:
                 continue
             loads[best] += 1
+            total += 1
             accepted.append(suspect)
         return np.asarray(accepted, dtype=np.int64)
 

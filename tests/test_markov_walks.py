@@ -15,6 +15,7 @@ from repro.markov import (
     TransitionOperator,
     total_variation_distance,
 )
+from repro.oracles import route_permutations
 
 
 class TestRandomWalk:
@@ -111,30 +112,32 @@ class TestRouteTable:
         """The O(1)-per-hop successor map reproduces, byte for byte, the
         routes of the original per-hop permutation lookup."""
 
-        def reference_route(table, graph, source, first_hop, length):
+        def reference_route(perms, graph, source, first_hop, length):
             path = [source, first_hop]
             prev, cur = source, first_hop
             for _ in range(length - 1):
                 nbrs = graph.neighbors(cur)
                 enter = int(np.searchsorted(nbrs, prev))
-                nxt = int(nbrs[int(table._perms[cur][enter])])
+                nxt = int(nbrs[int(perms[cur][enter])])
                 path.append(nxt)
                 prev, cur = cur, nxt
             return np.asarray(path, dtype=np.int64)
 
         for graph in (ba_small, square_with_tail):
             table = RouteTable(graph, seed=12)
+            perms = route_permutations(graph, seed=12)
             for source in range(graph.num_nodes):
                 for nbr in graph.neighbors(source):
                     fast = table.route(source, int(nbr), 12)
-                    slow = reference_route(table, graph, source, int(nbr), 12)
+                    slow = reference_route(perms, graph, source, int(nbr), 12)
                     assert fast.dtype == slow.dtype
                     assert fast.tobytes() == slow.tobytes()
 
     def test_next_hop_matches_permutation_reference(self, ba_small):
         table = RouteTable(ba_small, seed=13)
+        perms = route_permutations(ba_small, seed=13)
         for node in range(ba_small.num_nodes):
             nbrs = ba_small.neighbors(node)
             for i, prev in enumerate(nbrs):
-                expected = int(nbrs[int(table._perms[node][i])])
+                expected = int(nbrs[int(perms[node][i])])
                 assert table.next_hop(int(prev), node) == expected

@@ -20,7 +20,12 @@ from repro.analysis.report import measurement_report
 from repro.cli import main
 from repro.datasets import load_dataset
 from repro.errors import PipelineError
-from repro.pipeline import Pipeline, Stage, paper_measurement_pipeline
+from repro.pipeline import (
+    Pipeline,
+    Stage,
+    fusion_comparison_pipeline,
+    paper_measurement_pipeline,
+)
 from repro.privacy import privacy_frontier_pipeline, privacy_utility_frontier
 from repro.store import ArtifactStore
 
@@ -200,6 +205,23 @@ class TestUpstreamVersions:
         # the stages that read only the graph keep their keys
         assert set(warm.executed) == {"spectral", "tables"}
         assert warm.results["tables"]["slem"] == warm.results["spectral"]["slem"]
+
+
+    def test_route_bump_recomputes_structure_scores(self, tmp_path, monkeypatch):
+        store = ArtifactStore(tmp_path / "cache")
+
+        def run():
+            return fusion_comparison_pipeline(
+                "facebook_a", scale=0.03, store=store
+            ).run()
+
+        # the keys a cache written before the route-table change holds
+        monkeypatch.setattr(pipeline_module, "_ROUTE_VERSION", 1)
+        run()
+        monkeypatch.undo()
+        warm = run()
+        assert set(warm.executed) == {"structure_scores", "report"}
+        assert set(warm.cached) == {"load", "attack", "fusion_scores"}
 
 
 class TestPaperPipeline:
