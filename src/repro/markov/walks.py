@@ -190,6 +190,30 @@ def _advance_routes(
         return hops.T
 
 
+def _route_tails(graph: Graph, seed: int, rows: int, length: int) -> np.ndarray:
+    """The last half-edge of every node's route in each of ``rows`` tables.
+
+    One stream, ``default_rng(seed)``, gives the ``(rows, 2m)`` key block
+    of :func:`_successor_block`, then an ``(n, rows)`` block of uniforms
+    ``u``: node ``v``'s route in table ``i`` starts on its neighbor
+    ``floor(u[v, i] * deg(v))`` and runs ``length`` edges.  All ``n *
+    rows`` routes advance as one block.  Returns an ``(n, rows)`` array
+    of half-edge ids, -1 on the rows of isolated nodes.
+    """
+    rng = np.random.default_rng(seed)
+    successor = _successor_block(graph, rng, rows)
+    u = rng.random((graph.num_nodes, rows))
+    deg = graph.degrees
+    live = deg > 0
+    hop = np.minimum((u[live] * deg[live, None]).astype(np.int64), deg[live, None] - 1)
+    offsets = np.arange(rows) * graph.indices.size
+    start = graph.indptr[:-1][live, None] + hop + offsets
+    tails = np.full((graph.num_nodes, rows), -1, dtype=np.int64)
+    ends = _advance_routes(successor.ravel(), start.ravel(), length)
+    tails[live] = ends.reshape(-1, rows) - offsets
+    return tails
+
+
 class RouteTable:
     """Per-node random permutations for SybilGuard-style *random routes*.
 

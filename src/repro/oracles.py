@@ -31,10 +31,10 @@ from repro.expansion import envelope
 from repro.graph.core import Graph
 from repro.graph.shard import ShardedGraph
 from repro.graph.traversal import bfs_distances, bfs_levels
+from repro.markov import walks
 from repro.markov.batch import validate_walk_lengths
 from repro.markov.distance import total_variation_distance
 from repro.markov.transition import TransitionOperator, get_operator
-from repro.markov import walks
 from repro.markov.walk_batch import _STEP_BLOCK, NO_HIT, _streams
 from repro.mixing import sampling
 from repro.privacy import perturb

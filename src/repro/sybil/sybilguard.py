@@ -55,11 +55,11 @@ class SybilGuard:
     which is what stops an adversary from merely *claiming* routes
     through honest nodes.
 
-    The routes of all nodes are one block, built on first use: one
-    route per half-edge, advanced together through the route table's
-    successor map (:class:`~repro.markov.walks.RouteTable`), so node
-    ``v``'s routes are rows ``indptr[v]:indptr[v + 1]``.  Verdicts are
-    boolean masks over that block.
+    The routes of all nodes are one ``(2m, w + 1)`` block, built with
+    the defense: one route per half-edge, advanced together through the
+    route table's successor map (:class:`~repro.markov.walks.RouteTable`),
+    so node ``v``'s routes are rows ``indptr[v]:indptr[v + 1]``.
+    Verdicts are boolean masks over that block.
     """
 
     def __init__(self, graph: Graph, config: SybilGuardConfig | None = None) -> None:
@@ -67,13 +67,13 @@ class SybilGuard:
             raise SybilDefenseError("SybilGuard needs at least 3 nodes")
         self._graph = graph
         self._config = config or SybilGuardConfig()
-        self._routes = RouteTable(graph, seed=self._config.seed)
         if self._config.route_length is not None:
             self._length = self._config.route_length
         else:
             n = graph.num_nodes
             self._length = int(np.ceil(2.0 * np.sqrt(n * np.log(max(n, 2)))))
-        self._block: np.ndarray | None = None
+        table = RouteTable(graph, seed=self._config.seed)
+        self._block = table._routes(np.arange(graph.indices.size), self._length)
         self._route_cache: dict[int, list[np.ndarray]] = {}
         self._registry: list[set[int]] | None = None
 
@@ -87,18 +87,11 @@ class SybilGuard:
         """The route length ``w`` in use."""
         return self._length
 
-    def _route_block(self) -> np.ndarray:
-        """The ``(2m, w + 1)`` node block of every node's routes."""
-        if self._block is None:
-            edges = np.arange(self._graph.indices.size)
-            self._block = self._routes._routes(edges, self._length)
-        return self._block
-
     def _node_routes(self, node: int) -> np.ndarray:
         """The ``(deg, w + 1)`` rows of ``node``'s routes in the block."""
         self._graph._check_node(node)
         indptr = self._graph.indptr
-        return self._route_block()[indptr[node] : indptr[node + 1]]
+        return self._block[indptr[node] : indptr[node + 1]]
 
     def routes(self, node: int) -> list[np.ndarray]:
         """Return (and cache) the node's routes, one per incident edge."""
@@ -122,8 +115,7 @@ class SybilGuard:
         """
         if self._registry is None:
             n = self._graph.num_nodes
-            block = self._route_block()
-            pairs = np.unique(block * n + block[:, :1])
+            pairs = np.unique(self._block * n + self._block[:, :1])
             bounds = np.searchsorted(pairs, np.arange(n + 1) * n)
             origin = (pairs % n).tolist()
             self._registry = [

@@ -25,7 +25,7 @@ import numpy as np
 from repro.chunking import validate_sources
 from repro.errors import SybilDefenseError
 from repro.graph.core import Graph
-from repro.markov.walks import _advance_routes, _successor_block
+from repro.markov.walks import _route_tails
 
 __all__ = ["SybilLimitConfig", "SybilLimit"]
 
@@ -58,13 +58,11 @@ class SybilLimitConfig:
 class SybilLimit:
     """Tail-intersection verification with the balance condition.
 
-    All ``r`` route-table instances come from one stream,
-    ``default_rng(seed)``: first an ``(r, 2m)`` block of route keys
-    (:class:`~repro.markov.walks.RouteTable` is its one-row case), then
-    an ``(n, r)`` block of uniforms ``u`` that picks each node's first
-    hop in each instance, neighbor ``floor(u * deg)``.  The routes of
-    every node in every instance advance as one block of half-edge ids,
-    and tails are compared as half-edge ids.
+    The ``r`` route-table instances and every node's first hop in each
+    come from one stream, ``default_rng(seed)``
+    (:func:`~repro.markov.walks._route_tails`; instance 0 is
+    ``RouteTable(graph, seed)``), and the routes of every node in every
+    instance advance as one block when the defense is built.
     """
 
     def __init__(self, graph: Graph, config: SybilLimitConfig | None = None) -> None:
@@ -83,7 +81,7 @@ class SybilLimit:
             if cfg.route_length is not None
             else max(2, int(np.ceil(cfg.w0 * np.log2(graph.num_nodes))))
         )
-        self._tail_edges: np.ndarray | None = None
+        self._tail_edges = _route_tails(graph, cfg.seed, self._num_routes, self._length)
         self._tail_cache: dict[int, list[tuple[int, int]]] = {}
 
     @property
@@ -101,31 +99,6 @@ class SybilLimit:
         """``w``, the per-route length."""
         return self._length
 
-    def _tail_block(self) -> np.ndarray:
-        """The ``(n, r)`` tail half-edge of every node in every instance
-        (-1 for an isolated node), computed on first use."""
-        if self._tail_edges is None:
-            graph, r = self._graph, self._num_routes
-            size = graph.indices.size
-            rng = np.random.default_rng(self._config.seed)
-            successor = _successor_block(graph, rng, r)
-            u = rng.random((graph.num_nodes, r))
-            deg = graph.degrees
-            live = deg > 0
-            hop = np.minimum(
-                (u[live] * deg[live, None]).astype(np.int64), deg[live, None] - 1
-            )
-            offsets = np.arange(r) * size
-            start = graph.indptr[:-1][live, None] + hop + offsets
-            tails = np.full((graph.num_nodes, r), -1, dtype=np.int64)
-            tails[live] = (
-                _advance_routes(successor.ravel(), start.ravel(), self._length)
-                .reshape(-1, r)
-                - offsets
-            )
-            self._tail_edges = tails
-        return self._tail_edges
-
     def tails(self, node: int) -> list[tuple[int, int]]:
         """Return the node's ``r`` tails (last directed edges).
 
@@ -138,7 +111,7 @@ class SybilLimit:
         if cached is not None:
             return cached
         self._graph._check_node(node)
-        edges = self._tail_block()[node]
+        edges = self._tail_edges[node]
         if edges[0] < 0:
             tails: list[tuple[int, int]] = []
         else:
@@ -163,18 +136,18 @@ class SybilLimit:
         """
         self._graph._check_node(verifier)
         chosen = validate_sources(self._graph.num_nodes, suspects)
-        block = self._tail_block()
-        if block[verifier, 0] < 0:
+        all_tails = self._tail_edges
+        if all_tails[verifier, 0] < 0:
             return np.empty(0, dtype=np.int64)
         tail_index: dict[int, list[int]] = {}
-        for idx, tail in enumerate(block[verifier].tolist()):
+        for idx, tail in enumerate(all_tails[verifier].tolist()):
             tail_index.setdefault(tail, []).append(idx)
-        r = block.shape[1]
+        r = self._num_routes
         loads = [0] * r
         total = 0
         accepted: list[int] = []
         log_r = max(np.log(r), 1.0)
-        for suspect, tails in zip(chosen.tolist(), block[chosen].tolist()):
+        for suspect, tails in zip(chosen.tolist(), all_tails[chosen].tolist()):
             if suspect == verifier:
                 accepted.append(suspect)
                 continue

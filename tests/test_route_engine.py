@@ -67,9 +67,8 @@ def _assert_guard_matches(guard: SybilGuard) -> None:
         [oracles.sybilguard_verify(guard, v, s, twin) for s in range(n)]
         for v in range(n)
     ]
-    assert [guard.registered_at(v) for v in range(n)] == oracles.sybilguard_registry(
-        guard
-    )
+    registry = [guard.registered_at(v) for v in range(n)]
+    assert registry == oracles.sybilguard_registry(guard)
 
 
 class TestSuccessorBlock:
@@ -78,12 +77,13 @@ class TestSuccessorBlock:
         rows, size = 5, graph.indices.size
         block = _block(graph, 3, rows)
         assert block.shape == (rows, size)
-        offsets = (np.arange(rows) * size)[:, None]
+        local = block - (np.arange(rows) * size)[:, None]
         # each row permutes its own half-edges
-        assert np.array_equal(np.sort(block - offsets, axis=1), np.tile(np.arange(size), (rows, 1)))
+        half_edges = np.tile(np.arange(size), (rows, 1))
+        assert np.array_equal(np.sort(local, axis=1), half_edges)
         # a route arriving over u -> v leaves on a half-edge out of v
         src = np.repeat(graph.nodes(), graph.degrees)
-        assert np.array_equal(src[block - offsets], np.tile(graph.indices, (rows, 1)))
+        assert np.array_equal(src[local], np.tile(graph.indices, (rows, 1)))
 
     def test_permutations_match_key_segments(self):
         graph = barabasi_albert(40, 3, seed=2)
@@ -95,7 +95,8 @@ class TestSuccessorBlock:
 
     def test_route_table_is_row_zero(self):
         graph = barabasi_albert(50, 2, seed=3)
-        assert np.array_equal(RouteTable(graph, seed=9)._edge_successor, _block(graph, 9, 4)[0])
+        table = RouteTable(graph, seed=9)
+        assert np.array_equal(table._edge_successor, _block(graph, 9, 4)[0])
 
     def test_row_blocks_read_one_stream(self, monkeypatch):
         graph = barabasi_albert(30, 2, seed=5)
@@ -170,8 +171,10 @@ class TestRouteTelemetry:
 
     def test_sybillimit_block(self):
         graph = barabasi_albert(50, 2, seed=14)
-        defense = SybilLimit(graph, SybilLimitConfig(num_routes=6, route_length=5))
         with telemetry.activate() as tel:
+            defense = SybilLimit(
+                graph, SybilLimitConfig(num_routes=6, route_length=5)
+            )
             defense.verify_all(0, range(10))
             defense.verify_all(1, range(10))
         assert tel.counter("sybil.routes.hops") == graph.num_nodes * 6 * 4
