@@ -59,7 +59,6 @@ __all__ = [
     "distribute_tickets",
     "sumup_flow_graph",
     "route_permutations",
-    "route",
     "sybilguard_routes",
     "sybilguard_verify",
     "sybilguard_registry",
@@ -439,13 +438,6 @@ def _route(
         enter = int(np.searchsorted(nbrs, path[-2]))
         path.append(int(nbrs[perms[path[-1]][enter]]))
     return np.asarray(path, dtype=np.int64)
-
-
-def route(
-    graph: Graph, seed: int, source: int, first_hop: int, length: int
-) -> np.ndarray:
-    """Per-hop twin of :meth:`repro.markov.RouteTable.route`."""
-    return _route(graph, route_permutations(graph, seed), source, first_hop, length)
 
 
 def sybilguard_routes(guard: SybilGuard) -> list[list[np.ndarray]]:
