@@ -43,7 +43,6 @@ def format_series(
     ys: Sequence[object],
     x_label: str = "x",
     y_label: str = "y",
-    title: str | None = None,
     max_points: int = 25,
 ) -> str:
     """Render an (x, y) series as two aligned columns.
@@ -62,4 +61,4 @@ def format_series(
     else:
         picks = list(range(count))
     rows = [(xs[i], ys[i]) for i in picks]
-    return format_table([x_label, y_label], rows, title=title)
+    return format_table([x_label, y_label], rows)

@@ -61,19 +61,19 @@ DEFAULT_CHUNK_SIZE = 128
 MAX_DEFAULT_WORKERS = 8
 
 
-def default_workers(cap: int = MAX_DEFAULT_WORKERS) -> int:
+def default_workers() -> int:
     """Worker count derived from the machine, for callers with no opinion.
 
     Uses the scheduling affinity mask when the platform exposes one
     (containers often grant fewer cores than ``os.cpu_count`` reports),
-    capped at ``cap``; always at least 1.  The CLI and the benchmarks
-    use this instead of hard-coded worker counts.
+    capped at :data:`MAX_DEFAULT_WORKERS`; always at least 1.  The CLI
+    and the benchmarks use this instead of hard-coded worker counts.
     """
     try:
         available = len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         available = os.cpu_count() or 1
-    return max(1, min(available, cap))
+    return max(1, min(available, MAX_DEFAULT_WORKERS))
 
 
 def validate_sources(

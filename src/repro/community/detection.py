@@ -33,20 +33,18 @@ def partition_map(labels: np.ndarray) -> dict[int, np.ndarray]:
     }
 
 
-def label_propagation(
-    graph: Graph, max_rounds: int = 100, seed: int = 0
-) -> np.ndarray:
+def label_propagation(graph: Graph, seed: int = 0) -> np.ndarray:
     """Return community labels by asynchronous label propagation.
 
     Each node repeatedly adopts its neighborhood's majority label (ties
-    broken uniformly at random) until no label changes or ``max_rounds``
-    is hit.  Labels are renumbered contiguously before returning.
+    broken uniformly at random) until no label changes or 100 rounds
+    have run.  Labels are renumbered contiguously before returning.
     """
     if graph.num_nodes == 0:
         raise GraphError("label propagation needs a non-empty graph")
     rng = np.random.default_rng(seed)
     labels = np.arange(graph.num_nodes, dtype=np.int64)
-    for _ in range(max_rounds):
+    for _ in range(100):
         changed = False
         for node in rng.permutation(graph.num_nodes):
             nbrs = graph.neighbors(int(node))
@@ -90,7 +88,6 @@ def modularity(graph: Graph, labels: np.ndarray) -> float:
 def _local_moving(
     adjacency: list[dict[int, float]],
     node_weight: np.ndarray,
-    self_loops: np.ndarray,
     two_m: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -129,12 +126,13 @@ def _local_moving(
     return labels
 
 
-def greedy_modularity(graph: Graph, seed: int = 0, max_levels: int = 10) -> np.ndarray:
+def greedy_modularity(graph: Graph, seed: int = 0) -> np.ndarray:
     """Return community labels from multi-level Louvain optimization.
 
     Runs local moving (each node greedily joins the neighbor community
     with the best modularity gain), then coarsens communities into
-    super-nodes and repeats until modularity stops improving.
+    super-nodes and repeats until modularity stops improving, for at
+    most 10 levels.
     """
     if graph.num_nodes == 0:
         raise GraphError("greedy modularity needs a non-empty graph")
@@ -148,10 +146,9 @@ def greedy_modularity(graph: Graph, seed: int = 0, max_levels: int = 10) -> np.n
         {int(v): 1.0 for v in graph.neighbors(u)} for u in range(graph.num_nodes)
     ]
     node_weight = graph.degrees.astype(float)
-    self_loops = np.zeros(graph.num_nodes)
     assignment = np.arange(graph.num_nodes, dtype=np.int64)  # node -> community
-    for _ in range(max_levels):
-        labels = _local_moving(adjacency, node_weight, self_loops, two_m, rng)
+    for _ in range(10):
+        labels = _local_moving(adjacency, node_weight, two_m, rng)
         unique, compact = np.unique(labels, return_inverse=True)
         if unique.size == len(adjacency):
             break  # no merges: converged
@@ -159,19 +156,15 @@ def greedy_modularity(graph: Graph, seed: int = 0, max_levels: int = 10) -> np.n
         # coarsen: communities become super-nodes with aggregated weights
         new_n = unique.size
         new_adj: list[dict[int, float]] = [{} for _ in range(new_n)]
-        new_self = np.zeros(new_n)
         new_weight = np.zeros(new_n)
         for node, nbrs in enumerate(adjacency):
             a = int(compact[node])
             new_weight[a] += node_weight[node]
-            new_self[a] += self_loops[node]
             for nbr, w in nbrs.items():
                 b = int(compact[nbr])
-                if a == b:
-                    new_self[a] += w / 2.0
-                else:
+                if a != b:  # an inner edge counts only in the weight
                     new_adj[a][b] = new_adj[a].get(b, 0.0) + w
-        adjacency, node_weight, self_loops = new_adj, new_weight, new_self
+        adjacency, node_weight = new_adj, new_weight
     _, renumbered = np.unique(assignment, return_inverse=True)
     return renumbered.astype(np.int64)
 

@@ -23,8 +23,8 @@ Determinism: block ``b`` is generated from
 ``SeedSequence([seed, b])`` regardless of how the iterator is
 consumed, so a stream is fully described by
 ``(num_nodes, regime, seed, block_nodes, spec)`` —
-:func:`stream_fingerprint` hashes exactly that tuple for
-:mod:`repro.store` keying of downstream artifacts.
+:func:`stream_fingerprint` hashes exactly that tuple (at the default
+block size) for :mod:`repro.store` keying of downstream artifacts.
 """
 
 from __future__ import annotations
@@ -81,9 +81,7 @@ STREAM_REGIMES: dict[str, StreamSpec] = {
 }
 
 
-def _resolve_spec(regime: str | StreamSpec) -> StreamSpec:
-    if isinstance(regime, StreamSpec):
-        return regime
+def _resolve_spec(regime: str) -> StreamSpec:
     spec = STREAM_REGIMES.get(regime)
     if spec is None:
         raise DatasetError(
@@ -95,7 +93,7 @@ def _resolve_spec(regime: str | StreamSpec) -> StreamSpec:
 
 def stream_analog_edges(
     num_nodes: int,
-    regime: str | StreamSpec = "fast",
+    regime: str = "fast",
     seed: int = 0,
     block_nodes: int = _DEFAULT_BLOCK_NODES,
 ) -> Iterator[np.ndarray]:
@@ -114,24 +112,20 @@ def stream_analog_edges(
     if block_nodes < 1:
         raise DatasetError("block_nodes must be positive")
     spec = _resolve_spec(regime)
-    if spec.regime not in ("fast", "slow"):
-        raise DatasetError(f"unknown streaming regime {spec.regime!r}")
     for block_index, start in enumerate(range(0, num_nodes, block_nodes)):
         stop = min(start + block_nodes, num_nodes)
         rng = np.random.default_rng(
             np.random.SeedSequence([int(seed), int(block_index)])
         )
-        yield _generate_block(rng, start, stop, num_nodes, spec)
+        yield _generate_block(rng, start, stop, spec)
 
 
 def _generate_block(
-    rng: np.random.Generator, start: int, stop: int, num_nodes: int, spec: StreamSpec
+    rng: np.random.Generator, start: int, stop: int, spec: StreamSpec
 ) -> np.ndarray:
     nodes = np.arange(max(start, 1), stop, dtype=np.int64)
     path = np.stack([nodes - 1, nodes], axis=1)
     k = int(spec.extra_edges_per_node)
-    if k <= 0:
-        return path
     sources = np.repeat(np.arange(start, stop, dtype=np.int64), k)
     draws = rng.random(sources.size)
     if spec.regime == "fast":
@@ -155,17 +149,13 @@ def _generate_block(
     return np.concatenate([path, extra], axis=0)
 
 
-def stream_fingerprint(
-    num_nodes: int,
-    regime: str | StreamSpec = "fast",
-    seed: int = 0,
-    block_nodes: int = _DEFAULT_BLOCK_NODES,
-) -> str:
+def stream_fingerprint(num_nodes: int, regime: str = "fast", seed: int = 0) -> str:
     """Return the SHA-256 fingerprint identifying one edge stream.
 
-    Two calls with equal parameters denote byte-identical streams, so
-    the fingerprint can key cached artifacts in :mod:`repro.store`
-    *before* any edges are generated (the generation stage itself).
+    Two calls with equal parameters denote byte-identical streams (at
+    the default block size), so the fingerprint can key cached
+    artifacts in :mod:`repro.store` *before* any edges are generated
+    (the generation stage itself).
     """
     spec = _resolve_spec(regime)
     payload = json.dumps(
@@ -174,7 +164,7 @@ def stream_fingerprint(
             "version": _STREAM_VERSION,
             "num_nodes": int(num_nodes),
             "seed": int(seed),
-            "block_nodes": int(block_nodes),
+            "block_nodes": _DEFAULT_BLOCK_NODES,
             "spec": asdict(spec),
         },
         sort_keys=True,
@@ -186,23 +176,21 @@ def stream_fingerprint(
 def build_sharded_analog(
     root: str | Path,
     num_nodes: int,
-    regime: str | StreamSpec = "fast",
+    regime: str = "fast",
     seed: int = 0,
-    block_nodes: int = _DEFAULT_BLOCK_NODES,
     num_shards: int | None = None,
     nodes_per_shard: int | None = None,
     max_resident_shards: int | None = None,
 ) -> ShardedGraph:
     """Stream an analog directly into a sharded on-disk graph.
 
-    The edge stream from :func:`stream_analog_edges` feeds
+    The edge stream from :func:`stream_analog_edges`, at the default
+    block size, feeds
     :meth:`~repro.graph.shard.ShardedGraph.from_edge_blocks`, so the
     full edge list never materializes; peak memory is one shard bucket
     plus the scatter buffers.
     """
-    blocks = stream_analog_edges(
-        num_nodes, regime=regime, seed=seed, block_nodes=block_nodes
-    )
+    blocks = stream_analog_edges(num_nodes, regime=regime, seed=seed)
     return ShardedGraph.from_edge_blocks(
         blocks,
         num_nodes,

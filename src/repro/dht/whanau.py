@@ -44,16 +44,15 @@ KEY_SPACE = 1 << 32
 class WhanauConfig:
     """Whānau parameters.
 
-    The paper sets table sizes Theta(sqrt(km)) for k keys; here they are
-    explicit knobs with sqrt-scaled defaults chosen at build time when
-    left None.  ``walk_length`` defaults to ``ceil(2 log2 n)``, the
-    mixing-time stand-in used throughout this library.
+    The paper sets table sizes Theta(sqrt(km)) for k keys; here the
+    successor tables, and the finger tables when ``num_fingers`` is
+    None, get ``max(ceil(sqrt(k)), 4)`` entries.  Sampling walks take
+    ``max(2, ceil(2 log2 n))`` steps, the mixing-time stand-in used
+    throughout this library.
     """
 
     num_layers: int = 3
     num_fingers: int | None = None
-    num_successors: int | None = None
-    walk_length: int | None = None
     lookup_retries: int = 4
     seed: int = 0
 
@@ -62,8 +61,6 @@ class WhanauConfig:
             raise SybilDefenseError("num_layers must be positive")
         if self.num_fingers is not None and self.num_fingers < 1:
             raise SybilDefenseError("num_fingers must be positive")
-        if self.num_successors is not None and self.num_successors < 1:
-            raise SybilDefenseError("num_successors must be positive")
         if self.lookup_retries < 1:
             raise SybilDefenseError("lookup_retries must be positive")
 
@@ -142,8 +139,8 @@ class Whanau:
         cfg = self._config
         scale = max(int(np.ceil(np.sqrt(total_keys))), 4)
         self._num_fingers = cfg.num_fingers or scale
-        self._num_successors = cfg.num_successors or scale
-        self._walk_length = cfg.walk_length or max(2, int(np.ceil(2 * np.log2(n))))
+        self._num_successors = scale
+        self._walk_length = max(2, int(np.ceil(2 * np.log2(n))))
         self._rng = np.random.default_rng(cfg.seed)
         # every walk-sampling stage draws its engine seed from this
         # root (spawn counter advances deterministically), keeping
@@ -178,9 +175,7 @@ class Whanau:
             seed=self._walk_seed_root.spawn(1)[0],
         )
 
-    def _sample_uniform_block(
-        self, sources: np.ndarray, attempts: int = 16
-    ) -> np.ndarray:
+    def _sample_uniform_block(self, sources: np.ndarray) -> np.ndarray:
         """Walk-sample one peer per source, rejection-corrected toward uniform.
 
         Raw walk endpoints are degree biased (stationary ~ deg/2m), so
@@ -189,15 +184,16 @@ class Whanau:
         endpoint v with probability min-degree/deg(v) (the standard
         Metropolis correction used in social-graph sampling) restores a
         near-uniform key sample while still only using random walks.
-        Each rejection round resamples every still-unaccepted source in
-        one block; a source never accepted keeps its last attempt.
+        Each of 16 rejection rounds resamples every still-unaccepted
+        source in one block; a source never accepted keeps its last
+        attempt.
         """
         sources = np.asarray(sources, dtype=np.int64)
         degrees = self._graph.degrees
         floor = max(int(degrees[degrees > 0].min()), 1)
         result = sources.copy()
         active = np.arange(result.size)
-        for _ in range(attempts):
+        for _ in range(16):
             if active.size == 0:
                 break
             peers = self._sample_block(sources[active])
@@ -351,18 +347,12 @@ class Whanau:
                         )
         return LookupResult(key=key, source=source, found_owner=None, tries=tries)
 
-    def lookup_success_rate(
-        self,
-        num_lookups: int = 200,
-        sources: np.ndarray | None = None,
-        seed: int = 0,
-    ) -> float:
-        """Measure the fraction of successful honest-node lookups."""
+    def lookup_success_rate(self, num_lookups: int = 200, seed: int = 0) -> float:
+        """Measure the fraction of successful lookups from honest nodes."""
         if num_lookups < 1:
             raise SybilDefenseError("num_lookups must be positive")
         rng = np.random.default_rng(seed)
-        honest_nodes = np.flatnonzero(self._honest)
-        pool = honest_nodes if sources is None else np.asarray(sources)
+        pool = np.flatnonzero(self._honest)
         keys = sorted(self._owner)
         hits = 0
         for _ in range(num_lookups):

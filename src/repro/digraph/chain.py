@@ -74,12 +74,13 @@ def directed_transition_matrix(
     return (damping * stochastic + (1.0 - damping) * teleport).tocsr()
 
 
-def directed_stationary(
-    digraph: DiGraph,
-    damping: float = 0.85,
-    tol: float = 1e-12,
-    max_iterations: int = 10_000,
-) -> np.ndarray:
+#: Power iteration stops when one step moves the distribution by less
+#: than this in L1, and gives up after ``_MAX_ITERATIONS`` steps.
+_STATIONARY_TOL = 1e-12
+_MAX_ITERATIONS = 10_000
+
+
+def directed_stationary(digraph: DiGraph, damping: float = 0.85) -> np.ndarray:
     """Return the stationary distribution by power iteration.
 
     Unlike the undirected chain there is no closed form: the directed
@@ -88,16 +89,16 @@ def directed_stationary(
     matrix = directed_transition_matrix(digraph, damping=damping)
     n = digraph.num_nodes
     dist = np.full(n, 1.0 / n)
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         nxt = matrix.T @ dist
         nxt /= nxt.sum()
-        if np.abs(nxt - dist).sum() < tol:
+        if np.abs(nxt - dist).sum() < _STATIONARY_TOL:
             return nxt
         dist = nxt
     raise ConvergenceError(
         "power iteration did not converge; the raw chain may be periodic "
         "or reducible — use damping < 1",
-        iterations=max_iterations,
+        iterations=_MAX_ITERATIONS,
     )
 
 

@@ -16,20 +16,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.errors import GraphError, NodeNotFoundError
-from repro.graph.core import Graph
+from repro.graph.core import Graph, _node_pairs
 
 __all__ = ["DiGraph"]
 
 
 def _canonical_arcs(edges: Iterable[tuple[int, int]]) -> np.ndarray:
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-    if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise GraphError(f"arc array must have shape (k, 2), got {arr.shape}")
-    arr = arr.astype(np.int64, copy=False)
-    if arr.min() < 0:
-        raise GraphError("node ids must be non-negative")
+    arr = _node_pairs(edges, "arc array")
     keep = arr[:, 0] != arr[:, 1]  # drop self loops
     return np.unique(arr[keep], axis=0)
 

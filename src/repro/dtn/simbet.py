@@ -135,29 +135,32 @@ class SimBetRouter:
         return best
 
 
+#: Chance per round of one encounter with a uniformly random node.
+_STRANGER_PROBABILITY = 0.1
+
+
 def simulate_delivery(
     graph: Graph,
     num_messages: int = 100,
     max_rounds: int = 30,
     strategy: str = "simbet",
-    alpha: float = 0.5,
     contacts_per_round: int = 3,
-    stranger_probability: float = 0.1,
     seed: int = 0,
 ) -> DeliveryStats:
     """Simulate single-copy message delivery over DTN contact rounds.
 
     Contact model: each round the current message holder encounters
     ``contacts_per_round`` uniformly random *social neighbors* (with
-    replacement), plus — with probability ``stranger_probability`` —
-    one uniformly random node (the chance encounter that real mobility
-    traces contain; without it every single-copy scheme deadlocks at
-    its first local utility maximum).
+    replacement), plus — with probability 0.1 — one uniformly random
+    node (the chance encounter that real mobility traces contain;
+    without it every single-copy scheme deadlocks at its first local
+    utility maximum).
 
     ``strategy`` decides what to do with the encounter set:
 
     * ``"simbet"`` — hand over to the highest-utility encounter that
-      strictly improves on the holder;
+      strictly improves on the holder (:class:`SimBetRouter` with
+      ``alpha = 0.5``);
     * ``"random"``  — hand over to a random encounter (baseline);
     * ``"direct"``  — never hand over (delivery only when the holder
       encounters the destination itself — the floor).
@@ -168,14 +171,10 @@ def simulate_delivery(
         raise GraphError("strategy must be 'simbet', 'random' or 'direct'")
     if num_messages < 1 or max_rounds < 1:
         raise GraphError("num_messages and max_rounds must be positive")
-    if not 0.0 <= stranger_probability <= 1.0:
-        raise GraphError("stranger_probability must be in [0, 1]")
     if contacts_per_round < 1:
         raise GraphError("contacts_per_round must be positive")
     rng = np.random.default_rng(seed)
-    router = (
-        SimBetRouter(graph, alpha=alpha, seed=seed) if strategy == "simbet" else None
-    )
+    router = SimBetRouter(graph, seed=seed) if strategy == "simbet" else None
     delivered = 0
     hop_counts: list[int] = []
     round_counts: list[int] = []
@@ -192,7 +191,7 @@ def simulate_delivery(
             if nbrs.size:
                 picks = rng.integers(nbrs.size, size=contacts_per_round)
                 encounters.extend(int(nbrs[i]) for i in set(picks.tolist()))
-            if rng.random() < stranger_probability:
+            if rng.random() < _STRANGER_PROBABILITY:
                 stranger = int(rng.integers(graph.num_nodes))
                 if stranger != holder:
                     encounters.append(stranger)

@@ -305,23 +305,17 @@ def event_stream(
 
 
 def snapshots(
-    base: Graph,
-    model: ChurnModel | GrowthModel,
-    num_steps: int,
-    keep_largest_component: bool = True,
+    base: Graph, model: ChurnModel | GrowthModel, num_steps: int
 ) -> Iterator[Graph]:
     """Yield ``num_steps + 1`` snapshots: the base, then each evolution step.
 
-    With ``keep_largest_component`` each yielded snapshot is restricted
-    to its largest component (churn can orphan nodes), but evolution
-    continues from the full graph.
+    Each yielded snapshot is restricted to its largest component (churn
+    can orphan nodes), but evolution continues from the full graph.
     """
     if num_steps < 0:
         raise GraphError("num_steps must be non-negative")
 
     def clean(graph: Graph) -> Graph:
-        if not keep_largest_component:
-            return graph
         lcc, _ = largest_connected_component(graph)
         return lcc
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.chunking import validate_sources
 from repro.errors import GraphError
 from repro.graph.core import Graph
 from repro.graph.traversal import bfs_level_sizes_block, bfs_levels
@@ -114,14 +115,7 @@ def _cores(
             "frontier to measure)"
         )
     if sources is not None:
-        chosen = np.asarray(list(sources), dtype=np.int64)
-        if chosen.size == 0:
-            raise GraphError("at least one source is required")
-        if chosen.min() < 0 or chosen.max() >= graph.num_nodes:
-            raise GraphError(
-                f"sources must be node ids in [0, {graph.num_nodes})"
-            )
-        chosen = np.unique(chosen)
+        chosen = np.unique(validate_sources(graph.num_nodes, sources))
     elif num_sources is not None and num_sources < graph.num_nodes:
         rng = np.random.default_rng(seed)
         chosen = np.sort(rng.choice(graph.num_nodes, size=num_sources, replace=False))

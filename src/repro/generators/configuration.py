@@ -73,14 +73,10 @@ def configuration_model(degrees: np.ndarray, seed: int = 0) -> Graph:
 
 
 def powerlaw_configuration_graph(
-    num_nodes: int,
-    exponent: float,
-    min_degree: int = 2,
-    max_degree: int | None = None,
-    seed: int = 0,
+    num_nodes: int, exponent: float, min_degree: int = 2, seed: int = 0
 ) -> Graph:
     """Convenience wrapper: power-law sequence -> erased configuration model."""
     degrees = powerlaw_degree_sequence(
-        num_nodes, exponent, min_degree=min_degree, max_degree=max_degree, seed=seed
+        num_nodes, exponent, min_degree=min_degree, seed=seed
     )
     return configuration_model(degrees, seed=seed + 1)

@@ -18,7 +18,7 @@ from collections import deque
 import numpy as np
 
 from repro import parallel
-from repro.chunking import DEFAULT_CHUNK_SIZE
+from repro.chunking import DEFAULT_CHUNK_SIZE, validate_sources
 from repro.errors import EmptyGraphError, GraphError
 from repro.graph.core import Graph
 from repro.graph.traversal import bfs_distances_block
@@ -63,13 +63,13 @@ def betweenness_centrality(
     graph: Graph,
     normalized: bool = True,
     sources: np.ndarray | list[int] | None = None,
-    seed: int = 0,
 ) -> np.ndarray:
     """Return (shortest-path) betweenness centrality per node.
 
-    With ``sources`` given (or sampled), computes the standard sampled
-    estimator: dependencies from the chosen sources only, rescaled by
-    ``n / len(sources)``.  Exact when sources is None.
+    With ``sources`` given (a sample the caller drew), computes the
+    standard sampled estimator: dependencies from the distinct sources
+    only, rescaled by ``n`` over their count.  Exact when sources is
+    None.
     """
     n = graph.num_nodes
     if n == 0:
@@ -77,11 +77,9 @@ def betweenness_centrality(
     if sources is None:
         chosen = np.arange(n, dtype=np.int64)
     else:
-        chosen = np.unique(np.asarray(list(sources), dtype=np.int64))
+        chosen = np.unique(validate_sources(n, sources))
         if chosen.size == 0:
             raise GraphError("at least one source is required")
-        if chosen[0] < 0 or chosen[-1] >= n:
-            raise GraphError("sources must be valid node ids")
     dependency = np.zeros(n)
     for source in chosen:
         _brandes_single_source(graph, int(source), dependency)

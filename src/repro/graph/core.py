@@ -35,25 +35,35 @@ if TYPE_CHECKING:
 __all__ = ["Graph"]
 
 
+def _node_pairs(pairs: Iterable[tuple[int, int]], what: str) -> np.ndarray:
+    """Return node-id pairs as a checked ``(k, 2)`` int64 array.
+
+    The input may be any iterable of pairs or a ``(k, 2)`` array-like;
+    an empty one of any dtype gives a ``(0, 2)`` array.  Rejects another
+    shape, a non-integer dtype (``astype`` would silently truncate
+    ``(0, 1.7)`` to ``(0, 1)``) and negative ids; ``what`` names the
+    pairs in the shape error.
+    """
+    arr = np.asarray(list(pairs) if not isinstance(pairs, np.ndarray) else pairs)
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise GraphError(f"{what} must have shape (k, 2), got {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise GraphError(f"node ids must have an integer dtype, got {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    if arr.min() < 0:
+        raise GraphError("node ids must be non-negative")
+    return arr
+
+
 def _canonical_edge_array(edges: Iterable[tuple[int, int]]) -> np.ndarray:
     """Return a deduplicated ``(k, 2)`` array of canonical (u < v) edges.
 
     Self loops are dropped; parallel edges collapse to one.  The input may
     be any iterable of integer pairs or an ``(k, 2)`` array-like.
     """
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-    if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise GraphError(f"edge array must have shape (k, 2), got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        # astype would silently truncate (0, 1.7) -> (0, 1); refuse instead.
-        raise GraphError(
-            f"node ids must have an integer dtype, got {arr.dtype}"
-        )
-    arr = arr.astype(np.int64, copy=False)
-    if arr.min() < 0:
-        raise GraphError("node ids must be non-negative")
+    arr = _node_pairs(edges, "edge array")
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     keep = lo != hi  # drop self loops

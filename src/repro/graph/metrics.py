@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.chunking import validate_sources
 from repro.errors import EmptyGraphError, GraphError
 from repro.graph.core import Graph
 from repro.graph.traversal import bfs_distances, bfs_level_sizes_block
@@ -74,7 +75,7 @@ def eccentricities(
     chosen = (
         np.arange(graph.num_nodes, dtype=np.int64)
         if sources is None
-        else np.asarray(list(sources), dtype=np.int64)
+        else validate_sources(graph.num_nodes, sources)
     )
     if chosen.size == 0:
         return np.empty(0, dtype=np.int64)

@@ -50,7 +50,7 @@ from scipy.sparse import _sparsetools
 
 from repro import telemetry
 from repro.errors import GraphError
-from repro.graph.core import Graph
+from repro.graph.core import Graph, _node_pairs
 
 __all__ = [
     "Shard",
@@ -565,17 +565,8 @@ def _check_manifest(manifest) -> None:
 
 
 def _validate_edge_block(block: np.ndarray, num_nodes: int) -> np.ndarray:
-    arr = np.asarray(block)
-    if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise GraphError(f"edge block must have shape (k, 2), got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise GraphError(f"node ids must have an integer dtype, got {arr.dtype}")
-    arr = arr.astype(np.int64, copy=False)
-    if arr.min() < 0:
-        raise GraphError("node ids must be non-negative")
-    if arr.max() >= num_nodes:
+    arr = _node_pairs(block, "edge block")
+    if arr.size and arr.max() >= num_nodes:
         raise GraphError(
             f"edge block references node {int(arr.max())} outside "
             f"[0, {num_nodes})"

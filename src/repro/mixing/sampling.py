@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.chunking import validate_sources
 from repro.errors import GraphError
 from repro.graph.core import Graph
 from repro.graph.shard import ShardedGraph
@@ -88,7 +89,7 @@ def _profile_inputs(
         count = min(num_sources, graph.num_nodes)
         chosen = rng.choice(graph.num_nodes, size=count, replace=False)
     else:
-        chosen = np.asarray(list(sources), dtype=np.int64)
+        chosen = validate_sources(graph.num_nodes, sources)
         if chosen.size == 0:
             raise GraphError("sources must be non-empty")
     return lengths, np.sort(chosen)
@@ -168,7 +169,6 @@ def sampled_mixing_time(
     epsilon: float | None = None,
     max_length: int = 200,
     num_sources: int = 100,
-    lazy: bool = False,
     seed: int = 0,
 ) -> int | None:
     """Estimate ``T(eps)`` by the sampling method.
@@ -182,7 +182,6 @@ def sampled_mixing_time(
         graph,
         walk_lengths=np.arange(1, max_length + 1),
         num_sources=num_sources,
-        lazy=lazy,
         seed=seed,
     )
     return mixing_time_from_profile(profile, eps, aggregate="max")

@@ -214,15 +214,14 @@ def _lanczos_slem(graph: Graph | ShardedGraph) -> float:
 def slem(graph: Graph | ShardedGraph, dense_threshold: int = 400) -> float:
     """Return the second largest eigenvalue modulus of P.
 
-    Graphs of at most ``dense_threshold`` nodes are solved densely with
-    ``eigvalsh``, the test oracle.  Larger ones run Lanczos on the
-    normalized adjacency as a matrix-free operator, with its known top
-    eigenvector ``sqrt(deg)`` projected out, so one eigenvalue is asked
-    for; a bipartite one returns exactly 1.0 with no eigensolve, since
-    its walk is periodic (the dense solve gives it 1 up to rounding).
-    The operator streams the graph's row blocks, so a
-    :class:`~repro.graph.shard.ShardedGraph` takes the in-RAM path
-    without a global matrix.  The Lanczos result is within
+    A bipartite graph returns exactly 1.0 with no eigensolve, since its
+    walk is periodic.  Other graphs of at most ``dense_threshold`` nodes
+    are solved densely with ``eigvalsh``, the test oracle.  Larger ones
+    run Lanczos on the normalized adjacency as a matrix-free operator,
+    with its known top eigenvector ``sqrt(deg)`` projected out, so one
+    eigenvalue is asked for.  The operator streams the graph's row
+    blocks, so a :class:`~repro.graph.shard.ShardedGraph` takes the
+    in-RAM path without a global matrix.  The Lanczos result is within
     ``1e-5 * (1 - mu)`` and ``1e-6`` of the SLEM, the accuracy the
     Sinclair bounds need (see :func:`_lanczos_slem`).
 
@@ -244,15 +243,16 @@ def slem(graph: Graph | ShardedGraph, dense_threshold: int = 400) -> float:
     if n < 2:
         raise GraphError("SLEM needs at least 2 nodes")
     with telemetry.current().span("mixing.slem"):
-        periodic = _is_periodic(graph)
+        if _is_periodic(graph):
+            return 1.0
         if n <= dense_threshold:
             return _dense_slem(_normalized_apply(graph)(np.eye(n)))
-        return 1.0 if periodic else _lanczos_slem(graph)
+        return _lanczos_slem(graph)
 
 
-def spectral_gap(graph: Graph, **kwargs: float) -> float:
+def spectral_gap(graph: Graph) -> float:
     """Return ``1 - slem(graph)``, the spectral gap of the chain."""
-    return 1.0 - slem(graph, **kwargs)
+    return 1.0 - slem(graph)
 
 
 @dataclass(frozen=True)
@@ -302,9 +302,8 @@ def mixing_bounds(
     the audits give a two-node graph.
     """
     n = graph.num_nodes
-    # a periodic chain's SLEM is 1 (up to the dense solve's rounding),
-    # so the BFS runs only then
-    if n > 2 and math.isclose(mu, 1.0) and _is_periodic(graph):
+    # a periodic chain's SLEM is exactly 1, so the BFS runs only then
+    if n > 2 and mu == 1.0 and _is_periodic(graph):
         return None
     return sinclair_bounds(mu, n, epsilon=1 / n if epsilon is None else epsilon)
 
@@ -325,17 +324,15 @@ def spectral_summary(
     return {"slem": mu, "bounds": bounds, "fast": bool(fast)}
 
 
-def spectral_mixing_time(
-    graph: Graph, epsilon: float | None = None, **slem_kwargs: float
-) -> MixingBounds:
+def spectral_mixing_time(graph: Graph) -> MixingBounds:
     """Measure SLEM then return Sinclair bounds (:func:`mixing_bounds`).
 
-    ``epsilon`` defaults to ``1/n``, the fast-mixing threshold scale
+    The bounds are at ``eps = 1/n``, the fast-mixing threshold scale
     used throughout the paper (``eps = Theta(1/n)``).  A bipartite
     graph raises :class:`~repro.errors.GraphError`: its walk is periodic
-    and has no mixing time, whichever path solved its SLEM.
+    and has no mixing time.
     """
-    bounds = mixing_bounds(graph, slem(graph, **slem_kwargs), epsilon)
+    bounds = mixing_bounds(graph, slem(graph))
     if bounds is None:
         raise GraphError("no finite mixing time: periodic chain (bipartite graph)")
     return bounds

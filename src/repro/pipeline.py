@@ -697,7 +697,6 @@ def paper_measurement_pipeline(
     seed: int = 0,
     num_sources: int = 50,
     walk_lengths: Sequence[int] | None = None,
-    num_controllers: int = 2,
     store: ArtifactStore | None = None,
     workers: int | None = None,
     executor: str | None = None,
@@ -715,7 +714,7 @@ def paper_measurement_pipeline(
         spectral_stage(num_sources, seed),
         cores_stage(),
         expansion_stage(num_sources, seed),
-        gatekeeper_stage(target, num_controllers=num_controllers, seed=seed),
+        gatekeeper_stage(target, seed=seed),
     ]
 
     def tables(deps: dict[str, Any]) -> dict[str, Any]:
@@ -734,7 +733,7 @@ def paper_measurement_pipeline(
                 "seed": seed,
                 "target": target,
                 "walk_lengths": measured[0].params["walk_lengths"],
-                "num_controllers": num_controllers,
+                "num_controllers": measured[4].params["num_controllers"],
             },
         ),
     ]

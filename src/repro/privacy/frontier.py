@@ -290,7 +290,6 @@ def _measure_point(
 def privacy_utility_frontier(
     honest: Graph,
     ts: Sequence[int] = (0, 1, 2, 5, 10),
-    num_attack_edges: int | None = None,
     topology: str = "powerlaw",
     defenses: tuple[str, ...] = DEFENSE_NAMES,
     suspect_sample: int = 120,
@@ -302,7 +301,8 @@ def privacy_utility_frontier(
     """Sweep the perturbation knob and measure the privacy-utility frontier.
 
     Attaches the standard Sybil attack scenario to ``honest`` (same
-    construction as the comparison harness), then for each ``t`` in
+    construction as the comparison harness, with its default
+    ``max(n // 20, 5)`` attack edges), then for each ``t`` in
     ``ts`` perturbs the combined graph with
     :func:`~repro.privacy.perturb.perturb_links` and measures the
     mixing TVD profile, SLEM and sampled mixing time (on the LCC), core
@@ -317,7 +317,7 @@ def privacy_utility_frontier(
     """
     levels = _validate_ts(ts)
     lengths = _walk_lengths(walk_lengths)
-    attack = standard_attack(honest, num_attack_edges, seed=seed, topology=topology)
+    attack = standard_attack(honest, seed=seed, topology=topology)
     tel = telemetry.current()
     with tel.span("privacy.frontier"):
         points = [

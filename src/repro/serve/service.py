@@ -49,7 +49,7 @@ from repro.serve.overlay import CompactionPolicy, GraphOverlay
 from repro.store import ArtifactStore, graph_digest, memoize
 from repro.sybil.escape import EscapeMeasurement, escape_profile
 from repro.sybil.gatekeeper import GateKeeper, GateKeeperConfig
-from repro.sybil.sybilrank import SybilRank, SybilRankConfig
+from repro.sybil.sybilrank import SybilRank
 
 __all__ = [
     "ServiceConfig",
@@ -59,33 +59,32 @@ __all__ = [
 ]
 
 
+#: GateKeeper distributors per snapshot, deliberately fewer than the
+#: GateKeeper paper default: a serving path warms one reach set per
+#: distributor.
+NUM_DISTRIBUTORS = 25
+
+#: Walk lengths of an escape query that names none.
+_ESCAPE_LENGTHS = (2, 5, 10, 20)
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Query-engine parameters for one :class:`AdmissionService`.
 
-    ``trust_seeds`` pins the SybilRank seed set; when ``None`` the
-    service seeds the ``num_seeds`` highest-degree nodes of the initial
-    graph (restricted to the honest prefix when labels are present).
-    ``num_distributors`` is deliberately smaller than the GateKeeper
-    paper default: a serving path warms one reach set per distributor.
+    SybilRank seeds the ``num_seeds`` highest-degree nodes of the
+    initial graph (restricted to the honest prefix when labels are
+    present) and propagates for its default ``ceil(log2 n)`` rounds.
     """
 
     num_seeds: int = 5
-    trust_seeds: tuple[int, ...] | None = None
-    rank_iterations: int | None = None
-    num_distributors: int = 25
     admission_factor: float = 0.2
-    escape_lengths: tuple[int, ...] = (2, 5, 10, 20)
     escape_walks: int = 400
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_seeds < 1:
             raise ServeError("num_seeds must be positive")
-        if self.trust_seeds is not None and len(self.trust_seeds) == 0:
-            raise ServeError("trust_seeds must not be empty")
-        if self.num_distributors < 1:
-            raise ServeError("num_distributors must be positive")
         if not 0.0 < self.admission_factor <= 1.0:
             raise ServeError("admission_factor must be in (0, 1]")
         if self.escape_walks < 1:
@@ -348,7 +347,7 @@ class AdmissionService:
                 lambda: GateKeeper(
                     snapshot,
                     GateKeeperConfig(
-                        num_distributors=self._config.num_distributors,
+                        num_distributors=NUM_DISTRIBUTORS,
                         admission_factor=self._config.admission_factor,
                         seed=self._config.seed,
                     ),
@@ -360,7 +359,7 @@ class AdmissionService:
                 "serve.admission",
                 {
                     "controller": int(controller),
-                    "num_distributors": self._config.num_distributors,
+                    "num_distributors": NUM_DISTRIBUTORS,
                     "admission_factor": self._config.admission_factor,
                     "seed": self._config.seed,
                 },
@@ -415,12 +414,7 @@ class AdmissionService:
                 "service with num_honest set"
             )
         lengths = tuple(
-            int(w)
-            for w in (
-                walk_lengths
-                if walk_lengths is not None
-                else self._config.escape_lengths
-            )
+            int(w) for w in (_ESCAPE_LENGTHS if walk_lengths is None else walk_lengths)
         )
         walks = int(num_walks or self._config.escape_walks)
         snapshot, digest, warm, _, _ = self._query_state("escape")
@@ -469,11 +463,6 @@ class AdmissionService:
     # internals
     # ------------------------------------------------------------------
     def _resolve_seeds(self, graph: Graph) -> tuple[int, ...]:
-        if self._config.trust_seeds is not None:
-            seeds = tuple(sorted(int(s) for s in self._config.trust_seeds))
-            if seeds[0] < 0 or seeds[-1] >= graph.num_nodes:
-                raise ServeError("trust_seeds must be valid node ids")
-            return seeds
         limit = self._num_honest or graph.num_nodes
         degrees = graph.degrees[:limit]
         count = min(self._config.num_seeds, limit)
@@ -579,21 +568,17 @@ class AdmissionService:
         operator = self._warm_get(
             warm, "operator", lambda: get_operator(snapshot)
         )
-        iterations = self._config.rank_iterations
         return memoize(
             self._store,
             digest,
             "serve.trust",
+            # None (SybilRank's default round count) stays in the key
             {
                 "seeds": list(self._seeds),
-                "iterations": iterations,
+                "iterations": None,
                 "seed": self._config.seed,
             },
-            lambda: SybilRank(
-                snapshot,
-                SybilRankConfig(num_iterations=iterations),
-                operator=operator,
-            )
+            lambda: SybilRank(snapshot, operator=operator)
             .run(np.asarray(self._seeds, dtype=np.int64))
             .trust,
         )

@@ -130,11 +130,11 @@ class StoreStats:
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
 
-    def increment(self, counter: str, value: int = 1) -> None:
-        """Atomically add ``value`` to ``counter`` and mirror to telemetry."""
+    def increment(self, counter: str) -> None:
+        """Atomically add one to ``counter`` and mirror to telemetry."""
         with self._lock:
-            setattr(self, counter, getattr(self, counter) + value)
-        telemetry.current().count(f"store.{counter}", value)
+            setattr(self, counter, getattr(self, counter) + 1)
+        telemetry.current().count(f"store.{counter}")
 
     def as_line(self) -> str:
         """One-line summary, stable enough to grep in CI logs."""
@@ -259,11 +259,10 @@ class ArtifactStore:
         subject: Graph | str,
         stage: str,
         params: Mapping[str, Any] | None = None,
-        version: int = 1,
     ) -> bool:
-        """True when a readable entry exists (does not bump counters)."""
-        key = self.key_for(subject, stage, params, version=version)
-        return self._object_path(key).exists()
+        """True when a readable version-1 entry exists (does not bump
+        counters)."""
+        return self._object_path(self.key_for(subject, stage, params)).exists()
 
     def memoize(
         self,

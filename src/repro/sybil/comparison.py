@@ -156,7 +156,6 @@ def _run_defense(
     suspect_sample: int = 120,
     seed: int = 0,
     prior_config: PriorConfig | None = None,
-    fusion_config: FusionConfig | None = None,
 ) -> _DefenseRun:
     """Run one defense once on one attack scenario.
 
@@ -216,7 +215,7 @@ def _run_defense(
         priors = extract_priors(
             attack, trusted=verifier, config=prior_config or PriorConfig(seed=seed)
         )
-        config = fusion_config or FusionConfig(seed=seed)
+        config = FusionConfig(seed=seed)
         if defense == "sybilframe":
             result = SybilFrame(graph, config).run(verifier, priors)
             return scored(lambda: result.posterior, lambda: result.accepted(0.5))
@@ -274,34 +273,30 @@ def evaluate_defense(
     suspect_sample: int = 120,
     dataset: str = "unknown",
     seed: int = 0,
-    prior_config: PriorConfig | None = None,
-    fusion_config: FusionConfig | None = None,
 ) -> DefenseOutcome:
     """Run one defense on one attack scenario.
 
     ``verifier`` is the honest controller / verifier / trusted node /
-    vote collector, depending on the defense.  ``prior_config`` /
-    ``fusion_config`` parameterize the fusion defenses only.
+    vote collector, depending on the defense.
     """
-    return _run_defense(
-        attack, defense, verifier, suspect_sample, seed, prior_config, fusion_config
-    ).outcome(dataset)
+    return _run_defense(attack, defense, verifier, suspect_sample, seed).outcome(
+        dataset
+    )
 
 
 def compare_defenses(
     attack: SybilAttack,
     defenses: tuple[str, ...] = DEFENSE_NAMES,
-    verifier: int = 0,
     suspect_sample: int = 120,
     dataset: str = "unknown",
     seed: int = 0,
 ) -> list[DefenseOutcome]:
-    """Evaluate several defenses on the same attack scenario."""
+    """Evaluate several defenses on the same attack scenario, verified
+    from node 0."""
     return [
         evaluate_defense(
             attack,
             name,
-            verifier=verifier,
             suspect_sample=suspect_sample,
             dataset=dataset,
             seed=seed,
@@ -364,13 +359,13 @@ class DefenseScores:
 def defense_scores(
     attack: SybilAttack,
     defense: str,
-    verifier: int = 0,
     suspect_sample: int = 120,
     seed: int = 0,
     prior_config: PriorConfig | None = None,
-    fusion_config: FusionConfig | None = None,
 ) -> DefenseScores:
-    """Extract one defense's trust-score view of an attack scenario.
+    """Extract one defense's trust-score view of an attack scenario,
+    verified from node 0; ``prior_config`` parameterizes the fusion
+    defenses' priors.
 
     Score-producing defenses (ranking, SybilRank, SybilInfer,
     GateKeeper, SybilFrame, SybilFuse) score every node; the route- and
@@ -380,5 +375,6 @@ def defense_scores(
     midrank.
     """
     return _run_defense(
-        attack, defense, verifier, suspect_sample, seed, prior_config, fusion_config
+        attack, defense, suspect_sample=suspect_sample, seed=seed,
+        prior_config=prior_config,
     ).scores()

@@ -67,24 +67,29 @@ __all__ = [
 # ----------------------------------------------------------------------
 # (1) local prior extraction
 # ----------------------------------------------------------------------
+#: Weight of the saturating degree feature ``d / (d + _DEGREE_SCALE)``:
+#: wild Sybils cannot amass many accepted friendships.
+_DEGREE_WEIGHT = 0.5
+_DEGREE_SCALE = 5.0
+#: Penalty weight of *victim-edge exposure*: the fraction of a node's
+#: edges that are attack edges, the acceptance-behavior signal of the
+#: attack model (Sybils initiate them, victims accepted them).
+_EXPOSURE_WEIGHT = 2.0
+#: Weight of the simulated behavioral classifier (see :class:`PriorConfig`).
+_BEHAVIOR_WEIGHT = 1.2
+
+
 @dataclass(frozen=True)
 class PriorConfig:
     """Knobs of the local-evidence prior extractor.
 
     Every feature is strictly *local* (a node's prior never depends on
     edits elsewhere in the graph), which is what makes the fusion
-    defenses robust where global-structure defenses degrade:
+    defenses robust where global-structure defenses degrade.  The
+    features carry fixed weights; the config sets:
 
-    ``degree_weight``
-        Weight of the saturating degree feature ``d / (d + degree_scale)``
-        — wild Sybils cannot amass many accepted friendships.
-    ``exposure_weight``
-        Penalty weight of *victim-edge exposure*: the fraction of a
-        node's edges that are attack edges, the acceptance-behavior
-        signal of the attack model (Sybils initiate them, victims
-        accepted them).
-    ``behavior_weight``
-        Weight of the simulated behavioral classifier: a per-node
+    ``behavior_noise``
+        The simulated behavioral classifier is a per-node
         accept/decline-pattern observation that reports the true region
         flipped with probability ``behavior_noise`` (drawn from a
         per-node child stream of ``seed``, so observations are stable
@@ -94,10 +99,6 @@ class PriorConfig:
         receive a certain (0 or 1) prior for an unobserved node.
     """
 
-    degree_weight: float = 0.5
-    degree_scale: float = 5.0
-    exposure_weight: float = 2.0
-    behavior_weight: float = 1.2
     behavior_noise: float = 0.1
     floor: float = 0.05
     seed: int = 0
@@ -107,8 +108,6 @@ class PriorConfig:
             raise SybilDefenseError("floor must be in (0, 0.5)")
         if not 0.0 <= self.behavior_noise < 0.5:
             raise SybilDefenseError("behavior_noise must be in [0, 0.5)")
-        if self.degree_scale <= 0:
-            raise SybilDefenseError("degree_scale must be positive")
 
 
 def extract_priors(
@@ -118,7 +117,8 @@ def extract_priors(
 ) -> np.ndarray:
     """Return per-node honest-label priors in ``(0, 1)``.
 
-    Combines the three local features of :class:`PriorConfig` through a
+    Combines the three local features (degree, victim-edge exposure and
+    the behavioral observation of :class:`PriorConfig`) through a
     logistic squash, clips into ``[floor, 1 - floor]``, and pins the
     ``trusted`` node(s) to a near-certain honest prior (``1 - 1e-9``) —
     near-certainty makes their outgoing BP messages independent of
@@ -135,7 +135,7 @@ def extract_priors(
     tel = telemetry.current()
     with tel.span("sybil.fusion.priors"):
         degrees = graph.degrees.astype(float)
-        degree_feature = degrees / (degrees + cfg.degree_scale)
+        degree_feature = degrees / (degrees + _DEGREE_SCALE)
         exposure = np.zeros(n)
         if attack.num_attack_edges:
             np.add.at(exposure, attack.attack_edges[:, 0], 1.0)
@@ -154,9 +154,9 @@ def extract_priors(
             flipped = flips < cfg.behavior_noise
             honest_observed[flipped] = 1.0 - honest_observed[flipped]
         z = (
-            cfg.degree_weight * (2.0 * degree_feature - 1.0)
-            - cfg.exposure_weight * exposure_rate
-            + cfg.behavior_weight * (2.0 * honest_observed - 1.0)
+            _DEGREE_WEIGHT * (2.0 * degree_feature - 1.0)
+            - _EXPOSURE_WEIGHT * exposure_rate
+            + _BEHAVIOR_WEIGHT * (2.0 * honest_observed - 1.0)
         )
         priors = cfg.floor + (1.0 - 2.0 * cfg.floor) / (1.0 + np.exp(-z))
         priors[trusted_arr] = 1.0 - 1e-9
@@ -394,19 +394,15 @@ class FusionConfig:
     SybilFrame additionally modulates it per edge by prior agreement
     with amplitude ``confidence_range`` (an edge between nodes whose
     priors agree carries a stronger potential than one between a
-    likely-honest and a likely-Sybil endpoint).  SybilFuse runs
-    ``walks_per_node`` prior-weighted random walks of ``walk_length``
-    (default ``ceil(log2 n)``) and blends the degree-normalized landing
+    likely-honest and a likely-Sybil endpoint).  Both run
+    :func:`loopy_belief_propagation` with its default schedule.
+    SybilFuse runs two prior-weighted random walks per node, of length
+    ``ceil(log2 n)``, and blends the degree-normalized landing
     frequency into the BP posterior with weight ``walk_mix``.
     """
 
     homophily: float = 0.85
     confidence_range: float = 0.1
-    max_rounds: int = 50
-    damping: float = 0.25
-    tol: float = 1e-6
-    walks_per_node: int = 2
-    walk_length: int | None = None
     walk_mix: float = 0.3
     seed: int = 0
 
@@ -421,10 +417,6 @@ class FusionConfig:
             )
         if not 0.0 <= self.walk_mix <= 1.0:
             raise SybilDefenseError("walk_mix must be in [0, 1]")
-        if self.walks_per_node < 1:
-            raise SybilDefenseError("walks_per_node must be positive")
-        if self.walk_length is not None and self.walk_length < 1:
-            raise SybilDefenseError("walk_length must be positive")
 
 
 @dataclass(frozen=True)
@@ -485,16 +477,10 @@ class SybilFrame:
         """Fuse ``priors`` with graph structure through loopy BP."""
         self._graph._check_node(trusted)
         priors = _validate_priors(self._graph, priors)
-        cfg = self._config
         tel = telemetry.current()
         with tel.span("sybil.fusion.sybilframe"):
             result = loopy_belief_propagation(
-                self._graph,
-                priors,
-                edge_potentials=self.edge_confidences(priors),
-                max_rounds=cfg.max_rounds,
-                damping=cfg.damping,
-                tol=cfg.tol,
+                self._graph, priors, edge_potentials=self.edge_confidences(priors)
             )
         return SybilFrameResult(
             posterior=result.honest_posterior,
@@ -544,22 +530,18 @@ class SybilFuse:
     def walk_trust(self, trusted: int, priors: np.ndarray) -> np.ndarray:
         """Degree-normalized landing frequency of prior-weighted walks.
 
-        Walk starts are sampled proportionally to the priors (the
-        trusted node always contributes), so trust flows out of the
-        likely-honest region; landing counts are divided by degree and
-        normalized to a ``[0, 1]`` score.
+        Two walks per node, of length ``ceil(log2 n)``: walk starts are
+        sampled proportionally to the priors (the trusted node always
+        contributes), so trust flows out of the likely-honest region;
+        landing counts are divided by degree and normalized to a
+        ``[0, 1]`` score.
         """
         priors = _validate_priors(self._graph, priors)
-        cfg = self._config
         n = self._graph.num_nodes
-        length = (
-            cfg.walk_length
-            if cfg.walk_length is not None
-            else max(1, int(np.ceil(np.log2(n))))
-        )
-        starts_seed, walks_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+        length = max(1, int(np.ceil(np.log2(n))))
+        starts_seed, walks_seed = np.random.SeedSequence(self._config.seed).spawn(2)
         weights = priors / priors.sum()
-        num_walks = cfg.walks_per_node * n
+        num_walks = 2 * n
         starts = np.random.default_rng(starts_seed).choice(
             n, size=max(num_walks - 1, 0), p=weights
         )
@@ -583,12 +565,7 @@ class SybilFuse:
         tel = telemetry.current()
         with tel.span("sybil.fusion.sybilfuse"):
             bp = loopy_belief_propagation(
-                self._graph,
-                priors,
-                edge_potentials=cfg.homophily,
-                max_rounds=cfg.max_rounds,
-                damping=cfg.damping,
-                tol=cfg.tol,
+                self._graph, priors, edge_potentials=cfg.homophily
             )
             trust = self.walk_trust(trusted, priors)
             scores = (

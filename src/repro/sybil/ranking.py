@@ -66,19 +66,18 @@ def walk_probability_rankings(
     graph: Graph,
     trusted: np.ndarray | list[int],
     walk_length: int | None = None,
-    lazy: bool = True,
 ) -> np.ndarray:
     """Score nodes from many trusted vantage points in one batched walk.
 
     Returns a ``(len(trusted), n)`` matrix whose row ``j`` equals
-    ``walk_probability_ranking(graph, trusted[j], ...)`` bit for bit,
-    but all vantage points evolve together as a dense block through the
-    batched walk engine (``TransitionOperator.evolve_many``).  Used to
-    compare how sensitive
+    ``walk_probability_ranking(graph, trusted[j], walk_length)`` (the
+    lazy walk) bit for bit, but all vantage points evolve together as a
+    dense block through the batched walk engine
+    (``TransitionOperator.evolve_many``).  Used to compare how sensitive
     a ranking-style defense is to the verified node's position.
     """
     length = _default_walk_length(graph, walk_length)
-    operator = get_operator(graph, lazy=lazy)
+    operator = get_operator(graph, lazy=True)
     block = operator.distribution_block(trusted)
     landing = operator.evolve_many(block, steps=length)
     degrees = graph.degrees.astype(float)

@@ -86,25 +86,15 @@ class SumUp:
         """The graph votes flow over."""
         return self._graph
 
-    def link_capacities(
-        self, collector: int, plan: TicketPlan | None = None
-    ) -> dict[tuple[int, int], int]:
+    def link_capacities(self, collector: int) -> dict[tuple[int, int], int]:
         """Return per-directed-link capacities toward ``collector``.
 
         Links directed level-(i+1) -> level-i carry ``1 + tickets``
         where the tickets were distributed outward from the collector;
         all other links carry capacity 1 (the paper's default so votes
         outside the envelope can still trickle in one at a time).
-        ``plan`` supplies a prebuilt :class:`TicketPlan` for the
-        collector (e.g. one of a :func:`repro.sybil.ticket_plans` block).
         """
-        if plan is None:
-            plan = TicketPlan(self._graph, collector)
-        elif plan.source != int(collector):
-            raise SybilDefenseError(
-                f"plan was built for source {plan.source}, not {collector}"
-            )
-        outward = plan.run(self._budget())
+        outward = TicketPlan(self._graph, collector).run(self._budget())
         capacities: dict[tuple[int, int], int] = {}
         for (u, v), tickets in outward.edge_tickets.items():
             # tickets flowed u -> v outward; votes flow v -> u inward.

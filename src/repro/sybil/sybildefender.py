@@ -36,15 +36,14 @@ __all__ = ["SybilDefenderConfig", "SybilDefender"]
 class SybilDefenderConfig:
     """SybilDefender parameters.
 
-    ``walk_length`` defaults (None) to ``ceil(4 log2 n)``;
-    ``hit_threshold`` is the minimum visit count for a node to count as
-    "frequently hit"; ``tolerance`` is how many standard deviations
-    below the honest calibration a suspect may fall before being
-    flagged.
+    ``num_walks`` walks of length ``max(2, ceil(20 log2 n))`` run from
+    each suspect; ``hit_threshold`` is the minimum visit count for a
+    node to count as "frequently hit"; ``tolerance`` is how many
+    standard deviations below the honest calibration a suspect may
+    fall before being flagged.
     """
 
     num_walks: int = 60
-    walk_length: int | None = None
     hit_threshold: int = 5
     calibration_samples: int = 20
     tolerance: float = 3.0
@@ -53,8 +52,6 @@ class SybilDefenderConfig:
     def __post_init__(self) -> None:
         if self.num_walks < 1:
             raise SybilDefenseError("num_walks must be positive")
-        if self.walk_length is not None and self.walk_length < 1:
-            raise SybilDefenseError("walk_length must be positive")
         if self.hit_threshold < 1:
             raise SybilDefenseError("hit_threshold must be positive")
         if self.calibration_samples < 2:
@@ -71,11 +68,9 @@ class SybilDefender:
             raise SybilDefenseError("SybilDefender needs at least 4 nodes")
         self._graph = graph
         self._config = config or SybilDefenderConfig()
-        # default: well past the honest region's O(log n) mixing time so
-        # the dispersal statistic separates (the paper tunes l per graph)
-        self._length = self._config.walk_length or max(
-            2, int(np.ceil(20 * np.log2(graph.num_nodes)))
-        )
+        # well past the honest region's O(log n) mixing time so the
+        # dispersal statistic separates (the paper tunes l per graph)
+        self._length = max(2, int(np.ceil(20 * np.log2(graph.num_nodes))))
         self._calibration: tuple[float, float] | None = None
 
     @property

@@ -49,17 +49,15 @@ __all__ = ["SybilInferConfig", "SybilInferResult", "SybilInfer"]
 class SybilInferConfig:
     """SybilInfer parameters.
 
-    ``walks_per_node`` random walks of length ``walk_length`` (default
-    ``2 * log2 n``) form the trace set; ``num_samples`` MH samples are
-    drawn after ``burn_in``, with a pairwise add/remove proposal.
+    ``walks_per_node`` random walks of length ``max(2, int(2 log2 n))``
+    form the trace set; ``num_samples`` MH samples are drawn after
+    ``burn_in``, with a pairwise add/remove proposal.
     """
 
     walks_per_node: int = 2
-    walk_length: int | None = None
     num_samples: int = 300
     burn_in: int = 150
     escape_probability: float = 0.05
-    init: str = "ranking"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -69,8 +67,6 @@ class SybilInferConfig:
             raise SybilDefenseError("invalid sampling schedule")
         if not 0.0 < self.escape_probability < 1.0:
             raise SybilDefenseError("escape_probability must be in (0, 1)")
-        if self.init not in ("ranking", "full"):
-            raise SybilDefenseError("init must be 'ranking' or 'full'")
 
 
 @dataclass(frozen=True)
@@ -95,11 +91,7 @@ class SybilInfer:
         self._graph = graph
         self._config = config or SybilInferConfig()
         cfg = self._config
-        self._length = (
-            cfg.walk_length
-            if cfg.walk_length is not None
-            else max(2, int(2 * np.log2(graph.num_nodes)))
-        )
+        self._length = max(2, int(2 * np.log2(graph.num_nodes)))
         # trace set: walks_per_node walks from every node, run as one
         # block through the vectorized engine
         self._walk_starts = np.repeat(
@@ -177,18 +169,14 @@ class SybilInfer:
     def _initial_membership(self, trusted: int) -> np.ndarray:
         """Return the sampler's starting hypothesis.
 
-        ``init="full"`` starts from "everyone honest".  The default
-        ``init="ranking"`` starts from the nodes whose degree-normalized
-        short-walk landing probability (from the trusted node) is within
-        a factor two of the stationary level — the defender's natural
-        prior, and crucially a start on the honest side of the attack
-        cut, which spares Metropolis–Hastings from having to expel a
-        dense Sybil cluster one node at a time through an energy
-        barrier.
+        The start is the set of nodes whose degree-normalized short-walk
+        landing probability (from the trusted node) is within a factor
+        two of the stationary level — the defender's natural prior, and
+        crucially a start on the honest side of the attack cut, which
+        spares Metropolis–Hastings from having to expel a dense Sybil
+        cluster one node at a time through an energy barrier.
         """
         n = self._graph.num_nodes
-        if self._config.init == "full":
-            return np.ones(n, dtype=bool)
         from repro.sybil.ranking import walk_probability_ranking
 
         scores = walk_probability_ranking(

@@ -5,8 +5,9 @@ improves SybilGuard by using many *short* routes (length ``w = O(mixing
 time)``) instead of one long one, accepting per-attack-edge only
 ``O(log n)`` Sybils:
 
-* each node runs ``r = r0 * sqrt(m)`` independent random-route
-  *instances* and registers the **tail** (last directed edge) of each;
+* each node runs ``r = r0 * sqrt(m)`` (here ``r0 = 3``) independent
+  random-route *instances* and registers the **tail** (last directed
+  edge) of each;
 * a verifier accepts a suspect when one of the suspect's tails collides
   with one of the verifier's tails (the *intersection condition*);
 * each verifier tail keeps a load counter; an acceptance is charged to
@@ -34,15 +35,13 @@ __all__ = ["SybilLimitConfig", "SybilLimit"]
 class SybilLimitConfig:
     """SybilLimit parameters.
 
-    ``num_routes`` defaults (None) to ``ceil(r0 * sqrt(m))``;
-    ``route_length`` defaults to ``ceil(w0 * log2 n)``, standing in for
-    the O(mixing time) length the protocol assumes.
+    ``num_routes`` defaults (None) to ``ceil(3 * sqrt(m))``;
+    ``route_length`` defaults to ``max(2, ceil(2 * log2 n))``, standing
+    in for the O(mixing time) length the protocol assumes.
     """
 
     num_routes: int | None = None
     route_length: int | None = None
-    r0: float = 3.0
-    w0: float = 2.0
     balance_h: float = 4.0
     seed: int = 0
 
@@ -74,12 +73,12 @@ class SybilLimit:
         self._num_routes = (
             cfg.num_routes
             if cfg.num_routes is not None
-            else int(np.ceil(cfg.r0 * np.sqrt(max(graph.num_edges, 1))))
+            else int(np.ceil(3.0 * np.sqrt(max(graph.num_edges, 1))))
         )
         self._length = (
             cfg.route_length
             if cfg.route_length is not None
-            else max(2, int(np.ceil(cfg.w0 * np.log2(graph.num_nodes))))
+            else max(2, int(np.ceil(2.0 * np.log2(graph.num_nodes))))
         )
         self._tail_edges = _route_tails(graph, cfg.seed, self._num_routes, self._length)
         self._tail_cache: dict[int, list[tuple[int, int]]] = {}

@@ -39,6 +39,11 @@ class TestConstruction:
         dg = DiGraph.from_arcs([(0, 1), (0, 1)])
         assert dg.num_arcs == 1
 
+    def test_float_ids_rejected(self):
+        # astype would build the arcs (0, 1) and (1, 2)
+        with pytest.raises(GraphError, match="integer dtype, got float64"):
+            DiGraph.from_arcs(np.array([[0, 1.7], [1, 2.2]]))
+
     def test_degrees(self, small_digraph):
         assert np.array_equal(small_digraph.out_degrees, [2, 1, 1])
         assert np.array_equal(small_digraph.in_degrees, [1, 1, 2])

@@ -16,6 +16,7 @@ from repro.generators import (
     community_social_graph,
     complete_graph,
     cycle_graph,
+    path_graph,
 )
 from repro.graph import Graph, write_edge_list
 from repro.mixing import (
@@ -232,6 +233,15 @@ class TestPeriodicChains:
             + [(i, i + 30) for i in range(870)]
         )
         assert slem(grid) == 1.0
+
+    @pytest.mark.parametrize(
+        "graph",
+        [path_graph(3), cycle_graph(4), cycle_graph(8)],
+        ids=["path-3", "cycle-4", "cycle-8"],
+    )
+    def test_dense_path_returns_exactly_one(self, graph):
+        # at or under the dense threshold: no eigvalsh rounding of |-1|
+        assert slem(graph) == 1.0
 
     @pytest.mark.parametrize("n", [4, 8, 600])
     def test_even_cycle_has_no_bounds(self, n):

@@ -13,7 +13,13 @@ import pytest
 from repro.cores import core_structure, coreness_ecdf
 from repro.errors import GraphError, ReproError
 from repro.expansion import envelope_expansion, source_expansion
-from repro.graph import Graph, largest_connected_component
+from repro.generators import barabasi_albert
+from repro.graph import (
+    Graph,
+    betweenness_centrality,
+    eccentricities,
+    largest_connected_component,
+)
 from repro.markov import TransitionOperator, random_walk
 from repro.mixing import sampled_mixing_profile, slem
 
@@ -42,7 +48,8 @@ class TestDisconnectedGraphs:
 
     def test_slem_of_largest_component_works(self, disconnected):
         component, _ = largest_connected_component(disconnected)
-        assert 0.0 <= slem(component) < 1.0
+        # the component is the bipartite path 0-1-2: a periodic chain
+        assert slem(component) == 1.0
 
     def test_core_structure_counts_components(self, disconnected):
         structure = core_structure(disconnected)
@@ -61,7 +68,7 @@ class TestDisconnectedGraphs:
     def test_lcc_extraction_is_the_fix(self, disconnected):
         lcc, ids = largest_connected_component(disconnected)
         assert lcc.num_nodes == 3
-        assert slem(lcc) < 1.0
+        assert slem(lcc) == 1.0  # the bipartite path 0-1-2
 
 
 class TestIsolatedNodes:
@@ -115,6 +122,26 @@ class TestExtremeTopologies:
         g = complete_graph(40)
         profile = sampled_mixing_profile(g, walk_lengths=[1, 2], num_sources=5)
         assert profile.mean[-1] < 0.05
+
+
+class TestFloatSourceIds:
+    """Graph-layer entry points check node ids as the engines do: a cast
+    would silently measure nodes 0 and 1 for ``[0.7, 1.9]``."""
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda g, s: sampled_mixing_profile(g, walk_lengths=[1], sources=s),
+            lambda g, s: envelope_expansion(g, sources=s),
+            lambda g, s: eccentricities(g, sources=s),
+            lambda g, s: betweenness_centrality(g, sources=s),
+        ],
+        ids=["mixing", "expansion", "eccentricities", "betweenness"],
+    )
+    def test_float_ids_rejected(self, measure):
+        g = barabasi_albert(200, 3, seed=1)
+        with pytest.raises(GraphError, match="integer dtype, got float64"):
+            measure(g, [0.7, 1.9])
 
 
 class TestSeedDeterminism:

@@ -31,6 +31,7 @@ from repro.serve import (
     create_server,
     run_load,
 )
+from repro.serve.service import NUM_DISTRIBUTORS
 from repro.sybil import (
     GateKeeper,
     GateKeeperConfig,
@@ -331,7 +332,7 @@ class TestAdmissionService:
             ),
         )
         config = GateKeeperConfig(
-            num_distributors=service.config.num_distributors,
+            num_distributors=NUM_DISTRIBUTORS,
             admission_factor=service.config.admission_factor,
             seed=service.config.seed,
         )
