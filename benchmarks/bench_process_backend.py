@@ -33,7 +33,7 @@ from repro.analysis import format_table
 from repro.chunking import default_workers
 from repro.datasets import load_dataset
 from repro.markov.batch import batched_tvd_profile
-from repro.markov.transition import TransitionOperator
+from repro.markov.transition import stationary_distribution, transition_matrix
 from repro.markov.walk_batch import walk_endpoints
 from repro.sybil.fusion import loopy_belief_propagation
 
@@ -59,7 +59,7 @@ def _speedup_floor(cores: int) -> float | None:
 def _bit_identity_lines(scale: float, num_sources: int) -> list[str]:
     """Sequential oracle == thread == process, across the engines."""
     graph = load_dataset("wiki_vote", scale=max(scale, 0.1), seed=0)
-    op = TransitionOperator(graph)
+    matrix, pi = transition_matrix(graph), stationary_distribution(graph)
     rng = np.random.default_rng(1)
     sources = np.sort(
         rng.choice(graph.num_nodes, size=min(num_sources, 24), replace=False)
@@ -67,10 +67,10 @@ def _bit_identity_lines(scale: float, num_sources: int) -> list[str]:
     lengths = [1, 2, 4, 8]
     lines = []
 
-    oracle = oracles.tvd_profile(op, sources, lengths)
+    oracle = oracles.tvd_profile(matrix, pi, sources, lengths)
     for executor in ("thread", "process"):
         with parallel.execution(executor=executor, chunk_size=3, workers=4):
-            out = batched_tvd_profile(op.matrix, op.stationary, sources, lengths)
+            out = batched_tvd_profile(matrix, pi, sources, lengths)
         assert np.array_equal(out, oracle), executor
     lines.append("bit-identity: PASS tvd (sequential == thread == process)")
 
@@ -92,10 +92,10 @@ def _bit_identity_lines(scale: float, num_sources: int) -> list[str]:
     return lines
 
 
-def _timed_tvd(op, sources, workers: int, executor: str) -> float:
+def _timed_tvd(matrix, pi, sources, workers: int, executor: str) -> float:
     start = time.perf_counter()
     with parallel.execution(executor=executor, chunk_size=TVD_CHUNK, workers=workers):
-        batched_tvd_profile(op.matrix, op.stationary, sources, WALK_LENGTHS)
+        batched_tvd_profile(matrix, pi, sources, WALK_LENGTHS)
     return time.perf_counter() - start
 
 
@@ -104,19 +104,19 @@ def test_process_backend(results_dir, scale, num_sources):
 
     cores = default_workers()
     graph = load_dataset("wiki_vote", scale=max(scale, SPEEDUP_SCALE), seed=0)
-    op = TransitionOperator(graph)
+    matrix, pi = transition_matrix(graph), stationary_distribution(graph)
     rng = np.random.default_rng(2)
     sources = np.sort(
         rng.choice(graph.num_nodes, size=NUM_SOURCES, replace=False)
     )
 
     # warm both pools (and the shared-memory plane) outside the clock
-    _timed_tvd(op, sources, cores, "thread")
-    _timed_tvd(op, sources, max(cores, 2), "process")
+    _timed_tvd(matrix, pi, sources, cores, "thread")
+    _timed_tvd(matrix, pi, sources, max(cores, 2), "process")
 
-    thread_s = _timed_tvd(op, sources, cores, "thread")
+    thread_s = _timed_tvd(matrix, pi, sources, cores, "thread")
     with telemetry.activate() as tel:
-        process_s = _timed_tvd(op, sources, max(cores, 2), "process")
+        process_s = _timed_tvd(matrix, pi, sources, max(cores, 2), "process")
     speedup = thread_s / process_s if process_s > 0 else float("inf")
 
     floor = _speedup_floor(cores)

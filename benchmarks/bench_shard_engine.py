@@ -28,7 +28,7 @@ from repro.datasets import build_sharded_analog
 from repro.graph import ShardedGraph
 from repro.graph.bfs_batch import bfs_level_sizes_block
 from repro.markov.batch import batched_tvd_profile
-from repro.markov.transition import TransitionOperator, stationary_distribution
+from repro.markov.transition import stationary_distribution, transition_matrix
 from repro.markov.walk_batch import walk_endpoints
 from repro.mixing import slem
 from repro.parallel import execution
@@ -54,10 +54,12 @@ def _assert_bit_identity(tmp_path) -> str:
         tmp_path / "small", n, regime="fast", seed=3, num_shards=5
     )
     graph = sharded.to_graph()
-    op = TransitionOperator(graph)
     rng = np.random.default_rng(0)
     sources = np.sort(rng.choice(n, size=12, replace=False))
-    tvd_ram = batched_tvd_profile(op.matrix, op.stationary, sources, WALK_LENGTHS)
+    tvd_ram = batched_tvd_profile(
+        transition_matrix(graph), stationary_distribution(graph), sources,
+        WALK_LENGTHS,
+    )
     pi = stationary_distribution(sharded)
     with execution(chunk_size=5, workers=2):
         tvd_sh = batched_tvd_profile(sharded, pi, sources, WALK_LENGTHS)

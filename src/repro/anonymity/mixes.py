@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.core import Graph
-from repro.markov.transition import get_operator
+from repro.markov.batch import delta_block, evolve_block
+from repro.markov.transition import stationary_distribution, transition_matrix
 
 __all__ = [
     "entropy",
@@ -84,8 +85,8 @@ def walk_anonymity_profile(
     lengths = np.asarray(walk_lengths, dtype=np.int64)
     if lengths.size == 0 or np.any(np.diff(lengths) <= 0) or lengths[0] < 0:
         raise GraphError("walk_lengths must be strictly increasing and >= 0")
-    operator = get_operator(graph, lazy=lazy)
-    pi = operator.stationary
+    chain = transition_matrix(graph, lazy=True) if lazy else graph
+    pi = stationary_distribution(graph)
     pi_entropy = entropy(pi)
     rng = np.random.default_rng(seed)
     count = min(num_senders, graph.num_nodes)
@@ -93,10 +94,10 @@ def walk_anonymity_profile(
     ent = np.zeros((count, lengths.size))
     tvd = np.zeros((count, lengths.size))
     # all senders evolve together on the batched walk engine
-    block = operator.distribution_block(senders)
+    block = delta_block(graph.num_nodes, senders)
     step = 0
     for col, target in enumerate(lengths):
-        block = operator.evolve_many(block, steps=int(target) - step)
+        block = evolve_block(chain, block, int(target) - step)
         step = int(target)
         safe = np.where(block > 0, block, 1.0)  # log(1) = 0 kills zero terms
         ent[:, col] = -(block * np.log(safe)).sum(axis=0)

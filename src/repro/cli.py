@@ -60,6 +60,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -98,6 +99,27 @@ from repro.pipeline import (
 from repro.store import ArtifactStore
 
 __all__ = ["main"]
+
+
+def _int_in(low: int, high: int | None, rule: str) -> Callable[[str], int]:
+    """An argparse type: an integer in ``[low, high]`` (no upper bound
+    when ``high`` is None), rejected at parse time as ``rule`` says."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+#: numpy seeds are non-negative integers; ports fit in 16 bits
+_seed = _int_in(0, None, "must be a non-negative integer")
+_port = _int_in(0, 65535, "must be an integer in 0..65535")
 
 
 def _store_from(args: argparse.Namespace) -> ArtifactStore | None:
@@ -322,8 +344,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     text = measurement_report(graph, name=args.target, store=_store_from(args))
     if args.output:
         output = Path(args.output).resolve()
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(text, encoding="utf-8")
+        try:
+            output.parent.mkdir(parents=True, exist_ok=True)
+            output.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise SystemExit(f"cannot write the report to {output}: {exc.strerror}")
         print(f"report written to {output}")
     else:
         print(text)
@@ -724,7 +749,7 @@ def main(argv: list[str] | None = None) -> int:
         "streaming every measurement shard by shard",
     )
     audit.add_argument(
-        "--seed", type=int, default=0, help="sharded audit: source-sampling seed"
+        "--seed", type=_seed, default=0, help="sharded audit: source-sampling seed"
     )
     audit.add_argument(
         "--sources",
@@ -755,7 +780,7 @@ def main(argv: list[str] | None = None) -> int:
     build.add_argument(
         "--nodes", type=int, help="streamed analog size (with --stream)"
     )
-    build.add_argument("--seed", type=int, default=0)
+    build.add_argument("--seed", type=_seed, default=0)
     build.add_argument("--num-shards", type=int)
     build.add_argument("--nodes-per-shard", type=int)
     info = shard_sub.add_parser(
@@ -808,7 +833,7 @@ def main(argv: list[str] | None = None) -> int:
                 help="record telemetry and print the span/counter tables",
             )
         cmd.add_argument("--scale", type=float, default=0.25)
-        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--seed", type=_seed, default=0)
         cmd.add_argument("--sources", type=int, default=50)
         cmd.add_argument("--workers", type=int)
         cmd.add_argument(
@@ -848,7 +873,7 @@ def main(argv: list[str] | None = None) -> int:
         help="number of attack edges g (default: nodes/20, at least 5)",
     )
     compare.add_argument("--scale", type=float, default=0.25)
-    compare.add_argument("--seed", type=int, default=0)
+    compare.add_argument("--seed", type=_seed, default=0)
     compare.add_argument("--suspect-sample", type=int, default=120)
     compare.add_argument("--workers", type=int)
     compare.add_argument(
@@ -888,7 +913,7 @@ def main(argv: list[str] | None = None) -> int:
         help="number of attack edges g (default: nodes/20, at least 5)",
     )
     sweep.add_argument("--scale", type=float, default=0.25)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=_seed, default=0)
     sweep.add_argument("--sources", type=int, default=50)
     sweep.add_argument("--suspect-sample", type=int, default=120)
     sweep.add_argument("--workers", type=int)
@@ -907,10 +932,10 @@ def main(argv: list[str] | None = None) -> int:
         "--target", required=True, help="edge-list path or bundled dataset name"
     )
     serve.add_argument("--scale", type=float, default=0.25)
-    serve.add_argument("--seed", type=int, default=0)
+    serve.add_argument("--seed", type=_seed, default=0)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=0, help="listen port (0 picks a free one)"
+        "--port", type=_port, default=0, help="listen port (0 picks a free one)"
     )
     serve.add_argument(
         "--attack-edges",

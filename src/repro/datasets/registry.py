@@ -24,6 +24,7 @@ analogs together.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -381,6 +382,11 @@ def dataset_spec(name: str) -> DatasetSpec:
         raise DatasetError(f"unknown dataset {name!r}; available: {known}") from None
 
 
+def _check_scale(scale: float) -> None:
+    if not 0 < scale < math.inf:  # also false for NaN
+        raise DatasetError(f"scale must be positive and finite, got {scale}")
+
+
 def dataset_fingerprint(name: str, scale: float = 1.0, seed: int = 0) -> str:
     """Stable content digest for one ``(analog, scale, seed)`` request.
 
@@ -391,8 +397,7 @@ def dataset_fingerprint(name: str, scale: float = 1.0, seed: int = 0) -> str:
     generation version, and is stable across processes and platforms.
     """
     spec = dataset_spec(name)
-    if scale <= 0:
-        raise DatasetError("scale must be positive")
+    _check_scale(scale)
     payload = "|".join(
         [
             f"repro-dataset-v{_GENERATION_VERSION}",
@@ -415,8 +420,7 @@ def load_dataset(name: str, scale: float = 1.0, seed: int = 0) -> Graph:
     is safe.
     """
     spec = dataset_spec(name)
-    if scale <= 0:
-        raise DatasetError("scale must be positive")
+    _check_scale(scale)
     num_nodes = max(int(spec.analog_nodes * scale), 50)
     raw = spec.factory(num_nodes, _seed_for(name, seed))
     graph, _ = largest_connected_component(raw)

@@ -54,35 +54,18 @@ class SimBetRouter:
     ----------
     alpha:
         Weight of the betweenness utility; similarity gets
-        ``1 - alpha``.  The original paper uses 0.5.
-    betweenness_sources:
-        Betweenness is exact when None; pass a count to sample sources
-        on large graphs.
+        ``1 - alpha``.  The original paper uses 0.5.  Betweenness is
+        exact.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        alpha: float = 0.5,
-        betweenness_sources: int | None = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, graph: Graph, alpha: float = 0.5) -> None:
         if graph.num_nodes < 2:
             raise GraphError("routing needs at least 2 nodes")
         if not 0.0 <= alpha <= 1.0:
             raise GraphError("alpha must be in [0, 1]")
         self._graph = graph
         self._alpha = alpha
-        rng = np.random.default_rng(seed)
-        if betweenness_sources is not None:
-            sources = rng.choice(
-                graph.num_nodes,
-                size=min(betweenness_sources, graph.num_nodes),
-                replace=False,
-            )
-        else:
-            sources = None
-        raw = betweenness_centrality(graph, normalized=True, sources=sources)
+        raw = betweenness_centrality(graph, normalized=True)
         peak = raw.max()
         self._betweenness = raw / peak if peak > 0 else raw
         self._neighbor_sets = [
@@ -174,7 +157,7 @@ def simulate_delivery(
     if contacts_per_round < 1:
         raise GraphError("contacts_per_round must be positive")
     rng = np.random.default_rng(seed)
-    router = SimBetRouter(graph, seed=seed) if strategy == "simbet" else None
+    router = SimBetRouter(graph) if strategy == "simbet" else None
     delivered = 0
     hop_counts: list[int] = []
     round_counts: list[int] = []

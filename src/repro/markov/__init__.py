@@ -1,4 +1,4 @@
-"""Markov-chain substrate: transition operators, walks and distances."""
+"""Markov-chain substrate: transition matrices, walks and distances."""
 
 from repro.markov.batch import (
     batched_tvd_profile,
@@ -23,9 +23,7 @@ from repro.markov.walk_batch import (
 )
 from repro.markov.distance import kl_divergence, l2_distance, total_variation_distance
 from repro.markov.transition import (
-    TransitionOperator,
     clear_operator_cache,
-    get_operator,
     stationary_distribution,
     transition_matrix,
 )
@@ -37,10 +35,8 @@ from repro.markov.walks import (
 )
 
 __all__ = [
-    "TransitionOperator",
     "transition_matrix",
     "stationary_distribution",
-    "get_operator",
     "clear_operator_cache",
     "delta_block",
     "evolve_block",

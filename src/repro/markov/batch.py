@@ -8,8 +8,10 @@ structure across the columns of a dense right-hand side, so evolving an
 is far faster than ``s`` separate matvecs while producing bit-identical
 columns (both code paths reduce each output entry in the same order).
 
-This module is the engine shared by :mod:`repro.mixing.sampling`,
-:mod:`repro.mixing.trust` and the ranking-style Sybil defenses:
+This module is the one way to evolve a chain, shared by
+:mod:`repro.mixing.sampling`, :mod:`repro.mixing.trust`,
+:mod:`repro.anonymity`, the exact escape probability and the
+ranking-style Sybil defenses:
 
 * :func:`delta_block` builds the ``(n, s)`` block of source deltas.
 * :func:`evolve_block` advances a block ``steps`` walk steps.
@@ -22,14 +24,14 @@ row blocks scatter ``P^T @ block`` (in RAM or sharded, the bits of
 ``transition_matrix(graph)``); lazy and trust-weighted chains are
 matrices only.
 
-Memory is bounded by column chunking, and the chunks fan out through
-:func:`repro.chunking.run_kernel` — on threads, or on the shared-memory
-process pool — as the ambient :func:`repro.parallel.execution` scope
-says (``chunk_size`` keeps the working set at ``O(n * chunk_size)``,
-``workers`` sets the fan-out).  One module-level kernel runs on both
-backends, so every backend x chunk_size x workers combination stays
-bit-identical to the others and to the one-matvec-per-source oracle in
-:mod:`repro.oracles`.
+The TVD profile bounds its memory by column chunking, and the chunks
+fan out through :func:`repro.chunking.run_kernel` — on threads, or on
+the shared-memory process pool — as the ambient
+:func:`repro.parallel.execution` scope says (``chunk_size`` keeps the
+working set at ``O(n * chunk_size)``, ``workers`` sets the fan-out).
+One module-level kernel runs on both backends, so every backend x
+chunk_size x workers combination stays bit-identical to the others and
+to the one-matvec-per-source oracle in :mod:`repro.oracles`.
 """
 
 from __future__ import annotations
@@ -95,13 +97,14 @@ def evolve_block(
     """Advance every column of ``block`` by ``steps`` walk steps.
 
     ``matrix`` is the row-stochastic transition matrix P; each step maps
-    the block ``D`` to ``P^T D`` (column ``j`` evolves exactly like
-    ``TransitionOperator.evolve`` on that column alone).
+    the block ``D`` to ``P^T D`` in one sparse x dense product, whose
+    column ``j`` holds the bits of ``P^T @ D[:, j]`` alone.
 
-    A graph (in RAM or sharded) may be passed instead: the non-lazy
-    transition product then streams its row blocks through the CSC
-    kernel scipy dispatches to, bit-identical to evolving through
-    ``transition_matrix(graph)``.
+    A graph (in RAM or sharded) may be passed instead, and is the only
+    way to step its plain walk: the product then streams the graph's
+    row blocks through the CSC kernel scipy dispatches to, bit-identical
+    to evolving through ``transition_matrix(graph)``.  The block moves
+    whole, under any :func:`repro.parallel.execution` scope.
     """
     if steps < 0:
         raise GraphError("steps must be non-negative")
@@ -190,11 +193,6 @@ def _tvd_kernel(columns: slice, env) -> None:
     telemetry.current().count(
         "markov.batch.steps", int(env.lengths[-1]) * (columns.stop - columns.start)
     )
-
-
-def _evolve_kernel(columns: slice, env) -> None:
-    """Advance one chunk of ``env.block``'s columns ``env.steps`` steps."""
-    env.out[:, columns] = env.evolver.evolve(env.block[:, columns], env.steps)
 
 
 def batched_tvd_profile(

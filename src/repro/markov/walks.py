@@ -3,8 +3,8 @@
 The Sybil defenses in :mod:`repro.sybil` are built on sampled walks and
 random *routes* (SybilGuard's permutation-based deterministic walks);
 this module provides both, plus empirical visit distributions for
-cross-checking the algebraic evolution in
-:class:`~repro.markov.transition.TransitionOperator`.
+cross-checking the algebraic evolution of
+:func:`repro.markov.batch.evolve_block`.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def empirical_distribution(
 ) -> np.ndarray:
     """Estimate the ``length``-step distribution from ``num_samples`` walks.
 
-    Converges to ``TransitionOperator.distribution_after(source, length)``
+    Converges to ``evolve_block(graph, delta_block(n, [source]), length)``
     as the sample count grows; tests use this agreement as an invariant.
     Endpoint counting runs through the engine's visit-count mode
     (``record="last"``), so memory stays O(num_nodes) however many

@@ -19,7 +19,7 @@ from repro.errors import GraphError
 from repro.graph.core import Graph
 from repro.graph.shard import ShardedGraph
 from repro.markov.batch import batched_tvd_profile, validate_walk_lengths
-from repro.markov.transition import get_operator, stationary_distribution
+from repro.markov.transition import stationary_distribution, transition_matrix
 
 __all__ = [
     "MixingProfile",
@@ -132,12 +132,12 @@ def sampled_mixing_profile(
     """
     lengths, chosen = _profile_inputs(graph, walk_lengths, num_sources, sources, seed)
     if not lazy:
-        pi = stationary_distribution(graph)
-        tvd = batched_tvd_profile(graph, pi, chosen, lengths)
+        chain = graph
     elif isinstance(graph, Graph):
-        tvd = get_operator(graph, lazy=True).tvd_profile(chosen, lengths)
+        chain = transition_matrix(graph, lazy=True)
     else:
         raise GraphError("the lazy chain needs an in-RAM Graph")
+    tvd = batched_tvd_profile(chain, stationary_distribution(graph), chosen, lengths)
     return MixingProfile(walk_lengths=lengths, sources=chosen, tvd=tvd, lazy=lazy)
 
 

@@ -25,8 +25,8 @@ import scipy.sparse as sp
 
 from repro.errors import GraphError
 from repro.graph.core import Graph
-from repro.markov.batch import batched_tvd_profile, delta_block, evolve_block
-from repro.markov.transition import get_operator
+from repro.markov.batch import batched_tvd_profile
+from repro.markov.transition import transition_matrix
 
 __all__ = [
     "modulated_transition_matrix",
@@ -52,7 +52,7 @@ def modulated_transition_matrix(
         raise GraphError(f"trust must be scalar or an array of length {n}")
     if alphas.min() < 0.0 or alphas.max() >= 1.0:
         raise GraphError("trust values must lie in [0, 1)")
-    base = get_operator(graph).matrix
+    base = transition_matrix(graph)
     move = sp.diags(1.0 - alphas) @ base
     stay = sp.diags(alphas)
     return (move + stay).tocsr()
@@ -60,12 +60,13 @@ def modulated_transition_matrix(
 
 @dataclass(frozen=True)
 class ModulatedOperator:
-    """A trust-modulated chain with cached matrix and stationary dist.
+    """A trust-modulated chain: its matrix and stationary distribution.
 
-    For uniform trust the stationary distribution is unchanged (the
-    chain is a lazy version of the same reversible walk); for per-node
-    trust it is re-derived from the detailed-balance weights
-    ``deg(v) / (1 - alpha_v)``.
+    Evolve it with :func:`repro.markov.batch.evolve_block` on
+    :attr:`matrix`.  For uniform trust the stationary distribution is
+    unchanged (the chain is a lazy version of the same reversible walk);
+    for per-node trust it is re-derived from the detailed-balance
+    weights ``deg(v) / (1 - alpha_v)``.
     """
 
     graph: Graph
@@ -88,25 +89,6 @@ class ModulatedOperator:
             raise GraphError("modulated chain needs at least one edge")
         pi = weights / weights.sum()
         return cls(graph=graph, trust=alphas, matrix=matrix, stationary=pi)
-
-    def distribution_after(self, source: int, steps: int) -> np.ndarray:
-        """Evolve a delta distribution for ``steps`` modulated steps."""
-        self.graph._check_node(source)
-        if steps < 0:
-            raise GraphError("steps must be non-negative")
-        dist = np.zeros(self.graph.num_nodes)
-        dist[source] = 1.0
-        for _ in range(steps):
-            dist = self.matrix.T @ dist
-        return dist
-
-    def distribution_block(self, sources: np.ndarray | list[int]) -> np.ndarray:
-        """Return the ``(n, s)`` block of delta distributions at ``sources``."""
-        return delta_block(self.graph.num_nodes, sources)
-
-    def evolve_many(self, block: np.ndarray, steps: int = 1) -> np.ndarray:
-        """Advance every column of ``block`` by ``steps`` modulated steps."""
-        return evolve_block(self.matrix, block, steps)
 
 
 def modulated_mixing_profile(

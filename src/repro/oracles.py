@@ -34,7 +34,7 @@ from repro.graph.traversal import bfs_distances, bfs_levels
 from repro.markov import walks
 from repro.markov.batch import validate_walk_lengths
 from repro.markov.distance import total_variation_distance
-from repro.markov.transition import TransitionOperator, get_operator
+from repro.markov.transition import stationary_distribution, transition_matrix
 from repro.markov.walk_batch import _STEP_BLOCK, NO_HIT, _streams
 from repro.mixing import sampling
 from repro.privacy import perturb
@@ -172,20 +172,22 @@ def walk_cover_steps(graph, sources, max_steps: int, seed=0) -> np.ndarray:
 # Figure 1: one sparse matvec per source per step
 # ----------------------------------------------------------------------
 def tvd_profile(
-    operator: TransitionOperator, sources: Sequence[int], walk_lengths
+    matrix: sp.spmatrix, stationary: np.ndarray, sources: Sequence[int], walk_lengths
 ) -> np.ndarray:
-    """Per-source twin of :meth:`TransitionOperator.tvd_profile`."""
+    """Per-source twin of :func:`repro.markov.batched_tvd_profile`."""
     lengths = validate_walk_lengths(walk_lengths)
-    chosen = validate_sources(operator.graph.num_nodes, sources)
+    n = matrix.shape[0]
+    chosen = validate_sources(n, sources)
     tvd = np.empty((chosen.size, lengths.size))
     for row, source in enumerate(chosen):
-        dist = operator.delta(int(source))
+        dist = np.zeros(n)
+        dist[source] = 1.0
         step = 0
         for col, target in enumerate(lengths):
             while step < target:
-                dist = operator.evolve(dist)
+                dist = matrix.T @ dist
                 step += 1
-            tvd[row, col] = total_variation_distance(dist, operator.stationary)
+            tvd[row, col] = total_variation_distance(dist, stationary)
     return tvd
 
 
@@ -201,7 +203,12 @@ def sampled_mixing_profile(
     lengths, chosen = sampling._profile_inputs(
         graph, walk_lengths, num_sources, sources, seed
     )
-    tvd = tvd_profile(get_operator(graph, lazy=lazy), chosen, lengths)
+    tvd = tvd_profile(
+        transition_matrix(graph, lazy=lazy),
+        stationary_distribution(graph),
+        chosen,
+        lengths,
+    )
     return sampling.MixingProfile(
         walk_lengths=lengths, sources=chosen, tvd=tvd, lazy=lazy
     )

@@ -35,6 +35,13 @@ compaction policy's ``max_new_nodes``) return HTTP 400 with
 derived from :class:`repro.errors.ReproError` map to 400 — anything
 else is a real bug and surfaces as a 500 with ``{"error": ...}``, so a
 client always gets an answer instead of a dropped connection.
+
+A connection holds at most what the server bounds: a ``Content-Length``
+that is negative or not an integer answers 400, one above
+:data:`MAX_BODY_BYTES` answers 413, both before any body byte is read
+and with the connection closed.  A body that stops arriving for
+``_Handler.timeout`` seconds answers 408, and a connection silent that
+long between requests is dropped.
 """
 
 from __future__ import annotations
@@ -47,7 +54,11 @@ from urllib.parse import parse_qs, urlparse
 from repro.errors import ReproError, ServeError
 from repro.serve.service import AdmissionService
 
-__all__ = ["AdmissionHTTPServer", "create_server"]
+__all__ = ["AdmissionHTTPServer", "create_server", "MAX_BODY_BYTES"]
+
+#: Largest request body the server reads; a valid body is a few dozen
+#: bytes (``{"u": .., "v": ..}`` or ``{"count": k}``).
+MAX_BODY_BYTES = 4096
 
 
 class AdmissionHTTPServer(ThreadingHTTPServer):
@@ -80,8 +91,18 @@ def create_server(
     return AdmissionHTTPServer((host, port), service)
 
 
+class _BodyRejected(ServeError):
+    """A request body refused with its own status (400, 408 or 413)."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # seconds a connection may stay silent before the handler gives up
+    timeout = 10.0
 
     # quiet by default: per-request stderr lines would swamp the load
     # harness; telemetry counters carry the request accounting instead
@@ -162,6 +183,8 @@ class _Handler(BaseHTTPRequestHandler):
                     self._reply(200, doc)
             else:
                 self._reply(404, {"error": f"unknown path {parsed.path!r}"})
+        except _BodyRejected as exc:
+            self._reply(exc.status, {"error": str(exc)})
         except (ReproError, ValueError) as exc:
             self._reply(400, {"error": str(exc)})
         except Exception as exc:  # a bug: answer rather than drop the connection
@@ -169,8 +192,24 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # the unread body would be parsed as the next request
+            self.close_connection = True
+            if length < 0:
+                raise _BodyRejected(400, f"invalid Content-Length {header!r}")
+            raise _BodyRejected(
+                413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
+        try:
+            raw = self.rfile.read(length) if length else b"{}"
+        except TimeoutError:
+            self.close_connection = True
+            raise _BodyRejected(408, "request body timed out") from None
         try:
             body = json.loads(raw or b"{}")
         except json.JSONDecodeError as exc:
@@ -202,5 +241,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)

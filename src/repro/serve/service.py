@@ -2,10 +2,11 @@
 
 The :class:`AdmissionService` is the query engine of :mod:`repro.serve`:
 it holds one frozen CSR snapshot, a :class:`repro.serve.GraphOverlay`
-absorbing the write stream, and a per-snapshot warm cache (the
-:class:`repro.markov.transition.TransitionOperator`, the GateKeeper
-instance with its distributors' reach sets, and per-parameter query
-results).  A :class:`repro.serve.CompactionPolicy` folds the overlay
+absorbing the write stream, and a per-snapshot warm cache (the trust
+vector, the GateKeeper instance with its distributors' reach sets, and
+per-parameter query results).  The snapshot ``Graph`` keeps its own row
+block and transition weights, so SybilRank needs no cached operator.
+A :class:`repro.serve.CompactionPolicy` folds the overlay
 into a fresh snapshot when the delta grows too large; compaction
 invalidates the warm cache and rotates the snapshot digest, which
 chains into :class:`repro.store.ArtifactStore` keys so cross-process
@@ -44,11 +45,11 @@ import numpy as np
 from repro import telemetry
 from repro.errors import ServeError
 from repro.graph.core import Graph
-from repro.markov.transition import get_operator
 from repro.serve.overlay import CompactionPolicy, GraphOverlay
 from repro.store import ArtifactStore, graph_digest, memoize
 from repro.sybil.escape import EscapeMeasurement, escape_profile
 from repro.sybil.gatekeeper import GateKeeper, GateKeeperConfig
+from repro.sybil.ranking import accept_top
 from repro.sybil.sybilrank import SybilRank
 
 __all__ = [
@@ -294,7 +295,7 @@ class AdmissionService:
             trust = self._warm_get(
                 warm,
                 ("trust", self._seeds),
-                lambda: self._compute_trust(snapshot, digest, warm),
+                lambda: self._compute_trust(snapshot, digest),
             )
             padded = np.zeros(degrees.size)
             padded[: trust.size] = trust
@@ -464,10 +465,8 @@ class AdmissionService:
     # ------------------------------------------------------------------
     def _resolve_seeds(self, graph: Graph) -> tuple[int, ...]:
         limit = self._num_honest or graph.num_nodes
-        degrees = graph.degrees[:limit]
         count = min(self._config.num_seeds, limit)
-        order = np.lexsort((np.arange(limit), -degrees))[:count]
-        return tuple(sorted(int(i) for i in order))
+        return tuple(int(i) for i in accept_top(graph.degrees[:limit], count))
 
     def _install_snapshot(self, graph: Graph) -> None:
         # lock held (or constructor)
@@ -562,12 +561,7 @@ class AdmissionService:
                 self._cache_misses += 1
         tel.count("serve.cache.hits" if hit else "serve.cache.misses")
 
-    def _compute_trust(
-        self, snapshot: Graph, digest: str, warm: dict
-    ) -> np.ndarray:
-        operator = self._warm_get(
-            warm, "operator", lambda: get_operator(snapshot)
-        )
+    def _compute_trust(self, snapshot: Graph, digest: str) -> np.ndarray:
         return memoize(
             self._store,
             digest,
@@ -578,7 +572,7 @@ class AdmissionService:
                 "iterations": None,
                 "seed": self._config.seed,
             },
-            lambda: SybilRank(snapshot, operator=operator)
+            lambda: SybilRank(snapshot)
             .run(np.asarray(self._seeds, dtype=np.int64))
             .trust,
         )

@@ -249,8 +249,11 @@ class ArtifactStore:
             "value": _codec().to_jsonable(value),
         }
         path = self._object_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(path, json.dumps(payload))
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._atomic_write(path, json.dumps(payload))
+        except OSError as exc:
+            raise StoreError(f"cannot write to store {self._root}: {exc}") from exc
         self._stats.increment("writes")
         return key
 

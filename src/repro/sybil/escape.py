@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.errors import SybilDefenseError
 from repro.graph.core import Graph
+from repro.markov.batch import evolve_block
 from repro.markov.walk_batch import NO_HIT, walk_first_hits
 from repro.sybil.attack import SybilAttack
 
@@ -173,33 +174,18 @@ def exact_escape_probability(
     distribution, and reads off the absorbed mass per step — the limit
     the Monte-Carlo measurement converges to.
     """
-    lengths = np.asarray(walk_lengths, dtype=np.int64)
-    if lengths.size == 0 or np.any(np.diff(lengths) <= 0) or lengths[0] < 1:
-        raise SybilDefenseError("walk_lengths must be strictly increasing, >= 1")
+    lengths = _check_lengths(walk_lengths)
     graph = attack.graph
-    n = graph.num_nodes
     honest_count = attack.num_honest
-    dist = np.zeros(n)
+    dist = np.zeros((graph.num_nodes, 1))
     dist[:honest_count] = 1.0 / honest_count
     absorbed = 0.0
     escape = np.zeros(lengths.size)
-    indptr, indices = graph.indptr, graph.indices
-    degrees = graph.degrees.astype(float)
-    inv_deg = np.zeros(n)
-    positive = degrees > 0
-    inv_deg[positive] = 1.0 / degrees[positive]
-    import scipy.sparse as sp
-
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-    transition = sp.csr_matrix(
-        (np.repeat(inv_deg, graph.degrees), (src, indices)), shape=(n, n)
-    )
     step = 0
     for col, target in enumerate(lengths):
         while step < int(target):
-            dist = transition.T @ dist
-            newly = dist[honest_count:].sum()
-            absorbed += float(newly)
+            dist = evolve_block(graph, dist, 1)
+            absorbed += float(dist[honest_count:, 0].sum())
             dist[honest_count:] = 0.0  # absorb
             step += 1
         escape[col] = absorbed

@@ -50,6 +50,7 @@ from repro.errors import SybilDefenseError
 from repro.graph.core import Graph
 from repro.markov.walk_batch import walk_visit_counts
 from repro.sybil.attack import SybilAttack
+from repro.sybil.ranking import accept_top, ranking_order
 
 __all__ = [
     "PriorConfig",
@@ -430,9 +431,7 @@ class SybilFrameResult:
 
     def ranking(self) -> np.ndarray:
         """Node ids ranked most-honest first (ties by id)."""
-        return np.lexsort(
-            (np.arange(self.posterior.size), -self.posterior)
-        ).astype(np.int64)
+        return ranking_order(self.posterior)
 
     def accepted(self, threshold: float = 0.5) -> np.ndarray:
         """Nodes whose honest posterior reaches ``threshold``."""
@@ -502,15 +501,11 @@ class SybilFuseResult:
 
     def ranking(self) -> np.ndarray:
         """Node ids ranked most-trusted first (ties by id)."""
-        return np.lexsort((np.arange(self.scores.size), -self.scores)).astype(
-            np.int64
-        )
+        return ranking_order(self.scores)
 
     def accepted(self, count: int) -> np.ndarray:
         """Accept the ``count`` best-ranked nodes."""
-        if not 0 <= count <= self.scores.size:
-            raise SybilDefenseError("count out of range")
-        return np.sort(self.ranking()[:count])
+        return accept_top(self.scores, count)
 
 
 class SybilFuse:

@@ -15,7 +15,8 @@ import numpy as np
 
 from repro.errors import SybilDefenseError
 from repro.graph.core import Graph
-from repro.markov.transition import get_operator
+from repro.markov.batch import delta_block, evolve_block
+from repro.markov.transition import transition_matrix
 
 __all__ = [
     "walk_probability_ranking",
@@ -53,8 +54,9 @@ def walk_probability_ranking(
     """
     graph._check_node(trusted)
     length = _default_walk_length(graph, walk_length)
-    operator = get_operator(graph, lazy=lazy)
-    landing = operator.distribution_after(trusted, length)
+    chain = transition_matrix(graph, lazy=True) if lazy else graph
+    start = delta_block(graph.num_nodes, [trusted])
+    landing = evolve_block(chain, start, length)[:, 0]
     degrees = graph.degrees.astype(float)
     scores = np.zeros(graph.num_nodes)
     positive = degrees > 0
@@ -73,13 +75,12 @@ def walk_probability_rankings(
     ``walk_probability_ranking(graph, trusted[j], walk_length)`` (the
     lazy walk) bit for bit, but all vantage points evolve together as a
     dense block through the batched walk engine
-    (``TransitionOperator.evolve_many``).  Used to compare how sensitive
-    a ranking-style defense is to the verified node's position.
+    (:func:`repro.markov.batch.evolve_block`).  Used to compare how
+    sensitive a ranking-style defense is to the verified node's position.
     """
     length = _default_walk_length(graph, walk_length)
-    operator = get_operator(graph, lazy=True)
-    block = operator.distribution_block(trusted)
-    landing = operator.evolve_many(block, steps=length)
+    block = delta_block(graph.num_nodes, trusted)
+    landing = evolve_block(transition_matrix(graph, lazy=True), block, length)
     degrees = graph.degrees.astype(float)
     scores = np.zeros((block.shape[1], graph.num_nodes))
     positive = degrees > 0
@@ -146,15 +147,11 @@ def modulated_walk_ranking(
     from repro.mixing.trust import ModulatedOperator
 
     graph._check_node(trusted)
-    length = (
-        max(1, int(np.ceil(np.log2(graph.num_nodes))))
-        if walk_length is None
-        else walk_length
-    )
-    if length < 1:
-        raise SybilDefenseError("walk_length must be positive")
+    length = _default_walk_length(graph, walk_length)
     operator = ModulatedOperator.build(graph, trust)
-    landing = operator.distribution_after(trusted, length)
+    landing = evolve_block(
+        operator.matrix, delta_block(graph.num_nodes, [trusted]), length
+    )[:, 0]
     scores = np.zeros(graph.num_nodes)
     positive = operator.stationary > 0
     scores[positive] = landing[positive] / operator.stationary[positive]

@@ -176,7 +176,6 @@ class SybilInfer:
         spares Metropolis–Hastings from having to expel a dense Sybil
         cluster one node at a time through an energy barrier.
         """
-        n = self._graph.num_nodes
         from repro.sybil.ranking import walk_probability_ranking
 
         scores = walk_probability_ranking(
@@ -184,8 +183,6 @@ class SybilInfer:
         )
         member = scores * self._total_volume >= 0.5
         member[trusted] = True
-        if not member.any():
-            member = np.ones(n, dtype=bool)
         return member
 
     def run(self, trusted: int) -> SybilInferResult:

@@ -18,7 +18,8 @@ import numpy as np
 
 from repro.errors import SybilDefenseError
 from repro.graph.core import Graph
-from repro.markov.transition import TransitionOperator, get_operator
+from repro.markov.batch import evolve_block
+from repro.sybil.ranking import accept_top, ranking_order
 
 __all__ = ["SybilRankConfig", "SybilRankResult", "SybilRank"]
 
@@ -50,37 +51,21 @@ class SybilRankResult:
 
     def ranking(self) -> np.ndarray:
         """Node ids ranked most-trusted first (ties by id)."""
-        return np.lexsort(
-            (np.arange(self.normalized.size), -self.normalized)
-        ).astype(np.int64)
+        return ranking_order(self.normalized)
 
     def accepted(self, count: int) -> np.ndarray:
         """Accept the ``count`` most-trusted nodes."""
-        if not 0 <= count <= self.normalized.size:
-            raise SybilDefenseError("count out of range")
-        return np.sort(self.ranking()[:count])
+        return accept_top(self.normalized, count)
 
 
 class SybilRank:
     """Early-terminated trust propagation over a fixed graph."""
 
-    def __init__(
-        self,
-        graph: Graph,
-        config: SybilRankConfig | None = None,
-        operator: TransitionOperator | None = None,
-    ) -> None:
+    def __init__(self, graph: Graph, config: SybilRankConfig | None = None) -> None:
         if graph.num_nodes < 3:
             raise SybilDefenseError("SybilRank needs at least 3 nodes")
         self._graph = graph
         self._config = config or SybilRankConfig()
-        if operator is not None and operator.graph != graph:
-            raise SybilDefenseError(
-                "the supplied operator was built for a different graph"
-            )
-        # the snapshot-reuse path: a warm serving layer passes its
-        # cached per-snapshot operator to skip the keyed-LRU lookup
-        self._operator = operator if operator is not None else get_operator(graph)
         self._iterations = self._config.num_iterations or max(
             1, int(np.ceil(np.log2(graph.num_nodes)))
         )
@@ -99,7 +84,7 @@ class SybilRank:
         """Propagate trust from the verified ``seeds``.
 
         Total trust is split evenly over the seeds, spread by the
-        random-walk operator for the configured iterations, then
+        graph's plain walk for the configured iterations, then
         degree-normalized (so high-degree nodes cannot hoard trust).
         """
         seed_array = np.unique(np.asarray(list(seeds), dtype=np.int64))
@@ -107,10 +92,9 @@ class SybilRank:
             raise SybilDefenseError("at least one trust seed is required")
         if seed_array[0] < 0 or seed_array[-1] >= self._graph.num_nodes:
             raise SybilDefenseError("trust seeds must be valid node ids")
-        trust = np.zeros(self._graph.num_nodes)
+        trust = np.zeros((self._graph.num_nodes, 1))
         trust[seed_array] = self._config.total_trust / seed_array.size
-        for _ in range(self._iterations):
-            trust = self._operator.evolve(trust)
+        trust = evolve_block(self._graph, trust, self._iterations)[:, 0]
         degrees = self._graph.degrees.astype(float)
         normalized = np.zeros_like(trust)
         positive = degrees > 0

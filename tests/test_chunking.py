@@ -11,7 +11,7 @@ Covers the two confirmed empty-source-set crashes (PR 4):
 
 Both are also pinned where users hit them: the public entry points of
 the BFS engine (``graph.metrics.eccentricities``) and the walk engine
-(``markov.batch.batched_tvd_profile`` / ``TransitionOperator``).
+(``markov.batch.batched_tvd_profile`` / ``evolve_block``).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from repro import oracles, telemetry
 from repro.chunking import DEFAULT_CHUNK_SIZE, resolve_chunks, run_chunks
 from repro.errors import GraphError
 from repro.graph.metrics import eccentricities
-from repro.markov.batch import batched_tvd_profile
-from repro.markov.transition import TransitionOperator
+from repro.markov.batch import batched_tvd_profile, evolve_block
+from repro.markov.transition import stationary_distribution
 from repro.parallel import execution
 
 
@@ -80,23 +80,21 @@ class TestEmptySourceRegressions:
 
     def test_batched_tvd_profile_empty_sources(self, k5):
         # the walk engine's public face: (0, len(walk_lengths)) result
-        op = TransitionOperator(k5)
         with execution(workers=4):
-            tvd = batched_tvd_profile(op.matrix, op.stationary, [], [1, 2, 5])
+            tvd = batched_tvd_profile(k5, stationary_distribution(k5), [], [1, 2, 5])
         assert tvd.shape == (0, 3)
 
     def test_batched_tvd_profile_empty_sources_still_validates_lengths(
         self, k5
     ):
-        op = TransitionOperator(k5)
         with pytest.raises(GraphError):
-            batched_tvd_profile(op.matrix, op.stationary, [], [2, 1])
+            batched_tvd_profile(k5, stationary_distribution(k5), [], [2, 1])
 
     def test_evolve_many_zero_column_block(self, k5):
-        op = TransitionOperator(k5)
+        # evolve_block moves a zero-column block whole, under any scope
         block = np.zeros((5, 0))
         with execution(chunk_size=2, workers=4):
-            out = op.evolve_many(block, steps=3)
+            out = evolve_block(k5, block, steps=3)
         assert out.shape == (5, 0)
 
 

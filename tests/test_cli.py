@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import gzip
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from repro.cli import main
@@ -498,3 +502,66 @@ def test_malformed_target_exits_with_one_line(kind, command, tmp_path):
     assert isinstance(message, str)  # a message, not a traceback
     assert "\n" not in message
     assert str(target) in message
+
+
+#: Malformed option values, each paired with the commands that take it.
+_BAD_SCALES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400"]),
+    st.floats(max_value=0.0).map(repr),
+)
+_BAD_SEEDS = st.one_of(
+    st.integers(max_value=-1).map(str), st.sampled_from(["1.5", "abc", ""])
+)
+_BAD_PORTS = st.one_of(st.integers(min_value=65536), st.integers(max_value=-1)).map(
+    str
+)
+_SMALL = ["--scale", "0.01"]
+
+
+def _malformed_invocations(tmp):
+    """(argv builder, bad-value strategy) for each checked option."""
+    a_file = tmp / "a-file"
+    a_file.write_text("not a directory\n")
+    a_dir = tmp / "a-dir"
+    a_dir.mkdir(exist_ok=True)
+    out = str(tmp / "shards")
+    return [
+        (lambda v: ["audit", "wiki_vote", f"--scale={v}"], _BAD_SCALES),
+        (lambda v: ["report", "wiki_vote", f"--scale={v}"], _BAD_SCALES),
+        (lambda v: ["pipeline", "run", "--target", "wiki_vote", f"--scale={v}"],
+         _BAD_SCALES),
+        (lambda v: ["pipeline", "run", "--target", "wiki_vote", f"--seed={v}"],
+         _BAD_SEEDS),
+        (lambda v: ["sybil", "compare", "--target", "wiki_vote", f"--seed={v}"],
+         _BAD_SEEDS),
+        (lambda v: ["shard", "build", "--target", "wiki_vote", "--out", out,
+                    f"--seed={v}"], _BAD_SEEDS),
+        (lambda v: ["serve", "--target", "wiki_vote", f"--port={v}"], _BAD_PORTS),
+        (lambda v: ["report", "wiki_vote", *_SMALL, "--output", v],
+         st.just(str(a_dir))),
+        (lambda v: ["audit", "wiki_vote", *_SMALL, "--cache-dir", v],
+         st.just(str(a_file))),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_malformed_values_exit_without_traceback(data, tmp_path_factory):
+    """Every malformed value ends in SystemExit with a nonzero code: the
+    usage error argparse prints, or one line from a check after parsing.
+    Any other exception would be printed as a traceback."""
+    tmp = tmp_path_factory.getbasetemp() / "malformed"
+    tmp.mkdir(exist_ok=True)
+    build, values = data.draw(st.sampled_from(_malformed_invocations(tmp)))
+    argv = build(data.draw(values))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as info:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            main(argv)
+    code = info.value.code
+    assert code not in (0, None), argv
+    if isinstance(code, str):  # raised after parsing: one line
+        assert code and "\n" not in code, argv
+    else:  # argparse's usage error
+        assert code == 2 and "error:" in stderr.getvalue(), argv
+    assert "Traceback" not in stdout.getvalue() + stderr.getvalue()

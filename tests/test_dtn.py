@@ -18,22 +18,22 @@ def contact_graph():
 
 class TestRouter:
     def test_similarity_self_is_one(self, contact_graph):
-        router = SimBetRouter(contact_graph, seed=1)
+        router = SimBetRouter(contact_graph)
         assert router.similarity(5, 5) == 1.0
 
     def test_similarity_common_neighbors(self):
         g = Graph.from_edges([(0, 2), (1, 2), (0, 3), (1, 3), (1, 4)])
-        router = SimBetRouter(g, seed=2)
+        router = SimBetRouter(g)
         # node 0 and node 1 share neighbors {2, 3}; deg(1) = 3
         assert router.similarity(0, 1) == pytest.approx(2 / 3)
 
     def test_hub_utility_dominates_on_star(self):
         g = star_graph(8)
-        router = SimBetRouter(g, alpha=1.0, seed=3)
+        router = SimBetRouter(g, alpha=1.0)
         assert router.utility(0, 5) > router.utility(1, 5)
 
     def test_similarity_only_mode(self, contact_graph):
-        router = SimBetRouter(contact_graph, alpha=0.0, seed=4)
+        router = SimBetRouter(contact_graph, alpha=0.0)
         dest = 7
         nbr = int(contact_graph.neighbors(dest)[0])
         far = int(
@@ -46,7 +46,7 @@ class TestRouter:
         assert router.utility(nbr, dest) > router.utility(far, dest)
 
     def test_next_hop_returns_destination_when_adjacent(self, contact_graph, rng):
-        router = SimBetRouter(contact_graph, seed=5)
+        router = SimBetRouter(contact_graph)
         dest = 11
         holder = int(contact_graph.neighbors(dest)[0])
         assert router.next_hop(holder, dest, rng) == dest

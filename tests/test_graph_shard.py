@@ -40,7 +40,7 @@ from repro.markov.batch import (
     delta_block,
     evolve_block,
 )
-from repro.markov.transition import TransitionOperator, stationary_distribution
+from repro.markov.transition import stationary_distribution, transition_matrix
 from repro.markov.walk_batch import (
     walk_block,
     walk_cover_steps,
@@ -228,12 +228,10 @@ class TestOneShardGraph:
         assert pickle.loads(pickle.dumps(graph)) == graph
 
     def test_graph_store_evolves_like_its_matrix(self, dirty):
-        op = TransitionOperator(dirty)
+        pi = stationary_distribution(dirty)
         sources, lengths = [0, 17, 100, dirty.num_nodes - 1], [0, 1, 3, 8]
-        expected = batched_tvd_profile(op.matrix, op.stationary, sources, lengths)
-        got = batched_tvd_profile(
-            dirty, stationary_distribution(dirty), sources, lengths
-        )
+        expected = batched_tvd_profile(transition_matrix(dirty), pi, sources, lengths)
+        got = batched_tvd_profile(dirty, pi, sources, lengths)
         assert np.array_equal(got, expected)
 
     def test_normalized_adjacency_is_the_stacked_row_blocks(self, dirty, tmp_path):
@@ -300,11 +298,11 @@ class TestEngineBitIdentity:
     """Every engine on shards must equal the in-RAM engine exactly."""
 
     def test_tvd_profile(self, dirty, sharded, chunk_size, workers):
-        op = TransitionOperator(dirty)
         sources = [0, 5, 17, 17, 100, dirty.num_nodes - 1]
         lengths = [0, 1, 2, 5, 9]
         expected = batched_tvd_profile(
-            op.matrix, op.stationary, sources, lengths
+            transition_matrix(dirty), stationary_distribution(dirty), sources,
+            lengths,
         )
         pi = stationary_distribution(sharded)
         with execution(chunk_size=chunk_size, workers=workers):
@@ -428,9 +426,8 @@ class TestSequentialOracle:
 
 class TestEvolveBlock:
     def test_matches_in_ram_product(self, dirty, sharded):
-        op = TransitionOperator(dirty)
         block = delta_block(dirty.num_nodes, [0, 8, 150])
-        expected = evolve_block(op.matrix, block, steps=6)
+        expected = evolve_block(transition_matrix(dirty), block, steps=6)
         got = evolve_block(sharded, block, steps=6)
         assert np.array_equal(got, expected)
 

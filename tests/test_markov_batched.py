@@ -17,13 +17,12 @@ from repro.errors import GraphError
 from repro.generators import barabasi_albert, path_graph, star_graph
 from repro.graph import Graph, ShardedGraph
 from repro.markov import (
-    TransitionOperator,
     batched_tvd_profile,
-    clear_operator_cache,
     delta_block,
     evolve_block,
-    get_operator,
+    stationary_distribution,
     total_variation_distance,
+    transition_matrix,
 )
 from repro.mixing import sampled_mixing_profile
 from repro.parallel import execution
@@ -35,13 +34,14 @@ def with_isolated() -> Graph:
     return Graph.from_edges([(0, 1), (1, 2), (0, 2)], num_nodes=5)
 
 
-def _sequential_block(op: TransitionOperator, sources, steps: int) -> np.ndarray:
+def _sequential_block(matrix, sources, steps: int) -> np.ndarray:
     """Oracle: evolve each source independently with single matvecs."""
-    out = np.empty((op.graph.num_nodes, len(sources)))
+    out = np.empty((matrix.shape[0], len(sources)))
     for j, source in enumerate(sources):
-        dist = op.delta(int(source))
+        dist = np.zeros(matrix.shape[0])
+        dist[source] = 1.0
         for _ in range(steps):
-            dist = op.evolve(dist)
+            dist = matrix.T @ dist
         out[:, j] = dist
     return out
 
@@ -71,132 +71,129 @@ class TestDeltaBlock:
 
 
 class TestEvolveManyEquivalence:
+    """``evolve_block`` moves many columns at once, bit for bit like the
+    per-column oracle, through a matrix or through the graph itself."""
+
     @pytest.mark.parametrize("lazy", [False, True])
     @pytest.mark.parametrize("steps", [0, 1, 3, 7])
     def test_matches_sequential_evolve(self, ba_small, lazy, steps):
-        op = TransitionOperator(ba_small, lazy=lazy)
+        matrix = transition_matrix(ba_small, lazy=lazy)
         sources = list(range(0, ba_small.num_nodes, 17))
-        block = op.distribution_block(sources)
-        batched = op.evolve_many(block, steps=steps)
-        oracle = _sequential_block(op, sources, steps)
-        np.testing.assert_allclose(batched, oracle, atol=1e-12)
-        assert batched.tobytes() == oracle.tobytes()
+        block = delta_block(ba_small.num_nodes, sources)
+        oracle = _sequential_block(matrix, sources, steps)
+        chains = [matrix] if lazy else [matrix, ba_small]
+        for chain in chains:
+            batched = evolve_block(chain, block, steps)
+            np.testing.assert_allclose(batched, oracle, atol=1e-12)
+            assert batched.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 5, 64, 1000])
     def test_chunk_sizes_equivalent(self, ba_small, chunk_size):
-        op = TransitionOperator(ba_small)
+        # a schedule scope never splits or changes the block product
         sources = list(range(40))
-        oracle = _sequential_block(op, sources, 5)
-        block = op.distribution_block(sources)
+        oracle = _sequential_block(transition_matrix(ba_small), sources, 5)
+        block = delta_block(ba_small.num_nodes, sources)
         with execution(chunk_size=chunk_size):
-            batched = op.evolve_many(block, steps=5)
+            batched = evolve_block(ba_small, block, 5)
         assert batched.tobytes() == oracle.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_worker_counts_equivalent(self, ba_small, workers):
-        op = TransitionOperator(ba_small)
         sources = list(range(40))
-        oracle = _sequential_block(op, sources, 5)
-        block = op.distribution_block(sources)
+        oracle = _sequential_block(transition_matrix(ba_small), sources, 5)
+        block = delta_block(ba_small.num_nodes, sources)
         with execution(chunk_size=7, workers=workers):
-            batched = op.evolve_many(block, steps=5)
+            batched = evolve_block(ba_small, block, 5)
         assert batched.tobytes() == oracle.tobytes()
 
     def test_isolated_nodes_equivalent(self, with_isolated):
-        op = TransitionOperator(with_isolated)
+        matrix = transition_matrix(with_isolated)
         sources = [0, 3, 4]
-        oracle = _sequential_block(op, sources, 4)
-        batched = op.evolve_many(op.distribution_block(sources), steps=4)
-        assert batched.tobytes() == oracle.tobytes()
-        # isolated sources are absorbing: the delta never moves
-        assert np.array_equal(batched[:, 1], op.delta(3))
+        oracle = _sequential_block(matrix, sources, 4)
+        block = delta_block(with_isolated.num_nodes, sources)
+        for chain in (matrix, with_isolated):
+            batched = evolve_block(chain, block, 4)
+            assert batched.tobytes() == oracle.tobytes()
+            # isolated sources are absorbing: the delta never moves
+            assert np.array_equal(batched[:, 1], block[:, 1])
 
     def test_preserves_probability_mass(self, ba_small):
-        op = TransitionOperator(ba_small)
-        block = op.distribution_block(list(range(25)))
-        evolved = op.evolve_many(block, steps=10)
+        block = delta_block(ba_small.num_nodes, list(range(25)))
+        evolved = evolve_block(ba_small, block, 10)
         np.testing.assert_allclose(evolved.sum(axis=0), 1.0, atol=1e-9)
 
     def test_bad_block_shape_rejected(self, k5):
-        op = TransitionOperator(k5)
-        with pytest.raises(GraphError):
-            op.evolve_many(np.zeros((4, 3)))
-        with pytest.raises(GraphError):
-            op.evolve_many(np.zeros(5))
+        for chain in (k5, transition_matrix(k5)):
+            with pytest.raises(GraphError):
+                evolve_block(chain, np.zeros((4, 3)))
+            with pytest.raises(GraphError):
+                evolve_block(chain, np.zeros(5))
 
     def test_negative_steps_rejected(self, k5):
-        op = TransitionOperator(k5)
         with pytest.raises(GraphError):
-            op.evolve_many(op.distribution_block([0]), steps=-1)
+            evolve_block(k5, delta_block(5, [0]), steps=-1)
 
     def test_bad_chunk_and_workers_rejected(self, k5):
-        op = TransitionOperator(k5)
-        block = op.distribution_block([0, 1])
+        block = delta_block(5, [0, 1])
         with pytest.raises(GraphError):
             with execution(chunk_size=0):
-                op.evolve_many(block, steps=1)
+                evolve_block(k5, block, 1)
         with pytest.raises(GraphError):
             with execution(workers=0):
-                op.evolve_many(block, steps=1)
-
-    def test_evolve_block_function_matches_method(self, ba_small):
-        op = TransitionOperator(ba_small)
-        block = op.distribution_block([0, 1, 2])
-        assert np.array_equal(
-            evolve_block(op.matrix, block, 3), op.evolve_many(block, steps=3)
-        )
+                evolve_block(k5, block, 1)
 
 
 class TestBatchedTvdProfile:
     @pytest.mark.parametrize("chunk_size", [None, 1, 3, 100])
     def test_matches_sequential_tvd(self, ba_small, chunk_size):
-        op = TransitionOperator(ba_small)
+        matrix = transition_matrix(ba_small)
+        pi = stationary_distribution(ba_small)
         sources = list(range(0, ba_small.num_nodes, 23))
         lengths = [0, 1, 2, 4, 8, 16]
         with execution(chunk_size=chunk_size):
-            tvd = batched_tvd_profile(op.matrix, op.stationary, sources, lengths)
+            tvd = batched_tvd_profile(matrix, pi, sources, lengths)
         for j, source in enumerate(sources):
-            dist = op.delta(source)
+            dist = np.zeros(ba_small.num_nodes)
+            dist[source] = 1.0
             step = 0
             for col, target in enumerate(lengths):
                 for _ in range(target - step):
-                    dist = op.evolve(dist)
+                    dist = matrix.T @ dist
                 step = target
-                expected = total_variation_distance(dist, op.stationary)
+                expected = total_variation_distance(dist, pi)
                 assert tvd[j, col] == expected
 
     def test_non_integer_sources_rejected(self, k5):
         # a cast would silently truncate 3.99 to node 3
-        op = TransitionOperator(k5)
+        matrix, pi = transition_matrix(k5), stationary_distribution(k5)
         for bad in ([3.99], [1.7]):
             with pytest.raises(GraphError, match="integer dtype, got float64"):
-                batched_tvd_profile(op.matrix, op.stationary, bad, [1, 2])
+                batched_tvd_profile(matrix, pi, bad, [1, 2])
         with pytest.raises(GraphError, match="node ids"):
-            batched_tvd_profile(op.matrix, op.stationary, [5], [1, 2])
-        empty = batched_tvd_profile(op.matrix, op.stationary, np.array([]), [1])
+            batched_tvd_profile(matrix, pi, [5], [1, 2])
+        empty = batched_tvd_profile(matrix, pi, np.array([]), [1])
         assert empty.shape == (0, 1)
 
     @pytest.mark.parametrize("kind", ["matrix", "sharded"])
     def test_stationary_shape_checked_before_dispatch(self, k5, tmp_path, kind):
-        op = TransitionOperator(k5)
         chain = (
-            op.matrix if kind == "matrix"
+            transition_matrix(k5) if kind == "matrix"
             else ShardedGraph.from_graph(k5, tmp_path / "k5", num_shards=2)
         )
         with pytest.raises(GraphError, match=r"stationary must have shape \(5,\)"):
-            batched_tvd_profile(chain, op.stationary[:4], [0, 1], [1, 2])
+            batched_tvd_profile(chain, stationary_distribution(k5)[:4], [0, 1], [1, 2])
 
     def test_walk_length_zero_is_delta_tvd(self, k5):
-        op = TransitionOperator(k5)
-        tvd = batched_tvd_profile(op.matrix, op.stationary, [0], [0])
-        expected = total_variation_distance(op.delta(0), op.stationary)
+        pi = stationary_distribution(k5)
+        tvd = batched_tvd_profile(k5, pi, [0], [0])
+        expected = total_variation_distance(delta_block(5, [0])[:, 0], pi)
         assert tvd[0, 0] == expected
 
     def test_invalid_lengths_rejected(self, k5):
-        op = TransitionOperator(k5)
+        pi = stationary_distribution(k5)
         for bad in ([], [-1, 2], [3, 1], [2, 2]):
             with pytest.raises(GraphError):
-                batched_tvd_profile(op.matrix, op.stationary, [0], bad)
+                batched_tvd_profile(k5, pi, [0], bad)
 
 
 class TestStrategyEquivalence:
@@ -238,45 +235,7 @@ class TestStrategyEquivalence:
         unsorted = [42, 7, 99]
         profile = sampled_mixing_profile(ba_small, lengths, sources=unsorted)
         assert np.array_equal(profile.sources, [7, 42, 99])
-        op = TransitionOperator(ba_small)
+        matrix, pi = transition_matrix(ba_small), stationary_distribution(ba_small)
         for row, source in enumerate(profile.sources):
-            dist = op.distribution_after(int(source), 1)
-            assert profile.tvd[row, 0] == total_variation_distance(
-                dist, op.stationary
-            )
-
-
-class TestOperatorCache:
-    def test_same_object_returned(self, ba_small):
-        clear_operator_cache()
-        first = get_operator(ba_small)
-        second = get_operator(ba_small)
-        assert first is second
-
-    def test_content_keyed_across_equal_graphs(self):
-        clear_operator_cache()
-        a = path_graph(10)
-        b = path_graph(10)
-        assert a is not b
-        assert get_operator(a) is get_operator(b)
-
-    def test_lazy_cached_separately(self, ba_small):
-        clear_operator_cache()
-        assert get_operator(ba_small) is not get_operator(ba_small, lazy=True)
-        assert get_operator(ba_small, lazy=True).lazy
-
-    def test_clear_drops_entries(self, ba_small):
-        clear_operator_cache()
-        first = get_operator(ba_small)
-        clear_operator_cache()
-        assert get_operator(ba_small) is not first
-
-    def test_lru_evicts_oldest(self):
-        from repro.markov.transition import _OPERATOR_CACHE_SIZE
-
-        clear_operator_cache()
-        graphs = [path_graph(5 + i) for i in range(_OPERATOR_CACHE_SIZE + 1)]
-        first = get_operator(graphs[0])
-        for graph in graphs[1:]:
-            get_operator(graph)
-        assert get_operator(graphs[0]) is not first
+            dist = matrix.T @ delta_block(ba_small.num_nodes, [source])[:, 0]
+            assert profile.tvd[row, 0] == total_variation_distance(dist, pi)

@@ -65,8 +65,10 @@ class TestModulatedOperator:
         assert np.allclose(evolved, op.stationary, atol=1e-12)
 
     def test_distribution_after(self, k5):
+        from repro.markov import delta_block, evolve_block
+
         op = ModulatedOperator.build(k5, 0.2)
-        dist = op.distribution_after(0, 50)
+        dist = evolve_block(op.matrix, delta_block(5, [0]), 50)[:, 0]
         assert np.allclose(dist, op.stationary, atol=1e-9)
 
     def test_edgeless_rejected(self):

@@ -33,7 +33,7 @@ from repro.graph import (
     global_clustering,
     num_connected_components,
 )
-from repro.markov import TransitionOperator
+from repro.markov import delta_block, evolve_block
 from repro.mixing import sampled_mixing_profile, slem
 from repro.parallel import execution
 
@@ -212,9 +212,8 @@ class TestBatchedWalkOracle:
         A = np.asarray(nx.adjacency_matrix(theirs, nodelist=range(ours.num_nodes)).todense(), dtype=float)
         P = A / A.sum(axis=1, keepdims=True)
         Pt = np.linalg.matrix_power(P, steps)
-        op = TransitionOperator(ours)
         sources = list(range(ours.num_nodes))
-        block = op.evolve_many(op.distribution_block(sources), steps=steps)
+        block = evolve_block(ours, delta_block(ours.num_nodes, sources), steps)
         # column j of the block is row sources[j] of P^t
         np.testing.assert_allclose(block.T, Pt, atol=1e-12)
 

@@ -28,7 +28,7 @@ from repro.graph import Graph
 from repro.graph.bfs_batch import bfs_distances_block, bfs_level_sizes_block
 from repro.graph.shard import ShardedGraph
 from repro.markov.batch import batched_tvd_profile
-from repro.markov.transition import TransitionOperator, stationary_distribution
+from repro.markov.transition import stationary_distribution, transition_matrix
 from repro.markov.walk_batch import (
     walk_block,
     walk_cover_steps,
@@ -56,8 +56,9 @@ def graph() -> Graph:
 
 
 @pytest.fixture(scope="module")
-def operator(graph) -> TransitionOperator:
-    return TransitionOperator(graph)
+def chain(graph) -> tuple:
+    """The plain walk's matrix and stationary distribution."""
+    return transition_matrix(graph), stationary_distribution(graph)
 
 
 @pytest.fixture(scope="module")
@@ -151,15 +152,13 @@ class TestBitIdentityGrid:
     """Every engine, byte-identical across executor x chunk x workers."""
 
     @pytest.fixture(scope="class")
-    def tvd_expected(self, operator, sources):
-        return oracles.tvd_profile(operator, sources, LENGTHS)
+    def tvd_expected(self, chain, sources):
+        return oracles.tvd_profile(*chain, sources, LENGTHS)
 
     @pytest.mark.parametrize("executor,chunk,workers", GRID)
-    def test_tvd_profile(self, operator, sources, tvd_expected, executor, chunk, workers):
+    def test_tvd_profile(self, chain, sources, tvd_expected, executor, chunk, workers):
         with parallel.execution(executor=executor, chunk_size=chunk, workers=workers):
-            out = batched_tvd_profile(
-                operator.matrix, operator.stationary, sources, LENGTHS
-            )
+            out = batched_tvd_profile(*chain, sources, LENGTHS)
         np.testing.assert_array_equal(out, tvd_expected)
 
     @pytest.fixture(scope="class")
@@ -213,12 +212,10 @@ class TestBitIdentityGrid:
         for expected, got in cases:
             np.testing.assert_array_equal(got, expected)
 
-    def test_ambient_execution_routes_engines(self, operator, sources, tvd_expected):
+    def test_ambient_execution_routes_engines(self, chain, sources, tvd_expected):
         with parallel.execution(executor="process", workers=4):
             with telemetry.activate() as tel, parallel.execution(chunk_size=7):
-                out = batched_tvd_profile(
-                    operator.matrix, operator.stationary, sources, LENGTHS
-                )
+                out = batched_tvd_profile(*chain, sources, LENGTHS)
         np.testing.assert_array_equal(out, tvd_expected)
         assert tel.counters["parallel.process_runs"] >= 1
 
@@ -350,11 +347,11 @@ class TestShmLifecycle:
 
 
 class TestTelemetryMerge:
-    def test_child_spans_and_counters_merge(self, operator, sources):
+    def test_child_spans_and_counters_merge(self, chain, sources):
         chunks = resolve_chunks(sources.size, 7, workers=4)
         schedule = parallel.execution(executor="process", chunk_size=7, workers=4)
         with schedule, telemetry.activate() as tel:
-            batched_tvd_profile(operator.matrix, operator.stationary, sources, LENGTHS)
+            batched_tvd_profile(*chain, sources, LENGTHS)
         # one chunking.chunk span per task, merged from child snapshots
         chunk_spans = _spans_ending(tel.spans, "chunking.chunk")
         assert sum(tel.spans[p].count for p in chunk_spans) == len(chunks)
@@ -366,10 +363,10 @@ class TestTelemetryMerge:
         assert tel.gauges["parallel.pool_size"] >= 2
         assert 0.0 <= tel.gauges["chunking.worker_utilization"] <= 1.0
 
-    def test_metrics_document_is_one_coherent_json(self, operator, sources, tmp_path):
+    def test_metrics_document_is_one_coherent_json(self, chain, sources, tmp_path):
         schedule = parallel.execution(executor="process", chunk_size=7, workers=4)
         with schedule, telemetry.activate() as tel:
-            batched_tvd_profile(operator.matrix, operator.stationary, sources, LENGTHS)
+            batched_tvd_profile(*chain, sources, LENGTHS)
             path = tel.write_json(tmp_path / "metrics.json")
         import json
 

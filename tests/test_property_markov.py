@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from repro import oracles
 from repro.graph import Graph
 from repro.markov import (
-    TransitionOperator,
+    delta_block,
+    evolve_block,
     kl_divergence,
+    stationary_distribution,
     total_variation_distance,
+    transition_matrix,
 )
 from repro.mixing import sampled_mixing_profile
 from repro.parallel import execution
@@ -78,38 +81,38 @@ class TestChainInvariants:
     @given(connected_graphs())
     @settings(max_examples=60, deadline=None)
     def test_evolution_preserves_probability(self, g):
-        op = TransitionOperator(g)
-        dist = op.delta(0)
+        dist = delta_block(g.num_nodes, [0])
         for _ in range(5):
-            dist = op.evolve(dist)
+            dist = evolve_block(g, dist, 1)
             assert abs(dist.sum() - 1.0) < 1e-9
             assert np.all(dist >= -1e-15)
 
     @given(connected_graphs())
     @settings(max_examples=60, deadline=None)
     def test_stationary_is_fixed_point(self, g):
-        op = TransitionOperator(g)
-        assert np.allclose(op.evolve(op.stationary), op.stationary, atol=1e-12)
+        pi = stationary_distribution(g)
+        evolved = evolve_block(g, pi[:, None], 1)[:, 0]
+        assert np.allclose(evolved, pi, atol=1e-12)
 
     @given(connected_graphs())
     @settings(max_examples=40, deadline=None)
     def test_lazy_chain_converges_to_stationary(self, g):
         """The lazy chain on a connected graph always converges."""
-        op = TransitionOperator(g, lazy=True)
-        dist = op.distribution_after(0, 300)
-        assert total_variation_distance(dist, op.stationary) < 0.01
+        lazy = transition_matrix(g, lazy=True)
+        dist = evolve_block(lazy, delta_block(g.num_nodes, [0]), 300)[:, 0]
+        assert total_variation_distance(dist, stationary_distribution(g)) < 0.01
 
     @given(connected_graphs())
     @settings(max_examples=60, deadline=None)
     def test_tvd_to_stationary_monotone_for_lazy_chain(self, g):
         """Lazy-chain TVD to stationarity never increases (a standard
         contraction property used implicitly by the mixing measurement)."""
-        op = TransitionOperator(g, lazy=True)
-        dist = op.delta(0)
-        previous = total_variation_distance(dist, op.stationary)
+        lazy, pi = transition_matrix(g, lazy=True), stationary_distribution(g)
+        dist = delta_block(g.num_nodes, [0])
+        previous = total_variation_distance(dist[:, 0], pi)
         for _ in range(10):
-            dist = op.evolve(dist)
-            current = total_variation_distance(dist, op.stationary)
+            dist = evolve_block(lazy, dist, 1)
+            current = total_variation_distance(dist[:, 0], pi)
             assert current <= previous + 1e-10
             previous = current
 

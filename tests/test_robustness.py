@@ -20,7 +20,7 @@ from repro.graph import (
     eccentricities,
     largest_connected_component,
 )
-from repro.markov import TransitionOperator, random_walk
+from repro.markov import delta_block, evolve_block, random_walk
 from repro.mixing import sampled_mixing_profile, slem
 
 
@@ -74,8 +74,7 @@ class TestDisconnectedGraphs:
 class TestIsolatedNodes:
     def test_transition_operator_isolated_absorbing(self):
         g = Graph.from_edges([(0, 1)], num_nodes=3)
-        op = TransitionOperator(g)
-        dist = op.distribution_after(2, 10)
+        dist = evolve_block(g, delta_block(3, [2]), 10)[:, 0]
         assert dist[2] == 1.0
 
     def test_coreness_ecdf_includes_zero(self):

@@ -9,6 +9,7 @@ Monte Carlo defense queries) across chunk-size/worker grids.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 
@@ -523,6 +524,52 @@ class TestHTTPServer:
         assert after == before
         assert client._post("/compact", {}) == {"compacted": False}
         assert client._post("/nodes", {"count": limit})["count"] == limit
+
+    @staticmethod
+    def _post_raw(url: str, length: str, body: bytes = b"") -> tuple[int, dict]:
+        """POST /edges with a hand-set Content-Length; (status, JSON)."""
+        host, port = url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
+        try:
+            conn.putrequest("POST", "/edges")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            if body:
+                conn.send(body)
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "length,status",
+        [("1000000000000", 413), ("1000000000", 413), ("-1", 400)],
+    )
+    def test_content_length_is_bounded(self, served, length, status):
+        """The server answers from the header alone: it neither sizes a
+        read buffer from it nor waits for bytes that never come."""
+        service, client = served
+        before = client.stats()
+        code, doc = self._post_raw(client._base, length)
+        assert code == status
+        assert "error" in doc
+        after = client.stats()
+        before.pop("queries"), after.pop("queries")
+        assert after == before
+
+    def test_stalled_body_times_out(self, served, monkeypatch):
+        from repro.serve import server
+
+        assert 0 < server._Handler.timeout < 60
+        monkeypatch.setattr(server._Handler, "timeout", 0.3)
+        service, client = served
+        before = client.stats()
+        code, doc = self._post_raw(client._base, "40", b'{"u": 1')
+        assert code == 408
+        assert "timed out" in doc["error"]
+        after = client.stats()
+        before.pop("queries"), after.pop("queries")
+        assert after == before
 
     def test_unexpected_error_answers_500_with_json(self, served, monkeypatch):
         service, client = served

@@ -119,13 +119,15 @@ class TestModulatedRanking:
         """At a fixed short walk length, raising the stay probability
         reduces the probability mass that escapes into the Sybil region
         (the INFOCOM'11 trust-modulation effect)."""
+        from repro.markov import delta_block, evolve_block
         from repro.mixing.trust import ModulatedOperator
 
         attack, _ = ranked_attack
+        start = delta_block(attack.graph.num_nodes, [0])
         masses = []
         for alpha in (0.0, 0.7):
             op = ModulatedOperator.build(attack.graph, alpha)
-            dist = op.distribution_after(0, 10)
+            dist = evolve_block(op.matrix, start, 10)
             masses.append(dist[attack.num_honest :].sum())
         assert masses[1] < masses[0]
 
