@@ -10,8 +10,8 @@ are in flight.  This package closes that gap in three layers:
   :class:`repro.graph.Graph`, plus the :class:`CompactionPolicy` that
   decides when to fold it into a fresh snapshot.
 * :mod:`repro.serve.service` — :class:`AdmissionService`, the
-  thread-safe query engine: per-snapshot warm caches (transition
-  operator, GateKeeper reach sets, trust vectors), store memoization
+  thread-safe query engine: per-snapshot warm caches (GateKeeper
+  reach sets, trust vectors, query results), store memoization
   chained on the snapshot digest, a documented freshness contract, and
   full ``serve.*`` telemetry.
 * :mod:`repro.serve.server` / :mod:`repro.serve.loadgen` — a stdlib
