@@ -58,7 +58,7 @@ from repro.errors import ReproError
 from repro.expansion import envelope_expansion, expansion_factor_series
 from repro.parallel import execution
 from repro.graph import Graph, GraphBuilder, ShardedGraph
-from repro.markov import random_walk, total_variation_distance
+from repro.markov import total_variation_distance
 from repro.mixing import sampled_mixing_profile, sampled_mixing_time, slem
 from repro.pipeline import Pipeline, Stage, paper_measurement_pipeline
 from repro.privacy import perturb_links, privacy_utility_frontier
@@ -85,7 +85,6 @@ __all__ = [
     "available_datasets",
     "dataset_spec",
     "load_dataset",
-    "random_walk",
     "total_variation_distance",
     "slem",
     "sampled_mixing_profile",

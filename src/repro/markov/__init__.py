@@ -27,12 +27,6 @@ from repro.markov.transition import (
     stationary_distribution,
     transition_matrix,
 )
-from repro.markov.walks import (
-    RouteTable,
-    empirical_distribution,
-    random_walk,
-    random_walks,
-)
 
 __all__ = [
     "transition_matrix",
@@ -44,10 +38,6 @@ __all__ = [
     "total_variation_distance",
     "l2_distance",
     "kl_divergence",
-    "random_walk",
-    "random_walks",
-    "empirical_distribution",
-    "RouteTable",
     "NO_HIT",
     "walk_block",
     "walk_endpoints",

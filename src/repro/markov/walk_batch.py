@@ -4,8 +4,8 @@ The dense-distribution engine (:mod:`repro.markov.batch`) and the BFS
 engine (:mod:`repro.graph.bfs_batch`) cover algebraic evolution and
 shortest-path levels; every *sampled* walk in the repo — escape
 probability, SybilDefender/SybilInfer statistics, GateKeeper
-distributor selection, Whānau table sampling, Monte-Carlo
-hitting/cover estimators, empirical distributions — still needs actual
+distributor selection, Whānau table sampling, SybilFuse's trust
+walks, Monte-Carlo hitting/cover estimators — still needs actual
 random trajectories.  This module advances a ``(num_walks,)`` state
 vector one step per iteration with a single CSR gather::
 
@@ -18,8 +18,9 @@ instead of ``num_walks x length`` Python iterations, in four modes:
 * :func:`walk_first_hits` — first step touching a node mask
   (:data:`NO_HIT` when a walk never does), the escape-probability and
   Monte-Carlo hitting-time primitive;
-* :func:`walk_visit_counts` — per-node visit accumulation
-  (``record="last"`` is the empirical-distribution estimator);
+* :func:`walk_visit_counts` — per-node visit accumulation over every
+  position (``np.bincount`` of :func:`walk_endpoints` is the empirical
+  ``length``-step distribution);
 
 plus :func:`walk_cover_steps`, the cover-time tracker built on the
 same stepping kernel: :meth:`repro.graph.shard.Shard.advance` on the
@@ -186,13 +187,8 @@ def _visit_kernel(columns: slice, env, streams) -> np.ndarray:
     """Return the chunk's per-node visit counts (merged by the caller)."""
     n = env.num_nodes
     states = env.sources[columns]
-    local = np.zeros(n, dtype=np.int64)
-    if env.record == "all":
-        local += np.bincount(states, minlength=n)
+    local = np.bincount(states, minlength=n).astype(np.int64)
     for _, states in _steps(env, columns, streams, env.length):
-        if env.record == "all":
-            local += np.bincount(states, minlength=n)
-    if env.record == "last":
         local += np.bincount(states, minlength=n)
     _count(states.size * env.length)
     return local
@@ -336,26 +332,20 @@ def walk_visit_counts(
     sources: np.ndarray | Sequence[int],
     length: int,
     seed: _SeedLike = 0,
-    record: str = "all",
 ) -> np.ndarray:
     """Accumulate per-node visit counts over one walk per source.
 
-    ``record="all"`` counts every position (source included) of every
-    walk — ``counts.sum() == len(sources) * (length + 1)``;
-    ``record="last"`` counts endpoints only, which divided by the walk
-    count is exactly the empirical ``length``-step distribution.
-    Memory stays O(num_nodes) per chunk regardless of the sample count:
+    Every position (source included) of every walk counts, so
+    ``counts.sum() == len(sources) * (length + 1)``.  Memory stays O(num_nodes) per chunk regardless of the sample count:
     each chunk's partial counts are added into the result as the chunk
     finishes (integer addition commutes, so scheduling cannot change
     the totals).
     """
     chosen = _check(graph, sources, length)
-    if record not in ("all", "last"):
-        raise GraphError(f"unknown record mode {record!r}; use 'all' or 'last'")
     counts = np.zeros(graph.num_nodes, dtype=np.int64)
     if chosen.size:
         _run("visit_counts", _visit_kernel, graph, chosen, seed,
-             {"length": length, "record": record},
+             {"length": length},
              merge=lambda _, local: np.add(counts, local, out=counts))
     return counts
 

@@ -1,10 +1,14 @@
-"""Monte-Carlo random walks on graphs.
+"""Random routes: the permutation walks of SybilGuard and SybilLimit.
 
-The Sybil defenses in :mod:`repro.sybil` are built on sampled walks and
-random *routes* (SybilGuard's permutation-based deterministic walks);
-this module provides both, plus empirical visit distributions for
-cross-checking the algebraic evolution of
-:func:`repro.markov.batch.evolve_block`.
+Each node of a *route table* fixes a random permutation from the edge a
+route enters on to the edge it leaves on, so a route is a deterministic
+walk given its first hop, and two routes that cross one edge in one
+direction leave it together.  Every table of a seed comes from one key
+block drawn from ``default_rng(seed)`` (:func:`_successor_block`), and
+a block of routes advances one gather per hop.  SybilGuard routes every
+half-edge of table 0 (:func:`_route_paths`); SybilLimit routes every
+node's first hop in each of ``r`` tables (:func:`_route_tails`).
+Sampled walks come from :mod:`repro.markov.walk_batch`.
 """
 
 from __future__ import annotations
@@ -12,100 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro import telemetry
-from repro.errors import GraphError
 from repro.graph.core import Graph
 
-__all__ = [
-    "random_walk",
-    "random_walks",
-    "empirical_distribution",
-    "RouteTable",
-]
-
-
-def random_walk(
-    graph: Graph,
-    source: int,
-    length: int,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Return a walk as an array of ``length + 1`` node ids.
-
-    The walk follows Eq. (1): at each step a uniformly random neighbor.
-    A walk stuck at an isolated node stays there.
-    """
-    graph._check_node(source)
-    if length < 0:
-        raise GraphError("length must be non-negative")
-    rng = rng or np.random.default_rng()
-    path = np.empty(length + 1, dtype=np.int64)
-    path[0] = source
-    current = source
-    indptr, indices = graph.indptr, graph.indices
-    for step in range(1, length + 1):
-        lo, hi = indptr[current], indptr[current + 1]
-        if hi > lo:
-            current = int(indices[lo + rng.integers(hi - lo)])
-        path[step] = current
-    return path
-
-
-def random_walks(
-    graph: Graph,
-    source: int,
-    length: int,
-    count: int,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Return ``count`` independent walks as a ``(count, length + 1)`` array.
-
-    Rides the vectorized engine (:func:`repro.markov.walk_batch.walk_block`).
-    Each walk draws from its own child stream of ``rng`` (fresh entropy
-    when ``rng`` is None), so results do not depend on the schedule.
-    """
-    from repro.markov.walk_batch import walk_block
-
-    graph._check_node(source)
-    if count < 1:
-        raise GraphError("count must be positive")
-    seed = rng if rng is not None else np.random.SeedSequence()
-    return walk_block(
-        graph,
-        np.full(count, source, dtype=np.int64),
-        length,
-        seed=seed,
-    )
-
-
-def empirical_distribution(
-    graph: Graph,
-    source: int,
-    length: int,
-    num_samples: int,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Estimate the ``length``-step distribution from ``num_samples`` walks.
-
-    Converges to ``evolve_block(graph, delta_block(n, [source]), length)``
-    as the sample count grows; tests use this agreement as an invariant.
-    Endpoint counting runs through the engine's visit-count mode
-    (``record="last"``), so memory stays O(num_nodes) however many
-    samples are drawn.
-    """
-    from repro.markov.walk_batch import walk_visit_counts
-
-    graph._check_node(source)
-    if num_samples < 1:
-        raise GraphError("num_samples must be positive")
-    seed = rng if rng is not None else np.random.SeedSequence()
-    counts = walk_visit_counts(
-        graph,
-        np.full(num_samples, source, dtype=np.int64),
-        length,
-        seed=seed,
-        record="last",
-    )
-    return counts / num_samples
+__all__: list[str] = []
 
 
 #: Most route keys (table rows x half-edges) drawn and sorted at once
@@ -214,66 +127,20 @@ def _route_tails(graph: Graph, seed: int, rows: int, length: int) -> np.ndarray:
     return tails
 
 
-class RouteTable:
-    """Per-node random permutations for SybilGuard-style *random routes*.
+def _route_paths(graph: Graph, seed: int, length: int) -> np.ndarray:
+    """Every half-edge's route of ``length`` edges in one route table.
 
-    Each node fixes a random permutation mapping incoming-edge positions
-    to outgoing-edge positions.  A route entering node ``v`` through its
-    ``i``-th incident edge always leaves through edge ``perm_v[i]``,
-    which makes routes deterministic given entry point and guarantees
-    the back-traceable / convergent route properties SybilGuard relies
-    on.  The permutations come from one row of route keys drawn from
-    ``default_rng(seed)`` (:func:`_successor_block`): each node exits
-    its edges in ascending key order.  SybilLimit's instance 0 with the
-    same seed is this table.
+    The table is row 0 of the ``default_rng(seed)`` key block
+    (:func:`_successor_block`); its first instance in
+    :func:`_route_tails` is the same table.  Row ``e`` of the returned
+    ``(2m, length + 1)`` node block is the route that leaves on
+    half-edge ``e`` (CSR order), so node ``v``'s routes are rows
+    ``indptr[v]:indptr[v + 1]``.  All ``2m`` routes advance as one
+    block.
     """
-
-    def __init__(self, graph: Graph, seed: int = 0) -> None:
-        self._graph = graph
-        self._edge_successor = _successor_block(
-            graph, np.random.default_rng(seed), 1
-        )[0]
-
-    @property
-    def graph(self) -> Graph:
-        """The graph the routes are defined over."""
-        return self._graph
-
-    def _edge_position(self, node: int, neighbor: int) -> int:
-        indptr, indices = self._graph.indptr, self._graph.indices
-        lo, hi = int(indptr[node]), int(indptr[node + 1])
-        pos = int(np.searchsorted(indices[lo:hi], neighbor))
-        if lo + pos >= hi or indices[lo + pos] != neighbor:
-            raise GraphError(f"{neighbor} is not adjacent to {node}")
-        return pos
-
-    def next_hop(self, previous: int, current: int) -> int:
-        """Return the node a route at ``current`` (arrived from
-        ``previous``) exits to."""
-        edge = self._graph.indptr[previous] + self._edge_position(previous, current)
-        return int(self._graph.indices[self._edge_successor[edge]])
-
-    def _routes(self, edges: np.ndarray, length: int) -> np.ndarray:
-        """The ``(routes, length + 1)`` node block of the routes of
-        ``length`` edges that start on half-edges ``edges``."""
-        if length < 1:
-            raise GraphError("route length must be at least 1")
-        hops = _advance_routes(self._edge_successor, edges, length, path=True)
-        out = np.empty((hops.shape[0], length + 1), dtype=np.int64)
-        out[:, 0] = np.searchsorted(self._graph.indptr, edges, side="right") - 1
-        out[:, 1:] = self._graph.indices[hops]
-        return out
-
-    def route(self, source: int, first_hop: int, length: int) -> np.ndarray:
-        """Return the deterministic route of ``length`` edges starting
-        ``source -> first_hop``."""
-        edge = int(self._graph.indptr[source]) + self._edge_position(
-            source, first_hop
-        )
-        return self._routes(np.array([edge]), length)[0]
-
-    def routes_from(self, source: int, length: int) -> list[np.ndarray]:
-        """Return one route per incident edge of ``source``."""
-        self._graph._check_node(source)
-        indptr = self._graph.indptr
-        return list(self._routes(np.arange(indptr[source], indptr[source + 1]), length))
+    successor = _successor_block(graph, np.random.default_rng(seed), 1)[0]
+    hops = _advance_routes(successor, np.arange(graph.indices.size), length, path=True)
+    out = np.empty((hops.shape[0], length + 1), dtype=np.int64)
+    out[:, 0] = np.repeat(graph.nodes(), graph.degrees)
+    out[:, 1:] = graph.indices[hops]
+    return out

@@ -61,7 +61,6 @@ __all__ = [
     "route_permutations",
     "sybilguard_routes",
     "sybilguard_verify",
-    "sybilguard_registry",
     "sybillimit_tails",
     "sybillimit_verify_all",
     "measure_escape",
@@ -141,13 +140,9 @@ def walk_first_hits(graph, sources, length: int, mask, seed=0) -> np.ndarray:
     return out
 
 
-def walk_visit_counts(
-    graph, sources, length: int, seed=0, record: str = "all"
-) -> np.ndarray:
+def walk_visit_counts(graph, sources, length: int, seed=0) -> np.ndarray:
     """Per-walk twin of :func:`repro.markov.walk_visit_counts`."""
     paths = walk_block(graph, sources, length, seed)
-    if record == "last":
-        paths = paths[:, -1:]
     return np.bincount(paths.ravel(), minlength=graph.num_nodes).astype(np.int64)
 
 
@@ -432,7 +427,8 @@ def _route_draws(
 
 
 def route_permutations(graph: Graph, seed: int = 0) -> list[np.ndarray]:
-    """Per-node exit permutations of ``RouteTable(graph, seed)``."""
+    """Per-node exit permutations of the route table
+    :func:`repro.markov.walks._route_paths` routes on for ``seed``."""
     return _route_draws(graph, seed, 1)[0][0]
 
 
@@ -479,17 +475,6 @@ def sybilguard_verify(
         return False
     hits = sum(1 for nodes in verifier_routes if not nodes.isdisjoint(suspect_nodes))
     return hits >= guard._config.intersection_threshold * len(verifier_routes)
-
-
-def sybilguard_registry(guard: SybilGuard) -> list[set[int]]:
-    """Per-visit twin of :meth:`repro.sybil.SybilGuard.registered_at`,
-    every node."""
-    registry: list[set[int]] = [set() for _ in range(guard.graph.num_nodes)]
-    for origin, paths in enumerate(sybilguard_routes(guard)):
-        for path in paths:
-            for visited in path:
-                registry[int(visited)].add(origin)
-    return registry
 
 
 def sybillimit_tails(defense: SybilLimit) -> list[list[tuple[int, int]]]:

@@ -46,7 +46,6 @@ from repro.sybil.ranking import (
     ranking_order,
     ranking_overlap,
     walk_probability_ranking,
-    walk_probability_rankings,
 )
 from repro.sybil.sumup import SumUp, SumUpConfig, SumUpResult
 from repro.sybil.sybildefender import SybilDefender, SybilDefenderConfig
@@ -111,7 +110,6 @@ __all__ = [
     "SybilDefender",
     "SybilDefenderConfig",
     "walk_probability_ranking",
-    "walk_probability_rankings",
     "ranking_order",
     "accept_top",
     "ranking_overlap",

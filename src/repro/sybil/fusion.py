@@ -541,13 +541,7 @@ class SybilFuse:
             n, size=max(num_walks - 1, 0), p=weights
         )
         starts = np.concatenate([[trusted], starts])
-        counts = walk_visit_counts(
-            self._graph,
-            starts,
-            length,
-            seed=walks_seed,
-            record="all",
-        )
+        counts = walk_visit_counts(self._graph, starts, length, seed=walks_seed)
         trust = counts / np.maximum(self._graph.degrees.astype(float), 1.0)
         peak = trust.max()
         return trust / peak if peak > 0 else trust

@@ -20,7 +20,6 @@ from repro.markov.transition import transition_matrix
 
 __all__ = [
     "walk_probability_ranking",
-    "walk_probability_rankings",
     "ranking_order",
     "accept_top",
     "ranking_overlap",
@@ -41,50 +40,27 @@ def _default_walk_length(graph: Graph, walk_length: int | None) -> int:
 
 
 def walk_probability_ranking(
-    graph: Graph, trusted: int, walk_length: int | None = None, lazy: bool = True
+    graph: Graph, trusted: int, walk_length: int | None = None
 ) -> np.ndarray:
     """Score nodes by degree-normalized landing probability.
 
     Evolves a delta distribution at ``trusted`` for ``walk_length``
-    steps (default ``ceil(log2 n)``, the early-terminated walk all the
-    ranking-style defenses use) and divides by degree; under the
-    stationary distribution every node would score equally, so scores
-    below the uniform level mark poorly-connected (Sybil-suspect)
-    nodes.
+    steps of the lazy walk (default ``ceil(log2 n)``, the
+    early-terminated walk all the ranking-style defenses use) and
+    divides by degree; under the stationary distribution every node
+    would score equally, so scores below the uniform level mark
+    poorly-connected (Sybil-suspect) nodes.  On the plain walk this
+    score is SybilRank's ``normalized`` trust from the one seed
+    ``trusted`` (:class:`~repro.sybil.SybilRank`).
     """
     graph._check_node(trusted)
     length = _default_walk_length(graph, walk_length)
-    chain = transition_matrix(graph, lazy=True) if lazy else graph
     start = delta_block(graph.num_nodes, [trusted])
-    landing = evolve_block(chain, start, length)[:, 0]
+    landing = evolve_block(transition_matrix(graph, lazy=True), start, length)[:, 0]
     degrees = graph.degrees.astype(float)
     scores = np.zeros(graph.num_nodes)
     positive = degrees > 0
     scores[positive] = landing[positive] / degrees[positive]
-    return scores
-
-
-def walk_probability_rankings(
-    graph: Graph,
-    trusted: np.ndarray | list[int],
-    walk_length: int | None = None,
-) -> np.ndarray:
-    """Score nodes from many trusted vantage points in one batched walk.
-
-    Returns a ``(len(trusted), n)`` matrix whose row ``j`` equals
-    ``walk_probability_ranking(graph, trusted[j], walk_length)`` (the
-    lazy walk) bit for bit, but all vantage points evolve together as a
-    dense block through the batched walk engine
-    (:func:`repro.markov.batch.evolve_block`).  Used to compare how
-    sensitive a ranking-style defense is to the verified node's position.
-    """
-    length = _default_walk_length(graph, walk_length)
-    block = delta_block(graph.num_nodes, trusted)
-    landing = evolve_block(transition_matrix(graph, lazy=True), block, length)
-    degrees = graph.degrees.astype(float)
-    scores = np.zeros((block.shape[1], graph.num_nodes))
-    positive = degrees > 0
-    scores[:, positive] = landing.T[:, positive] / degrees[positive]
     return scores
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import SybilDefenseError
 from repro.graph.core import Graph
-from repro.markov.walks import RouteTable
+from repro.markov.walks import _route_paths
 
 __all__ = ["SybilGuardConfig", "SybilGuard"]
 
@@ -48,18 +48,14 @@ class SybilGuardConfig:
 class SybilGuard:
     """Random-route verification over a fixed graph.
 
-    Implements the full registration discipline: every node's routes
-    are *registered* at each node they traverse (the registry tables of
-    the protocol), and a verifier accepts a route intersection only if
-    the suspect is actually registered at the intersection node —
-    which is what stops an adversary from merely *claiming* routes
-    through honest nodes.
-
     The routes of all nodes are one ``(2m, w + 1)`` block, built with
-    the defense: one route per half-edge, advanced together through the
-    route table's successor map (:class:`~repro.markov.walks.RouteTable`),
-    so node ``v``'s routes are rows ``indptr[v]:indptr[v + 1]``.
-    Verdicts are boolean masks over that block.
+    the defense: one route per half-edge of one route table, advanced
+    together (:func:`~repro.markov.walks._route_paths`), so node ``v``'s
+    routes are rows ``indptr[v]:indptr[v + 1]``.  Verdicts are boolean
+    masks over that block.  The defense computes every node's routes
+    from the graph, so a suspect is credited only with routes it really
+    has, which is what the protocol's per-node route registries
+    enforce.
     """
 
     def __init__(self, graph: Graph, config: SybilGuardConfig | None = None) -> None:
@@ -72,10 +68,7 @@ class SybilGuard:
         else:
             n = graph.num_nodes
             self._length = int(np.ceil(2.0 * np.sqrt(n * np.log(max(n, 2)))))
-        table = RouteTable(graph, seed=self._config.seed)
-        self._block = table._routes(np.arange(graph.indices.size), self._length)
-        self._route_cache: dict[int, list[np.ndarray]] = {}
-        self._registry: list[set[int]] | None = None
+        self._block = _route_paths(graph, self._config.seed, self._length)
 
     @property
     def graph(self) -> Graph:
@@ -94,46 +87,18 @@ class SybilGuard:
         return self._block[indptr[node] : indptr[node + 1]]
 
     def routes(self, node: int) -> list[np.ndarray]:
-        """Return (and cache) the node's routes, one per incident edge."""
-        cached = self._route_cache.get(node)
-        if cached is None:
-            cached = list(self._node_routes(node))
-            self._route_cache[node] = cached
-        return cached
-
-    def route_node_sets(self, node: int) -> list[set[int]]:
-        """Return each route as a set of visited nodes."""
-        return [set(route.tolist()) for route in self.routes(node)]
-
-    def registered_at(self, node: int) -> set[int]:
-        """Return the origins registered at ``node``.
-
-        A node's registry holds every origin whose route traverses it;
-        the protocol builds it during route propagation.  Computed
-        lazily for the whole graph on first use (one pass over the
-        route block of all nodes) and cached.
-        """
-        if self._registry is None:
-            n = self._graph.num_nodes
-            pairs = np.unique(self._block * n + self._block[:, :1])
-            bounds = np.searchsorted(pairs, np.arange(n + 1) * n)
-            origin = (pairs % n).tolist()
-            self._registry = [
-                set(origin[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-        return self._registry[node]
+        """Return the node's routes, one per incident edge (rows of the
+        route block)."""
+        return list(self._node_routes(node))
 
     def verify(self, verifier: int, suspect: int) -> bool:
         """Return True when the verifier accepts the suspect.
 
-        A verifier route "accepts" if at least one node along it holds
-        the suspect in its registry (the suspect's route actually
-        passes there); acceptance needs the configured fraction of
+        A verifier route accepts when it shares a node with one of the
+        suspect's routes; acceptance needs the configured fraction of
         verifier routes to accept (the paper's majority-of-routes
-        rule).  Equivalent to node-set intersection of *registered*
-        routes, which is what the registry discipline guarantees: a
-        mask of the suspect's route nodes, read along each verifier
-        route.
+        rule).  The suspect's route nodes are one mask, read along each
+        verifier route.
         """
         if verifier == suspect:
             return True
@@ -143,26 +108,6 @@ class SybilGuard:
         suspect_mask = np.zeros(self._graph.num_nodes, dtype=bool)
         suspect_mask[self._node_routes(suspect)] = True
         hits = int(suspect_mask[verifier_routes].any(axis=1).sum())
-        return hits >= self._config.intersection_threshold * len(verifier_routes)
-
-    def verify_registered(self, verifier: int, suspect: int) -> bool:
-        """Registry-checked verification (the full protocol's accept rule).
-
-        Walks each verifier route and asks the visited nodes whether
-        the suspect is registered with them.  Agrees with
-        :meth:`verify` when the suspect honestly registered its routes;
-        differs exactly when an adversary claims routes it never
-        propagated — which this method correctly rejects.
-        """
-        if verifier == suspect:
-            return True
-        verifier_routes = self.routes(verifier)
-        if not verifier_routes:
-            return False
-        hits = 0
-        for route in verifier_routes:
-            if any(suspect in self.registered_at(int(node)) for node in route):
-                hits += 1
         return hits >= self._config.intersection_threshold * len(verifier_routes)
 
     def accepted_set(

@@ -179,7 +179,7 @@ class SybilInfer:
         from repro.sybil.ranking import walk_probability_ranking
 
         scores = walk_probability_ranking(
-            self._graph, trusted, walk_length=self._length, lazy=True
+            self._graph, trusted, walk_length=self._length
         )
         member = scores * self._total_volume >= 0.5
         member[trusted] = True

@@ -59,9 +59,10 @@ class SybilLimit:
 
     The ``r`` route-table instances and every node's first hop in each
     come from one stream, ``default_rng(seed)``
-    (:func:`~repro.markov.walks._route_tails`; instance 0 is
-    ``RouteTable(graph, seed)``), and the routes of every node in every
-    instance advance as one block when the defense is built.
+    (:func:`~repro.markov.walks._route_tails`; instance 0 is the table
+    SybilGuard routes on with the same seed), and the routes of every
+    node in every instance advance as one block when the defense is
+    built.
     """
 
     def __init__(self, graph: Graph, config: SybilLimitConfig | None = None) -> None:

@@ -346,14 +346,23 @@ class TestEngineBitIdentity:
             got = walk_first_hits(sharded, sources, 15, mask, seed=2)
         assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("record", ["all", "last"])
+    @pytest.mark.parametrize("positions", ["all", "last"])
     def test_walk_visit_counts(
-        self, dirty, sharded, chunk_size, workers, record
+        self, dirty, sharded, chunk_size, workers, positions
     ):
+        """Counts of every position, and of endpoints only (the
+        empirical distribution's numerator)."""
         sources = [0, 2, 90]
-        expected = walk_visit_counts(dirty, sources, 10, seed=3, record=record)
+
+        def counts(graph):
+            if positions == "all":
+                return walk_visit_counts(graph, sources, 10, seed=3)
+            ends = walk_endpoints(graph, sources, 10, seed=3)
+            return np.bincount(ends, minlength=graph.num_nodes)
+
+        expected = counts(dirty)
         with execution(chunk_size=chunk_size, workers=workers):
-            got = walk_visit_counts(sharded, sources, 10, seed=3, record=record)
+            got = counts(sharded)
         assert np.array_equal(got, expected)
 
     def test_walk_cover_steps(self, dirty, sharded, chunk_size, workers):

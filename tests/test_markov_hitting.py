@@ -69,16 +69,13 @@ class TestHittingTime:
 
     def test_monte_carlo_agreement(self):
         """Sampled first-hitting steps converge to the exact solve."""
-        from repro.markov import random_walk
+        from repro.markov import NO_HIT, walk_first_hits
 
         g = cycle_graph(6)
         exact = hitting_time(g, 0, 2)
-        rng = np.random.default_rng(0)
-        samples = []
-        for _ in range(3000):
-            walk = random_walk(g, 0, 200, rng=rng)
-            hits = np.flatnonzero(walk == 2)
-            samples.append(int(hits[0]))
+        target = np.arange(6) == 2
+        samples = walk_first_hits(g, np.zeros(3000, dtype=np.int64), 200, target)
+        assert not np.any(samples == NO_HIT)
         assert np.mean(samples) == pytest.approx(exact, rel=0.1)
 
 

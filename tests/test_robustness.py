@@ -20,7 +20,7 @@ from repro.graph import (
     eccentricities,
     largest_connected_component,
 )
-from repro.markov import delta_block, evolve_block, random_walk
+from repro.markov import delta_block, evolve_block, walk_block
 from repro.mixing import sampled_mixing_profile, slem
 
 
@@ -61,9 +61,8 @@ class TestDisconnectedGraphs:
         assert result.level_sizes.sum() == 2  # component {3, 4}
 
     def test_walks_stay_in_component(self, disconnected):
-        rng = np.random.default_rng(0)
-        walk = random_walk(disconnected, 3, 40, rng=rng)
-        assert set(walk.tolist()) <= {3, 4}
+        walk = walk_block(disconnected, [3], 40, seed=0)
+        assert set(walk.ravel().tolist()) <= {3, 4}
 
     def test_lcc_extraction_is_the_fix(self, disconnected):
         lcc, ids = largest_connected_component(disconnected)

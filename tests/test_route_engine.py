@@ -1,7 +1,7 @@
 """The batched route engine against its hop-by-hop twins.
 
-SybilGuard's routes, verdicts and registry and SybilLimit's tails and
-verdicts come from one block of route keys advanced as half-edge
+SybilGuard's routes and verdicts and SybilLimit's tails and verdicts
+come from one block of route keys advanced as half-edge
 vectors (:mod:`repro.markov.walks`); :mod:`repro.oracles` rebuilds each
 node's permutation from its key segment and walks every route one hop
 at a time.  The two must agree bit for bit.
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro import oracles, telemetry
 from repro.generators import barabasi_albert
 from repro.graph import Graph
-from repro.markov import RouteTable, walks
+from repro.markov import walks
 from repro.sybil import SybilGuard, SybilGuardConfig, SybilLimit, SybilLimitConfig
 
 # 0-1-2-3 closes a triangle 1-2-3; 0 and 4 have degree 1, 5 and 6 none
@@ -67,8 +67,6 @@ def _assert_guard_matches(guard: SybilGuard) -> None:
         [oracles.sybilguard_verify(guard, v, s, twin) for s in range(n)]
         for v in range(n)
     ]
-    registry = [guard.registered_at(v) for v in range(n)]
-    assert registry == oracles.sybilguard_registry(guard)
 
 
 class TestSuccessorBlock:
@@ -87,8 +85,10 @@ class TestSuccessorBlock:
 
     def test_route_table_is_row_zero(self):
         graph = barabasi_albert(50, 2, seed=3)
-        table = RouteTable(graph, seed=9)
-        assert np.array_equal(table._edge_successor, _block(graph, 9, 4)[0])
+        paths = walks._route_paths(graph, 9, 2)
+        # the route over half-edge e takes half-edge successor[e] next
+        successor = _block(graph, 9, 4)[0]
+        assert np.array_equal(paths[:, 2], graph.indices[successor])
 
     def test_row_blocks_read_one_stream(self, monkeypatch):
         graph = barabasi_albert(30, 2, seed=5)
@@ -98,7 +98,7 @@ class TestSuccessorBlock:
 
     def test_edgeless_graph(self):
         assert _block(Graph.empty(4), 0, 3).shape == (3, 0)
-        assert RouteTable(Graph.empty(4)).routes_from(2, 5) == []
+        assert walks._route_paths(Graph.empty(4), 0, 5).shape == (0, 6)
 
 
 class TestRoutesMatchOracle:

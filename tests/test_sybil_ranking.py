@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import SybilDefenseError
 from repro.generators import barabasi_albert
-from repro.parallel import execution
 from repro.sybil import (
     accept_top,
     ranking_correlation,
@@ -15,7 +14,6 @@ from repro.sybil import (
     ranking_overlap,
     standard_attack,
     walk_probability_ranking,
-    walk_probability_rankings,
 )
 
 
@@ -96,13 +94,11 @@ class TestRankingUtilities:
 class TestModulatedRanking:
     def test_zero_trust_close_to_plain_ranking_order(self, ranked_attack):
         """With alpha = 0 the modulated chain is the plain chain; the
-        induced orders agree."""
-        from repro.sybil import modulated_walk_ranking, ranking_correlation
-
-        from repro.sybil import walk_probability_ranking
+        induced orders agree with the plain-walk score (SybilRank's)."""
+        from repro.sybil import SybilRank, modulated_walk_ranking, ranking_correlation
 
         attack, _ = ranked_attack
-        plain = walk_probability_ranking(attack.graph, 0, lazy=False)
+        plain = SybilRank(attack.graph).run([0]).normalized
         modulated = modulated_walk_ranking(attack.graph, 0, 0.0)
         assert ranking_correlation(plain, modulated) > 0.99
 
@@ -137,29 +133,3 @@ class TestModulatedRanking:
         attack, _ = ranked_attack
         with pytest.raises(SybilDefenseError):
             modulated_walk_ranking(attack.graph, 0, 0.2, walk_length=0)
-
-
-class TestBatchedRankings:
-    """walk_probability_rankings is the batched form of the singular."""
-
-    def test_rows_match_single_source_rankings(self, ranked_attack):
-        attack, _ = ranked_attack
-        trusted = [0, 3, 11]
-        batched = walk_probability_rankings(attack.graph, trusted)
-        assert batched.shape == (3, attack.graph.num_nodes)
-        for row, node in enumerate(trusted):
-            single = walk_probability_ranking(attack.graph, node)
-            assert batched[row].tobytes() == single.tobytes()
-
-    def test_chunked_and_threaded_match(self, ranked_attack):
-        attack, _ = ranked_attack
-        trusted = list(range(10))
-        plain = walk_probability_rankings(attack.graph, trusted)
-        with execution(chunk_size=3, workers=2):
-            chunked = walk_probability_rankings(attack.graph, trusted)
-        assert plain.tobytes() == chunked.tobytes()
-
-    def test_walk_length_validated(self, ranked_attack):
-        attack, _ = ranked_attack
-        with pytest.raises(SybilDefenseError):
-            walk_probability_rankings(attack.graph, [0], walk_length=0)

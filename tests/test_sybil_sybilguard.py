@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import oracles
 from repro.errors import SybilDefenseError
 from repro.generators import barabasi_albert
 from repro.graph import Graph
@@ -52,8 +53,11 @@ class TestRoutes:
         assert len(routes) == guard.graph.degree(node)
 
     def test_routes_cached(self, guard_setup):
+        """Routes are rows of the block built with the defense, not
+        recomputed per call."""
         _, guard = guard_setup
-        assert guard.routes(5) is guard.routes(5)
+        first, second = guard.routes(5), guard.routes(5)
+        assert all(np.shares_memory(a, b) for a, b in zip(first, second))
 
     def test_route_length(self, guard_setup):
         _, guard = guard_setup
@@ -92,23 +96,13 @@ class TestVerification:
 
 
 class TestRegistry:
-    def test_registry_contains_route_origins(self, guard_setup):
-        _, guard = guard_setup
-        origin = 3
-        for route in guard.routes(origin):
-            for node in route[:5]:
-                assert origin in guard.registered_at(int(node))
-
     def test_registered_verification_agrees_for_honest_nodes(self, guard_setup):
-        """For nodes that honestly registered, the registry check and
-        the intersection check agree."""
+        """On the attacked graph, verdicts match the node-set reference,
+        which intersects the routes each suspect registers."""
         attack, guard = guard_setup
+        routes = oracles.sybilguard_routes(guard)
         rng = np.random.default_rng(9)
         for suspect in rng.choice(attack.num_honest, size=8, replace=False):
-            assert guard.verify(0, int(suspect)) == guard.verify_registered(
-                0, int(suspect)
+            assert guard.verify(0, int(suspect)) == oracles.sybilguard_verify(
+                guard, 0, int(suspect), routes
             )
-
-    def test_self_verification_registered(self, guard_setup):
-        _, guard = guard_setup
-        assert guard.verify_registered(4, 4)

@@ -74,16 +74,8 @@ def _modes(graph, sources, length, engine=walk_batch):
             lambda: engine.walk_first_hits(graph, sources, length, mask, seed=3),
         ),
         (
-            "visits_all",
-            lambda: engine.walk_visit_counts(
-                graph, sources, length, seed=3, record="all"
-            ),
-        ),
-        (
-            "visits_last",
-            lambda: engine.walk_visit_counts(
-                graph, sources, length, seed=3, record="last"
-            ),
+            "visits",
+            lambda: engine.walk_visit_counts(graph, sources, length, seed=3),
         ),
         (
             "cover",
@@ -214,21 +206,11 @@ class TestWalkStructure:
     def test_visit_counts_match_block(self, ba_small):
         sources = np.arange(ba_small.num_nodes).repeat(3)
         block = walk_block(ba_small, sources, 11, seed=6)
-        all_counts = walk_visit_counts(
-            ba_small, sources, 11, seed=6, record="all"
-        )
-        last_counts = walk_visit_counts(
-            ba_small, sources, 11, seed=6, record="last"
-        )
+        counts = walk_visit_counts(ba_small, sources, 11, seed=6)
         assert np.array_equal(
-            all_counts,
-            np.bincount(block.ravel(), minlength=ba_small.num_nodes),
+            counts, np.bincount(block.ravel(), minlength=ba_small.num_nodes)
         )
-        assert np.array_equal(
-            last_counts,
-            np.bincount(block[:, -1], minlength=ba_small.num_nodes),
-        )
-        assert all_counts.sum() == sources.size * 12
+        assert counts.sum() == sources.size * 12
 
     def test_empty_sources(self, triangle):
         assert walk_block(triangle, [], 5).shape == (0, 6)
@@ -247,8 +229,6 @@ class TestWalkStructure:
             walk_block(triangle, [0], -1)
         with pytest.raises(GraphError):
             walk_first_hits(triangle, [0], 2, np.zeros(5, dtype=bool))
-        with pytest.raises(GraphError):
-            walk_visit_counts(triangle, [0], 2, record="middle")
         with pytest.raises(GraphError):
             walk_cover_steps(triangle, [0], 0)
 
