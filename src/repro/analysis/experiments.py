@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.stats import spearman
+from repro.chunking import sample_sources
 from repro.cores.statistics import CoreStructure, core_structure
 from repro.datasets import dataset_spec, load_dataset
 from repro.expansion.envelope import (
@@ -310,11 +311,7 @@ def betweenness_distributions(
     rng = np.random.default_rng(seed)
     for name in datasets:
         graph = load_dataset(name, scale=scale, seed=seed)
-        sources = rng.choice(
-            graph.num_nodes,
-            size=min(num_sources, graph.num_nodes),
-            replace=False,
-        )
+        sources = sample_sources(rng, graph.num_nodes, num_sources, "num_sources")
         scores = betweenness_centrality(graph, sources=sources)
         ordered = np.sort(scores)
         n = ordered.size

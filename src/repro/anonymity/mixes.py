@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.chunking import sample_sources
 from repro.errors import GraphError
 from repro.graph.core import Graph
 from repro.markov.batch import delta_block, evolve_block
@@ -89,8 +90,8 @@ def walk_anonymity_profile(
     pi = stationary_distribution(graph)
     pi_entropy = entropy(pi)
     rng = np.random.default_rng(seed)
-    count = min(num_senders, graph.num_nodes)
-    senders = rng.choice(graph.num_nodes, size=count, replace=False)
+    senders = sample_sources(rng, graph.num_nodes, num_senders, "num_senders")
+    count = senders.size
     ent = np.zeros((count, lengths.size))
     tvd = np.zeros((count, lengths.size))
     # all senders evolve together on the batched walk engine

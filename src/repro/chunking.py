@@ -47,6 +47,7 @@ __all__ = [
     "resolve_chunks",
     "run_chunks",
     "run_kernel",
+    "sample_sources",
     "validate_sources",
 ]
 
@@ -97,6 +98,21 @@ def validate_sources(
     if chosen.min() < 0 or chosen.max() >= num_nodes:
         raise GraphError(f"sources must be node ids in [0, {num_nodes})")
     return chosen
+
+
+def sample_sources(
+    rng: np.random.Generator, num_nodes: int, count: int, name: str
+) -> np.ndarray:
+    """Draw ``min(count, num_nodes)`` distinct ids in ``[0, num_nodes)``.
+
+    ``count`` is the caller's ``name`` argument, checked before the
+    draw: below 1, numpy would raise its own ``ValueError`` or return
+    no sources at all.  The draw is ``rng.choice(num_nodes,
+    size=min(count, num_nodes), replace=False)``.
+    """
+    if count < 1:
+        raise GraphError(f"{name} must be at least 1, got {count}")
+    return rng.choice(num_nodes, size=min(count, num_nodes), replace=False)
 
 
 def resolve_chunks(

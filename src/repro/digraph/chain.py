@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.chunking import sample_sources
 from repro.digraph.core import DiGraph
 from repro.errors import ConvergenceError, GraphError
 from repro.markov.distance import total_variation_distance
@@ -118,12 +119,11 @@ def directed_mixing_profile(
     lengths = np.asarray(walk_lengths, dtype=np.int64)
     if lengths.size == 0 or np.any(np.diff(lengths) <= 0):
         raise GraphError("walk_lengths must be strictly increasing")
+    rng = np.random.default_rng(seed)
+    sources = sample_sources(rng, digraph.num_nodes, num_sources, "num_sources")
     matrix = directed_transition_matrix(digraph, damping=damping)
     pi = directed_stationary(digraph, damping=damping)
-    rng = np.random.default_rng(seed)
-    count = min(num_sources, digraph.num_nodes)
-    sources = rng.choice(digraph.num_nodes, size=count, replace=False)
-    tvd = np.zeros((count, lengths.size))
+    tvd = np.zeros((sources.size, lengths.size))
     for row, source in enumerate(sources):
         dist = np.zeros(digraph.num_nodes)
         dist[source] = 1.0

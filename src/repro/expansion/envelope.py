@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.chunking import validate_sources
+from repro.chunking import sample_sources, validate_sources
 from repro.errors import GraphError
 from repro.graph.core import Graph
 from repro.graph.traversal import bfs_level_sizes_block, bfs_levels
@@ -118,7 +118,9 @@ def _cores(
         chosen = np.unique(validate_sources(graph.num_nodes, sources))
     elif num_sources is not None and num_sources < graph.num_nodes:
         rng = np.random.default_rng(seed)
-        chosen = np.sort(rng.choice(graph.num_nodes, size=num_sources, replace=False))
+        chosen = np.sort(
+            sample_sources(rng, graph.num_nodes, num_sources, "num_sources")
+        )
     else:
         chosen = np.arange(graph.num_nodes, dtype=np.int64)
     if chosen.size == 0:

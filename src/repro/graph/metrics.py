@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.chunking import validate_sources
+from repro.chunking import sample_sources, validate_sources
 from repro.errors import EmptyGraphError, GraphError
 from repro.graph.core import Graph
 from repro.graph.traversal import bfs_distances, bfs_level_sizes_block
@@ -146,7 +146,7 @@ def average_clustering(graph: Graph, sample: int | None = None, seed: int = 0) -
         count = graph.num_nodes
     else:
         rng = np.random.default_rng(seed)
-        nodes = rng.choice(graph.num_nodes, size=sample, replace=False).tolist()
+        nodes = sample_sources(rng, graph.num_nodes, sample, "sample").tolist()
         count = sample
     return sum(local_clustering(graph, int(v)) for v in nodes) / count
 

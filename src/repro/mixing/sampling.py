@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.chunking import validate_sources
+from repro.chunking import sample_sources, validate_sources
 from repro.errors import GraphError
 from repro.graph.core import Graph
 from repro.graph.shard import ShardedGraph
@@ -86,8 +86,7 @@ def _profile_inputs(
     )
     rng = np.random.default_rng(seed)
     if sources is None:
-        count = min(num_sources, graph.num_nodes)
-        chosen = rng.choice(graph.num_nodes, size=count, replace=False)
+        chosen = sample_sources(rng, graph.num_nodes, num_sources, "num_sources")
     else:
         chosen = validate_sources(graph.num_nodes, sources)
         if chosen.size == 0:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.chunking import sample_sources
 from repro.errors import GraphError
 from repro.graph.core import Graph
 from repro.markov.batch import batched_tvd_profile
@@ -103,10 +104,9 @@ def modulated_mixing_profile(
     The modulated analog of the Figure-1 measurement, run on the
     batched walk engine.
     """
-    operator = ModulatedOperator.build(graph, trust)
     rng = np.random.default_rng(seed)
-    count = min(num_sources, graph.num_nodes)
-    sources = rng.choice(graph.num_nodes, size=count, replace=False)
+    sources = sample_sources(rng, graph.num_nodes, num_sources, "num_sources")
+    operator = ModulatedOperator.build(graph, trust)
     tvd = batched_tvd_profile(
         operator.matrix, operator.stationary, sources, walk_lengths
     )

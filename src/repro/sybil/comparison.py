@@ -83,6 +83,11 @@ DEFENSE_NAMES = STRUCTURE_DEFENSE_NAMES + FUSION_DEFENSE_NAMES
 def _stratified_suspects(
     attack: SybilAttack, sample_size: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
+    if sample_size < 2:
+        raise SybilDefenseError(
+            "suspect_sample must be at least 2 (one honest and one Sybil "
+            f"suspect), got {sample_size}"
+        )
     half = sample_size // 2
     honest = rng.choice(
         attack.num_honest, size=min(half, attack.num_honest), replace=False

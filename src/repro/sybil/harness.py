@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.chunking import sample_sources
 from repro.errors import SybilDefenseError
 from repro.generators import powerlaw_cluster_mixed
 from repro.graph.core import Graph
@@ -104,8 +105,8 @@ def evaluate_gatekeeper(
     if not admission_factors:
         raise SybilDefenseError("at least one admission factor is required")
     rng = np.random.default_rng(seed)
-    controllers = rng.choice(
-        attack.num_honest, size=min(num_controllers, attack.num_honest), replace=False
+    controllers = sample_sources(
+        rng, attack.num_honest, num_controllers, "num_controllers"
     )
     config = GateKeeperConfig(
         num_distributors=num_distributors,

@@ -20,8 +20,19 @@ from repro.graph import (
     eccentricities,
     largest_connected_component,
 )
+from repro.analysis.experiments import betweenness_distributions
+from repro.anonymity import walk_anonymity_profile
+from repro.digraph import directed_mixing_profile, random_digraph
+from repro.graph.metrics import average_clustering
 from repro.markov import delta_block, evolve_block, walk_block
-from repro.mixing import sampled_mixing_profile, slem
+from repro.mixing import (
+    is_fast_mixing,
+    modulated_mixing_profile,
+    sampled_mixing_profile,
+    slem,
+    spectral_summary,
+)
+from repro.sybil import defense_scores, evaluate_defense, evaluate_gatekeeper
 
 
 @pytest.fixture
@@ -140,6 +151,72 @@ class TestFloatSourceIds:
         g = barabasi_albert(200, 3, seed=1)
         with pytest.raises(GraphError, match="integer dtype, got float64"):
             measure(g, [0.7, 1.9])
+
+
+def _suspect_sample(count: int) -> int:
+    """Map the counts 0 and -1 to suspect samples 1 and -1, both below
+    the two suspects (one honest, one Sybil) a sample needs."""
+    return 2 * count + 1
+
+
+class TestSampleCounts:
+    """Every sample count is checked before its draw: a count below 1
+    is one library error, not numpy's ``ValueError``, an ``IndexError``
+    or a profile whose mean is NaN."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return barabasi_albert(60, 3, seed=1)
+
+    @pytest.fixture(scope="class")
+    def attack(self, graph):
+        from repro.sybil import standard_attack
+
+        return standard_attack(graph, 3, seed=0)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda g, a, k: sampled_mixing_profile(g, [1, 2], num_sources=k),
+            lambda g, a, k: is_fast_mixing(g, num_sources=k),
+            lambda g, a, k: spectral_summary(g, fast_sources=k, seed=0),
+            lambda g, a, k: modulated_mixing_profile(g, 0.5, [1], num_sources=k),
+            lambda g, a, k: envelope_expansion(g, num_sources=k),
+            lambda g, a, k: walk_anonymity_profile(g, [1], num_senders=k),
+            lambda g, a, k: directed_mixing_profile(
+                random_digraph(30, 120, seed=2), [1], num_sources=k
+            ),
+            lambda g, a, k: average_clustering(g, sample=k),
+            lambda g, a, k: betweenness_distributions(
+                ["wiki_vote"], num_sources=k, scale=0.05
+            ),
+            lambda g, a, k: evaluate_gatekeeper(a, [0.2], num_controllers=k),
+            lambda g, a, k: evaluate_defense(
+                a, "ranking", suspect_sample=_suspect_sample(k)
+            ),
+            lambda g, a, k: defense_scores(
+                a, "ranking", suspect_sample=_suspect_sample(k)
+            ),
+        ],
+        ids=[
+            "sampled_mixing_profile",
+            "is_fast_mixing",
+            "spectral_summary",
+            "modulated_mixing_profile",
+            "envelope_expansion",
+            "walk_anonymity_profile",
+            "directed_mixing_profile",
+            "average_clustering",
+            "betweenness_distributions",
+            "evaluate_gatekeeper",
+            "evaluate_defense",
+            "defense_scores",
+        ],
+    )
+    def test_count_below_minimum_rejected(self, graph, attack, measure, count):
+        with pytest.raises(ReproError, match="at least"):
+            measure(graph, attack, count)
 
 
 class TestSeedDeterminism:
