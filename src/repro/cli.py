@@ -117,8 +117,12 @@ def _int_in(low: int, high: int | None, rule: str) -> Callable[[str], int]:
     return parse
 
 
-#: numpy seeds are non-negative integers; ports fit in 16 bits
-_seed = _int_in(0, None, "must be a non-negative integer")
+#: numpy seeds and attack-edge counts are non-negative integers, other
+#: counts and sizes positive ones; a suspect sample needs one honest and
+#: one Sybil suspect; ports fit in 16 bits
+_non_negative = _int_in(0, None, "must be a non-negative integer")
+_positive = _int_in(1, None, "must be a positive integer")
+_suspects = _int_in(2, None, "must be an integer of at least 2")
 _port = _int_in(0, 65535, "must be an integer in 0..65535")
 
 
@@ -749,11 +753,14 @@ def main(argv: list[str] | None = None) -> int:
         "streaming every measurement shard by shard",
     )
     audit.add_argument(
-        "--seed", type=_seed, default=0, help="sharded audit: source-sampling seed"
+        "--seed",
+        type=_non_negative,
+        default=0,
+        help="sharded audit: source-sampling seed",
     )
     audit.add_argument(
         "--sources",
-        type=int,
+        type=_positive,
         default=30,
         help="sharded audit: number of sampled TVD sources",
     )
@@ -778,11 +785,11 @@ def main(argv: list[str] | None = None) -> int:
         "mixing regime straight to shards (needs --nodes)",
     )
     build.add_argument(
-        "--nodes", type=int, help="streamed analog size (with --stream)"
+        "--nodes", type=_positive, help="streamed analog size (with --stream)"
     )
-    build.add_argument("--seed", type=_seed, default=0)
-    build.add_argument("--num-shards", type=int)
-    build.add_argument("--nodes-per-shard", type=int)
+    build.add_argument("--seed", type=_non_negative, default=0)
+    build.add_argument("--num-shards", type=_positive)
+    build.add_argument("--nodes-per-shard", type=_positive)
     info = shard_sub.add_parser(
         "info",
         help="print a sharded graph's manifest summary",
@@ -833,9 +840,9 @@ def main(argv: list[str] | None = None) -> int:
                 help="record telemetry and print the span/counter tables",
             )
         cmd.add_argument("--scale", type=float, default=0.25)
-        cmd.add_argument("--seed", type=_seed, default=0)
-        cmd.add_argument("--sources", type=int, default=50)
-        cmd.add_argument("--workers", type=int)
+        cmd.add_argument("--seed", type=_non_negative, default=0)
+        cmd.add_argument("--sources", type=_positive, default=50)
+        cmd.add_argument("--workers", type=_positive)
         cmd.add_argument(
             "--executor",
             choices=EXECUTORS,
@@ -869,13 +876,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     compare.add_argument(
         "--attack-edges",
-        type=int,
+        type=_non_negative,
         help="number of attack edges g (default: nodes/20, at least 5)",
     )
     compare.add_argument("--scale", type=float, default=0.25)
-    compare.add_argument("--seed", type=_seed, default=0)
-    compare.add_argument("--suspect-sample", type=int, default=120)
-    compare.add_argument("--workers", type=int)
+    compare.add_argument("--seed", type=_non_negative, default=0)
+    compare.add_argument("--suspect-sample", type=_suspects, default=120)
+    compare.add_argument("--workers", type=_positive)
     compare.add_argument(
         "--executor",
         choices=EXECUTORS,
@@ -909,14 +916,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     sweep.add_argument(
         "--attack-edges",
-        type=int,
+        type=_non_negative,
         help="number of attack edges g (default: nodes/20, at least 5)",
     )
     sweep.add_argument("--scale", type=float, default=0.25)
-    sweep.add_argument("--seed", type=_seed, default=0)
-    sweep.add_argument("--sources", type=int, default=50)
-    sweep.add_argument("--suspect-sample", type=int, default=120)
-    sweep.add_argument("--workers", type=int)
+    sweep.add_argument("--seed", type=_non_negative, default=0)
+    sweep.add_argument("--sources", type=_positive, default=50)
+    sweep.add_argument("--suspect-sample", type=_suspects, default=120)
+    sweep.add_argument("--workers", type=_positive)
     sweep.add_argument(
         "--executor",
         choices=EXECUTORS,
@@ -932,30 +939,30 @@ def main(argv: list[str] | None = None) -> int:
         "--target", required=True, help="edge-list path or bundled dataset name"
     )
     serve.add_argument("--scale", type=float, default=0.25)
-    serve.add_argument("--seed", type=_seed, default=0)
+    serve.add_argument("--seed", type=_non_negative, default=0)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=_port, default=0, help="listen port (0 picks a free one)"
     )
     serve.add_argument(
         "--attack-edges",
-        type=int,
+        type=_non_negative,
         help="number of attack edges g (default: nodes/20, at least 5)",
     )
     serve.add_argument(
         "--compact-max-overlay",
-        type=int,
+        type=_positive,
         default=1024,
         help="compaction policy: fold the overlay at this many delta edges",
     )
     serve.add_argument(
         "--burst",
-        type=int,
+        type=_positive,
         help="run a closed-loop HTTP load burst of this many requests "
         "and exit (default: serve until interrupted)",
     )
     serve.add_argument(
-        "--clients", type=int, default=4, help="load-burst worker threads"
+        "--clients", type=_positive, default=4, help="load-burst worker threads"
     )
     serve.add_argument(
         "--write-fraction",

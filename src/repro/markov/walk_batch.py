@@ -336,10 +336,11 @@ def walk_visit_counts(
     """Accumulate per-node visit counts over one walk per source.
 
     Every position (source included) of every walk counts, so
-    ``counts.sum() == len(sources) * (length + 1)``.  Memory stays O(num_nodes) per chunk regardless of the sample count:
-    each chunk's partial counts are added into the result as the chunk
-    finishes (integer addition commutes, so scheduling cannot change
-    the totals).
+    ``counts.sum() == len(sources) * (length + 1)``.  Memory stays
+    O(num_nodes) per chunk regardless of the sample count: each chunk's
+    partial counts are added into the result as the chunk finishes
+    (integer addition commutes, so scheduling cannot change the
+    totals).
     """
     chosen = _check(graph, sources, length)
     counts = np.zeros(graph.num_nodes, dtype=np.int64)

@@ -509,13 +509,23 @@ _BAD_SCALES = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "1e400"]),
     st.floats(max_value=0.0).map(repr),
 )
-_BAD_SEEDS = st.one_of(
+_BAD_NON_NEGATIVE = st.one_of(
     st.integers(max_value=-1).map(str), st.sampled_from(["1.5", "abc", ""])
+)
+_BAD_COUNTS = st.one_of(
+    st.integers(max_value=0).map(str), st.sampled_from(["1.5", "abc", ""])
+)
+_BAD_SUSPECT_SAMPLES = st.one_of(
+    st.integers(max_value=1).map(str), st.sampled_from(["1.5", "abc", ""])
 )
 _BAD_PORTS = st.one_of(st.integers(min_value=65536), st.integers(max_value=-1)).map(
     str
 )
 _SMALL = ["--scale", "0.01"]
+_PIPELINE = ["pipeline", "run", "--target", "wiki_vote", *_SMALL]
+_SYBIL = ["sybil", "compare", "--target", "wiki_vote", *_SMALL]
+_PRIVACY = ["privacy", "sweep", "--target", "wiki_vote", *_SMALL, "--ts", "0,1"]
+_SERVE = ["serve", "--target", "wiki_vote", *_SMALL]
 
 
 def _malformed_invocations(tmp):
@@ -531,16 +541,36 @@ def _malformed_invocations(tmp):
         (lambda v: ["pipeline", "run", "--target", "wiki_vote", f"--scale={v}"],
          _BAD_SCALES),
         (lambda v: ["pipeline", "run", "--target", "wiki_vote", f"--seed={v}"],
-         _BAD_SEEDS),
+         _BAD_NON_NEGATIVE),
         (lambda v: ["sybil", "compare", "--target", "wiki_vote", f"--seed={v}"],
-         _BAD_SEEDS),
+         _BAD_NON_NEGATIVE),
         (lambda v: ["shard", "build", "--target", "wiki_vote", "--out", out,
-                    f"--seed={v}"], _BAD_SEEDS),
+                    f"--seed={v}"], _BAD_NON_NEGATIVE),
         (lambda v: ["serve", "--target", "wiki_vote", f"--port={v}"], _BAD_PORTS),
         (lambda v: ["report", "wiki_vote", *_SMALL, "--output", v],
          st.just(str(a_dir))),
         (lambda v: ["audit", "wiki_vote", *_SMALL, "--cache-dir", v],
          st.just(str(a_file))),
+        (lambda v: ["audit", "wiki_vote", *_SMALL, f"--sources={v}"], _BAD_COUNTS),
+        (lambda v: [*_PIPELINE, f"--sources={v}"], _BAD_COUNTS),
+        (lambda v: [*_PIPELINE, f"--workers={v}"], _BAD_COUNTS),
+        (lambda v: [*_SYBIL, f"--suspect-sample={v}"], _BAD_SUSPECT_SAMPLES),
+        (lambda v: [*_SYBIL, f"--attack-edges={v}"], _BAD_NON_NEGATIVE),
+        (lambda v: [*_SYBIL, f"--workers={v}"], _BAD_COUNTS),
+        (lambda v: [*_PRIVACY, f"--sources={v}"], _BAD_COUNTS),
+        (lambda v: [*_PRIVACY, f"--suspect-sample={v}"], _BAD_SUSPECT_SAMPLES),
+        (lambda v: [*_PRIVACY, f"--attack-edges={v}"], _BAD_NON_NEGATIVE),
+        (lambda v: [*_PRIVACY, f"--workers={v}"], _BAD_COUNTS),
+        (lambda v: [*_SERVE, f"--attack-edges={v}"], _BAD_NON_NEGATIVE),
+        (lambda v: [*_SERVE, f"--compact-max-overlay={v}"], _BAD_COUNTS),
+        (lambda v: [*_SERVE, f"--burst={v}"], _BAD_COUNTS),
+        (lambda v: [*_SERVE, "--burst=4", f"--clients={v}"], _BAD_COUNTS),
+        (lambda v: ["shard", "build", "--stream", "fast", "--out", out,
+                    f"--nodes={v}"], _BAD_COUNTS),
+        (lambda v: ["shard", "build", "--target", "wiki_vote", "--out", out,
+                    f"--num-shards={v}"], _BAD_COUNTS),
+        (lambda v: ["shard", "build", "--target", "wiki_vote", "--out", out,
+                    f"--nodes-per-shard={v}"], _BAD_COUNTS),
     ]
 
 
@@ -565,3 +595,23 @@ def test_malformed_values_exit_without_traceback(data, tmp_path_factory):
     else:  # argparse's usage error
         assert code == 2 and "error:" in stderr.getvalue(), argv
     assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_PIPELINE, "--sources", "-1"],
+        [*_PRIVACY, "--sources", "-2"],
+        [*_SYBIL, "--suspect-sample", "-1"],
+        [*_SERVE, "--burst", "-1"],
+    ],
+    ids=["pipeline-sources", "privacy-sources", "sybil-suspect-sample", "serve-burst"],
+)
+def test_bad_count_fails_before_any_work(argv, capsys):
+    """A bad count is argparse's usage error: the command loads no graph
+    and binds no server before rejecting it."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and "error:" in captured.err
+    assert captured.out == ""
