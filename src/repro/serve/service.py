@@ -68,6 +68,12 @@ NUM_DISTRIBUTORS = 25
 #: Walk lengths of an escape query that names none.
 _ESCAPE_LENGTHS = (2, 5, 10, 20)
 
+#: Most walk lengths, and most steps per walk, one escape query may ask
+#: for.  Walks that are never absorbed run the full length, so the
+#: query's time is linear in its longest length.
+_MAX_ESCAPE_LENGTHS = 16
+_MAX_ESCAPE_STEPS = 1024
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -407,7 +413,10 @@ class AdmissionService:
         measurement is cached per snapshot and memoized in the store
         under its walk parameters only: execution scheduling (the
         ambient executor and worker count) never changes the result,
-        so it never splits the cache.
+        so it never splits the cache.  A query names at most
+        :data:`_MAX_ESCAPE_LENGTHS` lengths, each at most
+        :data:`_MAX_ESCAPE_STEPS`; a larger one is rejected before any
+        walk runs or any counter moves.
         """
         if self._num_honest is None:
             raise ServeError(
@@ -417,6 +426,16 @@ class AdmissionService:
         lengths = tuple(
             int(w) for w in (_ESCAPE_LENGTHS if walk_lengths is None else walk_lengths)
         )
+        if len(lengths) > _MAX_ESCAPE_LENGTHS:
+            raise ServeError(
+                f"at most {_MAX_ESCAPE_LENGTHS} walk lengths per escape query, "
+                f"got {len(lengths)}"
+            )
+        if max(lengths, default=0) > _MAX_ESCAPE_STEPS:
+            raise ServeError(
+                f"escape walk lengths must be at most {_MAX_ESCAPE_STEPS}, "
+                f"got {max(lengths)}"
+            )
         walks = int(num_walks or self._config.escape_walks)
         snapshot, digest, warm, _, _ = self._query_state("escape")
         tel = telemetry.current()

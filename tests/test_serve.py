@@ -32,7 +32,11 @@ from repro.serve import (
     create_server,
     run_load,
 )
-from repro.serve.service import NUM_DISTRIBUTORS
+from repro.serve.service import (
+    _MAX_ESCAPE_LENGTHS,
+    _MAX_ESCAPE_STEPS,
+    NUM_DISTRIBUTORS,
+)
 from repro.sybil import (
     GateKeeper,
     GateKeeperConfig,
@@ -556,6 +560,31 @@ class TestHTTPServer:
         after = client.stats()
         before.pop("queries"), after.pop("queries")
         assert after == before
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            str(_MAX_ESCAPE_STEPS + 1),
+            "2,5," + str(_MAX_ESCAPE_STEPS + 1),
+            ",".join(str(w) for w in range(1, _MAX_ESCAPE_LENGTHS + 2)),
+        ],
+        ids=["step-cap", "step-cap-last", "length-count-cap"],
+    )
+    def test_escape_query_is_bounded(self, served, lengths):
+        """Unabsorbed walks run their full length, so a client could hold
+        a handler for hours; an oversized query is refused before any
+        walk runs and leaves every counter as it was."""
+        service, client = served
+        before = service.stats()
+        with pytest.raises(ServeError, match="HTTP 400"):
+            client._get(f"/escape?lengths={lengths}")
+        assert service.stats() == before
+        widest = ",".join(str(w) for w in range(1, _MAX_ESCAPE_LENGTHS)) + (
+            f",{_MAX_ESCAPE_STEPS}"
+        )
+        doc = client._get(f"/escape?lengths={widest}")
+        assert len(doc["walk_lengths"]) == _MAX_ESCAPE_LENGTHS
+        assert doc["walk_lengths"][-1] == _MAX_ESCAPE_STEPS
 
     def test_stalled_body_times_out(self, served, monkeypatch):
         from repro.serve import server
