@@ -187,7 +187,7 @@ def _visit_kernel(columns: slice, env, streams) -> np.ndarray:
     """Return the chunk's per-node visit counts (merged by the caller)."""
     n = env.num_nodes
     states = env.sources[columns]
-    local = np.bincount(states, minlength=n).astype(np.int64)
+    local = np.bincount(states, minlength=n)
     for _, states in _steps(env, columns, streams, env.length):
         local += np.bincount(states, minlength=n)
     _count(states.size * env.length)
