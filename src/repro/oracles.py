@@ -4,17 +4,17 @@ Each batch engine — the walk modes of :mod:`repro.markov.walk_batch`,
 the TVD profile of :mod:`repro.markov.batch`, the block BFS of
 :mod:`repro.graph.bfs_batch`, the loopy BP of :mod:`repro.sybil.fusion`,
 the level-sliced ticket kernel of :mod:`repro.sybil.tickets` with
-SumUp's flow graph, and the route block of :mod:`repro.markov.walks`
-with SybilGuard's and SybilLimit's verdicts — has a one-item-at-a-time
-twin here that replays the same operations walk by walk, source by
-source, level mask by level mask, half-edge by half-edge or route hop
-by route hop.  So do the measurements built on
-them that the test suite and the speedup benchmarks compare (mixing
-profile, envelope expansion, eccentricities, closeness, escape
-probability, link perturbation), and the edge-churn proposal filter of
-:class:`repro.dynamics.ChurnModel`.  Every function returns exactly what
-its library namesake returns for the same arguments, bit for bit; the
-library never calls this module.
+SumUp's flow graph, the route block of :mod:`repro.markov.walks`
+with SybilGuard's and SybilLimit's verdicts, and SybilInfer's
+table-based sampler — has a one-item-at-a-time twin here that replays
+the same operations walk by walk, source by source, level mask by level
+mask, half-edge by half-edge or route hop by route hop.  So do the
+measurements built on them that the test suite and the speedup
+benchmarks compare (mixing profile, envelope expansion, eccentricities,
+closeness, escape probability, link perturbation), and the edge-churn
+proposal filter of :class:`repro.dynamics.ChurnModel`.  Every function
+returns exactly what its library namesake returns for the same
+arguments, bit for bit; the library never calls this module.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from repro.mixing import sampling
 from repro.privacy import perturb
 from repro.sybil import escape, fusion, sumup, tickets
 from repro.sybil.sybilguard import SybilGuard
+from repro.sybil.sybilinfer import SybilInfer, SybilInferResult
 from repro.sybil.sybillimit import SybilLimit
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
     "sybilguard_verify",
     "sybillimit_tails",
     "sybillimit_verify_all",
+    "sybilinfer_run",
     "measure_escape",
     "perturb_links",
     "churn_step_events",
@@ -526,6 +528,126 @@ def sybillimit_verify_all(
         loads[best] += 1
         accepted.append(suspect)
     return np.asarray(accepted, dtype=np.int64)
+
+
+# ----------------------------------------------------------------------
+# SybilInfer: per-walk membership flags, scalar logs per proposal
+# ----------------------------------------------------------------------
+def _sybilinfer_log_likelihood(
+    infer: SybilInfer, inside_xx: int, total_from_x: int, ends_in_x: int, vol_x
+) -> float:
+    alpha = infer._config.escape_probability
+    total = infer._walk_starts.size
+    vol_out = float(infer.graph.degrees.sum()) - vol_x
+    escaped_x = total_from_x - inside_xx  # X -> out
+    crossed_in = ends_in_x - inside_xx  # out -> X
+    inside_oo = total - total_from_x - crossed_in  # out -> out
+    ll = 0.0
+    if inside_xx:
+        if vol_x <= 0:
+            return -np.inf
+        ll += inside_xx * (np.log1p(-alpha) - np.log(vol_x))
+    if escaped_x:
+        if vol_out <= 0:
+            return -np.inf
+        ll += escaped_x * (np.log(alpha) - np.log(vol_out))
+    if crossed_in:
+        if vol_x <= 0:
+            return -np.inf
+        ll += crossed_in * (np.log(alpha) - np.log(vol_x))
+    if inside_oo:
+        if vol_out <= 0:
+            return -np.inf
+        ll += inside_oo * (np.log1p(-alpha) - np.log(vol_out))
+    return float(ll)
+
+
+def sybilinfer_run(infer: SybilInfer, trusted: int) -> SybilInferResult:
+    """Per-walk twin of :meth:`repro.sybil.SybilInfer.run`.
+
+    Each proposal walks the node's start and end walk lists, reading
+    the other endpoint's membership flag, and takes its logs one
+    scalar ``np.log`` at a time.
+    """
+    infer.graph._check_node(trusted)
+    cfg = infer._config
+    rng = np.random.default_rng(cfg.seed + 1)
+    n = infer.graph.num_nodes
+    starts, ends = infer._walk_starts, infer._walk_ends
+    degrees = infer.graph.degrees.astype(float)
+    walks_starting: list[list[int]] = [[] for _ in range(n)]
+    walks_ending: list[list[int]] = [[] for _ in range(n)]
+    for w in range(starts.size):
+        walks_starting[starts[w]].append(w)
+        walks_ending[ends[w]].append(w)
+    member = infer._initial_membership(trusted)
+    start_in = member[starts].copy()
+    end_in = member[ends].copy()
+    inside_xx = int(np.count_nonzero(start_in & end_in))
+    total_from_x = int(np.count_nonzero(start_in))
+    ends_in_x = int(np.count_nonzero(end_in))
+    vol_x = float(degrees[member].sum())
+    current = _sybilinfer_log_likelihood(
+        infer, inside_xx, total_from_x, ends_in_x, vol_x
+    )
+    counts = np.zeros(n, dtype=np.int64)
+    best_set = member.copy()
+    best_ll = current
+    for step in range(cfg.burn_in + cfg.num_samples):
+        for node in rng.permutation(n):
+            node = int(node)
+            if node == trusted:
+                continue
+            entering = not member[node]
+            sign = 1 if entering else -1
+            delta_inside = 0
+            delta_from_x = 0
+            delta_ends = 0
+            for w in walks_starting[node]:
+                delta_from_x += sign
+                if ends[w] == node:
+                    # self walk: (v, v) contributes iff v is in X, so
+                    # its inside count always moves with the flip
+                    delta_inside += sign
+                elif end_in[w]:
+                    delta_inside += sign
+            for w in walks_ending[node]:
+                delta_ends += sign
+                if starts[w] == node:
+                    continue  # the start-side delta covered this walk
+                if start_in[w]:
+                    delta_inside += sign
+            new_vol = vol_x + sign * degrees[node]
+            proposed = _sybilinfer_log_likelihood(
+                infer,
+                inside_xx + delta_inside,
+                total_from_x + delta_from_x,
+                ends_in_x + delta_ends,
+                new_vol,
+            )
+            if proposed >= current or rng.random() < np.exp(proposed - current):
+                member[node] = entering
+                for w in walks_starting[node]:
+                    start_in[w] = entering
+                for w in walks_ending[node]:
+                    end_in[w] = entering
+                inside_xx += delta_inside
+                total_from_x += delta_from_x
+                ends_in_x += delta_ends
+                vol_x = new_vol
+                current = proposed
+        if current > best_ll:
+            best_ll = current
+            best_set = member.copy()
+        if step >= cfg.burn_in:
+            counts += member
+    probability = counts / cfg.num_samples
+    probability[trusted] = 1.0
+    return SybilInferResult(
+        honest_probability=probability,
+        best_set=np.flatnonzero(best_set).astype(np.int64),
+        best_log_likelihood=float(best_ll),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -100,8 +100,31 @@ class SybilInfer:
         self._walk_ends = walk_endpoints(
             graph, self._walk_starts, self._length, seed=cfg.seed
         )
-        self._degrees = graph.degrees.astype(float)
-        self._total_volume = float(self._degrees.sum())
+        self._num_walks = self._walk_starts.size
+        self._degrees = graph.degrees.tolist()
+        self._total_volume = int(graph.degrees.sum())
+        alpha = cfg.escape_probability
+        self._log_stay = float(np.log1p(-alpha))
+        self._log_cross = float(np.log(alpha))
+        # log(vol) for vol = 0 .. vol(V), one np.log over an array: the
+        # same bits as a scalar np.log per volume (math.log is not);
+        # entry 0 is never read, the likelihood guards vol <= 0 first
+        with np.errstate(divide="ignore"):
+            self._log_volume = np.log(
+                np.arange(self._total_volume + 1, dtype=float)
+            ).tolist()
+        # per node: walks in, self walks, and the walk partners (the
+        # other endpoint of each walk from or to the node); every node
+        # starts walks_per_node walks
+        n = graph.num_nodes
+        starts, ends = self._walk_starts, self._walk_ends
+        loop = starts == ends
+        self._walks_in = np.bincount(ends, minlength=n).tolist()
+        self._self_walks = np.bincount(starts[loop], minlength=n).tolist()
+        self._partners: list[list[int]] = [[] for _ in range(n)]
+        for s, e in zip(starts[~loop].tolist(), ends[~loop].tolist()):
+            self._partners[s].append(e)
+            self._partners[e].append(s)
 
     @property
     def graph(self) -> Graph:
@@ -127,44 +150,45 @@ class SybilInfer:
         inside_xx = int(np.count_nonzero(from_x & ends_x))
         total_from_x = int(np.count_nonzero(from_x))
         ends_in_x = int(np.count_nonzero(ends_x))
-        vol_x = float(self._degrees[member].sum())
+        vol_x = int(self._graph.degrees[member].sum())
         return self._log_likelihood_from_counts(
             inside_xx, total_from_x, ends_in_x, vol_x
         )
 
     def _log_likelihood_from_counts(
-        self, inside_xx: int, total_from_x: int, ends_in_x: int, vol_x: float
+        self, inside_xx: int, total_from_x: int, ends_in_x: int, vol_x: int
     ) -> float:
         """O(1) two-block likelihood from the sufficient statistics.
 
         ``inside_xx``: walks X -> X; ``total_from_x``: walks starting in
         X; ``ends_in_x``: walks ending in X; ``vol_x``: degree volume of
-        X.  The four transition-block counts follow by arithmetic.
+        X.  The four transition-block counts follow by arithmetic, and
+        both logs of a volume come from the table.
         """
-        alpha = self._config.escape_probability
-        total = self._walk_starts.size
+        log_volume = self._log_volume
+        log_stay, log_cross = self._log_stay, self._log_cross
         vol_out = self._total_volume - vol_x
         escaped_x = total_from_x - inside_xx  # X -> out
         crossed_in = ends_in_x - inside_xx  # out -> X
-        inside_oo = total - total_from_x - crossed_in  # out -> out
+        inside_oo = self._num_walks - total_from_x - crossed_in  # out -> out
         ll = 0.0
         if inside_xx:
             if vol_x <= 0:
                 return -np.inf
-            ll += inside_xx * (np.log1p(-alpha) - np.log(vol_x))
+            ll += inside_xx * (log_stay - log_volume[vol_x])
         if escaped_x:
             if vol_out <= 0:
                 return -np.inf
-            ll += escaped_x * (np.log(alpha) - np.log(vol_out))
+            ll += escaped_x * (log_cross - log_volume[vol_out])
         if crossed_in:
             if vol_x <= 0:
                 return -np.inf
-            ll += crossed_in * (np.log(alpha) - np.log(vol_x))
+            ll += crossed_in * (log_cross - log_volume[vol_x])
         if inside_oo:
             if vol_out <= 0:
                 return -np.inf
-            ll += inside_oo * (np.log1p(-alpha) - np.log(vol_out))
-        return float(ll)
+            ll += inside_oo * (log_stay - log_volume[vol_out])
+        return ll
 
     def _initial_membership(self, trusted: int) -> np.ndarray:
         """Return the sampler's starting hypothesis.
@@ -189,72 +213,55 @@ class SybilInfer:
         """Sample honest sets containing the trusted node.
 
         The trusted node is pinned inside X.  Each MH step is a full
-        sweep of single-node flip proposals in random order; the
-        likelihood is maintained incrementally from per-walk membership
-        flags, so one proposal costs O(walks touching the node).
+        sweep of single-node flip proposals in random order.  A node's
+        ``links`` count (its self walks plus its walk partners now in
+        X) is how far the X -> X walk count moves when it flips, so a
+        proposal costs O(1); an accepted flip moves its partners'
+        ``links`` by one each.
         """
         self._graph._check_node(trusted)
         cfg = self._config
         rng = np.random.default_rng(cfg.seed + 1)
         n = self._graph.num_nodes
-        num_walks = self._walk_starts.size
-        # reverse indexes: which walks start / end at each node
-        walks_starting: list[list[int]] = [[] for _ in range(n)]
-        walks_ending: list[list[int]] = [[] for _ in range(n)]
-        for w in range(num_walks):
-            walks_starting[self._walk_starts[w]].append(w)
-            walks_ending[self._walk_ends[w]].append(w)
         member = self._initial_membership(trusted)
-        start_in = member[self._walk_starts].copy()
-        end_in = member[self._walk_ends].copy()
+        start_in = member[self._walk_starts]
+        end_in = member[self._walk_ends]
         inside_xx = int(np.count_nonzero(start_in & end_in))
         total_from_x = int(np.count_nonzero(start_in))
         ends_in_x = int(np.count_nonzero(end_in))
-        vol_x = float(self._degrees[member].sum())
-        current = self._log_likelihood_from_counts(
-            inside_xx, total_from_x, ends_in_x, vol_x
-        )
+        vol_x = int(self._graph.degrees[member].sum())
+        likelihood = self._log_likelihood_from_counts
+        current = likelihood(inside_xx, total_from_x, ends_in_x, vol_x)
+        in_x = member.tolist()
+        partners = self._partners
+        links = [
+            loops + sum(in_x[p] for p in mates)
+            for loops, mates in zip(self._self_walks, partners)
+        ]
+        walks_in, degrees = self._walks_in, self._degrees
         counts = np.zeros(n, dtype=np.int64)
-        best_set = member.copy()
+        best_set = in_x.copy()
         best_ll = current
         steps = cfg.burn_in + cfg.num_samples
         for step in range(steps):
-            for node in rng.permutation(n):
-                node = int(node)
+            for node in rng.permutation(n).tolist():
                 if node == trusted:
                     continue
-                entering = not member[node]
-                sign = 1 if entering else -1
-                delta_inside = 0
-                delta_from_x = 0
-                delta_ends = 0
-                for w in walks_starting[node]:
-                    delta_from_x += sign
-                    if self._walk_ends[w] == node:
-                        # self walk: (v, v) contributes iff v is in X, so
-                        # its inside count always moves with the flip
-                        delta_inside += sign
-                    elif end_in[w]:
-                        delta_inside += sign
-                for w in walks_ending[node]:
-                    delta_ends += sign
-                    if self._walk_starts[w] == node:
-                        continue  # the start-side delta covered this walk
-                    if start_in[w]:
-                        delta_inside += sign
-                new_vol = vol_x + sign * self._degrees[node]
-                proposed = self._log_likelihood_from_counts(
+                sign = -1 if in_x[node] else 1
+                delta_inside = sign * links[node]
+                delta_from_x = sign * cfg.walks_per_node
+                delta_ends = sign * walks_in[node]
+                new_vol = vol_x + sign * degrees[node]
+                proposed = likelihood(
                     inside_xx + delta_inside,
                     total_from_x + delta_from_x,
                     ends_in_x + delta_ends,
                     new_vol,
                 )
                 if proposed >= current or rng.random() < np.exp(proposed - current):
-                    member[node] = entering
-                    for w in walks_starting[node]:
-                        start_in[w] = entering
-                    for w in walks_ending[node]:
-                        end_in[w] = entering
+                    in_x[node] = sign > 0
+                    for p in partners[node]:
+                        links[p] += sign
                     inside_xx += delta_inside
                     total_from_x += delta_from_x
                     ends_in_x += delta_ends
@@ -262,9 +269,9 @@ class SybilInfer:
                     current = proposed
             if current > best_ll:
                 best_ll = current
-                best_set = member.copy()
+                best_set = in_x.copy()
             if step >= cfg.burn_in:
-                counts += member
+                counts += in_x
         probability = counts / cfg.num_samples
         probability[trusted] = 1.0
         return SybilInferResult(

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import oracles
 from repro.errors import SybilDefenseError
-from repro.generators import barabasi_albert
+from repro.generators import barabasi_albert, complete_graph
 from repro.graph import Graph
 from repro.sybil import SybilInfer, SybilInferConfig, standard_attack
 
@@ -103,3 +104,47 @@ class TestInference:
         member[result.best_set] = True
         recomputed = infer.log_likelihood(member)
         assert recomputed == pytest.approx(result.best_log_likelihood, rel=1e-9)
+
+
+def _twin_graphs() -> dict[str, Graph]:
+    honest = barabasi_albert(150, 3, seed=11)
+    clique = complete_graph(5)
+    return {
+        "ba": barabasi_albert(120, 3, seed=4),
+        "attack-powerlaw": standard_attack(honest, 6, seed=1).graph,
+        "attack-wild": standard_attack(honest, 6, seed=1, topology="wild").graph,
+        # a 5-clique and two isolated nodes: X reaches every node with
+        # an edge, so vol(V \ X) = 0 while the isolated nodes' walks
+        # stay outside X
+        "clique-isolated": Graph.from_edges(clique.edge_array(), num_nodes=7),
+    }
+
+
+TWIN_GRAPHS = _twin_graphs()
+
+
+@pytest.mark.parametrize("trusted", [0, 1])
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", list(TWIN_GRAPHS))
+def test_sampler_matches_per_walk_oracle(name, seed, trusted):
+    """The O(1)-proposal sampler with its log table takes every MH
+    decision of the per-walk loop with scalar logs, bit for bit."""
+    infer = SybilInfer(
+        TWIN_GRAPHS[name], SybilInferConfig(num_samples=30, burn_in=15, seed=seed)
+    )
+    got = infer.run(trusted)
+    want = oracles.sybilinfer_run(infer, trusted)
+    assert got.honest_probability.dtype == want.honest_probability.dtype
+    assert got.honest_probability.tobytes() == want.honest_probability.tobytes()
+    assert got.best_set.dtype == want.best_set.dtype
+    assert got.best_set.tobytes() == want.best_set.tobytes()
+    assert type(got.best_log_likelihood) is float
+    assert (
+        np.float64(got.best_log_likelihood).tobytes()
+        == np.float64(want.best_log_likelihood).tobytes()
+    )
+    if name == "clique-isolated":
+        # the sampler starts in the vol(V \ X) <= 0 branch
+        start = infer._initial_membership(trusted)
+        assert start.sum() == 5
+        assert infer.log_likelihood(start) == -np.inf
