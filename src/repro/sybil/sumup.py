@@ -80,6 +80,8 @@ class SumUp:
             raise SybilDefenseError("SumUp needs at least 3 nodes")
         self._graph = graph
         self._config = config or SumUpConfig()
+        # collector -> read-only capacity of every CSR half-edge
+        self._capacities: dict[int, np.ndarray] = {}
 
     @property
     def graph(self) -> Graph:
@@ -109,18 +111,19 @@ class SumUp:
             self._config.vote_capacity or max(self._graph.num_nodes // 10, 2)
         )
 
-    def _flow_graph(
-        self, collector: int, voters: np.ndarray
-    ) -> tuple[sp.csr_matrix, int]:
-        """Build the integer capacity matrix with a super-source.
+    def _capacity(self, collector: int) -> np.ndarray:
+        """Capacity of every half-edge of the CSR toward ``collector``.
 
-        Every half-edge of the CSR gets capacity 1 except the envelope
-        links toward the collector, boosted as in
-        :meth:`link_capacities`; the super-source ``n`` links to each
-        voter with capacity 1.  Links pointing away from the collector
-        keep capacity 1 to allow detours, as in the paper's
-        implementation.
+        Every half-edge gets capacity 1 except the envelope links toward
+        the collector, boosted as in :meth:`link_capacities`.  Links
+        pointing away from the collector keep capacity 1 to allow
+        detours, as in the paper's implementation.  Built from one
+        :class:`TicketPlan` on a collector's first collection and kept,
+        read-only, for every later one.
         """
+        capacity = self._capacities.get(collector)
+        if capacity is not None:
+            return capacity
         graph = self._graph
         n = graph.num_nodes
         plan = TicketPlan(graph, collector)
@@ -131,13 +134,28 @@ class SumUp:
         # found by its (row, col) key in the row-sorted CSR
         half_edge = np.searchsorted(rows * n + graph.indices, v * n + u)
         capacity[half_edge] = 1 + np.ceil(tickets).astype(np.int64)
+        capacity.flags.writeable = False
+        self._capacities[collector] = capacity
+        return capacity
+
+    def _flow_graph(
+        self, collector: int, voters: np.ndarray
+    ) -> tuple[sp.csr_matrix, int]:
+        """Build the integer capacity matrix with a super-source.
+
+        Rows ``0 .. n-1`` are the graph's CSR carrying
+        :meth:`_capacity`; the super-source ``n`` links to each voter
+        with capacity 1, the only row that changes between collections.
+        """
+        graph = self._graph
+        n = graph.num_nodes
         matrix = sp.csr_matrix(
             (
-                np.concatenate([capacity, np.ones(voters.size, dtype=np.int64)]),
-                (
-                    np.concatenate([rows, np.full(voters.size, n, dtype=np.int64)]),
-                    np.concatenate([graph.indices, voters]),
+                np.concatenate(
+                    [self._capacity(collector), np.ones(voters.size, dtype=np.int64)]
                 ),
+                np.concatenate([graph.indices, voters]),
+                np.append(graph.indptr, graph.indptr[-1] + voters.size),
             ),
             shape=(n + 1, n + 1),
             dtype=np.int32,

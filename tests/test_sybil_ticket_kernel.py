@@ -140,10 +140,14 @@ def test_gatekeeper_reach_counts_match_oracle(name):
     "name", ["star", "ba", "disconnected", "attack-powerlaw", "attack-wild"]
 )
 def test_sumup_flow_graph_matches_oracle(name, capacity):
+    """One instance serves every collector, and a revisited collector
+    (c0, c1, ..., c0) reads its kept capacity vector with fresh voters."""
     graph = GRAPHS[name]
     vote = SumUp(graph, SumUpConfig(vote_capacity=capacity))
     rng = np.random.default_rng(5)
-    for collector in _sources(graph):
+    sources = _sources(graph)
+    kept = {}
+    for collector in [*sources, sources[0]]:
         voters = np.unique(rng.choice(graph.num_nodes, size=graph.num_nodes // 2))
         voters = voters[voters != collector]
         got, got_source = vote._flow_graph(collector, voters)
@@ -154,6 +158,9 @@ def test_sumup_flow_graph_matches_oracle(name, capacity):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
         flow = maximum_flow(want, want_source, collector).flow_value
         assert vote.collect(collector, voters).collected_votes == flow
+        capacity = vote._capacity(collector)
+        assert not capacity.flags.writeable
+        assert kept.setdefault(collector, capacity) is capacity
 
 
 @given(
