@@ -47,7 +47,7 @@ from repro.errors import ServeError
 from repro.graph.core import Graph
 from repro.serve.overlay import CompactionPolicy, GraphOverlay
 from repro.store import ArtifactStore, graph_digest, memoize
-from repro.sybil.escape import EscapeMeasurement, escape_profile
+from repro.sybil.escape import EscapeMeasurement, _check_lengths, escape_profile
 from repro.sybil.gatekeeper import GateKeeper, GateKeeperConfig
 from repro.sybil.ranking import accept_top
 from repro.sybil.sybilrank import SybilRank
@@ -415,8 +415,10 @@ class AdmissionService:
         ambient executor and worker count) never changes the result,
         so it never splits the cache.  A query names at most
         :data:`_MAX_ESCAPE_LENGTHS` lengths, each at most
-        :data:`_MAX_ESCAPE_STEPS`; a larger one is rejected before any
-        walk runs or any counter moves.
+        :data:`_MAX_ESCAPE_STEPS` (else :class:`ServeError`), strictly
+        increasing and each at least 1 (else
+        :class:`~repro.errors.SybilDefenseError`); a query that breaks
+        a rule is rejected before any walk runs or any counter moves.
         """
         if self._num_honest is None:
             raise ServeError(
@@ -436,6 +438,7 @@ class AdmissionService:
                 f"escape walk lengths must be at most {_MAX_ESCAPE_STEPS}, "
                 f"got {max(lengths)}"
             )
+        _check_lengths(list(lengths))
         walks = int(num_walks or self._config.escape_walks)
         snapshot, digest, warm, _, _ = self._query_state("escape")
         tel = telemetry.current()

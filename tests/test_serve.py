@@ -18,7 +18,7 @@ import pytest
 
 from repro import parallel, telemetry
 from repro.dynamics import ChurnModel, GraphDelta, GrowthModel, event_stream
-from repro.errors import GraphError, ServeError
+from repro.errors import GraphError, ServeError, SybilDefenseError
 from repro.graph import Graph
 from repro.serve import (
     AdmissionService,
@@ -376,6 +376,22 @@ class TestAdmissionService:
         with pytest.raises(ServeError, match="num_honest"):
             service.escape()
 
+    @pytest.mark.parametrize(
+        "lengths", [(5, 2), (0,), (-3,)], ids=["decreasing", "zero", "negative"]
+    )
+    def test_bad_escape_lengths_count_no_query(self, ba_small, lengths):
+        """Lengths the escape measurement would reject are refused
+        before the query is counted, as the length caps are."""
+        service = AdmissionService(ba_small, num_honest=ba_small.num_nodes // 2)
+        with telemetry.activate() as tel:
+            before = service.stats()
+            with pytest.raises(SybilDefenseError, match="strictly increasing"):
+                service.escape(walk_lengths=lengths)
+            assert service.stats() == before
+            assert before.queries == 0
+            assert tel.counter("serve.queries.escape") == 0
+            assert tel.counter("serve.queries") == 0
+
     def test_compaction_resets_staleness_and_chains_digest(self, ba_small):
         service = AdmissionService(ba_small)
         digest0 = service.snapshot_digest
@@ -567,8 +583,9 @@ class TestHTTPServer:
             str(_MAX_ESCAPE_STEPS + 1),
             "2,5," + str(_MAX_ESCAPE_STEPS + 1),
             ",".join(str(w) for w in range(1, _MAX_ESCAPE_LENGTHS + 2)),
+            "5,2",
         ],
-        ids=["step-cap", "step-cap-last", "length-count-cap"],
+        ids=["step-cap", "step-cap-last", "length-count-cap", "decreasing"],
     )
     def test_escape_query_is_bounded(self, served, lengths):
         """Unabsorbed walks run their full length, so a client could hold
