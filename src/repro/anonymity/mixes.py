@@ -73,20 +73,19 @@ def walk_anonymity_profile(
     graph: Graph,
     walk_lengths: list[int],
     num_senders: int = 50,
-    lazy: bool = True,
     seed: int = 0,
 ) -> AnonymityProfile:
     """Measure exit-node anonymity for walks of various lengths.
 
     For each sampled sender, evolve its delta distribution; record the
-    entropy of the exit distribution and its TVD from stationary.  Lazy
-    walks are the default (a mix relay can stay put), which also makes
-    the metrics monotone.
+    entropy of the exit distribution and its TVD from stationary.  The
+    walks are lazy (a mix relay can stay put), which also makes the
+    metrics monotone.
     """
     lengths = np.asarray(walk_lengths, dtype=np.int64)
     if lengths.size == 0 or np.any(np.diff(lengths) <= 0) or lengths[0] < 0:
         raise GraphError("walk_lengths must be strictly increasing and >= 0")
-    chain = transition_matrix(graph, lazy=True) if lazy else graph
+    chain = transition_matrix(graph, lazy=True)
     pi = stationary_distribution(graph)
     pi_entropy = entropy(pi)
     rng = np.random.default_rng(seed)

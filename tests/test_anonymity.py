@@ -48,7 +48,7 @@ class TestProfile:
 
     def test_complete_graph_immediately_anonymous(self):
         g = complete_graph(20)
-        profile = walk_anonymity_profile(g, [2, 5], num_senders=10, lazy=False)
+        profile = walk_anonymity_profile(g, [2, 5], num_senders=10)
         assert profile.normalized_entropy[-1] > 0.99
 
     def test_fast_beats_slow(self, tiny_wiki, tiny_physics):
