@@ -148,3 +148,14 @@ def test_sampler_matches_per_walk_oracle(name, seed, trusted):
         start = infer._initial_membership(trusted)
         assert start.sum() == 5
         assert infer.log_likelihood(start) == -np.inf
+
+
+def test_log_table_has_scalar_log_bits():
+    """Every entry of the volume-log table has the bits of a scalar
+    ``np.log`` (``math.log`` differs at volume 9170, among others)."""
+    infer = SybilInfer(
+        barabasi_albert(1300, 4, seed=0), SybilInferConfig(num_samples=1, burn_in=0)
+    )
+    table = infer._log_volume
+    assert len(table) == infer._total_volume + 1 > 9170
+    assert all(table[v] == np.log(float(v)) for v in range(1, len(table)))
