@@ -52,9 +52,10 @@ __all__ = [
 ]
 
 #: Default number of source columns processed per chunk.  Bounds the
-#: dense working set (8 bytes/entry for walk blocks, 1-8 bytes for BFS
-#: state) at a few MB per thousand nodes while keeping the sparse
-#: structure amortized over many columns.
+#: dense working set (1-8 bytes per entry of BFS or distribution state)
+#: at a few MB per thousand nodes while keeping the sparse structure
+#: amortized over many columns.  The walk modes size their default
+#: chunk by uniforms instead (:mod:`repro.markov.walk_batch`).
 DEFAULT_CHUNK_SIZE = 128
 
 #: Cap on :func:`default_workers` — past this, per-worker dispatch and
@@ -116,9 +117,14 @@ def sample_sources(
 
 
 def resolve_chunks(
-    num_sources: int, chunk_size: int | None, workers: int | None
+    num_sources: int,
+    chunk_size: int | None,
+    workers: int | None,
+    default: int = DEFAULT_CHUNK_SIZE,
 ) -> list[slice]:
     """Split ``num_sources`` columns into contiguous chunk slices.
+
+    ``chunk_size=None`` cuts chunks of the engine's ``default`` size.
 
     ``num_sources == 0`` yields an empty plan (no chunks) regardless of
     ``chunk_size``/``workers`` — it must not trip the positivity check,
@@ -131,7 +137,7 @@ def resolve_chunks(
     if num_sources == 0:
         return []
     if chunk_size is None:
-        size = DEFAULT_CHUNK_SIZE
+        size = default
         if workers is not None and workers > 1:
             # Spread the sources across the pool when the default chunk
             # would leave workers idle.
@@ -149,22 +155,22 @@ def run_kernel(
     *,
     inputs: dict[str, Any],
     outputs: dict[str, np.ndarray] | None = None,
-    split: dict[str, Sequence[Any]] | None = None,
     setup: Callable[[SimpleNamespace], None] | None = None,
     merge: Callable[[slice, Any], None] | None = None,
     repeat: Callable[[SimpleNamespace], bool] | None = None,
     span: str | None = None,
+    default_chunk: int = DEFAULT_CHUNK_SIZE,
 ) -> None:
     """Run ``kernel`` over ``num_items`` items in chunks, on either backend.
 
-    Each chunk calls ``kernel(columns, env, **local)``: ``env`` holds
-    ``inputs`` (read-only) and ``outputs`` (written in disjoint chunk
-    slices) by name plus what ``setup(env)`` adds — per-call state built
-    once per call (once per call and worker process on the process
-    backend); ``local`` holds each ``split`` sequence cut to the chunk.
+    Each chunk calls ``kernel(columns, env)``: ``env`` holds ``inputs``
+    (read-only) and ``outputs`` (written in disjoint chunk slices) by
+    name plus what ``setup(env)`` adds — per-call state built once per
+    call (once per call and worker process on the process backend).
     ``merge(columns, result)`` gets each chunk's return value as it
     finishes (serialized); ``repeat(env)`` runs after every pass and
     says whether to dispatch again.  ``span`` names the kernel's span.
+    ``default_chunk`` is the chunk size when the scope sets none.
 
     The schedule — executor, worker count and chunk size — comes from
     the ambient :func:`repro.parallel.execution` scope.  On the process
@@ -174,14 +180,13 @@ def run_kernel(
     arrays before the segments go.
     """
     kind, workers, chunk_size = parallel.resolve_execution()
-    chunks = resolve_chunks(num_items, chunk_size, workers)
+    chunks = resolve_chunks(num_items, chunk_size, workers, default_chunk)
     if not chunks:
         return
     outputs = outputs or {}
-    split = split or {}
     if parallel.use_processes(kind, workers, len(chunks)):
         _run_kernel_processes(
-            kernel, chunks, workers, inputs, outputs, split, setup, merge, repeat, span
+            kernel, chunks, workers, inputs, outputs, setup, merge, repeat, span
         )
         return
     env = SimpleNamespace(**inputs, **outputs)
@@ -190,8 +195,7 @@ def run_kernel(
     lock = threading.Lock()
 
     def job(columns: slice) -> None:
-        local = {name: items[columns] for name, items in split.items()}
-        result = _call_kernel(kernel, columns, env, span, local)
+        result = _call_kernel(kernel, columns, env, span)
         if merge is not None:
             with lock:
                 merge(columns, result)
@@ -202,7 +206,7 @@ def run_kernel(
 
 
 def _run_kernel_processes(
-    kernel, chunks, workers, inputs, outputs, split, setup, merge, repeat, span
+    kernel, chunks, workers, inputs, outputs, setup, merge, repeat, span
 ) -> None:
     """The process half of :func:`run_kernel`."""
     refs: dict[str, Any] = {}
@@ -222,9 +226,6 @@ def _run_kernel_processes(
                 payload,
                 chunks,
                 workers,
-                chunk_payload=lambda c: {
-                    "split": {name: items[c] for name, items in split.items()}
-                },
                 call=token,
                 on_result=None if merge is None else lambda i, r: merge(chunks[i], r),
             )
@@ -247,16 +248,14 @@ def _kernel_task(payload: dict, columns: slice) -> Any:
         if payload["setup"] is not None:
             payload["setup"](env)
         cache["env"] = env
-    return _call_kernel(
-        payload["kernel"], columns, env, payload["span"], payload["split"]
-    )
+    return _call_kernel(payload["kernel"], columns, env, payload["span"])
 
 
-def _call_kernel(kernel, columns: slice, env, span: str | None, local: dict) -> Any:
+def _call_kernel(kernel, columns: slice, env, span: str | None) -> Any:
     if span is None:
-        return kernel(columns, env, **local)
+        return kernel(columns, env)
     with telemetry.current().span(span):
-        return kernel(columns, env, **local)
+        return kernel(columns, env)
 
 
 def run_chunks(

@@ -8,7 +8,6 @@ from repro.markov.batch import (
 from repro.markov.hitting import (
     commute_time,
     effective_resistance,
-    estimate_cover_time,
     estimate_hitting_time,
     hitting_time,
     hitting_times_to,
@@ -16,7 +15,6 @@ from repro.markov.hitting import (
 from repro.markov.walk_batch import (
     NO_HIT,
     walk_block,
-    walk_cover_steps,
     walk_endpoints,
     walk_first_hits,
     walk_visit_counts,
@@ -43,11 +41,9 @@ __all__ = [
     "walk_endpoints",
     "walk_first_hits",
     "walk_visit_counts",
-    "walk_cover_steps",
     "hitting_time",
     "hitting_times_to",
     "commute_time",
     "effective_resistance",
     "estimate_hitting_time",
-    "estimate_cover_time",
 ]

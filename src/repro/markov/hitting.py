@@ -1,4 +1,4 @@
-"""Hitting, commute and cover times of the social-graph walk.
+"""Hitting and commute times of the social-graph walk.
 
 Mixing time is one clock on a random walk; the Sybil-defense and
 routing literature also leans on its cousins:
@@ -7,9 +7,7 @@ routing literature also leans on its cousins:
   reach v (route-length budgeting in SybilGuard-style protocols);
 * **commute time** C(u, v) = H(u, v) + H(v, u): equals
   ``2 m * R_eff(u, v)`` (effective resistance), the spectral quantity
-  behind random-walk betweenness;
-* **cover time**: expected steps to visit every node — the budget for
-  a walk-based gossip/search to reach the whole graph.
+  behind random-walk betweenness.
 
 Exact values come from linear solves on the Laplacian (fine for the
 analog sizes here); a Monte-Carlo estimator covers larger graphs.
@@ -22,7 +20,7 @@ import numpy as np
 from repro.errors import DisconnectedGraphError, GraphError
 from repro.graph.core import Graph
 from repro.graph.traversal import is_connected
-from repro.markov.walk_batch import NO_HIT, walk_cover_steps, walk_first_hits
+from repro.markov.walk_batch import NO_HIT, walk_first_hits
 
 __all__ = [
     "hitting_time",
@@ -30,7 +28,6 @@ __all__ = [
     "commute_time",
     "effective_resistance",
     "estimate_hitting_time",
-    "estimate_cover_time",
 ]
 
 
@@ -142,7 +139,7 @@ def estimate_hitting_time(
         np.full(num_walks, source, dtype=np.int64),
         budget,
         mask,
-        seed=np.random.SeedSequence(seed),
+        seed=seed,
     )
     reached = hits[hits != NO_HIT]
     if reached.size == 0:
@@ -150,46 +147,3 @@ def estimate_hitting_time(
             f"no walk hit the target within {budget} steps; increase max_steps"
         )
     return float(reached.mean())
-
-
-def estimate_cover_time(
-    graph: Graph,
-    num_walks: int = 20,
-    max_steps: int | None = None,
-    seed: int = 0,
-) -> float:
-    """Monte-Carlo estimate of the cover time from random starts.
-
-    Walks until all nodes are visited (or ``max_steps``, default
-    ``50 n log n`` — well past the O(n log n) cover time of expanders);
-    returns the mean steps-to-cover over completed walks.  Raises when
-    no walk covers within the budget (slow mixer or budget too small).
-    Start nodes come from one child stream of ``seed`` and every walk
-    advances on its own stream through the vectorized engine, so the
-    estimate is independent of the schedule.
-    """
-    if graph.num_nodes < 2:
-        raise GraphError("cover time needs at least 2 nodes")
-    if not is_connected(graph):
-        raise DisconnectedGraphError("cover time needs a connected graph")
-    if num_walks < 1:
-        raise GraphError("num_walks must be positive")
-    n = graph.num_nodes
-    budget = max_steps or int(50 * n * np.log(n))
-    start_seed, walk_seed = np.random.SeedSequence(seed).spawn(2)
-    starts = np.random.default_rng(start_seed).integers(
-        n, size=num_walks, dtype=np.int64
-    )
-    covered = walk_cover_steps(
-        graph,
-        starts,
-        budget,
-        seed=walk_seed,
-    )
-    completed = covered[covered != NO_HIT]
-    if completed.size == 0:
-        raise GraphError(
-            f"no walk covered the graph within {budget} steps; "
-            "increase max_steps"
-        )
-    return float(completed.mean())

@@ -35,7 +35,7 @@ from repro.markov import walks
 from repro.markov.batch import validate_walk_lengths
 from repro.markov.distance import total_variation_distance
 from repro.markov.transition import stationary_distribution, transition_matrix
-from repro.markov.walk_batch import _STEP_BLOCK, NO_HIT, _streams
+from repro.markov.walk_batch import NO_HIT, _keys, _step_block
 from repro.mixing import sampling
 from repro.privacy import perturb
 from repro.sybil import escape, fusion, sumup, tickets
@@ -48,7 +48,6 @@ __all__ = [
     "walk_endpoints",
     "walk_first_hits",
     "walk_visit_counts",
-    "walk_cover_steps",
     "tvd_profile",
     "sampled_mixing_profile",
     "bfs_distances_block",
@@ -99,18 +98,29 @@ def _scalar_step(graph: Graph | ShardedGraph):
 
 
 def _walks(graph, chosen: np.ndarray, seed, length: int) -> Iterator[Iterator]:
-    """Per walk, an iterator of ``(t, state)`` for steps ``1 .. length``."""
-    step = _scalar_step(graph)
+    """Per walk, an iterator of ``(t, state)`` for steps ``1 .. length``.
 
-    def walk(state: int, stream: np.random.Generator):
+    Walk ``i`` is walk ``w = i % group`` of seed group ``g = i // group``;
+    its step-``t`` uniform is the double at position
+    ``(t // B) * 2**128 + w * B + t % B`` of ``Philox(key(seed[g]))``,
+    read one step block at a time.
+    """
+    step = _scalar_step(graph)
+    keys, group = _keys(seed, chosen.size)
+    block = _step_block(length)
+
+    def walk(i: int, state: int):
+        g, w = divmod(i, group)
         t = 0
-        for lo in range(0, length, _STEP_BLOCK):
-            for u in stream.random(min(_STEP_BLOCK, length - lo)):
+        for lo in range(0, length, block):
+            position = (lo // block) * 2**128 + w * block
+            bits = np.random.Philox(key=keys[g], counter=position // 4)
+            for u in np.random.Generator(bits).random(min(block, length - lo)):
                 t += 1
                 state = step(state, u)
                 yield t, state
 
-    return (walk(int(s), g) for s, g in zip(chosen, _streams(seed, chosen.size)))
+    return (walk(i, int(s)) for i, s in enumerate(chosen))
 
 
 def walk_block(graph, sources, length: int, seed=0) -> np.ndarray:
@@ -146,23 +156,6 @@ def walk_visit_counts(graph, sources, length: int, seed=0) -> np.ndarray:
     """Per-walk twin of :func:`repro.markov.walk_visit_counts`."""
     paths = walk_block(graph, sources, length, seed)
     return np.bincount(paths.ravel(), minlength=graph.num_nodes).astype(np.int64)
-
-
-def walk_cover_steps(graph, sources, max_steps: int, seed=0) -> np.ndarray:
-    """Per-walk twin of :func:`repro.markov.walk_cover_steps`."""
-    chosen = validate_sources(graph.num_nodes, sources)
-    n = graph.num_nodes
-    out = np.full(chosen.size, 0 if n == 1 else NO_HIT, dtype=np.int64)
-    for i, walk in enumerate(_walks(graph, chosen, seed, max_steps)):
-        if n == 1:
-            continue
-        seen = {int(chosen[i])}
-        for t, state in walk:
-            seen.add(state)
-            if len(seen) == n:
-                out[i] = t
-                break
-    return out
 
 
 # ----------------------------------------------------------------------

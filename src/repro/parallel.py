@@ -127,9 +127,9 @@ def execution(
 
     Every :func:`repro.chunking.run_kernel` call inside the block runs
     on ``executor``, fans its chunks out over ``workers`` and cuts its
-    items into chunks of ``chunk_size`` (default
-    :data:`repro.chunking.DEFAULT_CHUNK_SIZE`, spread over the
-    workers).  Results never depend on the schedule, so no engine takes
+    items into chunks of ``chunk_size`` (default: the engine's own,
+    :data:`repro.chunking.DEFAULT_CHUNK_SIZE` for all but the walk
+    modes, spread over the workers).  Results never depend on the schedule, so no engine takes
     it as an argument: the CLI, the pipeline wave scheduler and callers
     that bound memory set it here for every nested engine call.  A
     field left ``None`` keeps the enclosing scope's value, and leaving
@@ -676,7 +676,6 @@ def run_process_chunks(
     chunks: Sequence[slice],
     workers: int,
     span: str | None = "chunking.chunk",
-    chunk_payload: Callable[[slice], dict] | None = None,
     call: tuple[int, int] | None = None,
     on_result: Callable[[int, Any], None] | None = None,
 ) -> list[Any] | None:
@@ -684,9 +683,7 @@ def run_process_chunks(
 
     ``fn(payload, chunk)`` must be a module-level callable (pickled by
     reference); ``payload`` values may be plane refs, resolved in the
-    worker via :func:`resolve`.  ``chunk_payload(chunk)`` contributes
-    per-chunk payload entries (e.g. that chunk's seed streams).
-    Results are returned in chunk order — or, with ``on_result``,
+    worker via :func:`resolve`.  Results are returned in chunk order — or, with ``on_result``,
     handed to ``on_result(chunk index, result)`` as each chunk finishes
     and not kept.  The first failing chunk re-raises in the parent.
     Fan-out telemetry matches the thread runner (``chunking.*``) plus
@@ -709,8 +706,6 @@ def run_process_chunks(
     pending = {}
     for index, chunk in enumerate(chunks):
         task_payload = dict(payload)
-        if chunk_payload is not None:
-            task_payload.update(chunk_payload(chunk))
         task_payload["_call"] = call
         future = pool.submit(_run_task, fn, task_payload, chunk, span, record)
         pending[future] = index

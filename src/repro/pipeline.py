@@ -515,6 +515,11 @@ _SLEM_VERSION = 2
 #: scores change bits
 _ROUTE_VERSION = 2
 
+#: v3: every sampled walk draws its uniforms by one counter-based rule
+#: keyed by (seed, walk, step) instead of one spawned stream per walk
+#: (v2), so every stage built on walks changes bits
+_WALK_VERSION = 3
+
 
 def spectral_stage(num_sources: int = 50, seed: int = 0) -> Stage:
     """SLEM, Sinclair bounds and fast-mixing check (:func:`spectral_summary`)
@@ -586,10 +591,9 @@ def gatekeeper_stage(
             graph, target, edges, admission_factors, num_controllers, seed
         )
 
-    # v2: distributor selection runs on the vectorized walk engine
-    # (per-walk seed streams), changing sampled walks
+    # distributor selection samples walks
     return _on_graph(
-        "gatekeeper", rows, version=2, target=target,
+        "gatekeeper", rows, version=_WALK_VERSION, target=target,
         num_attack_edges=num_attack_edges, admission_factors=admission_factors,
         num_controllers=num_controllers, seed=seed,
     )
@@ -640,12 +644,12 @@ def frontier_stages(
             walk_lengths=walk_lengths, points=[deps[name] for name in names],
         )
 
-    # each point holds the SLEM of its perturbed graph and the defense
-    # scores, so its version rises with either
+    # each point holds the SLEM of its walk-perturbed graph and the
+    # defense scores, so its version rises with any of the three
     stages = [
         Stage(
             name, point(int(t)), deps=("attack",), params={**params, "t": int(t)},
-            version=_SLEM_VERSION + _ROUTE_VERSION,
+            version=_SLEM_VERSION + _ROUTE_VERSION + _WALK_VERSION,
         )
         for name, t in zip(names, levels)
     ]
@@ -808,13 +812,14 @@ def fusion_comparison_pipeline(
             score_stage(STRUCTURE_DEFENSE_NAMES),
             deps=("attack",),
             params=score_params,
-            version=_ROUTE_VERSION,
+            version=_ROUTE_VERSION + _WALK_VERSION,
         ),
         Stage(
             "fusion_scores",
             score_stage(FUSION_DEFENSE_NAMES),
             deps=("attack",),
             params=score_params,
+            version=_WALK_VERSION,
         ),
         Stage(
             "report",

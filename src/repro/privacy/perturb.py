@@ -12,8 +12,8 @@ is the privacy-utility frontier measured in :mod:`repro.privacy.frontier`.
 
 The rewiring is vectorized on the Monte-Carlo walk engine
 (:func:`repro.markov.walk_batch.walk_endpoints`): one walk per
-half-edge, each driven by its own :class:`numpy.random.SeedSequence`
-child stream, so the perturbed graph is **bit-identical** for every
+half-edge, walk ``i`` drawing by the engine's counter-based rule keyed
+by ``(seed, i, step)``, so the perturbed graph is **bit-identical** for every
 schedule the ambient :func:`repro.parallel.execution` scope sets
 (``chunk_size`` x ``workers``, fan-out via :mod:`repro.chunking`) and
 identical to the per-edge oracle in :mod:`repro.oracles`.
@@ -44,14 +44,14 @@ __all__ = ["perturb_links", "edge_overlap"]
 def perturb_links(
     graph: Graph,
     t: int,
-    seed: "int | np.random.SeedSequence | np.random.Generator" = 0,
+    seed: "int | np.random.SeedSequence" = 0,
 ) -> Graph:
     """Return the ``t``-step random-walk perturbation of ``graph``.
 
     Every directed half-edge ``u -> v`` proposes the replacement edge
     ``{u, z}`` with ``z`` the endpoint of a ``t``-step uniform random
-    walk from ``v`` (each half-edge owns an independent child stream of
-    ``seed``, in CSR half-edge order).  Proposals are repaired into a
+    walk from ``v`` (half-edge ``i`` in CSR order is walk ``i`` of
+    ``seed`` under the engine's draw rule).  Proposals are repaired into a
     simple undirected graph on the same node set: endpoints landing
     back on ``u`` fall back to the original neighbor ``v`` (no self
     loops), and duplicate proposals merge in the canonical CSR

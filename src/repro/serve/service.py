@@ -45,6 +45,7 @@ import numpy as np
 from repro import telemetry
 from repro.errors import ServeError
 from repro.graph.core import Graph
+from repro.pipeline import _WALK_VERSION
 from repro.serve.overlay import CompactionPolicy, GraphOverlay
 from repro.store import ArtifactStore, graph_digest, memoize
 from repro.sybil.escape import EscapeMeasurement, _check_lengths, escape_profile
@@ -371,6 +372,7 @@ class AdmissionService:
                     "seed": self._config.seed,
                 },
                 lambda: gatekeeper.run(int(controller)),
+                version=_WALK_VERSION,
             )
 
         with tel.span("serve.query.admission"):
@@ -463,6 +465,7 @@ class AdmissionService:
                         num_walks=walks,
                         seed=self._config.seed,
                     ),
+                    version=_WALK_VERSION,
                 ),
             )
 

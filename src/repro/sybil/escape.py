@@ -127,7 +127,7 @@ def measure_escape(
     Samples ``num_walks`` honest starting nodes uniformly and records,
     through the vectorized engine's first-hit mode, the first step (if
     any) at which each walk touches a Sybil node.  Start sampling and
-    the per-walk streams derive from one seed tree, so the measurement
+    the walks' draw key derive from one seed tree, so the measurement
     is bit-identical across schedules and to the per-walk oracle in
     :mod:`repro.oracles`.
     """

@@ -43,7 +43,6 @@ from repro.markov.batch import (
 from repro.markov.transition import stationary_distribution, transition_matrix
 from repro.markov.walk_batch import (
     walk_block,
-    walk_cover_steps,
     walk_endpoints,
     walk_first_hits,
     walk_visit_counts,
@@ -365,11 +364,12 @@ class TestEngineBitIdentity:
             got = counts(sharded)
         assert np.array_equal(got, expected)
 
-    def test_walk_cover_steps(self, dirty, sharded, chunk_size, workers):
-        sources = [0, 40]
-        expected = walk_cover_steps(dirty, sources, max_steps=60, seed=4)
+    def test_walk_grouped_seeds(self, dirty, sharded, chunk_size, workers):
+        sources = np.repeat([0, 40, 77], 4)
+        seeds = [4, 11, 4]
+        expected = walk_block(dirty, sources, length=10, seed=seeds)
         with execution(chunk_size=chunk_size, workers=workers):
-            got = walk_cover_steps(sharded, sources, max_steps=60, seed=4)
+            got = walk_block(sharded, sources, length=10, seed=seeds)
         assert np.array_equal(got, expected)
 
 
@@ -415,7 +415,6 @@ class TestSequentialOracle:
         [
             (walk_block, {"length": 8}),
             (walk_endpoints, {"length": 8}),
-            (walk_cover_steps, {"max_steps": 40}),
         ],
     )
     def test_batched_equals_sequential_on_shards(self, sharded, fn, kwargs):

@@ -1,4 +1,4 @@
-"""Unit tests for hitting, commute and cover times."""
+"""Unit tests for hitting and commute times."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from repro.graph import Graph
 from repro.markov import (
     commute_time,
     effective_resistance,
-    estimate_cover_time,
     hitting_time,
     hitting_times_to,
 )
@@ -103,26 +102,3 @@ class TestCommuteAndResistance:
         r_bc = effective_resistance(g, 10, 20)
         r_ac = effective_resistance(g, 0, 20)
         assert r_ac <= r_ab + r_bc + 1e-9
-
-
-class TestCoverTime:
-    def test_complete_graph_coupon_collector(self):
-        # cover time of K_n ~ (n-1) * H_{n-1}
-        n = 8
-        expected = (n - 1) * sum(1 / k for k in range(1, n))
-        measured = estimate_cover_time(complete_graph(n), num_walks=300, seed=0)
-        assert measured == pytest.approx(expected, rel=0.15)
-
-    def test_cycle_slower_than_complete(self):
-        fast = estimate_cover_time(complete_graph(10), num_walks=50, seed=1)
-        slow = estimate_cover_time(cycle_graph(10), num_walks=50, seed=1)
-        assert slow > fast
-
-    def test_budget_failure_raises(self):
-        with pytest.raises(GraphError):
-            estimate_cover_time(cycle_graph(30), num_walks=3, max_steps=5)
-
-    def test_disconnected_rejected(self):
-        g = Graph.from_edges([(0, 1), (2, 3)])
-        with pytest.raises(DisconnectedGraphError):
-            estimate_cover_time(g)

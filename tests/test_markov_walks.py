@@ -24,38 +24,38 @@ from repro.oracles import route_permutations
 
 
 class TestRandomWalk:
-    def test_length_and_start(self, ba_small, rng):
-        walk = walk_block(ba_small, [3], 10, seed=rng)[0]
+    def test_length_and_start(self, ba_small):
+        walk = walk_block(ba_small, [3], 10, seed=0)[0]
         assert walk.size == 11
         assert walk[0] == 3
 
-    def test_steps_follow_edges(self, ba_small, rng):
-        walk = walk_block(ba_small, [0], 30, seed=rng)[0]
+    def test_steps_follow_edges(self, ba_small):
+        walk = walk_block(ba_small, [0], 30, seed=0)[0]
         for a, b in zip(walk, walk[1:]):
             assert ba_small.has_edge(int(a), int(b))
 
-    def test_zero_length(self, triangle, rng):
-        walk = walk_block(triangle, [1], 0, seed=rng)[0]
+    def test_zero_length(self, triangle):
+        walk = walk_block(triangle, [1], 0, seed=0)[0]
         assert np.array_equal(walk, [1])
 
-    def test_isolated_node_stays(self, rng):
+    def test_isolated_node_stays(self):
         g = Graph.empty(2)
-        walk = walk_block(g, [0], 5, seed=rng)[0]
+        walk = walk_block(g, [0], 5, seed=0)[0]
         assert np.all(walk == 0)
 
-    def test_negative_length_rejected(self, triangle, rng):
+    def test_negative_length_rejected(self, triangle):
         with pytest.raises(GraphError):
-            walk_block(triangle, [0], -1, seed=rng)
+            walk_block(triangle, [0], -1, seed=0)
 
-    def test_random_walks_shape(self, triangle, rng):
-        walks = walk_block(triangle, np.zeros(7, dtype=np.int64), 4, seed=rng)
+    def test_random_walks_shape(self, triangle):
+        walks = walk_block(triangle, np.zeros(7, dtype=np.int64), 4, seed=0)
         assert walks.shape == (7, 5)
 
 
-def _endpoint_distribution(graph, source, length, num_samples, rng):
+def _endpoint_distribution(graph, source, length, num_samples, seed):
     """The empirical ``length``-step distribution of ``num_samples`` walks."""
     sources = np.full(num_samples, source, dtype=np.int64)
-    ends = walk_endpoints(graph, sources, length, seed=rng)
+    ends = walk_endpoints(graph, sources, length, seed=seed)
     return np.bincount(ends, minlength=graph.num_nodes) / num_samples
 
 
@@ -63,11 +63,11 @@ class TestEmpiricalDistribution:
     def test_matches_algebraic_distribution(self, k5):
         """Sampled endpoints converge to the exact t-step distribution."""
         exact = evolve_block(k5, delta_block(5, [0]), 3)[:, 0]
-        sampled = _endpoint_distribution(k5, 0, 3, 4000, np.random.default_rng(1))
+        sampled = _endpoint_distribution(k5, 0, 3, 4000, 1)
         assert total_variation_distance(exact, sampled) < 0.05
 
     def test_normalized(self, triangle):
-        dist = _endpoint_distribution(triangle, 0, 2, 100, np.random.default_rng(2))
+        dist = _endpoint_distribution(triangle, 0, 2, 100, 2)
         assert dist.sum() == pytest.approx(1.0)
 
 

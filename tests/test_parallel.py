@@ -31,7 +31,6 @@ from repro.markov.batch import batched_tvd_profile
 from repro.markov.transition import stationary_distribution, transition_matrix
 from repro.markov.walk_batch import (
     walk_block,
-    walk_cover_steps,
     walk_endpoints,
     walk_first_hits,
     walk_visit_counts,
@@ -199,14 +198,12 @@ class TestBitIdentityGrid:
             oracles.walk_endpoints(graph, sources, 9, seed=5),
             oracles.walk_first_hits(graph, sources, 9, mask, seed=5),
             oracles.walk_visit_counts(graph, sources, WALK_LENGTH, seed=5),
-            oracles.walk_cover_steps(graph, sources[:4], 40, seed=5),
         ]
         with parallel.execution(executor=executor, chunk_size=4, workers=4):
             got = [
                 walk_endpoints(graph, sources, 9, seed=5),
                 walk_first_hits(graph, sources, 9, mask, seed=5),
                 walk_visit_counts(graph, sources, WALK_LENGTH, seed=5),
-                walk_cover_steps(graph, sources[:4], 40, seed=5),
             ]
         cases = zip(expected, got)
         for expected, got in cases:

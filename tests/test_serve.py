@@ -412,6 +412,58 @@ class TestAdmissionService:
         assert np.array_equal(warm.rank_scores(), scores)
         assert store.stats.hits > 0
 
+    def test_walk_answers_recompute_over_version_one_entries(
+        self, tiny_wiki, tmp_path
+    ):
+        """Admission and escape answers are drawn from sampled walks, so
+        they are stored under the walk version: an entry a version-1
+        store holds under the same parameters is never replayed."""
+        from repro.pipeline import _WALK_VERSION
+        from repro.store import ArtifactStore
+
+        attack = _standard_attack(tiny_wiki, 12, seed=0)
+        store = ArtifactStore(tmp_path / "cache")
+        service = AdmissionService(
+            attack.graph,
+            num_honest=attack.num_honest,
+            store=store,
+            config=ServiceConfig(escape_walks=200),
+        )
+        digest = service.snapshot_digest
+        admission_params = {
+            "controller": 0,
+            "num_distributors": NUM_DISTRIBUTORS,
+            "admission_factor": 0.2,
+            "seed": 0,
+        }
+        escape_params = {
+            "lengths": [2, 5, 10, 20],
+            "num_walks": 200,
+            "num_honest": attack.num_honest,
+            "seed": 0,
+        }
+        store.put(digest, "serve.admission", admission_params, "stale", version=1)
+        store.put(digest, "serve.escape", escape_params, "stale", version=1)
+        answer = service.admission(3, controller=0)
+        measured = service.escape()
+        expected = GateKeeper(
+            attack.graph, GateKeeperConfig(num_distributors=NUM_DISTRIBUTORS, seed=0)
+        ).run(0)
+        assert answer["reach"] == int(expected.reach_counts[3])
+        assert np.array_equal(
+            measured.escape,
+            escape_profile(
+                attack.graph, attack.num_honest, [2, 5, 10, 20], num_walks=200, seed=0
+            ).escape,
+        )
+        assert store.stats.writes == 4  # two planted, two recomputed
+        for stage, params in (
+            ("serve.admission", admission_params),
+            ("serve.escape", escape_params),
+        ):
+            assert store.get(digest, stage, params, version=1) == "stale"
+            assert store.get(digest, stage, params, version=_WALK_VERSION) is not None
+
     def test_escape_cache_ignores_execution_scope(self, tiny_wiki, tmp_path):
         """Scheduling never changes the escape result, so it must not
         split the warm cache or the store: one cold build, one write."""

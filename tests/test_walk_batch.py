@@ -1,10 +1,12 @@
 """Equivalence suite for the vectorized Monte-Carlo walk engine.
 
 The engine's contract is *bit-identity*: for every mode, the result
-must not depend on the ``chunk_size`` or ``workers`` of the ambient
-:func:`repro.parallel.execution` scope — walks draw from
-per-walk seed streams, so execution layout cannot matter.  This suite
-pins that grid, the per-walk oracles of :mod:`repro.oracles`,
+must not depend on the ``chunk_size``, ``workers`` or executor of the
+ambient :func:`repro.parallel.execution` scope, nor on how walks are
+grouped under seeds — a walk's uniforms are a pure function of its
+seed, its number within its seed group and the step, so execution
+layout cannot matter.  This suite pins that grid, grouped seeds, the
+per-walk oracles of :mod:`repro.oracles`,
 structural walk properties on adversarial graph shapes (isolated
 nodes, degree-1 chains, disconnected components), the statistical
 agreement of the Monte-Carlo escape measurement with the exact
@@ -28,7 +30,6 @@ from repro.markov import (
     hitting_time,
     walk_batch,
     walk_block,
-    walk_cover_steps,
     walk_endpoints,
     walk_first_hits,
     walk_visit_counts,
@@ -77,12 +78,6 @@ def _modes(graph, sources, length, engine=walk_batch):
             "visits",
             lambda: engine.walk_visit_counts(graph, sources, length, seed=3),
         ),
-        (
-            "cover",
-            lambda: engine.walk_cover_steps(
-                graph, sources, max(length, 1) * 8, seed=3
-            ),
-        ),
     ]
 
 
@@ -118,15 +113,7 @@ class TestSequentialEquivalence:
         batched = _modes(ba_small, sources, length)
         sequential = _modes(ba_small, sources, length, engine=oracles)
         for (name, run), (_, oracle) in zip(batched, sequential):
-            if name == "cover" and length == 0:
-                continue
             assert np.array_equal(run(), oracle()), name
-
-    def test_cover_equivalence(self, k5):
-        sources = np.zeros(30, dtype=np.int64)
-        a = walk_cover_steps(k5, sources, 500, seed=9)
-        b = oracles.walk_cover_steps(k5, sources, 500, seed=9)
-        assert np.array_equal(a, b)
 
     def test_unknown_strategy_rejected(self, triangle):
         # the oracle lives in repro.oracles; the engine has no strategy knob
@@ -159,19 +146,59 @@ class TestSeedDiscipline:
         b = walk_block(ba_small, [0, 1], 8, seed=np.random.SeedSequence(5))
         assert np.array_equal(a, b)
 
-    def test_generator_seed_advances(self, ba_small):
-        """Passing a Generator spawns fresh streams per call."""
-        gen = np.random.default_rng(0)
-        a = walk_block(ba_small, [0, 1], 8, seed=gen)
-        b = walk_block(ba_small, [0, 1], 8, seed=gen)
-        assert not np.array_equal(a, b)
-
     def test_prefix_stability(self, ba_small):
         """Walk i's trajectory does not depend on how many walks ride
-        along — the spawn-prefix property the chunk invariance rests on."""
+        along — the counter property the chunk invariance rests on."""
         few = walk_block(ba_small, [4, 5], 12, seed=11)
         many = walk_block(ba_small, [4, 5, 6, 7, 8], 12, seed=11)
         assert np.array_equal(few, many[:2])
+
+    def test_chunk_from_a_deep_walk_matches_full_block(self, ba_small):
+        """A chunk that starts at walk 37,000 jumps the counter straight
+        to its rows: they equal the same rows of the one-chunk block."""
+        sources = np.arange(37_010) % ba_small.num_nodes
+        full = walk_endpoints(ba_small, sources, 6, seed=8)
+        with execution(chunk_size=37_000):
+            chunked = walk_endpoints(ba_small, sources, 6, seed=8)
+        assert np.array_equal(full, chunked)
+
+    def test_long_walks_cross_step_blocks(self, ba_small):
+        """Budgets past one step block draw the next block from its own
+        stretch of the stream, identically however the walks chunk."""
+        length = walk_batch._STEP_BLOCK + 9
+        expected = oracles.walk_endpoints(ba_small, [0, 1, 2], length, seed=4)
+        with execution(chunk_size=2):
+            got = walk_endpoints(ba_small, [0, 1, 2], length, seed=4)
+        assert np.array_equal(got, expected)
+
+    def test_grouped_seeds_match_separate_calls(self, ba_small):
+        """Group g's walks are walks 0.. of seed[g], whatever rides along."""
+        sources = np.array([0, 0, 0, 9, 9, 9, 40, 40, 40])
+        seeds = [5, np.random.SeedSequence(6), 5]
+        grouped = walk_block(ba_small, sources, 14, seed=seeds)
+        for g, seed in enumerate(seeds):
+            alone = walk_block(ba_small, sources[3 * g : 3 * g + 3], 14, seed=seed)
+            assert np.array_equal(grouped[3 * g : 3 * g + 3], alone)
+
+    def test_one_group_equals_the_bare_seed(self, ba_small):
+        a = walk_block(ba_small, [3, 4], 8, seed=[12])
+        b = walk_block(ba_small, [3, 4], 8, seed=12)
+        assert np.array_equal(a, b)
+
+    def test_seed_groups_must_split_sources_evenly(self, ba_small):
+        with pytest.raises(GraphError, match="equal seed groups"):
+            walk_block(ba_small, [0, 1, 2], 4, seed=[1, 2])
+        with pytest.raises(GraphError, match="equal seed groups"):
+            walk_endpoints(ba_small, [0, 1], 4, seed=[])
+
+    def test_generator_seed_rejected(self, ba_small):
+        # a walk's bits are a function of (seed, walk, step); a stateful
+        # Generator has no such key
+        with pytest.raises(GraphError, match="seed must be an int"):
+            walk_block(ba_small, [0, 1], 8, seed=np.random.default_rng(0))
+        # the seed is checked even when there are no walks to draw
+        with pytest.raises(GraphError, match="seed must be an int"):
+            walk_endpoints(ba_small, [], 8, seed=np.random.default_rng(0))
 
 
 class TestWalkStructure:
@@ -218,7 +245,6 @@ class TestWalkStructure:
         mask = np.zeros(3, dtype=bool)
         assert walk_first_hits(triangle, [], 5, mask).size == 0
         assert walk_visit_counts(triangle, [], 5).sum() == 0
-        assert walk_cover_steps(triangle, [], 5).size == 0
 
     def test_validation(self, triangle):
         with pytest.raises(GraphError):
@@ -229,8 +255,6 @@ class TestWalkStructure:
             walk_block(triangle, [0], -1)
         with pytest.raises(GraphError):
             walk_first_hits(triangle, [0], 2, np.zeros(5, dtype=bool))
-        with pytest.raises(GraphError):
-            walk_cover_steps(triangle, [0], 0)
 
 
 class TestAdversarialShapes:
@@ -247,10 +271,6 @@ class TestAdversarialShapes:
         assert set(np.unique(block[1])) <= {5, 6, 7}
         assert np.all(block[2] == 4)
         assert np.all(block[3] == 8)
-
-    def test_cover_never_completes_on_disconnected(self, ragged):
-        steps = walk_cover_steps(ragged, [0, 5], 2000, seed=2)
-        assert np.all(steps == NO_HIT)
 
     def test_first_hit_unreachable_mask(self, ragged):
         mask = np.zeros(9, dtype=bool)
@@ -290,6 +310,51 @@ class TestAdversarialShapes:
                     assert a == b
                 else:
                     assert graph.has_edge(int(a), int(b))
+
+
+_PROPERTY_GRAPH = Graph.from_edges(
+    [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 2), (6, 7)],
+    num_nodes=9,
+)
+
+
+class TestDrawRuleProperty:
+    """Every mode equals its per-walk oracle row for row, for any
+    schedule, backend and seed grouping."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        chunk_size=st.one_of(st.none(), st.integers(1, 9)),
+        workers=st.sampled_from([1, 2, 3]),
+        executor=st.sampled_from(["thread", "process"]),
+        groups=st.integers(1, 4),
+        group_size=st.integers(1, 5),
+        length=st.integers(0, 11),
+        seed=st.integers(0, 2**32),
+        bare=st.booleans(),
+    )
+    def test_every_mode_equals_its_oracle(
+        self, chunk_size, workers, executor, groups, group_size, length, seed,
+        bare,
+    ):
+        graph = _PROPERTY_GRAPH
+        rng = np.random.default_rng(seed)
+        sources = rng.integers(graph.num_nodes, size=groups * group_size)
+        seeds = [int(s) for s in rng.integers(2**31, size=groups)]
+        seeds = seeds[0] if bare and groups == 1 else seeds
+        mask = np.zeros(graph.num_nodes, dtype=bool)
+        mask[[3, 7]] = True
+        modes = [
+            lambda e: e.walk_block(graph, sources, length, seed=seeds),
+            lambda e: e.walk_endpoints(graph, sources, length, seed=seeds),
+            lambda e: e.walk_first_hits(graph, sources, length, mask, seed=seeds),
+            lambda e: e.walk_visit_counts(graph, sources, length, seed=seeds),
+        ]
+        schedule = dict(executor=executor, workers=workers, chunk_size=chunk_size)
+        for run in modes:
+            with execution(**schedule):
+                got = run(walk_batch)
+            assert np.array_equal(got, run(oracles))
 
 
 class TestStatisticalAcceptance:
