@@ -152,3 +152,41 @@ class TestSybilDefenderJudgment:
         sybil_kept = accepted.size - honest_kept
         assert honest_kept >= 8
         assert sybil_kept <= honest_kept
+
+    def test_accepted_set_equals_one_by_one_verdicts(self, defender_setup):
+        """The grouped suspect blocks give the verdicts ``is_sybil``
+        gives one suspect at a time, blocks spanning 32 suspects too."""
+        attack, defender = defender_setup
+        rng = np.random.default_rng(6)
+        candidates = rng.choice(attack.graph.num_nodes, 40, replace=False)
+        accepted = defender.accepted_set(0, candidates)
+        expected = [int(c) for c in candidates if not defender.is_sybil(int(c), 0)]
+        assert accepted.tolist() == expected
+
+    def test_frequent_hit_count_equals_its_grouped_entry(self, defender_setup):
+        attack, defender = defender_setup
+        nodes = [0, 7, attack.sybil_nodes[0], 7]
+        offsets = [1, 2, 999, 5]
+        grouped = defender.frequent_hit_counts(nodes, offsets)
+        for node, offset, count in zip(nodes, offsets, grouped):
+            assert defender.frequent_hit_count(int(node), offset) == count
+
+    def test_grouped_calibration_keeps_each_sample_seed(self, defender_setup):
+        """Calibration draws the judge at offset 1 and peer i at offset
+        2 + i in one block; the median of the one-at-a-time samples is
+        the same center."""
+        _, defender = defender_setup
+        center, _ = defender.calibrate(0)
+        cfg = defender._config
+        from repro.markov import walk_endpoints
+
+        peers = walk_endpoints(
+            defender.graph,
+            np.zeros(cfg.calibration_samples - 1, dtype=np.int64),
+            defender.walk_length,
+            seed=cfg.seed + 13,
+        )
+        samples = [defender.frequent_hit_count(0, 1)] + [
+            defender.frequent_hit_count(int(p), 2 + i) for i, p in enumerate(peers)
+        ]
+        assert center == float(np.median(samples))
