@@ -88,23 +88,6 @@ class SumUp:
         """The graph votes flow over."""
         return self._graph
 
-    def link_capacities(self, collector: int) -> dict[tuple[int, int], int]:
-        """Return per-directed-link capacities toward ``collector``.
-
-        Links directed level-(i+1) -> level-i carry ``1 + tickets``
-        where the tickets were distributed outward from the collector;
-        all other links carry capacity 1 (the paper's default so votes
-        outside the envelope can still trickle in one at a time).
-        """
-        outward = TicketPlan(self._graph, collector).run(self._budget())
-        capacities: dict[tuple[int, int], int] = {}
-        for (u, v), tickets in outward.edge_tickets.items():
-            # tickets flowed u -> v outward; votes flow v -> u inward.
-            # ceil matches the paper's integer ticket split: a link that
-            # carries any tickets gets at least one unit of extra capacity
-            capacities[(v, u)] = 1 + int(np.ceil(tickets))
-        return capacities
-
     def _budget(self) -> float:
         """C_max, the tickets the collector distributes."""
         return float(
@@ -115,7 +98,10 @@ class SumUp:
         """Capacity of every half-edge of the CSR toward ``collector``.
 
         Every half-edge gets capacity 1 except the envelope links toward
-        the collector, boosted as in :meth:`link_capacities`.  Links
+        the collector: a link ``v -> u`` whose reverse ``u -> v`` carried
+        tickets outward from the collector gets ``1 + ceil(tickets)``
+        (the paper's integer ticket split: a link that carries any
+        tickets gets at least one unit of extra capacity).  Links
         pointing away from the collector keep capacity 1 to allow
         detours, as in the paper's implementation.  Built from one
         :class:`TicketPlan` on a collector's first collection and kept,

@@ -28,20 +28,33 @@ class TestConfig:
             SumUp(Graph.from_edges([(0, 1)]))
 
 
+def _boosted_links(sumup: SumUp, collector: int) -> dict[tuple[int, int], int]:
+    """The half-edges ``(u, v)`` whose capacity toward ``collector`` is
+    above 1, read from the per-collector vector over the CSR."""
+    graph = sumup.graph
+    rows = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+    capacity = sumup._capacity(collector)
+    boosted = capacity > 1
+    return {
+        (int(u), int(v)): int(c)
+        for u, v, c in zip(rows[boosted], graph.indices[boosted], capacity[boosted])
+    }
+
+
 class TestCapacities:
     def test_envelope_links_boosted(self, vote_setup):
         _, sumup = vote_setup
-        capacities = sumup.link_capacities(0)
-        assert capacities  # envelope exists
-        assert all(c >= 1 for c in capacities.values())
-        assert any(c > 1 for c in capacities.values())
+        capacity = sumup._capacity(0)
+        assert capacity.size == 2 * sumup.graph.num_edges
+        assert np.all(capacity >= 1)
+        assert _boosted_links(sumup, 0)  # envelope exists
 
     def test_capacities_point_toward_collector(self, vote_setup):
         attack, sumup = vote_setup
         from repro.graph import bfs_distances
 
         dist = bfs_distances(attack.graph, 0)
-        for (u, v) in sumup.link_capacities(0):
+        for (u, v) in _boosted_links(sumup, 0):
             assert dist[u] == dist[v] + 1  # u is farther, votes flow inward
 
 
