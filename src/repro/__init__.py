@@ -5,8 +5,9 @@ Trustworthy Computing* (Mohaisen, Tran, Hopper, Kim — ICDCS-W/SIMPLEX
 The library measures the three graph properties the paper connects —
 mixing time, graph degeneracy (k-cores) and vertex expansion — over
 synthetic analogs of the paper's social-graph benchmarks, and implements
-the social-network Sybil defenses those properties underwrite
-(GateKeeper, SybilGuard, SybilLimit, SybilInfer, SumUp).
+ten social-network Sybil defenses those properties underwrite
+(GateKeeper, SybilGuard, SybilLimit, SybilInfer, SumUp, SybilRank,
+SybilDefender, the walk-probability ranking, SybilFrame and SybilFuse).
 
 Quick start::
 
@@ -26,7 +27,7 @@ Subpackages
 ``repro.mixing``     mixing-time measurement (sampling + spectral)
 ``repro.cores``      k-core decomposition and core structure
 ``repro.expansion``  envelope expansion and general bounds
-``repro.sybil``      attack model + five Sybil defenses + harness
+``repro.sybil``      attack model + ten Sybil defenses + harness
 ``repro.community``  community detection
 ``repro.analysis``   per-table/figure experiment runners
 ``repro.store``      content-addressed measurement artifact cache

@@ -15,15 +15,10 @@ from repro.analysis.experiments import (
     table2_gatekeeper,
 )
 from repro.analysis.ascii_plot import ascii_chart
-from repro.analysis.persistence import (
-    load_results,
-    register_result_type,
-    registered_result_types,
-    save_results,
-)
+from repro.analysis.persistence import register_result_type
 from repro.analysis.report import measurement_report, telemetry_summary
-from repro.analysis.stats import ecdf, geometric_mean, spearman, summarize
-from repro.analysis.tables import format_series, format_table
+from repro.analysis.stats import ecdf, spearman
+from repro.analysis.tables import format_table
 
 __all__ = [
     "DatasetSummary",
@@ -40,15 +35,9 @@ __all__ = [
     "mixing_heterogeneity",
     "ecdf",
     "spearman",
-    "summarize",
-    "geometric_mean",
     "format_table",
-    "format_series",
     "ascii_chart",
-    "save_results",
-    "load_results",
     "register_result_type",
-    "registered_result_types",
     "measurement_report",
     "telemetry_summary",
 ]

@@ -1,10 +1,10 @@
-"""Persist measurement results as JSON.
+"""The JSON codec of measurement results.
 
 The expensive measurements (all-source expansion, large mixing sweeps,
-GateKeeper runs) are worth caching; this module round-trips the
-library's result dataclasses through plain JSON so experiment scripts
-can checkpoint and diff runs, and so :class:`repro.store.ArtifactStore`
-can serialize stage artifacts.
+GateKeeper runs) are worth caching; :func:`to_jsonable` and
+:func:`from_jsonable` round-trip the library's result dataclasses
+through plain JSON so :class:`repro.store.ArtifactStore` can serialize
+stage artifacts.
 
 Result types are declared in a registry: any frozen result dataclass
 registered through :func:`register_result_type` round-trips generically
@@ -19,8 +19,6 @@ explicit pairs encoding instead of being silently stringified.
 from __future__ import annotations
 
 import dataclasses
-import json
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -58,9 +56,6 @@ from repro.sybil.tickets import TicketDistribution, TicketPlan
 __all__ = [
     "CODEC_VERSION",
     "register_result_type",
-    "registered_result_types",
-    "save_results",
-    "load_results",
     "to_jsonable",
     "from_jsonable",
 ]
@@ -108,13 +103,6 @@ def register_result_type(cls: type) -> type:
         )
     _REGISTRY[cls.__name__] = cls
     return cls
-
-
-def registered_result_types() -> tuple[type, ...]:
-    """Return every registered result dataclass (lazy entries resolved)."""
-    for name in list(_LAZY_TYPES):
-        _resolve_lazy(name)
-    return tuple(_REGISTRY.values())
 
 
 def _resolve_lazy(name: str) -> type | None:
@@ -262,24 +250,3 @@ def to_jsonable(results: Any) -> Any:
 def from_jsonable(payload: Any) -> Any:
     """Inverse of :func:`to_jsonable`."""
     return _decode(payload)
-
-
-def save_results(results: Any, path: str | Path) -> None:
-    """Serialize a (possibly nested) result structure to JSON.
-
-    Supports dicts/lists of every registered result dataclass (see
-    :func:`registered_result_types`), :class:`~repro.graph.Graph`,
-    :class:`~repro.sybil.tickets.TicketPlan`, numpy arrays and plain
-    scalars.
-    """
-    path = Path(path)
-    payload = _encode(results)
-    path.write_text(json.dumps(payload, indent=1), encoding="utf-8")
-
-
-def load_results(path: str | Path) -> Any:
-    """Load a structure previously written by :func:`save_results`."""
-    path = Path(path)
-    if not path.exists():
-        raise ReproError(f"no results file at {path}")
-    return _decode(json.loads(path.read_text(encoding="utf-8")))

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.errors import ReproError
 
-__all__ = ["ecdf", "spearman", "summarize", "geometric_mean"]
+__all__ = ["ecdf", "spearman"]
 
 
 def ecdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -44,25 +44,3 @@ def spearman(first: np.ndarray, second: np.ndarray) -> float:
     if denom == 0:
         return 0.0
     return float((ra * rb).sum() / denom)
-
-
-def summarize(values: np.ndarray) -> dict[str, float]:
-    """Return min/median/mean/max/std of a sample as a dict."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ReproError("cannot summarize an empty sample")
-    return {
-        "min": float(values.min()),
-        "median": float(np.median(values)),
-        "mean": float(values.mean()),
-        "max": float(values.max()),
-        "std": float(values.std()),
-    }
-
-
-def geometric_mean(values: np.ndarray) -> float:
-    """Return the geometric mean of strictly positive values."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0 or np.any(values <= 0):
-        raise ReproError("geometric mean needs strictly positive values")
-    return float(np.exp(np.log(values).mean()))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def format_table(
@@ -36,29 +36,3 @@ def format_table(
     for row in cells:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def format_series(
-    xs: Sequence[object],
-    ys: Sequence[object],
-    x_label: str = "x",
-    y_label: str = "y",
-    max_points: int = 25,
-) -> str:
-    """Render an (x, y) series as two aligned columns.
-
-    Long series are subsampled evenly to ``max_points`` rows so figure
-    reproductions stay readable in terminal output.
-    """
-    if len(xs) != len(ys):
-        raise ValueError("series lengths differ")
-    count = len(xs)
-    if count > max_points:
-        step = max(count // max_points, 1)
-        picks = list(range(0, count, step))
-        if picks[-1] != count - 1:
-            picks.append(count - 1)
-    else:
-        picks = list(range(count))
-    rows = [(xs[i], ys[i]) for i in picks]
-    return format_table([x_label, y_label], rows)

@@ -1,17 +1,8 @@
 """Community detection used by the mixing/ranking analyses."""
 
-from repro.community.detection import (
-    greedy_modularity,
-    label_propagation,
-    modularity,
-    normalized_mutual_information,
-    partition_map,
-)
+from repro.community.detection import greedy_modularity, modularity
 
 __all__ = [
-    "label_propagation",
     "greedy_modularity",
     "modularity",
-    "partition_map",
-    "normalized_mutual_information",
 ]

@@ -1,4 +1,4 @@
-"""Community detection: label propagation and greedy modularity.
+"""Community detection: greedy (Louvain) modularity optimization.
 
 Viswanath et al. (cited in Section II) showed the random-walk Sybil
 defenses are equivalent to detecting the local community around the
@@ -16,51 +16,9 @@ from repro.errors import GraphError
 from repro.graph.core import Graph
 
 __all__ = [
-    "label_propagation",
     "modularity",
     "greedy_modularity",
-    "partition_map",
-    "normalized_mutual_information",
 ]
-
-
-def partition_map(labels: np.ndarray) -> dict[int, np.ndarray]:
-    """Group node ids by community label."""
-    labels = np.asarray(labels, dtype=np.int64)
-    return {
-        int(label): np.flatnonzero(labels == label).astype(np.int64)
-        for label in np.unique(labels)
-    }
-
-
-def label_propagation(graph: Graph, seed: int = 0) -> np.ndarray:
-    """Return community labels by asynchronous label propagation.
-
-    Each node repeatedly adopts its neighborhood's majority label (ties
-    broken uniformly at random) until no label changes or 100 rounds
-    have run.  Labels are renumbered contiguously before returning.
-    """
-    if graph.num_nodes == 0:
-        raise GraphError("label propagation needs a non-empty graph")
-    rng = np.random.default_rng(seed)
-    labels = np.arange(graph.num_nodes, dtype=np.int64)
-    for _ in range(100):
-        changed = False
-        for node in rng.permutation(graph.num_nodes):
-            nbrs = graph.neighbors(int(node))
-            if nbrs.size == 0:
-                continue
-            neighbor_labels = labels[nbrs]
-            values, counts = np.unique(neighbor_labels, return_counts=True)
-            best = values[counts == counts.max()]
-            choice = int(best[rng.integers(best.size)])
-            if choice != labels[node]:
-                labels[node] = choice
-                changed = True
-        if not changed:
-            break
-    _, renumbered = np.unique(labels, return_inverse=True)
-    return renumbered.astype(np.int64)
 
 
 def modularity(graph: Graph, labels: np.ndarray) -> float:
@@ -167,29 +125,3 @@ def greedy_modularity(graph: Graph, seed: int = 0) -> np.ndarray:
         adjacency, node_weight = new_adj, new_weight
     _, renumbered = np.unique(assignment, return_inverse=True)
     return renumbered.astype(np.int64)
-
-
-def normalized_mutual_information(first: np.ndarray, second: np.ndarray) -> float:
-    """Return NMI between two labelings (1 = identical partitions)."""
-    a = np.asarray(first, dtype=np.int64)
-    b = np.asarray(second, dtype=np.int64)
-    if a.size != b.size or a.size == 0:
-        raise GraphError("labelings must be non-empty and equal length")
-    n = a.size
-    _, a_idx = np.unique(a, return_inverse=True)
-    _, b_idx = np.unique(b, return_inverse=True)
-    contingency = np.zeros((a_idx.max() + 1, b_idx.max() + 1))
-    np.add.at(contingency, (a_idx, b_idx), 1.0)
-    pa = contingency.sum(axis=1) / n
-    pb = contingency.sum(axis=0) / n
-    pab = contingency / n
-    mutual = 0.0
-    for i in range(pab.shape[0]):
-        for j in range(pab.shape[1]):
-            if pab[i, j] > 0:
-                mutual += pab[i, j] * np.log(pab[i, j] / (pa[i] * pb[j]))
-    entropy_a = -np.sum(pa[pa > 0] * np.log(pa[pa > 0]))
-    entropy_b = -np.sum(pb[pb > 0] * np.log(pb[pb > 0]))
-    if entropy_a == 0 or entropy_b == 0:
-        return 1.0 if np.array_equal(a_idx, b_idx) else 0.0
-    return float(mutual / np.sqrt(entropy_a * entropy_b))

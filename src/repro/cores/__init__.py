@@ -1,22 +1,12 @@
 """Graph degeneracy: k-core decomposition and core-structure statistics."""
 
-from repro.cores.decomposition import core_decomposition, degeneracy, k_core, k_shell
-from repro.cores.statistics import (
-    CoreStructure,
-    core_counts,
-    core_structure,
-    coreness_ecdf,
-    relative_core_sizes,
-)
+from repro.cores.decomposition import core_decomposition, degeneracy
+from repro.cores.statistics import CoreStructure, core_structure, coreness_ecdf
 
 __all__ = [
     "core_decomposition",
     "degeneracy",
-    "k_core",
-    "k_shell",
     "coreness_ecdf",
     "CoreStructure",
     "core_structure",
-    "relative_core_sizes",
-    "core_counts",
 ]

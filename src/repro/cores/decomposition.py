@@ -13,13 +13,10 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.core import Graph
-from repro.graph.ops import induced_subgraph
 
 __all__ = [
     "core_decomposition",
     "degeneracy",
-    "k_core",
-    "k_shell",
 ]
 
 
@@ -75,25 +72,3 @@ def degeneracy(graph: Graph) -> int:
     if coreness.size == 0:
         raise GraphError("degeneracy of an empty graph is undefined")
     return int(coreness.max())
-
-
-def k_core(graph: Graph, k: int) -> tuple[Graph, np.ndarray]:
-    """Return the (possibly disconnected) k-core G'_k and its node map.
-
-    The k-core is the maximal subgraph of minimum degree >= k, which is
-    exactly the subgraph induced by nodes of coreness >= k.  The second
-    return value maps new node ids back to the input graph's ids.
-    """
-    if k < 0:
-        raise GraphError("k must be non-negative")
-    coreness = core_decomposition(graph)
-    keep = np.flatnonzero(coreness >= k)
-    return induced_subgraph(graph, keep)
-
-
-def k_shell(graph: Graph, k: int) -> np.ndarray:
-    """Return the node ids with coreness exactly ``k``."""
-    if k < 0:
-        raise GraphError("k must be non-negative")
-    coreness = core_decomposition(graph)
-    return np.flatnonzero(coreness == k).astype(np.int64)

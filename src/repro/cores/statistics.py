@@ -23,8 +23,6 @@ __all__ = [
     "coreness_ecdf",
     "CoreStructure",
     "core_structure",
-    "relative_core_sizes",
-    "core_counts",
 ]
 
 
@@ -68,13 +66,6 @@ class CoreStructure:
         """Maximum k with a non-empty core."""
         return int(self.ks[-1])
 
-    def max_single_core_k(self) -> int:
-        """Largest k at which the k-core is still a single component."""
-        single = np.flatnonzero(self.num_cores == 1)
-        if single.size == 0:
-            raise GraphError("graph has no connected k-core at any k")
-        return int(self.ks[single[-1]])
-
 
 def core_structure(graph: Graph) -> CoreStructure:
     """Measure nu'_k, tau'_k and the connected-core count for every k.
@@ -104,15 +95,3 @@ def core_structure(graph: Graph) -> CoreStructure:
         edge_fraction=edge_fraction,
         num_cores=num_cores,
     )
-
-
-def relative_core_sizes(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(ks, nu'_k, tau'_k)`` — Figure 5 (a)–(e)."""
-    structure = core_structure(graph)
-    return structure.ks, structure.node_fraction, structure.edge_fraction
-
-
-def core_counts(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(ks, number of connected cores)`` — Figure 5 (f)–(j)."""
-    structure = core_structure(graph)
-    return structure.ks, structure.num_cores

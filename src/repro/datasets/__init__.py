@@ -15,7 +15,6 @@ from repro.datasets.streaming import (
     StreamSpec,
     build_sharded_analog,
     stream_analog_edges,
-    stream_fingerprint,
 )
 
 __all__ = [
@@ -30,6 +29,5 @@ __all__ = [
     "StreamSpec",
     "STREAM_REGIMES",
     "stream_analog_edges",
-    "stream_fingerprint",
     "build_sharded_analog",
 ]

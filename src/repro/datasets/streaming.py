@@ -22,16 +22,12 @@ Two regimes mirror the paper's fast/slow mixing dichotomy:
 Determinism: block ``b`` is generated from
 ``SeedSequence([seed, b])`` regardless of how the iterator is
 consumed, so a stream is fully described by
-``(num_nodes, regime, seed, block_nodes, spec)`` —
-:func:`stream_fingerprint` hashes exactly that tuple (at the default
-block size) for :mod:`repro.store` keying of downstream artifacts.
+``(num_nodes, regime, seed, block_nodes, spec)``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -44,13 +40,8 @@ __all__ = [
     "StreamSpec",
     "STREAM_REGIMES",
     "stream_analog_edges",
-    "stream_fingerprint",
     "build_sharded_analog",
 ]
-
-#: Bump when block generation changes in a result-affecting way; folded
-#: into :func:`stream_fingerprint` so cached artifacts invalidate.
-_STREAM_VERSION = 1
 
 _DEFAULT_BLOCK_NODES = 1 << 16
 
@@ -147,30 +138,6 @@ def _generate_block(
         valid = np.where(is_bridge, sources >= 1, span > 0)
     extra = np.stack([targets[valid], sources[valid]], axis=1)
     return np.concatenate([path, extra], axis=0)
-
-
-def stream_fingerprint(num_nodes: int, regime: str = "fast", seed: int = 0) -> str:
-    """Return the SHA-256 fingerprint identifying one edge stream.
-
-    Two calls with equal parameters denote byte-identical streams (at
-    the default block size), so the fingerprint can key cached
-    artifacts in :mod:`repro.store` *before* any edges are generated
-    (the generation stage itself).
-    """
-    spec = _resolve_spec(regime)
-    payload = json.dumps(
-        {
-            "kind": "repro-stream-analog",
-            "version": _STREAM_VERSION,
-            "num_nodes": int(num_nodes),
-            "seed": int(seed),
-            "block_nodes": _DEFAULT_BLOCK_NODES,
-            "spec": asdict(spec),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def build_sharded_analog(

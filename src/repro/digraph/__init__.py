@@ -7,7 +7,7 @@ from repro.digraph.chain import (
     directed_transition_matrix,
 )
 from repro.digraph.core import DiGraph
-from repro.digraph.generators import directed_preferential_attachment, random_digraph
+from repro.digraph.generators import directed_preferential_attachment
 
 __all__ = [
     "DiGraph",
@@ -15,5 +15,4 @@ __all__ = [
     "directed_stationary",
     "directed_mixing_profile",
     "directed_preferential_attachment",
-    "random_digraph",
 ]

@@ -14,7 +14,7 @@ import numpy as np
 from repro.digraph.core import DiGraph
 from repro.errors import GeneratorError
 
-__all__ = ["directed_preferential_attachment", "random_digraph"]
+__all__ = ["directed_preferential_attachment"]
 
 
 def directed_preferential_attachment(
@@ -60,20 +60,3 @@ def directed_preferential_attachment(
                 arcs.append((target, new))
                 attractiveness.append(new)
     return DiGraph.from_arcs(arcs, num_nodes=num_nodes)
-
-
-def random_digraph(num_nodes: int, num_arcs: int, seed: int = 0) -> DiGraph:
-    """Return a uniform random simple digraph with exactly ``num_arcs`` arcs."""
-    if num_nodes < 0:
-        raise GeneratorError("num_nodes must be non-negative")
-    max_arcs = num_nodes * (num_nodes - 1)
-    if not 0 <= num_arcs <= max_arcs:
-        raise GeneratorError(f"num_arcs must be in [0, {max_arcs}]")
-    rng = np.random.default_rng(seed)
-    chosen: set[tuple[int, int]] = set()
-    while len(chosen) < num_arcs:
-        u = int(rng.integers(num_nodes))
-        v = int(rng.integers(num_nodes))
-        if u != v:
-            chosen.add((u, v))
-    return DiGraph.from_arcs(sorted(chosen), num_nodes=num_nodes)

@@ -91,32 +91,6 @@ class SimBetRouter:
             1 - self._alpha
         ) * self.similarity(node, destination)
 
-    def next_hop(
-        self, holder: int, destination: int, rng: np.random.Generator
-    ) -> int | None:
-        """Pick the encountered neighbor to hand the message to.
-
-        Returns the destination immediately when encountered; otherwise
-        the highest-utility neighbor that strictly improves on the
-        holder, or None to keep carrying.
-        """
-        neighbors = self._graph.neighbors(holder)
-        if neighbors.size == 0:
-            return None
-        if destination in self._neighbor_sets[holder]:
-            return destination
-        order = rng.permutation(neighbors)
-        current = self.utility(holder, destination)
-        best: int | None = None
-        best_utility = current
-        for candidate in order:
-            candidate = int(candidate)
-            u = self.utility(candidate, destination)
-            if u > best_utility + 1e-12:
-                best_utility = u
-                best = candidate
-        return best
-
 
 #: Chance per round of one encounter with a uniformly random node.
 _STRANGER_PROBABILITY = 0.1

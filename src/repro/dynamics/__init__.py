@@ -6,7 +6,6 @@ from repro.dynamics.evolution import (
     GraphDelta,
     GrowthModel,
     apply_delta,
-    event_stream,
     snapshots,
 )
 from repro.dynamics.tracking import SnapshotMetrics, track_evolution
@@ -16,7 +15,6 @@ __all__ = [
     "GraphDelta",
     "GrowthModel",
     "apply_delta",
-    "event_stream",
     "snapshots",
     "SnapshotMetrics",
     "track_evolution",

@@ -56,7 +56,6 @@ __all__ = [
     "apply_delta",
     "ChurnModel",
     "GrowthModel",
-    "event_stream",
     "snapshots",
 ]
 
@@ -82,11 +81,6 @@ class GraphDelta:
             arr = getattr(self, name)
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise GraphError(f"{name} must be a (k, 2) edge array")
-
-    @property
-    def num_events(self) -> int:
-        """Total event count (edge additions + removals + new nodes)."""
-        return self.num_new_nodes + self.added.shape[0] + self.removed.shape[0]
 
 
 def _empty_edges() -> np.ndarray:
@@ -282,26 +276,6 @@ class GrowthModel:
             added=np.asarray(added, dtype=np.int64),
             removed=_empty_edges(),
         )
-
-
-def event_stream(
-    base: Graph, model: ChurnModel | GrowthModel, num_steps: int
-) -> Iterator[GraphDelta]:
-    """Yield ``num_steps`` deltas, evolving from ``base``.
-
-    The adapter between the evolution models and incremental consumers:
-    each yielded :class:`GraphDelta` describes one step relative to the
-    graph produced by all previous deltas, so feeding the stream into a
-    :class:`repro.serve.GraphOverlay` (or :func:`apply_delta`)
-    reconstructs exactly the :func:`snapshots` sequence.
-    """
-    if num_steps < 0:
-        raise GraphError("num_steps must be non-negative")
-    current = base
-    for _ in range(num_steps):
-        delta = model.step_events(current)
-        yield delta
-        current = apply_delta(current, delta)
 
 
 def snapshots(

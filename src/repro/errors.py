@@ -31,10 +31,6 @@ class EmptyGraphError(GraphError):
     """Raised when an operation requires a non-empty graph."""
 
 
-class DisconnectedGraphError(GraphError):
-    """Raised when an operation requires a connected graph."""
-
-
 class GeneratorError(ReproError):
     """Raised when a synthetic graph generator receives invalid parameters."""
 

@@ -1,15 +1,6 @@
 """Graph expansion: envelope measurement (Figs. 3-4) and general bounds."""
 
-from repro.expansion.bounds import (
-    cheeger_bounds,
-    conductance,
-    fiedler_vector,
-    neighborhood_size,
-    random_connected_set,
-    set_expansion,
-    sweep_cut_expansion,
-    vertex_expansion_upper_bound,
-)
+from repro.expansion.bounds import conductance, fiedler_vector, sweep_cut_expansion
 from repro.expansion.envelope import (
     ExpansionMeasurement,
     ExpansionSummary,
@@ -28,12 +19,7 @@ __all__ = [
     "ExpansionSummary",
     "aggregate_by_set_size",
     "expansion_factor_series",
-    "neighborhood_size",
-    "set_expansion",
     "conductance",
-    "vertex_expansion_upper_bound",
-    "random_connected_set",
     "fiedler_vector",
     "sweep_cut_expansion",
-    "cheeger_bounds",
 ]

@@ -1,14 +1,10 @@
-"""General vertex expansion (Eq. 3) estimation and cut quality.
+"""Cut quality: conductance and the Fiedler-vector sweep cut.
 
-The unrestricted vertex expansion
-
-    alpha = min_{0 < |S| <= n/2} |N(S)| / |S|
-
-minimizes over exponentially many sets, so it can only be estimated.
-This module upper-bounds alpha by searching over tractable candidate
-families (BFS balls, random connected sets, sweep cuts of the Fiedler
-vector) — every candidate set *witnesses* an upper bound — and provides
-conductance for the same sets, which the mixing-time literature ties to
+The unrestricted vertex expansion of Eq. (3) minimizes over
+exponentially many sets, so only the envelope restriction
+(:mod:`repro.expansion.envelope`) is measured.  This module finds the
+graph's bottleneck instead: the best-conductance prefix of the Fiedler
+vector's degree-scaled order, which the mixing-time literature ties to
 the spectral gap via Cheeger's inequality.
 """
 
@@ -17,46 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError
-from repro.expansion.envelope import source_expansion
 from repro.graph.core import Graph
-from repro.graph.traversal import _gather_neighbors
 from repro.mixing.spectral import normalized_adjacency
 
 __all__ = [
-    "neighborhood_size",
-    "set_expansion",
     "conductance",
-    "vertex_expansion_upper_bound",
-    "random_connected_set",
     "fiedler_vector",
     "sweep_cut_expansion",
-    "cheeger_bounds",
 ]
-
-
-def neighborhood_size(graph: Graph, nodes: np.ndarray) -> int:
-    """Return ``|N(S)|``: nodes outside S adjacent to S.
-
-    One CSR gather over the whole member set (duplicates and all)
-    replaces the per-member neighbor loop; the boolean scatter then
-    dedupes, so no sort or unique pass is needed.
-    """
-    members = np.zeros(graph.num_nodes, dtype=bool)
-    members[nodes] = True
-    gathered = _gather_neighbors(
-        graph.indptr, graph.indices, np.flatnonzero(members).astype(np.int64)
-    )
-    seen = np.zeros(graph.num_nodes, dtype=bool)
-    seen[gathered] = True
-    return int(np.count_nonzero(seen & ~members))
-
-
-def set_expansion(graph: Graph, nodes: np.ndarray | list[int]) -> float:
-    """Return ``|N(S)| / |S|`` for the given set."""
-    arr = np.asarray(list(nodes), dtype=np.int64)
-    if arr.size == 0:
-        raise GraphError("expansion of an empty set is undefined")
-    return neighborhood_size(graph, arr) / arr.size
 
 
 def conductance(graph: Graph, nodes: np.ndarray | list[int]) -> float:
@@ -77,58 +41,6 @@ def conductance(graph: Graph, nodes: np.ndarray | list[int]) -> float:
     if denom == 0:
         return float("inf")
     return cut / denom
-
-
-def random_connected_set(
-    graph: Graph, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Grow a uniform-frontier connected set of the given size."""
-    if not 1 <= size <= graph.num_nodes:
-        raise GraphError("set size out of range")
-    start = int(rng.integers(graph.num_nodes))
-    chosen = {start}
-    frontier = set(int(x) for x in graph.neighbors(start)) - chosen
-    while len(chosen) < size and frontier:
-        pick = list(frontier)[int(rng.integers(len(frontier)))]
-        chosen.add(pick)
-        frontier.discard(pick)
-        frontier.update(
-            int(x) for x in graph.neighbors(pick) if int(x) not in chosen
-        )
-    return np.fromiter(chosen, dtype=np.int64)
-
-
-def vertex_expansion_upper_bound(
-    graph: Graph,
-    num_samples: int = 200,
-    seed: int = 0,
-) -> float:
-    """Upper-bound the vertex expansion alpha by candidate search.
-
-    Candidates: BFS envelopes from sampled sources (the GateKeeper
-    restriction) plus random connected sets of random sizes, all capped
-    at n/2 per Eq. (3).  The true alpha is at most the returned value.
-    """
-    if graph.num_nodes < 2:
-        raise GraphError("expansion needs at least 2 nodes")
-    rng = np.random.default_rng(seed)
-    half = graph.num_nodes // 2
-    best = float("inf")
-    num_bfs = max(num_samples // 2, 1)
-    for _ in range(num_bfs):
-        src = int(rng.integers(graph.num_nodes))
-        result = source_expansion(graph, src)
-        env = result.envelope_sizes
-        valid = env <= half
-        if valid.any():
-            ratios = result.expansion_factors[valid]
-            best = min(best, float(ratios.min()))
-    for _ in range(num_samples - num_bfs):
-        size = int(rng.integers(1, half + 1))
-        candidate = random_connected_set(graph, size, rng)
-        if candidate.size <= half:
-            best = min(best, set_expansion(graph, candidate))
-    return best
 
 
 def fiedler_vector(graph: Graph) -> np.ndarray:
@@ -165,15 +77,3 @@ def sweep_cut_expansion(graph: Graph) -> tuple[np.ndarray, float]:
     if best_set is None:
         raise GraphError("graph too small for a sweep cut")
     return np.sort(best_set), best_phi
-
-
-def cheeger_bounds(mu: float) -> tuple[float, float]:
-    """Return Cheeger bounds ``(gap/2, sqrt(2 gap))`` on conductance.
-
-    For SLEM ``mu`` the spectral gap is ``1 - mu`` and the graph's
-    conductance phi satisfies ``gap/2 <= phi <= sqrt(2 gap)``.
-    """
-    if not 0.0 <= mu <= 1.0:
-        raise GraphError("mu must be in [0, 1]")
-    gap = 1.0 - mu
-    return gap / 2.0, float(np.sqrt(2.0 * gap))

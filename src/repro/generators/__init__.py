@@ -1,25 +1,7 @@
 """Seeded synthetic graph generators used to build the dataset analogs."""
 
-from repro.generators.classic import (
-    barabasi_albert,
-    erdos_renyi_gnm,
-    erdos_renyi_gnp,
-    holme_kim,
-    powerlaw_cluster_mixed,
-    watts_strogatz,
-)
-from repro.generators.community import (
-    community_social_graph,
-    hierarchical_communities,
-    planted_partition,
-    stochastic_block_model,
-)
-from repro.generators.configuration import (
-    configuration_model,
-    powerlaw_configuration_graph,
-    powerlaw_degree_sequence,
-)
-from repro.generators.evolving import forest_fire, stochastic_kronecker
+from repro.generators.classic import barabasi_albert, powerlaw_cluster_mixed
+from repro.generators.community import community_social_graph
 from repro.generators.interaction import interaction_graph, tie_strengths
 from repro.generators.deterministic import (
     barbell_graph,
@@ -32,19 +14,9 @@ from repro.generators.deterministic import (
 )
 
 __all__ = [
-    "erdos_renyi_gnp",
-    "erdos_renyi_gnm",
-    "watts_strogatz",
     "barabasi_albert",
-    "holme_kim",
     "powerlaw_cluster_mixed",
-    "planted_partition",
-    "stochastic_block_model",
     "community_social_graph",
-    "hierarchical_communities",
-    "configuration_model",
-    "powerlaw_degree_sequence",
-    "powerlaw_configuration_graph",
     "cycle_graph",
     "path_graph",
     "complete_graph",
@@ -52,8 +24,6 @@ __all__ = [
     "grid_graph",
     "barbell_graph",
     "lollipop_graph",
-    "forest_fire",
-    "stochastic_kronecker",
     "interaction_graph",
     "tie_strengths",
 ]

@@ -1,5 +1,5 @@
-"""Classic random graph models: Erdős–Rényi, Watts–Strogatz,
-Barabási–Albert and Holme–Kim.
+"""Preferential-attachment graph models: Barabási–Albert and a
+variable-attachment powerlaw-cluster model.
 
 All generators take an explicit ``seed`` so dataset analogs and
 experiments are reproducible run to run.
@@ -14,112 +14,9 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.core import Graph
 
 __all__ = [
-    "erdos_renyi_gnp",
-    "erdos_renyi_gnm",
-    "watts_strogatz",
     "barabasi_albert",
-    "holme_kim",
     "powerlaw_cluster_mixed",
 ]
-
-
-def erdos_renyi_gnp(num_nodes: int, edge_probability: float, seed: int = 0) -> Graph:
-    """Return a G(n, p) graph: each pair is an edge with probability p.
-
-    Uses the geometric skipping method so the cost is proportional to the
-    number of generated edges, not n^2.
-    """
-    if num_nodes < 0:
-        raise GeneratorError("num_nodes must be non-negative")
-    if not 0.0 <= edge_probability <= 1.0:
-        raise GeneratorError("edge_probability must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    builder = GraphBuilder(num_nodes)
-    if edge_probability > 0.0 and num_nodes > 1:
-        if edge_probability >= 1.0:
-            for u in range(num_nodes):
-                for v in range(u + 1, num_nodes):
-                    builder.add_edge(u, v)
-            return builder.build()
-        log_q = np.log1p(-edge_probability)
-        total_pairs = num_nodes * (num_nodes - 1) // 2
-        position = -1
-        while True:
-            gap = int(np.floor(np.log(rng.random()) / log_q)) + 1
-            position += gap
-            if position >= total_pairs:
-                break
-            # invert the linear pair index into (u, v), u < v
-            u = int(
-                num_nodes
-                - 2
-                - np.floor(
-                    (np.sqrt(4 * num_nodes * (num_nodes - 1) - 8 * position - 7) - 1)
-                    / 2
-                )
-            )
-            offset = position - (u * (2 * num_nodes - u - 1)) // 2
-            v = u + 1 + offset
-            builder.add_edge(u, v)
-    return builder.build()
-
-
-def erdos_renyi_gnm(num_nodes: int, num_edges: int, seed: int = 0) -> Graph:
-    """Return a G(n, m) graph with exactly ``num_edges`` distinct edges."""
-    if num_nodes < 0:
-        raise GeneratorError("num_nodes must be non-negative")
-    max_edges = num_nodes * (num_nodes - 1) // 2
-    if not 0 <= num_edges <= max_edges:
-        raise GeneratorError(f"num_edges must be in [0, {max_edges}]")
-    rng = np.random.default_rng(seed)
-    chosen: set[tuple[int, int]] = set()
-    while len(chosen) < num_edges:
-        u = int(rng.integers(num_nodes))
-        v = int(rng.integers(num_nodes))
-        if u == v:
-            continue
-        chosen.add((min(u, v), max(u, v)))
-    return Graph.from_edges(sorted(chosen), num_nodes=num_nodes)
-
-
-def watts_strogatz(
-    num_nodes: int, nearest_neighbors: int, rewire_probability: float, seed: int = 0
-) -> Graph:
-    """Return a Watts–Strogatz small world.
-
-    Starts from a ring lattice where each node links to its
-    ``nearest_neighbors`` closest nodes (must be even) and rewires each
-    edge's far endpoint with the given probability.
-    """
-    if num_nodes < 3:
-        raise GeneratorError("watts_strogatz needs at least 3 nodes")
-    if nearest_neighbors % 2 != 0 or nearest_neighbors < 2:
-        raise GeneratorError("nearest_neighbors must be a positive even integer")
-    if nearest_neighbors >= num_nodes:
-        raise GeneratorError("nearest_neighbors must be smaller than num_nodes")
-    if not 0.0 <= rewire_probability <= 1.0:
-        raise GeneratorError("rewire_probability must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    edges: set[tuple[int, int]] = set()
-    half = nearest_neighbors // 2
-    for u in range(num_nodes):
-        for k in range(1, half + 1):
-            v = (u + k) % num_nodes
-            edges.add((min(u, v), max(u, v)))
-    rewired: set[tuple[int, int]] = set()
-    for u, v in sorted(edges):
-        if rng.random() < rewire_probability:
-            for _ in range(num_nodes):
-                w = int(rng.integers(num_nodes))
-                candidate = (min(u, w), max(u, w))
-                if w != u and candidate not in rewired and candidate not in edges:
-                    rewired.add(candidate)
-                    break
-            else:
-                rewired.add((u, v))
-        else:
-            rewired.add((u, v))
-    return Graph.from_edges(sorted(rewired), num_nodes=num_nodes)
 
 
 def _preferential_targets(
@@ -163,63 +60,6 @@ def barabasi_albert(num_nodes: int, attachment: int, seed: int = 0) -> Graph:
     return builder.build()
 
 
-def holme_kim(
-    num_nodes: int, attachment: int, triad_probability: float, seed: int = 0
-) -> Graph:
-    """Return a Holme–Kim powerlaw-cluster graph.
-
-    Like Barabási–Albert but after each preferential attachment, with
-    probability ``triad_probability`` the next link closes a triangle
-    with a neighbor of the previous target.  High triad probability gives
-    the strong local clustering seen in co-authorship ("Physics") graphs,
-    which are the paper's slow-mixing exemplars.
-    """
-    if attachment < 1:
-        raise GeneratorError("attachment must be at least 1")
-    if num_nodes <= attachment:
-        raise GeneratorError("num_nodes must exceed attachment")
-    if not 0.0 <= triad_probability <= 1.0:
-        raise GeneratorError("triad_probability must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    builder = GraphBuilder(num_nodes)
-    repeated: list[int] = []
-    adjacency: list[set[int]] = [set() for _ in range(num_nodes)]
-
-    def link(u: int, v: int) -> None:
-        builder.add_edge(u, v)
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-        repeated.extend((u, v))
-
-    for u in range(attachment + 1):
-        for v in range(u + 1, attachment + 1):
-            link(u, v)
-    for new in range(attachment + 1, num_nodes):
-        added = 0
-        last_target: int | None = None
-        while added < attachment:
-            close_triad = (
-                last_target is not None
-                and rng.random() < triad_probability
-                and any(w not in adjacency[new] and w != new for w in adjacency[last_target])
-            )
-            if close_triad:
-                options = [
-                    w
-                    for w in adjacency[last_target]  # type: ignore[index]
-                    if w != new and w not in adjacency[new]
-                ]
-                pick = options[int(rng.integers(len(options)))]
-            else:
-                pick = repeated[int(rng.integers(len(repeated)))]
-                if pick == new or pick in adjacency[new]:
-                    continue
-            link(new, pick)
-            last_target = pick
-            added += 1
-    return builder.build()
-
-
 def powerlaw_cluster_mixed(
     num_nodes: int,
     min_attachment: int,
@@ -230,8 +70,11 @@ def powerlaw_cluster_mixed(
 ) -> Graph:
     """Return a preferential-attachment graph with *variable* attachment.
 
-    Like Holme-Kim, but each arriving node draws its link count from a
-    power law ``P(d) ~ d**(-attachment_exponent)`` over
+    Like Holme–Kim's powerlaw-cluster model (after each preferential
+    attachment, with probability ``triad_probability`` the next link
+    closes a triangle with a neighbor of the previous target), but each
+    arriving node draws its link count from a power law
+    ``P(d) ~ d**(-attachment_exponent)`` over
     ``[min_attachment, max_attachment]`` instead of using a constant.
     This reproduces the heavy low-degree tail of real social graphs, so
     the coreness distribution is spread over 1..k_max (the shape of the

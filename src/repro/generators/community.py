@@ -18,75 +18,8 @@ from repro.graph.core import Graph
 from repro.generators.classic import powerlaw_cluster_mixed
 
 __all__ = [
-    "planted_partition",
-    "stochastic_block_model",
     "community_social_graph",
-    "hierarchical_communities",
 ]
-
-
-def stochastic_block_model(
-    block_sizes: list[int],
-    edge_probabilities: np.ndarray,
-    seed: int = 0,
-) -> Graph:
-    """Return an SBM sample with the given block sizes and rate matrix.
-
-    ``edge_probabilities[a][b]`` is the probability of an edge between a
-    node in block ``a`` and a node in block ``b``; the matrix must be
-    symmetric.
-    """
-    probs = np.asarray(edge_probabilities, dtype=float)
-    k = len(block_sizes)
-    if probs.shape != (k, k):
-        raise GeneratorError("edge_probabilities must be a square matrix over blocks")
-    if not np.allclose(probs, probs.T):
-        raise GeneratorError("edge_probabilities must be symmetric")
-    if probs.min() < 0.0 or probs.max() > 1.0:
-        raise GeneratorError("edge probabilities must lie in [0, 1]")
-    if any(size < 0 for size in block_sizes):
-        raise GeneratorError("block sizes must be non-negative")
-    rng = np.random.default_rng(seed)
-    offsets = np.concatenate([[0], np.cumsum(block_sizes)])
-    total = int(offsets[-1])
-    builder = GraphBuilder(total)
-    for a in range(k):
-        for b in range(a, k):
-            p = float(probs[a, b])
-            if p <= 0.0:
-                continue
-            if a == b:
-                size = block_sizes[a]
-                pairs = np.argwhere(np.triu(np.ones((size, size), dtype=bool), 1))
-                mask = rng.random(pairs.shape[0]) < p
-                for u, v in pairs[mask] + offsets[a]:
-                    builder.add_edge(int(u), int(v))
-            else:
-                rows = block_sizes[a]
-                cols = block_sizes[b]
-                mask = rng.random((rows, cols)) < p
-                for u, v in np.argwhere(mask):
-                    builder.add_edge(int(u + offsets[a]), int(v + offsets[b]))
-    return builder.build()
-
-
-def planted_partition(
-    num_blocks: int,
-    block_size: int,
-    internal_probability: float,
-    external_probability: float,
-    seed: int = 0,
-) -> Graph:
-    """Return a planted-partition graph (equal blocks, two rates).
-
-    A large ``internal/external`` ratio produces the community
-    bottlenecks that slow a random walk's mixing.
-    """
-    if num_blocks < 1 or block_size < 1:
-        raise GeneratorError("num_blocks and block_size must be positive")
-    probs = np.full((num_blocks, num_blocks), external_probability, dtype=float)
-    np.fill_diagonal(probs, internal_probability)
-    return stochastic_block_model([block_size] * num_blocks, probs, seed=seed)
 
 
 def community_social_graph(
@@ -160,65 +93,4 @@ def community_social_graph(
         u = int(rng.choice(members[int(a)]))
         v = int(rng.choice(members[int(b)]))
         builder.add_edge(u, v)
-    return builder.build()
-
-
-def hierarchical_communities(
-    leaf_size: int,
-    branching: int,
-    depth: int,
-    internal_probability: float,
-    level_decay: float = 0.1,
-    seed: int = 0,
-) -> Graph:
-    """Return a hierarchically nested community graph.
-
-    Leaves are dense Erdős–Rényi pockets; sibling groups at height ``h``
-    are wired with probability ``internal_probability * level_decay**h``.
-    Models the nested community structure of real social networks (the
-    Leskovec et al. observation cited by the paper).
-    """
-    if leaf_size < 2 or branching < 2 or depth < 1:
-        raise GeneratorError("need leaf_size >= 2, branching >= 2, depth >= 1")
-    if not 0.0 < internal_probability <= 1.0:
-        raise GeneratorError("internal_probability must be in (0, 1]")
-    if not 0.0 < level_decay < 1.0:
-        raise GeneratorError("level_decay must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    num_leaves = branching**depth
-    num_nodes = num_leaves * leaf_size
-    builder = GraphBuilder(num_nodes)
-    node_ids = np.arange(num_nodes, dtype=np.int64)
-    for leaf in range(num_leaves):
-        block = node_ids[leaf * leaf_size : (leaf + 1) * leaf_size]
-        for i in range(block.size):
-            for j in range(i + 1, block.size):
-                if rng.random() < internal_probability:
-                    builder.add_edge(int(block[i]), int(block[j]))
-    # connect groups level by level
-    for height in range(1, depth + 1):
-        group_leaves = branching**height
-        prob = internal_probability * (level_decay**height)
-        groups = num_leaves // group_leaves
-        for g in range(groups):
-            lo = g * group_leaves * leaf_size
-            hi = (g + 1) * group_leaves * leaf_size
-            block = node_ids[lo:hi]
-            expected = prob * block.size
-            # sample ~expected random cross pairs instead of all O(size^2)
-            trials = max(int(expected * block.size / 2), block.size)
-            us = rng.choice(block, size=trials)
-            vs = rng.choice(block, size=trials)
-            keep = (us != vs) & (rng.random(trials) < prob)
-            for u, v in zip(us[keep], vs[keep]):
-                builder.add_edge(int(u), int(v))
-        # guarantee connectivity between adjacent sibling groups
-        for g in range(groups * branching - 1):
-            lo_a = g * (group_leaves // branching) * leaf_size
-            lo_b = (g + 1) * (group_leaves // branching) * leaf_size
-            if lo_b < num_nodes:
-                builder.add_edge(
-                    int(rng.integers(lo_a, lo_a + leaf_size)),
-                    int(rng.integers(lo_b, lo_b + leaf_size)),
-                )
     return builder.build()

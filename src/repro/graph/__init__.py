@@ -1,43 +1,28 @@
 """Graph substrate: CSR graphs, traversal, transformations and metrics."""
 
 from repro.graph.builder import GraphBuilder
-from repro.graph.centrality import (
-    betweenness_centrality,
-    closeness_centrality,
-    degree_centrality,
-)
+from repro.graph.centrality import betweenness_centrality
 from repro.graph.core import Graph
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.graph.shard import DEFAULT_NODES_PER_SHARD, Shard, ShardedGraph
 from repro.graph.metrics import (
-    approximate_diameter,
     degree_assortativity,
     average_clustering,
     average_degree,
-    degree_histogram,
-    density,
-    diameter,
-    eccentricities,
-    eccentricity,
-    global_clustering,
     local_clustering,
 )
 from repro.graph.ops import (
     disjoint_union,
     induced_subgraph,
     largest_connected_component,
-    relabeled,
     with_edges_added,
-    with_edges_removed,
 )
 from repro.graph.traversal import (
     bfs_distances,
     bfs_distances_block,
     bfs_level_sizes_block,
     bfs_levels,
-    component_sizes,
     connected_components,
-    is_connected,
     largest_component_nodes,
     num_connected_components,
 )
@@ -55,28 +40,15 @@ __all__ = [
     "bfs_distances_block",
     "bfs_level_sizes_block",
     "connected_components",
-    "component_sizes",
     "num_connected_components",
-    "is_connected",
     "largest_component_nodes",
     "induced_subgraph",
     "largest_connected_component",
     "with_edges_added",
-    "with_edges_removed",
     "disjoint_union",
-    "relabeled",
     "average_degree",
-    "degree_histogram",
-    "density",
-    "eccentricity",
-    "eccentricities",
-    "diameter",
-    "approximate_diameter",
     "local_clustering",
     "average_clustering",
-    "global_clustering",
     "degree_assortativity",
     "betweenness_centrality",
-    "closeness_centrality",
-    "degree_centrality",
 ]

@@ -1,9 +1,8 @@
 """Batched multi-source BFS (the hot path of Figures 3-4 and Table II).
 
 The expansion measurement (Section III-D, Eq. 4) builds a BFS tree from
-*every* node, eccentricity/diameter and closeness run a BFS per node,
-and the ticket-distribution defenses (GateKeeper, SumUp) need per-source
-distance levels for every distributor.  Running those one
+*every* node, and the ticket-distribution defenses (GateKeeper, SumUp)
+need per-source distance levels for every distributor.  Running those one
 :func:`~repro.graph.traversal.bfs_distances` call at a time repeats the
 frontier bookkeeping per source; this engine advances a whole *block* of
 sources level-synchronously instead.

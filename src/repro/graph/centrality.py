@@ -2,10 +2,9 @@
 
 The paper's introduction lists, besides mixing time and expansion, the
 other structural properties defenses are built on: (node) betweenness
-for Sybil defense (Quercia & Hailes), betweenness + similarity for DTN
-routing (Daly & Haahr), and closeness for content sharing/anonymity
-(OneSwarm).  The authors' companion study measured shortest-path
-betweenness quality; this module provides those measures.
+for Sybil defense (Quercia & Hailes) and betweenness + similarity for
+DTN routing (Daly & Haahr).  The authors' companion study measured
+shortest-path betweenness quality; this module provides that measure.
 
 Betweenness uses Brandes' accumulation algorithm, O(n m) for unweighted
 graphs, with optional source sampling for the larger analogs.
@@ -17,17 +16,11 @@ from collections import deque
 
 import numpy as np
 
-from repro import parallel
-from repro.chunking import DEFAULT_CHUNK_SIZE, validate_sources
+from repro.chunking import validate_sources
 from repro.errors import EmptyGraphError, GraphError
 from repro.graph.core import Graph
-from repro.graph.traversal import bfs_distances_block
 
-__all__ = [
-    "betweenness_centrality",
-    "closeness_centrality",
-    "degree_centrality",
-]
+__all__ = ["betweenness_centrality"]
 
 
 def _brandes_single_source(graph: Graph, source: int, dependency: np.ndarray) -> None:
@@ -90,47 +83,3 @@ def betweenness_centrality(
         if scale > 0:
             dependency = dependency / scale
     return dependency
-
-
-def closeness_centrality(
-    graph: Graph,
-    node: int | None = None,
-) -> np.ndarray:
-    """Return closeness centrality (per node, or a 1-element array).
-
-    Uses the Wasserman–Faust component correction so disconnected
-    graphs get comparable values: ``C(v) = (r-1)/(n-1) * (r-1)/S`` where
-    r is v's reachable-set size and S the sum of distances within it.
-    The distance sums come from the block BFS engine, chunked so only
-    ``O(n * chunk_size)`` distance entries are alive at a time
-    (``chunk_size`` from the ambient :func:`repro.parallel.execution`
-    scope, :data:`~repro.chunking.DEFAULT_CHUNK_SIZE` outside one) —
-    byte-identical to the one-BFS-per-node oracle in
-    :mod:`repro.oracles`.
-    """
-    n = graph.num_nodes
-    if n == 0:
-        raise EmptyGraphError("closeness of an empty graph is undefined")
-    nodes = [node] if node is not None else list(range(n))
-    out = np.zeros(len(nodes))
-    chosen = np.asarray(nodes, dtype=np.int64)
-    step = parallel.schedule()[2] or DEFAULT_CHUNK_SIZE
-    for lo in range(0, chosen.size, step):
-        block = bfs_distances_block(graph, chosen[lo : lo + step])
-        positive = block > 0
-        r = positive.sum(axis=1) + 1
-        totals = np.where(positive, block, 0).sum(axis=1).astype(float)
-        reachable = totals > 0
-        out[lo : lo + step][reachable] = (
-            (r[reachable] - 1) / max(n - 1, 1)
-        ) * ((r[reachable] - 1) / totals[reachable])
-    return out
-
-
-def degree_centrality(graph: Graph) -> np.ndarray:
-    """Return degree centrality ``deg(v) / (n - 1)``."""
-    if graph.num_nodes == 0:
-        raise EmptyGraphError("degree centrality of an empty graph is undefined")
-    if graph.num_nodes == 1:
-        return np.zeros(1)
-    return graph.degrees / (graph.num_nodes - 1)

@@ -1,30 +1,21 @@
-"""Scalar and distributional graph metrics.
+"""Scalar graph metrics: mean degree, clustering and assortativity.
 
-Diameter, degree statistics and clustering coefficients; the dataset
-registry uses these to report the Table-I style summary rows, and the
-expansion measurement uses the diameter to bound BFS depth.
+:func:`repro.analysis.measurement_report` prints them in the summary
+block of an audited graph.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.chunking import sample_sources, validate_sources
-from repro.errors import EmptyGraphError, GraphError
+from repro.chunking import sample_sources
+from repro.errors import EmptyGraphError
 from repro.graph.core import Graph
-from repro.graph.traversal import bfs_distances, bfs_level_sizes_block
 
 __all__ = [
     "average_degree",
-    "degree_histogram",
-    "density",
-    "eccentricity",
-    "eccentricities",
-    "diameter",
-    "approximate_diameter",
     "local_clustering",
     "average_clustering",
-    "global_clustering",
     "degree_assortativity",
 ]
 
@@ -34,87 +25,6 @@ def average_degree(graph: Graph) -> float:
     if graph.num_nodes == 0:
         raise EmptyGraphError("average degree of an empty graph is undefined")
     return 2.0 * graph.num_edges / graph.num_nodes
-
-
-def degree_histogram(graph: Graph) -> np.ndarray:
-    """Return counts per degree, ``hist[d] = #{v : deg(v) == d}``."""
-    if graph.num_nodes == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.bincount(graph.degrees)
-
-
-def density(graph: Graph) -> float:
-    """Return ``2 m / (n (n - 1))``, the fraction of present edges."""
-    n = graph.num_nodes
-    if n < 2:
-        return 0.0
-    return 2.0 * graph.num_edges / (n * (n - 1))
-
-
-def eccentricity(graph: Graph, node: int) -> int:
-    """Return the max hop distance from ``node`` to any reachable node."""
-    dist = bfs_distances(graph, node)
-    reached = dist[dist >= 0]
-    return int(reached.max())
-
-
-def eccentricities(
-    graph: Graph,
-    sources: np.ndarray | list[int] | None = None,
-) -> np.ndarray:
-    """Return per-source eccentricities (all nodes by default).
-
-    Every eccentricity comes from one block-BFS level-size matrix (a
-    source's eccentricity is its deepest nonempty level), agreeing
-    exactly with :func:`eccentricity` per source.  An explicitly empty
-    ``sources`` list is legal and returns an empty array (there is
-    nothing to measure).
-    """
-    if graph.num_nodes == 0:
-        raise EmptyGraphError("eccentricity of an empty graph is undefined")
-    chosen = (
-        np.arange(graph.num_nodes, dtype=np.int64)
-        if sources is None
-        else validate_sources(graph.num_nodes, sources)
-    )
-    if chosen.size == 0:
-        return np.empty(0, dtype=np.int64)
-    level_sizes = bfs_level_sizes_block(graph, chosen)
-    # a source's eccentricity is the index of its last nonempty level
-    return (level_sizes > 0).cumsum(axis=1).argmax(axis=1).astype(np.int64)
-
-
-def diameter(graph: Graph) -> int:
-    """Return the exact diameter of the graph's reachable pairs.
-
-    Runs a BFS per node, batched through the block engine.  Use
-    :func:`approximate_diameter` for graphs beyond a few thousand nodes.
-    Disconnected pairs are ignored (the result is the max eccentricity
-    over all nodes within components).
-    """
-    if graph.num_nodes == 0:
-        raise EmptyGraphError("diameter of an empty graph is undefined")
-    return int(eccentricities(graph).max())
-
-
-def approximate_diameter(graph: Graph, num_sweeps: int = 4, seed: int = 0) -> int:
-    """Lower-bound the diameter with repeated double sweeps.
-
-    Each sweep BFSes from a random node, then BFSes again from the
-    farthest node found; the second eccentricity lower-bounds the
-    diameter and is exact on trees.  Increasing ``num_sweeps`` tightens
-    the bound.
-    """
-    if graph.num_nodes == 0:
-        raise EmptyGraphError("diameter of an empty graph is undefined")
-    rng = np.random.default_rng(seed)
-    best = 0
-    for _ in range(num_sweeps):
-        start = int(rng.integers(graph.num_nodes))
-        dist = bfs_distances(graph, start)
-        far = int(np.argmax(dist))
-        best = max(best, eccentricity(graph, far))
-    return best
 
 
 def local_clustering(graph: Graph, node: int) -> float:
@@ -149,26 +59,6 @@ def average_clustering(graph: Graph, sample: int | None = None, seed: int = 0) -
         nodes = sample_sources(rng, graph.num_nodes, sample, "sample").tolist()
         count = sample
     return sum(local_clustering(graph, int(v)) for v in nodes) / count
-
-
-def global_clustering(graph: Graph) -> float:
-    """Return transitivity: ``3 * triangles / open-or-closed wedges``."""
-    triangles = 0
-    wedges = 0
-    degs = graph.degrees
-    wedges = int(np.sum(degs * (degs - 1) // 2))
-    if wedges == 0:
-        return 0.0
-    for u in range(graph.num_nodes):
-        nbrs_u = graph.neighbors(u)
-        nbr_set = set(int(x) for x in nbrs_u if x > u)
-        for v in nbrs_u:
-            if v <= u:
-                continue
-            for w in graph.neighbors(int(v)):
-                if int(w) in nbr_set and w > v:
-                    triangles += 1
-    return 3.0 * triangles / wedges
 
 
 def degree_assortativity(graph: Graph) -> float:

@@ -17,9 +17,7 @@ __all__ = [
     "induced_subgraph",
     "largest_connected_component",
     "with_edges_added",
-    "with_edges_removed",
     "disjoint_union",
-    "relabeled",
 ]
 
 
@@ -68,25 +66,6 @@ def with_edges_added(graph: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph.from_edges(combined, num_nodes=n)
 
 
-def with_edges_removed(graph: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Return a copy of ``graph`` with the given undirected edges removed.
-
-    Edges absent from the graph are ignored.
-    """
-    drop = np.asarray(list(edges), dtype=np.int64)
-    if drop.size == 0:
-        return graph
-    if drop.ndim != 2 or drop.shape[1] != 2:
-        raise GraphError("edges must be (u, v) pairs")
-    lo = np.minimum(drop[:, 0], drop[:, 1])
-    hi = np.maximum(drop[:, 0], drop[:, 1])
-    drop_keys = set(zip(lo.tolist(), hi.tolist()))
-    kept = [
-        (u, v) for u, v in graph.edge_array().tolist() if (u, v) not in drop_keys
-    ]
-    return Graph.from_edges(kept, num_nodes=graph.num_nodes)
-
-
 def disjoint_union(first: Graph, second: Graph) -> Graph:
     """Return the disjoint union; ``second``'s node ids shift by ``len(first)``."""
     offset = first.num_nodes
@@ -99,18 +78,3 @@ def disjoint_union(first: Graph, second: Graph) -> Graph:
     if not parts:
         return Graph.empty(n)
     return Graph.from_edges(np.concatenate(parts), num_nodes=n)
-
-
-def relabeled(graph: Graph, permutation: Sequence[int]) -> Graph:
-    """Return an isomorphic graph with node ``v`` renamed ``permutation[v]``.
-
-    ``permutation`` must be a permutation of ``0 .. n-1``.
-    """
-    perm = np.asarray(list(permutation), dtype=np.int64)
-    if perm.size != graph.num_nodes or not np.array_equal(
-        np.sort(perm), np.arange(graph.num_nodes)
-    ):
-        raise GraphError("permutation must be a permutation of all node ids")
-    if graph.num_edges == 0:
-        return Graph.empty(graph.num_nodes)
-    return Graph.from_edges(perm[graph.edge_array()], num_nodes=graph.num_nodes)

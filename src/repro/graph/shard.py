@@ -42,7 +42,7 @@ import json
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -407,14 +407,6 @@ class ShardedGraph:
         :func:`repro.store.graph_digest` of the equivalent resident
         graph, so store keys chain through unchanged."""
         return str(self._manifest["graph_digest"])
-
-    @property
-    def manifest_digest(self) -> str:
-        """SHA-256 over the canonical manifest JSON."""
-        payload = json.dumps(
-            self._manifest, sort_keys=True, separators=(",", ":")
-        ).encode()
-        return hashlib.sha256(payload).hexdigest()
 
     @property
     def degrees(self) -> np.ndarray:

@@ -19,9 +19,7 @@ __all__ = [
     "bfs_distances_block",
     "bfs_level_sizes_block",
     "connected_components",
-    "component_sizes",
     "num_connected_components",
-    "is_connected",
     "largest_component_nodes",
 ]
 
@@ -119,26 +117,10 @@ def connected_components(graph: Graph) -> np.ndarray:
     return labels
 
 
-def component_sizes(graph: Graph) -> np.ndarray:
-    """Return component sizes, largest first."""
-    labels = connected_components(graph)
-    if labels.size == 0:
-        return np.empty(0, dtype=np.int64)
-    sizes = np.bincount(labels)
-    return np.sort(sizes)[::-1]
-
-
 def num_connected_components(graph: Graph) -> int:
     """Return the number of connected components (isolated nodes count)."""
     labels = connected_components(graph)
     return int(labels.max()) + 1 if labels.size else 0
-
-
-def is_connected(graph: Graph) -> bool:
-    """Return True when the graph is non-empty and connected."""
-    if graph.num_nodes == 0:
-        return False
-    return num_connected_components(graph) == 1
 
 
 def largest_component_nodes(graph: Graph) -> np.ndarray:

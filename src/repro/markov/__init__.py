@@ -5,13 +5,6 @@ from repro.markov.batch import (
     delta_block,
     evolve_block,
 )
-from repro.markov.hitting import (
-    commute_time,
-    effective_resistance,
-    estimate_hitting_time,
-    hitting_time,
-    hitting_times_to,
-)
 from repro.markov.walk_batch import (
     NO_HIT,
     walk_block,
@@ -19,7 +12,7 @@ from repro.markov.walk_batch import (
     walk_first_hits,
     walk_visit_counts,
 )
-from repro.markov.distance import kl_divergence, l2_distance, total_variation_distance
+from repro.markov.distance import total_variation_distance
 from repro.markov.transition import (
     clear_operator_cache,
     stationary_distribution,
@@ -34,16 +27,9 @@ __all__ = [
     "evolve_block",
     "batched_tvd_profile",
     "total_variation_distance",
-    "l2_distance",
-    "kl_divergence",
     "NO_HIT",
     "walk_block",
     "walk_endpoints",
     "walk_first_hits",
     "walk_visit_counts",
-    "hitting_time",
-    "hitting_times_to",
-    "commute_time",
-    "effective_resistance",
-    "estimate_hitting_time",
 ]

@@ -1,9 +1,5 @@
-"""Distances between probability distributions.
-
-The mixing-time definition (Eq. 2) is parameterized by total variation
-distance; this module provides it along with a couple of alternatives
-used in ablations.
-"""
+"""Total variation distance, the distance that parameterizes the
+mixing-time definition (Eq. 2)."""
 
 from __future__ import annotations
 
@@ -11,15 +7,7 @@ import numpy as np
 
 from repro.errors import GraphError
 
-__all__ = ["total_variation_distance", "l2_distance", "kl_divergence"]
-
-
-def _validate_pair(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise GraphError("distributions must be 1-D arrays of equal length")
-    return p, q
+__all__ = ["total_variation_distance"]
 
 
 def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -30,20 +18,8 @@ def total_variation_distance(p: np.ndarray, q: np.ndarray) -> float:
     and does not change which walk length first crosses a threshold when
     epsilon is scaled accordingly.
     """
-    p, q = _validate_pair(p, q)
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape or p.ndim != 1:
+        raise GraphError("distributions must be 1-D arrays of equal length")
     return 0.5 * float(np.abs(p - q).sum())
-
-
-def l2_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Return the Euclidean distance between two distributions."""
-    p, q = _validate_pair(p, q)
-    return float(np.linalg.norm(p - q))
-
-
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Return ``KL(p || q)``; infinite when p puts mass where q has none."""
-    p, q = _validate_pair(p, q)
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return float("inf")
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))

@@ -15,7 +15,6 @@ from repro.mixing.spectral import (
     sinclair_bounds,
     slem,
     spectral_gap,
-    spectral_mixing_time,
     spectral_summary,
 )
 from repro.mixing.trust import (
@@ -39,7 +38,6 @@ __all__ = [
     "mixing_bounds",
     "PERIODIC_CHAIN",
     "spectral_summary",
-    "spectral_mixing_time",
     "ModulatedOperator",
     "modulated_transition_matrix",
     "modulated_mixing_profile",

@@ -44,7 +44,6 @@ __all__ = [
     "mixing_bounds",
     "PERIODIC_CHAIN",
     "spectral_summary",
-    "spectral_mixing_time",
 ]
 
 #: Accuracy the bounds need: the SLEM error is at most this fraction of
@@ -322,17 +321,3 @@ def spectral_summary(
     bounds = mixing_bounds(graph, mu)
     fast = is_fast_mixing(graph, num_sources=fast_sources, seed=seed)
     return {"slem": mu, "bounds": bounds, "fast": bool(fast)}
-
-
-def spectral_mixing_time(graph: Graph) -> MixingBounds:
-    """Measure SLEM then return Sinclair bounds (:func:`mixing_bounds`).
-
-    The bounds are at ``eps = 1/n``, the fast-mixing threshold scale
-    used throughout the paper (``eps = Theta(1/n)``).  A bipartite
-    graph raises :class:`~repro.errors.GraphError`: its walk is periodic
-    and has no mixing time.
-    """
-    bounds = mixing_bounds(graph, slem(graph))
-    if bounds is None:
-        raise GraphError("no finite mixing time: periodic chain (bipartite graph)")
-    return bounds

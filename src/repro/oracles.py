@@ -10,8 +10,8 @@ table-based sampler — has a one-item-at-a-time twin here that replays
 the same operations walk by walk, source by source, level mask by level
 mask, half-edge by half-edge or route hop by route hop.  So do the
 measurements built on them that the test suite and the speedup
-benchmarks compare (mixing profile, envelope expansion, eccentricities,
-closeness, escape probability, link perturbation), and the edge-churn
+benchmarks compare (mixing profile, envelope expansion, escape
+probability, link perturbation), and the edge-churn
 proposal filter of :class:`repro.dynamics.ChurnModel`.  Every function
 returns exactly what its library namesake returns for the same
 arguments, bit for bit; the library never calls this module.
@@ -53,8 +53,6 @@ __all__ = [
     "bfs_distances_block",
     "bfs_level_sizes_block",
     "envelope_expansion",
-    "eccentricities",
-    "closeness_centrality",
     "loopy_belief_propagation",
     "distribute_tickets",
     "sumup_flow_graph",
@@ -239,28 +237,6 @@ def envelope_expansion(
         sizes.append(result.envelope_sizes[:max_radius])
         neighbors.append(result.frontier_sizes[:max_radius])
     return envelope._measurement(chosen, sizes, neighbors)
-
-
-def eccentricities(graph: Graph, sources=None) -> np.ndarray:
-    """Per-node twin of :func:`repro.graph.eccentricities`."""
-    chosen = range(graph.num_nodes) if sources is None else sources
-    return np.array(
-        [bfs_distances(graph, int(v)).max() for v in chosen], dtype=np.int64
-    )
-
-
-def closeness_centrality(graph: Graph, node: int | None = None) -> np.ndarray:
-    """Per-node twin of :func:`repro.graph.closeness_centrality`."""
-    n = graph.num_nodes
-    nodes = [node] if node is not None else range(n)
-    out = np.zeros(len(nodes))
-    for i, v in enumerate(nodes):
-        reached = bfs_distances(graph, int(v))
-        reached = reached[reached > 0]
-        if reached.size:
-            r = reached.size + 1
-            out[i] = ((r - 1) / max(n - 1, 1)) * ((r - 1) / float(reached.sum()))
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -41,10 +41,7 @@ from repro.sybil.harness import (
 )
 from repro.sybil.ranking import (
     accept_top,
-    modulated_walk_ranking,
-    ranking_correlation,
     ranking_order,
-    ranking_overlap,
     walk_probability_ranking,
 )
 from repro.sybil.sumup import SumUp, SumUpConfig, SumUpResult
@@ -56,7 +53,6 @@ from repro.sybil.sybillimit import SybilLimit, SybilLimitConfig
 from repro.sybil.tickets import (
     TicketDistribution,
     TicketPlan,
-    adaptive_ticket_count,
     distribute_tickets,
     ticket_plans,
 )
@@ -90,7 +86,6 @@ __all__ = [
     "TicketPlan",
     "ticket_plans",
     "distribute_tickets",
-    "adaptive_ticket_count",
     "GateKeeper",
     "GateKeeperConfig",
     "GateKeeperResult",
@@ -112,9 +107,6 @@ __all__ = [
     "walk_probability_ranking",
     "ranking_order",
     "accept_top",
-    "ranking_overlap",
-    "ranking_correlation",
-    "modulated_walk_ranking",
     "DefenseOutcome",
     "standard_attack",
     "evaluate_gatekeeper",

@@ -167,7 +167,7 @@ class GateKeeper:
             return
         target = max(2, int(self._config.reach_fraction * self._graph.num_nodes))
         for distributor, plan in zip(missing, ticket_plans(self._graph, missing)):
-            _, tickets, _ = _doubling(plan, target)
+            tickets = _doubling(plan, target)
             self._reach[distributor] = np.flatnonzero(tickets >= 1.0)
 
     def run(self, controller: int) -> GateKeeperResult:

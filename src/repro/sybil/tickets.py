@@ -26,7 +26,6 @@ __all__ = [
     "TicketPlan",
     "ticket_plans",
     "distribute_tickets",
-    "adaptive_ticket_count",
 ]
 
 
@@ -141,10 +140,13 @@ class TicketPlan:
         edges = edges[np.argsort(self._order[edges])]
         return self._src[edges], self._dst[edges], shares[edges]
 
-    def _distribution(
-        self, num_tickets: float, tickets: np.ndarray, shares: np.ndarray
-    ) -> TicketDistribution:
-        """Wrap one kernel run; ``edge_tickets`` is built in CSR order."""
+    def run(self, num_tickets: float) -> TicketDistribution:
+        """Distribute ``num_tickets`` tickets level by level;
+        ``edge_tickets`` is built in CSR order."""
+        if not (np.isfinite(num_tickets) and num_tickets >= 1):
+            raise SybilDefenseError("num_tickets must be finite and at least 1")
+        num_tickets = float(num_tickets)
+        tickets, shares = self._tickets(num_tickets)
         src, dst, carried = self._carried(shares)
         return TicketDistribution(
             source=self._source,
@@ -155,13 +157,6 @@ class TicketPlan:
                 zip(zip(src.tolist(), dst.tolist()), carried.tolist())
             ),
         )
-
-    def run(self, num_tickets: float) -> TicketDistribution:
-        """Distribute ``num_tickets`` tickets level by level."""
-        if not (np.isfinite(num_tickets) and num_tickets >= 1):
-            raise SybilDefenseError("num_tickets must be finite and at least 1")
-        num_tickets = float(num_tickets)
-        return self._distribution(num_tickets, *self._tickets(num_tickets))
 
 
 def ticket_plans(
@@ -194,60 +189,28 @@ def distribute_tickets(
     return TicketPlan(graph, source).run(num_tickets)
 
 
-def _doubling(
-    plan: TicketPlan,
-    target_reached: int,
-    initial: float = 2.0,
-    max_doublings: int = 40,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Double from ``initial`` until ``target_reached`` nodes hold a ticket.
+#: Budgets a distributor tries (2, 4, ..., 2**40 tickets) before its
+#: reach target counts as unreachable.
+_MAX_DOUBLINGS = 40
 
-    Returns the accepted budget with its kernel run (node tickets, edge
-    shares); callers that read only the reach set skip the wrapping.
+
+def _doubling(plan: TicketPlan, target_reached: int) -> np.ndarray:
+    """GateKeeper's adaptive ticket count: the node tickets of the first
+    budget, doubling from 2, under which ``target_reached`` nodes hold a
+    ticket.
+
+    The protocol does not know n, so each distributor doubles its budget
+    until the reach target is hit.  Raises :class:`SybilDefenseError`
+    if the target is unreachable (e.g. a disconnected graph).
     """
-    budget = float(max(initial, 1.0))
-    for _ in range(max_doublings):
-        tickets, shares = plan._tickets(budget)
+    budget = 2.0
+    for _ in range(_MAX_DOUBLINGS):
+        tickets, _ = plan._tickets(budget)
         reached = int(np.count_nonzero(tickets >= 1.0))
         if reached >= target_reached:
-            return budget, tickets, shares
+            return tickets
         budget *= 2.0
     raise SybilDefenseError(
         f"distributor {plan.source} reached only {reached} nodes "
-        f"(target {target_reached}) after {max_doublings} doublings"
-    )
-
-
-def adaptive_ticket_count(
-    graph: Graph,
-    source: int,
-    target_reached: int,
-    initial: float = 2.0,
-    max_doublings: int = 40,
-    plan: TicketPlan | None = None,
-) -> TicketDistribution:
-    """Double the ticket count until >= ``target_reached`` nodes are reached.
-
-    This is GateKeeper's adaptive estimation of ``t``: the protocol does
-    not know n, so each distributor doubles its ticket budget until the
-    reach target is hit.  Raises :class:`SybilDefenseError` if the target
-    is unreachable (e.g. disconnected graph).  ``plan`` supplies a
-    prebuilt :class:`TicketPlan` for ``source`` (e.g. one of a
-    :func:`ticket_plans` block) so repeated doublings and many
-    distributors share their BFS scaffolding.
-    """
-    if target_reached < 1:
-        raise SybilDefenseError("target_reached must be positive")
-    if max_doublings < 1:
-        raise SybilDefenseError("max_doublings must be at least 1")
-    if not np.isfinite(initial):
-        raise SybilDefenseError("initial must be finite")
-    if plan is None:
-        plan = TicketPlan(graph, source)
-    elif plan.source != int(source):
-        raise SybilDefenseError(
-            f"plan was built for source {plan.source}, not {source}"
-        )
-    return plan._distribution(
-        *_doubling(plan, target_reached, initial, max_doublings)
+        f"(target {target_reached}) after {_MAX_DOUBLINGS} doublings"
     )

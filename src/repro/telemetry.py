@@ -32,8 +32,8 @@ The module-level registry defaults to a **no-op** instance: every
 ``span``/``count``/``gauge`` call on a disabled :class:`Telemetry`
 returns immediately (spans hand back one shared null context manager),
 so instrumented hot paths cost a single attribute check when telemetry
-is off.  :func:`enable` installs a recording registry;
-:func:`activate` scopes one to a ``with`` block (tests, benchmarks).
+is off.  :func:`activate` installs a recording registry for the length
+of a ``with`` block (the CLI's ``--metrics-out``, tests, benchmarks).
 
 :meth:`Telemetry.to_json` renders a canonical metrics document — schema
 version, sorted keys, stable float formatting via ``json`` — suitable
@@ -58,8 +58,6 @@ __all__ = [
     "Telemetry",
     "NULL_TELEMETRY",
     "current",
-    "enable",
-    "disable",
     "activate",
 ]
 
@@ -413,21 +411,6 @@ _active_lock = threading.Lock()
 def current() -> Telemetry:
     """The active registry (the no-op :data:`NULL_TELEMETRY` by default)."""
     return _active
-
-
-def enable() -> Telemetry:
-    """Install and return a fresh recording registry."""
-    global _active
-    with _active_lock:
-        _active = Telemetry()
-        return _active
-
-
-def disable() -> None:
-    """Restore the no-op default registry."""
-    global _active
-    with _active_lock:
-        _active = NULL_TELEMETRY
 
 
 @contextmanager

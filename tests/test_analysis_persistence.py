@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from repro.analysis import ascii_chart, load_results, save_results
+from repro.analysis import ascii_chart, persistence
 from repro.analysis.persistence import (
     from_jsonable,
     register_result_type,
-    registered_result_types,
     to_jsonable,
 )
 from repro.cores import core_structure
@@ -289,6 +289,11 @@ def _privacy_point():
     )
 
 
+def _round_trip(obj):
+    """Encode to JSON text and back, then decode: the store's path."""
+    return from_jsonable(json.loads(json.dumps(to_jsonable(obj))))
+
+
 def _fields_equal(a, b):
     for field in dataclasses.fields(a):
         _values_equal(getattr(a, field.name), getattr(b, field.name), field.name)
@@ -311,16 +316,14 @@ def _values_equal(x, y, name):
 class TestRegisteredResultTypes:
     def test_every_registered_type_has_an_instance(self):
         covered = {type(obj).__name__ for obj in _instances()}
-        registered = {cls.__name__ for cls in registered_result_types()}
+        registered = set(persistence._REGISTRY) | set(persistence._LAZY_TYPES)
         assert covered == registered
 
     @pytest.mark.parametrize(
         "instance", _instances(), ids=lambda obj: type(obj).__name__
     )
-    def test_round_trip(self, instance, tmp_path):
-        path = tmp_path / "r.json"
-        save_results(instance, path)
-        loaded = load_results(path)
+    def test_round_trip(self, instance):
+        loaded = _round_trip(instance)
         assert type(loaded) is type(instance)
         _fields_equal(instance, loaded)
 
@@ -342,13 +345,13 @@ class TestRegisteredResultTypes:
         payload = {(0, 1): 2.0, (3, 4): 5.0}
         assert from_jsonable(to_jsonable(payload)) == payload
 
-    def test_unregistered_dataclass_names_offender(self, tmp_path):
+    def test_unregistered_dataclass_names_offender(self):
         @dataclasses.dataclass
         class Mystery:
             x: int
 
         with pytest.raises(ReproError, match="Mystery"):
-            save_results(Mystery(x=1), tmp_path / "bad.json")
+            to_jsonable([Mystery(x=1)])
         with pytest.raises(ReproError, match="register_result_type"):
             to_jsonable(Mystery(x=1))
 
@@ -366,43 +369,35 @@ class TestRegisteredResultTypes:
 
 
 class TestPersistence:
-    def test_ndarray_round_trip(self, tmp_path):
-        path = tmp_path / "a.json"
+    def test_ndarray_round_trip(self):
         arr = np.array([1.5, 2.5, 3.5])
-        save_results({"values": arr}, path)
-        loaded = load_results(path)
+        loaded = _round_trip({"values": arr})
         assert np.array_equal(loaded["values"], arr)
         assert loaded["values"].dtype == arr.dtype
 
-    def test_mixing_profile_round_trip(self, tmp_path, ba_small):
+    def test_mixing_profile_round_trip(self, ba_small):
         profile = sampled_mixing_profile(
             ba_small, walk_lengths=[1, 4], num_sources=5, seed=0
         )
-        path = tmp_path / "p.json"
-        save_results(profile, path)
-        loaded = load_results(path)
+        loaded = _round_trip(profile)
         assert np.allclose(loaded.tvd, profile.tvd)
         assert np.array_equal(loaded.walk_lengths, profile.walk_lengths)
         assert loaded.lazy == profile.lazy
 
-    def test_core_structure_round_trip(self, tmp_path, ba_small):
+    def test_core_structure_round_trip(self, ba_small):
         structure = core_structure(ba_small)
-        path = tmp_path / "c.json"
-        save_results(structure, path)
-        loaded = load_results(path)
+        loaded = _round_trip(structure)
         assert np.array_equal(loaded.num_cores, structure.num_cores)
         assert np.allclose(loaded.node_fraction, structure.node_fraction)
 
-    def test_expansion_summary_round_trip(self, tmp_path, ba_small):
+    def test_expansion_summary_round_trip(self, ba_small):
         summary = aggregate_by_set_size(
             envelope_expansion(ba_small, num_sources=5, seed=0)
         )
-        path = tmp_path / "e.json"
-        save_results(summary, path)
-        loaded = load_results(path)
+        loaded = _round_trip(summary)
         assert np.allclose(loaded.mean, summary.mean)
 
-    def test_defense_outcome_round_trip(self, tmp_path):
+    def test_defense_outcome_round_trip(self):
         outcome = DefenseOutcome(
             dataset="x",
             defense="gatekeeper",
@@ -411,27 +406,19 @@ class TestPersistence:
             sybils_per_attack_edge=1.5,
             num_controllers=3,
         )
-        path = tmp_path / "d.json"
-        save_results([outcome, outcome], path)
-        loaded = load_results(path)
+        loaded = _round_trip([outcome, outcome])
         assert loaded[0] == outcome
         assert len(loaded) == 2
 
-    def test_nested_structures(self, tmp_path):
+    def test_nested_structures(self):
         payload = {"a": [1, 2.5, "s", None, True], "b": {"c": np.arange(3)}}
-        path = tmp_path / "n.json"
-        save_results(payload, path)
-        loaded = load_results(path)
+        loaded = _round_trip(payload)
         assert loaded["a"] == [1, 2.5, "s", None, True]
         assert np.array_equal(loaded["b"]["c"], np.arange(3))
 
-    def test_unserializable_rejected(self, tmp_path):
+    def test_unserializable_rejected(self):
         with pytest.raises(ReproError):
-            save_results({"f": lambda: None}, tmp_path / "bad.json")
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ReproError):
-            load_results(tmp_path / "absent.json")
+            to_jsonable({"f": lambda: None})
 
 
 class TestAsciiChart:

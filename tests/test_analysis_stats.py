@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import ecdf, geometric_mean, spearman, summarize
+from repro.analysis import ecdf, spearman
 from repro.errors import ReproError
 
 
@@ -45,25 +45,3 @@ class TestSpearman:
     def test_length_mismatch(self):
         with pytest.raises(ReproError):
             spearman(np.ones(3), np.ones(2))
-
-
-class TestSummarize:
-    def test_fields(self):
-        s = summarize(np.array([1.0, 2.0, 3.0]))
-        assert s["min"] == 1.0
-        assert s["max"] == 3.0
-        assert s["mean"] == 2.0
-        assert s["median"] == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            summarize(np.array([]))
-
-
-class TestGeometricMean:
-    def test_known_value(self):
-        assert geometric_mean(np.array([1.0, 4.0])) == pytest.approx(2.0)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ReproError):
-            geometric_mean(np.array([1.0, 0.0]))

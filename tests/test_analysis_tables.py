@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import format_series, format_table
+from repro.analysis import format_table
 
 
 class TestFormatTable:
@@ -26,22 +26,3 @@ class TestFormatTable:
     def test_empty_rows(self):
         out = format_table(["a"], [])
         assert "a" in out
-
-
-class TestFormatSeries:
-    def test_basic(self):
-        out = format_series([1, 2], [10, 20], "k", "count")
-        assert "k" in out
-        assert "20" in out
-
-    def test_subsampling_keeps_endpoints(self):
-        xs = list(range(100))
-        ys = [x * 2 for x in xs]
-        out = format_series(xs, ys, max_points=10)
-        assert "0" in out
-        assert "99" in out
-        assert len(out.splitlines()) < 20
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series([1], [1, 2])

@@ -4,7 +4,7 @@ The block engine must be a pure re-expression of the per-source BFS:
 every test pins a batched result byte-identical against the per-source
 oracle in :mod:`repro.oracles` — across chunk sizes, worker counts,
 disconnected graphs, isolated and duplicate sources — and the consumers
-(envelope expansion, eccentricity/diameter, closeness, ticket plans)
+(envelope expansion, ticket plans)
 are pinned the same way against their oracles.
 """
 
@@ -30,14 +30,9 @@ from repro.graph import (
     bfs_distances,
     bfs_distances_block,
     bfs_level_sizes_block,
-    closeness_centrality,
-    diameter,
-    eccentricities,
-    eccentricity,
 )
 from repro.parallel import execution
 from repro.sybil import TicketPlan, ticket_plans
-from repro.sybil.tickets import adaptive_ticket_count
 
 CHUNK_SIZES = [1, 2, 5, 64, 1000]
 WORKER_COUNTS = [1, 2, 4]
@@ -297,52 +292,6 @@ class TestEnvelopeStrategyEquivalence:
             envelope_expansion(k5, strategy="sequential")
 
 
-class TestMetricsStrategyEquivalence:
-    @pytest.mark.parametrize(
-        "graph_factory",
-        [
-            lambda: barabasi_albert(120, 3, seed=4),
-            lambda: path_graph(25),
-            lambda: Graph.from_edges([(0, 1), (2, 3)], num_nodes=5),
-        ],
-    )
-    def test_eccentricities_agree(self, graph_factory):
-        graph = graph_factory()
-        seq = oracles.eccentricities(graph)
-        bat = eccentricities(graph)
-        assert bat.tobytes() == seq.tobytes()
-        for v in range(graph.num_nodes):
-            assert bat[v] == eccentricity(graph, v)
-
-    def test_eccentricities_subset_sources(self, ba_small):
-        sources = [3, 17, 80]
-        seq = oracles.eccentricities(ba_small, sources=sources)
-        bat = eccentricities(ba_small, sources=sources)
-        assert bat.tobytes() == seq.tobytes()
-
-    def test_diameter_agrees(self, ba_small):
-        assert diameter(ba_small) == oracles.eccentricities(ba_small).max()
-
-    @pytest.mark.parametrize("chunk_size,workers", [(1, None), (7, 2), (None, 4)])
-    def test_closeness_identical(self, ba_small, chunk_size, workers):
-        seq = oracles.closeness_centrality(ba_small)
-        with execution(chunk_size=chunk_size, workers=workers):
-            bat = closeness_centrality(ba_small)
-        assert bat.tobytes() == seq.tobytes()
-
-    def test_closeness_identical_on_disconnected(self, two_components):
-        seq = oracles.closeness_centrality(two_components)
-        bat = closeness_centrality(two_components)
-        assert bat.tobytes() == seq.tobytes()
-
-    def test_unknown_strategy_rejected(self, k5):
-        # the oracles live in repro.oracles; the metrics have no knob
-        with pytest.raises(TypeError):
-            eccentricities(k5, strategy="sequential")
-        with pytest.raises(TypeError):
-            closeness_centrality(k5, strategy="sequential")
-
-
 class TestTicketPlanBatching:
     def test_plans_match_per_source_bfs(self, ba_small):
         sources = [0, 7, 7, 42]
@@ -359,18 +308,6 @@ class TestTicketPlanBatching:
         assert result.node_tickets.tobytes() == oracle.node_tickets.tobytes()
         assert np.array_equal(result.reached, oracle.reached)
         assert result.edge_tickets == oracle.edge_tickets
-
-    def test_adaptive_count_with_plan_matches_without(self, ba_small):
-        (plan,) = ticket_plans(ba_small, [5])
-        with_plan = adaptive_ticket_count(ba_small, 5, 100, plan=plan)
-        without = adaptive_ticket_count(ba_small, 5, 100)
-        assert with_plan.tickets_sent == without.tickets_sent
-        assert np.array_equal(with_plan.reached, without.reached)
-
-    def test_mismatched_plan_rejected(self, ba_small):
-        (plan,) = ticket_plans(ba_small, [5])
-        with pytest.raises(SybilDefenseError):
-            adaptive_ticket_count(ba_small, 6, 100, plan=plan)
 
     def test_wrong_shape_distances_rejected(self, ba_small):
         with pytest.raises(SybilDefenseError):

@@ -10,8 +10,8 @@ Covers the two confirmed empty-source-set crashes (PR 4):
   ``ThreadPoolExecutor(max_workers=0)``.
 
 Both are also pinned where users hit them: the public entry points of
-the BFS engine (``graph.metrics.eccentricities``) and the walk engine
-(``markov.batch.batched_tvd_profile`` / ``evolve_block``).
+the walk engine (``markov.batch.batched_tvd_profile`` /
+``evolve_block``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import repro
 from repro import oracles, telemetry
 from repro.chunking import DEFAULT_CHUNK_SIZE, resolve_chunks, run_chunks
 from repro.errors import GraphError
-from repro.graph.metrics import eccentricities
 from repro.markov.batch import batched_tvd_profile, evolve_block
 from repro.markov.transition import stationary_distribution
 from repro.parallel import execution
@@ -59,24 +58,6 @@ class TestEmptySourceRegressions:
         calls: list[slice] = []
         run_chunks(calls.append, [], workers=workers)
         assert calls == []
-
-    def test_eccentricities_empty_sources(self, ba_small):
-        # the BFS engine's public face: empty sources -> empty result
-        with execution(workers=4):
-            out = eccentricities(ba_small, sources=[])
-        assert out.shape == (0,)
-        assert out.dtype == np.int64
-
-    def test_eccentricities_empty_sources_sequential(self, ba_small):
-        out = oracles.eccentricities(ba_small, sources=[])
-        assert out.shape == (0,)
-
-    def test_eccentricities_empty_sources_unknown_strategy_rejected(
-        self, ba_small
-    ):
-        # the oracle lives in repro.oracles; the metric has no knob
-        with pytest.raises(TypeError):
-            eccentricities(ba_small, sources=[], strategy="sequential")
 
     def test_batched_tvd_profile_empty_sources(self, k5):
         # the walk engine's public face: (0, len(walk_lengths)) result
@@ -323,4 +304,3 @@ def test_no_engine_takes_a_schedule_argument():
             if found:
                 offenders.append(f"{qualname}: {sorted(found)}")
     assert offenders == []
-

@@ -5,16 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.community import (
-    greedy_modularity,
-    label_propagation,
-    modularity,
-    normalized_mutual_information,
-    partition_map,
-)
+from repro.community import greedy_modularity, modularity
 from repro.errors import GraphError
-from repro.generators import barbell_graph, complete_graph, planted_partition
+from repro.generators import barbell_graph, complete_graph
 from repro.graph import Graph
+from tests.helpers import normalized_mutual_information, planted_partition
 
 
 @pytest.fixture(scope="module")
@@ -23,30 +18,6 @@ def planted():
     graph = planted_partition(4, 30, 0.4, 0.005, seed=0)
     truth = np.repeat(np.arange(4), 30)
     return graph, truth
-
-
-class TestLabelPropagation:
-    def test_barbell_two_communities(self):
-        g = barbell_graph(8, 0)
-        labels = label_propagation(g, seed=1)
-        assert np.unique(labels[:8]).size == 1
-        assert np.unique(labels[8:]).size == 1
-        assert labels[0] != labels[8]
-
-    def test_planted_partition_recovered(self, planted):
-        graph, truth = planted
-        labels = label_propagation(graph, seed=2)
-        assert normalized_mutual_information(labels, truth) > 0.8
-
-    def test_labels_contiguous(self, planted):
-        graph, _ = planted
-        labels = label_propagation(graph, seed=3)
-        assert labels.min() == 0
-        assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
-
-    def test_empty_rejected(self):
-        with pytest.raises(GraphError):
-            label_propagation(Graph.empty())
 
 
 class TestModularity:
@@ -87,34 +58,6 @@ class TestGreedyModularity:
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
             greedy_modularity(Graph.empty())
-
-
-class TestPartitionUtilities:
-    def test_partition_map(self):
-        labels = np.array([0, 1, 0, 2])
-        groups = partition_map(labels)
-        assert np.array_equal(groups[0], [0, 2])
-        assert np.array_equal(groups[1], [1])
-        assert np.array_equal(groups[2], [3])
-
-    def test_nmi_identical(self):
-        labels = np.array([0, 0, 1, 1, 2])
-        assert normalized_mutual_information(labels, labels) == pytest.approx(1.0)
-
-    def test_nmi_permutation_invariant(self):
-        a = np.array([0, 0, 1, 1])
-        b = np.array([5, 5, 3, 3])
-        assert normalized_mutual_information(a, b) == pytest.approx(1.0)
-
-    def test_nmi_independent_low(self):
-        rng = np.random.default_rng(7)
-        a = rng.integers(0, 5, 500)
-        b = rng.integers(0, 5, 500)
-        assert normalized_mutual_information(a, b) < 0.1
-
-    def test_nmi_length_mismatch(self):
-        with pytest.raises(GraphError):
-            normalized_mutual_information(np.zeros(3), np.zeros(4))
 
 
 class TestPaperConnection:

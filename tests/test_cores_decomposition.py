@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cores import core_decomposition, degeneracy, k_core, k_shell
+from repro.cores import core_decomposition, degeneracy
 from repro.errors import GraphError
 from repro.generators import complete_graph, cycle_graph, path_graph, star_graph
 from repro.graph import Graph
@@ -61,57 +61,3 @@ class TestDegeneracy:
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
             degeneracy(Graph.empty())
-
-
-class TestKCore:
-    def test_two_core_drops_tail(self, square_with_tail):
-        core, ids = k_core(square_with_tail, 2)
-        assert core.num_nodes == 4
-        assert np.array_equal(ids, [0, 1, 2, 3])
-        assert np.all(core.degrees >= 2)
-
-    def test_zero_core_is_whole_graph(self, square_with_tail):
-        core, _ = k_core(square_with_tail, 0)
-        assert core.num_nodes == square_with_tail.num_nodes
-
-    def test_core_above_degeneracy_empty(self, k5):
-        core, ids = k_core(k5, 5)
-        assert core.num_nodes == 0
-        assert ids.size == 0
-
-    def test_min_degree_invariant(self, ba_small):
-        for k in [1, 2, 3, 4]:
-            core, _ = k_core(ba_small, k)
-            if core.num_nodes:
-                assert core.degrees.min() >= k
-
-    def test_maximality(self, ba_small):
-        """No node outside the k-core could be added while keeping
-        minimum degree k (checked via coreness equivalence)."""
-        coreness = core_decomposition(ba_small)
-        core, ids = k_core(ba_small, 3)
-        member = set(ids.tolist())
-        for node in range(ba_small.num_nodes):
-            if coreness[node] >= 3:
-                assert node in member
-            else:
-                assert node not in member
-
-    def test_negative_k_rejected(self, k5):
-        with pytest.raises(GraphError):
-            k_core(k5, -1)
-
-
-class TestKShell:
-    def test_shells_partition_nodes(self, square_with_tail):
-        shells = [k_shell(square_with_tail, k) for k in range(3)]
-        combined = np.sort(np.concatenate(shells))
-        assert np.array_equal(combined, np.arange(6))
-
-    def test_shell_values(self, square_with_tail):
-        assert np.array_equal(k_shell(square_with_tail, 1), [4, 5])
-        assert np.array_equal(k_shell(square_with_tail, 2), [0, 1, 2, 3])
-
-    def test_negative_rejected(self, k5):
-        with pytest.raises(GraphError):
-            k_shell(k5, -2)

@@ -5,12 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cores import (
-    core_counts,
-    core_structure,
-    coreness_ecdf,
-    relative_core_sizes,
-)
+from repro.cores import core_structure, coreness_ecdf
 from repro.errors import GraphError
 from repro.generators import barbell_graph, complete_graph, cycle_graph
 from repro.graph import Graph
@@ -63,14 +58,6 @@ class TestCoreStructure:
         assert s.num_cores[4] == 2
         assert s.num_cores[1] == 1
 
-    def test_max_single_core_k(self):
-        g = barbell_graph(5, 3)
-        s = core_structure(g)
-        # internal path nodes have degree 2, so the 2-core (cliques +
-        # path) is still one component; the 3-core splits into the two
-        # cliques — single-core holds up to k = 2 exactly
-        assert s.max_single_core_k() == 2
-
     def test_cycle_structure(self):
         s = core_structure(cycle_graph(6))
         assert s.degeneracy == 2
@@ -79,20 +66,6 @@ class TestCoreStructure:
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
             core_structure(Graph.empty())
-
-
-class TestConvenienceAccessors:
-    def test_relative_core_sizes_match_structure(self, ba_small):
-        ks, nu, tau = relative_core_sizes(ba_small)
-        s = core_structure(ba_small)
-        assert np.array_equal(ks, s.ks)
-        assert np.array_equal(nu, s.node_fraction)
-        assert np.array_equal(tau, s.edge_fraction)
-
-    def test_core_counts_match_structure(self, ba_small):
-        ks, counts = core_counts(ba_small)
-        s = core_structure(ba_small)
-        assert np.array_equal(counts, s.num_cores)
 
 
 class TestPaperClaim:

@@ -13,7 +13,7 @@ from repro.datasets import (
     load_dataset,
 )
 from repro.errors import DatasetError
-from repro.graph import is_connected
+from repro.graph import num_connected_components
 from repro.mixing import slem
 
 
@@ -44,7 +44,7 @@ class TestRegistry:
 class TestLoading:
     def test_load_connected(self):
         g = load_dataset("epinions", scale=0.1)
-        assert is_connected(g)
+        assert num_connected_components(g) == 1
 
     def test_scale_controls_size(self):
         small = load_dataset("wiki_vote", scale=0.1)

@@ -11,7 +11,6 @@ from repro.digraph import (
     directed_preferential_attachment,
     directed_stationary,
     directed_transition_matrix,
-    random_digraph,
 )
 from repro.errors import GeneratorError, GraphError, NodeNotFoundError
 from repro.generators import complete_graph
@@ -121,14 +120,6 @@ class TestGenerators:
             directed_preferential_attachment(5, 5)
         with pytest.raises(GeneratorError):
             directed_preferential_attachment(10, 2, reciprocity=1.5)
-
-    def test_random_digraph_exact_arcs(self):
-        dg = random_digraph(20, 50, seed=3)
-        assert dg.num_arcs == 50
-
-    def test_random_digraph_bounds(self):
-        with pytest.raises(GeneratorError):
-            random_digraph(3, 7)
 
 
 class TestChain:

@@ -45,12 +45,6 @@ class TestRouter:
         )
         assert router.utility(nbr, dest) > router.utility(far, dest)
 
-    def test_next_hop_returns_destination_when_adjacent(self, contact_graph, rng):
-        router = SimBetRouter(contact_graph)
-        dest = 11
-        holder = int(contact_graph.neighbors(dest)[0])
-        assert router.next_hop(holder, dest, rng) == dest
-
     def test_invalid_alpha(self, contact_graph):
         with pytest.raises(GraphError):
             SimBetRouter(contact_graph, alpha=1.5)

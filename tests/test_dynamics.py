@@ -12,7 +12,6 @@ from repro.dynamics import (
     GrowthModel,
     SnapshotMetrics,
     apply_delta,
-    event_stream,
     snapshots,
     track_evolution,
 )
@@ -197,20 +196,6 @@ class TestEventStreamEquivalence:
         gdelta = GrowthModel(nodes_per_step=7, seed=6).step_events(base_graph)
         assert apply_delta(base_graph, gdelta) == grown
 
-    def test_event_stream_replays_model_steps(self, base_graph):
-        deltas = list(
-            event_stream(base_graph, ChurnModel(churn_rate=0.1, seed=7), 3)
-        )
-        assert len(deltas) == 3
-        replayed = base_graph
-        for delta in deltas:
-            replayed = apply_delta(replayed, delta)
-        stepped = base_graph
-        model = ChurnModel(churn_rate=0.1, seed=7)
-        for _ in range(3):
-            stepped = model.step(stepped)
-        assert replayed == stepped
-
     def test_delta_validation(self):
         with pytest.raises(GraphError):
             GraphDelta(
@@ -232,10 +217,10 @@ class TestSnapshots:
         assert len(seq) == 4
 
     def test_keep_largest_component(self, base_graph):
-        from repro.graph import is_connected
+        from repro.graph import num_connected_components
 
         seq = list(snapshots(base_graph, ChurnModel(churn_rate=0.3, seed=8), 2))
-        assert all(is_connected(g) for g in seq)
+        assert all(num_connected_components(g) == 1 for g in seq)
 
     def test_negative_steps_rejected(self, base_graph):
         with pytest.raises(GraphError):

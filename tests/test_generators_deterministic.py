@@ -15,7 +15,7 @@ from repro.generators import (
     path_graph,
     star_graph,
 )
-from repro.graph import diameter, is_connected
+from repro.graph import bfs_distances_block, num_connected_components
 
 
 class TestCycle:
@@ -74,10 +74,11 @@ class TestGrid:
         g = grid_graph(3, 4)
         assert g.num_nodes == 12
         assert g.num_edges == 3 * 3 + 2 * 4  # horizontal + vertical
-        assert is_connected(g)
+        assert num_connected_components(g) == 1
 
     def test_diameter(self):
-        assert diameter(grid_graph(3, 3)) == 4
+        g = grid_graph(3, 3)
+        assert bfs_distances_block(g, range(g.num_nodes)).max() == 4
 
     def test_degenerate_1x1(self):
         g = grid_graph(1, 1)
@@ -95,12 +96,12 @@ class TestBarbell:
         assert g.num_nodes == 10
         # two K4 (6 edges each) + path of 3 edges
         assert g.num_edges == 15
-        assert is_connected(g)
+        assert num_connected_components(g) == 1
 
     def test_zero_path(self):
         g = barbell_graph(3, 0)
         assert g.num_nodes == 6
-        assert is_connected(g)
+        assert num_connected_components(g) == 1
         assert g.num_edges == 7  # 3 + 3 + bridge
 
     def test_invalid_clique(self):
@@ -117,7 +118,7 @@ class TestLollipop:
         g = lollipop_graph(4, 3)
         assert g.num_nodes == 7
         assert g.num_edges == 9
-        assert is_connected(g)
+        assert num_connected_components(g) == 1
         assert g.degree(6) == 1
 
     def test_invalid(self):

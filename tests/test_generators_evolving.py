@@ -1,4 +1,4 @@
-"""Unit tests for Forest Fire, Kronecker and interaction graphs."""
+"""Unit tests for interaction graphs."""
 
 from __future__ import annotations
 
@@ -6,79 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import GeneratorError
-from repro.generators import (
-    community_social_graph,
-    forest_fire,
-    interaction_graph,
-    stochastic_kronecker,
-    tie_strengths,
-)
-from repro.graph import (
-    Graph,
-    average_clustering,
-    is_connected,
-    largest_connected_component,
-)
-
-
-class TestForestFire:
-    def test_connected_by_construction(self):
-        g = forest_fire(300, 0.3, seed=0)
-        assert is_connected(g)
-        assert g.num_nodes == 300
-
-    def test_burn_probability_densifies(self):
-        sparse = forest_fire(400, 0.1, seed=1)
-        dense = forest_fire(400, 0.5, seed=1)
-        assert dense.num_edges > sparse.num_edges
-
-    def test_burning_creates_clustering(self):
-        g = forest_fire(400, 0.45, seed=2)
-        assert average_clustering(g) > 0.15
-
-    def test_deterministic(self):
-        assert forest_fire(150, 0.3, seed=3) == forest_fire(150, 0.3, seed=3)
-
-    def test_max_burn_caps_degree_growth(self):
-        capped = forest_fire(300, 0.6, seed=4, max_burn=2)
-        assert capped.num_edges <= 2 * 300
-
-    def test_invalid_params(self):
-        with pytest.raises(GeneratorError):
-            forest_fire(1, 0.3)
-        with pytest.raises(GeneratorError):
-            forest_fire(10, 1.0)
-
-
-class TestKronecker:
-    def test_node_count_is_power(self):
-        init = np.array([[0.9, 0.5], [0.5, 0.2]])
-        g = stochastic_kronecker(init, 7, seed=0)
-        assert g.num_nodes == 2**7
-
-    def test_edge_count_scales_with_initiator_mass(self):
-        light = stochastic_kronecker(np.array([[0.7, 0.3], [0.3, 0.1]]), 8, seed=1)
-        heavy = stochastic_kronecker(np.array([[0.95, 0.6], [0.6, 0.3]]), 8, seed=1)
-        assert heavy.num_edges > light.num_edges
-
-    def test_core_periphery_structure(self):
-        """The classic initiator yields a dense core around node 0."""
-        g = stochastic_kronecker(np.array([[0.9, 0.5], [0.5, 0.2]]), 8, seed=2)
-        low_ids = g.degrees[:16].mean()
-        high_ids = g.degrees[-16:].mean()
-        assert low_ids > high_ids
-
-    def test_invalid_initiator(self):
-        with pytest.raises(GeneratorError):
-            stochastic_kronecker(np.array([[0.5]]), 3)
-        with pytest.raises(GeneratorError):
-            stochastic_kronecker(np.array([[0.5, 1.5], [0.2, 0.1]]), 3)
-        with pytest.raises(GeneratorError):
-            stochastic_kronecker(np.array([[0.5, 0.2], [0.2, 0.1]]), 0)
-
-    def test_size_guard(self):
-        with pytest.raises(GeneratorError):
-            stochastic_kronecker(np.full((2, 2), 0.5), 25)
+from repro.generators import community_social_graph, interaction_graph, tie_strengths
+from repro.graph import Graph, largest_connected_component
 
 
 class TestInteractionGraph:

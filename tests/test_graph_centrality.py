@@ -7,12 +7,7 @@ import pytest
 
 from repro.errors import EmptyGraphError, GraphError
 from repro.generators import complete_graph, cycle_graph, path_graph, star_graph
-from repro.graph import (
-    Graph,
-    betweenness_centrality,
-    closeness_centrality,
-    degree_centrality,
-)
+from repro.graph import Graph, betweenness_centrality
 
 
 class TestBetweenness:
@@ -59,45 +54,3 @@ class TestBetweenness:
     def test_empty_rejected(self):
         with pytest.raises(EmptyGraphError):
             betweenness_centrality(Graph.empty())
-
-
-class TestCloseness:
-    def test_star_hub(self):
-        g = star_graph(5)
-        scores = closeness_centrality(g)
-        assert scores[0] == pytest.approx(1.0)
-        leaf = (5 / 5) * (5 / (1 + 2 * 4))
-        assert scores[1] == pytest.approx(leaf)
-
-    def test_single_node_query(self):
-        g = path_graph(5)
-        full = closeness_centrality(g)
-        one = closeness_centrality(g, node=2)
-        assert one[0] == pytest.approx(full[2])
-
-    def test_disconnected_component_correction(self):
-        g = Graph.from_edges([(0, 1)], num_nodes=4)
-        scores = closeness_centrality(g)
-        assert scores[0] == pytest.approx((1 / 3) * (1 / 1))
-        assert scores[2] == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyGraphError):
-            closeness_centrality(Graph.empty())
-
-
-class TestDegreeCentrality:
-    def test_complete(self):
-        assert np.allclose(degree_centrality(complete_graph(5)), 1.0)
-
-    def test_star(self):
-        scores = degree_centrality(star_graph(4))
-        assert scores[0] == pytest.approx(1.0)
-        assert scores[1] == pytest.approx(0.25)
-
-    def test_single_node(self):
-        assert degree_centrality(Graph.empty(1))[0] == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyGraphError):
-            degree_centrality(Graph.empty())

@@ -11,9 +11,7 @@ from repro.graph import (
     disjoint_union,
     induced_subgraph,
     largest_connected_component,
-    relabeled,
     with_edges_added,
-    with_edges_removed,
 )
 
 
@@ -73,24 +71,6 @@ class TestEdgeEdits:
         g = with_edges_added(triangle, [(0, 1)])
         assert g.num_edges == 3
 
-    def test_remove_edges(self, triangle):
-        g = with_edges_removed(triangle, [(0, 1)])
-        assert g.num_edges == 2
-        assert not g.has_edge(0, 1)
-        assert g.num_nodes == 3
-
-    def test_remove_respects_orientation_insensitivity(self, triangle):
-        g = with_edges_removed(triangle, [(1, 0)])
-        assert not g.has_edge(0, 1)
-
-    def test_remove_missing_edge_ignored(self, triangle):
-        g = with_edges_removed(triangle, [(0, 9)])
-        assert g.num_edges == 3
-
-    def test_original_untouched(self, triangle):
-        with_edges_removed(triangle, [(0, 1)])
-        assert triangle.num_edges == 3
-
     def test_add_rejects_bad_shape(self, triangle):
         with pytest.raises(GraphError):
             with_edges_added(triangle, np.array([[1, 2, 3]]))
@@ -108,19 +88,3 @@ class TestUnionAndRelabel:
         g = disjoint_union(triangle, Graph.empty(2))
         assert g.num_nodes == 5
         assert g.num_edges == 3
-
-    def test_relabel_is_isomorphic(self, square_with_tail):
-        perm = [5, 4, 3, 2, 1, 0]
-        g = relabeled(square_with_tail, perm)
-        assert g.num_edges == square_with_tail.num_edges
-        assert sorted(g.degrees.tolist()) == sorted(
-            square_with_tail.degrees.tolist()
-        )
-        assert g.has_edge(5, 4)  # old (0, 1)
-
-    def test_relabel_rejects_non_permutation(self, triangle):
-        with pytest.raises(GraphError):
-            relabeled(triangle, [0, 0, 1])
-
-    def test_relabel_identity(self, triangle):
-        assert relabeled(triangle, [0, 1, 2]) == triangle

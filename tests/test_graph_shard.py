@@ -29,7 +29,6 @@ from repro.datasets import (
     STREAM_REGIMES,
     build_sharded_analog,
     stream_analog_edges,
-    stream_fingerprint,
 )
 from repro.errors import ConvergenceError, DatasetError, GraphError
 from repro.generators import complete_graph, cycle_graph
@@ -550,18 +549,9 @@ class TestStreamingAnalogs:
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
-    def test_fingerprint_identifies_stream(self):
-        base = stream_fingerprint(5000, "fast", seed=4)
-        assert base == stream_fingerprint(5000, "fast", seed=4)
-        assert base != stream_fingerprint(5000, "fast", seed=5)
-        assert base != stream_fingerprint(5000, "slow", seed=4)
-        assert base != stream_fingerprint(5001, "fast", seed=4)
-
     def test_unknown_regime_rejected(self):
         with pytest.raises(DatasetError):
             list(stream_analog_edges(100, "medium"))
-        with pytest.raises(DatasetError):
-            stream_fingerprint(100, "medium")
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(DatasetError):

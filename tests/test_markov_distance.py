@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.markov import kl_divergence, l2_distance, total_variation_distance
+from repro.markov import total_variation_distance
 
 
 class TestTotalVariation:
@@ -32,35 +32,3 @@ class TestTotalVariation:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(GraphError):
             total_variation_distance(np.ones(2) / 2, np.ones(3) / 3)
-
-
-class TestL2:
-    def test_known_value(self):
-        assert l2_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(
-            np.sqrt(2)
-        )
-
-    def test_zero_on_equal(self):
-        p = np.array([0.25, 0.75])
-        assert l2_distance(p, p) == 0.0
-
-
-class TestKL:
-    def test_zero_on_equal(self):
-        p = np.array([0.4, 0.6])
-        assert kl_divergence(p, p) == pytest.approx(0.0)
-
-    def test_infinite_on_missing_support(self):
-        p = np.array([0.5, 0.5])
-        q = np.array([1.0, 0.0])
-        assert kl_divergence(p, q) == float("inf")
-
-    def test_known_value(self):
-        p = np.array([1.0, 0.0])
-        q = np.array([0.5, 0.5])
-        assert kl_divergence(p, q) == pytest.approx(np.log(2))
-
-    def test_asymmetric(self):
-        p = np.array([0.9, 0.1])
-        q = np.array([0.5, 0.5])
-        assert kl_divergence(p, q) != kl_divergence(q, p)

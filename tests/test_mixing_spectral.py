@@ -26,7 +26,6 @@ from repro.mixing import (
     slem,
     spectral,
     spectral_gap,
-    spectral_mixing_time,
     spectral_summary,
 )
 from repro.pipeline import paper_measurement_pipeline
@@ -258,18 +257,6 @@ class TestPeriodicChains:
         with pytest.raises(GraphError, match="SLEM must lie in"):
             mixing_bounds(Graph.from_edges([(0, 1)]), 1.0)
 
-    @pytest.mark.parametrize("n", [8, 600])
-    def test_spectral_mixing_time_rejects_even_cycle(self, n):
-        # 8 nodes take the dense path, 600 the Lanczos path
-        with pytest.raises(GraphError, match="periodic chain"):
-            spectral_mixing_time(cycle_graph(n))
-
-    def test_spectral_mixing_time_keeps_odd_cycle_bound(self):
-        g = cycle_graph(9)
-        bounds = spectral_mixing_time(g)
-        assert bounds == mixing_bounds(g, slem(g))
-        assert bounds.upper == pytest.approx(72.8675, abs=1e-4)
-
     def test_mixing_bounds_takes_epsilon(self):
         g = cycle_graph(9)
         mu = slem(g)
@@ -308,8 +295,3 @@ class TestSinclairBounds:
     def test_invalid_epsilon(self):
         with pytest.raises(GraphError):
             sinclair_bounds(0.5, 100, 0.0)
-
-    def test_spectral_mixing_time_defaults_epsilon(self, k5):
-        bounds = spectral_mixing_time(k5)
-        assert bounds.epsilon == pytest.approx(1 / 5)
-        assert bounds.slem == pytest.approx(0.25)

@@ -2,8 +2,8 @@
 
 networkx is used ONLY here — the library itself never imports it.  These
 tests feed the same random graphs to both implementations and demand
-exact agreement on coreness, components, BFS distances, diameter,
-clustering and modularity.
+exact agreement on coreness, components, BFS distances, clustering and
+modularity.
 """
 
 from __future__ import annotations
@@ -12,15 +12,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.community import greedy_modularity, label_propagation, modularity
+from repro.community import greedy_modularity, modularity
 from repro.cores import core_decomposition
-from repro.generators import (
-    barbell_graph,
-    cycle_graph,
-    erdos_renyi_gnm,
-    path_graph,
-    star_graph,
-)
+from repro.generators import barbell_graph, cycle_graph, path_graph, star_graph
 from repro.graph import (
     Graph,
     average_clustering,
@@ -28,14 +22,12 @@ from repro.graph import (
     bfs_distances_block,
     bfs_level_sizes_block,
     connected_components,
-    diameter,
-    eccentricities,
-    global_clustering,
     num_connected_components,
 )
 from repro.markov import delta_block, evolve_block
 from repro.mixing import sampled_mixing_profile, slem
 from repro.parallel import execution
+from tests.helpers import erdos_renyi_gnm, planted_partition
 
 
 def _random_pair(num_nodes: int, num_edges: int, seed: int):
@@ -89,11 +81,6 @@ class TestDistancesOracle:
             else:
                 assert dist[node] == -1
 
-    def test_diameter_on_connected_graph(self):
-        ours, theirs = _random_pair(30, 120, 5)
-        assert nx.is_connected(theirs)
-        assert diameter(ours) == nx.diameter(theirs)
-
 
 class TestBfsBlockOracle:
     """The block BFS engine against networkx shortest-path lengths, on
@@ -139,16 +126,6 @@ class TestBfsBlockOracle:
             for node in range(n):
                 assert block[j, node] == expected.get(node, -1)
 
-    @pytest.mark.parametrize("n,m,seed", PAIRS[:3])
-    def test_eccentricities_on_connected(self, n, m, seed):
-        ours, theirs = _random_pair(n, m, seed)
-        if not nx.is_connected(theirs):
-            pytest.skip("eccentricity oracle needs a connected pair")
-        expected = nx.eccentricity(theirs)
-        ecc = eccentricities(ours)
-        for node, value in expected.items():
-            assert ecc[node] == value
-
 
 class TestClusteringOracle:
     @pytest.mark.parametrize("n,m,seed", PAIRS[:3])
@@ -158,19 +135,12 @@ class TestClusteringOracle:
             nx.average_clustering(theirs), abs=1e-12
         )
 
-    @pytest.mark.parametrize("n,m,seed", PAIRS[:3])
-    def test_transitivity(self, n, m, seed):
-        ours, theirs = _random_pair(n, m, seed)
-        assert global_clustering(ours) == pytest.approx(
-            nx.transitivity(theirs), abs=1e-12
-        )
-
 
 class TestModularityOracle:
     @pytest.mark.parametrize("n,m,seed", PAIRS[:3])
     def test_modularity_value(self, n, m, seed):
         ours, theirs = _random_pair(n, m, seed)
-        labels = label_propagation(ours, seed=seed)
+        labels = greedy_modularity(ours, seed=seed)
         groups = [
             set(np.flatnonzero(labels == c).tolist())
             for c in np.unique(labels)
@@ -182,8 +152,6 @@ class TestModularityOracle:
     def test_greedy_modularity_competitive_with_networkx(self):
         """Our one-level optimizer should land within 0.1 of networkx's
         greedy modularity on a community-structured graph."""
-        from repro.generators import planted_partition
-
         ours = planted_partition(4, 20, 0.4, 0.02, seed=6)
         theirs = nx.Graph()
         theirs.add_nodes_from(range(ours.num_nodes))

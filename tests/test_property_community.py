@@ -6,13 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.community import (
-    greedy_modularity,
-    label_propagation,
-    modularity,
-    normalized_mutual_information,
-    partition_map,
-)
+from repro.community import greedy_modularity, modularity
 from repro.graph import Graph
 
 
@@ -65,30 +59,3 @@ class TestModularityInvariants:
         rnd.shuffle(mapping)
         permuted = np.asarray([mapping[int(c)] for c in labels])
         assert modularity(g, permuted) == np.float64(modularity(g, labels))
-
-
-class TestPartitionInvariants:
-    @given(graphs())
-    @settings(max_examples=80, deadline=None)
-    def test_label_propagation_covers_all_nodes(self, g):
-        labels = label_propagation(g, seed=2)
-        groups = partition_map(labels)
-        total = sum(v.size for v in groups.values())
-        assert total == g.num_nodes
-
-    @given(graphs())
-    @settings(max_examples=80, deadline=None)
-    def test_nmi_self_is_one(self, g):
-        labels = label_propagation(g, seed=3)
-        if np.unique(labels).size > 1:
-            nmi = normalized_mutual_information(labels, labels)
-            assert abs(nmi - 1.0) < 1e-9
-
-    @given(graphs())
-    @settings(max_examples=80, deadline=None)
-    def test_nmi_symmetric(self, g):
-        a = label_propagation(g, seed=4)
-        b = greedy_modularity(g, seed=4)
-        forward = normalized_mutual_information(a, b)
-        backward = normalized_mutual_information(b, a)
-        assert abs(forward - backward) < 1e-9

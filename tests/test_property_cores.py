@@ -6,8 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cores import core_decomposition, core_structure, k_core
-from repro.graph import Graph
+from repro.cores import core_decomposition, core_structure
+from repro.graph import Graph, induced_subgraph
 
 
 @st.composite
@@ -38,7 +38,7 @@ class TestCorenessInvariants:
         if coreness.size == 0:
             return
         for k in range(1, int(coreness.max()) + 1):
-            core, _ = k_core(g, k)
+            core, _ = induced_subgraph(g, np.flatnonzero(coreness >= k))
             if core.num_nodes:
                 assert core.degrees.min() >= k
 

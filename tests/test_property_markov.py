@@ -11,7 +11,6 @@ from repro.graph import Graph
 from repro.markov import (
     delta_block,
     evolve_block,
-    kl_divergence,
     stationary_distribution,
     total_variation_distance,
     transition_matrix,
@@ -70,11 +69,6 @@ class TestDistanceAxioms:
         assert total_variation_distance(p, r) <= (
             total_variation_distance(p, q) + total_variation_distance(q, r) + 1e-12
         )
-
-    @given(distributions(), distributions())
-    @settings(max_examples=100)
-    def test_kl_nonnegative(self, p, q):
-        assert kl_divergence(p, q) >= -1e-12
 
 
 class TestChainInvariants:

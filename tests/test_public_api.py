@@ -80,7 +80,6 @@ def test_errors_hierarchy():
         errors.GraphError,
         errors.NodeNotFoundError,
         errors.EmptyGraphError,
-        errors.DisconnectedGraphError,
         errors.GeneratorError,
         errors.DatasetError,
         errors.ConvergenceError,

@@ -17,12 +17,11 @@ from repro.generators import barabasi_albert
 from repro.graph import (
     Graph,
     betweenness_centrality,
-    eccentricities,
     largest_connected_component,
 )
 from repro.analysis.experiments import betweenness_distributions
 from repro.anonymity import walk_anonymity_profile
-from repro.digraph import directed_mixing_profile, random_digraph
+from repro.digraph import directed_mixing_profile
 from repro.graph.metrics import average_clustering
 from repro.markov import delta_block, evolve_block, walk_block
 from repro.mixing import (
@@ -33,6 +32,7 @@ from repro.mixing import (
     spectral_summary,
 )
 from repro.sybil import defense_scores, evaluate_defense, evaluate_gatekeeper
+from tests.helpers import random_digraph
 
 
 @pytest.fixture
@@ -142,10 +142,9 @@ class TestFloatSourceIds:
         [
             lambda g, s: sampled_mixing_profile(g, walk_lengths=[1], sources=s),
             lambda g, s: envelope_expansion(g, sources=s),
-            lambda g, s: eccentricities(g, sources=s),
             lambda g, s: betweenness_centrality(g, sources=s),
         ],
-        ids=["mixing", "expansion", "eccentricities", "betweenness"],
+        ids=["mixing", "expansion", "betweenness"],
     )
     def test_float_ids_rejected(self, measure):
         g = barabasi_albert(200, 3, seed=1)

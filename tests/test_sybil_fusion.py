@@ -30,7 +30,7 @@ from repro.generators import (
     star_graph,
 )
 from repro.graph.core import Graph
-from repro.graph.ops import disjoint_union, relabeled, with_edges_added
+from repro.graph.ops import disjoint_union, with_edges_added
 from repro.parallel import execution
 from repro.sybil import (
     FusionConfig,
@@ -43,6 +43,7 @@ from repro.sybil import (
     standard_attack,
     wild_sybil_region,
 )
+from tests.helpers import relabeled
 
 
 @pytest.fixture(scope="module")

@@ -9,9 +9,7 @@ from repro.errors import SybilDefenseError
 from repro.generators import barabasi_albert
 from repro.sybil import (
     accept_top,
-    ranking_correlation,
     ranking_order,
-    ranking_overlap,
     standard_attack,
     walk_probability_ranking,
 )
@@ -68,68 +66,3 @@ class TestRankingUtilities:
     def test_accept_top_bounds(self):
         with pytest.raises(SybilDefenseError):
             accept_top(np.array([0.5]), 2)
-
-    def test_overlap_identical(self):
-        scores = np.array([0.3, 0.2, 0.9])
-        assert ranking_overlap(scores, scores, 2) == 1.0
-
-    def test_overlap_disjoint(self):
-        a = np.array([1.0, 0.9, 0.1, 0.0])
-        b = np.array([0.0, 0.1, 0.9, 1.0])
-        assert ranking_overlap(a, b, 2) == 0.0
-
-    def test_correlation_perfect(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0])
-        assert ranking_correlation(a, a * 10) == pytest.approx(1.0)
-
-    def test_correlation_reversed(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0])
-        assert ranking_correlation(a, -a) == pytest.approx(-1.0)
-
-    def test_correlation_shape_mismatch(self):
-        with pytest.raises(SybilDefenseError):
-            ranking_correlation(np.ones(3), np.ones(4))
-
-
-class TestModulatedRanking:
-    def test_zero_trust_close_to_plain_ranking_order(self, ranked_attack):
-        """With alpha = 0 the modulated chain is the plain chain; the
-        induced orders agree with the plain-walk score (SybilRank's)."""
-        from repro.sybil import SybilRank, modulated_walk_ranking, ranking_correlation
-
-        attack, _ = ranked_attack
-        plain = SybilRank(attack.graph).run([0]).normalized
-        modulated = modulated_walk_ranking(attack.graph, 0, 0.0)
-        assert ranking_correlation(plain, modulated) > 0.99
-
-    def test_scores_bounded_by_stationary_normalization(self, ranked_attack):
-        from repro.sybil import modulated_walk_ranking
-
-        attack, _ = ranked_attack
-        scores = modulated_walk_ranking(attack.graph, 0, 0.5, walk_length=200)
-        # long modulated walks converge to stationary => scores -> 1
-        assert np.all(scores >= 0)
-        assert scores.mean() == pytest.approx(1.0, abs=0.2)
-
-    def test_modulation_contains_sybil_mass(self, ranked_attack):
-        """At a fixed short walk length, raising the stay probability
-        reduces the probability mass that escapes into the Sybil region
-        (the INFOCOM'11 trust-modulation effect)."""
-        from repro.markov import delta_block, evolve_block
-        from repro.mixing.trust import ModulatedOperator
-
-        attack, _ = ranked_attack
-        start = delta_block(attack.graph.num_nodes, [0])
-        masses = []
-        for alpha in (0.0, 0.7):
-            op = ModulatedOperator.build(attack.graph, alpha)
-            dist = evolve_block(op.matrix, start, 10)
-            masses.append(dist[attack.num_honest :].sum())
-        assert masses[1] < masses[0]
-
-    def test_invalid_walk_length(self, ranked_attack):
-        from repro.sybil import modulated_walk_ranking
-
-        attack, _ = ranked_attack
-        with pytest.raises(SybilDefenseError):
-            modulated_walk_ranking(attack.graph, 0, 0.2, walk_length=0)

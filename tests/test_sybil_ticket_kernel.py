@@ -4,8 +4,8 @@
 level-grouped forward edges; :func:`repro.oracles.distribute_tickets`
 replays the full-graph level masks one level at a time and builds the
 edge dict one entry per edge.  Both must agree bit for bit, dict order
-included, and so must everything built on them: the adaptive doubling,
-GateKeeper's reach counts and SumUp's flow graph.
+included, and so must everything built on them: GateKeeper's adaptive
+doubling (its reach counts) and SumUp's flow graph.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.sybil import (
     SumUp,
     SumUpConfig,
     TicketPlan,
-    adaptive_ticket_count,
     distribute_tickets,
     standard_attack,
     ticket_plans,
@@ -95,29 +94,12 @@ def test_kernel_matches_oracle(name, budget):
         _assert_same(block_plan.run(budget), want)
 
 
-@pytest.mark.parametrize(
-    "name", ["path", "star", "ba", "attack-powerlaw", "attack-wild"]
-)
-def test_adaptive_matches_oracle_doubling(name):
-    graph = GRAPHS[name]
-    target = max(2, graph.num_nodes // 2)
-    for source in _sources(graph):
-        want = _oracle_adaptive(graph, source, target)
-        got = adaptive_ticket_count(graph, source, target)
-        assert got.tickets_sent == want.tickets_sent
-        _assert_same(got, want)
-        _assert_same(
-            adaptive_ticket_count(
-                graph, source, target, plan=TicketPlan(graph, source)
-            ),
-            want,
-        )
-
-
 def test_adaptive_unreachable_target_still_raises():
+    # 0.6 of the 9 nodes is a target of 5; node 0's component holds 4
     graph = GRAPHS["disconnected"]
+    gatekeeper = GateKeeper(graph, GateKeeperConfig(reach_fraction=0.6))
     with pytest.raises(SybilDefenseError, match="reached only 4 nodes"):
-        adaptive_ticket_count(graph, 0, 5, max_doublings=3)
+        gatekeeper.warm_distributors([0])
 
 
 @pytest.mark.parametrize("name", ["attack-powerlaw", "attack-wild"])
@@ -191,11 +173,6 @@ SMALL = barabasi_albert(40, 2, seed=0)
     "call, message",
     [
         pytest.param(
-            lambda: adaptive_ticket_count(SMALL, 0, 10, max_doublings=0),
-            "max_doublings",
-            id="max_doublings=0",
-        ),
-        pytest.param(
             lambda: distribute_tickets(SMALL, 0, math.nan),
             "num_tickets",
             id="num_tickets=nan",
@@ -209,16 +186,6 @@ SMALL = barabasi_albert(40, 2, seed=0)
             lambda: TicketPlan(SMALL, 0).run(math.nan),
             "num_tickets",
             id="plan-run-nan",
-        ),
-        pytest.param(
-            lambda: adaptive_ticket_count(SMALL, 0, 10, initial=math.nan),
-            "initial",
-            id="initial=nan",
-        ),
-        pytest.param(
-            lambda: adaptive_ticket_count(SMALL, 0, 10, initial=math.inf),
-            "initial",
-            id="initial=inf",
         ),
         pytest.param(
             lambda: GateKeeperConfig(walk_length_factor=math.nan),

@@ -7,8 +7,7 @@ import pytest
 
 from repro.errors import SybilDefenseError
 from repro.generators import barabasi_albert, complete_graph, path_graph, star_graph
-from repro.graph import Graph
-from repro.sybil import adaptive_ticket_count, distribute_tickets
+from repro.sybil import distribute_tickets
 from repro.sybil.tickets import TicketPlan
 
 
@@ -72,20 +71,6 @@ class TestDistribution:
 
 
 class TestAdaptive:
-    def test_reaches_target(self):
-        g = barabasi_albert(400, 3, seed=4)
-        result = adaptive_ticket_count(g, 0, target_reached=200)
-        assert result.reached.size >= 200
-
-    def test_unreachable_target_raises(self):
-        g = Graph.from_edges([(0, 1)], num_nodes=5)  # mostly disconnected
-        with pytest.raises(SybilDefenseError):
-            adaptive_ticket_count(g, 0, target_reached=4, max_doublings=5)
-
-    def test_invalid_target(self, triangle):
-        with pytest.raises(SybilDefenseError):
-            adaptive_ticket_count(triangle, 0, target_reached=0)
-
     def test_plan_reuse_matches_fresh_run(self):
         g = barabasi_albert(150, 3, seed=5)
         plan = TicketPlan(g, 0)

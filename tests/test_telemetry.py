@@ -131,15 +131,6 @@ class TestDisabledRegistry:
 
 
 class TestRegistry:
-    def test_enable_disable_roundtrip(self):
-        tel = telemetry.enable()
-        try:
-            assert telemetry.current() is tel
-            assert tel.enabled
-        finally:
-            telemetry.disable()
-        assert telemetry.current() is NULL_TELEMETRY
-
     def test_activate_scopes_and_restores(self):
         before = telemetry.current()
         with telemetry.activate() as tel:

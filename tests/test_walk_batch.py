@@ -22,12 +22,10 @@ from hypothesis import strategies as st
 
 from repro import oracles, telemetry
 from repro.errors import GraphError
-from repro.generators import barabasi_albert, complete_graph, cycle_graph
+from repro.generators import barabasi_albert, complete_graph
 from repro.graph import Graph
 from repro.markov import (
     NO_HIT,
-    estimate_hitting_time,
-    hitting_time,
     walk_batch,
     walk_block,
     walk_endpoints,
@@ -379,25 +377,6 @@ class TestStatisticalAcceptance:
             assert np.array_equal(reference.escape, again.escape)
         sequential = oracles.measure_escape(attack, [3, 9], num_walks=500, seed=5)
         assert np.array_equal(reference.escape, sequential.escape)
-
-    def test_hitting_estimator_matches_solve(self):
-        g = cycle_graph(6)
-        exact = hitting_time(g, 0, 2)
-        estimate = estimate_hitting_time(g, 0, 2, num_walks=3000, seed=0)
-        assert estimate == pytest.approx(exact, rel=0.1)
-
-    def test_hitting_estimator_edge_cases(self, k5):
-        assert estimate_hitting_time(k5, 1, 1) == 0.0
-        with pytest.raises(GraphError):
-            estimate_hitting_time(k5, 0, 1, num_walks=0)
-
-    def test_hitting_estimator_budget_failure(self):
-        from repro.generators import path_graph
-
-        with pytest.raises(GraphError):
-            estimate_hitting_time(
-                path_graph(40), 0, 39, num_walks=3, max_steps=5
-            )
 
 
 class TestTelemetryContract:
