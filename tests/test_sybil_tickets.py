@@ -7,7 +7,8 @@ import pytest
 
 from repro.errors import SybilDefenseError
 from repro.generators import barabasi_albert, complete_graph, path_graph, star_graph
-from repro.sybil import distribute_tickets
+from repro.graph import Graph
+from repro.sybil import GateKeeper, GateKeeperConfig, distribute_tickets
 from repro.sybil.tickets import TicketPlan
 
 
@@ -71,6 +72,14 @@ class TestDistribution:
 
 
 class TestAdaptive:
+    def test_unreachable_target_raises(self):
+        # GateKeeper doubles each distributor's budget toward 0.8 * 5 = 4
+        # reached nodes; node 0's component holds only 2
+        g = Graph.from_edges([(0, 1)], num_nodes=5)  # mostly disconnected
+        gatekeeper = GateKeeper(g, GateKeeperConfig(reach_fraction=0.8))
+        with pytest.raises(SybilDefenseError, match="target 4"):
+            gatekeeper.warm_distributors([0])
+
     def test_plan_reuse_matches_fresh_run(self):
         g = barabasi_albert(150, 3, seed=5)
         plan = TicketPlan(g, 0)
