@@ -58,6 +58,7 @@ run with its one-line message and exit code 1, never a traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -987,20 +988,28 @@ def main(argv: list[str] | None = None) -> int:
     trace = getattr(args, "trace", False)
     try:
         if not metrics_out and not trace:
-            return handlers[args.command](args)
-        with telemetry.activate() as tel:
             code = handlers[args.command](args)
-            if trace:
-                from repro.analysis import telemetry_summary
+        else:
+            with telemetry.activate() as tel:
+                code = handlers[args.command](args)
+                if trace:
+                    from repro.analysis import telemetry_summary
 
-                print()
-                print(telemetry_summary(tel))
-            if metrics_out:
-                written = tel.write_json(metrics_out)
-                print(f"metrics written to {written}")
+                    print()
+                    print(telemetry_summary(tel))
+                if metrics_out:
+                    written = tel.write_json(metrics_out)
+                    print(f"metrics written to {written}")
+        sys.stdout.flush()
         return code
     except ReproError as exc:
         raise SystemExit(str(exc)) from None
+    except BrokenPipeError:
+        # the reader closed standard output early (``repro datasets |
+        # head``); point it at devnull so the flush at exit cannot fail
+        # again, and exit nonzero without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

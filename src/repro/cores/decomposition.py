@@ -31,30 +31,26 @@ def core_decomposition(graph: Graph) -> np.ndarray:
     n = graph.num_nodes
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    degree = graph.degrees.copy()
-    max_degree = int(degree.max()) if n else 0
-    # bin_start[d] = first position of degree-d nodes in `order`
-    counts = np.bincount(degree, minlength=max_degree + 1)
-    bin_start = np.zeros(max_degree + 2, dtype=np.int64)
-    np.cumsum(counts, out=bin_start[1:])
-    next_free = bin_start[:-1].copy()
-    order = np.empty(n, dtype=np.int64)  # nodes sorted by current degree
-    position = np.empty(n, dtype=np.int64)  # inverse of `order`
-    for v in range(n):
-        slot = next_free[degree[v]]
-        order[slot] = v
+    # the peel runs on Python lists: indexing them is several times
+    # cheaper than indexing NumPy arrays one scalar at a time
+    degree = graph.degrees.tolist()
+    counts = np.bincount(graph.degrees)
+    # order[bin_ptr[d]:] starts with the nodes of current degree d; nodes
+    # of equal degree enter in id order
+    order = np.argsort(graph.degrees, kind="stable").tolist()
+    position = [0] * n  # inverse of `order`
+    for slot, v in enumerate(order):
         position[v] = slot
-        next_free[degree[v]] += 1
-    bin_ptr = bin_start[:-1].copy()  # current start of each degree bucket
-    coreness = np.zeros(n, dtype=np.int64)
-    indptr, indices = graph.indptr, graph.indices
+    bin_ptr = [0, *np.cumsum(counts)[:-1].tolist()]
+    coreness = [0] * n
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
     for i in range(n):
         v = order[i]
-        coreness[v] = degree[v]
+        dv = coreness[v] = degree[v]
         for u in indices[indptr[v] : indptr[v + 1]]:
-            if degree[u] > degree[v]:
+            du = degree[u]
+            if du > dv:
                 # swap u to the front of its bucket, then shrink the bucket
-                du = degree[u]
                 pos_u = position[u]
                 front = bin_ptr[du]
                 w = order[front]
@@ -62,8 +58,8 @@ def core_decomposition(graph: Graph) -> np.ndarray:
                     order[pos_u], order[front] = w, u
                     position[w], position[u] = pos_u, front
                 bin_ptr[du] += 1
-                degree[u] -= 1
-    return coreness
+                degree[u] = du - 1
+    return np.array(coreness, dtype=np.int64)
 
 
 def degeneracy(graph: Graph) -> int:

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from repro.cores.decomposition import core_decomposition
 from repro.errors import GraphError
 from repro.graph.core import Graph
-from repro.graph.ops import induced_subgraph
-from repro.graph.traversal import num_connected_components
 
 __all__ = [
     "coreness_ecdf",
@@ -70,8 +70,13 @@ class CoreStructure:
 def core_structure(graph: Graph) -> CoreStructure:
     """Measure nu'_k, tau'_k and the connected-core count for every k.
 
-    Computes the decomposition once, then peels shells in increasing k
-    order; each k-core's components are counted on its induced subgraph.
+    Computes the decomposition once, then reads every k from one pass
+    over the edges.  An edge lies in G'_k exactly when the smaller
+    coreness of its ends is at least k, so cumulative counts of nodes by
+    coreness and of half-edges by that minimum give n_k and 2 m_k.  The
+    edges of G'_k over all n nodes leave the ``n - n_k`` nodes outside
+    it isolated, so its connected cores are that graph's components
+    less ``n - n_k``.
     """
     if graph.num_nodes == 0:
         raise GraphError("core structure of an empty graph is undefined")
@@ -80,18 +85,23 @@ def core_structure(graph: Graph) -> CoreStructure:
     n = graph.num_nodes
     m = max(graph.num_edges, 1)
     ks = np.arange(kmax + 1, dtype=np.int64)
-    node_fraction = np.empty(kmax + 1)
-    edge_fraction = np.empty(kmax + 1)
+    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    edge_core = np.minimum(coreness[src], coreness[graph.indices])
+    # nodes[k] = n_k and half_edges[k] = 2 m_k: counts at coreness >= k
+    nodes = np.cumsum(np.bincount(coreness, minlength=kmax + 1)[::-1])[::-1]
+    half_edges = np.cumsum(np.bincount(edge_core, minlength=kmax + 1)[::-1])[::-1]
     num_cores = np.empty(kmax + 1, dtype=np.int64)
     for k in ks:
-        keep = np.flatnonzero(coreness >= k)
-        sub, _ = induced_subgraph(graph, keep)
-        node_fraction[k] = sub.num_nodes / n
-        edge_fraction[k] = sub.num_edges / m
-        num_cores[k] = num_connected_components(sub) if sub.num_nodes else 0
+        kept = edge_core >= k
+        ones = np.ones(int(half_edges[k]), dtype=np.int8)
+        adjacency = sp.csr_matrix(
+            (ones, (src[kept], graph.indices[kept])), shape=(n, n)
+        )
+        components, _ = connected_components(adjacency, directed=False)
+        num_cores[k] = components - (n - nodes[k])
     return CoreStructure(
         ks=ks,
-        node_fraction=node_fraction,
-        edge_fraction=edge_fraction,
+        node_fraction=nodes / n,
+        edge_fraction=(half_edges // 2) / m,
         num_cores=num_cores,
     )

@@ -1,9 +1,6 @@
 """Registry of synthetic analogs for the paper's Table-I social graphs."""
 
 from repro.datasets.registry import (
-    LARGE_DATASETS,
-    MEDIUM_DATASETS,
-    SMALL_DATASETS,
     DatasetSpec,
     available_datasets,
     dataset_fingerprint,
@@ -23,9 +20,6 @@ __all__ = [
     "dataset_spec",
     "dataset_fingerprint",
     "load_dataset",
-    "SMALL_DATASETS",
-    "MEDIUM_DATASETS",
-    "LARGE_DATASETS",
     "StreamSpec",
     "STREAM_REGIMES",
     "stream_analog_edges",

@@ -43,9 +43,6 @@ __all__ = [
     "dataset_spec",
     "dataset_fingerprint",
     "load_dataset",
-    "SMALL_DATASETS",
-    "MEDIUM_DATASETS",
-    "LARGE_DATASETS",
 ]
 
 #: Bump when analog generation changes in a result-affecting way; the
@@ -355,16 +352,6 @@ _register(
         ),
         factory=_fast_powerlaw(attachment=3),
     )
-)
-
-SMALL_DATASETS = tuple(
-    name for name, s in _SPECS.items() if s.category == "small"
-)
-MEDIUM_DATASETS = tuple(
-    name for name, s in _SPECS.items() if s.category == "medium"
-)
-LARGE_DATASETS = tuple(
-    name for name, s in _SPECS.items() if s.category == "large"
 )
 
 

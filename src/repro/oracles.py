@@ -5,10 +5,11 @@ the TVD profile of :mod:`repro.markov.batch`, the block BFS of
 :mod:`repro.graph.bfs_batch`, the loopy BP of :mod:`repro.sybil.fusion`,
 the level-sliced ticket kernel of :mod:`repro.sybil.tickets` with
 SumUp's flow graph, the route block of :mod:`repro.markov.walks`
-with SybilGuard's and SybilLimit's verdicts, and SybilInfer's
-table-based sampler — has a one-item-at-a-time twin here that replays
-the same operations walk by walk, source by source, level mask by level
-mask, half-edge by half-edge or route hop by route hop.  So do the
+with SybilGuard's and SybilLimit's verdicts, SybilInfer's table-based
+sampler, and the one-pass core structure of :mod:`repro.cores` — has a
+one-item-at-a-time twin here that replays the same operations walk by
+walk, source by source, level mask by level mask, half-edge by
+half-edge, route hop by route hop or core by core.  So do the
 measurements built on them that the test suite and the speedup
 benchmarks compare (mixing profile, envelope expansion, escape
 probability, link perturbation), and the edge-churn
@@ -25,12 +26,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.chunking import validate_sources
+from repro.cores.decomposition import core_decomposition
+from repro.cores.statistics import CoreStructure
 from repro.dynamics import evolution
 from repro.errors import SybilDefenseError
 from repro.expansion import envelope
 from repro.graph.core import Graph
+from repro.graph.ops import induced_subgraph
 from repro.graph.shard import ShardedGraph
-from repro.graph.traversal import bfs_distances, bfs_levels
+from repro.graph.traversal import bfs_distances, bfs_levels, num_connected_components
 from repro.markov import walks
 from repro.markov.batch import validate_walk_lengths
 from repro.markov.distance import total_variation_distance
@@ -53,6 +57,7 @@ __all__ = [
     "bfs_distances_block",
     "bfs_level_sizes_block",
     "envelope_expansion",
+    "core_structure",
     "loopy_belief_propagation",
     "distribute_tickets",
     "sumup_flow_graph",
@@ -237,6 +242,33 @@ def envelope_expansion(
         sizes.append(result.envelope_sizes[:max_radius])
         neighbors.append(result.frontier_sizes[:max_radius])
     return envelope._measurement(chosen, sizes, neighbors)
+
+
+# ----------------------------------------------------------------------
+# Figure 5: one induced subgraph and one Python BFS per k
+# ----------------------------------------------------------------------
+def core_structure(graph: Graph) -> CoreStructure:
+    """Per-k twin of :func:`repro.cores.core_structure`."""
+    coreness = core_decomposition(graph)
+    kmax = int(coreness.max())
+    n = graph.num_nodes
+    m = max(graph.num_edges, 1)
+    ks = np.arange(kmax + 1, dtype=np.int64)
+    node_fraction = np.empty(kmax + 1)
+    edge_fraction = np.empty(kmax + 1)
+    num_cores = np.empty(kmax + 1, dtype=np.int64)
+    for k in ks:
+        keep = np.flatnonzero(coreness >= k)
+        sub, _ = induced_subgraph(graph, keep)
+        node_fraction[k] = sub.num_nodes / n
+        edge_fraction[k] = sub.num_edges / m
+        num_cores[k] = num_connected_components(sub) if sub.num_nodes else 0
+    return CoreStructure(
+        ks=ks,
+        node_fraction=node_fraction,
+        edge_fraction=edge_fraction,
+        num_cores=num_cores,
+    )
 
 
 # ----------------------------------------------------------------------

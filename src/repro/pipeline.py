@@ -68,7 +68,6 @@ __all__ = [
     "paper_measurement_pipeline",
     "PAPER_STAGES",
     "fusion_comparison_pipeline",
-    "FUSION_STAGES",
     "target_digest",
     "load_target",
     "load_stage",
@@ -95,16 +94,6 @@ PAPER_STAGES = (
     "gatekeeper",
     "tables",
 )
-
-#: Stage names of the fusion-vs-structure comparison pipeline.
-FUSION_STAGES = (
-    "load",
-    "attack",
-    "structure_scores",
-    "fusion_scores",
-    "report",
-)
-
 
 @dataclass(frozen=True)
 class Stage:

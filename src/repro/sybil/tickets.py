@@ -67,7 +67,12 @@ class TicketPlan:
     """
 
     def __init__(
-        self, graph: Graph, source: int, distances: np.ndarray | None = None
+        self,
+        graph: Graph,
+        source: int,
+        distances: np.ndarray | None = None,
+        *,
+        _edge_src: np.ndarray | None = None,
     ) -> None:
         graph._check_node(source)
         self._graph = graph
@@ -80,20 +85,26 @@ class TicketPlan:
                 f"precomputed distances must have shape ({n},)"
             )
         self._dist = distances
-        reachable = self._dist >= 0
-        max_level = int(self._dist[reachable].max()) if reachable.any() else 0
-        src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-        dst = graph.indices
-        forward = (self._dist[src] >= 0) & (self._dist[dst] == self._dist[src] + 1)
-        src, dst = src[forward], dst[forward]
-        self._forward_count = np.bincount(src, minlength=n).astype(float)
-        level = self._dist[src]
-        # _order[i] is the CSR rank of the i-th level-grouped forward edge
+        max_level = int(distances.max())
+        if _edge_src is None:
+            _edge_src = _edge_sources(graph)
+        # the level as the narrowest unsigned key that holds every level;
+        # unreachable nodes wrap to the key's largest value.  An edge
+        # joins two reachable or two unreachable nodes, so ``key + 1``
+        # matches only a reachable node one level farther on
+        key = distances.astype(np.min_scalar_type(max_level + 1))
+        level = key[_edge_src]
+        forward = np.flatnonzero(key[graph.indices] == level + 1)
+        level = level[forward]
+        # _order[i] is the CSR rank of the i-th level-grouped forward
+        # edge; a stable sort of a key of 16 bits or fewer is a radix sort
         self._order = np.argsort(level, kind="stable")
-        self._src = src[self._order]
-        self._dst = dst[self._order]
+        forward = forward[self._order]
+        self._src = _edge_src[forward]
+        self._dst = graph.indices[forward]
+        self._forward_count = np.bincount(self._src, minlength=n).astype(float)
         self._level_bounds = np.searchsorted(
-            level[self._order], np.arange(max_level + 1)
+            level[self._order], np.arange(max_level + 1, dtype=key.dtype)
         ).tolist()
 
     @property
@@ -176,10 +187,16 @@ def ticket_plans(
     if chosen.size == 0:
         raise SybilDefenseError("at least one source is required")
     rows = bfs_distances_block(graph, chosen)
+    edge_src = _edge_sources(graph)
     return [
-        TicketPlan(graph, int(source), distances=row)
+        TicketPlan(graph, int(source), distances=row, _edge_src=edge_src)
         for source, row in zip(chosen, rows)
     ]
+
+
+def _edge_sources(graph: Graph) -> np.ndarray:
+    """The source node of every CSR half-edge."""
+    return np.repeat(np.arange(graph.num_nodes, dtype=np.int64), graph.degrees)
 
 
 def distribute_tickets(
@@ -196,20 +213,24 @@ _MAX_DOUBLINGS = 40
 
 def _doubling(plan: TicketPlan, target_reached: int) -> np.ndarray:
     """GateKeeper's adaptive ticket count: the node tickets of the first
-    budget, doubling from 2, under which ``target_reached`` nodes hold a
-    ticket.
+    budget on the grid 2, 4, ..., 2**40 under which ``target_reached``
+    nodes hold a ticket.
 
     The protocol does not know n, so each distributor doubles its budget
-    until the reach target is hit.  Raises :class:`SybilDefenseError`
-    if the target is unreachable (e.g. a disconnected graph).
+    until the reach target is hit.  The doubling starts at the first
+    budget on the grid that is at least the target: every node that
+    holds a ticket consumes one, so ``b`` tickets reach at most ``b``
+    nodes, every smaller budget must fail, and the first budget that
+    succeeds is the one a doubling from 2 finds.  Raises
+    :class:`SybilDefenseError` if the target is unreachable (e.g. a
+    disconnected graph).
     """
-    budget = 2.0
-    for _ in range(_MAX_DOUBLINGS):
-        tickets, _ = plan._tickets(budget)
+    first = min(max((target_reached - 1).bit_length(), 1), _MAX_DOUBLINGS)
+    for exponent in range(first, _MAX_DOUBLINGS + 1):
+        tickets, _ = plan._tickets(2.0**exponent)
         reached = int(np.count_nonzero(tickets >= 1.0))
         if reached >= target_reached:
             return tickets
-        budget *= 2.0
     raise SybilDefenseError(
         f"distributor {plan.source} reached only {reached} nodes "
         f"(target {target_reached}) after {_MAX_DOUBLINGS} doublings"

@@ -5,13 +5,18 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import repro
 from repro.cli import main
 from repro.generators import barabasi_albert
 from repro.graph import write_edge_list
@@ -25,6 +30,24 @@ class TestDatasets:
         assert "wiki_vote" in out
         assert "livejournal_b" in out
         assert "regime" in out
+
+    def test_closed_pipe_exits_quietly(self):
+        """A reader that closes standard output before the listing is
+        written (``repro datasets | head``) gets a nonzero exit and no
+        traceback."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "datasets"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        proc.stdout.close()  # before the child has imported numpy
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) != 0
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
 
 class TestAudit:

@@ -5,9 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import (
-    LARGE_DATASETS,
-    MEDIUM_DATASETS,
-    SMALL_DATASETS,
     available_datasets,
     dataset_spec,
     load_dataset,
@@ -22,8 +19,8 @@ class TestRegistry:
         assert len(available_datasets()) == 15
 
     def test_categories_partition_registry(self):
-        combined = set(SMALL_DATASETS) | set(MEDIUM_DATASETS) | set(LARGE_DATASETS)
-        assert combined == set(available_datasets())
+        categories = {dataset_spec(n).category for n in available_datasets()}
+        assert categories == {"small", "medium", "large"}
 
     def test_spec_fields(self):
         spec = dataset_spec("wiki_vote")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.community import greedy_modularity, modularity
-from repro.cores import core_decomposition
+from repro.cores import core_decomposition, core_structure
 from repro.generators import barbell_graph, cycle_graph, path_graph, star_graph
 from repro.graph import (
     Graph,
@@ -50,6 +50,16 @@ class TestCorenessOracle:
         coreness = core_decomposition(ours)
         for node, k in expected.items():
             assert coreness[node] == k
+
+    @pytest.mark.parametrize("n,m,seed", PAIRS)
+    def test_connected_core_counts(self, n, m, seed):
+        ours, theirs = _random_pair(n, m, seed)
+        structure = core_structure(ours)
+        assert structure.degeneracy == max(nx.core_number(theirs).values())
+        for k, count in zip(structure.ks, structure.num_cores):
+            core = nx.k_core(theirs, int(k))
+            assert count == nx.number_connected_components(core)
+            assert structure.node_fraction[k] == core.number_of_nodes() / n
 
 
 class TestComponentsOracle:

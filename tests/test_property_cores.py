@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import oracles
 from repro.cores import core_decomposition, core_structure
 from repro.graph import Graph, induced_subgraph
 
@@ -22,6 +23,23 @@ def graphs(draw, max_nodes: int = 20):
         )
     )
     return Graph.from_edges(edges, num_nodes=n)
+
+
+@st.composite
+def pieced_graphs(draw):
+    """Random blocks side by side plus isolated nodes, so G'_k may fall
+    into several components at every k."""
+    edges, offset = [], 0
+    for size in draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)):
+        pairs = draw(
+            st.lists(
+                st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                max_size=3 * size,
+            )
+        )
+        edges += [(offset + u, offset + v) for u, v in pairs]
+        offset += size
+    return Graph.from_edges(edges, num_nodes=offset + draw(st.integers(0, 3)))
 
 
 class TestCorenessInvariants:
@@ -86,3 +104,23 @@ class TestCorenessInvariants:
         assert np.all((0 <= s.node_fraction) & (s.node_fraction <= 1))
         assert np.all((0 <= s.edge_fraction) & (s.edge_fraction <= 1))
         assert np.all(s.num_cores >= 0)
+
+
+class TestCoreStructureOracle:
+    """The one-pass structure against the per-k induced-subgraph loop of
+    :func:`repro.oracles.core_structure`, bit for bit."""
+
+    @given(g=pieced_graphs())
+    @example(g=Graph.empty(1))
+    @example(g=Graph.empty(5))
+    @example(g=Graph.empty(2))
+    @example(g=Graph.from_edges([(0, 1)]))
+    @example(g=Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4)], num_nodes=7))
+    @example(g=Graph.from_edges([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+    @settings(max_examples=150)
+    def test_matches_oracle(self, g):
+        got, want = core_structure(g), oracles.core_structure(g)
+        for field in ("ks", "node_fraction", "edge_fraction", "num_cores"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype, field
+            assert a.tobytes() == b.tobytes(), field

@@ -5,7 +5,7 @@ level-grouped forward edges; :func:`repro.oracles.distribute_tickets`
 replays the full-graph level masks one level at a time and builds the
 edge dict one entry per edge.  Both must agree bit for bit, dict order
 included, and so must everything built on them: GateKeeper's adaptive
-doubling (its reach counts) and SumUp's flow graph.
+doubling (its reach counts and reach sets) and SumUp's flow graph.
 """
 
 from __future__ import annotations
@@ -100,6 +100,61 @@ def test_adaptive_unreachable_target_still_raises():
     gatekeeper = GateKeeper(graph, GateKeeperConfig(reach_fraction=0.6))
     with pytest.raises(SybilDefenseError, match="reached only 4 nodes"):
         gatekeeper.warm_distributors([0])
+
+
+BA128 = barabasi_albert(128, 3, seed=4)
+
+
+@pytest.mark.parametrize(
+    "graph, reach_fraction, target",
+    [
+        pytest.param(BA128, 0.5, 64, id="target-power-of-two"),
+        pytest.param(BA128, 65 / 128, 65, id="target-power-of-two-plus-one"),
+        pytest.param(
+            GRAPHS["attack-wild"], 1.0, GRAPHS["attack-wild"].num_nodes,
+            id="reach-fraction-one",
+        ),
+    ],
+)
+def test_doubling_starts_at_the_target(graph, reach_fraction, target, monkeypatch):
+    """Each reach set is the one a doubling from 2 finds, and no kernel
+    run spends a budget below the target, which must fail."""
+    budgets = []
+    kernel = TicketPlan._tickets
+
+    def spy(plan, num_tickets):
+        budgets.append(num_tickets)
+        return kernel(plan, num_tickets)
+
+    monkeypatch.setattr(TicketPlan, "_tickets", spy)
+    config = GateKeeperConfig(num_distributors=15, reach_fraction=reach_fraction)
+    gatekeeper = GateKeeper(graph, config)
+    result = gatekeeper.run(0)
+    monkeypatch.undo()
+    for distributor in np.unique(result.distributors):
+        want = _oracle_adaptive(graph, int(distributor), target)
+        assert want.tickets_sent >= target
+        got = gatekeeper._reach[int(distributor)]
+        assert got.tobytes() == want.reached.tobytes()
+    assert min(budgets) == 2.0 ** (target - 1).bit_length() >= target
+
+
+# a key of 8 bits holds levels up to 254 with the unreachable mark 255
+@pytest.mark.parametrize("length", [255, 256, 300])
+def test_deep_plans_keep_a_wide_level_key(length):
+    """Paths as deep as or deeper than a one-byte level key, beside an
+    unreachable edge, match the oracle from an end and from the middle."""
+    graph = Graph.from_edges(
+        [(i, i + 1) for i in range(length - 1)] + [(length, length + 1)]
+    )
+    sources = [0, length // 2]
+    plans = ticket_plans(graph, sources)
+    assert int(plans[0].distances.max()) == length - 1
+    for source, plan in zip(sources, plans):
+        for budget in (2.0**9, 2.0**20):
+            want = oracles.distribute_tickets(graph, source, budget)
+            _assert_same(plan.run(budget), want)
+            _assert_same(distribute_tickets(graph, source, budget), want)
 
 
 @pytest.mark.parametrize("name", ["attack-powerlaw", "attack-wild"])
