@@ -125,9 +125,9 @@ def test_shard_engine_sweep(results_dir, scale, num_sources, tmp_path):
     rows = [[stage, f"{seconds:.2f}"] for stage, seconds in timings.items()]
     rows += [
         ["SLEM mu", f"{mu:.4f}"],
-        ["SLEM matvecs / passes", (
+        ["SLEM matvecs / error bound", (
             f"{tel.counter('mixing.slem.matvecs'):.0f} / "
-            f"{tel.gauges['mixing.slem.passes']:.0f}"
+            f"{tel.gauges['mixing.slem.error_bound']:.1e}"
         )],
         ["worst TVD at t=16", f"{tvd[:, -1].max():.3e}"],
         ["shard loads / spills", (

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from repro import telemetry
 from repro.errors import ConvergenceError, GraphError
@@ -50,20 +50,22 @@ __all__ = [
 #: the spectral gap ``1 - mu``, so both Sinclair bounds move by at most
 #: this relative amount.
 _GAP_RTOL = 1e-5
-#: First-pass ARPACK tolerance: the error is at most ``1e-6 * mu``, which
-#: meets ``_GAP_RTOL`` whenever mu is below about 0.91.
+#: Residual tolerance relative to mu: the error is at most ``1e-6 * mu``,
+#: which alone meets ``_GAP_RTOL`` whenever mu is below about 0.91.
 _FIRST_TOL = 1e-6
-#: Lanczos basis size (scipy's default is 20).  The streamed analogs
-#: carry a near-degenerate subdominant cluster, and the larger basis
-#: cut the matvecs of a three-eigenvalue solve at ``tol=1e-10`` from
-#: 1234 to 866 at 50k nodes and from 2401 to 1370 at 200k, for
-#: ``8 * 40 * n`` bytes of workspace.
-_LANCZOS_NCV = 40
-#: Basis of the second, tighter pass on slow graphs, which restarts
-#: from the fixed start vector.  On dblp (15k nodes, gap 2e-3) it took
-#: 513 matvecs where 40 vectors took 1533; the cost is ``8 * 80 * n``
-#: bytes of workspace, on slow graphs only.
-_SECOND_PASS_NCV = 80
+#: Lanczos steps between two reads of the extreme Ritz pair.
+_CHECK_EVERY = 10
+#: Cap on the recurrence, which ends a solve whose residual stalls above
+#: the tolerance.  The 1M-node streamed analog takes 730 matvecs and
+#: Table I's slowest analog (dblp at scale 1.0, gap 2e-3) 460;
+#: ``cycle_graph(10001)``, whose gap of 4.9e-8 asks for a residual of
+#: 5e-13, takes 5010.
+_MAX_MATVECS = 10_000
+_EPS = float(np.finfo(float).eps)
+#: A step's ``beta`` at or below this is rounding noise (``||M|| = 1``;
+#: complete graphs, Petersen and short odd cycles break down at 1e-17
+#: to 3e-15).
+_BREAKDOWN = 1024 * _EPS
 
 
 def _inv_sqrt_degrees(graph: Graph | ShardedGraph) -> np.ndarray:
@@ -140,18 +142,38 @@ def _is_periodic(graph: Graph | ShardedGraph) -> bool:
     return True
 
 
+def _extreme_ritz(alpha: list[float], beta: list[float]) -> tuple[float, float]:
+    """``(theta, r)``: the extreme Ritz value of larger modulus and its residual.
+
+    ``alpha`` and ``beta[:-1]`` are the tridiagonal matrix of the steps
+    so far; ``theta`` is its lowest or highest eigenvalue, whichever has
+    the larger modulus, and ``r = |beta[-1] * s[-1]|`` is the residual
+    norm of its Ritz vector, ``s`` being ``theta``'s unit eigenvector.
+    """
+    diagonal, off = np.asarray(alpha), np.asarray(beta[:-1])
+    ends = [
+        eigh_tridiagonal(diagonal, off, select="i", select_range=(k, k))
+        for k in (0, diagonal.size - 1)
+    ]
+    values, vectors = max(ends, key=lambda end: abs(end[0][0]))
+    return float(values[0]), abs(beta[-1] * float(vectors[-1, 0]))
+
+
 def _lanczos_slem(graph: Graph | ShardedGraph) -> float:
-    """SLEM by ARPACK Lanczos on ``M - q q^T``, ``q = sqrt(deg)`` normalized.
+    """SLEM by the Lanczos recurrence on ``M - q q^T``, ``q = sqrt(deg)`` normalized.
 
     ``q`` is the exact eigenvector of ``M`` for the eigenvalue 1, so the
-    deflated operator's largest magnitude is the SLEM, and one
-    eigenvalue (``k=1``) is asked for.  ARPACK stops when the Ritz
-    residual is at most ``tol * mu``, and an eigenvalue of a symmetric
-    operator lies within that residual of the Ritz value.  The first
-    pass runs at ``_FIRST_TOL``; when that bound exceeds ``_GAP_RTOL``
-    of the smallest gap it allows, a second pass solves at the
-    tolerance that gap needs.  Both start from a fixed vector, which
-    makes the result the same float on every call.
+    deflated operator's largest magnitude is the SLEM.  The three-term
+    recurrence keeps three vectors and no basis, so it never
+    reorthogonalizes or restarts.  Every ``_CHECK_EVERY`` steps, and at
+    once when the Krylov space breaks down, it reads the extreme Ritz
+    pair; an eigenvalue of a symmetric operator lies within the Ritz
+    residual ``r`` of the Ritz value ``theta``, and the extreme Ritz
+    values never exceed the SLEM, so ``mu <= |theta| + r``.  It stops
+    when ``r <= _FIRST_TOL * |theta|`` and
+    ``r <= _GAP_RTOL * (1 - |theta| - r)``.  Every reduction is an
+    ``einsum`` from a fixed start vector, so the result is the same
+    float on every call and at any BLAS thread count.
     """
     tel = telemetry.current()
     n = graph.num_nodes
@@ -166,48 +188,47 @@ def _lanczos_slem(graph: Graph | ShardedGraph) -> float:
         matvecs += 1
         tel.count("mixing.slem.matvecs")
         out = apply(x)
-        # einsum, not ``q @ x``: numpy's BLAS pool would spin against
-        # the one scipy's ARPACK uses
+        # einsum, not ``q @ x``: a BLAS dot splits its sum across
+        # threads, and mu's bits would follow the thread count
         np.multiply(q, np.einsum("i,i->", q, x), out=projection)
         out -= projection
         return out
 
-    operator = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-    tol, ncv = _FIRST_TOL, _LANCZOS_NCV
-    for passes in (1, 2):
-        tel.gauge("mixing.slem.passes", passes)
-        try:
-            values = spla.eigsh(
-                operator,
-                k=1,
-                ncv=min(n, ncv),
-                which="LM",
-                v0=start,
-                tol=tol,
-                return_eigenvectors=False,
-            )
-        except spla.ArpackError as exc:
-            raise ConvergenceError(
-                f"Lanczos failed to converge after {matvecs} matvecs: {exc}",
-                iterations=matvecs,
-            ) from exc
-        mu = min(abs(float(values[0])), 1.0)
-        bound = tol * mu
-        tel.gauge("mixing.slem.error_bound", bound)
-        # Ritz values never exceed the SLEM, so mu <= mu_hat + bound
-        top = mu + bound
-        if bound <= _GAP_RTOL * (1.0 - top):
-            return mu
-        tol = _GAP_RTOL * (1.0 - top) / ((1.0 + _GAP_RTOL) * top)
-        # ARPACK cannot resolve a residual below machine precision
-        tol = max(tol, float(np.finfo(float).eps))
-        ncv = _SECOND_PASS_NCV
-    raise ConvergenceError(
-        f"spectral gap {1.0 - mu:.1e} is below what Lanczos resolves "
-        f"(error bound {bound:.1e} after {matvecs} matvecs)",
-        iterations=matvecs,
-    )
+    v, v_prev = start / math.sqrt(np.einsum("i,i->", start, start)), np.zeros(n)
+    alpha: list[float] = []
+    beta: list[float] = []
+    while True:
+        w = matvec(v)
+        alpha.append(float(np.einsum("i,i->", v, w)))
+        w -= alpha[-1] * v
+        if beta:
+            w -= beta[-1] * v_prev
+        beta.append(math.sqrt(np.einsum("i,i->", w, w)))
+        # a rounding-level beta: the Krylov space is invariant, so its
+        # Ritz values are eigenvalues and the next vector would be noise
+        breakdown = beta[-1] <= _BREAKDOWN
+        if breakdown or matvecs % _CHECK_EVERY == 0 or matvecs >= _MAX_MATVECS:
+            theta, r = _extreme_ritz(alpha, beta)
+            mu = abs(theta)
+            tel.gauge("mixing.slem.error_bound", r)
+            accurate = r <= _FIRST_TOL * mu
+            gap = _GAP_RTOL * (1.0 - mu - r)
+            if accurate and r <= gap:
+                return mu
+            if accurate and gap < _EPS * mu:
+                raise ConvergenceError(
+                    f"spectral gap {1.0 - mu:.1e} is below what Lanczos "
+                    f"resolves (error bound {r:.1e} after {matvecs} matvecs)",
+                    iterations=matvecs,
+                )
+            if breakdown or matvecs >= _MAX_MATVECS:
+                raise ConvergenceError(
+                    f"Lanczos failed to converge after {matvecs} matvecs "
+                    f"(error bound {r:.1e} at mu {mu:.6f})",
+                    iterations=matvecs,
+                )
+        v_prev, v = v, w / beta[-1]
 
 
 def slem(graph: Graph | ShardedGraph, dense_threshold: int = 400) -> float:
@@ -217,8 +238,8 @@ def slem(graph: Graph | ShardedGraph, dense_threshold: int = 400) -> float:
     walk is periodic.  Other graphs of at most ``dense_threshold`` nodes
     are solved densely with ``eigvalsh``, the test oracle.  Larger ones
     run Lanczos on the normalized adjacency as a matrix-free operator,
-    with its known top eigenvector ``sqrt(deg)`` projected out, so one
-    eigenvalue is asked for.  The operator streams the graph's row
+    with its known top eigenvector ``sqrt(deg)`` projected out, so its
+    extreme eigenvalue is the SLEM.  The operator streams the graph's row
     blocks, so a :class:`~repro.graph.shard.ShardedGraph` takes the
     in-RAM path without a global matrix.  The Lanczos result is within
     ``1e-5 * (1 - mu)`` and ``1e-6`` of the SLEM, the accuracy the
@@ -231,12 +252,12 @@ def slem(graph: Graph | ShardedGraph, dense_threshold: int = 400) -> float:
     connected component instead
     (:func:`repro.graph.ops.largest_connected_component`).  Raises
     :class:`~repro.errors.ConvergenceError`, carrying the matvec count
-    in ``iterations``, when Lanczos does not converge.
+    in ``iterations``, when Lanczos does not converge within
+    ``_MAX_MATVECS`` products or cannot resolve the gap.
 
     Telemetry: a ``mixing.slem`` span, a ``mixing.slem.matvecs`` counter
-    that rises with every product, and two gauges per Lanczos solve:
-    ``mixing.slem.passes`` and ``mixing.slem.error_bound``, the bound on
-    ``|mu_hat - mu|``.
+    that rises with every product, and a ``mixing.slem.error_bound``
+    gauge, the bound on ``|mu_hat - mu|`` at the last Ritz read.
     """
     n = graph.num_nodes
     if n < 2:

@@ -496,8 +496,9 @@ def mixing_stage(
 
 #: v2: Lanczos stops at the accuracy the Sinclair bounds need, on the
 #: operator with the top eigenvector projected out, so mu changes bits;
-#: a bipartite graph's ``bounds`` are None
-_SLEM_VERSION = 2
+#: a bipartite graph's ``bounds`` are None.  v3: the plain Lanczos
+#: recurrence replaces ARPACK's restarted solve, so mu changes bits
+_SLEM_VERSION = 3
 
 #: v2: SybilGuard's and SybilLimit's route tables come from one block of
 #: route keys and SybilLimit draws its first hops as one block, so their

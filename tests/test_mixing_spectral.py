@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro import telemetry
 from repro.datasets import build_sharded_analog, load_dataset
 from repro.errors import ConvergenceError, GraphError
@@ -18,7 +24,7 @@ from repro.generators import (
     cycle_graph,
     path_graph,
 )
-from repro.graph import Graph, write_edge_list
+from repro.graph import Graph, ShardedGraph, write_edge_list
 from repro.mixing import (
     mixing_bounds,
     normalized_adjacency,
@@ -126,6 +132,30 @@ class TestLanczosDeterminism:
         ]
         assert spectral_stages[0] == spectral_stages[1]
 
+    def test_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        # a BLAS reduction splits its sum across OpenBLAS threads, so
+        # one in the solve would move mu's last bits with the thread
+        # count on this graph
+        root = tmp_path / "fast-20k"
+        build_sharded_analog(root, 20_000, regime="fast", seed=3, num_shards=4)
+        code = (
+            "import sys; from repro.graph import ShardedGraph; "
+            "from repro.mixing import slem; "
+            "print(repr(slem(ShardedGraph.open(sys.argv[1]))))"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        printed = [
+            subprocess.run(
+                [sys.executable, "-c", code, str(root)],
+                capture_output=True, text=True, check=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src,
+                     "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert printed[0] == printed[1]
+        assert float(printed[0]) == slem(ShardedGraph.open(root))
+
 
 class TestLanczosTelemetry:
     def test_span_and_matvec_counter(self):
@@ -136,12 +166,7 @@ class TestLanczosTelemetry:
         assert tel.counters["mixing.slem.matvecs"] > 0
 
     def test_convergence_error_carries_matvec_count(self, monkeypatch):
-        def stalled(operator, **kwargs):
-            for _ in range(4):
-                operator.matvec(kwargs["v0"])
-            raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
-
-        monkeypatch.setattr(spectral.spla, "eigsh", stalled)
+        monkeypatch.setattr(spectral, "_MAX_MATVECS", 4)
         with telemetry.activate() as tel:
             with pytest.raises(ConvergenceError, match="after 4 matvecs") as info:
                 slem(barabasi_albert(500, 3, seed=5))
@@ -151,6 +176,25 @@ class TestLanczosTelemetry:
 
 def _dense_mu(graph: Graph) -> float:
     return slem(graph, dense_threshold=graph.num_nodes)
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph.from_edges(outer + inner + [(i, i + 5) for i in range(5)])
+
+
+@st.composite
+def _aperiodic_graphs(draw, max_nodes: int = 30):
+    """Connected graphs holding the triangle 0-1-2, so the walk is
+    aperiodic: a random tree hung from the triangle plus random chords."""
+    n = draw(st.integers(3, max_nodes))
+    edges = [(0, 1), (1, 2), (0, 2)]
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(3, n)]
+    edges += draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
+    )
+    return Graph.from_edges(edges, num_nodes=n)
 
 
 class TestAccuracyContract:
@@ -172,6 +216,20 @@ class TestAccuracyContract:
         assert error <= 1e-5 * (1 - mu)
         assert error <= 1e-6
 
+    # the Krylov spaces of complete graphs and Petersen break down after
+    # two and three steps
+    @settings(max_examples=100, deadline=None)
+    @given(graph=_aperiodic_graphs())
+    @example(graph=complete_graph(3))
+    @example(graph=complete_graph(5))
+    @example(graph=complete_graph(10))
+    @example(graph=complete_graph(50))
+    @example(graph=_petersen())
+    def test_small_graphs_match_dense(self, graph):
+        mu = _dense_mu(graph)
+        error = abs(slem(graph, dense_threshold=0) - mu)
+        assert error <= min(1e-6, 1e-5 * (1 - mu))
+
     def test_sharded_equals_in_ram_bit_for_bit(self, tmp_path):
         sharded = build_sharded_analog(
             tmp_path / "fast", 5000, regime="fast", seed=3, num_shards=3
@@ -184,25 +242,24 @@ class TestAccuracyContract:
             slem(k5, tol=1e-3)
 
     def test_gauges_bound_the_error(self):
-        # cos(pi/101) ~ 0.9995: the first pass is too loose for the gap
+        # cos(pi/101) ~ 0.9995: 1e-6 * mu alone is too loose for the gap
         g = cycle_graph(101)
         with telemetry.activate() as tel:
             slem(g, dense_threshold=0)
-        assert tel.gauges["mixing.slem.passes"] == 2
-        assert tel.gauges["mixing.slem.error_bound"] <= 1e-5 * (1 - _dense_mu(g))
+        bound = tel.gauges["mixing.slem.error_bound"]
+        assert bound <= 1e-5 * (1 - _dense_mu(g))
+        assert bound <= 1e-6
 
     def test_unresolvable_gap_raises(self, monkeypatch):
-        # a Ritz value within 1e-13 of 1: even a machine-precision
-        # residual cannot bound the error by 1e-5 of that gap
-        def near_one(operator, **kwargs):
-            operator.matvec(kwargs["v0"])
-            return np.array([1.0 - 1e-13])
-
-        monkeypatch.setattr(spectral.spla, "eigsh", near_one)
-        with telemetry.activate() as tel:
-            with pytest.raises(ConvergenceError, match="below what Lanczos"):
-                slem(barabasi_albert(500, 3, seed=5))
-        assert tel.gauges["mixing.slem.passes"] == 2
+        # a Ritz value within 1e-13 of 1 with a machine-precision
+        # residual: no residual Lanczos reaches bounds the error by 1e-5
+        # of that gap
+        monkeypatch.setattr(
+            spectral, "_extreme_ritz", lambda alpha, beta: (1.0 - 1e-13, 1e-16)
+        )
+        with pytest.raises(ConvergenceError, match="below what Lanczos") as info:
+            slem(barabasi_albert(500, 3, seed=5))
+        assert info.value.iterations == spectral._CHECK_EVERY
 
     def test_matvec_counter_rises_with_every_product(self, monkeypatch):
         seen: list[int] = []
